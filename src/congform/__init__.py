@@ -49,7 +49,6 @@ from .forms import (
     leq,
     lifts,
     preimage_congruence,
-    right_universalizer_check,
 )
 from .instances import (
     BUILTIN_OPERATOR_NAMES,

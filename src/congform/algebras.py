@@ -9,9 +9,10 @@ library treat fibre-isomorphism as plain equality.
 
 Congruence generation uses union-find with a worklist: whenever two
 classes merge, every operation tuple differing from a known tuple in one
-coordinate by a newly merged pair is re-propagated.  Lattices are
-enumerated by closing the principal congruences under binary join, and
-the test suite checks both against exhaustive partition scans.
+coordinate by a newly merged pair is re-propagated.  Joins need none:
+they are equivalence closures of unions.  Lattices are enumerated by
+closing the principal congruences under binary join, and the test suite
+checks both against exhaustive partition scans.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     NotAHomomorphism,
     OutOfRange,
     SignatureMismatch,
+    SignatureShape,
     SizeTooLarge,
     TableShape,
     UnknownOp,
@@ -50,9 +52,9 @@ class Signature:
     def __post_init__(self):
         names = [name for name, _ in self.ops]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate operation names in signature")
+            raise SignatureShape("duplicate operation names in signature")
         if any(arity < 0 for _, arity in self.ops):
-            raise ValueError("negative arity")
+            raise SignatureShape("negative arity")
 
     def arity(self, name: str) -> int:
         for n, a in self.ops:
@@ -151,6 +153,20 @@ def _unflatten(flat: Sequence[int], n: int, arity: int):
     return [_unflatten(flat[i * step:(i + 1) * step], n, arity - 1) for i in range(n)]
 
 
+def _parse_signature(items) -> Signature:
+    """Signature from (name, arity) pairs or {"name", "arity"} objects."""
+    if not isinstance(items, (list, tuple)):
+        raise SignatureShape("a signature is a list of operations")
+    ops = []
+    for item in items:
+        pair = (item.get("name"), item.get("arity")) if isinstance(item, dict) else item
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and isinstance(pair[0], str)
+                and isinstance(pair[1], int) and not isinstance(pair[1], bool)):
+            raise SignatureShape(f"signature entry {item!r} needs a name and an integer arity")
+        ops.append(tuple(pair))
+    return Signature(tuple(ops))
+
+
 def validate_algebra(size, signature, tables, tag=None) -> FiniteAlgebra:
     """Check shapes, entry ranges, and (for tagged algebras) variety axioms.
 
@@ -160,14 +176,9 @@ def validate_algebra(size, signature, tables, tag=None) -> FiniteAlgebra:
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise TableShape(f"size must be a positive integer, got {size!r}")
     if not isinstance(signature, Signature):
-        ops = []
-        for item in signature:
-            if isinstance(item, dict):
-                ops.append((str(item["name"]), int(item["arity"])))
-            else:
-                name, arity = item
-                ops.append((str(name), int(arity)))
-        signature = Signature(tuple(ops))
+        signature = _parse_signature(signature)
+    if not isinstance(tables, dict):
+        raise TableShape("tables map operation names to nested lists")
     known = set(signature.names())
     extra = set(tables) - known
     if extra:
@@ -204,6 +215,8 @@ def validate_algebra(size, signature, tables, tag=None) -> FiniteAlgebra:
 
 
 def algebra_from_json(doc: dict) -> FiniteAlgebra:
+    if not isinstance(doc, dict):
+        raise TableShape("an algebra is a JSON object")
     for key in ("size", "signature", "tables"):
         if key not in doc:
             raise TableShape(f"algebra object missing {key!r}")
@@ -683,14 +696,37 @@ def meet(r: Congruence, s: Congruence) -> Congruence:
     return Congruence(r.algebra, _canonical_ids(list(zip(r.ids, s.ids))))
 
 
+def _block_pairs(r: Congruence) -> list[tuple[int, int]]:
+    """(least element of its block, x) for every x; generates R as an equivalence."""
+    head: dict[int, int] = {}
+    return [(head.setdefault(b, x), x) for x, b in enumerate(r.ids)]
+
+
+def _equivalence_closure(x: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
+    """Least equivalence on ``x`` containing the pairs, by union-find; callers
+    use it only where that is known to be a congruence (no operation is read)."""
+    parent = list(range(x.size))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return Congruence(x, _canonical_ids([find(i) for i in range(x.size)]))
+
+
 def join(r: Congruence, s: Congruence) -> Congruence:
+    """R v S as the transitive closure of the union, without propagation:
+    Con(A) is a sublattice of Eq(A) (Burris & Sankappanavar, *A Course in
+    Universal Algebra*, I.5), so that closure is already a congruence."""
     if r.algebra != s.algebra:
         raise FibreMismatch("join needs congruences on the same algebra")
-    pairs = []
-    for c in (r, s):
-        for block in c.blocks():
-            pairs.extend((block[0], x) for x in block[1:])
-    return generated_congruence(r.algebra, pairs)
+    return _equivalence_closure(r.algebra, _block_pairs(r) + _block_pairs(s))
 
 
 @dataclass(frozen=True, repr=False)

@@ -22,7 +22,7 @@ from .algebras import (
     homomorphism,
     quotient,
 )
-from .errors import CheckFailure, CongformError, InputError
+from .errors import CheckFailure, CongformError, InputError, OperatorFileShape
 from .forms import image_congruence, lifts, preimage_congruence
 from .instances import BUILTIN_OPERATOR_NAMES, builtin_operator, closure_rule, corpus, corpus_manifest
 from .operators import is_minimal, operator_report
@@ -98,9 +98,12 @@ def _operator_rule(selector: str):
     if selector in BUILTIN_OPERATOR_NAMES:
         return closure_rule(selector), selector
     doc = _load_json(selector)
-    entries = doc.get("entries")
-    if not isinstance(entries, list):
-        raise InputError("operator file needs an 'entries' list")
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and all(isinstance(e.get(k), list) for k in ("congruence", "closure"))
+            for e in entries):
+        raise OperatorFileShape("operator file needs 'entries' with 'congruence' and "
+                                "'closure' block lists")
     name = doc.get("name", selector)
 
     def rule(x, r):

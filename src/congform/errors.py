@@ -38,6 +38,14 @@ class OutOfRange(InputError):
     """Table entry or element index outside the carrier."""
 
 
+class SignatureShape(InputError, ValueError):
+    """Signature entry lacks a string name or integer arity >= 0, or repeats a name."""
+
+
+class OperatorFileShape(InputError):
+    """Operator file is not an object with 'entries' of congruence/closure block lists."""
+
+
 class UnknownOp(InputError):
     """Operation name not present in the signature."""
 

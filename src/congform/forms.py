@@ -8,7 +8,7 @@ such S for a fixed R (cocartesian direction, a pushout of quotients).
 
 from __future__ import annotations
 
-from .algebras import Congruence, Homomorphism, _canonical_ids, generated_congruence
+from .algebras import Congruence, Homomorphism, _block_pairs, _canonical_ids, _equivalence_closure
 from .errors import FibreMismatch, NotInE
 
 
@@ -44,18 +44,16 @@ def preimage_congruence(f: Homomorphism, s: Congruence) -> Congruence:
 
 
 def image_congruence(f: Homomorphism, r: Congruence) -> Congruence:
-    """Cocartesian lifting along a surjection: least S lifting from R."""
+    """Cocartesian lifting along a surjection: least S lifting from R.
+
+    S is the equivalence closure of the pairs (f a, f b) with a R b.  No
+    propagation is needed: that closure is the push-forward of R v ker f,
+    a congruence above the kernel, and such push-forwards along surjective
+    homomorphisms are congruences (correspondence theorem).
+    """
     if r.algebra != f.dom:
         raise FibreMismatch("R must live on the domain of f")
     if not f.surjective:
         raise NotInE("image congruence requires a surjective map")
-    pairs = []
-    for block in r.blocks():
-        head = f.map[block[0]]
-        pairs.extend((head, f.map[x]) for x in block[1:])
-    return generated_congruence(f.cod, pairs)
-
-
-def right_universalizer_check(f: Homomorphism) -> bool:
-    """For quotient forms these are exactly the surjections."""
-    return len(set(f.map)) == f.cod.size
+    m = f.map
+    return _equivalence_closure(f.cod, [(m[a], m[b]) for a, b in _block_pairs(r)])

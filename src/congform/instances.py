@@ -32,10 +32,11 @@ from .algebras import (
     QUANDLE_SIGNATURE,
     QUANDLE_TAG,
     RNG_TAG,
+    _block_pairs,
     _canonical_ids,
+    _equivalence_closure,
     algebra_to_json,
     canonical_algebra,
-    con_lattice,
     find_isomorphism,
     full,
     generated_congruence,
@@ -397,10 +398,6 @@ def nilradical(a: FiniteAlgebra, i: Ideal) -> Ideal:
     return ideal(a, out)
 
 
-def all_ideals(a: FiniteAlgebra) -> tuple[Ideal, ...]:
-    return tuple(ideal_of_congruence(r) for r in con_lattice(a))
-
-
 def ideal_to_json(i: Ideal) -> list[int]:
     """Ideals serialize as their sorted element list."""
     return list(i.elements)
@@ -421,13 +418,7 @@ def nilradical_operator(u: Universe) -> ClosureOperator:
     are not closed under quotients (Z is reduced, Z/4 is not), so the
     corresponding operator is not minimal there.
     """
-    for a in u.algebras:
-        _require_rng(a)
-
-    def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
-        return congruence_of_ideal(nilradical(x, ideal_of_congruence(r)))
-
-    return make_operator(u, rule, "nilradical")
+    return builtin_operator("nilradical", u)
 
 
 # --- quandles --------------------------------------------------------------------
@@ -440,30 +431,14 @@ def _require_quandle(a: FiniteAlgebra) -> None:
 def quandle_reachability(a: FiniteAlgebra) -> Congruence:
     """x ~ y iff y is reachable from x by <| / <|^{-1} moves; a congruence."""
     _require_quandle(a)
-    pairs = []
-    for x in a.elements():
-        for b in a.elements():
-            pairs.append((x, a.op("lhd", x, b)))
-            pairs.append((x, a.op("lhd_inv", x, b)))
-    parent = list(range(a.size))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for x, y in pairs:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    ids = _canonical_ids([find(x) for x in a.elements()])
-    if not is_compatible(a, ids):
+    sim = _equivalence_closure(a, [(x, a.op(op, x, b)) for op in ("lhd", "lhd_inv")
+                                   for x in a.elements() for b in a.elements()])
+    if not is_compatible(a, sim.ids):
         raise CompositeNotCongruence(
             "reachability relation failed the congruence check",
-            witness={"blocks": [list(b) for b in Congruence(a, ids).blocks()]},
+            witness={"blocks": [list(b) for b in sim.blocks()]},
         )
-    return Congruence(a, ids)
+    return sim
 
 
 def _composite_with_reachability(x: FiniteAlgebra, r: Congruence) -> Congruence:
@@ -500,9 +475,7 @@ def _composite_with_reachability(x: FiniteAlgebra, r: Congruence) -> Congruence:
 
 
 def quandle_closure_operator(u: Universe) -> ClosureOperator:
-    for a in u.algebras:
-        _require_quandle(a)
-    return make_operator(u, _composite_with_reachability, "quandle")
+    return builtin_operator("quandle", u)
 
 
 # --- groups ------------------------------------------------------------------------
@@ -532,83 +505,54 @@ def exponent_two_congruence(a: FiniteAlgebra) -> Congruence:
     _require_group(a)
     e = a.op("e")
     pairs = [(a.op("mul", x, x), e) for x in a.elements()]
-    base = commutator_congruence(a)
-    for block in base.blocks():
-        pairs.extend((block[0], x) for x in block[1:])
-    return generated_congruence(a, pairs)
+    return generated_congruence(a, pairs + _block_pairs(commutator_congruence(a)))
 
 
 def abelianization_operator(u: Universe) -> ClosureOperator:
-    for a in u.algebras:
-        _require_group(a)
-
-    def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
-        return join(r, commutator_congruence(x))
-
-    return make_operator(u, rule, "abelianization")
+    return builtin_operator("abelianization", u)
 
 
 def exponent_two_abelianization_operator(u: Universe) -> ClosureOperator:
-    for a in u.algebras:
-        _require_group(a)
-
-    def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
-        return join(r, exponent_two_congruence(x))
-
-    return make_operator(u, rule, "exp2-abelianization")
+    return builtin_operator("exp2-abelianization", u)
 
 
 # --- registry ----------------------------------------------------------------------
 
-BUILTIN_OPERATOR_NAMES = (
-    "identity", "top", "nilradical", "quandle", "abelianization",
-    "exp2-abelianization",
-)
+# name -> (tag check, or None for every algebra; closure rule on one algebra)
+_BUILTIN_RULES = {
+    "identity": (None, lambda x, r: r),
+    "top": (None, lambda x, r: full(x)),
+    "nilradical": (_require_rng,
+                   lambda x, r: congruence_of_ideal(nilradical(x, ideal_of_congruence(r)))),
+    "quandle": (_require_quandle, _composite_with_reachability),
+    "abelianization": (_require_group, lambda x, r: join(r, commutator_congruence(x))),
+    "exp2-abelianization": (_require_group, lambda x, r: join(r, exponent_two_congruence(x))),
+}
+BUILTIN_OPERATOR_NAMES = tuple(_BUILTIN_RULES)
+
+
+def _builtin(name: str):
+    if name not in _BUILTIN_RULES:
+        raise OutOfRange(f"unknown operator {name!r}; built-ins: {BUILTIN_OPERATOR_NAMES}")
+    return _BUILTIN_RULES[name]
 
 
 def closure_rule(name: str):
     """Single-algebra closure rule for the named built-in operator."""
-    if name == "identity":
-        return lambda x, r: r
-    if name == "top":
-        return lambda x, r: full(x)
-    if name == "nilradical":
-        def _nil(x, r):
-            _require_rng(x)
-            return congruence_of_ideal(nilradical(x, ideal_of_congruence(r)))
-        return _nil
-    if name == "quandle":
-        def _qnd(x, r):
-            _require_quandle(x)
-            return _composite_with_reachability(x, r)
-        return _qnd
-    if name == "abelianization":
-        def _ab(x, r):
-            _require_group(x)
-            return join(r, commutator_congruence(x))
-        return _ab
-    if name == "exp2-abelianization":
-        def _ab2(x, r):
-            _require_group(x)
-            return join(r, exponent_two_congruence(x))
-        return _ab2
-    raise OutOfRange(f"unknown operator {name!r}; built-ins: {BUILTIN_OPERATOR_NAMES}")
+    require, rule = _builtin(name)
+    if require is None:
+        return rule
+
+    def checked(x, r):
+        require(x)
+        return rule(x, r)
+
+    return checked
 
 
 def builtin_operator(name: str, u: Universe) -> ClosureOperator:
     """The named built-in operator tabulated and validated over ``u``."""
-    from .operators import identity_operator, top_operator
-
-    if name == "identity":
-        return identity_operator(u)
-    if name == "top":
-        return top_operator(u)
-    if name == "nilradical":
-        return nilradical_operator(u)
-    if name == "quandle":
-        return quandle_closure_operator(u)
-    if name == "abelianization":
-        return abelianization_operator(u)
-    if name == "exp2-abelianization":
-        return exponent_two_abelianization_operator(u)
-    raise OutOfRange(f"unknown operator {name!r}; built-ins: {BUILTIN_OPERATOR_NAMES}")
+    require, rule = _builtin(name)
+    for a in u.algebras if require else ():
+        require(a)
+    return make_operator(u, rule, name)

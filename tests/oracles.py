@@ -6,6 +6,11 @@ of the carrier, compatibility compares all componentwise-related
 argument tuples, generated congruences are meets of all containing
 congruences, and homomorphisms come from scanning all maps.  Keep these
 dumb and quadratic; they only ever run on small carriers.
+
+The last section keeps the general-search code paths that the library
+replaced with lattice facts (Mal'cev join, propagated image, the
+(f, R, S) lifting-law scan), as differential oracles for their
+replacements.
 """
 
 from __future__ import annotations
@@ -93,3 +98,44 @@ def ids_leq(r_ids, s_ids) -> bool:
         for a in range(n) for b in range(n)
         if r_ids[a] == r_ids[b]
     )
+
+
+# --- replaced library code paths ----------------------------------------------
+
+def malcev_join(r, s):
+    """R v S as the congruence generated by the block pairs of both."""
+    from congform import generated_congruence
+
+    pairs = []
+    for c in (r, s):
+        for block in c.blocks():
+            pairs.extend((block[0], x) for x in block[1:])
+    return generated_congruence(r.algebra, pairs)
+
+
+def propagated_image(f, r):
+    """Image along a surjection as the congruence generated by f(R)."""
+    from congform import generated_congruence
+
+    pairs = []
+    for block in r.blocks():
+        head = f.map[block[0]]
+        pairs.extend((head, f.map[x]) for x in block[1:])
+    return generated_congruence(f.cod, pairs)
+
+
+def lifting_law_witness(u, tables):
+    """First (f, R, S) with f lifting R into S but not C(R) into C(S), or None."""
+    from congform import lifts
+    from congform.operators import naturality_maps
+
+    for i, x in enumerate(u.algebras):
+        for j, y in enumerate(u.algebras):
+            for f in naturality_maps(u, x, y):
+                for r, cr in tables[i].items():
+                    for s, cs in tables[j].items():
+                        if lifts(f, r, s) and not lifts(f, cr, cs):
+                            return {"dom": i, "cod": j, "map": list(f.map),
+                                    "R": [list(b) for b in r.blocks()],
+                                    "S": [list(b) for b in s.blocks()]}
+    return None

@@ -60,6 +60,36 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert json.loads(out)["error"] == "InputError"
 
 
+def _z2_doc(signature):
+    return {"size": 2, "signature": signature,
+            "tables": {"f": [[0, 1], [1, 0]]}}
+
+
+@pytest.mark.parametrize("signature", [
+    [{"name": "f", "arity": "x"}],
+    [{"name": "f", "arity": 2}, {"name": "f", "arity": 2}],
+], ids=["arity-not-an-integer", "duplicate-names"])
+def test_malformed_signature_exits_2(tmp_path, capsys, signature):
+    path = tmp_path / "sig.json"
+    path.write_text(json.dumps(_z2_doc(signature)))
+    code, out, _ = run(capsys, "validate", "--algebra", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "SignatureShape"
+
+
+@pytest.mark.parametrize("doc", [
+    {"entries": [{"closure": [[0, 2], [1, 3]]}]},
+    [{"congruence": [], "closure": []}],
+], ids=["entry-without-congruence", "file-is-a-list"])
+def test_malformed_operator_file_exits_2(files, tmp_path, capsys, doc):
+    opfile = tmp_path / "op.json"
+    opfile.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "close", "--operator", str(opfile),
+                       "--algebra", files["z4-group"], "--congruence", "[]")
+    assert code == 2
+    assert json.loads(out)["error"] == "OperatorFileShape"
+
+
 def test_con_lattice(files, capsys):
     code, out, _ = run(capsys, "con-lattice", "--algebra", files["z4-group"])
     assert code == 0

@@ -19,7 +19,6 @@ from congform import (
     meet,
     preimage_congruence,
     quotient,
-    right_universalizer_check,
     symmetric_group,
 )
 from congform.errors import FibreMismatch, NotInE
@@ -97,14 +96,6 @@ def test_image_rejects_non_surjective_maps():
     f = homomorphism(z2, z4, [0, 2])
     with pytest.raises(NotInE):
         image_congruence(f, diagonal(z2))
-
-
-def test_right_universalizers_are_the_surjections():
-    assert right_universalizer_check(mod_map(4, 2))
-    assert right_universalizer_check(identity_hom(cyclic_group(4)))
-    z4 = cyclic_group(4)
-    const = homomorphism(z4, z4, [0, 0, 0, 0])
-    assert not right_universalizer_check(const)
 
 
 # --- the two adjunction laws -------------------------------------------------------
