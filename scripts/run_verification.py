@@ -13,20 +13,20 @@ import pathlib
 import sys
 import time
 
+from congform.instances import CORPUS_KINDS
 from congform.verify import run_verification
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--corpus", choices=["groups", "rngs", "quandles", "all"],
-                        default="all")
+    parser.add_argument("--corpus", choices=[*CORPUS_KINDS, "all"], default="all")
     parser.add_argument("--max-size", type=int, default=None,
                         help="largest carrier (per-kind default if omitted)")
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         help="directory to write one JSON report per corpus")
     args = parser.parse_args()
 
-    kinds = ["groups", "rngs", "quandles"] if args.corpus == "all" else [args.corpus]
+    kinds = CORPUS_KINDS if args.corpus == "all" else [args.corpus]
     all_ok = True
     for kind in kinds:
         started = time.monotonic()

@@ -53,7 +53,6 @@ from .forms import (
 from .instances import (
     BUILTIN_OPERATOR_NAMES,
     Ideal,
-    abelianization_operator,
     builtin_operator,
     congruence_of_ideal,
     corpus,
@@ -62,15 +61,12 @@ from .instances import (
     cyclic_rng,
     dihedral_group,
     dihedral_quandle,
-    exponent_two_abelianization_operator,
     ideal,
     ideal_from_json,
     ideal_of_congruence,
     ideal_to_json,
     klein_four_group,
     nilradical,
-    nilradical_operator,
-    quandle_closure_operator,
     quandle_reachability,
     symmetric_group,
     trivial_quandle,
@@ -79,7 +75,6 @@ from .operators import (
     ClosureOperator,
     Universe,
     enumerate_operators,
-    identity_operator,
     is_cohereditary,
     is_idempotent,
     is_minimal,
@@ -88,7 +83,6 @@ from .operators import (
     operator_report,
     preserves_cocartesian,
     strictify,
-    top_operator,
     universe,
     universe_from_generators,
 )

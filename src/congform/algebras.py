@@ -307,11 +307,14 @@ def congruence_from_blocks(a: FiniteAlgebra, blocks: Iterable[Iterable[int]],
                            *, allow_partial: bool = True) -> Congruence:
     """Build a congruence from blocks; unlisted elements become singletons.
 
-    Raises NotACongruence when the blocks overlap, mention out-of-range
-    elements, or the partition is not operation-compatible.
+    Raises NotACongruence when a block is not a list, the blocks overlap,
+    or the partition is not operation-compatible, and OutOfRange for an
+    element that is not an integer in the carrier.
     """
     labels: list = [None] * a.size
     for i, block in enumerate(blocks):
+        if not isinstance(block, (list, tuple)):
+            raise NotACongruence(f"block {block!r} is not a list of elements")
         for x in block:
             if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < a.size:
                 raise OutOfRange(f"block element {x!r} outside [0, {a.size})")
@@ -378,8 +381,9 @@ def homomorphism(dom: FiniteAlgebra, cod: FiniteAlgebra,
     mapping = tuple(mapping)
     if len(mapping) != dom.size:
         raise NotAHomomorphism(f"map must list {dom.size} values")
-    if any(not 0 <= v < cod.size for v in mapping):
-        raise OutOfRange("map value outside codomain carrier")
+    if any(not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < cod.size
+           for v in mapping):
+        raise OutOfRange("map value is not an element of the codomain carrier")
     bad = _preserves_ops(dom, cod, mapping)
     if bad is not None:
         raise NotAHomomorphism(

@@ -22,18 +22,26 @@ from .algebras import (
     homomorphism,
     quotient,
 )
-from .errors import CheckFailure, CongformError, InputError, OperatorFileShape
-from .forms import image_congruence, lifts, preimage_congruence
-from .instances import BUILTIN_OPERATOR_NAMES, builtin_operator, closure_rule, corpus, corpus_manifest
+from .errors import CheckFailure, CongformError, InputError, NotExtensive, OperatorFileShape
+from .forms import image_congruence, leq, lifts, preimage_congruence
+from .instances import (
+    BUILTIN_OPERATOR_NAMES,
+    CORPUS_KINDS,
+    builtin_operator,
+    closure_rule,
+    corpus,
+    corpus_manifest,
+)
 from .operators import is_minimal, operator_report
 from .reflection import (
     antitone_check,
     closed_under_quotients,
+    closure_from_reflector,
+    closures_agree,
     membership,
     predicate_from_operator,
     reflector_from_closure,
-    roundtrip_closure,
-    roundtrip_reflector,
+    reflectors_agree,
 )
 from .verify import DEFAULT_MAX_SIZE, run_verification
 
@@ -93,8 +101,12 @@ def _load_hom(args):
     return homomorphism(dom, cod, mapping)
 
 
-def _operator_rule(selector: str):
-    """Built-in rule by name, or a single-algebra extensional table file."""
+def _operator_rule(selector: str, a):
+    """Built-in rule by name, or an extensional table file for the algebra ``a``.
+
+    File entries are parsed once against ``a`` and must be extensive; the
+    first entry for a congruence wins.
+    """
     if selector in BUILTIN_OPERATOR_NAMES:
         return closure_rule(selector), selector
     doc = _load_json(selector)
@@ -105,13 +117,20 @@ def _operator_rule(selector: str):
         raise OperatorFileShape("operator file needs 'entries' with 'congruence' and "
                                 "'closure' block lists")
     name = doc.get("name", selector)
+    table = {}
+    for k, entry in enumerate(entries):
+        r = congruence_from_blocks(a, entry["congruence"])
+        c = congruence_from_blocks(a, entry["closure"])
+        if not leq(r, c):
+            raise NotExtensive(f"operator file entry {k} is not extensive", witness={
+                "entry": k, "congruence": congruence_to_blocks(r),
+                "closure": congruence_to_blocks(c)})
+        table.setdefault(r, c)
 
     def rule(x, r):
-        for entry in entries:
-            cand = congruence_from_blocks(x, entry["congruence"])
-            if cand == r:
-                return congruence_from_blocks(x, entry["closure"])
-        raise InputError("operator file has no entry for the given congruence")
+        if r not in table:
+            raise InputError("operator file has no entry for the given congruence")
+        return table[r]
 
     return rule, name
 
@@ -140,7 +159,7 @@ def _cmd_con_lattice(args) -> int:
 def _cmd_close(args) -> int:
     a = _load_algebra(args.algebra)
     r = _parse_congruence(a, args.congruence)
-    rule, name = _operator_rule(args.operator)
+    rule, name = _operator_rule(args.operator, a)
     closed = rule(a, r)
     _say(f"{name}: {r.n_blocks} blocks -> {closed.n_blocks} blocks")
     _emit(congruence_to_blocks(closed), args.report)
@@ -173,7 +192,7 @@ def _cmd_pull(args) -> int:
 
 def _cmd_reflect(args) -> int:
     a = _load_algebra(args.algebra)
-    rule, name = _operator_rule(args.operator)
+    rule, name = _operator_rule(args.operator, a)
     rho = rule(a, diagonal(a))
     q, _ = quotient(a, rho)
     member = rho == diagonal(a)
@@ -205,8 +224,10 @@ def _cmd_check_operator(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     _, c = _universe_and_operator(args)
-    closure_rt = roundtrip_closure(c)
-    reflector_rt = roundtrip_reflector(reflector_from_closure(c))
+    refl = reflector_from_closure(c)
+    back = closure_from_reflector(refl)
+    closure_rt = closures_agree(c, back)
+    reflector_rt = reflectors_agree(refl, reflector_from_closure(back))
     ok = bool(closure_rt) and bool(reflector_rt)
     _say(f"{c.name}: round-trips {'pass' if ok else 'FAIL'}")
     _emit({
@@ -292,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     operator = ("--operator", {"required": True,
                                "help": f"one of {', '.join(BUILTIN_OPERATOR_NAMES)}, "
                                        "or a path to an operator table file"})
-    corpus_flag = ("--corpus", {"required": True, "choices": ["groups", "rngs", "quandles"]})
+    corpus_flag = ("--corpus", {"required": True, "choices": CORPUS_KINDS})
     max_size = ("--max-size", {"type": int, "dest": "max_size",
                                "help": "largest carrier in the corpus"})
     hom = [

@@ -14,6 +14,11 @@ Corpora are quotient-closed universes: rngs come from the explicit Z_n
 family, groups of size <= 6 and quandles are found by exhaustive table
 search (groups 7..12 fall back to cyclic/dihedral/symmetric families
 plus the Klein four-group, which dihedral quotients require).
+
+One registry, ``_BUILTIN_RULES``, is the only description of the
+built-in operators: name -> (tag, closure rule, oracle predicate).
+``builtin_operator``, ``closure_rule``, ``corpus_operators`` and
+``oracle_predicate`` read it, and so do ``verify`` and the CLI.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
+from . import terms
 from .algebras import (
     COMMUTATIVE_RNG_SIGNATURE,
     Congruence,
@@ -54,6 +60,7 @@ from .errors import (
     SizeTooLarge,
 )
 from .operators import ClosureOperator, Universe, make_operator, universe
+from .reflection import SubcategoryPredicate, predicate_from_equations, predicate_from_quasiequations
 
 # --- named algebra builders ---------------------------------------------------
 
@@ -279,7 +286,8 @@ def _dedup_up_to_iso(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
 
 # --- corpora -------------------------------------------------------------------
 
-CORPUS_KINDS = ("groups", "rngs", "quandles")
+_CORPUS_TAGS = {"groups": GROUP_TAG, "rngs": RNG_TAG, "quandles": QUANDLE_TAG}
+CORPUS_KINDS = tuple(_CORPUS_TAGS)
 _CORPUS_LIMITS = {"groups": 12, "rngs": 24, "quandles": 6}
 _EXHAUSTIVE_GROUP_LIMIT = 6
 
@@ -330,6 +338,16 @@ def corpus_manifest(kind: str, max_size: int) -> dict:
     }
 
 
+# --- variety tags ----------------------------------------------------------------
+
+_TAG_ERRORS = {GROUP_TAG: NotGroup, RNG_TAG: NotRng, QUANDLE_TAG: NotQuandle}
+
+
+def _require(tag: str, a: FiniteAlgebra) -> None:
+    if a.tag != tag:
+        raise _TAG_ERRORS[tag](f"expected a {tag!r}-tagged algebra, got tag {a.tag!r}")
+
+
 # --- ideals of commutative rngs -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -340,13 +358,8 @@ class Ideal:
     elements: tuple[int, ...]
 
 
-def _require_rng(a: FiniteAlgebra) -> None:
-    if a.tag != RNG_TAG:
-        raise NotRng(f"expected a {RNG_TAG!r}-tagged algebra, got tag {a.tag!r}")
-
-
 def ideal(rng: FiniteAlgebra, elements: Iterable[int]) -> Ideal:
-    _require_rng(rng)
+    _require(RNG_TAG, rng)
     elems = sorted(set(elements))
     if any(not 0 <= x < rng.size for x in elems):
         raise OutOfRange("ideal element outside the carrier")
@@ -367,7 +380,7 @@ def ideal(rng: FiniteAlgebra, elements: Iterable[int]) -> Ideal:
 
 def ideal_of_congruence(r: Congruence) -> Ideal:
     """The block of 0; inverse to ``congruence_of_ideal``."""
-    _require_rng(r.algebra)
+    _require(RNG_TAG, r.algebra)
     zero = r.algebra.op("zero")
     block = tuple(sorted(x for x in r.algebra.elements() if r.together(x, zero)))
     return Ideal(r.algebra, block)
@@ -385,7 +398,7 @@ def congruence_of_ideal(i: Ideal) -> Congruence:
 
 def nilradical(a: FiniteAlgebra, i: Ideal) -> Ideal:
     """sqrt(I) = elements with some power in I; exponent capped by |A|."""
-    _require_rng(a)
+    _require(RNG_TAG, a)
     eset = set(i.elements)
     out = []
     for x in a.elements():
@@ -409,28 +422,11 @@ def ideal_from_json(rng: FiniteAlgebra, doc) -> Ideal:
     return ideal(rng, doc)
 
 
-def nilradical_operator(u: Universe) -> ClosureOperator:
-    """Close a congruence by taking the nilradical of its ideal.
-
-    On the bundled Z_n corpora this operator tests as minimal, because
-    quotients of reduced Z_n (squarefree n) are again reduced.  That is
-    a finiteness artifact: over commutative rngs at large, reduced rngs
-    are not closed under quotients (Z is reduced, Z/4 is not), so the
-    corresponding operator is not minimal there.
-    """
-    return builtin_operator("nilradical", u)
-
-
 # --- quandles --------------------------------------------------------------------
-
-def _require_quandle(a: FiniteAlgebra) -> None:
-    if a.tag != QUANDLE_TAG:
-        raise NotQuandle(f"expected a {QUANDLE_TAG!r}-tagged algebra, got tag {a.tag!r}")
-
 
 def quandle_reachability(a: FiniteAlgebra) -> Congruence:
     """x ~ y iff y is reachable from x by <| / <|^{-1} moves; a congruence."""
-    _require_quandle(a)
+    _require(QUANDLE_TAG, a)
     sim = _equivalence_closure(a, [(x, a.op(op, x, b)) for op in ("lhd", "lhd_inv")
                                    for x in a.elements() for b in a.elements()])
     if not is_compatible(a, sim.ids):
@@ -474,21 +470,12 @@ def _composite_with_reachability(x: FiniteAlgebra, r: Congruence) -> Congruence:
     return Congruence(x, ids)
 
 
-def quandle_closure_operator(u: Universe) -> ClosureOperator:
-    return builtin_operator("quandle", u)
-
-
 # --- groups ------------------------------------------------------------------------
-
-def _require_group(a: FiniteAlgebra) -> None:
-    if a.tag != GROUP_TAG:
-        raise NotGroup(f"expected a {GROUP_TAG!r}-tagged algebra, got tag {a.tag!r}")
-
 
 @lru_cache(maxsize=None)
 def commutator_congruence(a: FiniteAlgebra) -> Congruence:
     """Kernel of the abelianization quotient: collapse all commutators to e."""
-    _require_group(a)
+    _require(GROUP_TAG, a)
     e = a.op("e")
     pairs = []
     for x in a.elements():
@@ -502,31 +489,37 @@ def commutator_congruence(a: FiniteAlgebra) -> Congruence:
 @lru_cache(maxsize=None)
 def exponent_two_congruence(a: FiniteAlgebra) -> Congruence:
     """Collapse commutators and squares: quotient is elementary abelian 2."""
-    _require_group(a)
+    _require(GROUP_TAG, a)
     e = a.op("e")
     pairs = [(a.op("mul", x, x), e) for x in a.elements()]
     return generated_congruence(a, pairs + _block_pairs(commutator_congruence(a)))
 
 
-def abelianization_operator(u: Universe) -> ClosureOperator:
-    return builtin_operator("abelianization", u)
-
-
-def exponent_two_abelianization_operator(u: Universe) -> ClosureOperator:
-    return builtin_operator("exp2-abelianization", u)
-
-
 # --- registry ----------------------------------------------------------------------
 
-# name -> (tag check, or None for every algebra; closure rule on one algebra)
+# name -> (tag, closure rule on one algebra, oracle predicate).  The tag (None:
+# every algebra) is checked on each algebra the rule closes on, and puts the
+# operator into the corpus of that tag; corpora take operators in this order.
+# The oracle is an independent equational description of the subcategory.
 _BUILTIN_RULES = {
-    "identity": (None, lambda x, r: r),
-    "top": (None, lambda x, r: full(x)),
-    "nilradical": (_require_rng,
-                   lambda x, r: congruence_of_ideal(nilradical(x, ideal_of_congruence(r)))),
-    "quandle": (_require_quandle, _composite_with_reachability),
-    "abelianization": (_require_group, lambda x, r: join(r, commutator_congruence(x))),
-    "exp2-abelianization": (_require_group, lambda x, r: join(r, exponent_two_congruence(x))),
+    "identity": (None, lambda x, r: r, predicate_from_equations("everything", ())),
+    "top": (None, lambda x, r: full(x),
+            predicate_from_equations("one-element", terms.ONE_ELEMENT)),
+    # On the bundled Z_n corpora nilradical tests as minimal, because quotients
+    # of reduced Z_n (squarefree n) are again reduced.  That is a finiteness
+    # artifact: over commutative rngs at large, reduced rngs are not closed
+    # under quotients (Z is reduced, Z/4 is not), so the operator is not
+    # minimal there.
+    "nilradical": (RNG_TAG,
+                   lambda x, r: congruence_of_ideal(nilradical(x, ideal_of_congruence(r))),
+                   predicate_from_quasiequations("reduced", terms.REDUCED_RNG)),
+    "quandle": (QUANDLE_TAG, _composite_with_reachability,
+                predicate_from_equations("trivial-quandle", terms.TRIVIAL_QUANDLE)),
+    "abelianization": (GROUP_TAG, lambda x, r: join(r, commutator_congruence(x)),
+                       predicate_from_equations("abelian", terms.COMMUTATIVITY)),
+    "exp2-abelianization": (GROUP_TAG, lambda x, r: join(r, exponent_two_congruence(x)),
+                            predicate_from_equations("elementary-abelian-2",
+                                                     terms.ELEMENTARY_ABELIAN_2)),
 }
 BUILTIN_OPERATOR_NAMES = tuple(_BUILTIN_RULES)
 
@@ -537,14 +530,25 @@ def _builtin(name: str):
     return _BUILTIN_RULES[name]
 
 
+def corpus_operators(kind: str) -> tuple[str, ...]:
+    """Names of the built-in operators that apply to a corpus kind."""
+    return tuple(name for name, (tag, _, _) in _BUILTIN_RULES.items()
+                 if tag in (None, _CORPUS_TAGS[kind]))
+
+
+def oracle_predicate(name: str) -> SubcategoryPredicate:
+    """Independent membership predicate for the named built-in operator."""
+    return _builtin(name)[2]
+
+
 def closure_rule(name: str):
     """Single-algebra closure rule for the named built-in operator."""
-    require, rule = _builtin(name)
-    if require is None:
+    tag, rule, _ = _builtin(name)
+    if tag is None:
         return rule
 
     def checked(x, r):
-        require(x)
+        _require(tag, x)
         return rule(x, r)
 
     return checked
@@ -552,7 +556,7 @@ def closure_rule(name: str):
 
 def builtin_operator(name: str, u: Universe) -> ClosureOperator:
     """The named built-in operator tabulated and validated over ``u``."""
-    require, rule = _builtin(name)
-    for a in u.algebras if require else ():
-        require(a)
+    tag, rule, _ = _builtin(name)
+    for a in u.algebras if tag else ():
+        _require(tag, a)
     return make_operator(u, rule, name)

@@ -38,7 +38,6 @@ from .algebras import (
     enumerate_homs,
     enumerate_surjections,
     find_isomorphism,
-    full,
     identity_hom,
     quotient,
 )
@@ -266,14 +265,6 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
         tuple(sorted(t.items(), key=lambda kv: kv[0].ids)) for t in tables
     )
     return ClosureOperator(u, name, packed)
-
-
-def identity_operator(u: Universe) -> ClosureOperator:
-    return make_operator(u, lambda x, r: r, "identity")
-
-
-def top_operator(u: Universe) -> ClosureOperator:
-    return make_operator(u, lambda x, r: full(x), "top")
 
 
 # --- axiom checkers -----------------------------------------------------------

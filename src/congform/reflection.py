@@ -8,13 +8,16 @@ through the unit, i.e. rho_X <= ker f, and reflections must land in the
 subcategory.
 
 The two constructions converting between reflectors and idempotent
-cohereditary closure operators are mutually inverse here, and the test
-suite checks the round trips pointwise.  Note that operators over a
-quotient-closed universe are only validated against surjections, which
-admits operators whose congruence family fails the universal property
-along some non-surjective map; ``reflector_from_closure`` re-verifies
-and reports such a map as a witness instead of returning a broken
-reflector.
+cohereditary closure operators are mutually inverse here.  Each round
+trip is a derivation followed by a pointwise comparison
+(``closures_agree``, ``reflectors_agree``), so a caller that already
+holds the derived objects compares them without rebuilding them.
+
+Note that operators over a quotient-closed universe are only validated
+against surjections, which admits operators whose congruence family
+fails the universal property along some non-surjective map;
+``reflector_from_closure`` re-verifies and reports such a map as a
+witness instead of returning a broken reflector.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .operators import (
     make_operator,
     operator_leq,
 )
+from .terms import satisfies_equations, satisfies_quasiequations
 
 
 @dataclass(frozen=True, repr=False)
@@ -170,14 +174,10 @@ class SubcategoryPredicate:
 
 
 def predicate_from_equations(name: str, eqs) -> SubcategoryPredicate:
-    from .terms import satisfies_equations
-
     return SubcategoryPredicate(name, lambda x: bool(satisfies_equations(x, eqs)))
 
 
 def predicate_from_quasiequations(name: str, qeqs) -> SubcategoryPredicate:
-    from .terms import satisfies_quasiequations
-
     return SubcategoryPredicate(name, lambda x: bool(satisfies_quasiequations(x, qeqs)))
 
 
@@ -206,9 +206,8 @@ def closed_under_quotients(pred: SubcategoryPredicate, u: Universe) -> CheckResu
     return PASSED
 
 
-def roundtrip_closure(c: ClosureOperator) -> CheckResult:
-    """closure -> reflector -> closure is the pointwise identity."""
-    back = closure_from_reflector(reflector_from_closure(c))
+def closures_agree(c: ClosureOperator, back: ClosureOperator) -> CheckResult:
+    """``back``, derived from ``c`` through its reflector, equals ``c`` pointwise."""
     for i in range(len(c.universe)):
         for r, cr in c.fibre(i).items():
             if back.apply(i, r) != cr:
@@ -221,9 +220,8 @@ def roundtrip_closure(c: ClosureOperator) -> CheckResult:
     return PASSED
 
 
-def roundtrip_reflector(refl: Reflector) -> CheckResult:
-    """reflector -> closure -> reflector reproduces every rho_X."""
-    back = reflector_from_closure(closure_from_reflector(refl))
+def reflectors_agree(refl: Reflector, back: Reflector) -> CheckResult:
+    """``back``, derived from ``refl`` through its closure, has every rho_X of ``refl``."""
     for i in range(len(refl.universe)):
         if back.rho[i] != refl.rho[i]:
             return failed(
@@ -232,6 +230,16 @@ def roundtrip_reflector(refl: Reflector) -> CheckResult:
                 got=[list(b) for b in back.rho[i].blocks()],
             )
     return PASSED
+
+
+def roundtrip_closure(c: ClosureOperator) -> CheckResult:
+    """closure -> reflector -> closure is the pointwise identity."""
+    return closures_agree(c, closure_from_reflector(reflector_from_closure(c)))
+
+
+def roundtrip_reflector(refl: Reflector) -> CheckResult:
+    """reflector -> closure -> reflector reproduces every rho_X."""
+    return reflectors_agree(refl, reflector_from_closure(closure_from_reflector(refl)))
 
 
 def antitone_check(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:

@@ -1,67 +1,39 @@
 """Corpus-level verification: run every theorem check and collect a report.
 
 This backs the ``verify-all`` CLI command and the verification scripts.
-For one corpus it exercises, per built-in operator: the reflection
-round-trips, the axiom suite on reflection-derived operators, the
-minimal/cocartesian equivalence, the minimality/quotient-closure
-equivalence, the antitone operator order, and agreement with the
-brute-force reflection oracle.
+For one corpus it exercises, per built-in operator that applies to the
+corpus kind (the registry in ``instances``): the reflection round-trips,
+the axiom suite on reflection-derived operators, the minimal/cocartesian
+equivalence, the minimality/quotient-closure equivalence, the antitone
+operator order, and agreement with the brute-force reflection oracle.
+
+Each derived object is built once per operator and shared by every
+theorem that reads it: the operator report C (whose verdicts the
+minimality sections reuse), the reflector R of C, the operator D derived
+back from R (the axiom suite's subject and the middle of both round
+trips), and the reflector derived from D.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from . import terms
 from .algebras import con_lattice
 from .errors import CheckResult, PASSED, failed
-from .instances import builtin_operator, corpus
-from .operators import (
-    ClosureOperator,
-    is_cohereditary,
-    is_idempotent,
-    is_minimal,
-    operator_report,
-    preserves_cocartesian,
-)
+from .instances import builtin_operator, corpus, corpus_operators, oracle_predicate
+from .operators import ClosureOperator, is_cohereditary, is_idempotent, operator_report
 from .reflection import (
-    SubcategoryPredicate,
     antitone_check,
     closed_under_quotients,
     closure_from_reflector,
+    closures_agree,
     oracle_reflector,
-    predicate_from_equations,
     predicate_from_operator,
-    predicate_from_quasiequations,
     reflector_from_closure,
-    roundtrip_closure,
-    roundtrip_reflector,
+    reflectors_agree,
 )
 
 DEFAULT_MAX_SIZE = {"groups": 8, "rngs": 12, "quandles": 3}
-
-OPERATORS_BY_KIND = {
-    "groups": ("identity", "top", "abelianization", "exp2-abelianization"),
-    "rngs": ("identity", "top", "nilradical"),
-    "quandles": ("identity", "top", "quandle"),
-}
-
-
-def oracle_predicate(name: str) -> SubcategoryPredicate:
-    """Independent membership predicate for each built-in operator."""
-    if name == "identity":
-        return predicate_from_equations("everything", ())
-    if name == "top":
-        return predicate_from_equations("one-element", terms.ONE_ELEMENT)
-    if name == "nilradical":
-        return predicate_from_quasiequations("reduced", terms.REDUCED_RNG)
-    if name == "quandle":
-        return predicate_from_equations("trivial-quandle", terms.TRIVIAL_QUANDLE)
-    if name == "abelianization":
-        return predicate_from_equations("abelian", terms.COMMUTATIVITY)
-    if name == "exp2-abelianization":
-        return predicate_from_equations("elementary-abelian-2", terms.ELEMENTARY_ABELIAN_2)
-    raise ValueError(f"no oracle predicate for operator {name!r}")
 
 
 def _pointwise_equal(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
@@ -81,21 +53,23 @@ def run_verification(kind: str, max_size: Optional[int] = None) -> dict:
     if max_size is None:
         max_size = DEFAULT_MAX_SIZE[kind]
     u = corpus(kind, max_size)
-    names = OPERATORS_BY_KIND[kind]
+    names = corpus_operators(kind)
     operators = {name: builtin_operator(name, u) for name in names}
+    reports = {name: operator_report(c) for name, c in operators.items()}
 
     report: dict = {
         "corpus": {"kind": kind, "max_size": max_size, "members": len(u)},
-        "operators": {name: operator_report(c) for name, c in operators.items()},
+        "operators": reports,
         "theorems": {},
     }
 
     # reflection-derived operators satisfy the closure operator axioms
     axiom_items = {}
+    reflectors = {}
     derived = {}
     for name, c in operators.items():
-        d = closure_from_reflector(reflector_from_closure(c))
-        derived[name] = d
+        reflectors[name] = reflector_from_closure(c)
+        d = derived[name] = closure_from_reflector(reflectors[name])
         axiom_items[name] = {
             "extensive": True,
             "natural": True,
@@ -109,14 +83,10 @@ def run_verification(kind: str, max_size: Optional[int] = None) -> dict:
     }
 
     # minimality coincides with preservation of cocartesian liftings
-    mp_items = {}
-    for name, c in operators.items():
-        if not (is_idempotent(c) and is_cohereditary(c)):
-            continue
-        mp_items[name] = {
-            "minimal": bool(is_minimal(c)),
-            "preserves_pushouts": bool(preserves_cocartesian(c)),
-        }
+    mp_items = {
+        name: {"minimal": rep["minimal"], "preserves_pushouts": rep["preserves_pushouts"]}
+        for name, rep in reports.items() if rep["idempotent"] and rep["cohereditary"]
+    }
     report["theorems"]["minimality_pushout_equivalence"] = {
         "pass": all(v["minimal"] == v["preserves_pushouts"] for v in mp_items.values()),
         "operators": mp_items,
@@ -126,8 +96,9 @@ def run_verification(kind: str, max_size: Optional[int] = None) -> dict:
     rt_items = {}
     for name, c in operators.items():
         rt_items[name] = {
-            "closure": roundtrip_closure(c).as_json(),
-            "reflector": roundtrip_reflector(reflector_from_closure(c)).as_json(),
+            "closure": closures_agree(c, derived[name]).as_json(),
+            "reflector": reflectors_agree(
+                reflectors[name], reflector_from_closure(derived[name])).as_json(),
         }
     report["theorems"]["roundtrip_identities"] = {
         "pass": all(v["closure"]["ok"] and v["reflector"]["ok"] for v in rt_items.values()),
@@ -137,9 +108,8 @@ def run_verification(kind: str, max_size: Optional[int] = None) -> dict:
     # minimal operators are exactly the quotient-closed subcategories
     bir_items = {}
     for name, c in operators.items():
-        minimal = bool(is_minimal(c))
         closed = bool(closed_under_quotients(predicate_from_operator(c), u))
-        bir_items[name] = {"minimal": minimal, "closed_under_quotients": closed}
+        bir_items[name] = {"minimal": reports[name]["minimal"], "closed_under_quotients": closed}
     report["theorems"]["birkhoff_equivalence"] = {
         "pass": all(v["minimal"] == v["closed_under_quotients"] for v in bir_items.values()),
         "operators": bir_items,

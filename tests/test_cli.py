@@ -90,6 +90,36 @@ def test_malformed_operator_file_exits_2(files, tmp_path, capsys, doc):
     assert json.loads(out)["error"] == "OperatorFileShape"
 
 
+def test_bare_integer_block_exits_2(files, capsys):
+    code, out, _ = run(capsys, "close", "--operator", "abelianization",
+                       "--algebra", files["z4-group"], "--congruence", "[1]")
+    assert code == 2
+    assert json.loads(out)["error"] == "NotACongruence"
+
+
+@pytest.mark.parametrize("mapping", ['[0,1,"x",1]', "[0,1,0.5,1]", "[0,1,true,1]"],
+                         ids=["string-entry", "float-entry", "bool-entry"])
+def test_non_integer_map_entry_exits_2(files, capsys, mapping):
+    code, out, _ = run(capsys, "pull", "--dom", files["z4-group"], "--cod", files["z4-group"],
+                       "--map", mapping, "--congruence", "[]")
+    assert code == 2
+    assert json.loads(out)["error"] == "OutOfRange"
+
+
+def test_non_extensive_operator_file_exits_1(files, tmp_path, capsys):
+    opfile = tmp_path / "op.json"
+    opfile.write_text(json.dumps({
+        "entries": [{"congruence": [[0, 1, 2, 3]], "closure": []}],
+    }))
+    code, out, _ = run(capsys, "close", "--operator", str(opfile),
+                       "--algebra", files["z4-group"], "--congruence", "[[0,1,2,3]]")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "NotExtensive"
+    assert doc["witness"] == {"entry": 0, "congruence": [[0, 1, 2, 3]],
+                              "closure": [[0], [1], [2], [3]]}
+
+
 def test_con_lattice(files, capsys):
     code, out, _ = run(capsys, "con-lattice", "--algebra", files["z4-group"])
     assert code == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from congform import (
-    abelianization_operator,
+    builtin_operator,
     con_lattice,
     congruence_from_blocks,
     congruence_of_ideal,
@@ -12,15 +12,12 @@ from congform import (
     diagonal,
     dihedral_group,
     dihedral_quandle,
-    exponent_two_abelianization_operator,
     find_isomorphism,
     full,
     ideal,
     ideal_of_congruence,
     klein_four_group,
     nilradical,
-    nilradical_operator,
-    quandle_closure_operator,
     quandle_reachability,
     symmetric_group,
     trivial_quandle,
@@ -128,7 +125,7 @@ def test_nilradical_contains_ideal(rng_corpus):
 
 
 def test_nilradical_operator_values(rng_corpus):
-    nil = nilradical_operator(rng_corpus)
+    nil = builtin_operator("nilradical", rng_corpus)
     z4, z6 = cyclic_rng(4), cyclic_rng(6)
     assert nil.apply(z4, diagonal(z4)).blocks() == ((0, 2), (1, 3))
     assert nil.apply(z6, diagonal(z6)) == diagonal(z6)
@@ -138,7 +135,7 @@ def test_nilradical_operator_values(rng_corpus):
 
 def test_nilradical_operator_rejects_non_rngs(group_corpus):
     with pytest.raises(NotRng):
-        nilradical_operator(group_corpus)
+        builtin_operator("nilradical", group_corpus)
 
 
 def test_nilradical_observed_minimal_on_finite_corpus(rng_corpus):
@@ -148,7 +145,7 @@ def test_nilradical_observed_minimal_on_finite_corpus(rng_corpus):
     # is not (Z is reduced, its quotient Z/4 is not).
     from congform import is_minimal
 
-    assert bool(is_minimal(nilradical_operator(rng_corpus))) is True
+    assert bool(is_minimal(builtin_operator("nilradical", rng_corpus))) is True
 
 
 # --- quandles --------------------------------------------------------------------
@@ -173,7 +170,7 @@ def test_reachability_rejects_non_quandles():
 
 
 def test_quandle_operator_closure_of_diagonal_is_reachability(quandle_corpus):
-    q = quandle_closure_operator(quandle_corpus)
+    q = builtin_operator("quandle", quandle_corpus)
     for a in quandle_corpus.algebras:
         assert q.apply(a, diagonal(a)) == quandle_reachability(a)
         assert q.apply(a, full(a)) == full(a)
@@ -183,7 +180,7 @@ def test_quandle_operator_on_dihedral_quandle():
     from congform import universe_from_generators
 
     u = universe_from_generators([dihedral_quandle(3)])
-    q = quandle_closure_operator(u)
+    q = builtin_operator("quandle", u)
     dq = next(a for a in u.algebras if a.size == 3)
     assert q.apply(dq, diagonal(dq)) == full(dq)
 
@@ -209,7 +206,7 @@ def test_commutator_congruence_of_abelian_group_is_diagonal():
 
 
 def test_abelianization_operator_values(group_corpus):
-    ab = abelianization_operator(group_corpus)
+    ab = builtin_operator("abelianization", group_corpus)
     s3 = symmetric_group(3)
     assert ab.apply(s3, diagonal(s3)).blocks() == ((0, 3, 4), (1, 2, 5))
     z4 = cyclic_group(4)
@@ -229,9 +226,9 @@ def test_exponent_two_congruence_values():
 
 def test_group_operators_reject_wrong_tags(rng_corpus):
     with pytest.raises(NotGroup):
-        abelianization_operator(rng_corpus)
+        builtin_operator("abelianization", rng_corpus)
     with pytest.raises(NotGroup):
-        exponent_two_abelianization_operator(rng_corpus)
+        builtin_operator("exp2-abelianization", rng_corpus)
 
 
 # --- enumeration and corpora -----------------------------------------------------------

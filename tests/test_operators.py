@@ -1,7 +1,7 @@
 import pytest
 
 from congform import (
-    abelianization_operator,
+    builtin_operator,
     con_lattice,
     congruence_from_blocks,
     corpus,
@@ -9,20 +9,17 @@ from congform import (
     diagonal,
     enumerate_operators,
     full,
-    identity_operator,
     is_cohereditary,
     is_idempotent,
     is_minimal,
     klein_four_group,
     leq,
     make_operator,
-    nilradical_operator,
     operator_leq,
     operator_report,
     preserves_cocartesian,
     strictify,
     symmetric_group,
-    top_operator,
     universe,
     universe_from_generators,
 )
@@ -78,8 +75,8 @@ def test_generated_universes_verify_as_quotient_closed():
 
 def test_identity_and_top_are_valid_everywhere(z4_universe):
     for u in (z4_universe,):
-        identity_operator(u)
-        top_operator(u)
+        builtin_operator("identity", u)
+        builtin_operator("top", u)
 
 
 def test_not_extensive_witness(z4_universe):
@@ -110,7 +107,7 @@ def test_not_natural_witness(v4_universe):
 
 
 def test_operator_apply_rejects_foreign_algebra(z4_universe):
-    c = identity_operator(z4_universe)
+    c = builtin_operator("identity", z4_universe)
     with pytest.raises(UniverseMismatch):
         c.apply(symmetric_group(3), diagonal(symmetric_group(3)))
 
@@ -126,7 +123,7 @@ def test_tabulated_input_must_cover_every_congruence(z4_universe):
 # --- axiom checkers -----------------------------------------------------------------
 
 def test_identity_operator_passes_everything(z4_universe):
-    c = identity_operator(z4_universe)
+    c = builtin_operator("identity", z4_universe)
     assert is_idempotent(c)
     assert is_cohereditary(c)
     assert is_minimal(c)
@@ -134,7 +131,7 @@ def test_identity_operator_passes_everything(z4_universe):
 
 
 def test_top_operator_passes_everything(z4_universe):
-    c = top_operator(z4_universe)
+    c = builtin_operator("top", z4_universe)
     assert is_idempotent(c)
     assert is_cohereditary(c)
     assert is_minimal(c)
@@ -143,7 +140,7 @@ def test_top_operator_passes_everything(z4_universe):
 
 def test_monotone_on_each_fibre(z4_universe):
     # naturality along identities forces monotonicity; assert it directly
-    for c in (identity_operator(z4_universe), top_operator(z4_universe)):
+    for c in (builtin_operator("identity", z4_universe), builtin_operator("top", z4_universe)):
         for i, x in enumerate(c.universe.algebras):
             for r in con_lattice(x):
                 for s in con_lattice(x):
@@ -152,7 +149,7 @@ def test_monotone_on_each_fibre(z4_universe):
 
 
 def test_wellpointed_containment_chain(z4_universe):
-    for c in (identity_operator(z4_universe), top_operator(z4_universe)):
+    for c in (builtin_operator("identity", z4_universe), builtin_operator("top", z4_universe)):
         for i, x in enumerate(c.universe.algebras):
             for r in con_lattice(x):
                 cr = c.apply(i, r)
@@ -186,24 +183,24 @@ def test_staircase_is_natural_but_not_idempotent(z4_universe):
 
 def test_nilradical_operator_is_idempotent():
     u = corpus("rngs", 12)
-    assert is_idempotent(nilradical_operator(u))
+    assert is_idempotent(builtin_operator("nilradical", u))
 
 
 def test_cohereditary_abelianization():
     u = corpus("groups", 6)
-    assert is_cohereditary(abelianization_operator(u))
+    assert is_cohereditary(builtin_operator("abelianization", u))
 
 
 def test_minimality_of_abelianization_via_join_associativity():
     u = corpus("groups", 6)
-    assert is_minimal(abelianization_operator(u))
+    assert is_minimal(builtin_operator("abelianization", u))
 
 
 # --- operator order -------------------------------------------------------------------
 
 def test_operator_order_basics(z4_universe):
-    ident = identity_operator(z4_universe)
-    top = top_operator(z4_universe)
+    ident = builtin_operator("identity", z4_universe)
+    top = builtin_operator("top", z4_universe)
     assert operator_leq(ident, ident)
     assert operator_leq(ident, top)
     assert operator_leq(top, top)
@@ -225,20 +222,20 @@ def test_operator_order_is_a_partial_order(z4_universe):
 
 def test_operator_order_requires_shared_universe(z4_universe, v4_universe):
     with pytest.raises(UniverseMismatch):
-        operator_leq(identity_operator(z4_universe), identity_operator(v4_universe))
+        operator_leq(builtin_operator("identity", z4_universe), builtin_operator("identity", v4_universe))
 
 
 # --- strictify ---------------------------------------------------------------------------
 
 def test_strictify_identity_is_identity(z4_universe):
-    ident = identity_operator(z4_universe)
+    ident = builtin_operator("identity", z4_universe)
     st = strictify(ident)
     for i in range(len(z4_universe)):
         assert st.fibre(i) == ident.fibre(i)
 
 
 def test_strictify_top_fixes_full_congruence(z4_universe):
-    top = top_operator(z4_universe)
+    top = builtin_operator("top", z4_universe)
     st = strictify(top)
     for i, x in enumerate(z4_universe.algebras):
         assert st.apply(i, full(x)) == full(x)
@@ -253,8 +250,8 @@ def test_strictify_requires_idempotence(z4_universe):
 
 def test_strictify_fixes_subcategory_members():
     cases = [
-        abelianization_operator(corpus("groups", 6)),
-        nilradical_operator(corpus("rngs", 8)),
+        builtin_operator("abelianization", corpus("groups", 6)),
+        builtin_operator("nilradical", corpus("rngs", 8)),
     ]
     for c in cases:
         st = strictify(c)
@@ -276,8 +273,8 @@ def test_enumerate_operators_on_micro_universes(z4_universe, v4_universe):
     keys = {tuple(tuple(sorted((r.ids, s.ids) for r, s in c.fibre(i).items())
                         ) for i in range(len(z4_universe))) for c in family}
     assert len(keys) == 7  # pairwise distinct
-    ident = identity_operator(z4_universe)
-    top = top_operator(z4_universe)
+    ident = builtin_operator("identity", z4_universe)
+    top = builtin_operator("top", z4_universe)
     assert any(all(c.fibre(i) == ident.fibre(i) for i in range(3)) for c in family)
     assert any(all(c.fibre(i) == top.fibre(i) for i in range(3)) for c in family)
     assert len(enumerate_operators(v4_universe)) == 4
@@ -292,7 +289,7 @@ def test_enumerate_operators_guard():
 # --- reporting ------------------------------------------------------------------------------
 
 def test_operator_report_shape(z4_universe):
-    rep = operator_report(identity_operator(z4_universe))
+    rep = operator_report(builtin_operator("identity", z4_universe))
     assert set(rep) == {
         "name", "extensive", "natural", "idempotent", "cohereditary",
         "minimal", "preserves_pushouts", "witnesses",

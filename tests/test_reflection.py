@@ -1,7 +1,7 @@
 import pytest
 
 from congform import (
-    abelianization_operator,
+    builtin_operator,
     closed_under_quotients,
     closure_from_reflector,
     con_lattice,
@@ -10,15 +10,12 @@ from congform import (
     cyclic_group,
     cyclic_rng,
     diagonal,
-    exponent_two_abelianization_operator,
     full,
-    identity_operator,
     is_cohereditary,
     is_idempotent,
     klein_four_group,
     make_operator,
     membership,
-    nilradical_operator,
     oracle_reflection,
     oracle_reflector,
     operator_leq,
@@ -31,7 +28,6 @@ from congform import (
     subcategory_members,
     antitone_check,
     symmetric_group,
-    top_operator,
     trivial_quandle,
     universe,
     universe_from_generators,
@@ -53,7 +49,7 @@ def s3_universe():
 # --- deriving closures from reflectors ------------------------------------------
 
 def test_abelianization_closure_of_diagonal_on_s3(s3_universe, group_corpus):
-    ab = abelianization_operator(group_corpus)
+    ab = builtin_operator("abelianization", group_corpus)
     refl = reflector_from_closure(ab)
     c = closure_from_reflector(refl)
     s3 = symmetric_group(3)
@@ -62,14 +58,14 @@ def test_abelianization_closure_of_diagonal_on_s3(s3_universe, group_corpus):
 
 
 def test_closure_of_diagonal_is_diagonal_on_members(group_corpus):
-    ab = abelianization_operator(group_corpus)
+    ab = builtin_operator("abelianization", group_corpus)
     c = closure_from_reflector(reflector_from_closure(ab))
     z4 = cyclic_group(4)
     assert c.apply(z4, diagonal(z4)) == diagonal(z4)
 
 
 def test_terminal_reflector_closes_everything(s3_universe):
-    top = top_operator(s3_universe)
+    top = builtin_operator("top", s3_universe)
     refl = reflector_from_closure(top)
     c = closure_from_reflector(refl)
     for i, x in enumerate(s3_universe.algebras):
@@ -79,7 +75,7 @@ def test_terminal_reflector_closes_everything(s3_universe):
 
 def test_closure_from_reflector_needs_quotient_closed_universe():
     u = universe([cyclic_group(2), cyclic_group(1)])  # flag not set
-    ident = identity_operator(u)
+    ident = builtin_operator("identity", u)
     refl = reflector_from_closure(ident)
     with pytest.raises(UniverseNotQuotientClosed):
         closure_from_reflector(refl)
@@ -88,17 +84,17 @@ def test_closure_from_reflector_needs_quotient_closed_universe():
 # --- deriving reflectors from closures --------------------------------------------
 
 def test_reflector_of_identity_is_diagonal_family(s3_universe):
-    refl = reflector_from_closure(identity_operator(s3_universe))
+    refl = reflector_from_closure(builtin_operator("identity", s3_universe))
     assert all(r == diagonal(a) for r, a in zip(refl.rho, s3_universe.algebras))
 
 
 def test_reflector_of_top_is_terminal(s3_universe):
-    refl = reflector_from_closure(top_operator(s3_universe))
+    refl = reflector_from_closure(builtin_operator("top", s3_universe))
     assert all(r == full(a) for r, a in zip(refl.rho, s3_universe.algebras))
 
 
 def test_reflector_of_nilradical_is_sqrt_zero(rng_corpus):
-    refl = reflector_from_closure(nilradical_operator(rng_corpus))
+    refl = reflector_from_closure(builtin_operator("nilradical", rng_corpus))
     z4 = cyclic_rng(4)
     assert refl.rho_of(z4).blocks() == ((0, 2), (1, 3))
     z8 = cyclic_rng(8)
@@ -150,22 +146,21 @@ def test_surjection_only_naturality_can_fail_universal_property():
 # --- membership and subcategories ----------------------------------------------------
 
 def test_membership_examples(group_corpus, rng_corpus, quandle_corpus):
-    from congform import quandle_closure_operator
 
-    nil = nilradical_operator(rng_corpus)
+    nil = builtin_operator("nilradical", rng_corpus)
     assert not membership(nil, cyclic_rng(4))
     assert membership(nil, cyclic_rng(6))
-    q = quandle_closure_operator(quandle_corpus)
+    q = builtin_operator("quandle", quandle_corpus)
     tq = next(a for a in quandle_corpus.algebras
               if a.size == 3 and membership(q, a))
     assert tq == trivial_quandle(3)
-    top = top_operator(group_corpus)
+    top = builtin_operator("top", group_corpus)
     assert membership(top, cyclic_group(1))
     assert not membership(top, cyclic_group(2))
 
 
 def test_subcategory_of_abelianization(group_corpus):
-    ab = abelianization_operator(group_corpus)
+    ab = builtin_operator("abelianization", group_corpus)
     members = subcategory_members(ab)
     sizes = sorted(a.size for a in members)
     # abelian members of the order-<=8 corpus: Z1..Z8 and V4
@@ -197,32 +192,32 @@ def test_not_closed_under_quotients_witness(group_corpus):
 # --- round trips -----------------------------------------------------------------------
 
 def test_roundtrips_identity_and_top(s3_universe):
-    for c in (identity_operator(s3_universe), top_operator(s3_universe)):
+    for c in (builtin_operator("identity", s3_universe), builtin_operator("top", s3_universe)):
         assert roundtrip_closure(c)
         assert roundtrip_reflector(reflector_from_closure(c))
 
 
 def test_roundtrip_nilradical(rng_corpus):
-    assert roundtrip_closure(nilradical_operator(rng_corpus))
+    assert roundtrip_closure(builtin_operator("nilradical", rng_corpus))
 
 
 def test_roundtrip_abelianization_reflector(group_corpus):
-    refl = reflector_from_closure(abelianization_operator(group_corpus))
+    refl = reflector_from_closure(builtin_operator("abelianization", group_corpus))
     assert roundtrip_reflector(refl)
 
 
 # --- order comparison ---------------------------------------------------------------------
 
 def test_antitone_identity_vs_top(s3_universe):
-    ident, top = identity_operator(s3_universe), top_operator(s3_universe)
+    ident, top = builtin_operator("identity", s3_universe), builtin_operator("top", s3_universe)
     assert antitone_check(ident, top)
     assert antitone_check(top, ident)
     assert antitone_check(ident, ident)
 
 
 def test_antitone_abelianization_pair(group_corpus):
-    ab = abelianization_operator(group_corpus)
-    exp2 = exponent_two_abelianization_operator(group_corpus)
+    ab = builtin_operator("abelianization", group_corpus)
+    exp2 = builtin_operator("exp2-abelianization", group_corpus)
     assert operator_leq(ab, exp2)
     assert not operator_leq(exp2, ab)
     assert set(subcategory_members(exp2)) < set(subcategory_members(ab))
@@ -260,12 +255,12 @@ def test_oracle_reflection_not_reflective_witness():
 def test_oracle_reflector_matches_derived_reflector(group_corpus):
     abelian = predicate_from_equations("abelian", COMMUTATIVITY)
     orc = oracle_reflector(group_corpus, abelian)
-    refl = reflector_from_closure(abelianization_operator(group_corpus))
+    refl = reflector_from_closure(builtin_operator("abelianization", group_corpus))
     assert orc.rho == refl.rho
 
 
 def test_predicate_from_operator_matches_membership(group_corpus):
-    ab = abelianization_operator(group_corpus)
+    ab = builtin_operator("abelianization", group_corpus)
     pred = predicate_from_operator(ab)
     for a in group_corpus.algebras:
         assert pred(a) == membership(ab, a)

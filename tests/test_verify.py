@@ -1,0 +1,41 @@
+"""verify-all output pinned byte for byte, and its derivations built once."""
+
+import hashlib
+import json
+import sys
+
+import pytest
+
+from congform import operators
+from congform.verify import run_verification
+
+# sha256 of json.dumps(run_verification(kind, max_size), indent=2, sort_keys=True)
+PINNED_DIGESTS = {
+    ("groups", 8): "dc41c9c471310f658cd3f900008ad0db9a069407ea3e2301995bed8f551076c2",
+    ("rngs", 12): "a5b5b76264beef99f1e8f077f7f0f913c90bd1ebc334157fb1fad290d76a1fea",
+    ("quandles", 3): "4cbbb5f7517fa21bb398321ea93a3dfa298cc441ea88f5f8f53950cc7a9e01bc",
+}
+
+
+@pytest.mark.parametrize("kind,max_size", list(PINNED_DIGESTS))
+def test_verify_all_output_matches_pinned_digest(kind, max_size):
+    text = json.dumps(run_verification(kind, max_size), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[kind, max_size]
+
+
+def test_run_verification_builds_three_operators_per_builtin(monkeypatch):
+    # per operator: the built-in, the one derived back from its reflector,
+    # and the one derived from the oracle reflector
+    original = operators.make_operator
+    names = []
+
+    def counting(u, rule, name):
+        names.append(name)
+        return original(u, rule, name)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("congform") and \
+                getattr(module, "make_operator", None) is original:
+            monkeypatch.setattr(module, "make_operator", counting)
+    run_verification("quandles", 3)
+    assert len(names) <= 9, names
