@@ -24,6 +24,7 @@ from .algebras import (
     Signature,
     algebra_from_json,
     algebra_to_json,
+    automorphisms,
     canonical_algebra,
     compose,
     con_lattice,
@@ -82,6 +83,7 @@ from .operators import (
     operator_leq,
     operator_report,
     preserves_cocartesian,
+    quotient_maps,
     strictify,
     universe,
     universe_from_generators,

@@ -193,7 +193,7 @@ def validate_algebra(size, signature, tables, tag=None) -> FiniteAlgebra:
             if not 0 <= v < size:
                 raise OutOfRange(f"entry {v} in table {name!r} outside [0, {size})")
     if tag is not None:
-        if tag not in VARIETIES:
+        if not isinstance(tag, str) or tag not in VARIETIES:
             raise UnknownTag(f"unknown tag {tag!r}")
         want_sig, axioms = VARIETIES[tag]
         if set(signature.ops) != set(want_sig.ops):
@@ -526,6 +526,13 @@ def enumerate_homs(x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorphism, ..
     return tuple(
         Homomorphism(x, y, m, len(set(m)) == y.size) for m in maps
     )
+
+
+@lru_cache(maxsize=None)
+def automorphisms(x: FiniteAlgebra) -> tuple[Homomorphism, ...]:
+    """All automorphisms of x in lexicographic map order."""
+    return tuple(Homomorphism(x, x, m, True)
+                 for m in _hom_search(x, x, bijective=True, first_only=False))
 
 
 def enumerate_surjections(x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorphism, ...]:

@@ -17,6 +17,13 @@ monotonicity on each fibre (the law along identities) plus continuity,
 C(f*S) <= f*C(S) for every map f and S in Con(Y) (Dikranjan & Tholen,
 *Categorical Structure of Closure Operators*, 1995): |F|.|Con Y| tests
 instead of a scan over every (f, R, S).
+
+Surjections are never searched for: by the first isomorphism theorem
+each one is a.g_K, with g_K the quotient map of its kernel K
+(``quotient_maps``) and a an automorphism.  Continuity along a and g
+gives it along a.g, and a natural C has C(a*S) = a*C(S), so naturality
+is checked along automorphisms and quotient maps, and coheredity and
+cocartesian preservation along quotient maps alone.
 The remaining axioms (idempotent, cohereditary, minimal, preservation
 of cocartesian liftings) are runtime checks returning witnesses, not
 construction requirements.
@@ -27,16 +34,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algebras import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
+    automorphisms,
+    compose,
     con_lattice,
+    congruence_to_blocks,
     diagonal,
     enumerate_homs,
-    enumerate_surjections,
     find_isomorphism,
     identity_hom,
     quotient,
@@ -101,22 +111,14 @@ def universe(algebras: Iterable[FiniteAlgebra], *, quotient_closed: bool = False
         raise UniverseMismatch("a universe needs at least one algebra")
     u = Universe(tuple(members), quotient_closed)
     if quotient_closed and verify:
-        bad = _quotient_closure_witness(u)
-        if bad is not None:
-            raise UniverseNotQuotientClosed(
-                "quotient of a member is not isomorphic to any member", witness=bad
-            )
+        maps = quotient_maps(u)
+        for i, x in enumerate(u.algebras):
+            for r in con_lattice(x):
+                if r not in maps:
+                    raise UniverseNotQuotientClosed(
+                        "quotient of a member is not isomorphic to any member",
+                        witness=_witness(i, r))
     return u
-
-
-def _quotient_closure_witness(u: Universe) -> Optional[dict]:
-    for i, x in enumerate(u.algebras):
-        for r in con_lattice(x):
-            q, _ = quotient(x, r)
-            if all(find_isomorphism(q, m) is None for m in u.algebras
-                   if m.size == q.size):
-                return {"algebra": i, "congruence": [list(b) for b in r.blocks()]}
-    return None
 
 
 def universe_from_generators(seeds: Iterable[FiniteAlgebra]) -> Universe:
@@ -128,10 +130,7 @@ def universe_from_generators(seeds: Iterable[FiniteAlgebra]) -> Universe:
         if any(find_isomorphism(a, m) is not None for m in members if m.size == a.size):
             continue
         members.append(a)
-        for r in con_lattice(a):
-            q, _ = quotient(a, r)
-            if all(find_isomorphism(q, m) is None for m in members if m.size == q.size):
-                queue.append(q)
+        queue.extend(quotient(a, r)[0] for r in con_lattice(a))
     return universe(members, quotient_closed=True, verify=False)
 
 
@@ -153,23 +152,53 @@ def find_member_iso(u: Universe, a: FiniteAlgebra) -> tuple[int, Homomorphism]:
     )
 
 
-def naturality_maps(u: Universe, x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorphism, ...]:
-    """Maps the lifting law is checked against for this universe."""
-    if u.quotient_closed:
-        return enumerate_surjections(x, y)
-    return enumerate_homs(x, y)
-
-
-def surjections_in(u: Universe):
-    """All surjections between ordered pairs of members."""
-    for x in u.algebras:
-        for y in u.algebras:
-            for f in enumerate_surjections(x, y):
-                yield f
-
-
 Rule = Callable[[FiniteAlgebra, Congruence], Congruence]
 FibreTables = Sequence[Mapping[Congruence, Congruence]]
+
+
+@lru_cache(maxsize=None)
+def quotient_maps(u: Universe) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
+    """K in Con(X), X a member -> the maps X -> X/K -> M: the projection, then
+    the least isomorphism onto M, for each member M isomorphic to X/K in
+    member order.  K is no key when X/K is isomorphic to no member."""
+    out = {}
+    for x in u.algebras:
+        for r in con_lattice(x):
+            q, proj = quotient(x, r)
+            isos = (find_isomorphism(q, m) for m in u.algebras if m.size == q.size)
+            gs = tuple(compose(iso, proj) for iso in isos if iso is not None)
+            if gs:
+                out[r] = gs
+    return MappingProxyType(out)
+
+
+def pullback_rule(u: Universe, rho: Sequence[Congruence]) -> Rule:
+    """R -> g*(rho[j]) for the first quotient map g of R, onto member j: the
+    closure induced by a family of reflection congruences rho."""
+    if not u.quotient_closed:
+        raise UniverseNotQuotientClosed(
+            "deriving a closure operator requires a quotient-closed universe")
+    maps = quotient_maps(u)
+
+    def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
+        g = maps[r][0]
+        return preimage_congruence(g, rho[u.member_index(g.cod)])
+
+    return rule
+
+
+@lru_cache(maxsize=None)
+def naturality_maps(u: Universe) -> tuple[Homomorphism, ...]:
+    """Maps the continuity law is checked along: per member X, the quotient
+    maps out of X and then Aut(X) if ``u`` is quotient-closed, else all homs."""
+    if not u.quotient_closed:
+        return tuple(f for x in u.algebras for y in u.algebras for f in enumerate_homs(x, y))
+    maps = quotient_maps(u)
+    out: list[Homomorphism] = []
+    for x in u.algebras:
+        out.extend(g for r in con_lattice(x) for g in maps.get(r, ()))
+        out.extend(automorphisms(x))
+    return tuple(dict.fromkeys(out))
 
 
 @dataclass(frozen=True, repr=False)
@@ -235,11 +264,7 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
             if not leq(r, c):
                 raise NotExtensive(
                     f"operator {name!r} is not extensive on member {i}",
-                    witness={
-                        "algebra": i,
-                        "congruence": [list(b) for b in r.blocks()],
-                        "closure": [list(b) for b in c.blocks()],
-                    },
+                    witness=_witness(i, r, closure=congruence_to_blocks(c)),
                 )
         tables.append(table)
 
@@ -253,13 +278,12 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
             for s, cs in table.items():
                 if leq(r, s) and not leq(cr, cs):
                     raise not_natural(i, i, identity_hom(u.algebras[i]), r, s)
-    for i, x in enumerate(u.algebras):
-        for j, y in enumerate(u.algebras):
-            for f in naturality_maps(u, x, y):
-                for s, cs in tables[j].items():
-                    r = preimage_congruence(f, s)
-                    if not leq(tables[i][r], preimage_congruence(f, cs)):
-                        raise not_natural(i, j, f, r, s)
+    for f in naturality_maps(u):
+        i, j = u.member_index(f.dom), u.member_index(f.cod)
+        for s, cs in tables[j].items():
+            r = preimage_congruence(f, s)
+            if not leq(tables[i][r], preimage_congruence(f, cs)):
+                raise not_natural(i, j, f, r, s)
 
     packed = tuple(
         tuple(sorted(t.items(), key=lambda kv: kv[0].ids)) for t in tables
@@ -270,7 +294,7 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
 # --- axiom checkers -----------------------------------------------------------
 
 def _witness(i: int, r: Congruence, **extra) -> dict:
-    out = {"algebra": i, "congruence": [list(b) for b in r.blocks()]}
+    out = {"algebra": i, "congruence": congruence_to_blocks(r)}
     out.update(extra)
     return out
 
@@ -284,23 +308,26 @@ def is_idempotent(c: ClosureOperator) -> CheckResult:
     return PASSED
 
 
-def is_cohereditary(c: ClosureOperator) -> CheckResult:
-    """C commutes with preimages along every surjection between members."""
+def _along_quotient_maps(c: ClosureOperator, key: str, sides) -> CheckResult:
+    """First quotient map f and congruence T where the two congruences
+    ``sides(f, i, j, T)`` differ; T runs over Con(cod) for key "S" and
+    over Con(dom) for key "R", the key it has in the witness."""
     u = c.universe
-    for f in surjections_in(u):
-        i = u.member_index(f.dom)
-        j = u.member_index(f.cod)
-        for s in con_lattice(f.cod):
-            lhs = c.apply(i, preimage_congruence(f, s))
-            rhs = preimage_congruence(f, c.apply(j, s))
+    for f in itertools.chain.from_iterable(quotient_maps(u).values()):
+        i, j = u.member_index(f.dom), u.member_index(f.cod)
+        for t in con_lattice(f.cod if key == "S" else f.dom):
+            lhs, rhs = sides(f, i, j, t)
             if lhs != rhs:
-                return failed(
-                    dom=i, cod=j, map=list(f.map),
-                    S=[list(b) for b in s.blocks()],
-                    lhs=[list(b) for b in lhs.blocks()],
-                    rhs=[list(b) for b in rhs.blocks()],
-                )
+                return failed(dom=i, cod=j, map=list(f.map), **{key: congruence_to_blocks(t)},
+                              lhs=congruence_to_blocks(lhs), rhs=congruence_to_blocks(rhs))
     return PASSED
+
+
+def is_cohereditary(c: ClosureOperator) -> CheckResult:
+    """C(f*S) = f*C(S) along every surjection between members (checked
+    along the quotient maps, see the module docstring)."""
+    return _along_quotient_maps(c, "S", lambda f, i, j, s: (
+        c.apply(i, preimage_congruence(f, s)), preimage_congruence(f, c.apply(j, s))))
 
 
 def is_minimal(c: ClosureOperator) -> CheckResult:
@@ -316,22 +343,10 @@ def is_minimal(c: ClosureOperator) -> CheckResult:
 
 
 def preserves_cocartesian(c: ClosureOperator) -> CheckResult:
-    """image(f, C(R)) = C(image(f, R)) along every surjection."""
-    u = c.universe
-    for f in surjections_in(u):
-        i = u.member_index(f.dom)
-        j = u.member_index(f.cod)
-        for r in con_lattice(f.dom):
-            lhs = image_congruence(f, c.apply(i, r))
-            rhs = c.apply(j, image_congruence(f, r))
-            if lhs != rhs:
-                return failed(
-                    dom=i, cod=j, map=list(f.map),
-                    R=[list(b) for b in r.blocks()],
-                    lhs=[list(b) for b in lhs.blocks()],
-                    rhs=[list(b) for b in rhs.blocks()],
-                )
-    return PASSED
+    """image(f, C(R)) = C(image(f, R)) along every surjection (checked
+    along the quotient maps, see the module docstring)."""
+    return _along_quotient_maps(c, "R", lambda f, i, j, r: (
+        image_congruence(f, c.apply(i, r)), c.apply(j, image_congruence(f, r))))
 
 
 def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
@@ -348,8 +363,9 @@ def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
 def strictify(d: ClosureOperator) -> ClosureOperator:
     """Rebuild an idempotent cohereditary operator through its quotients.
 
-    The result closes R by pulling back the closure of the diagonal on
-    X/R, so fixed quotients get their congruence back unchanged.  Under
+    The result closes R by pulling the closed diagonal of the member
+    isomorphic to X/R back along R's quotient map (``pullback_rule``), so
+    a fixed quotient gets R, the preimage of the diagonal, back.  Under
     the canonical congruence encoding this coincides with ``d``
     pointwise; the preconditions are exactly idempotence and coheredity
     and are re-verified here.
@@ -365,18 +381,8 @@ def strictify(d: ClosureOperator) -> ClosureOperator:
             f"strictify({d.name}) needs a cohereditary operator", witness=cohered.witness
         )
     u = d.universe
-    if not u.quotient_closed:
-        raise UniverseNotQuotientClosed("strictify needs a quotient-closed universe")
-
-    def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
-        q, proj = quotient(x, r)
-        i, iso = find_member_iso(u, q)
-        closed_diag = preimage_congruence(iso, d.apply(i, diagonal(u.algebras[i])))
-        if closed_diag == diagonal(q):
-            return r
-        return preimage_congruence(proj, closed_diag)
-
-    return make_operator(u, rule, f"strict({d.name})")
+    closed_diagonals = [d.apply(i, diagonal(x)) for i, x in enumerate(u.algebras)]
+    return make_operator(u, pullback_rule(u, closed_diagonals), f"strict({d.name})")
 
 
 def extensive_families(u: Universe, *, max_candidates: int = 500_000):

@@ -13,6 +13,10 @@ trip is a derivation followed by a pointwise comparison
 (``closures_agree``, ``reflectors_agree``), so a caller that already
 holds the derived objects compares them without rebuilding them.
 
+Pull-backs run along the quotient maps of ``operators.quotient_maps``,
+built once per universe, and the universal property searches homs only
+from members outside the subcategory into members inside it.
+
 Note that operators over a quotient-closed universe are only validated
 against surjections, which admits operators whose congruence family
 fails the universal property along some non-surjective map;
@@ -29,6 +33,7 @@ from .algebras import (
     Congruence,
     FiniteAlgebra,
     con_lattice,
+    congruence_to_blocks,
     diagonal,
     enumerate_homs,
     kernel_congruence,
@@ -42,7 +47,6 @@ from .errors import (
     NotReflective,
     PASSED,
     UniverseMismatch,
-    UniverseNotQuotientClosed,
     failed,
 )
 from .forms import leq, preimage_congruence
@@ -54,6 +58,8 @@ from .operators import (
     is_idempotent,
     make_operator,
     operator_leq,
+    pullback_rule,
+    quotient_maps,
 )
 from .terms import satisfies_equations, satisfies_quasiequations
 
@@ -88,24 +94,26 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
         if r.algebra != x:
             raise UniverseMismatch(f"rho[{i}] lives on a different algebra")
     members_in = [i for i, r in enumerate(rho) if r == diagonal(u.algebras[i])]
-    # reflections land in the subcategory
-    for i, x in enumerate(u.algebras):
-        q, _ = quotient(x, rho[i])
-        try:
-            j, iso = find_member_iso(u, q)
-        except UniverseMismatch:
+    # reflections land in the subcategory: g*(rho_M) = rho_X = g*(diagonal)
+    maps = quotient_maps(u)
+    for i, r in enumerate(rho):
+        if r not in maps:
             raise NotReflective(
                 f"reflector {name!r}: reflection of member {i} leaves the universe",
-                witness={"algebra": i,
-                         "rho": [list(b) for b in rho[i].blocks()]},
+                witness={"algebra": i, "rho": congruence_to_blocks(r)},
             )
-        if preimage_congruence(iso, rho[j]) != diagonal(q):
+        g = maps[r][0]
+        j = u.member_index(g.cod)
+        if preimage_congruence(g, rho[j]) != r:
             raise NotReflective(
                 f"reflector {name!r}: reflection of member {i} is not in the subcategory",
                 witness={"algebra": i, "reflection_member": j},
             )
-    # universal property: maps into the subcategory factor through the unit
+    # universal property: maps into the subcategory factor through the unit;
+    # it holds on the subcategory's own members, whose rho is the diagonal
     for i, x in enumerate(u.algebras):
+        if i in members_in:
+            continue
         for j in members_in:
             for f in enumerate_homs(x, u.algebras[j]):
                 if not leq(rho[i], kernel_congruence(f)):
@@ -119,20 +127,9 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
 
 
 def closure_from_reflector(refl: Reflector) -> ClosureOperator:
-    """C_X(R) pulls the reflection congruence of X/R back along the projection."""
+    """C_X(R) pulls the reflection congruence of X/R back along its quotient map."""
     u = refl.universe
-    if not u.quotient_closed:
-        raise UniverseNotQuotientClosed(
-            "deriving a closure operator requires a quotient-closed universe"
-        )
-
-    def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
-        q, proj = quotient(x, r)
-        j, iso = find_member_iso(u, q)
-        rho_q = preimage_congruence(iso, refl.rho[j])
-        return preimage_congruence(proj, rho_q)
-
-    return make_operator(u, rule, refl.name)
+    return make_operator(u, pullback_rule(u, refl.rho), refl.name)
 
 
 def reflector_from_closure(c: ClosureOperator) -> Reflector:
@@ -207,7 +204,8 @@ def closed_under_quotients(pred: SubcategoryPredicate, u: Universe) -> CheckResu
 
 
 def closures_agree(c: ClosureOperator, back: ClosureOperator) -> CheckResult:
-    """``back``, derived from ``c`` through its reflector, equals ``c`` pointwise."""
+    """``back`` (derived from ``c`` through its reflector, or an oracle's
+    closure) equals ``c`` pointwise; the witness is the first difference."""
     for i in range(len(c.universe)):
         for r, cr in c.fibre(i).items():
             if back.apply(i, r) != cr:

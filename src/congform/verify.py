@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebras import con_lattice
-from .errors import CheckResult, PASSED, failed
 from .instances import builtin_operator, corpus, corpus_operators, oracle_predicate
-from .operators import ClosureOperator, is_cohereditary, is_idempotent, operator_report
+from .operators import is_cohereditary, is_idempotent, operator_report
 from .reflection import (
     antitone_check,
     closed_under_quotients,
@@ -34,18 +32,6 @@ from .reflection import (
 )
 
 DEFAULT_MAX_SIZE = {"groups": 8, "rngs": 12, "quandles": 3}
-
-
-def _pointwise_equal(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
-    for i, x in enumerate(c1.universe.algebras):
-        for r in con_lattice(x):
-            if c1.apply(i, r) != c2.apply(i, r):
-                return failed(
-                    algebra=i, congruence=[list(b) for b in r.blocks()],
-                    first=[list(b) for b in c1.apply(i, r).blocks()],
-                    second=[list(b) for b in c2.apply(i, r).blocks()],
-                )
-    return PASSED
 
 
 def run_verification(kind: str, max_size: Optional[int] = None) -> dict:
@@ -131,7 +117,7 @@ def run_verification(kind: str, max_size: Optional[int] = None) -> dict:
     ora_items = {}
     for name, c in operators.items():
         oracle_c = closure_from_reflector(oracle_reflector(u, oracle_predicate(name)))
-        ora_items[name] = _pointwise_equal(c, oracle_c).as_json()
+        ora_items[name] = closures_agree(c, oracle_c).as_json()
     report["theorems"]["oracle_agreement"] = {
         "pass": all(v["ok"] for v in ora_items.values()),
         "operators": ora_items,

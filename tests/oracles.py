@@ -9,7 +9,8 @@ dumb and quadratic; they only ever run on small carriers.
 
 The last section keeps the general-search code paths that the library
 replaced with lattice facts (Mal'cev join, propagated image, the
-(f, R, S) lifting-law scan), as differential oracles for their
+(f, R, S) lifting-law scan, coheredity and cocartesian preservation
+along every searched surjection), as differential oracles for their
 replacements.
 """
 
@@ -124,14 +125,30 @@ def propagated_image(f, r):
     return generated_congruence(f.cod, pairs)
 
 
+def searched_maps(u, x, y):
+    """The maps x -> y the lifting law quantifies over, found by hom search:
+    surjections on a quotient-closed universe, all homomorphisms otherwise."""
+    from congform import enumerate_homs, enumerate_surjections
+
+    return (enumerate_surjections if u.quotient_closed else enumerate_homs)(x, y)
+
+
+def surjections_in(u):
+    """All surjections between ordered pairs of members, by hom search."""
+    from congform import enumerate_surjections
+
+    for x in u.algebras:
+        for y in u.algebras:
+            yield from enumerate_surjections(x, y)
+
+
 def lifting_law_witness(u, tables):
     """First (f, R, S) with f lifting R into S but not C(R) into C(S), or None."""
     from congform import lifts
-    from congform.operators import naturality_maps
 
     for i, x in enumerate(u.algebras):
         for j, y in enumerate(u.algebras):
-            for f in naturality_maps(u, x, y):
+            for f in searched_maps(u, x, y):
                 for r, cr in tables[i].items():
                     for s, cs in tables[j].items():
                         if lifts(f, r, s) and not lifts(f, cr, cs):
@@ -139,3 +156,47 @@ def lifting_law_witness(u, tables):
                                     "R": [list(b) for b in r.blocks()],
                                     "S": [list(b) for b in s.blocks()]}
     return None
+
+
+def searched_is_cohereditary(c):
+    """C commutes with preimages along every searched surjection between members."""
+    from congform import con_lattice, preimage_congruence
+    from congform.errors import PASSED, failed
+
+    u = c.universe
+    for f in surjections_in(u):
+        i = u.member_index(f.dom)
+        j = u.member_index(f.cod)
+        for s in con_lattice(f.cod):
+            lhs = c.apply(i, preimage_congruence(f, s))
+            rhs = preimage_congruence(f, c.apply(j, s))
+            if lhs != rhs:
+                return failed(
+                    dom=i, cod=j, map=list(f.map),
+                    S=[list(b) for b in s.blocks()],
+                    lhs=[list(b) for b in lhs.blocks()],
+                    rhs=[list(b) for b in rhs.blocks()],
+                )
+    return PASSED
+
+
+def searched_preserves_cocartesian(c):
+    """image(f, C(R)) = C(image(f, R)) along every searched surjection."""
+    from congform import con_lattice, image_congruence
+    from congform.errors import PASSED, failed
+
+    u = c.universe
+    for f in surjections_in(u):
+        i = u.member_index(f.dom)
+        j = u.member_index(f.cod)
+        for r in con_lattice(f.dom):
+            lhs = image_congruence(f, c.apply(i, r))
+            rhs = c.apply(j, image_congruence(f, r))
+            if lhs != rhs:
+                return failed(
+                    dom=i, cod=j, map=list(f.map),
+                    R=[list(b) for b in r.blocks()],
+                    lhs=[list(b) for b in lhs.blocks()],
+                    rhs=[list(b) for b in rhs.blocks()],
+                )
+    return PASSED

@@ -60,6 +60,18 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert json.loads(out)["error"] == "InputError"
 
 
+@pytest.mark.parametrize("tag", [[1], {}], ids=["tag-is-a-list", "tag-is-an-object"])
+def test_non_string_tag_exits_2(files, tmp_path, capsys, tag):
+    with open(files["tq3"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["tag"] = tag
+    path = tmp_path / "tagged.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", "--algebra", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "UnknownTag"
+
+
 def _z2_doc(signature):
     return {"size": 2, "signature": signature,
             "tables": {"f": [[0, 1], [1, 0]]}}

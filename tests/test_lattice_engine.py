@@ -2,32 +2,45 @@
 
 ``make_operator`` checks naturality as monotonicity plus continuity,
 ``join`` is the equivalence closure of the union and ``image_congruence``
-needs no operation propagation.  Each is compared here with the general
-search it replaced, kept in ``oracles``: the (f, R, S) lifting-law scan,
-the Mal'cev join and the propagated image.
+needs no operation propagation.  Surjections are not searched for: they
+are the quotient maps followed by automorphisms.  Each is compared here
+with the general search it replaced, kept in ``oracles``: the (f, R, S)
+lifting-law scan, the Mal'cev join, the propagated image, and coheredity
+and cocartesian preservation along every searched surjection.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from congform import (
+    automorphisms,
+    builtin_operator,
+    compose,
     con_lattice,
     congruence_from_blocks,
     corpus,
     cyclic_group,
+    enumerate_operators,
+    enumerate_surjections,
     homomorphism,
     image_congruence,
+    is_cohereditary,
     join,
     klein_four_group,
     leq,
     lifts,
     make_operator,
+    preimage_congruence,
+    preserves_cocartesian,
+    quotient_maps,
     symmetric_group,
     universe,
     universe_from_generators,
 )
+from congform.algebras import relabel_algebra
 from congform.errors import NotNatural
-from congform.operators import extensive_families, naturality_maps, surjections_in
+from congform.instances import corpus_operators
+from congform.operators import extensive_families
 
 import oracles
 
@@ -36,7 +49,7 @@ def assert_real_violation(u, tables, witness):
     """The witness names a map of the universe that breaks the lifting law."""
     x, y = u.algebras[witness["dom"]], u.algebras[witness["cod"]]
     f = homomorphism(x, y, witness["map"])
-    assert f in naturality_maps(u, x, y)
+    assert f in oracles.searched_maps(u, x, y)
     r = congruence_from_blocks(x, witness["R"])
     s = congruence_from_blocks(y, witness["S"])
     assert lifts(f, r, s)
@@ -75,6 +88,17 @@ def test_naturality_verdicts_on_a_non_quotient_closed_universe():
     u = universe([cyclic_group(4), klein_four_group(), cyclic_group(2)])
     assert not u.quotient_closed
     assert verdict_counts(u) == (480, 5)
+
+
+def universe_with_copies():
+    """Quotient-closed, with two isomorphic copies of Z2 as members."""
+    z2_copy = relabel_algebra(cyclic_group(2), [1, 0])
+    return universe([cyclic_group(4), cyclic_group(2), z2_copy, cyclic_group(1)],
+                    quotient_closed=True)
+
+
+def test_naturality_verdicts_on_a_universe_with_isomorphic_copies():
+    assert verdict_counts(universe_with_copies()) == (24, 7)
 
 
 def _random_extensive_tables(data, u):
@@ -117,6 +141,68 @@ def test_every_join_matches_malcev_join(kind, size):
 
 @pytest.mark.parametrize("kind,size", CORPORA)
 def test_every_image_matches_propagated_image(kind, size):
-    for f in surjections_in(corpus(kind, size)):
+    for f in oracles.surjections_in(corpus(kind, size)):
         for r in con_lattice(f.dom):
             assert image_congruence(f, r) == oracles.propagated_image(f, r)
+
+
+# --- surjections by kernel ----------------------------------------------------------
+
+def test_surjections_are_quotient_maps_followed_by_automorphisms():
+    for u in [corpus(kind, size) for kind, size in CORPORA] + [universe_with_copies()]:
+        maps = [g for gs in quotient_maps(u).values() for g in gs]
+        for x in u.algebras:
+            for y in u.algebras:
+                built = {compose(a, g) for g in maps if g.dom == x and g.cod == y
+                         for a in automorphisms(y)}
+                assert built == set(enumerate_surjections(x, y))
+
+
+def assert_real_failure(c, check, witness):
+    """The witness names a surjection between members that breaks ``check``."""
+    u = c.universe
+    f = homomorphism(u.algebras[witness["dom"]], u.algebras[witness["cod"]], witness["map"])
+    assert f.surjective
+    i, j = witness["dom"], witness["cod"]
+    if check is is_cohereditary:
+        s = congruence_from_blocks(f.cod, witness["S"])
+        assert c.apply(i, preimage_congruence(f, s)) != preimage_congruence(f, c.apply(j, s))
+    else:
+        r = congruence_from_blocks(f.dom, witness["R"])
+        assert image_congruence(f, c.apply(i, r)) != c.apply(j, image_congruence(f, r))
+
+
+SEARCHED = {is_cohereditary: oracles.searched_is_cohereditary,
+            preserves_cocartesian: oracles.searched_preserves_cocartesian}
+
+
+def surjection_verdicts(c) -> tuple[bool, ...]:
+    """Both checks along the quotient maps, against the surjection scans."""
+    out = []
+    for check, searched in SEARCHED.items():
+        got, expected = check(c), searched(c)
+        assert got.ok == expected.ok
+        if not got.ok:
+            assert set(got.witness) == set(expected.witness)
+            assert_real_failure(c, check, got.witness)
+        out.append(got.ok)
+    return tuple(out)
+
+
+def test_surjection_checks_on_enumerated_operators():
+    universes = [universe_from_generators([g]) for g in corpus("groups", 4).algebras]
+    universes.append(universe([cyclic_group(4), klein_four_group(), cyclic_group(2)]))
+    universes.append(universe_with_copies())
+    counts = [(len(ops), *map(sum, zip(*map(surjection_verdicts, ops))))
+              for ops in map(enumerate_operators, universes)]
+    # (operators, cohereditary, preserving) for Z1, Z2, Z3, V4, Z4, {Z4, V4, Z2}
+    # and the universe with copies
+    assert counts == [(1, 1, 1), (2, 2, 2), (2, 2, 2), (4, 3, 2), (7, 5, 3), (5, 4, 3),
+                      (7, 5, 3)]
+
+
+@pytest.mark.parametrize("kind,size", CORPORA)
+def test_surjection_checks_on_builtin_operators(kind, size):
+    u = corpus(kind, size)
+    for name in corpus_operators(kind):
+        surjection_verdicts(builtin_operator(name, u))

@@ -62,13 +62,13 @@ def test_universe_deduplicates_and_orders():
 
 
 def test_generated_universes_verify_as_quotient_closed():
-    from congform.operators import _quotient_closure_witness
     from congform import dihedral_group, dihedral_quandle, cyclic_rng
 
     for seed in (dihedral_group(4), dihedral_quandle(3), cyclic_rng(12)):
         u = universe_from_generators([seed])
         assert u.quotient_closed
-        assert _quotient_closure_witness(u) is None
+        # verifying the flag raises UniverseNotQuotientClosed on a witness
+        assert universe(u.algebras, quotient_closed=True) == u
 
 
 # --- construction and validation --------------------------------------------------

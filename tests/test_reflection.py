@@ -37,7 +37,7 @@ from congform.errors import (
     NotReflective,
     UniverseNotQuotientClosed,
 )
-from congform.reflection import SubcategoryPredicate
+from congform.reflection import SubcategoryPredicate, make_reflector
 from congform.terms import COMMUTATIVITY, REDUCED_RNG, TRIVIAL_QUANDLE
 
 
@@ -141,6 +141,20 @@ def test_surjection_only_naturality_can_fail_universal_property():
     with pytest.raises(NotReflective) as exc:
         reflector_from_closure(c)
     assert exc.value.witness["map"] == [0, 2]
+
+
+def test_make_reflector_rejects_reflections_outside_the_subcategory():
+    u = universe_from_generators([cyclic_group(4)])
+    z1, z2, z4 = u.algebras
+    halves = congruence_from_blocks(z4, [[0, 2], [1, 3]])
+    # Z4 reflects onto Z2, which is not in the subcategory {Z1}
+    with pytest.raises(NotReflective) as exc:
+        make_reflector(u, [diagonal(z1), full(z2), halves], "lands-outside")
+    assert exc.value.witness == {"algebra": 2, "reflection_member": 1}
+    # without Z2 in the universe, the reflection of Z4 leaves it
+    with pytest.raises(NotReflective) as exc:
+        make_reflector(universe([z1, z4]), [diagonal(z1), halves], "leaves")
+    assert exc.value.witness == {"algebra": 1, "rho": [[0, 2], [1, 3]]}
 
 
 # --- membership and subcategories ----------------------------------------------------

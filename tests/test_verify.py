@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from congform import operators
+from congform import algebras, operators
 from congform.verify import run_verification
 
 # sha256 of json.dumps(run_verification(kind, max_size), indent=2, sort_keys=True)
@@ -39,3 +39,22 @@ def test_run_verification_builds_three_operators_per_builtin(monkeypatch):
             monkeypatch.setattr(module, "make_operator", counting)
     run_verification("quandles", 3)
     assert len(names) <= 9, names
+
+
+def test_run_verification_searches_homs_only_into_subcategories(monkeypatch):
+    # surjections come from quotient maps and automorphisms, so the only
+    # hom search left is make_reflector's, from members outside each
+    # subcategory into members inside it
+    original = algebras.enumerate_homs
+    pairs = set()
+
+    def counting(x, y):
+        pairs.add((x, y))
+        return original(x, y)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("congform") and \
+                getattr(module, "enumerate_homs", None) is original:
+            monkeypatch.setattr(module, "enumerate_homs", counting)
+    run_verification("quandles", 3)
+    assert len(pairs) <= 8, len(pairs)
