@@ -67,6 +67,8 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}")
 
@@ -206,8 +208,12 @@ def _cmd_reflect(args) -> int:
     return 0
 
 
+def _max_size(args) -> int:
+    return DEFAULT_MAX_SIZE[args.corpus] if args.max_size is None else args.max_size
+
+
 def _universe_and_operator(args):
-    u = corpus(args.corpus, args.max_size or DEFAULT_MAX_SIZE[args.corpus])
+    u = corpus(args.corpus, _max_size(args))
     return u, builtin_operator(args.operator, u)
 
 
@@ -256,7 +262,7 @@ def _cmd_birkhoff(args) -> int:
 
 
 def _cmd_antitone(args) -> int:
-    u = corpus(args.corpus, args.max_size or DEFAULT_MAX_SIZE[args.corpus])
+    u = corpus(args.corpus, _max_size(args))
     c1 = builtin_operator(args.operator, u)
     c2 = builtin_operator(args.operator2, u)
     res = antitone_check(c1, c2)
@@ -275,7 +281,7 @@ def _cmd_antitone(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    manifest = corpus_manifest(args.corpus, args.max_size or DEFAULT_MAX_SIZE[args.corpus])
+    manifest = corpus_manifest(args.corpus, _max_size(args))
     _say(f"{len(manifest['algebras'])} algebras in corpus {args.corpus}")
     _emit(manifest, args.report)
     return 0

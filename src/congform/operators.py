@@ -32,8 +32,9 @@ construction requirements.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -234,6 +235,23 @@ class ClosureOperator:
         return f"ClosureOperator({self.name!r} on {self.universe!r})"
 
 
+def _non_monotone(table: Mapping[Congruence, Congruence]):
+    """First (R, S) in one fibre with R <= S but C(R) not <= C(S), or None."""
+    for r, cr in table.items():
+        for s, cs in table.items():
+            if leq(r, s) and not leq(cr, cs):
+                return r, s
+    return None
+
+
+def _discontinuity(pull, dom_table, cod_table):
+    """First S with C(f*S) not <= f*C(S), or None; ``pull`` is T -> f*T."""
+    for s, cs in cod_table.items():
+        if not leq(dom_table[pull(s)], pull(cs)):
+            return s
+    return None
+
+
 def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> ClosureOperator:
     """Tabulate ``rule`` over every fibre and verify the two defining laws.
 
@@ -274,16 +292,15 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
             "R": [list(b) for b in r.blocks()], "S": [list(b) for b in s.blocks()]})
 
     for i, table in enumerate(tables):
-        for r, cr in table.items():
-            for s, cs in table.items():
-                if leq(r, s) and not leq(cr, cs):
-                    raise not_natural(i, i, identity_hom(u.algebras[i]), r, s)
+        pair = _non_monotone(table)
+        if pair is not None:
+            raise not_natural(i, i, identity_hom(u.algebras[i]), *pair)
     for f in naturality_maps(u):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
-        for s, cs in tables[j].items():
-            r = preimage_congruence(f, s)
-            if not leq(tables[i][r], preimage_congruence(f, cs)):
-                raise not_natural(i, j, f, r, s)
+        pull = partial(preimage_congruence, f)
+        s = _discontinuity(pull, tables[i], tables[j])
+        if s is not None:
+            raise not_natural(i, j, f, pull(s), s)
 
     packed = tuple(
         tuple(sorted(t.items(), key=lambda kv: kv[0].ids)) for t in tables
@@ -385,39 +402,44 @@ def strictify(d: ClosureOperator) -> ClosureOperator:
     return make_operator(u, pullback_rule(u, closed_diagonals), f"strict({d.name})")
 
 
-def extensive_families(u: Universe, *, max_candidates: int = 500_000):
-    """Iterator over every extensive family of fibre maps: one table per member.
-
-    Raises ``SizeTooLarge`` up front when there are more than
-    ``max_candidates`` families.
-    """
-    total = 1
-    member_tables: list[list[dict]] = []
-    for x in u.algebras:
-        lattice = list(con_lattice(x))
-        options_per_r = [[(r, s) for s in lattice if leq(r, s)] for r in lattice]
-        for options in options_per_r:
-            total *= len(options)
-        if total > max_candidates:
-            raise SizeTooLarge(
-                f"universe admits more than {max_candidates} extensive families"
-            )
-        member_tables.append([dict(combo) for combo in itertools.product(*options_per_r)])
-    return itertools.product(*member_tables)
-
-
 def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[ClosureOperator, ...]:
-    """Every closure operator on ``u``, by exhausting extensive fibre maps.
+    """Every closure operator on ``u``, by depth-first search over the members.
 
-    Each extensive family is validated for naturality, and the survivors
-    are returned in deterministic order.  Intended for micro-universes.
+    A member's candidates are its monotone extensive fibre tables.  A
+    partial family is extended one member at a time, in universe order,
+    and cut off as soon as it breaks continuity along a map of
+    ``naturality_maps`` whose two ends are assigned.  Each survivor is
+    validated by ``make_operator`` and named ``op{k}``, k its index in the
+    product of all extensive families (member-major, as ``itertools.product``).
+    Raises ``SizeTooLarge`` up front when there are more than
+    ``max_candidates`` extensive families.
     """
+    lattices = [tuple(con_lattice(x)) for x in u.algebras]
+    options = [[[(r, s) for s in lattice if leq(r, s)] for r in lattice] for lattice in lattices]
+    radix = [math.prod(map(len, per_r)) for per_r in options]
+    if math.prod(radix) > max_candidates:
+        raise SizeTooLarge(f"universe admits more than {max_candidates} extensive families")
+    candidates = [[(k, t) for k, t in enumerate(map(dict, itertools.product(*per_r)))
+                   if _non_monotone(t) is None] for per_r in options]
+    checks: list[list] = [[] for _ in lattices]
+    for f in naturality_maps(u):
+        i, j = u.member_index(f.dom), u.member_index(f.cod)
+        pulled = {t: preimage_congruence(f, t) for t in lattices[j]}
+        checks[max(i, j)].append((i, j, pulled.__getitem__))
+
+    tables: list = [None] * len(lattices)
     out = []
-    for k, combo in enumerate(extensive_families(u, max_candidates=max_candidates)):
-        try:
-            out.append(make_operator(u, list(combo), f"op{k}"))
-        except NotNatural:
-            continue
+
+    def extend(m: int, k: int) -> None:
+        if m == len(tables):
+            out.append(make_operator(u, list(tables), f"op{k}"))
+            return
+        for index, table in candidates[m]:
+            tables[m] = table
+            if all(_discontinuity(pull, tables[i], tables[j]) is None for i, j, pull in checks[m]):
+                extend(m + 1, k * radix[m] + index)
+
+    extend(0, 0)
     return tuple(out)
 
 

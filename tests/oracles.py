@@ -10,8 +10,9 @@ dumb and quadratic; they only ever run on small carriers.
 The last section keeps the general-search code paths that the library
 replaced with lattice facts (Mal'cev join, propagated image, the
 (f, R, S) lifting-law scan, coheredity and cocartesian preservation
-along every searched surjection), as differential oracles for their
-replacements.
+along every searched surjection, operator enumeration by generating
+every extensive family and rejecting the unnatural ones), as
+differential oracles for their replacements.
 """
 
 from __future__ import annotations
@@ -200,3 +201,42 @@ def searched_preserves_cocartesian(c):
                     rhs=[list(b) for b in rhs.blocks()],
                 )
     return PASSED
+
+
+def extensive_families(u, *, max_candidates: int = 500_000):
+    """Iterator over every extensive family of fibre maps: one table per member.
+
+    Raises ``SizeTooLarge`` up front when there are more than
+    ``max_candidates`` families.
+    """
+    from congform import con_lattice, leq
+    from congform.errors import SizeTooLarge
+
+    total = 1
+    member_tables: list[list[dict]] = []
+    for x in u.algebras:
+        lattice = list(con_lattice(x))
+        options_per_r = [[(r, s) for s in lattice if leq(r, s)] for r in lattice]
+        for options in options_per_r:
+            total *= len(options)
+        if total > max_candidates:
+            raise SizeTooLarge(
+                f"universe admits more than {max_candidates} extensive families"
+            )
+        member_tables.append([dict(combo) for combo in itertools.product(*options_per_r)])
+    return itertools.product(*member_tables)
+
+
+def generate_and_test_operators(u, *, max_candidates: int = 500_000):
+    """Every closure operator on ``u``: each extensive family is given to
+    ``make_operator`` and kept unless it raises ``NotNatural``."""
+    from congform import make_operator
+    from congform.errors import NotNatural
+
+    out = []
+    for k, combo in enumerate(extensive_families(u, max_candidates=max_candidates)):
+        try:
+            out.append(make_operator(u, list(combo), f"op{k}"))
+        except NotNatural:
+            continue
+    return tuple(out)

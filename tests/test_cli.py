@@ -60,6 +60,34 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert json.loads(out)["error"] == "InputError"
 
 
+def test_directory_as_algebra_file_exits_2(tmp_path, capsys):
+    code, out, _ = run(capsys, "validate", "--algebra", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"] == "InputError"
+
+
+def test_non_utf8_algebra_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"size": 1, "tag": "caf\xe9"}')
+    code, out, _ = run(capsys, "validate", "--algebra", str(bad))
+    assert code == 2
+    assert json.loads(out)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("check-operator", ["--operator", "identity"]),
+    ("roundtrip", ["--operator", "identity"]),
+    ("birkhoff", ["--operator", "identity"]),
+    ("antitone", ["--operator", "identity", "--operator2", "top"]),
+    ("corpus", []),
+    ("verify-all", []),
+])
+def test_max_size_zero_exits_2(capsys, command, flags):
+    code, out, _ = run(capsys, command, *flags, "--corpus", "groups", "--max-size", "0")
+    assert code == 2
+    assert json.loads(out)["error"] == "OutOfRange"
+
+
 @pytest.mark.parametrize("tag", [[1], {}], ids=["tag-is-a-list", "tag-is-an-object"])
 def test_non_string_tag_exits_2(files, tmp_path, capsys, tag):
     with open(files["tq3"], encoding="utf-8") as fh:

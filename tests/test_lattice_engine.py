@@ -2,11 +2,14 @@
 
 ``make_operator`` checks naturality as monotonicity plus continuity,
 ``join`` is the equivalence closure of the union and ``image_congruence``
-needs no operation propagation.  Surjections are not searched for: they
+needs no operation propagation.  ``enumerate_operators`` builds
+operators member by member and prunes on monotonicity and continuity.
+Surjections are not searched for: they
 are the quotient maps followed by automorphisms.  Each is compared here
 with the general search it replaced, kept in ``oracles``: the (f, R, S)
-lifting-law scan, the Mal'cev join, the propagated image, and coheredity
-and cocartesian preservation along every searched surjection.
+lifting-law scan, the Mal'cev join, the propagated image, coheredity
+and cocartesian preservation along every searched surjection, and
+operator enumeration by generating and rejecting every extensive family.
 """
 
 import pytest
@@ -40,7 +43,6 @@ from congform import (
 from congform.algebras import relabel_algebra
 from congform.errors import NotNatural
 from congform.instances import corpus_operators
-from congform.operators import extensive_families
 
 import oracles
 
@@ -71,7 +73,7 @@ def natural_verdict(u, tables) -> bool:
 
 
 def verdict_counts(u):
-    verdicts = [natural_verdict(u, list(c)) for c in extensive_families(u)]
+    verdicts = [natural_verdict(u, list(c)) for c in oracles.extensive_families(u)]
     return len(verdicts), sum(verdicts)
 
 
@@ -199,6 +201,20 @@ def test_surjection_checks_on_enumerated_operators():
     # and the universe with copies
     assert counts == [(1, 1, 1), (2, 2, 2), (2, 2, 2), (4, 3, 2), (7, 5, 3), (5, 4, 3),
                       (7, 5, 3)]
+
+
+def operator_universes():
+    """The group universes up to order 8, {Z4, V4, Z2} and the one with copies."""
+    universes = [universe_from_generators([g]) for g in corpus("groups", 8).algebras]
+    universes.append(universe([cyclic_group(4), klein_four_group(), cyclic_group(2)]))
+    universes.append(universe_with_copies())
+    return universes
+
+
+def test_operator_search_matches_generate_and_test():
+    for u in operator_universes():
+        expected = [(c.name, c.maps) for c in oracles.generate_and_test_operators(u)]
+        assert [(c.name, c.maps) for c in enumerate_operators(u)] == expected
 
 
 @pytest.mark.parametrize("kind,size", CORPORA)

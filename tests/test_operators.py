@@ -7,6 +7,7 @@ from congform import (
     corpus,
     cyclic_group,
     diagonal,
+    dihedral_group,
     enumerate_operators,
     full,
     is_cohereditary,
@@ -23,6 +24,7 @@ from congform import (
     universe,
     universe_from_generators,
 )
+from congform import operators
 from congform.errors import (
     NotExtensive,
     NotNatural,
@@ -284,6 +286,51 @@ def test_enumerate_operators_guard():
     u = corpus("rngs", 12)
     with pytest.raises(SizeTooLarge):
         enumerate_operators(u, max_candidates=10)
+
+
+# Rows [order, members, operators, idempotent, cohereditary, minimal,
+# pushout-preserving] for the universe generated by each group of order <= 8.
+CENSUS_8 = [
+    [1, 1, 1, 1, 1, 1, 1],
+    [2, 2, 2, 2, 2, 2, 2],
+    [3, 2, 2, 2, 2, 2, 2],
+    [4, 3, 4, 4, 3, 2, 2],
+    [4, 3, 7, 6, 4, 3, 3],
+    [5, 2, 2, 2, 2, 2, 2],
+    [6, 3, 7, 6, 4, 3, 3],
+    [6, 4, 16, 14, 7, 4, 4],
+    [7, 2, 2, 2, 2, 2, 2],
+    [8, 4, 30, 24, 6, 3, 3],
+    [8, 4, 42, 24, 8, 4, 4],
+]
+
+
+def test_operator_census_up_to_order_8():
+    rows = []
+    for g in corpus("groups", 8).algebras:
+        u = universe_from_generators([g])
+        family = enumerate_operators(u)
+        idem = [c for c in family if is_idempotent(c)]
+        cohered = [c for c in idem if is_cohereditary(c)]
+        minimal = {c.name for c in cohered if is_minimal(c)}
+        pushout = {c.name for c in cohered if preserves_cocartesian(c)}
+        assert minimal == pushout
+        rows.append([g.size, len(u), len(family), len(idem), len(cohered),
+                     len(minimal), len(pushout)])
+    assert rows == CENSUS_8
+
+
+def test_enumerate_operators_validates_only_survivors(monkeypatch):
+    # The D4 universe has 19,200 extensive families and 30 operators.
+    u = universe_from_generators([dihedral_group(4)])
+    assert [len(con_lattice(x)) for x in u.algebras] == [1, 2, 5, 6]
+    calls = []
+    real = operators.make_operator
+    monkeypatch.setattr(operators, "make_operator",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    family = enumerate_operators(u)
+    assert len(family) == 30
+    assert len(calls) <= len(family)
 
 
 # --- reporting ------------------------------------------------------------------------------
