@@ -63,9 +63,7 @@ from .instances import (
     dihedral_group,
     dihedral_quandle,
     ideal,
-    ideal_from_json,
     ideal_of_congruence,
-    ideal_to_json,
     klein_four_group,
     nilradical,
     quandle_reachability,

@@ -11,7 +11,7 @@ Congruence generation uses union-find with a worklist: whenever two
 classes merge, every operation tuple differing from a known tuple in one
 coordinate by a newly merged pair is re-propagated.  Joins need none:
 they are equivalence closures of unions.  Lattices are enumerated by
-closing the principal congruences under binary join, and the test suite
+joining principal congruences onto the ones found so far, and the test suite
 checks both against exhaustive partition scans.
 """
 
@@ -767,17 +767,17 @@ class CongruenceLattice:
 
 @lru_cache(maxsize=None)
 def con_lattice(x: FiniteAlgebra) -> CongruenceLattice:
-    """Principal congruences closed under binary join (plus the diagonal)."""
-    found = {diagonal(x)}
-    for a in range(x.size):
-        for b in range(a + 1, x.size):
-            found.add(generated_congruence(x, [(a, b)]))
+    """The diagonal and the principal congruences, closed under joining with a
+    principal congruence: every congruence is a join of principal ones."""
+    principal = list(dict.fromkeys(generated_congruence(x, [(a, b)])
+                                   for a in range(x.size) for b in range(a + 1, x.size)))
+    found = {diagonal(x), *principal}
     frontier = list(found)
     while frontier:
         fresh = []
         for r in frontier:
-            for s in list(found):
-                j = join(r, s)
+            for p in principal:
+                j = join(r, p)
                 if j not in found:
                     found.add(j)
                     fresh.append(j)

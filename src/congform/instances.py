@@ -411,17 +411,6 @@ def nilradical(a: FiniteAlgebra, i: Ideal) -> Ideal:
     return ideal(a, out)
 
 
-def ideal_to_json(i: Ideal) -> list[int]:
-    """Ideals serialize as their sorted element list."""
-    return list(i.elements)
-
-
-def ideal_from_json(rng: FiniteAlgebra, doc) -> Ideal:
-    if not isinstance(doc, list):
-        raise InvalidIdeal("an ideal serializes as a JSON list of elements")
-    return ideal(rng, doc)
-
-
 # --- quandles --------------------------------------------------------------------
 
 def quandle_reachability(a: FiniteAlgebra) -> Congruence:

@@ -15,8 +15,7 @@ the subcategory theorems use), and over all homomorphisms otherwise.
 As f lifts R into S exactly when R <= f*S, the law is equivalent to
 monotonicity on each fibre (the law along identities) plus continuity,
 C(f*S) <= f*C(S) for every map f and S in Con(Y) (Dikranjan & Tholen,
-*Categorical Structure of Closure Operators*, 1995): |F|.|Con Y| tests
-instead of a scan over every (f, R, S).
+*Categorical Structure of Closure Operators*, 1995).
 
 Surjections are never searched for: by the first isomorphism theorem
 each one is a.g_K, with g_K the quotient map of its kernel K
@@ -27,6 +26,13 @@ cocartesian preservation along quotient maps alone.
 The remaining axioms (idempotent, cohereditary, minimal, preservation
 of cocartesian liftings) are runtime checks returning witnesses, not
 construction requirements.
+
+The checks compare integers, as do an operator's fibres: ``fibration(u)``,
+built on a universe's first check, numbers each Con(X) with its order and
+holds f* along every map checked (read by naturality, coheredity,
+``pullback_rule`` and ``make_reflector``), images along quotient maps
+(cocartesian preservation) and join tables (minimality), the last two
+built on first use.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -50,6 +56,7 @@ from .algebras import (
     enumerate_homs,
     find_isomorphism,
     identity_hom,
+    join,
     quotient,
 )
 from .errors import (
@@ -179,11 +186,12 @@ def pullback_rule(u: Universe, rho: Sequence[Congruence]) -> Rule:
     if not u.quotient_closed:
         raise UniverseNotQuotientClosed(
             "deriving a closure operator requires a quotient-closed universe")
-    maps = quotient_maps(u)
+    maps, fib = quotient_maps(u), fibration(u)
 
     def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
         g = maps[r][0]
-        return preimage_congruence(g, rho[u.member_index(g.cod)])
+        j = u.member_index(g.cod)
+        return fib.lattices[u.member_index(x)][fib.pull[g][fib.index[j][rho[j]]]]
 
     return rule
 
@@ -202,9 +210,45 @@ def naturality_maps(u: Universe) -> tuple[Homomorphism, ...]:
     return tuple(dict.fromkeys(out))
 
 
+class Fibration:
+    """The integer tables of one universe, built once by ``fibration``: per
+    member i, ``lattices[i]`` in ``con_lattice`` order, ``index[i]`` its
+    inverse and the order ``le[i][a][b]``; ``pull[f]``, f* as an index array."""
+
+    def __init__(self, u: Universe):
+        self.universe = u
+        self.lattices = tuple(tuple(con_lattice(x)) for x in u.algebras)
+        self.index = tuple({r: a for a, r in enumerate(lat)} for lat in self.lattices)
+        self.le = tuple(tuple(tuple(leq(r, s) for s in lat) for r in lat) for lat in self.lattices)
+        maps = itertools.chain(naturality_maps(u), *quotient_maps(u).values())
+        self.pull = {f: tuple(self.index[u.member_index(f.dom)][preimage_congruence(f, s)]
+                              for s in con_lattice(f.cod)) for f in dict.fromkeys(maps)}
+        self._images, self._joins = {}, {}
+
+    def image(self, f: Homomorphism) -> tuple[int, ...]:
+        """R -> f(R) as an index array, built on first request; f a quotient map."""
+        if f not in self._images:
+            into = self.index[self.universe.member_index(f.cod)]
+            self._images[f] = tuple(into[image_congruence(f, r)] for r in con_lattice(f.dom))
+        return self._images[f]
+
+    def joins(self, i: int) -> tuple[tuple[int, ...], ...]:
+        """Member i's join table, built on first request; comparable pairs need no join."""
+        if i not in self._joins:
+            lat, index, le = self.lattices[i], self.index[i], self.le[i]
+            self._joins[i] = tuple(tuple(b if le[a][b] else a if le[b][a] else
+                                         index[join(lat[a], lat[b])] for b in range(len(lat)))
+                                   for a in range(len(lat)))
+        return self._joins[i]
+
+
+fibration = lru_cache(maxsize=None)(Fibration)
+
+
 @dataclass(frozen=True, repr=False)
 class ClosureOperator:
-    """Validated extensive + natural family of fibre maps over a universe."""
+    """Validated extensive + natural fibre maps over a universe; ``maps`` runs
+    in ``con_lattice`` order, so ``_rows[i]`` is member i's map on indices."""
 
     universe: Universe
     name: str
@@ -212,6 +256,9 @@ class ClosureOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "_tables", tuple(dict(m) for m in self.maps))
+        index = fibration(self.universe).index
+        object.__setattr__(self, "_rows", tuple(
+            tuple(index[i][c] for _, c in m) for i, m in enumerate(self.maps)))
 
     def fibre(self, i: int) -> dict[Congruence, Congruence]:
         return self._tables[i]
@@ -235,19 +282,19 @@ class ClosureOperator:
         return f"ClosureOperator({self.name!r} on {self.universe!r})"
 
 
-def _non_monotone(table: Mapping[Congruence, Congruence]):
-    """First (R, S) in one fibre with R <= S but C(R) not <= C(S), or None."""
-    for r, cr in table.items():
-        for s, cs in table.items():
-            if leq(r, s) and not leq(cr, cs):
-                return r, s
+def _non_monotone(le, row, order):
+    """First (a, b) of one fibre, in ``order``, with a <= b but C(a) not <= C(b)."""
+    for a in order:
+        for b in order:
+            if le[a][b] and not le[row[a]][row[b]]:
+                return a, b
     return None
 
 
-def _discontinuity(pull, dom_table, cod_table):
-    """First S with C(f*S) not <= f*C(S), or None; ``pull`` is T -> f*T."""
-    for s, cs in cod_table.items():
-        if not leq(dom_table[pull(s)], pull(cs)):
+def _discontinuity(pull, le, dom_row, cod_row, order):
+    """First S of Con(cod), in ``order``, with C(f*S) not <= f*C(S); ``pull`` is f*."""
+    for s in order:
+        if not le[dom_row[pull[s]]][pull[cod_row[s]]]:
             return s
     return None
 
@@ -262,50 +309,49 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
     Naturality is checked as monotonicity on each fibre plus continuity
     along every map of ``naturality_maps`` (see the module docstring).  A
     ``NotNatural`` witness {dom, cod, map, R, S} is a lift that C breaks:
-    the identity with R <= S, or a map f with R = f*S.
+    the identity with R <= S, or a map f with R = f*S.  Witnesses are the
+    first found in the order of the tables' keys.
     """
+    fib = fibration(u)
     tables: list[dict[Congruence, Congruence]] = []
     for i, x in enumerate(u.algebras):
-        lattice = con_lattice(x)
-        if callable(rule):
-            table = {r: rule(x, r) for r in lattice}
-        else:
-            table = dict(rule[i])
-            if set(table) != set(lattice):
-                raise FibreMismatch(
-                    f"operator table for member {i} must list exactly its "
-                    f"{len(lattice)} congruences"
-                )
+        lattice, index = fib.lattices[i], fib.index[i]
+        table = {r: rule(x, r) for r in lattice} if callable(rule) else dict(rule[i])
+        if set(table) != set(lattice):
+            raise FibreMismatch(
+                f"operator table for member {i} must list exactly its "
+                f"{len(lattice)} congruences"
+            )
         for r, c in table.items():
-            if c.algebra != x:
-                raise FibreMismatch("closure value lives on a different algebra")
-            if not leq(r, c):
+            if c not in index:
+                raise FibreMismatch(f"closure value is not a congruence of member {i}")
+            if not fib.le[i][index[r]][index[c]]:
                 raise NotExtensive(
                     f"operator {name!r} is not extensive on member {i}",
                     witness=_witness(i, r, closure=congruence_to_blocks(c)),
                 )
         tables.append(table)
+    op = ClosureOperator(u, name, tuple(
+        tuple((r, t[r]) for r in lattice) for lattice, t in zip(fib.lattices, tables)))
+    orders = [[index[r] for r in t] for index, t in zip(fib.index, tables)]
 
-    def not_natural(i, j, f, r, s):
+    def not_natural(i, j, f, ri, si):
+        r, s = fib.lattices[i][ri], fib.lattices[j][si]
         return NotNatural(f"operator {name!r} breaks the lifting law", witness={
             "dom": i, "cod": j, "map": list(f.map),
             "R": [list(b) for b in r.blocks()], "S": [list(b) for b in s.blocks()]})
 
-    for i, table in enumerate(tables):
-        pair = _non_monotone(table)
+    for i, row in enumerate(op._rows):
+        pair = _non_monotone(fib.le[i], row, orders[i])
         if pair is not None:
             raise not_natural(i, i, identity_hom(u.algebras[i]), *pair)
     for f in naturality_maps(u):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
-        pull = partial(preimage_congruence, f)
-        s = _discontinuity(pull, tables[i], tables[j])
+        pull = fib.pull[f]
+        s = _discontinuity(pull, fib.le[i], op._rows[i], op._rows[j], orders[j])
         if s is not None:
-            raise not_natural(i, j, f, pull(s), s)
-
-    packed = tuple(
-        tuple(sorted(t.items(), key=lambda kv: kv[0].ids)) for t in tables
-    )
-    return ClosureOperator(u, name, packed)
+            raise not_natural(i, j, f, pull[s], s)
+    return op
 
 
 # --- axiom checkers -----------------------------------------------------------
@@ -326,44 +372,46 @@ def is_idempotent(c: ClosureOperator) -> CheckResult:
 
 
 def _along_quotient_maps(c: ClosureOperator, key: str, sides) -> CheckResult:
-    """First quotient map f and congruence T where the two congruences
-    ``sides(f, i, j, T)`` differ; T runs over Con(cod) for key "S" and
-    over Con(dom) for key "R", the key it has in the witness."""
-    u = c.universe
+    """First quotient map f and congruence T where the two congruence
+    indices ``sides(fib, f, i, j, t)`` differ; T runs over Con(cod) for key
+    "S" and over Con(dom) for key "R", the key it has in the witness."""
+    u, fib = c.universe, fibration(c.universe)
     for f in itertools.chain.from_iterable(quotient_maps(u).values()):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
-        for t in con_lattice(f.cod if key == "S" else f.dom):
-            lhs, rhs = sides(f, i, j, t)
+        over, into = fib.lattices[j if key == "S" else i], fib.lattices[i if key == "S" else j]
+        for t in range(len(over)):
+            lhs, rhs = sides(fib, f, i, j, t)
             if lhs != rhs:
-                return failed(dom=i, cod=j, map=list(f.map), **{key: congruence_to_blocks(t)},
-                              lhs=congruence_to_blocks(lhs), rhs=congruence_to_blocks(rhs))
+                return failed(dom=i, cod=j, map=list(f.map),
+                              **{key: congruence_to_blocks(over[t])},
+                              lhs=congruence_to_blocks(into[lhs]),
+                              rhs=congruence_to_blocks(into[rhs]))
     return PASSED
 
 
 def is_cohereditary(c: ClosureOperator) -> CheckResult:
     """C(f*S) = f*C(S) along every surjection between members (checked
     along the quotient maps, see the module docstring)."""
-    return _along_quotient_maps(c, "S", lambda f, i, j, s: (
-        c.apply(i, preimage_congruence(f, s)), preimage_congruence(f, c.apply(j, s))))
+    return _along_quotient_maps(c, "S", lambda fib, f, i, j, s: (
+        c._rows[i][fib.pull[f][s]], fib.pull[f][c._rows[j][s]]))
 
 
 def is_minimal(c: ClosureOperator) -> CheckResult:
     """C(R v S) = C(R) v S on every fibre."""
-    from .algebras import join
-
-    for i, x in enumerate(c.universe.algebras):
-        for r in con_lattice(x):
-            for s in con_lattice(x):
-                if c.apply(i, join(r, s)) != join(c.apply(i, r), s):
-                    return failed(**_witness(i, r, second=[list(b) for b in s.blocks()]))
+    fib = fibration(c.universe)
+    for i, row in enumerate(c._rows):
+        joins, lattice = fib.joins(i), fib.lattices[i]
+        for r, s in itertools.product(range(len(row)), repeat=2):
+            if row[joins[r][s]] != joins[row[r]][s]:
+                return failed(**_witness(i, lattice[r], second=congruence_to_blocks(lattice[s])))
     return PASSED
 
 
 def preserves_cocartesian(c: ClosureOperator) -> CheckResult:
     """image(f, C(R)) = C(image(f, R)) along every surjection (checked
     along the quotient maps, see the module docstring)."""
-    return _along_quotient_maps(c, "R", lambda f, i, j, r: (
-        image_congruence(f, c.apply(i, r)), c.apply(j, image_congruence(f, r))))
+    return _along_quotient_maps(c, "R", lambda fib, f, i, j, r: (
+        fib.image(f)[c._rows[i][r]], c._rows[j][fib.image(f)[r]]))
 
 
 def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
@@ -414,29 +462,32 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
     Raises ``SizeTooLarge`` up front when there are more than
     ``max_candidates`` extensive families.
     """
-    lattices = [tuple(con_lattice(x)) for x in u.algebras]
-    options = [[[(r, s) for s in lattice if leq(r, s)] for r in lattice] for lattice in lattices]
-    radix = [math.prod(map(len, per_r)) for per_r in options]
+    fib = fibration(u)
+    options = [[[b for b in range(len(le)) if le[a][b]] for a in range(len(le))] for le in fib.le]
+    radix = [math.prod(map(len, per_a)) for per_a in options]
     if math.prod(radix) > max_candidates:
         raise SizeTooLarge(f"universe admits more than {max_candidates} extensive families")
-    candidates = [[(k, t) for k, t in enumerate(map(dict, itertools.product(*per_r)))
-                   if _non_monotone(t) is None] for per_r in options]
-    checks: list[list] = [[] for _ in lattices]
+    candidates = [[(k, row) for k, row in enumerate(itertools.product(*per_a))
+                   if _non_monotone(le, row, range(len(row))) is None]
+                  for per_a, le in zip(options, fib.le)]
+    checks: list[list] = [[] for _ in fib.lattices]
     for f in naturality_maps(u):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
-        pulled = {t: preimage_congruence(f, t) for t in lattices[j]}
-        checks[max(i, j)].append((i, j, pulled.__getitem__))
+        checks[max(i, j)].append((i, j, fib.pull[f]))
 
-    tables: list = [None] * len(lattices)
+    rows: list = [None] * len(fib.lattices)
     out = []
 
     def extend(m: int, k: int) -> None:
-        if m == len(tables):
-            out.append(make_operator(u, list(tables), f"op{k}"))
+        if m == len(rows):
+            tables = [dict(zip(lat, map(lat.__getitem__, row)))
+                      for lat, row in zip(fib.lattices, rows)]
+            out.append(make_operator(u, tables, f"op{k}"))
             return
-        for index, table in candidates[m]:
-            tables[m] = table
-            if all(_discontinuity(pull, tables[i], tables[j]) is None for i, j, pull in checks[m]):
+        for index, row in candidates[m]:
+            rows[m] = row
+            if all(_discontinuity(pull, fib.le[i], rows[i], rows[j], range(len(rows[j])))
+                   is None for i, j, pull in checks[m]):
                 extend(m + 1, k * radix[m] + index)
 
     extend(0, 0)

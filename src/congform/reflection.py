@@ -49,10 +49,11 @@ from .errors import (
     UniverseMismatch,
     failed,
 )
-from .forms import leq, preimage_congruence
+from .forms import leq
 from .operators import (
     ClosureOperator,
     Universe,
+    fibration,
     find_member_iso,
     is_cohereditary,
     is_idempotent,
@@ -95,7 +96,7 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
             raise UniverseMismatch(f"rho[{i}] lives on a different algebra")
     members_in = [i for i, r in enumerate(rho) if r == diagonal(u.algebras[i])]
     # reflections land in the subcategory: g*(rho_M) = rho_X = g*(diagonal)
-    maps = quotient_maps(u)
+    maps, fib = quotient_maps(u), fibration(u)
     for i, r in enumerate(rho):
         if r not in maps:
             raise NotReflective(
@@ -104,7 +105,8 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
             )
         g = maps[r][0]
         j = u.member_index(g.cod)
-        if preimage_congruence(g, rho[j]) != r:
+        k = fib.index[j].get(rho[j])
+        if k is None or fib.pull[g][k] != fib.index[i][r]:
             raise NotReflective(
                 f"reflector {name!r}: reflection of member {i} is not in the subcategory",
                 witness={"algebra": i, "reflection_member": j},

@@ -7,12 +7,14 @@ argument tuples, generated congruences are meets of all containing
 congruences, and homomorphisms come from scanning all maps.  Keep these
 dumb and quadratic; they only ever run on small carriers.
 
-The last section keeps the general-search code paths that the library
+The last sections keep the code paths that the library replaced, as
+differential oracles for their replacements: the general searches it
 replaced with lattice facts (Mal'cev join, propagated image, the
 (f, R, S) lifting-law scan, coheredity and cocartesian preservation
 along every searched surjection, operator enumeration by generating
-every extensive family and rejecting the unnatural ones), as
-differential oracles for their replacements.
+every extensive family and rejecting the unnatural ones, the lattice
+closed under joins of every pair), and the operator checks on
+``Congruence`` objects that the universe's integer tables replaced.
 """
 
 from __future__ import annotations
@@ -203,6 +205,29 @@ def searched_preserves_cocartesian(c):
     return PASSED
 
 
+def all_pairs_con_lattice(x):
+    """Principal congruences and the diagonal, closed under the join of
+    every pair found so far."""
+    from congform import diagonal, generated_congruence, join
+    from congform.algebras import CongruenceLattice
+
+    found = {diagonal(x)}
+    for a in range(x.size):
+        for b in range(a + 1, x.size):
+            found.add(generated_congruence(x, [(a, b)]))
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for r in frontier:
+            for s in list(found):
+                j = join(r, s)
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return CongruenceLattice(x, tuple(sorted(found, key=lambda c: c.ids)))
+
+
 def extensive_families(u, *, max_candidates: int = 500_000):
     """Iterator over every extensive family of fibre maps: one table per member.
 
@@ -240,3 +265,128 @@ def generate_and_test_operators(u, *, max_candidates: int = 500_000):
         except NotNatural:
             continue
     return tuple(out)
+
+
+# --- operator checks on Congruence objects ---------------------------------------
+
+def non_monotone(table):
+    """First (R, S) in one fibre with R <= S but C(R) not <= C(S), or None."""
+    from congform import leq
+
+    for r, cr in table.items():
+        for s, cs in table.items():
+            if leq(r, s) and not leq(cr, cs):
+                return r, s
+    return None
+
+
+def discontinuity(pull, dom_table, cod_table):
+    """First S with C(f*S) not <= f*C(S), or None; ``pull`` is T -> f*T."""
+    from congform import leq
+
+    for s, cs in cod_table.items():
+        if not leq(dom_table[pull(s)], pull(cs)):
+            return s
+    return None
+
+
+def naturality_witness(u, tables):
+    """The ``NotNatural`` witness of ``make_operator`` for extensive tables,
+    or None: monotone fibres, then continuity along ``naturality_maps``."""
+    from functools import partial
+
+    from congform import identity_hom, preimage_congruence
+    from congform.operators import naturality_maps
+
+    def witness(i, j, f, r, s):
+        return {"dom": i, "cod": j, "map": list(f.map),
+                "R": [list(b) for b in r.blocks()], "S": [list(b) for b in s.blocks()]}
+
+    for i, table in enumerate(tables):
+        pair = non_monotone(table)
+        if pair is not None:
+            return witness(i, i, identity_hom(u.algebras[i]), *pair)
+    for f in naturality_maps(u):
+        i, j = u.member_index(f.dom), u.member_index(f.cod)
+        pull = partial(preimage_congruence, f)
+        s = discontinuity(pull, tables[i], tables[j])
+        if s is not None:
+            return witness(i, j, f, pull(s), s)
+    return None
+
+
+def along_quotient_maps(c, key, sides):
+    """First quotient map f and congruence T where the two congruences
+    ``sides(f, i, j, T)`` differ; T runs over Con(cod) for key "S" and
+    over Con(dom) for key "R", the key it has in the witness."""
+    from congform import con_lattice, congruence_to_blocks, quotient_maps
+    from congform.errors import PASSED, failed
+
+    u = c.universe
+    for f in itertools.chain.from_iterable(quotient_maps(u).values()):
+        i, j = u.member_index(f.dom), u.member_index(f.cod)
+        for t in con_lattice(f.cod if key == "S" else f.dom):
+            lhs, rhs = sides(f, i, j, t)
+            if lhs != rhs:
+                return failed(dom=i, cod=j, map=list(f.map), **{key: congruence_to_blocks(t)},
+                              lhs=congruence_to_blocks(lhs), rhs=congruence_to_blocks(rhs))
+    return PASSED
+
+
+def is_cohereditary(c):
+    """C(f*S) = f*C(S) along every quotient map between members."""
+    from congform import preimage_congruence
+
+    return along_quotient_maps(c, "S", lambda f, i, j, s: (
+        c.apply(i, preimage_congruence(f, s)), preimage_congruence(f, c.apply(j, s))))
+
+
+def is_minimal(c):
+    """C(R v S) = C(R) v S on every fibre, joining afresh each time."""
+    from congform import con_lattice, join
+    from congform.errors import PASSED, failed
+
+    for i, x in enumerate(c.universe.algebras):
+        for r in con_lattice(x):
+            for s in con_lattice(x):
+                if c.apply(i, join(r, s)) != join(c.apply(i, r), s):
+                    return failed(algebra=i, congruence=[list(b) for b in r.blocks()],
+                                  second=[list(b) for b in s.blocks()])
+    return PASSED
+
+
+def preserves_cocartesian(c):
+    """image(f, C(R)) = C(image(f, R)) along every quotient map between members."""
+    from congform import image_congruence
+
+    return along_quotient_maps(c, "R", lambda f, i, j, r: (
+        image_congruence(f, c.apply(i, r)), c.apply(j, image_congruence(f, r))))
+
+
+def pullback_rule(u, rho):
+    """R -> g*(rho[j]) for the first quotient map g of R, onto member j."""
+    from congform import preimage_congruence, quotient_maps
+
+    maps = quotient_maps(u)
+
+    def rule(x, r):
+        g = maps[r][0]
+        return preimage_congruence(g, rho[u.member_index(g.cod)])
+
+    return rule
+
+
+# --- API with no library caller -------------------------------------------------
+
+def ideal_to_json(i):
+    """Ideals serialize as their sorted element list."""
+    return list(i.elements)
+
+
+def ideal_from_json(rng, doc):
+    from congform import ideal
+    from congform.errors import InvalidIdeal
+
+    if not isinstance(doc, list):
+        raise InvalidIdeal("an ideal serializes as a JSON list of elements")
+    return ideal(rng, doc)

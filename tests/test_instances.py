@@ -89,7 +89,7 @@ def test_ideal_validation():
 
 
 def test_ideal_json_roundtrip():
-    from congform import ideal_from_json, ideal_to_json
+    from oracles import ideal_from_json, ideal_to_json
 
     z8 = cyclic_rng(8)
     i = ideal(z8, [4, 0])

@@ -10,6 +10,10 @@ with the general search it replaced, kept in ``oracles``: the (f, R, S)
 lifting-law scan, the Mal'cev join, the propagated image, coheredity
 and cocartesian preservation along every searched surjection, and
 operator enumeration by generating and rejecting every extensive family.
+``con_lattice`` joins each congruence found only with the principal
+congruences; the oracle joins every pair.  The operator checks read the
+universe's integer tables (``fibration``); the oracles are the same checks
+on ``Congruence`` objects, and must give the same verdicts and witnesses.
 """
 
 import pytest
@@ -23,11 +27,13 @@ from congform import (
     congruence_from_blocks,
     corpus,
     cyclic_group,
+    diagonal,
     enumerate_operators,
     enumerate_surjections,
     homomorphism,
     image_congruence,
     is_cohereditary,
+    is_minimal,
     join,
     klein_four_group,
     leq,
@@ -40,9 +46,11 @@ from congform import (
     universe,
     universe_from_generators,
 )
-from congform.algebras import relabel_algebra
+from congform import algebras
+from congform.algebras import FiniteAlgebra, Signature, relabel_algebra
 from congform.errors import NotNatural
 from congform.instances import corpus_operators
+from congform.operators import pullback_rule
 
 import oracles
 
@@ -59,21 +67,28 @@ def assert_real_violation(u, tables, witness):
 
 
 def natural_verdict(u, tables) -> bool:
-    """make_operator's verdict, checked against the oracle scan and its witness."""
+    """make_operator's verdict, checked against the oracle scan, and its
+    witness, checked against the same check on ``Congruence`` objects."""
     expected = oracles.lifting_law_witness(u, tables) is None
+    witness = oracles.naturality_witness(u, tables)
     try:
         make_operator(u, tables, "candidate")
     except NotNatural as exc:
         assert not expected
-        assert set(exc.witness) == {"dom", "cod", "map", "R", "S"}
+        assert exc.witness == witness
         assert_real_violation(u, tables, exc.witness)
         return False
-    assert expected
+    assert expected and witness is None
     return True
 
 
 def verdict_counts(u):
-    verdicts = [natural_verdict(u, list(c)) for c in oracles.extensive_families(u)]
+    """(families, natural ones); each family is checked again with its
+    tables keyed in reverse, since witnesses follow the key order."""
+    verdicts = []
+    for family in oracles.extensive_families(u):
+        verdicts.append(natural_verdict(u, list(family)))
+        assert natural_verdict(u, [dict(reversed(t.items())) for t in family]) == verdicts[-1]
     return len(verdicts), sum(verdicts)
 
 
@@ -84,6 +99,12 @@ def test_naturality_verdicts_on_group_universes_up_to_order_4():
               for g in corpus("groups", 4).algebras]
     # (candidates, natural) for Z1, Z2, Z3, V4 and Z4
     assert counts == [(1, 1), (2, 2), (2, 2), (80, 4), (12, 7)]
+
+
+def test_naturality_verdicts_on_a_chain_of_height_3():
+    # Con(Z8) is a 4-chain: the first non-monotone pair in key order can
+    # start at a congruence other than the diagonal.
+    assert verdict_counts(universe_from_generators([cyclic_group(8)])) == (288, 42)
 
 
 def test_naturality_verdicts_on_a_non_quotient_closed_universe():
@@ -104,11 +125,13 @@ def test_naturality_verdicts_on_a_universe_with_isomorphic_copies():
 
 
 def _random_extensive_tables(data, u):
+    """Random extensive tables, each keyed in a random order: witnesses are
+    the first found in key order."""
     tables = []
     for x in u.algebras:
         lattice = list(con_lattice(x))
         tables.append({r: data.draw(st.sampled_from([s for s in lattice if leq(r, s)]))
-                       for r in lattice})
+                       for r in data.draw(st.permutations(lattice))})
     return tables
 
 
@@ -127,9 +150,30 @@ def test_naturality_verdicts_on_random_extensive_tables(make_universe, data):
     natural_verdict(u, _random_extensive_tables(data, u))
 
 
-# --- joins and images --------------------------------------------------------------
+# --- lattices, joins and images -----------------------------------------------------
 
 CORPORA = [("groups", 8), ("rngs", 12), ("quandles", 4)]
+
+
+@pytest.mark.parametrize("kind,size", CORPORA)
+def test_con_lattice_matches_all_pairs_closure(kind, size):
+    for x in corpus(kind, size).algebras:
+        assert con_lattice(x).elements == oracles.all_pairs_con_lattice(x).elements
+
+
+def test_con_lattice_joins_only_with_principal_congruences(monkeypatch):
+    # Only the identity operation: all Bell(7) = 877 partitions are
+    # congruences, and the C(7, 2) = 21 principal ones are distinct.
+    x = FiniteAlgebra(7, Signature((("id", 1),)), (tuple(range(7)),))
+    bound, calls, real = 877 * 21, [0], algebras.join
+
+    def counted(r, s):
+        calls[0] += 1
+        assert calls[0] <= bound, "joined more than each congruence with each principal one"
+        return real(r, s)
+
+    monkeypatch.setattr(algebras, "join", counted)
+    assert len(con_lattice.__wrapped__(x)) == 877
 
 
 @pytest.mark.parametrize("kind,size", CORPORA)
@@ -222,3 +266,37 @@ def test_surjection_checks_on_builtin_operators(kind, size):
     u = corpus(kind, size)
     for name in corpus_operators(kind):
         surjection_verdicts(builtin_operator(name, u))
+
+
+# --- integer tables against the checks on Congruence objects -------------------------
+
+TABLE_CHECKS = {is_cohereditary: oracles.is_cohereditary,
+                is_minimal: oracles.is_minimal,
+                preserves_cocartesian: oracles.preserves_cocartesian}
+
+
+def assert_tables_match_oracles(c):
+    """Equal verdicts and witnesses from the table checks and the oracles."""
+    u = c.universe
+    assert oracles.naturality_witness(u, [c.fibre(i) for i in range(len(u))]) is None
+    for check, oracle in TABLE_CHECKS.items():
+        assert check(c) == oracle(c)
+    if u.quotient_closed:
+        rho = [c.apply(i, diagonal(x)) for i, x in enumerate(u.algebras)]
+        rule, expected = pullback_rule(u, rho), oracles.pullback_rule(u, rho)
+        for x in u.algebras:
+            for r in con_lattice(x):
+                assert rule(x, r) == expected(x, r)
+
+
+def test_table_checks_match_oracles_on_enumerated_operators():
+    for u in operator_universes():
+        for c in enumerate_operators(u):
+            assert_tables_match_oracles(c)
+
+
+@pytest.mark.parametrize("kind,size", CORPORA)
+def test_table_checks_match_oracles_on_builtin_operators(kind, size):
+    u = corpus(kind, size)
+    for name in corpus_operators(kind):
+        assert_tables_match_oracles(builtin_operator(name, u))

@@ -122,6 +122,15 @@ def test_tabulated_input_must_cover_every_congruence(z4_universe):
         make_operator(z4_universe, tables, "partial")
 
 
+def test_closure_values_must_be_congruences_of_the_member(z4_universe):
+    from congform.errors import FibreMismatch
+
+    foreign = diagonal(symmetric_group(3))
+    tables = [{r: foreign for r in con_lattice(x)} for x in z4_universe.algebras]
+    with pytest.raises(FibreMismatch):
+        make_operator(z4_universe, tables, "foreign")
+
+
 # --- axiom checkers -----------------------------------------------------------------
 
 def test_identity_operator_passes_everything(z4_universe):
