@@ -33,6 +33,7 @@ from .algebras import (
     diagonal,
     enumerate_homs,
     enumerate_surjections,
+    find_embedding,
     find_isomorphism,
     full,
     generated_congruence,

@@ -429,91 +429,69 @@ def quotient(x: FiniteAlgebra, r: Congruence) -> tuple[FiniteAlgebra, Homomorphi
 
 # --- hom enumeration ---------------------------------------------------------
 
-def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, bijective: bool,
+def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, injective: bool,
                 first_only: bool) -> list[tuple[int, ...]]:
     """DFS over partial maps with forced-value propagation.
 
     Whenever all arguments of an operation tuple are assigned, the image
-    of its value is forced; contradictions prune the branch.  Maps are
-    produced in lexicographic order.
+    of its value is forced; contradictions, and with ``injective`` a
+    repeated image, prune the branch.  Each element is indexed by the
+    tuples it occurs in, with the tuple's value and the codomain table,
+    so assigning it re-reads only those.  Maps are produced in
+    lexicographic order.
     """
     n, m = dom.size, cod.size
-    if bijective and n != m:
+    if injective and n > m:
         return []
-    ops = [(name, arity) for name, arity in dom.sig.ops]
+    occurs: list[list] = [[] for _ in range(n + 1)]  # occurs[n]: the constants
+    for (_, arity), table, into in zip(dom.sig.ops, dom.tables, cod.tables):
+        for t, val in zip(itertools.product(range(n), repeat=arity), table):
+            for x in set(t) or (n,):
+                occurs[x].append((t, val, into))
     results: list[tuple[int, ...]] = []
 
-    def propagate(assign: list[Optional[int]], queue: deque) -> bool:
+    def propagate(assign: list[Optional[int]], used: list[bool], queue: deque) -> bool:
         while queue:
-            x = queue.popleft()
-            for name, arity in ops:
-                if arity == 0:
-                    continue
-                for t in itertools.product(range(n), repeat=arity):
-                    if x not in t:
-                        continue
-                    imgs = []
-                    ok = True
-                    for c in t:
-                        v = assign[c]
-                        if v is None:
-                            ok = False
-                            break
-                        imgs.append(v)
-                    if not ok:
-                        continue
-                    val = dom.op(name, *t)
-                    want = cod.op(name, *imgs)
-                    have = assign[val]
+            for t, val, into in occurs[queue.popleft()]:
+                idx = 0
+                for c in t:
+                    v = assign[c]
+                    if v is None:
+                        break
+                    idx = idx * m + v
+                else:
+                    want, have = into[idx], assign[val]
                     if have is None:
-                        if bijective and want in _used(assign, val):
-                            return False
+                        if injective:
+                            if used[want]:
+                                return False
+                            used[want] = True
                         assign[val] = want
                         queue.append(val)
                     elif have != want:
                         return False
         return True
 
-    def _used(assign, skip):
-        return {v for i, v in enumerate(assign) if v is not None and i != skip}
-
-    # constants force their images before any choice is made
-    seed: list[Optional[int]] = [None] * n
-    seed_queue: deque = deque()
-    for name, arity in ops:
-        if arity == 0:
-            x, want = dom.op(name), cod.op(name)
-            if seed[x] is None:
-                seed[x] = want
-                seed_queue.append(x)
-            elif seed[x] != want:
-                return []
-    if bijective and len({v for v in seed if v is not None}) != sum(
-            1 for v in seed if v is not None):
-        return []
-    if not propagate(seed, seed_queue):
-        return []
-
-    def dfs(assign: list[Optional[int]]):
-        if first_only and results:
-            return
+    def dfs(assign: list[Optional[int]], used: list[bool]):
         try:
             x = assign.index(None)
         except ValueError:
             results.append(tuple(assign))
             return
-        used = {v for v in assign if v is not None} if bijective else ()
         for v in range(m):
-            if bijective and v in used:
+            if injective and used[v]:
                 continue
-            branch = assign.copy()
-            branch[x] = v
-            if propagate(branch, deque([x])):
-                dfs(branch)
+            branch, taken = assign.copy(), used.copy()
+            branch[x], taken[v] = v, True
+            if propagate(branch, taken, deque([x])):
+                dfs(branch, taken)
                 if first_only and results:
                     return
 
-    dfs(seed)
+    # constants force their images before any choice is made
+    seed, used = [None] * n, [False] * m
+    if propagate(seed, used, deque([n])):
+        dfs(seed, used)
     return results
 
 
@@ -522,17 +500,23 @@ def enumerate_homs(x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorphism, ..
     """All homomorphisms x -> y in lexicographic map order."""
     if x.sig != y.sig:
         raise SignatureMismatch("hom enumeration needs a shared signature")
-    maps = _hom_search(x, y, bijective=False, first_only=False)
-    return tuple(
-        Homomorphism(x, y, m, len(set(m)) == y.size) for m in maps
-    )
+    maps = _hom_search(x, y, injective=False, first_only=False)
+    return tuple(Homomorphism(x, y, m, len(set(m)) == y.size) for m in maps)
+
+
+def find_embedding(x: FiniteAlgebra, y: FiniteAlgebra) -> Optional[Homomorphism]:
+    """Lexicographically least injective homomorphism x -> y, or None."""
+    if x.sig != y.sig:
+        raise SignatureMismatch("hom search needs a shared signature")
+    maps = _hom_search(x, y, injective=True, first_only=True)
+    return Homomorphism(x, y, maps[0], x.size == y.size) if maps else None
 
 
 @lru_cache(maxsize=None)
 def automorphisms(x: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     """All automorphisms of x in lexicographic map order."""
     return tuple(Homomorphism(x, x, m, True)
-                 for m in _hom_search(x, x, bijective=True, first_only=False))
+                 for m in _hom_search(x, x, injective=True, first_only=False))
 
 
 def enumerate_surjections(x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorphism, ...]:
@@ -550,7 +534,7 @@ def find_isomorphism(x: FiniteAlgebra, y: FiniteAlgebra) -> Optional[Homomorphis
         return None
     if _iso_invariant(x) != _iso_invariant(y):
         return None
-    maps = _hom_search(x, y, bijective=True, first_only=True)
+    maps = _hom_search(x, y, injective=True, first_only=True)
     return Homomorphism(x, y, maps[0], True) if maps else None
 
 

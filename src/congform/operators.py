@@ -31,8 +31,8 @@ The checks compare integers, as do an operator's fibres: ``fibration(u)``,
 built on a universe's first check, numbers each Con(X) with its order and
 holds f* along every map checked (read by naturality, coheredity,
 ``pullback_rule`` and ``make_reflector``), images along quotient maps
-(cocartesian preservation) and join tables (minimality), the last two
-built on first use.
+(cocartesian preservation), join tables (minimality) and embeddings into
+members (``make_reflector``), the last three built on first use.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .algebras import (
     congruence_to_blocks,
     diagonal,
     enumerate_homs,
+    find_embedding,
     find_isomorphism,
     identity_hom,
     join,
@@ -223,7 +224,7 @@ class Fibration:
         maps = itertools.chain(naturality_maps(u), *quotient_maps(u).values())
         self.pull = {f: tuple(self.index[u.member_index(f.dom)][preimage_congruence(f, s)]
                               for s in con_lattice(f.cod)) for f in dict.fromkeys(maps)}
-        self._images, self._joins = {}, {}
+        self._images, self._joins, self._embeddings = {}, {}, {}
 
     def image(self, f: Homomorphism) -> tuple[int, ...]:
         """R -> f(R) as an index array, built on first request; f a quotient map."""
@@ -240,6 +241,12 @@ class Fibration:
                                          index[join(lat[a], lat[b])] for b in range(len(lat)))
                                    for a in range(len(lat)))
         return self._joins[i]
+
+    def embedding(self, a: FiniteAlgebra, j: int) -> Optional[Homomorphism]:
+        """The least embedding of ``a`` into member j, or None; built on first request."""
+        if (a, j) not in self._embeddings:
+            self._embeddings[a, j] = find_embedding(a, self.universe.algebras[j])
+        return self._embeddings[a, j]
 
 
 fibration = lru_cache(maxsize=None)(Fibration)

@@ -13,13 +13,17 @@ replaced with lattice facts (Mal'cev join, propagated image, the
 (f, R, S) lifting-law scan, coheredity and cocartesian preservation
 along every searched surjection, operator enumeration by generating
 every extensive family and rejecting the unnatural ones, the lattice
-closed under joins of every pair), and the operator checks on
-``Congruence`` objects that the universe's integer tables replaced.
+closed under joins of every pair, the universal property of a reflector
+checked on every hom instead of by factorisation), the hom search that
+scans every operation tuple on each propagation step, and the operator
+checks on ``Congruence`` objects that the universe's integer tables
+replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 
 def all_partitions(n: int):
@@ -265,6 +269,109 @@ def generate_and_test_operators(u, *, max_candidates: int = 500_000):
         except NotNatural:
             continue
     return tuple(out)
+
+
+def scan_hom_search(dom, cod, *, bijective: bool, first_only: bool):
+    """DFS over partial maps with forced-value propagation, in lexicographic
+    order; each propagation step scans every operation tuple."""
+    n, m = dom.size, cod.size
+    if bijective and n != m:
+        return []
+    ops = [(name, arity) for name, arity in dom.sig.ops]
+    results = []
+
+    def propagate(assign, queue) -> bool:
+        while queue:
+            x = queue.popleft()
+            for name, arity in ops:
+                if arity == 0:
+                    continue
+                for t in itertools.product(range(n), repeat=arity):
+                    if x not in t:
+                        continue
+                    imgs = []
+                    ok = True
+                    for c in t:
+                        v = assign[c]
+                        if v is None:
+                            ok = False
+                            break
+                        imgs.append(v)
+                    if not ok:
+                        continue
+                    val = dom.op(name, *t)
+                    want = cod.op(name, *imgs)
+                    have = assign[val]
+                    if have is None:
+                        if bijective and want in _used(assign, val):
+                            return False
+                        assign[val] = want
+                        queue.append(val)
+                    elif have != want:
+                        return False
+        return True
+
+    def _used(assign, skip):
+        return {v for i, v in enumerate(assign) if v is not None and i != skip}
+
+    # constants force their images before any choice is made
+    seed = [None] * n
+    seed_queue = deque()
+    for name, arity in ops:
+        if arity == 0:
+            x, want = dom.op(name), cod.op(name)
+            if seed[x] is None:
+                seed[x] = want
+                seed_queue.append(x)
+            elif seed[x] != want:
+                return []
+    if bijective and len({v for v in seed if v is not None}) != sum(
+            1 for v in seed if v is not None):
+        return []
+    if not propagate(seed, seed_queue):
+        return []
+
+    def dfs(assign):
+        if first_only and results:
+            return
+        try:
+            x = assign.index(None)
+        except ValueError:
+            results.append(tuple(assign))
+            return
+        used = {v for v in assign if v is not None} if bijective else ()
+        for v in range(m):
+            if bijective and v in used:
+                continue
+            branch = assign.copy()
+            branch[x] = v
+            if propagate(branch, deque([x])):
+                dfs(branch)
+                if first_only and results:
+                    return
+
+    dfs(seed)
+    return results
+
+
+def hom_universal_property_witness(u, rho):
+    """First map, in member order and then in the scan's map order, from a
+    member outside the subcategory (rho not the diagonal) into one inside it
+    whose kernel does not contain rho, as a ``NotReflective`` witness
+    {dom, cod, map, rho}; None when every hom factors through the unit."""
+    from congform import diagonal, homomorphism, kernel_congruence, leq
+
+    members_in = [i for i, r in enumerate(rho) if r == diagonal(u.algebras[i])]
+    for i, x in enumerate(u.algebras):
+        if i in members_in:
+            continue
+        for j in members_in:
+            y = u.algebras[j]
+            for f in scan_hom_search(x, y, bijective=False, first_only=False):
+                if not leq(rho[i], kernel_congruence(homomorphism(x, y, f))):
+                    return {"dom": i, "cod": j, "map": list(f),
+                            "rho": [list(b) for b in rho[i].blocks()]}
+    return None
 
 
 # --- operator checks on Congruence objects ---------------------------------------

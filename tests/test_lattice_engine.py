@@ -14,7 +14,13 @@ operator enumeration by generating and rejecting every extensive family.
 congruences; the oracle joins every pair.  The operator checks read the
 universe's integer tables (``fibration``); the oracles are the same checks
 on ``Congruence`` objects, and must give the same verdicts and witnesses.
+The hom search indexes each element by the operation tuples it occurs in;
+the oracle scans every tuple on each step.  ``make_reflector`` checks the
+universal property by factorisation through quotient maps and embeddings;
+the oracle tests every hom into the subcategory.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,13 +34,18 @@ from congform import (
     corpus,
     cyclic_group,
     diagonal,
+    enumerate_homs,
     enumerate_operators,
     enumerate_surjections,
+    find_embedding,
+    find_isomorphism,
+    full,
     homomorphism,
     image_congruence,
     is_cohereditary,
     is_minimal,
     join,
+    kernel_congruence,
     klein_four_group,
     leq,
     lifts,
@@ -48,9 +59,11 @@ from congform import (
 )
 from congform import algebras
 from congform.algebras import FiniteAlgebra, Signature, relabel_algebra
-from congform.errors import NotNatural
+from congform.errors import NotNatural, NotReflective
 from congform.instances import corpus_operators
 from congform.operators import pullback_rule
+from congform.reflection import make_reflector
+from congform.verify import DEFAULT_MAX_SIZE
 
 import oracles
 
@@ -300,3 +313,76 @@ def test_table_checks_match_oracles_on_builtin_operators(kind, size):
     u = corpus(kind, size)
     for name in corpus_operators(kind):
         assert_tables_match_oracles(builtin_operator(name, u))
+
+
+# --- hom search and the universal property -----------------------------------------
+
+def pointed_sets():
+    """Sets with a constant and a permutation: unlike in groups and rngs,
+    preserving the other operation does not force the constant's image."""
+    sig = Signature((("c", 0), ("s", 1)))
+    return universe(FiniteAlgebra(n, sig, ((c,), perm)) for n, c, perm in [
+        (1, 0, (0,)), (2, 0, (0, 1)), (2, 1, (1, 0)), (3, 0, (0, 2, 1)), (3, 2, (1, 2, 0))])
+
+
+def test_hom_searches_match_the_scan_and_brute_force():
+    # brute force scans cod.size ** dom.size maps: only where that is small
+    universes = [corpus(kind, size) for kind, size in DEFAULT_MAX_SIZE.items()]
+    for u in universes + [universe_with_copies(), pointed_sets()]:
+        for x in u.algebras:
+            for y in u.algebras:
+                homs = oracles.scan_hom_search(x, y, bijective=False, first_only=False)
+                if y.size ** x.size <= 5 ** 5:
+                    assert homs == oracles.brute_homs(x, y)
+                assert [f.map for f in enumerate_homs(x, y)] == homs
+                injective = [h for h in homs if len(set(h)) == x.size]
+                embedding = find_embedding(x, y)
+                assert (embedding and embedding.map) == (injective[:1] or [None])[0]
+                if x.size != y.size:
+                    continue
+                isos = oracles.scan_hom_search(x, y, bijective=True, first_only=False)
+                assert isos == injective
+                assert oracles.scan_hom_search(x, y, bijective=True, first_only=True) == isos[:1]
+                iso = find_isomorphism(x, y)
+                assert (iso and iso.map) == (isos[:1] or [None])[0]
+                if x == y:
+                    assert [a.map for a in automorphisms(x)] == isos
+
+
+def reflector_verdict(u, rho) -> str:
+    """make_reflector's verdict on ``rho``, against the oracle that tests every
+    hom: the same dom, cod and rho, and a map that is a hom not factoring."""
+    expected = oracles.hom_universal_property_witness(u, rho)
+    try:
+        make_reflector(u, rho, "candidate")
+    except NotReflective as exc:
+        witness = exc.witness
+        if "dom" not in witness:  # found before the universal property
+            return "leaves or lands outside"
+        assert expected is not None
+        assert {k: witness[k] for k in ("dom", "cod", "rho")} == \
+            {k: expected[k] for k in ("dom", "cod", "rho")}
+        i, j = witness["dom"], witness["cod"]
+        f = homomorphism(u.algebras[i], u.algebras[j], witness["map"])
+        assert not leq(rho[i], kernel_congruence(f))
+        return "does not factor"
+    assert expected is None
+    return "passes"
+
+
+def test_universal_property_matches_hom_enumeration():
+    verdicts = Counter(reflector_verdict(u, [c.apply(i, diagonal(x))
+                                             for i, x in enumerate(u.algebras)])
+                       for u in operator_universes() for c in enumerate_operators(u))
+    assert verdicts == {"leaves or lands outside": 48, "passes": 33, "does not factor": 46}
+
+
+@pytest.mark.parametrize("members,outside", [
+    ([1, 4, 8], 8),   # Z8/2Z8 = Z2 is no member and embeds in Z4
+    ([1, 4, "V4"], 4),  # only Z4/2Z4 = Z2, no member, embeds in V4
+    ([1, 3, 4, 12], 12),  # Z12/2Z12 embeds in Z4, but Z3 comes first
+])
+def test_universal_property_matches_hom_enumeration_off_quotient_closure(members, outside):
+    u = universe(klein_four_group() if n == "V4" else cyclic_group(n) for n in members)
+    rho = [full(x) if x == cyclic_group(outside) else diagonal(x) for x in u.algebras]
+    assert reflector_verdict(u, rho) == "does not factor"

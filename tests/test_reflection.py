@@ -143,6 +143,19 @@ def test_surjection_only_naturality_can_fail_universal_property():
     assert exc.value.witness["map"] == [0, 2]
 
 
+def test_universal_property_through_a_quotient_that_is_no_member():
+    # Z8/2Z8 is Z2, which is no member: the map Z8 -> Z4 through it does not
+    # factor through the unit of Z8, whose reflection is Z1
+    u = universe([cyclic_group(1), cyclic_group(4), cyclic_group(8)])
+    z1, z4, z8 = u.algebras
+    with pytest.raises(NotReflective) as exc:
+        make_reflector(u, [diagonal(z1), diagonal(z4), full(z8)], "through-z2")
+    assert (exc.value.witness["dom"], exc.value.witness["cod"]) == (2, 1)
+    assert exc.value.witness["rho"] == [list(range(8))]
+    # the first K of Con(Z8) with a quotient that embeds in Z4 is the one of Z2
+    assert exc.value.witness["map"] == [0, 2] * 4
+
+
 def test_make_reflector_rejects_reflections_outside_the_subcategory():
     u = universe_from_generators([cyclic_group(4)])
     z1, z2, z4 = u.algebras

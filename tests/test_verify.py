@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from congform import algebras, operators
+from congform import algebras, corpus, operators
 from congform.verify import run_verification
 
 # sha256 of json.dumps(run_verification(kind, max_size), indent=2, sort_keys=True)
@@ -58,3 +58,23 @@ def test_run_verification_searches_homs_only_into_subcategories(monkeypatch):
             monkeypatch.setattr(module, "enumerate_homs", counting)
     run_verification("quandles", 3)
     assert len(pairs) <= 8, len(pairs)
+
+
+def test_run_verification_enumerates_no_homs(monkeypatch):
+    # the universal property is checked through quotient maps and embeddings
+    # of members into members, each found once per universe
+    original = algebras.enumerate_homs
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return original(x, y)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("congform") and \
+                getattr(module, "enumerate_homs", None) is original:
+            monkeypatch.setattr(module, "enumerate_homs", counting)
+    run_verification("quandles", 4)
+    assert calls == []
+    u = corpus("quandles", 4)
+    assert len(operators.fibration(u)._embeddings) <= len(u) ** 2
