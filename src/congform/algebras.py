@@ -5,7 +5,9 @@ all values are hashable and structurally comparable; congruences are
 stored as block-id arrays with ids assigned by least block element, so
 two congruences are equal as values exactly when they are equal as
 partitions.  That canonical encoding is what lets the rest of the
-library treat fibre-isomorphism as plain equality.
+library treat fibre-isomorphism as plain equality.  Relabelings and
+quotients read each table along one flat index array per arity, not
+through ``op`` once per entry.
 
 Congruence generation uses union-find with a worklist: whenever two
 classes merge, every operation tuple differing from a known tuple in one
@@ -409,21 +411,35 @@ def kernel_congruence(f: Homomorphism) -> Congruence:
     return Congruence(f.dom, _canonical_ids(f.map))
 
 
+def _transport(a: FiniteAlgebra, points: Sequence[int],
+               values: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Tables on ``range(len(points))`` read off ``a``'s: the entry at a tuple
+    t is ``values`` of a's entry at the tuple of ``points[c]`` for c in t.
+
+    Each table is read along one flat index array, built once per arity.
+    """
+    where: dict[int, list[int]] = {}
+    tables = []
+    for (_, arity), table in zip(a.sig.ops, a.tables):
+        if arity not in where:
+            idx = [0]
+            for _ in range(arity):
+                idx = [w * a.size + p for w in idx for p in points]
+            where[arity] = idx
+        tables.append(tuple([values[table[i]] for i in where[arity]]))
+    return tuple(tables)
+
+
 def quotient(x: FiniteAlgebra, r: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
-    """Quotient algebra on canonical block ids plus the projection."""
+    """Quotient algebra on canonical block ids plus the projection: each
+    table is read at the least representative of every block."""
     if r.algebra != x:
         raise FibreMismatch("congruence lives on a different algebra")
     k = r.n_blocks
     reps = [0] * k
     for e in range(x.size - 1, -1, -1):
         reps[r.ids[e]] = e
-    tables = []
-    for name, arity in x.sig.ops:
-        flat = []
-        for t in itertools.product(range(k), repeat=arity):
-            flat.append(r.ids[x.op(name, *(reps[b] for b in t))])
-        tables.append(tuple(flat))
-    q = FiniteAlgebra(k, x.sig, tuple(tables), x.tag)
+    q = FiniteAlgebra(k, x.sig, _transport(x, reps, r.ids), x.tag)
     return q, Homomorphism(x, q, r.ids, True)
 
 
@@ -587,19 +603,17 @@ def _iso_invariant(a: FiniteAlgebra):
     return tuple(parts)
 
 
+def _inverse(perm: Sequence[int]) -> list[int]:
+    return sorted(range(len(perm)), key=perm.__getitem__)
+
+
 def relabel_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
-    """Transport tables along the bijection old->new given by ``perm``."""
-    n = a.size
-    tables = []
-    for name, arity in a.sig.ops:
-        flat = [0] * (n ** arity)
-        for t in itertools.product(range(n), repeat=arity):
-            idx = 0
-            for c in t:
-                idx = idx * n + perm[c]
-            flat[idx] = perm[a.op(name, *t)]
-        tables.append(tuple(flat))
-    return FiniteAlgebra(n, a.sig, tuple(tables), a.tag)
+    """Transport tables along the bijection old->new given by ``perm``.
+
+    The new entry at a tuple t is perm of the old entry at perm^-1(t),
+    read along one flat index array per arity (no ``op`` call per tuple).
+    """
+    return FiniteAlgebra(a.size, a.sig, _transport(a, _inverse(perm), perm), a.tag)
 
 
 def canonical_algebra(a: FiniteAlgebra, *, max_size: int = 7) -> FiniteAlgebra:
@@ -608,10 +622,10 @@ def canonical_algebra(a: FiniteAlgebra, *, max_size: int = 7) -> FiniteAlgebra:
         raise SizeTooLarge(f"canonical form by permutation scan needs size <= {max_size}")
     best = None
     for perm in itertools.permutations(range(a.size)):
-        cand = relabel_algebra(a, perm)
-        if best is None or cand.tables < best.tables:
+        cand = _transport(a, _inverse(perm), perm)
+        if best is None or cand < best:
             best = cand
-    return best
+    return FiniteAlgebra(a.size, a.sig, best, a.tag)
 
 
 # --- congruence generation and lattices --------------------------------------

@@ -1,8 +1,15 @@
 """Terms, equations, and quasi-equations over an operation signature.
 
-Equational satisfaction is decided by brute force over all assignments
-of carrier elements to variables; witnesses report the first failing
-assignment in lexicographic scan order.  The axiom lists for the three
+Equational satisfaction is decided over all assignments of carrier
+elements to variables by compiled programs.  Each equation is compiled
+once, cached on its terms, into a post-order program: slots 0..k-1 hold
+the variables and each distinct subterm is one step ``(op, argument
+slots)``.  The program runs on the flat tables one block at a time, the
+n^(k-1) assignments that share the first variable's value, one table
+look-up per step and assignment.  Witnesses are the first failing
+equation in the given order and its first failing assignment in
+lexicographic order.  ``eval_term`` evaluates one term at one assignment;
+the tests check the programs against it.  The axiom lists for the three
 supported variety tags (groups, commutative rngs, quandles) live here,
 together with the membership predicates used by reflection oracles
 (commutativity, reduced-ness, triviality).
@@ -10,8 +17,8 @@ together with the membership predicates used by reflection oracles
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import CheckResult, PASSED, UnknownOp, failed
@@ -125,43 +132,99 @@ class QuasiEquation:
         return f"{pre} => {self.conclusion!r}" if pre else f"=> {self.conclusion!r}"
 
 
-def _holds(eq: Equation, assignment, algebra) -> bool:
-    return eval_term(eq.lhs, assignment, algebra) == eval_term(eq.rhs, assignment, algebra)
+@lru_cache(maxsize=1024)
+def _compile(terms: tuple[Term, ...], k: int):
+    """Post-order program for ``terms`` in ``k`` variables: one step
+    ``(op, argument slots)`` per distinct subterm, filling slots k, k+1, ...,
+    and the slot of each term."""
+    slots: dict[Term, int] = {var(i): i for i in range(k)}
+    steps: list[tuple[str, tuple[int, ...]]] = []
+
+    def visit(t: Term) -> int:
+        s = slots.get(t)
+        if s is None:
+            args = tuple(visit(a) for a in t.args)
+            s = slots[t] = k + len(steps)
+            steps.append((t.op, args))
+        return s
+
+    outs = tuple(visit(t) for t in terms)
+    return tuple(steps), outs
+
+
+def _apply(table, n: int, cols: list[list[int]], size: int) -> list[int]:
+    """One operation's values over a block, its arguments given as columns."""
+    if not cols:
+        return [table[0]] * size
+    if len(cols) == 1:
+        return list(map(table.__getitem__, cols[0]))
+    if len(cols) == 2:
+        return [table[a * n + b] for a, b in zip(*cols)]
+    out = []
+    for args in zip(*cols):
+        idx = 0
+        for c in args:
+            idx = idx * n + c
+        out.append(table[idx])
+    return out
+
+
+def _blocks(algebra, terms: tuple[Term, ...], k: int):
+    """Yield ``(variables, values)`` per block, the first variable ascending:
+    the columns of the k variables and of ``terms`` over the block's
+    assignments in lexicographic order (one empty assignment when k = 0)."""
+    steps, outs = _compile(terms, k)
+    n = algebra.size
+    table_of = dict(zip(algebra.sig.names(), algebra.tables))
+    program = [(table_of[op], args) for op, args in steps]
+    size = n ** (k - 1) if k else 1
+    rest = [[v for v in range(n) for _ in range(n ** (k - 1 - i))] * n ** (i - 1)
+            for i in range(1, k)]
+    for first in (range(n) if k else (None,)):
+        vals = ([[first] * size] if k else []) + rest
+        for table, args in program:
+            vals.append(_apply(table, n, [vals[s] for s in args], size))
+        yield vals[:k], [vals[s] for s in outs]
 
 
 def satisfies_equations(algebra, eqs: Iterable[Equation]) -> CheckResult:
     """True iff every assignment satisfies every equation.
 
-    On failure the witness carries the first failing equation and
-    assignment in scan order (equations in given order, assignments
-    lexicographic).
+    Each equation runs as its compiled program, block by block, and stops
+    at the first block where the two sides differ.  On failure the witness
+    carries the first failing equation in the given order and its first
+    failing assignment in lexicographic order.
     """
     eqs = tuple(eqs)
     _check_ops_known([e.lhs for e in eqs] + [e.rhs for e in eqs], algebra)
-    n = algebra.size
     for eq in eqs:
-        k = len(eq.variables())
-        for assignment in itertools.product(range(n), repeat=k):
-            if not _holds(eq, assignment, algebra):
-                return failed(equation=repr(eq), assignment=list(assignment))
+        for variables, (lhs, rhs) in _blocks(algebra, (eq.lhs, eq.rhs), len(eq.variables())):
+            if lhs != rhs:
+                j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                return failed(equation=repr(eq), assignment=[v[j] for v in variables])
     return PASSED
 
 
 def satisfies_quasiequations(algebra, qeqs: Iterable[QuasiEquation]) -> CheckResult:
-    """Implication semantics per assignment; witness = first failure."""
+    """Implication semantics per assignment, compiled as in
+    ``satisfies_equations`` with the premises and the conclusion of a
+    quasi-equation in one program.  The witness is the first failing
+    quasi-equation in the given order and its first assignment, in
+    lexicographic order, where the premises hold and the conclusion fails.
+    """
     qeqs = tuple(qeqs)
-    terms = []
-    for q in qeqs:
-        for p in (*q.premises, q.conclusion):
-            terms.extend((p.lhs, p.rhs))
-    _check_ops_known(terms, algebra)
-    n = algebra.size
-    for q in qeqs:
-        k = len(q.variables())
-        for assignment in itertools.product(range(n), repeat=k):
-            if all(_holds(p, assignment, algebra) for p in q.premises):
-                if not _holds(q.conclusion, assignment, algebra):
-                    return failed(quasiequation=repr(q), assignment=list(assignment))
+    sides = [tuple(t for p in (q.conclusion, *q.premises) for t in (p.lhs, p.rhs))
+             for q in qeqs]
+    _check_ops_known([t for ts in sides for t in ts], algebra)
+    for q, ts in zip(qeqs, sides):
+        for variables, (lhs, rhs, *premises) in _blocks(algebra, ts, len(q.variables())):
+            if lhs == rhs:
+                continue
+            for j, (a, b) in enumerate(zip(lhs, rhs)):
+                if a != b and all(premises[i][j] == premises[i + 1][j]
+                                  for i in range(0, len(premises), 2)):
+                    return failed(quasiequation=repr(q),
+                                  assignment=[v[j] for v in variables])
     return PASSED
 
 

@@ -15,9 +15,12 @@ along every searched surjection, operator enumeration by generating
 every extensive family and rejecting the unnatural ones, the lattice
 closed under joins of every pair, the universal property of a reflector
 checked on every hom instead of by factorisation), the hom search that
-scans every operation tuple on each propagation step, and the operator
+scans every operation tuple on each propagation step, the operator
 checks on ``Congruence`` objects that the universe's integer tables
-replaced.
+replaced, the equation checks that walk the terms at every assignment
+(replaced by compiled programs), and relabeling and quotients that read
+every table entry through ``FiniteAlgebra.op`` (replaced by flat index
+arrays).
 """
 
 from __future__ import annotations
@@ -481,6 +484,75 @@ def pullback_rule(u, rho):
         return preimage_congruence(g, rho[u.member_index(g.cod)])
 
     return rule
+
+
+# --- tree-walking equation checks and per-entry table transport --------------
+
+def _scan_holds(eq, assignment, algebra) -> bool:
+    from congform.terms import eval_term
+
+    return eval_term(eq.lhs, assignment, algebra) == eval_term(eq.rhs, assignment, algebra)
+
+
+def scan_satisfies_equations(algebra, eqs):
+    """``satisfies_equations`` by evaluating both sides with ``eval_term`` at
+    every assignment, equations in order and assignments lexicographic."""
+    from congform.errors import PASSED, failed
+    from congform.terms import _check_ops_known
+
+    eqs = tuple(eqs)
+    _check_ops_known([e.lhs for e in eqs] + [e.rhs for e in eqs], algebra)
+    for eq in eqs:
+        for assignment in itertools.product(range(algebra.size), repeat=len(eq.variables())):
+            if not _scan_holds(eq, assignment, algebra):
+                return failed(equation=repr(eq), assignment=list(assignment))
+    return PASSED
+
+
+def scan_satisfies_quasiequations(algebra, qeqs):
+    """``satisfies_quasiequations`` by the same scan, implication per assignment."""
+    from congform.errors import PASSED, failed
+    from congform.terms import _check_ops_known
+
+    qeqs = tuple(qeqs)
+    _check_ops_known([t for q in qeqs for p in (*q.premises, q.conclusion)
+                      for t in (p.lhs, p.rhs)], algebra)
+    for q in qeqs:
+        for assignment in itertools.product(range(algebra.size), repeat=len(q.variables())):
+            if all(_scan_holds(p, assignment, algebra) for p in q.premises):
+                if not _scan_holds(q.conclusion, assignment, algebra):
+                    return failed(quasiequation=repr(q), assignment=list(assignment))
+    return PASSED
+
+
+def op_relabel_algebra(a, perm):
+    """``relabel_algebra`` with one ``a.op`` call per table entry."""
+    from congform.algebras import FiniteAlgebra
+
+    n = a.size
+    tables = []
+    for name, arity in a.sig.ops:
+        flat = [0] * (n ** arity)
+        for t in itertools.product(range(n), repeat=arity):
+            idx = 0
+            for c in t:
+                idx = idx * n + perm[c]
+            flat[idx] = perm[a.op(name, *t)]
+        tables.append(tuple(flat))
+    return FiniteAlgebra(n, a.sig, tuple(tables), a.tag)
+
+
+def op_quotient_tables(x, r):
+    """The tables of ``quotient(x, r)``, one ``x.op`` call per tuple of
+    blocks, each block read at its least element."""
+    k = r.n_blocks
+    reps = [0] * k
+    for e in range(x.size - 1, -1, -1):
+        reps[r.ids[e]] = e
+    return tuple(
+        tuple(r.ids[x.op(name, *(reps[b] for b in t))]
+              for t in itertools.product(range(k), repeat=arity))
+        for name, arity in x.sig.ops)
 
 
 # --- API with no library caller -------------------------------------------------

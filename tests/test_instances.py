@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from congform import (
@@ -292,6 +295,18 @@ def test_corpus_manifest_shape():
         f"quandles-{i:03d}" for i in range(5)
     ]
     assert all(e["algebra"]["tag"] == "quandle" for e in m["algebras"])
+
+
+@pytest.mark.parametrize("kind,size,digest", [
+    ("groups", 8, "7477bebbcee963447bc0deeed112e514c644b844ad9dcf19fec56ea497c4b812"),
+    ("rngs", 12, "fd97e96dc0c6d0d1d88c38868c30e3ecb2e97d5f6746b4be8ef0c32d1d363ffb"),
+    ("quandles", 4, "65ee546ec8cde64e8f541b60dad5e2bfeb9f5295bc88dff4f7b74f75409c393b"),
+    ("quandles", 5, "0e2bf164008b337e3194d325d8b4cb847e6cf2ce877f81a744c462dc01aeee00"),
+])
+def test_corpus_manifest_digests_are_pinned(kind, size, digest):
+    # members, their order and their canonical tables must not move
+    text = json.dumps(corpus_manifest(kind, size), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_dihedral_group_structure():

@@ -17,9 +17,12 @@ on ``Congruence`` objects, and must give the same verdicts and witnesses.
 The hom search indexes each element by the operation tuples it occurs in;
 the oracle scans every tuple on each step.  ``make_reflector`` checks the
 universal property by factorisation through quotient maps and embeddings;
-the oracle tests every hom into the subcategory.
+the oracle tests every hom into the subcategory.  ``relabel_algebra`` and
+``quotient`` read each table along one flat index array; the oracles call
+``FiniteAlgebra.op`` once per table entry.
 """
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -58,7 +61,7 @@ from congform import (
     universe_from_generators,
 )
 from congform import algebras
-from congform.algebras import FiniteAlgebra, Signature, relabel_algebra
+from congform.algebras import FiniteAlgebra, Signature, quotient, relabel_algebra
 from congform.errors import NotNatural, NotReflective
 from congform.instances import corpus_operators
 from congform.operators import pullback_rule
@@ -386,3 +389,20 @@ def test_universal_property_matches_hom_enumeration_off_quotient_closure(members
     u = universe(klein_four_group() if n == "V4" else cyclic_group(n) for n in members)
     rho = [full(x) if x == cyclic_group(outside) else diagonal(x) for x in u.algebras]
     assert reflector_verdict(u, rho) == "does not factor"
+
+
+# --- table transport by flat index arrays -------------------------------------------
+
+def test_relabeling_matches_the_per_entry_oracle():
+    members = corpus("quandles", 4).algebras + corpus("groups", 6).algebras
+    for a in members:
+        for perm in itertools.permutations(range(a.size)):
+            assert relabel_algebra(a, perm) == oracles.op_relabel_algebra(a, perm)
+
+
+def test_quotient_matches_the_per_entry_oracle():
+    for x in corpus("groups", 8).algebras + corpus("quandles", 4).algebras:
+        for r in con_lattice(x):
+            q, proj = quotient(x, r)
+            assert q.tables == oracles.op_quotient_tables(x, r)
+            assert q.size == r.n_blocks and proj.map == r.ids

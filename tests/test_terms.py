@@ -1,6 +1,17 @@
+"""Equation checks, and the compiled programs against the tree-walking scan.
+
+``satisfies_equations`` and ``satisfies_quasiequations`` run each
+equation as a compiled post-order program over blocks of assignments;
+the oracles in ``oracles`` evaluate the terms at every assignment with
+``eval_term``.  Both must return equal ``CheckResult``s: the verdict, the
+failing equation's label and the first failing assignment.
+"""
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congform import (
+    corpus,
     cyclic_group,
     cyclic_rng,
     satisfies_equations,
@@ -10,6 +21,8 @@ from congform import (
     term_to_json,
     trivial_quandle,
 )
+from congform import terms
+from congform.algebras import FiniteAlgebra, Signature
 from congform.errors import UnknownOp
 from congform.terms import (
     COMMUTATIVITY,
@@ -17,9 +30,12 @@ from congform.terms import (
     QuasiEquation,
     REDUCED_RNG,
     TRIVIAL_QUANDLE,
+    Term,
     app,
     var,
 )
+
+import oracles
 
 
 def test_equation_requires_contiguous_variables():
@@ -74,3 +90,127 @@ def test_empty_premises_mean_plain_equation():
 
 def test_trivial_quandle_predicate():
     assert satisfies_equations(trivial_quandle(3), TRIVIAL_QUANDLE)
+
+
+def test_variable_free_equation_has_the_empty_assignment():
+    z4 = cyclic_group(4)
+    assert satisfies_equations(z4, (Equation(app("inv", app("e")), app("e")),))
+    res = satisfies_equations(z4, (Equation(app("e"), app("mul", app("e"), app("e")),
+                                            label="e = e·e"),))
+    assert res
+    res = satisfies_equations(z4, (Equation(app("inv", app("e")), app("e")),
+                                   Equation(app("e"), app("inv", app("e"))),
+                                   Equation(var(0), app("e"), label="x = e")))
+    assert res.witness == {"equation": "x = e", "assignment": [1]}
+
+
+def test_wrong_arity_raises():
+    with pytest.raises(UnknownOp):
+        satisfies_equations(cyclic_group(4), (Equation(app("inv", var(0), var(0)), var(0)),))
+    with pytest.raises(UnknownOp):
+        satisfies_quasiequations(cyclic_rng(4), (QuasiEquation(
+            premises=(Equation(app("zero", var(0)), var(0)),),
+            conclusion=Equation(var(0), var(0))),))
+
+
+# --- compiled programs against the tree-walking scan ------------------------------
+
+EQUATION_TUPLES = (terms.GROUP_AXIOMS, terms.COMMUTATIVE_RNG_AXIOMS, terms.QUANDLE_AXIOMS,
+                   terms.COMMUTATIVITY, terms.ELEMENTARY_ABELIAN_2, terms.TRIVIAL_QUANDLE,
+                   terms.ONE_ELEMENT)
+CORPORA = (("groups", 8), ("rngs", 12), ("quandles", 4))
+
+
+def _outcome(check, algebra, eqs):
+    """The CheckResult, or the UnknownOp message for a foreign signature."""
+    try:
+        return check(algebra, eqs)
+    except UnknownOp as e:
+        return ("UnknownOp", str(e))
+
+
+def _assert_checks_agree(algebra):
+    for eqs in EQUATION_TUPLES:
+        assert (_outcome(satisfies_equations, algebra, eqs)
+                == _outcome(oracles.scan_satisfies_equations, algebra, eqs)), eqs
+    assert (_outcome(satisfies_quasiequations, algebra, REDUCED_RNG)
+            == _outcome(oracles.scan_satisfies_quasiequations, algebra, REDUCED_RNG))
+
+
+def _members():
+    return [a for kind, size in CORPORA for a in corpus(kind, size).algebras]
+
+
+def test_compiled_checks_match_the_scan_on_corpus_members():
+    for a in _members():
+        _assert_checks_agree(a)
+
+
+def test_compiled_checks_match_the_scan_on_altered_members():
+    # one entry changed per table, at its first and its last index, so that
+    # the axioms fail and failing witnesses are compared too
+    altered = 0
+    for a in _members():
+        if a.size == 1:
+            continue
+        for i, table in enumerate(a.tables):
+            for idx in {0, len(table) - 1}:
+                t = list(table)
+                t[idx] = (t[idx] + 1) % a.size
+                tables = a.tables[:i] + (tuple(t),) + a.tables[i + 1:]
+                b = FiniteAlgebra(a.size, a.sig, tables, a.tag)
+                _assert_checks_agree(b)
+                altered += not satisfies_equations(b, _axioms(a))
+    assert altered > 100
+
+
+def _axioms(a):
+    return {"group": terms.GROUP_AXIOMS, "commutative-rng": terms.COMMUTATIVE_RNG_AXIOMS,
+            "quandle": terms.QUANDLE_AXIOMS}[a.tag]
+
+
+def _renamed(t: Term, names: dict) -> Term:
+    if t.var is not None:
+        return var(names[t.var])
+    return app(t.op, *(_renamed(a, names) for a in t.args))
+
+
+def _equation(lhs: Term, rhs: Term) -> Equation:
+    """lhs = rhs with its variables renumbered 0, 1, ... in order."""
+    names = {v: i for i, v in enumerate(sorted(lhs.variables() | rhs.variables()))}
+    return Equation(_renamed(lhs, names), _renamed(rhs, names))
+
+
+@st.composite
+def _random_case(draw):
+    """An untagged algebra with operations of arity 0 to 3, and equations and
+    a quasi-equation drawn from one pool of terms, so subterms are shared."""
+    n = draw(st.integers(1, 3))
+    arities = [0] + draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    sig = Signature(tuple((f"f{i}", k) for i, k in enumerate(arities)))
+    tables = tuple(tuple(draw(st.lists(st.integers(0, n - 1), min_size=n ** k,
+                                       max_size=n ** k)))
+                   for k in arities)
+    algebra = FiniteAlgebra(n, sig, tables)
+    pool = [var(i) for i in range(draw(st.integers(0, 3)))] + [app("f0")]
+    for _ in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from(sig.ops))
+        pool.append(app(op[0], *(draw(st.sampled_from(pool)) for _ in range(op[1]))))
+    closed = [t for t in pool if not t.variables()]
+    pick = st.sampled_from(pool)
+    eqs = [_equation(draw(pick), draw(pick)) for _ in range(draw(st.integers(1, 3)))]
+    eqs.append(_equation(draw(st.sampled_from(closed)), draw(st.sampled_from(closed))))
+    qeq = QuasiEquation(tuple(eqs[:-2]), eqs[-2])
+    return algebra, eqs, qeq
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_case())
+def test_compiled_checks_match_the_scan_on_random_algebras(case):
+    algebra, eqs, qeq = case
+    for order in (eqs, eqs[::-1]):
+        assert satisfies_equations(algebra, order) == oracles.scan_satisfies_equations(
+            algebra, order)
+    for q in (qeq, QuasiEquation((), qeq.conclusion)):
+        assert satisfies_quasiequations(algebra, (q,)) == (
+            oracles.scan_satisfies_quasiequations(algebra, (q,)))
