@@ -131,19 +131,16 @@ def _flatten(nested, n: int, arity: int, opname: str) -> tuple[int, ...]:
         if not isinstance(nested, int) or isinstance(nested, bool):
             raise TableShape(f"table for {opname!r} must be a single integer")
         return (nested,)
-    if not isinstance(nested, (list, tuple)) or len(nested) != n:
-        raise TableShape(
-            f"table for {opname!r} must be a list of length {n} at arity {arity}"
-        )
-    out: list[int] = []
-    for row in nested:
-        if arity == 1:
-            if not isinstance(row, int) or isinstance(row, bool):
-                raise TableShape(f"table for {opname!r} has a non-integer entry")
-            out.append(row)
-        else:
-            out.extend(_flatten(row, n, arity - 1, opname))
-    return tuple(out)
+    level = [nested]
+    for k in range(arity, 0, -1):
+        for row in level:
+            if not isinstance(row, (list, tuple)) or len(row) != n:
+                raise TableShape(f"table for {opname!r} must be a list of length {n} at arity {k}")
+        level = [v for row in level for v in row]
+    for v in level:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise TableShape(f"table for {opname!r} has a non-integer entry")
+    return tuple(level)
 
 
 def _unflatten(flat: Sequence[int], n: int, arity: int):
@@ -616,16 +613,17 @@ def relabel_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     return FiniteAlgebra(a.size, a.sig, _transport(a, _inverse(perm), perm), a.tag)
 
 
+def _relabelings(a: FiniteAlgebra):
+    """The tables of ``relabel_algebra(a, perm)`` for every permutation of the carrier."""
+    for perm in itertools.permutations(range(a.size)):
+        yield _transport(a, _inverse(perm), perm)
+
+
 def canonical_algebra(a: FiniteAlgebra, *, max_size: int = 7) -> FiniteAlgebra:
     """Lexicographically least relabeling; brute force over permutations."""
     if a.size > max_size:
         raise SizeTooLarge(f"canonical form by permutation scan needs size <= {max_size}")
-    best = None
-    for perm in itertools.permutations(range(a.size)):
-        cand = _transport(a, _inverse(perm), perm)
-        if best is None or cand < best:
-            best = cand
-    return FiniteAlgebra(a.size, a.sig, best, a.tag)
+    return FiniteAlgebra(a.size, a.sig, min(_relabelings(a)), a.tag)
 
 
 # --- congruence generation and lattices --------------------------------------

@@ -41,8 +41,10 @@ from .algebras import (
     _block_pairs,
     _canonical_ids,
     _equivalence_closure,
+    _inverse,
+    _iso_invariant,
+    _relabelings,
     algebra_to_json,
-    canonical_algebra,
     find_isomorphism,
     full,
     generated_congruence,
@@ -237,14 +239,7 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
         return True
 
     def emit():
-        lhd = [[cols[y][x] for y in range(n)] for x in range(n)]
-        inv_cols = []
-        for y in range(n):
-            ic = [0] * n
-            for x in range(n):
-                ic[cols[y][x]] = x
-            inv_cols.append(ic)
-        lhd_inv = [[inv_cols[y][x] for y in range(n)] for x in range(n)]
+        lhd, lhd_inv = list(zip(*cols)), list(zip(*map(_inverse, cols)))  # rows of columns
         out.append(validate_algebra(
             n, QUANDLE_SIGNATURE, {"lhd": lhd, "lhd_inv": lhd_inv}, QUANDLE_TAG))
 
@@ -266,21 +261,29 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
 
 
 def _dedup_up_to_iso(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
-    """Keep the first representative of each isomorphism class.
-
-    Candidates are bucketed by the relabeling-invariant fingerprint, so
-    full isomorphism searches only run inside a bucket.
-    """
-    from .algebras import _iso_invariant
-
+    """Keep the first representative of each isomorphism class; candidates are
+    bucketed by ``_iso_invariant``, so isomorphism searches run inside a bucket."""
     reps: list[FiniteAlgebra] = []
     buckets: dict = {}
     for a in algebras:
-        key = _iso_invariant(a)
-        bucket = buckets.setdefault(key, [])
+        bucket = buckets.setdefault(_iso_invariant(a), [])
         if all(find_isomorphism(a, b) is None for b in bucket):
             reps.append(a)
             bucket.append(a)
+    return reps
+
+
+def _dedup_by_orbit(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
+    """``canonical_algebra`` of each of ``_dedup_up_to_iso``'s representatives, with
+    no isomorphism search: a class's tables are the orbit of its first member under
+    the n! relabelings, kept in a set; the orbit's least element is the canonical form."""
+    seen, reps = set(), []
+    for a in algebras:
+        kind = (a.size, a.sig.ops, a.tag)
+        if (kind, a.tables) not in seen:
+            orbit = set(_relabelings(a))
+            seen.update((kind, t) for t in orbit)
+            reps.append(FiniteAlgebra(a.size, a.sig, min(orbit), a.tag))
     return reps
 
 
@@ -318,11 +321,8 @@ def corpus(kind: str, max_size: int) -> Universe:
             for n in range(1, max_size + 1):
                 candidates.extend(enumerate_groups(n))
         return universe(_dedup_up_to_iso(candidates), quotient_closed=True)
-    reps = []
-    for n in range(1, max_size + 1):
-        reps.extend(_dedup_up_to_iso(enumerate_quandles(n)))
-    reps = [canonical_algebra(q) for q in reps]
-    return universe(reps, quotient_closed=True)
+    quandles = (q for n in range(1, max_size + 1) for q in enumerate_quandles(n))
+    return universe(_dedup_by_orbit(quandles), quotient_closed=True)
 
 
 def corpus_manifest(kind: str, max_size: int) -> dict:

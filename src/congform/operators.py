@@ -28,11 +28,11 @@ of cocartesian liftings) are runtime checks returning witnesses, not
 construction requirements.
 
 The checks compare integers, as do an operator's fibres: ``fibration(u)``,
-built on a universe's first check, numbers each Con(X) with its order and
-holds f* along every map checked (read by naturality, coheredity,
-``pullback_rule`` and ``make_reflector``), images along quotient maps
-(cocartesian preservation), join tables (minimality) and embeddings into
-members (``make_reflector``), the last three built on first use.
+built on a universe's first check, numbers each Con(X) with its order.  It
+builds on first use, and then holds, f* along each map read (naturality,
+coheredity, ``pullback_rule`` and ``make_reflector``), images along
+quotient maps (cocartesian preservation), join tables (minimality) and
+embeddings into members (``make_reflector``).
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def pullback_rule(u: Universe, rho: Sequence[Congruence]) -> Rule:
     def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
         g = maps[r][0]
         j = u.member_index(g.cod)
-        return fib.lattices[u.member_index(x)][fib.pull[g][fib.index[j][rho[j]]]]
+        return fib.lattices[u.member_index(x)][fib.pull(g)[fib.index[j][rho[j]]]]
 
     return rule
 
@@ -214,17 +214,21 @@ def naturality_maps(u: Universe) -> tuple[Homomorphism, ...]:
 class Fibration:
     """The integer tables of one universe, built once by ``fibration``: per
     member i, ``lattices[i]`` in ``con_lattice`` order, ``index[i]`` its
-    inverse and the order ``le[i][a][b]``; ``pull[f]``, f* as an index array."""
+    inverse and the order ``le[i][a][b]``."""
 
     def __init__(self, u: Universe):
         self.universe = u
         self.lattices = tuple(tuple(con_lattice(x)) for x in u.algebras)
         self.index = tuple({r: a for a, r in enumerate(lat)} for lat in self.lattices)
         self.le = tuple(tuple(tuple(leq(r, s) for s in lat) for r in lat) for lat in self.lattices)
-        maps = itertools.chain(naturality_maps(u), *quotient_maps(u).values())
-        self.pull = {f: tuple(self.index[u.member_index(f.dom)][preimage_congruence(f, s)]
-                              for s in con_lattice(f.cod)) for f in dict.fromkeys(maps)}
-        self._images, self._joins, self._embeddings = {}, {}, {}
+        self._pulls, self._images, self._joins, self._embeddings = {}, {}, {}, {}
+
+    def pull(self, f: Homomorphism) -> tuple[int, ...]:
+        """S -> f*S as an index array, built on first request; f between members."""
+        if f not in self._pulls:
+            into = self.index[self.universe.member_index(f.dom)]
+            self._pulls[f] = tuple(into[preimage_congruence(f, s)] for s in con_lattice(f.cod))
+        return self._pulls[f]
 
     def image(self, f: Homomorphism) -> tuple[int, ...]:
         """R -> f(R) as an index array, built on first request; f a quotient map."""
@@ -354,7 +358,7 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
             raise not_natural(i, i, identity_hom(u.algebras[i]), *pair)
     for f in naturality_maps(u):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
-        pull = fib.pull[f]
+        pull = fib.pull(f)
         s = _discontinuity(pull, fib.le[i], op._rows[i], op._rows[j], orders[j])
         if s is not None:
             raise not_natural(i, j, f, pull[s], s)
@@ -379,15 +383,16 @@ def is_idempotent(c: ClosureOperator) -> CheckResult:
 
 
 def _along_quotient_maps(c: ClosureOperator, key: str, sides) -> CheckResult:
-    """First quotient map f and congruence T where the two congruence
-    indices ``sides(fib, f, i, j, t)`` differ; T runs over Con(cod) for key
-    "S" and over Con(dom) for key "R", the key it has in the witness."""
+    """First quotient map f and congruence T where the congruence indices
+    ``sides(a, i, j, t)`` differ; for key "S" (its key in the witness) T runs
+    over Con(cod) and ``a`` is f*, for key "R" over Con(dom) and ``a`` is f(-)."""
     u, fib = c.universe, fibration(c.universe)
     for f in itertools.chain.from_iterable(quotient_maps(u).values()):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
         over, into = fib.lattices[j if key == "S" else i], fib.lattices[i if key == "S" else j]
+        a = fib.pull(f) if key == "S" else fib.image(f)
         for t in range(len(over)):
-            lhs, rhs = sides(fib, f, i, j, t)
+            lhs, rhs = sides(a, i, j, t)
             if lhs != rhs:
                 return failed(dom=i, cod=j, map=list(f.map),
                               **{key: congruence_to_blocks(over[t])},
@@ -399,8 +404,8 @@ def _along_quotient_maps(c: ClosureOperator, key: str, sides) -> CheckResult:
 def is_cohereditary(c: ClosureOperator) -> CheckResult:
     """C(f*S) = f*C(S) along every surjection between members (checked
     along the quotient maps, see the module docstring)."""
-    return _along_quotient_maps(c, "S", lambda fib, f, i, j, s: (
-        c._rows[i][fib.pull[f][s]], fib.pull[f][c._rows[j][s]]))
+    return _along_quotient_maps(c, "S", lambda pull, i, j, s: (
+        c._rows[i][pull[s]], pull[c._rows[j][s]]))
 
 
 def is_minimal(c: ClosureOperator) -> CheckResult:
@@ -417,8 +422,8 @@ def is_minimal(c: ClosureOperator) -> CheckResult:
 def preserves_cocartesian(c: ClosureOperator) -> CheckResult:
     """image(f, C(R)) = C(image(f, R)) along every surjection (checked
     along the quotient maps, see the module docstring)."""
-    return _along_quotient_maps(c, "R", lambda fib, f, i, j, r: (
-        fib.image(f)[c._rows[i][r]], c._rows[j][fib.image(f)[r]]))
+    return _along_quotient_maps(c, "R", lambda image, i, j, r: (
+        image[c._rows[i][r]], c._rows[j][image[r]]))
 
 
 def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
@@ -480,7 +485,7 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
     checks: list[list] = [[] for _ in fib.lattices]
     for f in naturality_maps(u):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
-        checks[max(i, j)].append((i, j, fib.pull[f]))
+        checks[max(i, j)].append((i, j, fib.pull(f)))
 
     rows: list = [None] * len(fib.lattices)
     out = []

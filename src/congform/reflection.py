@@ -109,7 +109,7 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
         g = maps[r][0]
         j = u.member_index(g.cod)
         k = fib.index[j].get(rho[j])
-        if k is None or fib.pull[g][k] != fib.index[i][r]:
+        if k is None or fib.pull(g)[k] != fib.index[i][r]:
             raise NotReflective(
                 f"reflector {name!r}: reflection of member {i} is not in the subcategory",
                 witness={"algebra": i, "reflection_member": j},

@@ -18,9 +18,12 @@ checked on every hom instead of by factorisation), the hom search that
 scans every operation tuple on each propagation step, the operator
 checks on ``Congruence`` objects that the universe's integer tables
 replaced, the equation checks that walk the terms at every assignment
-(replaced by compiled programs), and relabeling and quotients that read
+(replaced by compiled programs), relabeling and quotients that read
 every table entry through ``FiniteAlgebra.op`` (replaced by flat index
-arrays).
+arrays), table flattening by one recursive call per row (replaced by one
+pass per level), and the quandle corpus's deduplication by pairwise
+isomorphism search before a canonical form per class (replaced by orbit
+membership).
 """
 
 from __future__ import annotations
@@ -553,6 +556,39 @@ def op_quotient_tables(x, r):
         tuple(r.ids[x.op(name, *(reps[b] for b in t))]
               for t in itertools.product(range(k), repeat=arity))
         for name, arity in x.sig.ops)
+
+
+def recursive_flatten(nested, n, arity, opname):
+    """``algebras._flatten`` by one recursive call per row of every level."""
+    from congform.errors import TableShape
+
+    if arity == 0:
+        if not isinstance(nested, int) or isinstance(nested, bool):
+            raise TableShape(f"table for {opname!r} must be a single integer")
+        return (nested,)
+    if not isinstance(nested, (list, tuple)) or len(nested) != n:
+        raise TableShape(
+            f"table for {opname!r} must be a list of length {n} at arity {arity}"
+        )
+    out = []
+    for row in nested:
+        if arity == 1:
+            if not isinstance(row, int) or isinstance(row, bool):
+                raise TableShape(f"table for {opname!r} has a non-integer entry")
+            out.append(row)
+        else:
+            out.extend(recursive_flatten(row, n, arity - 1, opname))
+    return tuple(out)
+
+
+def dedup_then_canonical(algebras):
+    """The first algebra of each isomorphism class, kept by pairwise
+    isomorphism search inside invariant buckets, then put in canonical form
+    by its own scan of every relabeling."""
+    from congform.algebras import canonical_algebra
+    from congform.instances import _dedup_up_to_iso
+
+    return [canonical_algebra(a) for a in _dedup_up_to_iso(algebras)]
 
 
 # --- API with no library caller -------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,7 @@ from congform import (
     trivial_quandle,
     validate_algebra,
 )
-from congform.algebras import Congruence, _canonical_ids, is_compatible
+from congform.algebras import Congruence, _canonical_ids, _flatten, is_compatible
 from congform.errors import (
     AxiomViolation,
     FibreMismatch,
@@ -73,6 +74,39 @@ def test_validate_rejects_bad_shape():
         validate_algebra(4, GROUP_SIGNATURE, tables, "group")
     with pytest.raises(TableShape):
         validate_algebra(4, GROUP_SIGNATURE, {"mul": z4_tables()["mul"]}, None)
+
+
+def _flatten_outcome(flatten, nested, n, arity):
+    try:
+        return flatten(nested, n, arity, "f")
+    except TableShape as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_flatten_matches_the_recursive_oracle(data):
+    # a nested table with at most one defect, so both report the same one
+    n, arity = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    entries = data.draw(st.lists(st.integers(0, n - 1), min_size=n ** arity,
+                                 max_size=n ** arity))
+    table = entries if arity else entries[0]
+    for _ in range(arity - 1):  # rows of n, innermost level first, as lists or tuples
+        rows = [table[i:i + n] for i in range(0, len(table), n)]
+        table = rows if data.draw(st.booleans()) else [tuple(r) for r in rows]
+    depth = data.draw(st.integers(-1, arity))
+    if depth >= 0:
+        path = [data.draw(st.integers(0, n - 1)) for _ in range(depth)]
+        bad = data.draw(st.sampled_from([7, True, "x", None, 1.5, [], [0] * (n + 1)]))
+        if not path:
+            table = bad
+        else:
+            node = table = json.loads(json.dumps(table))
+            for i in path[:-1]:
+                node = node[i]
+            node[path[-1]] = bad
+    assert (_flatten_outcome(_flatten, table, n, arity)
+            == _flatten_outcome(oracles.recursive_flatten, table, n, arity))
 
 
 def test_validate_quandle_axiom_violation_cites_idempotence():

@@ -1,7 +1,9 @@
 import hashlib
 import json
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from congform import (
     builtin_operator,
@@ -38,8 +40,12 @@ from congform.instances import (
     enumerate_groups,
     enumerate_quandles,
     exponent_two_congruence,
+    _dedup_by_orbit,
     _dedup_up_to_iso,
 )
+from congform.algebras import FiniteAlgebra, relabel_algebra
+
+import oracles
 
 
 # --- the ideal / congruence bridge ----------------------------------------------
@@ -244,6 +250,45 @@ def test_group_class_counts_up_to_six():
 def test_quandle_class_counts_up_to_four():
     counts = [len(_dedup_up_to_iso(enumerate_quandles(n))) for n in range(1, 5)]
     assert counts == [1, 1, 3, 7]
+
+
+def test_quandle_class_counts_by_orbit_up_to_five():
+    counts = [len(_dedup_by_orbit(enumerate_quandles(n))) for n in range(1, 6)]
+    assert counts == [1, 1, 3, 7, 22]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orbit_dedup_matches_the_oracle_on_quandles(n):
+    tables = enumerate_quandles(n)
+    assert _dedup_by_orbit(tables) == oracles.dedup_then_canonical(tables)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_dedup_matches_the_oracle_on_groups(n):
+    tables = enumerate_groups(n)
+    assert _dedup_by_orbit(tables) == oracles.dedup_then_canonical(tables)
+
+
+@lru_cache(maxsize=None)
+def _members() -> tuple:
+    """Corpus members of three signatures, plus untagged copies of some, whose
+    tables equal a tagged member's: the tag alone tells them apart."""
+    tagged = [*corpus("quandles", 4).algebras, *corpus("groups", 6).algebras,
+              *corpus("rngs", 6).algebras]
+    untagged = [FiniteAlgebra(a.size, a.sig, a.tables) for a in tagged[::3]]
+    return tuple(tagged + untagged)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbit_dedup_matches_the_oracle_on_relabeled_streams(data):
+    member = st.sampled_from(_members())
+    relabeled = member.flatmap(lambda a: st.permutations(range(a.size)).map(
+        lambda p: relabel_algebra(a, p)))
+    drawn = data.draw(st.lists(relabeled, min_size=1, max_size=12))
+    repeats = data.draw(st.lists(st.sampled_from(drawn), max_size=4))
+    stream = data.draw(st.permutations(drawn + repeats))
+    assert _dedup_by_orbit(stream) == oracles.dedup_then_canonical(stream)
 
 
 def test_group_corpus_small_members():

@@ -37,6 +37,8 @@ from congform.errors import (
     NotReflective,
     UniverseNotQuotientClosed,
 )
+from congform.algebras import enumerate_homs
+from congform.operators import fibration, naturality_maps
 from congform.reflection import SubcategoryPredicate, make_reflector
 from congform.terms import COMMUTATIVITY, REDUCED_RNG, TRIVIAL_QUANDLE
 
@@ -154,6 +156,16 @@ def test_universal_property_through_a_quotient_that_is_no_member():
     assert exc.value.witness["rho"] == [list(range(8))]
     # the first K of Con(Z8) with a quotient that embeds in Z4 is the one of Z2
     assert exc.value.witness["map"] == [0, 2] * 4
+
+
+def test_make_reflector_enumerates_no_homs_off_a_quotient_closed_universe():
+    # pull-backs are built along the maps read, here quotient maps only,
+    # not along every hom of a universe that is not quotient-closed
+    u = universe([cyclic_group(1), cyclic_group(4), cyclic_group(8)])
+    for cached in (fibration, naturality_maps, enumerate_homs):
+        cached.cache_clear()
+    make_reflector(u, [diagonal(x) for x in u.algebras], "id")
+    assert enumerate_homs.cache_info().misses == 0
 
 
 def test_make_reflector_rejects_reflections_outside_the_subcategory():
