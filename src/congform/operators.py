@@ -32,7 +32,8 @@ built on a universe's first check, numbers each Con(X) with its order.  It
 builds on first use, and then holds, f* along each map read (naturality,
 coheredity, ``pullback_rule`` and ``make_reflector``), images along
 quotient maps (cocartesian preservation), join tables (minimality) and
-embeddings into members (``make_reflector``).
+embeddings into members (``make_reflector``), reading joins and images
+off the order (see ``Fibration``).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .algebras import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
+    _canonical_ids,
     automorphisms,
     compose,
     con_lattice,
@@ -57,7 +59,6 @@ from .algebras import (
     find_embedding,
     find_isomorphism,
     identity_hom,
-    join,
     quotient,
 )
 from .errors import (
@@ -72,7 +73,7 @@ from .errors import (
     UniverseNotQuotientClosed,
     failed,
 )
-from .forms import image_congruence, leq, preimage_congruence
+from .forms import leq
 
 
 def _algebra_sort_key(a: FiniteAlgebra):
@@ -213,37 +214,49 @@ def naturality_maps(u: Universe) -> tuple[Homomorphism, ...]:
 
 class Fibration:
     """The integer tables of one universe, built once by ``fibration``: per
-    member i, ``lattices[i]`` in ``con_lattice`` order, ``index[i]`` its
-    inverse and the order ``le[i][a][b]``."""
+    member i, ``lattices[i]`` in ``con_lattice`` order, its inverses
+    ``index[i]`` and ``by_ids[i]`` (keyed by block-id arrays), the order
+    ``le[i][a][b]``, and each up-set as a bitmask ``up[i][a]``, with inverse
+    ``by_up[i]``.  In a lattice up(a) & up(b) = up(a v b).  Along a quotient
+    map f: X -> Y, f* is an order isomorphism from Con(Y) onto the up-set of
+    ker f = f*(diagonal) in Con(X) (correspondence theorem), so f(R) is the
+    S with f*S = R v ker f."""
 
     def __init__(self, u: Universe):
         self.universe = u
         self.lattices = tuple(tuple(con_lattice(x)) for x in u.algebras)
         self.index = tuple({r: a for a, r in enumerate(lat)} for lat in self.lattices)
+        self.by_ids = tuple({r.ids: a for a, r in enumerate(lat)} for lat in self.lattices)
         self.le = tuple(tuple(tuple(leq(r, s) for s in lat) for r in lat) for lat in self.lattices)
+        self.up = tuple(tuple(sum(1 << b for b, above in enumerate(row) if above) for row in le)
+                        for le in self.le)
+        self.by_up = tuple({mask: a for a, mask in enumerate(up)} for up in self.up)
         self._pulls, self._images, self._joins, self._embeddings = {}, {}, {}, {}
 
     def pull(self, f: Homomorphism) -> tuple[int, ...]:
         """S -> f*S as an index array, built on first request; f between members."""
         if f not in self._pulls:
-            into = self.index[self.universe.member_index(f.dom)]
-            self._pulls[f] = tuple(into[preimage_congruence(f, s)] for s in con_lattice(f.cod))
+            into = self.by_ids[self.universe.member_index(f.dom)]
+            self._pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
+                                   for s in con_lattice(f.cod))
         return self._pulls[f]
 
     def image(self, f: Homomorphism) -> tuple[int, ...]:
-        """R -> f(R) as an index array, built on first request; f a quotient map."""
+        """R -> f(R) as an index array, built on first request; f a quotient
+        map, so f(R) = (f*)^-1 (R v ker f)."""
         if f not in self._images:
-            into = self.index[self.universe.member_index(f.cod)]
-            self._images[f] = tuple(into[image_congruence(f, r)] for r in con_lattice(f.dom))
+            pull = self.pull(f)
+            back = {a: s for s, a in enumerate(pull)}
+            kernel = pull[self.index[self.universe.member_index(f.cod)][diagonal(f.cod)]]
+            joins = self.joins(self.universe.member_index(f.dom))
+            self._images[f] = tuple(back[row[kernel]] for row in joins)
         return self._images[f]
 
     def joins(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """Member i's join table, built on first request; comparable pairs need no join."""
+        """Member i's join table, built on first request from the up-sets."""
         if i not in self._joins:
-            lat, index, le = self.lattices[i], self.index[i], self.le[i]
-            self._joins[i] = tuple(tuple(b if le[a][b] else a if le[b][a] else
-                                         index[join(lat[a], lat[b])] for b in range(len(lat)))
-                                   for a in range(len(lat)))
+            by_up = self.by_up[i]
+            self._joins[i] = tuple(tuple(by_up[ua & ub] for ub in self.up[i]) for ua in self.up[i])
         return self._joins[i]
 
     def embedding(self, a: FiniteAlgebra, j: int) -> Optional[Homomorphism]:

@@ -17,7 +17,11 @@ closed under joins of every pair, the universal property of a reflector
 checked on every hom instead of by factorisation), the hom search that
 scans every operation tuple on each propagation step, the operator
 checks on ``Congruence`` objects that the universe's integer tables
-replaced, the equation checks that walk the terms at every assignment
+replaced, the fibration's join tables, images and pull-backs built on
+``Congruence`` objects by union-find (replaced by look-ups in the order
+and in block-id arrays), the quandle composite R o ~ built from its
+relation matrix (replaced by a join, since R and ~ permute), the
+equation checks that walk the terms at every assignment
 (replaced by compiled programs), relabeling and quotients that read
 every table entry through ``FiniteAlgebra.op`` (replaced by flat index
 arrays), table flattening by one recursive call per row (replaced by one
@@ -487,6 +491,72 @@ def pullback_rule(u, rho):
         return preimage_congruence(g, rho[u.member_index(g.cod)])
 
     return rule
+
+
+# --- fibration tables by union-find and the composite scan ---------------------
+
+def join_table(fib, i):
+    """Member i's join table: comparable pairs read off the order, the rest
+    by ``join`` on ``Congruence`` objects."""
+    from congform import join
+
+    lat, index, le = fib.lattices[i], fib.index[i], fib.le[i]
+    return tuple(tuple(b if le[a][b] else a if le[b][a] else index[join(lat[a], lat[b])]
+                       for b in range(len(lat))) for a in range(len(lat)))
+
+
+def image_table(fib, f):
+    """R -> f(R) along a quotient map f, by ``image_congruence``."""
+    from congform import con_lattice, image_congruence
+
+    into = fib.index[fib.universe.member_index(f.cod)]
+    return tuple(into[image_congruence(f, r)] for r in con_lattice(f.dom))
+
+
+def pull_table(fib, f):
+    """S -> f*S along a map f between members, by ``preimage_congruence``."""
+    from congform import con_lattice, preimage_congruence
+
+    into = fib.index[fib.universe.member_index(f.dom)]
+    return tuple(into[preimage_congruence(f, s)] for s in con_lattice(f.cod))
+
+
+def composite_with_reachability(x, r):
+    """R o ~ from its n x n relation matrix, checked reflexive, symmetric,
+    transitive and compatible; raises if the composite is not a congruence."""
+    from congform import Congruence, quandle_reachability
+    from congform.algebras import _canonical_ids, is_compatible
+    from congform.errors import CompositeNotCongruence
+
+    sim = quandle_reachability(x)
+    n = x.size
+    related = [[False] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            related[a][b] = any(
+                sim.together(a, c) and r.together(c, b) for c in range(n)
+            )
+    for a in range(n):
+        if not related[a][a]:
+            raise CompositeNotCongruence("composite is not reflexive")
+        for b in range(n):
+            if related[a][b] != related[b][a]:
+                raise CompositeNotCongruence(
+                    "composite is not symmetric", witness={"pair": [a, b]}
+                )
+            if related[a][b]:
+                for c in range(n):
+                    if related[b][c] and not related[a][c]:
+                        raise CompositeNotCongruence(
+                            "composite is not transitive", witness={"triple": [a, b, c]}
+                        )
+    ids = _canonical_ids([tuple(row) for row in related])
+    if not is_compatible(x, ids):
+        raise CompositeNotCongruence(
+            "composite relation is not operation-compatible",
+            witness={"blocks": [list(b) for b in Congruence(x, ids).blocks()]},
+        )
+    return Congruence(x, ids)
 
 
 # --- tree-walking equation checks and per-entry table transport --------------

@@ -28,6 +28,7 @@ from congform import (
     trivial_quandle,
 )
 from congform.errors import (
+    CompositeNotCongruence,
     InvalidIdeal,
     NotGroup,
     NotQuandle,
@@ -40,10 +41,12 @@ from congform.instances import (
     enumerate_groups,
     enumerate_quandles,
     exponent_two_congruence,
+    _composite_with_reachability,
     _dedup_by_orbit,
     _dedup_up_to_iso,
 )
-from congform.algebras import FiniteAlgebra, relabel_algebra
+from congform import instances
+from congform.algebras import FiniteAlgebra, Signature, relabel_algebra
 
 import oracles
 
@@ -201,6 +204,34 @@ def test_reachability_diagonal_iff_trivial(quandle_corpus):
     for a in quandle_corpus.algebras:
         is_trivial = bool(satisfies_equations(a, TRIVIAL_QUANDLE))
         assert (quandle_reachability(a) == diagonal(a)) == is_trivial
+
+
+def test_quandle_rule_matches_the_composite_scan():
+    pairs = [(x, r) for x in corpus("quandles", 5).algebras for r in con_lattice(x)]
+    assert len(pairs) == 267
+    for x, r in pairs:
+        assert _composite_with_reachability(x, r) == oracles.composite_with_reachability(x, r)
+
+
+def test_permutability_guard_rejects_non_permuting_equivalences(monkeypatch):
+    # every partition is a congruence of a set whose only operation is the
+    # identity; {01|2} then {0|12} relates 0 to 2, but not 2 to 0
+    x = FiniteAlgebra(3, Signature((("id", 1),)), ((0, 1, 2),))
+    r = congruence_from_blocks(x, [[0, 1], [2]])
+    s = congruence_from_blocks(x, [[0], [1, 2]])
+    for sim, closure in [(diagonal(x), r), (full(x), full(x)), (r, r)]:
+        monkeypatch.setattr(instances, "quandle_reachability", lambda a, sim=sim: sim)
+        assert _composite_with_reachability(x, r) == closure
+    monkeypatch.setattr(instances, "quandle_reachability", lambda a: s)
+    with pytest.raises(CompositeNotCongruence) as exc:
+        _composite_with_reachability(x, r)
+    assert exc.value.witness == {"block": [0, 1, 2]}
+
+
+def test_reachability_is_memoised_in_a_bounded_cache():
+    dq = dihedral_quandle(3)
+    assert quandle_reachability(dq) is quandle_reachability(dq)
+    assert quandle_reachability.cache_info().maxsize is not None
 
 
 # --- groups -------------------------------------------------------------------------

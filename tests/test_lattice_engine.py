@@ -14,6 +14,9 @@ operator enumeration by generating and rejecting every extensive family.
 congruences; the oracle joins every pair.  The operator checks read the
 universe's integer tables (``fibration``); the oracles are the same checks
 on ``Congruence`` objects, and must give the same verdicts and witnesses.
+The tables read joins off up-sets, pull-backs off block-id arrays and
+images off the pull-backs; the oracles build each entry with ``join``,
+``preimage_congruence`` and ``image_congruence``.
 The hom search indexes each element by the operation tuples it occurs in;
 the oracle scans every tuple on each step.  ``make_reflector`` checks the
 universal property by factorisation through quotient maps and embeddings;
@@ -64,7 +67,7 @@ from congform import algebras
 from congform.algebras import FiniteAlgebra, Signature, quotient, relabel_algebra
 from congform.errors import NotNatural, NotReflective
 from congform.instances import corpus_operators
-from congform.operators import pullback_rule
+from congform.operators import fibration, naturality_maps, pullback_rule
 from congform.reflection import make_reflector
 from congform.verify import DEFAULT_MAX_SIZE
 
@@ -316,6 +319,18 @@ def test_table_checks_match_oracles_on_builtin_operators(kind, size):
     u = corpus(kind, size)
     for name in corpus_operators(kind):
         assert_tables_match_oracles(builtin_operator(name, u))
+
+
+def test_fibration_tables_match_the_union_find_oracles():
+    for u in operator_universes() + [corpus("rngs", 12), corpus("quandles", 4)]:
+        fib = fibration(u)
+        for i in range(len(u)):
+            assert fib.joins(i) == oracles.join_table(fib, i)
+        quotients = [g for gs in quotient_maps(u).values() for g in gs]
+        for f in dict.fromkeys(naturality_maps(u) + tuple(quotients)):
+            assert fib.pull(f) == oracles.pull_table(fib, f)
+        for f in quotients:
+            assert fib.image(f) == oracles.image_table(fib, f)
 
 
 # --- hom search and the universal property -----------------------------------------

@@ -14,6 +14,7 @@ PINNED_DIGESTS = {
     ("groups", 8): "dc41c9c471310f658cd3f900008ad0db9a069407ea3e2301995bed8f551076c2",
     ("rngs", 12): "a5b5b76264beef99f1e8f077f7f0f913c90bd1ebc334157fb1fad290d76a1fea",
     ("quandles", 3): "4cbbb5f7517fa21bb398321ea93a3dfa298cc441ea88f5f8f53950cc7a9e01bc",
+    ("quandles", 5): "45c25b2e36ff53e15333ddeee335e0d29f72ab5ecea19216925c260004116e8e",
 }
 
 
