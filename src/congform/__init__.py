@@ -40,7 +40,6 @@ from .algebras import (
     homomorphism,
     identity_hom,
     join,
-    kernel_congruence,
     meet,
     quotient,
     validate_algebra,

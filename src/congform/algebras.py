@@ -13,8 +13,9 @@ Congruence generation uses union-find with a worklist: whenever two
 classes merge, every operation tuple differing from a known tuple in one
 coordinate by a newly merged pair is re-propagated.  Joins need none:
 they are equivalence closures of unions.  Lattices are enumerated by
-joining principal congruences onto the ones found so far, and the test suite
-checks both against exhaustive partition scans.
+joining principal congruences onto the ones found so far; in groups and
+rngs the principal congruences are those of pairs with the neutral
+element.  The test suite checks both against exhaustive partition scans.
 """
 
 from __future__ import annotations
@@ -404,10 +405,6 @@ def compose(g: Homomorphism, f: Homomorphism) -> Homomorphism:
     return Homomorphism(f.dom, g.cod, m, len(set(m)) == g.cod.size)
 
 
-def kernel_congruence(f: Homomorphism) -> Congruence:
-    return Congruence(f.dom, _canonical_ids(f.map))
-
-
 def _transport(a: FiniteAlgebra, points: Sequence[int],
                values: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Tables on ``range(len(points))`` read off ``a``'s: the entry at a tuple
@@ -761,12 +758,23 @@ class CongruenceLattice:
         return f"CongruenceLattice({self.algebra!r}, {len(self.elements)} congruences)"
 
 
+# The neutral element of each 0-regular variety, where a congruence is fixed by
+# its block: Cg(a, b) = Cg(e, a^-1 b) in a group and Cg(0, b - a) in a rng.
+_NEUTRAL = {GROUP_TAG: "e", RNG_TAG: "zero"}
+
+
 @lru_cache(maxsize=None)
 def con_lattice(x: FiniteAlgebra) -> CongruenceLattice:
     """The diagonal and the principal congruences, closed under joining with a
-    principal congruence: every congruence is a join of principal ones."""
-    principal = list(dict.fromkeys(generated_congruence(x, [(a, b)])
-                                   for a in range(x.size) for b in range(a + 1, x.size)))
+    principal congruence: every congruence is a join of principal ones, which
+    are the Cg(e, x) in a variety of ``_NEUTRAL`` and the Cg(a, b) otherwise."""
+    n = x.size
+    if x.tag in _NEUTRAL:
+        e = x.op(_NEUTRAL[x.tag])
+        pairs = [(e, b) for b in range(n) if b != e]
+    else:
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    principal = list(dict.fromkeys(generated_congruence(x, [p]) for p in pairs))
     found = {diagonal(x), *principal}
     frontier = list(found)
     while frontier:

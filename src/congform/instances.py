@@ -13,7 +13,9 @@ Three families of examples are bundled:
 Corpora are quotient-closed universes: rngs come from the explicit Z_n
 family, groups of size <= 6 and quandles are found by exhaustive table
 search (groups 7..12 fall back to cyclic/dihedral/symmetric families
-plus the Klein four-group, which dihedral quotients require).
+plus the Klein four-group, which dihedral quotients require).  The
+quandle search tries one first column per cycle type, so it is complete
+up to isomorphism only, and only each class's representative is validated.
 
 One registry, ``_BUILTIN_RULES``, is the only description of the
 built-in operators: name -> (tag, closure rule, oracle predicate).
@@ -41,10 +43,12 @@ from .algebras import (
     RNG_TAG,
     _block_pairs,
     _canonical_ids,
+    _cycle_type,
     _equivalence_closure,
     _inverse,
     _iso_invariant,
     _relabelings,
+    algebra_from_json,
     algebra_to_json,
     find_isomorphism,
     full,
@@ -203,17 +207,26 @@ def enumerate_groups(n: int) -> list[FiniteAlgebra]:
 
 
 def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
-    """All quandle tables on {0..n-1}, in search order.
+    """Quandle tables on {0..n-1}, at least one per isomorphism class, in
+    search order, as flat tables with no axiom check.
 
-    Columns are the right translations x -> x <| b, which must be
+    Columns are the right translations sigma_b: x -> x <| b, which must be
     permutations fixing b; self-distributivity says the column at
     sigma_c(b) is the conjugate sigma_c sigma_b sigma_c^-1, which the
-    search uses to force columns early.
+    search uses to force columns early, so every completed table is a
+    quandle.  Relabeling by a permutation p fixing 0 turns sigma_0 into
+    p sigma_0 p^-1, any permutation of {1..n-1} of the same cycle type;
+    so column 0 needs only the least permutation of each cycle type, one
+    per partition of n-1, and the search stays complete up to isomorphism.
     """
     perms_fixing = [
         [p for p in itertools.permutations(range(n)) if p[b] == b]
         for b in range(n)
     ]
+    least_of_type: dict = {}
+    for p in perms_fixing[0]:
+        least_of_type.setdefault(_cycle_type(p), p)
+    perms_fixing[0] = list(least_of_type.values())
     cols: list[Optional[tuple[int, ...]]] = [None] * n
     out: list[FiniteAlgebra] = []
 
@@ -240,9 +253,12 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
         return True
 
     def emit():
-        lhd, lhd_inv = list(zip(*cols)), list(zip(*map(_inverse, cols)))  # rows of columns
-        out.append(validate_algebra(
-            n, QUANDLE_SIGNATURE, {"lhd": lhd, "lhd_inv": lhd_inv}, QUANDLE_TAG))
+        # x <| b is sigma_b(x), at flat index x*n + b: the rows of the columns
+        inverses = [_inverse(c) for c in cols]
+        out.append(FiniteAlgebra(n, QUANDLE_SIGNATURE, (
+            tuple(itertools.chain.from_iterable(zip(*cols))),
+            tuple(itertools.chain.from_iterable(zip(*inverses))),
+        ), QUANDLE_TAG))
 
     def dfs():
         try:
@@ -322,8 +338,11 @@ def corpus(kind: str, max_size: int) -> Universe:
             for n in range(1, max_size + 1):
                 candidates.extend(enumerate_groups(n))
         return universe(_dedup_up_to_iso(candidates), quotient_closed=True)
+    # A relabeling of a quandle is a quandle, so validating one table per
+    # class (on the JSON input path) checks every table the search emitted.
     quandles = (q for n in range(1, max_size + 1) for q in enumerate_quandles(n))
-    return universe(_dedup_by_orbit(quandles), quotient_closed=True)
+    return universe([algebra_from_json(algebra_to_json(a)) for a in _dedup_by_orbit(quandles)],
+                    quotient_closed=True)
 
 
 def corpus_manifest(kind: str, max_size: int) -> dict:

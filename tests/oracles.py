@@ -27,7 +27,8 @@ every table entry through ``FiniteAlgebra.op`` (replaced by flat index
 arrays), table flattening by one recursive call per row (replaced by one
 pass per level), and the quandle corpus's deduplication by pairwise
 isomorphism search before a canonical form per class (replaced by orbit
-membership).
+membership), and the quandle search that tries every permutation for
+every column (replaced by one candidate per cycle type for column 0).
 """
 
 from __future__ import annotations
@@ -369,7 +370,7 @@ def hom_universal_property_witness(u, rho):
     member outside the subcategory (rho not the diagonal) into one inside it
     whose kernel does not contain rho, as a ``NotReflective`` witness
     {dom, cod, map, rho}; None when every hom factors through the unit."""
-    from congform import diagonal, homomorphism, kernel_congruence, leq
+    from congform import diagonal, homomorphism, leq
 
     members_in = [i for i, r in enumerate(rho) if r == diagonal(u.algebras[i])]
     for i, x in enumerate(u.algebras):
@@ -661,7 +662,72 @@ def dedup_then_canonical(algebras):
     return [canonical_algebra(a) for a in _dedup_up_to_iso(algebras)]
 
 
+def all_quandle_tables(n):
+    """Every quandle table on {0..n-1}, as flat tables with no axiom check, by
+    trying every permutation fixing b for each column sigma_b and forcing the
+    column at sigma_c(b) to be the conjugate sigma_c sigma_b sigma_c^-1."""
+    from congform.algebras import QUANDLE_SIGNATURE, QUANDLE_TAG, FiniteAlgebra, _inverse
+
+    perms_fixing = [
+        [p for p in itertools.permutations(range(n)) if p[b] == b]
+        for b in range(n)
+    ]
+    cols = [None] * n
+    out = []
+
+    def conj(pc, pb):
+        res = [0] * n
+        for x in range(n):
+            res[pc[x]] = pc[pb[x]]
+        return tuple(res)
+
+    def propagate(queue):
+        while queue:
+            b = queue.pop()
+            for c in range(n):
+                if cols[c] is None:
+                    continue
+                for (u, v) in ((b, c), (c, b)):
+                    d = cols[v][u]
+                    forced = conj(cols[v], cols[u])
+                    if cols[d] is None:
+                        cols[d] = forced
+                        queue.append(d)
+                    elif cols[d] != forced:
+                        return False
+        return True
+
+    def emit():
+        lhd = tuple(cols[b][x] for x in range(n) for b in range(n))
+        inverses = [_inverse(c) for c in cols]
+        lhd_inv = tuple(inverses[b][x] for x in range(n) for b in range(n))
+        out.append(FiniteAlgebra(n, QUANDLE_SIGNATURE, (lhd, lhd_inv), QUANDLE_TAG))
+
+    def dfs():
+        try:
+            b = cols.index(None)
+        except ValueError:
+            emit()
+            return
+        snapshot = cols.copy()
+        for p in perms_fixing[b]:
+            cols[b] = p
+            if propagate([b]):
+                dfs()
+            cols[:] = snapshot
+
+    dfs()
+    return out
+
+
 # --- API with no library caller -------------------------------------------------
+
+def kernel_congruence(f):
+    """ker f: the partition of f's domain by value, as a congruence."""
+    from congform.algebras import Congruence, _canonical_ids
+
+    return Congruence(f.dom, _canonical_ids(f.map))
+
 
 def ideal_to_json(i):
     """Ideals serialize as their sorted element list."""

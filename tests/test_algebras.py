@@ -23,7 +23,6 @@ from congform import (
     homomorphism,
     identity_hom,
     join,
-    kernel_congruence,
     klein_four_group,
     meet,
     quotient,
@@ -43,6 +42,7 @@ from congform.errors import (
 )
 
 import oracles
+from oracles import kernel_congruence
 
 
 def z4_tables():

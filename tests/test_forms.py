@@ -13,7 +13,6 @@ from congform import (
     identity_hom,
     image_congruence,
     join,
-    kernel_congruence,
     leq,
     lifts,
     meet,
@@ -24,6 +23,7 @@ from congform import (
 from congform.errors import FibreMismatch, NotInE
 
 import oracles
+from oracles import kernel_congruence
 
 
 def mod_map(n, m):

@@ -28,6 +28,7 @@ from congform import (
     trivial_quandle,
 )
 from congform.errors import (
+    AxiomViolation,
     CompositeNotCongruence,
     InvalidIdeal,
     NotGroup,
@@ -46,7 +47,14 @@ from congform.instances import (
     _dedup_up_to_iso,
 )
 from congform import instances
-from congform.algebras import FiniteAlgebra, Signature, relabel_algebra
+from congform.algebras import (
+    QUANDLE_SIGNATURE,
+    QUANDLE_TAG,
+    FiniteAlgebra,
+    Signature,
+    relabel_algebra,
+    validate_algebra,
+)
 
 import oracles
 
@@ -286,6 +294,38 @@ def test_quandle_class_counts_up_to_four():
 def test_quandle_class_counts_by_orbit_up_to_five():
     counts = [len(_dedup_by_orbit(enumerate_quandles(n))) for n in range(1, 6)]
     assert counts == [1, 1, 3, 7, 22]
+
+
+def test_quandle_search_emits_one_table_per_cycle_type_of_column_zero():
+    # The full column search emits 1, 1, 5, 36, 404 labeled tables.
+    assert [len(enumerate_quandles(n)) for n in range(1, 6)] == [1, 1, 5, 26, 218]
+    assert [len(oracles.all_quandle_tables(n)) for n in range(1, 6)] == [1, 1, 5, 36, 404]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_quandle_search_finds_every_class_of_the_full_search(n):
+    def classes(tables):
+        return sorted(_dedup_by_orbit(tables), key=lambda a: a.tables)
+
+    assert classes(enumerate_quandles(n)) == classes(oracles.all_quandle_tables(n))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_full_search_table_is_a_quandle(n):
+    for a in oracles.all_quandle_tables(n):
+        assert validate_algebra(a.size, a.sig, {"lhd": a.table_nested("lhd"),
+                                                "lhd_inv": a.table_nested("lhd_inv")},
+                                a.tag) == a
+
+
+def test_quandle_corpus_checks_the_axioms_of_every_class(monkeypatch):
+    # x <| y = 1 - x on two elements: both columns swap, so x <| x = x fails
+    swap = FiniteAlgebra(2, QUANDLE_SIGNATURE, ((1, 1, 0, 0), (1, 1, 0, 0)), QUANDLE_TAG)
+    searched = instances.enumerate_quandles
+    monkeypatch.setattr(instances, "enumerate_quandles",
+                        lambda n: searched(n) + ([swap] if n == 2 else []))
+    with pytest.raises(AxiomViolation):
+        instances.corpus.__wrapped__("quandles", 3)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
