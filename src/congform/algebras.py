@@ -13,9 +13,10 @@ Congruence generation uses union-find with a worklist: whenever two
 classes merge, every operation tuple differing from a known tuple in one
 coordinate by a newly merged pair is re-propagated.  Joins need none:
 they are equivalence closures of unions.  Lattices are enumerated by
-joining principal congruences onto the ones found so far; in groups and
-rngs the principal congruences are those of pairs with the neutral
-element.  The test suite checks both against exhaustive partition scans.
+joining principal congruences onto the ones found so far, on block-id
+arrays; in groups and rngs only the pairs with the neutral element and
+in quandles one pair per orbit of the inner automorphisms are generated.
+The test suite checks both against exhaustive partition scans.
 """
 
 from __future__ import annotations
@@ -416,12 +417,17 @@ def _transport(a: FiniteAlgebra, points: Sequence[int],
     tables = []
     for (_, arity), table in zip(a.sig.ops, a.tables):
         if arity not in where:
-            idx = [0]
-            for _ in range(arity):
-                idx = [w * a.size + p for w in idx for p in points]
-            where[arity] = idx
+            where[arity] = _index_array(a.size, points, arity)
         tables.append(tuple([values[table[i]] for i in where[arity]]))
     return tuple(tables)
+
+
+def _index_array(n: int, points: Sequence[int], arity: int) -> list[int]:
+    """Flat indices, in an n-element table, of the tuples over ``points``."""
+    idx = [0]
+    for _ in range(arity):
+        idx = [w * n + p for w in idx for p in points]
+    return idx
 
 
 def quotient(x: FiniteAlgebra, r: Congruence) -> tuple[FiniteAlgebra, Homomorphism]:
@@ -610,17 +616,26 @@ def relabel_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     return FiniteAlgebra(a.size, a.sig, _transport(a, _inverse(perm), perm), a.tag)
 
 
-def _relabelings(a: FiniteAlgebra):
-    """The tables of ``relabel_algebra(a, perm)`` for every permutation of the carrier."""
-    for perm in itertools.permutations(range(a.size)):
-        yield _transport(a, _inverse(perm), perm)
+def _relabeling_arrays(a: FiniteAlgebra) -> list:
+    """(perm, {arity: index array}) for every permutation of a's carrier: the
+    arrays ``relabel_algebra`` would read a's tables along, one per arity."""
+    arities = {k for _, k in a.sig.ops}
+    return [(perm, {k: _index_array(a.size, _inverse(perm), k) for k in arities})
+            for perm in itertools.permutations(range(a.size))]
+
+
+def _relabelings(a: FiniteAlgebra, arrays: list):
+    """The tables of ``relabel_algebra(a, perm)`` for every perm, read along ``arrays``."""
+    ops = [(table, k) for (_, k), table in zip(a.sig.ops, a.tables)]
+    for perm, where in arrays:
+        yield tuple(tuple([perm[table[i]] for i in where[k]]) for table, k in ops)
 
 
 def canonical_algebra(a: FiniteAlgebra, *, max_size: int = 7) -> FiniteAlgebra:
     """Lexicographically least relabeling; brute force over permutations."""
     if a.size > max_size:
         raise SizeTooLarge(f"canonical form by permutation scan needs size <= {max_size}")
-    return FiniteAlgebra(a.size, a.sig, min(_relabelings(a)), a.tag)
+    return FiniteAlgebra(a.size, a.sig, min(_relabelings(a, _relabeling_arrays(a))), a.tag)
 
 
 # --- congruence generation and lattices --------------------------------------
@@ -763,27 +778,65 @@ class CongruenceLattice:
 _NEUTRAL = {GROUP_TAG: "e", RNG_TAG: "zero"}
 
 
-@lru_cache(maxsize=None)
-def con_lattice(x: FiniteAlgebra) -> CongruenceLattice:
-    """The diagonal and the principal congruences, closed under joining with a
-    principal congruence: every congruence is a join of principal ones, which
-    are the Cg(e, x) in a variety of ``_NEUTRAL`` and the Cg(a, b) otherwise."""
+def _principal_ids(x: FiniteAlgebra) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Ids of Cg(a, b) for a < b, or for a = e in a variety of ``_NEUTRAL``;
+    in a quandle, by orbits of the right translations (see ``con_lattice``)."""
     n = x.size
     if x.tag in _NEUTRAL:
         e = x.op(_NEUTRAL[x.tag])
-        pairs = [(e, b) for b in range(n) if b != e]
-    else:
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    principal = list(dict.fromkeys(generated_congruence(x, [p]) for p in pairs))
-    found = {diagonal(x), *principal}
+        return {(e, b): generated_congruence(x, [(e, b)]).ids for b in range(n) if b != e}
+    sigmas = [x.tables[0][b::n] for b in range(n)] if x.tag == QUANDLE_TAG else []
+    found = {}
+    for pair in itertools.combinations(range(n), 2):
+        if pair in found:
+            continue
+        found[pair] = ids = generated_congruence(x, [pair]).ids
+        orbit = [pair]
+        for a, b in orbit:
+            for s in sigmas:
+                image = (min(s[a], s[b]), max(s[a], s[b]))
+                if image not in found:
+                    found[image] = ids
+                    orbit.append(image)
+    return found
+
+
+def _join_blocks(ids: tuple[int, ...], blocks) -> Optional[tuple[int, ...]]:
+    """Ids of R v P from R's ids and P's non-singleton blocks; None when P <= R."""
+    labels = list(ids)
+    for block in blocks:
+        meets = {labels[y] for y in block}
+        if len(meets) > 1:
+            least = min(meets)
+            labels = [least if label in meets else label for label in labels]
+    return None if labels == list(ids) else _canonical_ids(labels)
+
+
+@lru_cache(maxsize=None)
+def con_lattice(x: FiniteAlgebra) -> CongruenceLattice:
+    """The diagonal and the principal congruences, closed under joining with a
+    principal congruence: every congruence is a join of principal ones.
+
+    These are the Cg(e, x) in a variety of ``_NEUTRAL``, else the Cg(a, b).
+    In a quandle each sigma_b: y -> y <| b is an automorphism (Joyce, 1982),
+    so it maps Cg(a, b) onto Cg(sigma_b a, sigma_b b).  It also maps every
+    congruence into, hence onto, itself, so the two are equal: one pair per
+    orbit of the sigma_b is generated, and the orbit shares its ids.  Joins
+    run on ids: R v P merges the labels of R along each block of P, the join
+    in Eq(A), of which Con(A) is a sublattice; only the result is built as
+    ``Congruence``s.
+    """
+    principal = dict.fromkeys(_principal_ids(x).values())
+    blocks = [[b for b in Congruence(x, ids).blocks() if len(b) > 1] for ids in principal]
+    found = {tuple(range(x.size)), *principal}
     frontier = list(found)
     while frontier:
         fresh = []
         for r in frontier:
-            for p in principal:
-                j = join(r, p)
-                if j not in found:
+            for p in blocks:
+                j = _join_blocks(r, p)
+                if j is not None and j not in found:
                     found.add(j)
                     fresh.append(j)
         frontier = fresh
-    return CongruenceLattice(x, tuple(sorted(found, key=lambda c: c.ids)))
+    return CongruenceLattice(x, tuple(Congruence(x, ids) for ids in sorted(found)))

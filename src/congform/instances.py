@@ -47,6 +47,7 @@ from .algebras import (
     _equivalence_closure,
     _inverse,
     _iso_invariant,
+    _relabeling_arrays,
     _relabelings,
     algebra_from_json,
     algebra_to_json,
@@ -291,14 +292,18 @@ def _dedup_up_to_iso(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
 
 
 def _dedup_by_orbit(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
-    """``canonical_algebra`` of each of ``_dedup_up_to_iso``'s representatives, with
-    no isomorphism search: a class's tables are the orbit of its first member under
-    the n! relabelings, kept in a set; the orbit's least element is the canonical form."""
-    seen, reps = set(), []
+    """The ``canonical_algebra`` of each isomorphism class, in stream order, with no
+    isomorphism search: a class's tables are the orbit of its first member under the
+    n! relabelings, whose index arrays are built once per size in this call; the
+    orbit is kept in a set, and its least element is the canonical form."""
+    seen, reps, arrays = set(), [], {}
     for a in algebras:
         kind = (a.size, a.sig.ops, a.tag)
         if (kind, a.tables) not in seen:
-            orbit = set(_relabelings(a))
+            shape = (a.size, tuple(k for _, k in a.sig.ops))
+            if shape not in arrays:
+                arrays[shape] = _relabeling_arrays(a)
+            orbit = set(_relabelings(a, arrays[shape]))
             seen.update((kind, t) for t in orbit)
             reps.append(FiniteAlgebra(a.size, a.sig, min(orbit), a.tag))
     return reps

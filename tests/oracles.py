@@ -14,21 +14,27 @@ replaced with lattice facts (Mal'cev join, propagated image, the
 along every searched surjection, operator enumeration by generating
 every extensive family and rejecting the unnatural ones, the lattice
 closed under joins of every pair, the universal property of a reflector
-checked on every hom instead of by factorisation), the hom search that
-scans every operation tuple on each propagation step, the operator
-checks on ``Congruence`` objects that the universe's integer tables
-replaced, the fibration's join tables, images and pull-backs built on
-``Congruence`` objects by union-find (replaced by look-ups in the order
-and in block-id arrays), the quandle composite R o ~ built from its
-relation matrix (replaced by a join, since R and ~ permute), the
-equation checks that walk the terms at every assignment
-(replaced by compiled programs), relabeling and quotients that read
-every table entry through ``FiniteAlgebra.op`` (replaced by flat index
-arrays), table flattening by one recursive call per row (replaced by one
-pass per level), and the quandle corpus's deduplication by pairwise
-isomorphism search before a canonical form per class (replaced by orbit
-membership), and the quandle search that tries every permutation for
-every column (replaced by one candidate per cycle type for column 0).
+checked on every hom instead of by factorisation), the lattice closed
+under ``join`` of every congruence found with every principal
+congruence, each principal congruence generated from its own pair
+(replaced by joins on block-id arrays, and in quandles by one generation
+per orbit of the inner automorphisms), the hom search that scans every
+operation tuple on each propagation step, the operator checks on
+``Congruence`` objects that the universe's integer tables replaced, the
+fibration's join tables, images and pull-backs built on ``Congruence``
+objects by union-find (replaced by look-ups in the order and in block-id
+arrays), the quandle composite R o ~ built from its relation matrix
+(replaced by a join, since R and ~ permute), the equation checks that
+walk the terms at every assignment (replaced by compiled programs),
+relabeling and quotients that read every table entry through
+``FiniteAlgebra.op`` (replaced by flat index arrays), table flattening
+by one recursive call per row (replaced by one pass per level), and the
+quandle corpus's deduplication by pairwise isomorphism search before a
+canonical form per class (replaced by orbit membership), the orbit
+deduplication that builds the index arrays of every relabeling again for
+every class (replaced by arrays built once per call), and the quandle
+search that tries every permutation for every column (replaced by one
+candidate per cycle type for column 0).
 """
 
 from __future__ import annotations
@@ -236,6 +242,34 @@ def all_pairs_con_lattice(x):
         for r in frontier:
             for s in list(found):
                 j = join(r, s)
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return CongruenceLattice(x, tuple(sorted(found, key=lambda c: c.ids)))
+
+
+def principal_join_closure(x):
+    """The diagonal and the principal congruences, each generated from its
+    own pair (from the neutral element in groups and rngs), closed under
+    ``join`` of every congruence found with every principal congruence."""
+    from congform import diagonal, generated_congruence, join
+    from congform.algebras import _NEUTRAL, CongruenceLattice
+
+    n = x.size
+    if x.tag in _NEUTRAL:
+        e = x.op(_NEUTRAL[x.tag])
+        pairs = [(e, b) for b in range(n) if b != e]
+    else:
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    principal = list(dict.fromkeys(generated_congruence(x, [p]) for p in pairs))
+    found = {diagonal(x), *principal}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for r in frontier:
+            for p in principal:
+                j = join(r, p)
                 if j not in found:
                     found.add(j)
                     fresh.append(j)
@@ -660,6 +694,22 @@ def dedup_then_canonical(algebras):
     from congform.instances import _dedup_up_to_iso
 
     return [canonical_algebra(a) for a in _dedup_up_to_iso(algebras)]
+
+
+def transport_dedup_by_orbit(algebras):
+    """``instances._dedup_by_orbit`` with each relabeling read by ``_transport``,
+    which sorts the inverse permutation and builds its index arrays again."""
+    from congform.algebras import FiniteAlgebra, _inverse, _transport
+
+    seen, reps = set(), []
+    for a in algebras:
+        kind = (a.size, a.sig.ops, a.tag)
+        if (kind, a.tables) not in seen:
+            orbit = {_transport(a, _inverse(perm), perm)
+                     for perm in itertools.permutations(range(a.size))}
+            seen.update((kind, t) for t in orbit)
+            reps.append(FiniteAlgebra(a.size, a.sig, min(orbit), a.tag))
+    return reps
 
 
 def all_quandle_tables(n):

@@ -340,6 +340,13 @@ def test_orbit_dedup_matches_the_oracle_on_groups(n):
     assert _dedup_by_orbit(tables) == oracles.dedup_then_canonical(tables)
 
 
+@pytest.mark.parametrize("tables", [enumerate_quandles(n) for n in range(1, 6)]
+                         + [enumerate_groups(n) for n in range(1, 7)])
+def test_orbit_dedup_matches_the_transport_oracle(tables):
+    # Index arrays built once per call against arrays rebuilt for every table
+    assert _dedup_by_orbit(tables) == oracles.transport_dedup_by_orbit(tables)
+
+
 @lru_cache(maxsize=None)
 def _members() -> tuple:
     """Corpus members of three signatures, plus untagged copies of some, whose
@@ -360,6 +367,7 @@ def test_orbit_dedup_matches_the_oracle_on_relabeled_streams(data):
     repeats = data.draw(st.lists(st.sampled_from(drawn), max_size=4))
     stream = data.draw(st.permutations(drawn + repeats))
     assert _dedup_by_orbit(stream) == oracles.dedup_then_canonical(stream)
+    assert _dedup_by_orbit(stream) == oracles.transport_dedup_by_orbit(stream)
 
 
 def test_group_corpus_small_members():

@@ -11,9 +11,13 @@ lifting-law scan, the Mal'cev join, the propagated image, coheredity
 and cocartesian preservation along every searched surjection, and
 operator enumeration by generating and rejecting every extensive family.
 ``con_lattice`` joins each congruence found only with the principal
-congruences; the oracle joins every pair.  The operator checks read the
-universe's integer tables (``fibration``); the oracles are the same checks
-on ``Congruence`` objects, and must give the same verdicts and witnesses.
+congruences, on block-id arrays; the oracles join every pair, or join
+``Congruence`` objects with each principal one.  In quandles it
+generates one principal congruence per orbit of the inner automorphisms,
+shared by the whole orbit; the oracle generates each from its own pair.
+The operator checks read the universe's integer tables (``fibration``);
+the oracles are the same checks on ``Congruence`` objects, and must give
+the same verdicts and witnesses.
 The tables read joins off up-sets, pull-backs off block-id arrays and
 images off the pull-backs; the oracles build each entry with ``join``,
 ``preimage_congruence`` and ``image_congruence``.
@@ -46,6 +50,7 @@ from congform import (
     find_embedding,
     find_isomorphism,
     full,
+    generated_congruence,
     homomorphism,
     image_congruence,
     is_cohereditary,
@@ -182,19 +187,76 @@ def test_con_lattice_matches_all_pairs_closure(kind, size):
         assert con_lattice(x).elements == oracles.all_pairs_con_lattice(x).elements
 
 
-def test_con_lattice_joins_only_with_principal_congruences(monkeypatch):
-    # Only the identity operation: all Bell(7) = 877 partitions are
-    # congruences, and the C(7, 2) = 21 principal ones are distinct.
-    x = FiniteAlgebra(7, Signature((("id", 1),)), (tuple(range(7)),))
-    bound, calls, real = 877 * 21, [0], algebras.join
+def identity_only_algebra():
+    """Only the identity operation: all Bell(7) = 877 partitions are
+    congruences, and the C(7, 2) = 21 principal ones are distinct."""
+    return FiniteAlgebra(7, Signature((("id", 1),)), (tuple(range(7)),))
 
-    def counted(r, s):
+
+def test_con_lattice_joins_only_with_principal_congruences(monkeypatch):
+    bound, calls, real = 877 * 21, [0], algebras._join_blocks
+
+    def counted(ids, blocks):
         calls[0] += 1
         assert calls[0] <= bound, "joined more than each congruence with each principal one"
-        return real(r, s)
+        return real(ids, blocks)
 
-    monkeypatch.setattr(algebras, "join", counted)
-    assert len(con_lattice.__wrapped__(x)) == 877
+    monkeypatch.setattr(algebras, "_join_blocks", counted)
+    assert len(con_lattice.__wrapped__(identity_only_algebra())) == 877
+    assert calls[0] > 0
+
+
+# Joins on block-id arrays, and in quandles one principal congruence per
+# orbit of the inner automorphisms; the oracle joins Congruence objects and
+# generates every principal congruence from its own pair.
+@pytest.mark.parametrize("members", [
+    lambda: corpus("quandles", 5).algebras,
+    lambda: corpus("groups", 12).algebras,
+    lambda: corpus("rngs", 24).algebras,
+    lambda: [identity_only_algebra()],
+], ids=["quandles5", "groups12", "rngs24", "partitions7"])
+def test_con_lattice_matches_the_principal_join_closure(members):
+    for x in members():
+        assert con_lattice(x).elements == oracles.principal_join_closure(x).elements
+
+
+def count_generations(monkeypatch) -> list[int]:
+    """Count ``generated_congruence`` calls from here on, in the one-item list."""
+    calls, real = [0], algebras.generated_congruence
+
+    def counted(x, pairs):
+        calls[0] += 1
+        return real(x, pairs)
+
+    monkeypatch.setattr(algebras, "generated_congruence", counted)
+    return calls
+
+
+def test_inner_automorphism_principal_congruences_match_generation(monkeypatch):
+    members = corpus("quandles", 5).algebras
+    expected = [{pair: generated_congruence(x, [pair]).ids
+                 for pair in itertools.combinations(range(x.size), 2)} for x in members]
+    calls = count_generations(monkeypatch)
+    assert [algebras._principal_ids(x) for x in members] == expected
+    # one generation per orbit of the right translations on pairs, not 272
+    assert calls[0] == 125
+
+
+def test_right_translations_of_quandles_are_automorphisms():
+    for x in corpus("quandles", 5).algebras:
+        for b in range(x.size):
+            assert homomorphism(x, x, x.tables[0][b::x.size]).surjective
+
+
+def test_untagged_quandle_tables_take_the_all_pairs_path(monkeypatch):
+    members = corpus("quandles", 5).algebras
+    calls = count_generations(monkeypatch)
+    for x in members:
+        untagged = FiniteAlgebra(x.size, x.sig, x.tables)
+        calls[0] = 0
+        lattice = con_lattice.__wrapped__(untagged)
+        assert calls[0] == x.size * (x.size - 1) // 2
+        assert [r.ids for r in lattice] == [r.ids for r in con_lattice(x)]
 
 
 @pytest.mark.parametrize("kind,size", CORPORA)
