@@ -22,7 +22,8 @@ from .algebras import (
     homomorphism,
     quotient,
 )
-from .errors import CheckFailure, CongformError, InputError, NotExtensive, OperatorFileShape
+from .errors import (CheckFailure, CongformError, InputError, NotExtensive,
+                     OperatorFileIncomplete, OperatorFileShape)
 from .forms import image_congruence, leq, lifts, preimage_congruence
 from .instances import (
     BUILTIN_OPERATOR_NAMES,
@@ -106,8 +107,8 @@ def _load_hom(args):
 def _operator_rule(selector: str, a):
     """Built-in rule by name, or an extensional table file for the algebra ``a``.
 
-    File entries are parsed once against ``a`` and must be extensive; the
-    first entry for a congruence wins.
+    File entries are parsed once against ``a`` and must be extensive and
+    cover Con(a); the first entry for a congruence wins.
     """
     if selector in BUILTIN_OPERATOR_NAMES:
         return closure_rule(selector), selector
@@ -128,13 +129,11 @@ def _operator_rule(selector: str, a):
                 "entry": k, "congruence": congruence_to_blocks(r),
                 "closure": congruence_to_blocks(c)})
         table.setdefault(r, c)
-
-    def rule(x, r):
-        if r not in table:
-            raise InputError("operator file has no entry for the given congruence")
-        return table[r]
-
-    return rule, name
+    missing = next((r for r in con_lattice(a) if r not in table), None)
+    if missing is not None:
+        raise OperatorFileIncomplete("operator file has no entry for a congruence of the algebra",
+                                     witness={"congruence": congruence_to_blocks(missing)})
+    return (lambda x, r: table[r]), name
 
 
 # --- commands -----------------------------------------------------------------

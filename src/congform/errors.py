@@ -46,6 +46,10 @@ class OperatorFileShape(InputError):
     """Operator file is not an object with 'entries' of congruence/closure block lists."""
 
 
+class OperatorFileIncomplete(InputError):
+    """Operator file has no entry for some congruence of the algebra."""
+
+
 class UnknownOp(InputError):
     """Operation name not present in the signature."""
 

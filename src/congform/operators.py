@@ -19,10 +19,16 @@ C(f*S) <= f*C(S) for every map f and S in Con(Y) (Dikranjan & Tholen,
 
 Surjections are never searched for: by the first isomorphism theorem
 each one is a.g_K, with g_K the quotient map of its kernel K
-(``quotient_maps``) and a an automorphism.  Continuity along a and g
-gives it along a.g, and a natural C has C(a*S) = a*C(S), so naturality
-is checked along automorphisms and quotient maps, and coheredity and
-cocartesian preservation along quotient maps alone.
+(``quotient_maps``) and a an automorphism.  Continuity, coheredity and
+image preservation each hold along composites, so on a quotient-closed
+universe they are decided along ``generating_maps``: quotient maps by
+atoms of Con(X) (by the correspondence theorem each cover in a chain from
+the diagonal to K is an atom of a quotient), isomorphisms onto copies of
+X, and generators of Aut(X) (an inverse is a positive power).  A natural
+C has C(a*S) = a*C(S) for a in Aut(X), so coheredity and cocartesian
+preservation skip automorphisms.  Only a failure along the generators
+rescans ``naturality_maps`` or ``quotient_maps``, to name as witness the
+first failure in the full list's order.
 The remaining axioms (idempotent, cohereditary, minimal, preservation
 of cocartesian liftings) are runtime checks returning witnesses, not
 construction requirements.
@@ -200,8 +206,10 @@ def pullback_rule(u: Universe, rho: Sequence[Congruence]) -> Rule:
 
 @lru_cache(maxsize=None)
 def naturality_maps(u: Universe) -> tuple[Homomorphism, ...]:
-    """Maps the continuity law is checked along: per member X, the quotient
-    maps out of X and then Aut(X) if ``u`` is quotient-closed, else all homs."""
+    """Maps a ``NotNatural`` witness is sought along, in this order: per
+    member X, the quotient maps out of X and then Aut(X) if ``u`` is
+    quotient-closed, else all homs.  The verdict is decided along
+    ``generating_maps``; this list is scanned only when that fails."""
     if not u.quotient_closed:
         return tuple(f for x in u.algebras for y in u.algebras for f in enumerate_homs(x, y))
     maps = quotient_maps(u)
@@ -210,6 +218,31 @@ def naturality_maps(u: Universe) -> tuple[Homomorphism, ...]:
         out.extend(g for r in con_lattice(x) for g in maps.get(r, ()))
         out.extend(automorphisms(x))
     return tuple(dict.fromkeys(out))
+
+
+@lru_cache(maxsize=None)
+def generating_maps(u: Universe) -> tuple[Homomorphism, ...]:
+    """The maps the lifting laws are decided along: ``naturality_maps`` if
+    ``u`` is not quotient-closed, else per member X the quotient maps by
+    atoms of Con(X) and by the diagonal onto other members, then each
+    automorphism outside the group generated by those kept before it."""
+    if not u.quotient_closed:
+        return naturality_maps(u)
+    maps, fib = quotient_maps(u), fibration(u)
+    out: list[Homomorphism] = []
+    for i, x in enumerate(u.algebras):
+        atoms = [r for a, r in enumerate(fib.lattices[i]) if sum(row[a] for row in fib.le[i]) == 2]
+        out.extend(g for r in atoms for g in maps.get(r, ()))
+        out.extend(g for g in maps.get(diagonal(x), ()) if g.cod != x)
+        group, kept = {tuple(range(x.size))}, []
+        for a in automorphisms(x):
+            if a.map not in group:
+                out.append(a)
+                kept.append(a.map)
+                new = set(group)  # close the group: compose each new map with the kept ones
+                while new := {tuple(g[k] for k in p) for p in new for g in kept} - group:
+                    group |= new
+    return tuple(out)
 
 
 class Fibration:
@@ -323,6 +356,15 @@ def _discontinuity(pull, le, dom_row, cod_row, order):
     return None
 
 
+def _first_failure(u: Universe, broken_along, generators, full: Callable):
+    """The first failure ``broken_along(f)`` (None if f keeps the law) for f in
+    ``full()``, or None.  On a quotient-closed ``u`` the ``generators`` decide
+    the same verdict, so ``full()`` is scanned only to name a failure's witness."""
+    if u.quotient_closed and all(broken_along(f) is None for f in generators):
+        return None
+    return next((w for w in map(broken_along, full()) if w is not None), None)
+
+
 def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> ClosureOperator:
     """Tabulate ``rule`` over every fibre and verify the two defining laws.
 
@@ -331,10 +373,11 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
     exactly the member's congruences.
 
     Naturality is checked as monotonicity on each fibre plus continuity
-    along every map of ``naturality_maps`` (see the module docstring).  A
-    ``NotNatural`` witness {dom, cod, map, R, S} is a lift that C breaks:
-    the identity with R <= S, or a map f with R = f*S.  Witnesses are the
-    first found in the order of the tables' keys.
+    along ``generating_maps``, which composes to continuity along every
+    map (see the module docstring).  A ``NotNatural`` witness {dom, cod,
+    map, R, S} is a lift that C breaks: the identity with R <= S, or a map
+    f with R = f*S.  Witnesses are the first found along the full
+    ``naturality_maps``, in the order of the tables' keys.
     """
     fib = fibration(u)
     tables: list[dict[Congruence, Congruence]] = []
@@ -369,12 +412,16 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
         pair = _non_monotone(fib.le[i], row, orders[i])
         if pair is not None:
             raise not_natural(i, i, identity_hom(u.algebras[i]), *pair)
-    for f in naturality_maps(u):
+
+    def broken_along(f):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
         pull = fib.pull(f)
         s = _discontinuity(pull, fib.le[i], op._rows[i], op._rows[j], orders[j])
-        if s is not None:
-            raise not_natural(i, j, f, pull[s], s)
+        return None if s is None else not_natural(i, j, f, pull[s], s)
+
+    broken = _first_failure(u, broken_along, generating_maps(u), lambda: naturality_maps(u))
+    if broken is not None:
+        raise broken
     return op
 
 
@@ -398,9 +445,11 @@ def is_idempotent(c: ClosureOperator) -> CheckResult:
 def _along_quotient_maps(c: ClosureOperator, key: str, sides) -> CheckResult:
     """First quotient map f and congruence T where the congruence indices
     ``sides(a, i, j, t)`` differ; for key "S" (its key in the witness) T runs
-    over Con(cod) and ``a`` is f*, for key "R" over Con(dom) and ``a`` is f(-)."""
+    over Con(cod) and ``a`` is f*, for key "R" over Con(dom) and ``a`` is f(-).
+    Decided along the ``generating_maps`` that are not automorphisms."""
     u, fib = c.universe, fibration(c.universe)
-    for f in itertools.chain.from_iterable(quotient_maps(u).values()):
+
+    def broken_along(f):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
         over, into = fib.lattices[j if key == "S" else i], fib.lattices[i if key == "S" else j]
         a = fib.pull(f) if key == "S" else fib.image(f)
@@ -411,12 +460,18 @@ def _along_quotient_maps(c: ClosureOperator, key: str, sides) -> CheckResult:
                               **{key: congruence_to_blocks(over[t])},
                               lhs=congruence_to_blocks(into[lhs]),
                               rhs=congruence_to_blocks(into[rhs]))
-    return PASSED
+        return None
+
+    broken = _first_failure(u, broken_along, (f for f in generating_maps(u) if f.dom != f.cod),
+                            lambda: itertools.chain.from_iterable(quotient_maps(u).values()))
+    return PASSED if broken is None else broken
 
 
 def is_cohereditary(c: ClosureOperator) -> CheckResult:
-    """C(f*S) = f*C(S) along every surjection between members (checked
-    along the quotient maps, see the module docstring)."""
+    """C(f*S) = f*C(S) along every surjection between members: the law
+    composes and holds along automorphisms, so it is decided along atomic
+    quotient maps and isomorphisms onto copies; the witness is the first
+    along ``quotient_maps`` (see the module docstring)."""
     return _along_quotient_maps(c, "S", lambda pull, i, j, s: (
         c._rows[i][pull[s]], pull[c._rows[j][s]]))
 
@@ -433,8 +488,10 @@ def is_minimal(c: ClosureOperator) -> CheckResult:
 
 
 def preserves_cocartesian(c: ClosureOperator) -> CheckResult:
-    """image(f, C(R)) = C(image(f, R)) along every surjection (checked
-    along the quotient maps, see the module docstring)."""
+    """image(f, C(R)) = C(image(f, R)) along every surjection: images compose
+    and C commutes with automorphisms, so it is decided along atomic quotient
+    maps and isomorphisms onto copies; the witness is the first along
+    ``quotient_maps`` (see the module docstring)."""
     return _along_quotient_maps(c, "R", lambda image, i, j, r: (
         image[c._rows[i][r]], c._rows[j][image[r]]))
 
@@ -481,7 +538,9 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
     A member's candidates are its monotone extensive fibre tables.  A
     partial family is extended one member at a time, in universe order,
     and cut off as soon as it breaks continuity along a map of
-    ``naturality_maps`` whose two ends are assigned.  Each survivor is
+    ``generating_maps`` whose two ends are assigned.  The maps of
+    ``naturality_maps`` at that depth compose from those (quotients sort
+    earlier), so the cuts are the full list's.  Each survivor is
     validated by ``make_operator`` and named ``op{k}``, k its index in the
     product of all extensive families (member-major, as ``itertools.product``).
     Raises ``SizeTooLarge`` up front when there are more than
@@ -496,7 +555,7 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
                    if _non_monotone(le, row, range(len(row))) is None]
                   for per_a, le in zip(options, fib.le)]
     checks: list[list] = [[] for _ in fib.lattices]
-    for f in naturality_maps(u):
+    for f in generating_maps(u):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
         checks[max(i, j)].append((i, j, fib.pull(f)))
 

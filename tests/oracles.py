@@ -11,7 +11,9 @@ The last sections keep the code paths that the library replaced, as
 differential oracles for their replacements: the general searches it
 replaced with lattice facts (Mal'cev join, propagated image, the
 (f, R, S) lifting-law scan, coheredity and cocartesian preservation
-along every searched surjection, operator enumeration by generating
+along every searched surjection, the continuity, coheredity and
+cocartesian checks along every quotient map and automorphism (replaced
+by a generating set of the surjections), operator enumeration by generating
 every extensive family and rejecting the unnatural ones, the lattice
 closed under joins of every pair, the universal property of a reflector
 checked on every hom instead of by factorisation), the lattice closed

@@ -194,13 +194,31 @@ def test_close_with_operator_file(files, tmp_path, capsys):
     opfile = tmp_path / "op.json"
     opfile.write_text(json.dumps({
         "name": "swap-free",
-        "entries": [{"congruence": [[0], [1], [2], [3]],
-                     "closure": [[0, 2], [1, 3]]}],
+        "entries": [{"congruence": [[0], [1], [2], [3]], "closure": [[0, 2], [1, 3]]},
+                    {"congruence": [[0, 2], [1, 3]], "closure": [[0, 2], [1, 3]]},
+                    {"congruence": [[0, 1, 2, 3]], "closure": [[0, 1, 2, 3]]}],
     }))
     code, out, _ = run(capsys, "close", "--operator", str(opfile),
                        "--algebra", files["z4-group"], "--congruence", "[]")
     assert code == 0
     assert json.loads(out) == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("command", ["close", "reflect"])
+def test_operator_file_missing_a_congruence_exits_2(files, tmp_path, capsys, command):
+    # Con(Z4) is the chain diagonal < {0,2}{1,3} < full; the file skips the middle.
+    opfile = tmp_path / "op.json"
+    opfile.write_text(json.dumps({
+        "entries": [{"congruence": [[0], [1], [2], [3]], "closure": [[0, 1, 2, 3]]},
+                    {"congruence": [[0, 1, 2, 3]], "closure": [[0, 1, 2, 3]]}],
+    }))
+    extra = ["--congruence", "[]"] if command == "close" else []
+    code, out, _ = run(capsys, command, "--operator", str(opfile),
+                       "--algebra", files["z4-group"], *extra)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "OperatorFileIncomplete"
+    assert doc["witness"] == {"congruence": [[0, 2], [1, 3]]}
 
 
 def test_lift(files, capsys):

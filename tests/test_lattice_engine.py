@@ -5,7 +5,9 @@
 needs no operation propagation.  ``enumerate_operators`` builds
 operators member by member and prunes on monotonicity and continuity.
 Surjections are not searched for: they
-are the quotient maps followed by automorphisms.  Each is compared here
+are the quotient maps followed by automorphisms, and the laws are decided
+along a generating set of them (``generating_maps``), against the scans of
+the full lists in ``oracles``.  Each is compared here
 with the general search it replaced, kept in ``oracles``: the (f, R, S)
 lifting-law scan, the Mal'cev join, the propagated image, coheredity
 and cocartesian preservation along every searched surjection, and
@@ -52,6 +54,7 @@ from congform import (
     full,
     generated_congruence,
     homomorphism,
+    identity_hom,
     image_congruence,
     is_cohereditary,
     is_minimal,
@@ -64,6 +67,7 @@ from congform import (
     preserves_cocartesian,
     quotient_maps,
     symmetric_group,
+    trivial_quandle,
     universe,
     universe_from_generators,
 )
@@ -71,7 +75,7 @@ from congform import algebras
 from congform.algebras import FiniteAlgebra, Signature, quotient, relabel_algebra
 from congform.errors import NotNatural, NotReflective
 from congform.instances import corpus_operators
-from congform.operators import fibration, naturality_maps, pullback_rule
+from congform.operators import fibration, generating_maps, naturality_maps, pullback_rule
 from congform.reflection import make_reflector
 from congform.verify import DEFAULT_MAX_SIZE
 
@@ -277,6 +281,68 @@ def test_every_image_matches_propagated_image(kind, size):
 
 # --- surjections by kernel ----------------------------------------------------------
 
+def generated_group(x, gens) -> set:
+    """The maps of the automorphisms of x that ``gens`` generate, by composing
+    until nothing new appears."""
+    group = {identity_hom(x)}
+    while True:
+        grown = group | {compose(g, h) for g in gens for h in group}
+        if grown == group:
+            return {h.map for h in group}
+        group = grown
+
+
+def kernel(f) -> tuple[int, ...]:
+    """ker f as block ids numbered by first occurrence."""
+    first = {}
+    return tuple(first.setdefault(y, len(first)) for y in f.map)
+
+
+def composites(x, maps) -> dict:
+    """(codomain, kernel) -> one composite of ``maps`` out of x, the identity included."""
+    seen, todo = {identity_hom(x)}, [identity_hom(x)]
+    while todo:
+        h = todo.pop()
+        for k in (compose(g, h) for g in maps if g.dom == h.cod):
+            if k not in seen:
+                seen.add(k)
+                todo.append(k)
+    return {(h.cod, kernel(h)): h for h in seen}
+
+
+@pytest.mark.parametrize("make_universe", [
+    lambda: corpus("quandles", 5),
+    lambda: corpus("groups", 12),
+    lambda: corpus("rngs", 24),
+    universe_with_copies,
+], ids=["quandles5", "groups12", "rngs24", "copies"])
+def test_generating_maps_generate_every_surjection(make_universe):
+    u = make_universe()
+    gens = generating_maps(u)
+    quotients = [g for g in gens if g.dom != g.cod]
+    for x in u.algebras:
+        kept = [a for a in gens if a.dom == x and a.cod == x]
+        assert generated_group(x, kept) == {a.map for a in automorphisms(x)}
+        built = composites(x, quotients)
+        for g in (g for gs in quotient_maps(u).values() for g in gs if g.dom == x):
+            h = built[g.cod, kernel(g)]
+            assert any(compose(a, h) == g for a in automorphisms(g.cod))
+
+
+def test_generating_maps_are_fewer_than_the_naturality_maps():
+    u = corpus("quandles", 5)
+    gens = generating_maps(u)
+    assert set(gens) <= set(naturality_maps(u))
+    # (all, automorphisms) of each list
+    assert (len(gens), sum(f.dom == f.cod for f in gens)) == (139, 71)
+    assert (len(naturality_maps(u)), sum(f.dom == f.cod for f in naturality_maps(u))) == (612, 379)
+
+
+def test_generating_maps_are_all_homs_off_quotient_closed_universes():
+    u = universe([cyclic_group(4), klein_four_group(), cyclic_group(2)])
+    assert generating_maps(u) is naturality_maps(u)
+
+
 def test_surjections_are_quotient_maps_followed_by_automorphisms():
     for u in [corpus(kind, size) for kind, size in CORPORA] + [universe_with_copies()]:
         maps = [g for gs in quotient_maps(u).values() for g in gs]
@@ -336,6 +402,64 @@ def operator_universes():
     universes.append(universe([cyclic_group(4), klein_four_group(), cyclic_group(2)]))
     universes.append(universe_with_copies())
     return universes
+
+
+# Quandle universes whose members have many automorphisms: T3's quotients (Aut S3)
+# and those of a 4-element quandle with 8 automorphisms.
+QUANDLE_GENERATORS = [
+    lambda: trivial_quandle(3),
+    lambda: next(q for q in corpus("quandles", 4).algebras
+                 if q.tables[0] == (0, 0, 1, 1, 1, 1, 0, 0, 3, 3, 2, 2, 2, 2, 3, 3)),
+]
+
+
+def test_naturality_verdicts_on_quandle_universes():
+    counts = [verdict_counts(universe_from_generators([make()])) for make in QUANDLE_GENERATORS]
+    assert counts == [(80, 4), (1080, 25)]
+
+
+def test_surjection_checks_on_enumerated_operators_of_quandle_universes():
+    for make in QUANDLE_GENERATORS:
+        u = universe_from_generators([make()])
+        ops = enumerate_operators(u)
+        assert [(c.name, c.maps) for c in ops] == [
+            (c.name, c.maps) for c in oracles.generate_and_test_operators(u)]
+        for c in ops:
+            assert_tables_match_oracles(c)
+
+
+def _random_monotone_tables(data, u):
+    """Random monotone extensive tables: each C(R), finer R first, is drawn
+    above R and above C of every congruence below R; keys in a random order."""
+    tables = []
+    for x in u.algebras:
+        lattice = list(con_lattice(x))
+        table = {}
+        for r in sorted(lattice, key=lambda r: -r.n_blocks):
+            floor = r
+            for below, c in table.items():
+                if leq(below, r):
+                    floor = join(floor, c)
+            table[r] = data.draw(st.sampled_from([s for s in lattice if leq(floor, s)]))
+        tables.append({r: table[r] for r in data.draw(st.permutations(lattice))})
+    return tables
+
+
+def t4_universe():
+    """The trivial quandles T1..T4: Aut(T4) is S4, and every partition is a congruence."""
+    return universe_from_generators([trivial_quandle(4)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_naturality_verdicts_on_random_monotone_tables_under_s4(data):
+    natural_verdict(t4_universe(), _random_monotone_tables(data, t4_universe()))
+
+
+def test_checks_match_oracles_on_builtin_operators_under_s4():
+    u = t4_universe()
+    for name in corpus_operators("quandles"):
+        assert_tables_match_oracles(builtin_operator(name, u))
 
 
 def test_operator_search_matches_generate_and_test():
