@@ -52,10 +52,13 @@ def _emit(doc, report_path: Optional[str] = None) -> None:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     else:
         text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(report_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write report {report_path}: {exc}")
+    print(text)  # after the report: a failed write leaves stdout to the error document
 
 
 def _say(msg: str) -> None:
@@ -358,18 +361,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CheckFailure as exc:
-        _say(f"check failed: {exc}")
+    except CongformError as exc:
+        failure = isinstance(exc, CheckFailure)
+        _say(("check failed" if failure else "input error" if isinstance(exc, InputError)
+              else "error") + f": {exc}")
         _emit({"error": type(exc).__name__, "message": str(exc), "witness": exc.witness})
-        return 1
-    except InputError as exc:
-        _say(f"input error: {exc}")
-        _emit({"error": type(exc).__name__, "message": str(exc), "witness": exc.witness})
-        return 2
-    except CongformError as exc:  # pragma: no cover - safety net
-        _say(f"error: {exc}")
-        _emit({"error": type(exc).__name__, "message": str(exc), "witness": exc.witness})
-        return 2
+        return 1 if failure else 2
 
 
 if __name__ == "__main__":

@@ -199,7 +199,7 @@ def pullback_rule(u: Universe, rho: Sequence[Congruence]) -> Rule:
     def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
         g = maps[r][0]
         j = u.member_index(g.cod)
-        return fib.lattices[u.member_index(x)][fib.pull(g)[fib.index[j][rho[j]]]]
+        return fib.lattices[u.member_index(x)][fib.pulled(g, fib.index[j][rho[j]])]
 
     return rule
 
@@ -273,6 +273,10 @@ class Fibration:
             self._pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
                                    for s in con_lattice(f.cod))
         return self._pulls[f]
+
+    def pulled(self, f: Homomorphism, k: int) -> int:
+        """f*S for S the k-th congruence of f.cod; an identity f needs no table."""
+        return k if f.dom == f.cod and f.map == tuple(range(f.dom.size)) else self.pull(f)[k]
 
     def image(self, f: Homomorphism) -> tuple[int, ...]:
         """R -> f(R) as an index array, built on first request; f a quotient
@@ -403,10 +407,9 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
     orders = [[index[r] for r in t] for index, t in zip(fib.index, tables)]
 
     def not_natural(i, j, f, ri, si):
-        r, s = fib.lattices[i][ri], fib.lattices[j][si]
         return NotNatural(f"operator {name!r} breaks the lifting law", witness={
-            "dom": i, "cod": j, "map": list(f.map),
-            "R": [list(b) for b in r.blocks()], "S": [list(b) for b in s.blocks()]})
+            "dom": i, "cod": j, "map": list(f.map), "R": congruence_to_blocks(fib.lattices[i][ri]),
+            "S": congruence_to_blocks(fib.lattices[j][si])})
 
     for i, row in enumerate(op._rows):
         pair = _non_monotone(fib.le[i], row, orders[i])
@@ -435,10 +438,10 @@ def _witness(i: int, r: Congruence, **extra) -> dict:
 
 def is_idempotent(c: ClosureOperator) -> CheckResult:
     """C(C(R)) = C(R) on every fibre."""
-    for i in range(len(c.universe)):
-        for r, cr in c.fibre(i).items():
-            if c.apply(i, cr) != cr:
-                return failed(**_witness(i, r))
+    for i, row in enumerate(c._rows):
+        for a, ca in enumerate(row):
+            if row[ca] != ca:
+                return failed(**_witness(i, c.maps[i][a][0]))
     return PASSED
 
 
@@ -500,10 +503,11 @@ def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
     """C1 <= C2 pointwise on every fibre."""
     if c1.universe != c2.universe:
         raise UniverseMismatch("operator order needs a shared universe")
-    for i in range(len(c1.universe)):
-        for r, cr in c1.fibre(i).items():
-            if not leq(cr, c2.apply(i, r)):
-                return failed(**_witness(i, r))
+    le = fibration(c1.universe).le
+    for i, (row1, row2) in enumerate(zip(c1._rows, c2._rows)):
+        for a, (b1, b2) in enumerate(zip(row1, row2)):
+            if not le[i][b1][b2]:
+                return failed(**_witness(i, c1.maps[i][a][0]))
     return PASSED
 
 

@@ -19,7 +19,9 @@ trip is a derivation followed by a pointwise comparison
 holds the derived objects compares them without rebuilding them.
 
 Pull-backs run along the quotient maps of ``operators.quotient_maps``,
-built once per universe.
+built once per universe.  Over a quotient-closed universe the oracles read
+them too: an isomorphism-invariant predicate runs once per member, and X/R
+takes the verdict of the member it is sent onto; elsewhere X/R is tested.
 
 Note that operators over a quotient-closed universe are only validated
 against surjections, which admits operators whose congruence family
@@ -31,6 +33,7 @@ witness instead of returning a broken reflector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
 from .algebras import (
@@ -109,7 +112,7 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
         g = maps[r][0]
         j = u.member_index(g.cod)
         k = fib.index[j].get(rho[j])
-        if k is None or fib.pull(g)[k] != fib.index[i][r]:
+        if k is None or fib.pulled(g, k) != fib.index[i][r]:
             raise NotReflective(
                 f"reflector {name!r}: reflection of member {i} is not in the subcategory",
                 witness={"algebra": i, "reflection_member": j},
@@ -130,7 +133,7 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
                         f"reflector {name!r}: a map from member {i} into member {j} "
                         "does not factor through the unit",
                         witness={"dom": i, "cod": j, "map": list(compose(e, g).map),
-                                 "rho": [list(b) for b in rho[i].blocks()]},
+                                 "rho": congruence_to_blocks(rho[i])},
                     )
     return Reflector(u, name, rho)
 
@@ -170,7 +173,10 @@ def subcategory_members(ref: Union[ClosureOperator, Reflector]) -> tuple[FiniteA
 
 @dataclass(frozen=True)
 class SubcategoryPredicate:
-    """Named isomorphism-invariant membership test for algebras."""
+    """Named isomorphism-invariant membership test for algebras.  Invariance
+    is relied on: over a quotient-closed universe ``oracle_reflector`` and
+    ``closed_under_quotients`` test each member once and give X/R the verdict
+    of a member isomorphic to it; over other universes they test X/R itself."""
 
     name: str
     accepts: Callable[[FiniteAlgebra], bool]
@@ -197,18 +203,24 @@ def predicate_from_operator(c: ClosureOperator) -> SubcategoryPredicate:
     return SubcategoryPredicate(c.name, accepts)
 
 
+def _quotient_verdict(u: Universe, pred: SubcategoryPredicate) -> Callable[[Congruence], bool]:
+    """R -> pred(X/R) for R in Con(X), X a member.  On a quotient-closed ``u``
+    pred runs once per member and X/R takes the verdict of the member that
+    ``quotient_maps`` sends it onto; elsewhere each X/R is built and tested."""
+    if not u.quotient_closed:
+        return lambda r: pred(quotient(r.algebra, r)[0])
+    maps, verdicts = quotient_maps(u), [pred(x) for x in u.algebras]
+    return lambda r: verdicts[u.member_index(maps[r][0].cod)]
+
+
 def closed_under_quotients(pred: SubcategoryPredicate, u: Universe) -> CheckResult:
     """Every quotient of a member satisfying ``pred`` satisfies it too."""
+    accepts = _quotient_verdict(u, pred)
     for i, x in enumerate(u.algebras):
-        if not pred(x):
-            continue
-        for r in con_lattice(x):
-            q, _ = quotient(x, r)
-            if not pred(q):
-                return failed(
-                    predicate=pred.name, algebra=i,
-                    congruence=[list(b) for b in r.blocks()],
-                )
+        if accepts(diagonal(x)):  # X/diagonal is X
+            r = next((r for r in con_lattice(x) if not accepts(r)), None)
+            if r is not None:
+                return failed(predicate=pred.name, algebra=i, congruence=congruence_to_blocks(r))
     return PASSED
 
 
@@ -218,12 +230,9 @@ def closures_agree(c: ClosureOperator, back: ClosureOperator) -> CheckResult:
     for i in range(len(c.universe)):
         for r, cr in c.fibre(i).items():
             if back.apply(i, r) != cr:
-                return failed(
-                    operator=c.name, algebra=i,
-                    congruence=[list(b) for b in r.blocks()],
-                    expected=[list(b) for b in cr.blocks()],
-                    got=[list(b) for b in back.apply(i, r).blocks()],
-                )
+                return failed(operator=c.name, algebra=i, congruence=congruence_to_blocks(r),
+                              expected=congruence_to_blocks(cr),
+                              got=congruence_to_blocks(back.apply(i, r)))
     return PASSED
 
 
@@ -231,11 +240,9 @@ def reflectors_agree(refl: Reflector, back: Reflector) -> CheckResult:
     """``back``, derived from ``refl`` through its closure, has every rho_X of ``refl``."""
     for i in range(len(refl.universe)):
         if back.rho[i] != refl.rho[i]:
-            return failed(
-                reflector=refl.name, algebra=i,
-                expected=[list(b) for b in refl.rho[i].blocks()],
-                got=[list(b) for b in back.rho[i].blocks()],
-            )
+            return failed(reflector=refl.name, algebra=i,
+                          expected=congruence_to_blocks(refl.rho[i]),
+                          got=congruence_to_blocks(back.rho[i]))
     return PASSED
 
 
@@ -252,45 +259,37 @@ def roundtrip_reflector(refl: Reflector) -> CheckResult:
 def antitone_check(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
     """operator order iff reversed subcategory inclusion."""
     lo = bool(operator_leq(c1, c2))
-    members1 = set(subcategory_members(c1))
-    members2 = set(subcategory_members(c2))
-    included = members2 <= members1
+    included = set(subcategory_members(c2)) <= set(subcategory_members(c1))
     if lo == included:
         return PASSED
-    return failed(
-        first=c1.name, second=c2.name, operator_leq=lo, subcategory_reversed=included,
-    )
+    return failed(first=c1.name, second=c2.name, operator_leq=lo, subcategory_reversed=included)
 
 
 def oracle_reflection(x: FiniteAlgebra, pred: SubcategoryPredicate) -> Congruence:
-    """Least congruence whose quotient satisfies ``pred``, by lattice scan.
+    """Least congruence whose quotient satisfies ``pred``, by lattice scan; a
+    predicate that is not reflective on ``x`` raises ``NotReflective`` with
+    the meet of the congruences it accepts as witness."""
+    return _least_accepted(x, pred.name, lambda r: pred(quotient(x, r)[0]))
 
-    The meet of all valid congruences is taken and then re-checked, so a
-    predicate that fails to be reflective on this algebra raises with
-    the offending meet as witness instead of returning a wrong answer.
-    """
-    good = [r for r in con_lattice(x)
-            if pred(quotient(x, r)[0])]
+
+def _least_accepted(x: FiniteAlgebra, name: str, accepts: Callable[[Congruence], bool]):
+    """``oracle_reflection`` with ``accepts(R)`` standing for pred(X/R): the
+    meet of the accepted congruences is re-checked, not assumed."""
+    good = [r for r in con_lattice(x) if accepts(r)]
     if not good:
-        raise NotReflective(
-            f"predicate {pred.name!r} accepts no quotient of the algebra",
-            witness={"predicate": pred.name},
-        )
-    least = good[0]
-    for r in good[1:]:
-        least = meet(least, r)
-    if not pred(quotient(x, least)[0]):
-        raise NotReflective(
-            f"predicate {pred.name!r} is not reflective here: the meet of its "
-            "congruences fails it",
-            witness={"predicate": pred.name,
-                     "meet": [list(b) for b in least.blocks()]},
-        )
+        raise NotReflective(f"predicate {name!r} accepts no quotient of the algebra",
+                            witness={"predicate": name})
+    least = reduce(meet, good)
+    if not accepts(least):
+        raise NotReflective(f"predicate {name!r} is not reflective here: the meet of its "
+                            "congruences fails it",
+                            witness={"predicate": name, "meet": congruence_to_blocks(least)})
     return least
 
 
 def oracle_reflector(u: Universe, pred: SubcategoryPredicate,
                      name: Optional[str] = None) -> Reflector:
     """Ground-truth reflector built member by member from the oracle."""
-    rho = tuple(oracle_reflection(x, pred) for x in u.algebras)
+    accepts = _quotient_verdict(u, pred)
+    rho = tuple(_least_accepted(x, pred.name, accepts) for x in u.algebras)
     return make_reflector(u, rho, name or f"oracle({pred.name})")

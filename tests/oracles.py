@@ -36,7 +36,11 @@ canonical form per class (replaced by orbit membership), the orbit
 deduplication that builds the index arrays of every relabeling again for
 every class (replaced by arrays built once per call), and the quandle
 search that tries every permutation for every column (replaced by one
-candidate per cycle type for column 0).
+candidate per cycle type for column 0), the idempotence and operator
+order checks through ``apply`` and ``leq`` (replaced by the integer
+tables), and the reflection oracle and quotient-closure check that build
+and test every quotient X/R (replaced, on quotient-closed universes, by one
+verdict per member read through ``quotient_maps``).
 """
 
 from __future__ import annotations
@@ -517,6 +521,31 @@ def preserves_cocartesian(c):
         image_congruence(f, c.apply(i, r)), c.apply(j, image_congruence(f, r))))
 
 
+def is_idempotent(c):
+    """C(C(R)) = C(R) on every fibre, through ``apply``."""
+    from congform.errors import PASSED, failed
+
+    for i in range(len(c.universe)):
+        for r, cr in c.fibre(i).items():
+            if c.apply(i, cr) != cr:
+                return failed(algebra=i, congruence=[list(b) for b in r.blocks()])
+    return PASSED
+
+
+def operator_leq(c1, c2):
+    """C1 <= C2 pointwise on every fibre, through ``apply`` and ``leq``."""
+    from congform import leq
+    from congform.errors import PASSED, UniverseMismatch, failed
+
+    if c1.universe != c2.universe:
+        raise UniverseMismatch("operator order needs a shared universe")
+    for i in range(len(c1.universe)):
+        for r, cr in c1.fibre(i).items():
+            if not leq(cr, c2.apply(i, r)):
+                return failed(algebra=i, congruence=[list(b) for b in r.blocks()])
+    return PASSED
+
+
 def pullback_rule(u, rho):
     """R -> g*(rho[j]) for the first quotient map g of R, onto member j."""
     from congform import preimage_congruence, quotient_maps
@@ -770,6 +799,35 @@ def all_quandle_tables(n):
 
     dfs()
     return out
+
+
+# --- the reflection oracle and Birkhoff check on every built quotient ------------
+
+def closed_under_quotients(pred, u):
+    """Every quotient of a member satisfying ``pred`` satisfies it too,
+    testing each X/R built by ``quotient``."""
+    from congform import con_lattice, quotient
+    from congform.errors import PASSED, failed
+
+    for i, x in enumerate(u.algebras):
+        if not pred(x):
+            continue
+        for r in con_lattice(x):
+            q, _ = quotient(x, r)
+            if not pred(q):
+                return failed(predicate=pred.name, algebra=i,
+                              congruence=[list(b) for b in r.blocks()])
+    return PASSED
+
+
+def oracle_reflector(u, pred, name=None):
+    """The reflector of ``oracle_reflection`` on every member, which builds
+    and tests each X/R."""
+    from congform import oracle_reflection
+    from congform.reflection import make_reflector
+
+    rho = tuple(oracle_reflection(x, pred) for x in u.algebras)
+    return make_reflector(u, rho, name or f"oracle({pred.name})")
 
 
 # --- API with no library caller -------------------------------------------------

@@ -310,6 +310,19 @@ def test_corpus_command_and_report_flag(tmp_path, capsys):
     assert json.loads(report.read_text()) == doc
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("corpus", ("--corpus", "groups", "--max-size", "2")),
+    ("verify-all", ("--corpus", "quandles", "--max-size", "2")),
+])
+def test_unwritable_report_path_exits_2(tmp_path, capsys, command, flags):
+    report = tmp_path / "no-such-dir" / "x.json"
+    code, out, _ = run(capsys, command, *flags, "--report", str(report))
+    assert code == 2
+    doc = json.loads(out)  # the error document is all of stdout
+    assert doc["error"] == "InputError"
+    assert str(report) in doc["message"]
+
+
 def test_verify_all_quandles(capsys):
     code, out, err = run(capsys, "verify-all", "--corpus", "quandles",
                          "--max-size", "3")

@@ -28,7 +28,9 @@ the oracle scans every tuple on each step.  ``make_reflector`` checks the
 universal property by factorisation through quotient maps and embeddings;
 the oracle tests every hom into the subcategory.  ``relabel_algebra`` and
 ``quotient`` read each table along one flat index array; the oracles call
-``FiniteAlgebra.op`` once per table entry.
+``FiniteAlgebra.op`` once per table entry.  On a quotient-closed universe
+``oracle_reflector`` and ``closed_under_quotients`` test each member once and
+read X/R's verdict off ``quotient_maps``; the oracles build and test every X/R.
 """
 
 import itertools
@@ -40,6 +42,7 @@ from hypothesis import given, settings, strategies as st
 from congform import (
     automorphisms,
     builtin_operator,
+    closed_under_quotients,
     compose,
     con_lattice,
     congruence_from_blocks,
@@ -57,12 +60,15 @@ from congform import (
     identity_hom,
     image_congruence,
     is_cohereditary,
+    is_idempotent,
     is_minimal,
     join,
     klein_four_group,
     leq,
     lifts,
     make_operator,
+    operator_leq,
+    oracle_reflector,
     preimage_congruence,
     preserves_cocartesian,
     quotient_maps,
@@ -71,12 +77,12 @@ from congform import (
     universe,
     universe_from_generators,
 )
-from congform import algebras
+from congform import algebras, reflection
 from congform.algebras import FiniteAlgebra, Signature, quotient, relabel_algebra
 from congform.errors import NotNatural, NotReflective
-from congform.instances import corpus_operators
+from congform.instances import corpus_operators, oracle_predicate
 from congform.operators import fibration, generating_maps, naturality_maps, pullback_rule
-from congform.reflection import make_reflector
+from congform.reflection import SubcategoryPredicate, make_reflector
 from congform.verify import DEFAULT_MAX_SIZE
 
 import oracles
@@ -477,7 +483,8 @@ def test_surjection_checks_on_builtin_operators(kind, size):
 
 # --- integer tables against the checks on Congruence objects -------------------------
 
-TABLE_CHECKS = {is_cohereditary: oracles.is_cohereditary,
+TABLE_CHECKS = {is_idempotent: oracles.is_idempotent,
+                is_cohereditary: oracles.is_cohereditary,
                 is_minimal: oracles.is_minimal,
                 preserves_cocartesian: oracles.preserves_cocartesian}
 
@@ -502,6 +509,17 @@ def test_table_checks_match_oracles_on_enumerated_operators():
             assert_tables_match_oracles(c)
 
 
+def test_operator_order_matches_the_oracle_on_enumerated_operators():
+    verdicts = Counter()
+    for u in operator_universes():
+        ops = enumerate_operators(u)
+        for c1, c2 in itertools.product(ops, repeat=2):
+            got = operator_leq(c1, c2)
+            assert got == oracles.operator_leq(c1, c2)
+            verdicts[got.ok] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 @pytest.mark.parametrize("kind,size", CORPORA)
 def test_table_checks_match_oracles_on_builtin_operators(kind, size):
     u = corpus(kind, size)
@@ -516,7 +534,9 @@ def test_fibration_tables_match_the_union_find_oracles():
             assert fib.joins(i) == oracles.join_table(fib, i)
         quotients = [g for gs in quotient_maps(u).values() for g in gs]
         for f in dict.fromkeys(naturality_maps(u) + tuple(quotients)):
-            assert fib.pull(f) == oracles.pull_table(fib, f)
+            pull = oracles.pull_table(fib, f)
+            assert fib.pull(f) == pull
+            assert tuple(fib.pulled(f, k) for k in range(len(pull))) == pull
         for f in quotients:
             assert fib.image(f) == oracles.image_table(fib, f)
 
@@ -609,3 +629,91 @@ def test_quotient_matches_the_per_entry_oracle():
             q, proj = quotient(x, r)
             assert q.tables == oracles.op_quotient_tables(x, r)
             assert q.size == r.n_blocks and proj.map == r.ids
+
+
+# --- one predicate verdict per member against the quotient scan ---------------------
+
+SIZE_PREDICATES = [
+    SubcategoryPredicate("size==8", lambda a: a.size == 8),  # not closed under quotients
+    SubcategoryPredicate("size<=2", lambda a: a.size <= 2),  # V4: the meet of its Z2s fails
+]
+
+
+def outcome(build):
+    """What ``build()`` returns, or the message and witness of its ``NotReflective``."""
+    try:
+        return build()
+    except NotReflective as exc:
+        return str(exc), exc.witness
+
+
+def assert_verdicts_match_quotient_scan(u, preds):
+    for pred in preds:
+        assert outcome(lambda: oracle_reflector(u, pred)) == \
+            outcome(lambda: oracles.oracle_reflector(u, pred))
+        assert closed_under_quotients(pred, u) == oracles.closed_under_quotients(pred, u)
+
+
+@pytest.mark.parametrize("kind,size", [("quandles", 5), ("groups", 12), ("rngs", 24)])
+def test_member_verdicts_match_the_quotient_scan(kind, size):
+    u = corpus(kind, size)
+    preds = [oracle_predicate(name) for name in corpus_operators(kind)]
+    assert_verdicts_match_quotient_scan(u, preds + SIZE_PREDICATES)
+
+
+def test_member_verdicts_match_the_quotient_scan_on_isomorphic_copies():
+    u = universe_with_copies()
+    # the quotient of the second copy of Z2 by its diagonal lands on the first
+    assert {g.cod for g in quotient_maps(u)[diagonal(u.algebras[2])]} == set(u.algebras[1:3])
+    preds = [oracle_predicate(name) for name in corpus_operators("groups")]
+    assert_verdicts_match_quotient_scan(u, preds + SIZE_PREDICATES)
+
+
+def test_failing_size_predicates_give_witnesses():
+    u = corpus("groups", 12)
+    eight, at_most_two = SIZE_PREDICATES
+    assert not closed_under_quotients(eight, u)
+    assert outcome(lambda: oracle_reflector(u, at_most_two))[1] == {
+        "predicate": "size<=2", "meet": [[0], [1], [2], [3]]}
+
+
+def counting_quotients(monkeypatch):
+    calls = []
+    original = reflection.quotient
+
+    def counting(x, r):
+        calls.append(r)
+        return original(x, r)
+
+    monkeypatch.setattr(reflection, "quotient", counting)
+    return calls
+
+
+def counting_predicate(pred):
+    calls = []
+
+    def accepts(a):
+        calls.append(a)
+        return pred(a)
+
+    return SubcategoryPredicate(pred.name, accepts), calls
+
+
+def test_oracle_reflector_tests_each_member_once(monkeypatch):
+    u = corpus("quandles", 5)
+    quotients = counting_quotients(monkeypatch)
+    pred, calls = counting_predicate(oracle_predicate("quandle"))
+    oracle_reflector(u, pred)
+    assert (len(calls), len(quotients)) == (34, 0)
+
+
+def test_off_quotient_closure_every_quotient_is_built_and_tested(monkeypatch):
+    u = universe([cyclic_group(4), klein_four_group(), cyclic_group(2)])
+    assert not u.quotient_closed
+    quotients = counting_quotients(monkeypatch)
+    pred, calls = counting_predicate(oracle_predicate("abelianization"))
+    oracle_reflector(u, pred)
+    # every congruence of every member, then each member's meet
+    expected = sum(len(con_lattice(x)) + 1 for x in u.algebras)
+    assert len(quotients) == len(calls) == expected
+    assert_verdicts_match_quotient_scan(u, [oracle_predicate("abelianization")] + SIZE_PREDICATES)

@@ -79,3 +79,14 @@ def test_run_verification_enumerates_no_homs(monkeypatch):
     assert calls == []
     u = corpus("quandles", 4)
     assert len(operators.fibration(u)._embeddings) <= len(u) ** 2
+
+
+def test_run_verification_builds_no_identity_pull_tables():
+    # make_reflector and pullback_rule read f*S = S along the quotient map
+    # X -> X/diagonal when it is the identity, so only other maps get a table
+    u = corpus("quandles", 5)
+    operators.fibration.cache_clear()
+    run_verification("quandles", 5)
+    pulls = operators.fibration(u)._pulls
+    assert not [f for f in pulls if f.dom == f.cod and f.map == tuple(range(f.dom.size))]
+    assert len(pulls) == 304
