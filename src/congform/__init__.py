@@ -82,7 +82,6 @@ from .operators import (
     operator_report,
     preserves_cocartesian,
     quotient_maps,
-    strictify,
     universe,
     universe_from_generators,
 )

@@ -31,6 +31,7 @@ from .instances import (
     builtin_operator,
     closure_rule,
     corpus,
+    corpus_kind,
     corpus_manifest,
 )
 from .operators import is_minimal, operator_report
@@ -44,7 +45,7 @@ from .reflection import (
     reflector_from_closure,
     reflectors_agree,
 )
-from .verify import DEFAULT_MAX_SIZE, run_verification
+from .verify import run_verification
 
 
 def _emit(doc, report_path: Optional[str] = None) -> None:
@@ -65,16 +66,23 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _decode(text: str, what: str):
+    """Parse JSON; malformed or too deeply nested input is an ``InputError``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"malformed {what}: {exc}")
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}")
+    return _decode(text, f"JSON in {path}")
 
 
 def _load_algebra(path: str):
@@ -82,10 +90,7 @@ def _load_algebra(path: str):
 
 
 def _parse_blocks(text: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed congruence JSON: {exc}")
+    doc = _decode(text, "congruence JSON")
     if not isinstance(doc, list):
         raise InputError("a congruence is a JSON list of blocks")
     return doc
@@ -98,10 +103,7 @@ def _parse_congruence(algebra, text: str):
 def _load_hom(args):
     dom = _load_algebra(args.dom)
     cod = _load_algebra(args.cod)
-    try:
-        mapping = json.loads(args.map)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed map JSON: {exc}")
+    mapping = _decode(args.map, "map JSON")
     if not isinstance(mapping, list):
         raise InputError("--map takes a JSON list of codomain elements")
     return homomorphism(dom, cod, mapping)
@@ -211,7 +213,7 @@ def _cmd_reflect(args) -> int:
 
 
 def _max_size(args) -> int:
-    return DEFAULT_MAX_SIZE[args.corpus] if args.max_size is None else args.max_size
+    return corpus_kind(args.corpus).default_size if args.max_size is None else args.max_size
 
 
 def _universe_and_operator(args):

@@ -10,15 +10,17 @@ Three families of examples are bundled:
 * finite groups with the abelianization operator R -> R v [X,X] and its
   exponent-2 refinement.
 
-Corpora are quotient-closed universes: rngs come from the explicit Z_n
-family, groups of size <= 6 and quandles are found by exhaustive table
-search (groups 7..12 fall back to cyclic/dihedral/symmetric families
-plus the Klein four-group, which dihedral quotients require).  The
-quandle search tries one first column per cycle type, so it is complete
-up to isomorphism only, and only each class's representative is validated.
+Corpora are quotient-closed universes.  Rngs and groups are lists of
+constructions with no search and no deduplication: the Z_n rngs, and the
+cyclic groups, V4, S3 and the dihedral groups, which hold one group per
+isomorphism class up to order 7.  Quandles are found by exhaustive table
+search; it tries one first column per cycle type, so it is complete up to
+isomorphism only, and only each class's representative is validated.
 
-One registry, ``_BUILTIN_RULES``, is the only description of the
-built-in operators: name -> (tag, closure rule, oracle predicate).
+Two registries describe the bundled examples.  ``CORPORA`` maps a corpus
+kind to (tag, size limit, default size, member builder); ``corpus``,
+``corpus_operators``, ``verify`` and the CLI read it.  ``_BUILTIN_RULES``
+maps a built-in operator name to (tag, closure rule, oracle predicate);
 ``builtin_operator``, ``closure_rule``, ``corpus_operators`` and
 ``oracle_predicate`` read it, and so do ``verify`` and the CLI.
 """
@@ -29,7 +31,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import terms
 from .algebras import (
@@ -46,12 +48,10 @@ from .algebras import (
     _cycle_type,
     _equivalence_closure,
     _inverse,
-    _iso_invariant,
     _relabeling_arrays,
     _relabelings,
     algebra_from_json,
     algebra_to_json,
-    find_isomorphism,
     full,
     generated_congruence,
     is_compatible,
@@ -145,67 +145,7 @@ def dihedral_quandle(n: int) -> FiniteAlgebra:
     return validate_algebra(n, QUANDLE_SIGNATURE, {"lhd": t, "lhd_inv": t}, QUANDLE_TAG)
 
 
-# --- exhaustive table enumeration ---------------------------------------------
-
-def enumerate_groups(n: int) -> list[FiniteAlgebra]:
-    """All group tables on {0..n-1} with identity 0, in search order.
-
-    Latin-square backtracking with incremental associativity pruning;
-    complete up to isomorphism since every group can be relabeled to put
-    its identity at 0.
-    """
-    table = [[None] * n for _ in range(n)]
-    for j in range(n):
-        table[0][j] = j
-        table[j][0] = j
-    row_used = [set(v for v in row if v is not None) for row in table]
-    col_used = [set(table[i][j] for i in range(n) if table[i][j] is not None)
-                for j in range(n)]
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    out: list[FiniteAlgebra] = []
-
-    def assoc_ok() -> bool:
-        for a in range(1, n):
-            for b in range(1, n):
-                ab = table[a][b]
-                if ab is None:
-                    continue
-                for c in range(1, n):
-                    bc = table[b][c]
-                    abc1 = table[ab][c]
-                    if bc is None or abc1 is None:
-                        continue
-                    abc2 = table[a][bc]
-                    if abc2 is not None and abc1 != abc2:
-                        return False
-        return True
-
-    def emit():
-        inv = [next(b for b in range(n) if table[a][b] == 0) for a in range(n)]
-        out.append(validate_algebra(
-            n, GROUP_SIGNATURE,
-            {"mul": [row[:] for row in table], "inv": inv, "e": 0}, GROUP_TAG))
-
-    def dfs(k: int):
-        if k == len(cells):
-            emit()
-            return
-        i, j = cells[k]
-        for v in range(n):
-            if v in row_used[i] or v in col_used[j]:
-                continue
-            table[i][j] = v
-            row_used[i].add(v)
-            col_used[j].add(v)
-            if assoc_ok():
-                dfs(k + 1)
-            table[i][j] = None
-            row_used[i].remove(v)
-            col_used[j].remove(v)
-
-    dfs(0)
-    return out
-
+# --- quandle table search -----------------------------------------------------
 
 def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
     """Quandle tables on {0..n-1}, at least one per isomorphism class, in
@@ -278,19 +218,6 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
     return out
 
 
-def _dedup_up_to_iso(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
-    """Keep the first representative of each isomorphism class; candidates are
-    bucketed by ``_iso_invariant``, so isomorphism searches run inside a bucket."""
-    reps: list[FiniteAlgebra] = []
-    buckets: dict = {}
-    for a in algebras:
-        bucket = buckets.setdefault(_iso_invariant(a), [])
-        if all(find_isomorphism(a, b) is None for b in bucket):
-            reps.append(a)
-            bucket.append(a)
-    return reps
-
-
 def _dedup_by_orbit(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
     """The ``canonical_algebra`` of each isomorphism class, in stream order, with no
     isomorphism search: a class's tables are the orbit of its first member under the
@@ -311,43 +238,62 @@ def _dedup_by_orbit(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
 
 # --- corpora -------------------------------------------------------------------
 
-_CORPUS_TAGS = {"groups": GROUP_TAG, "rngs": RNG_TAG, "quandles": QUANDLE_TAG}
-CORPUS_KINDS = tuple(_CORPUS_TAGS)
-_CORPUS_LIMITS = {"groups": 12, "rngs": 24, "quandles": 6}
-_EXHAUSTIVE_GROUP_LIMIT = 6
+def _group_members(max_size: int) -> list[FiniteAlgebra]:
+    """Z1..Zn, V4, S3 and the dihedral groups D4..D(n//2), pairwise
+    non-isomorphic.  Up to order 7 this is one group per isomorphism class
+    (OEIS A000001: 1, 1, 1, 2, 1, 2, 1).  D3 is S3, so the dihedral groups
+    start at 4.  A quotient of D(k) is Z1, Z2 or D(d) for a divisor d of k,
+    where D(1) = Z2, D(2) = V4 and D(3) = S3, so every quotient of a member
+    is isomorphic to a member."""
+    members = [cyclic_group(n) for n in range(1, max_size + 1)]
+    if max_size >= 4:
+        members.append(klein_four_group())
+    if max_size >= 6:
+        members.append(symmetric_group(3))
+    members.extend(dihedral_group(k) for k in range(4, max_size // 2 + 1))
+    return members
+
+
+def _quandle_members(max_size: int) -> list[FiniteAlgebra]:
+    # A relabeling of a quandle is a quandle, so validating one table per
+    # class (on the JSON input path) checks every table the search emitted.
+    quandles = (q for n in range(1, max_size + 1) for q in enumerate_quandles(n))
+    return [algebra_from_json(algebra_to_json(a)) for a in _dedup_by_orbit(quandles)]
+
+
+class CorpusKind(NamedTuple):
+    tag: str
+    limit: int  # largest max_size
+    default_size: int  # max_size when none is given
+    members: Callable[[int], list[FiniteAlgebra]]
+
+
+# kind -> how its corpus is built.  Each builder gives one member per
+# isomorphism class, and every quotient of a member is isomorphic to a member,
+# which ``universe`` checks.
+CORPORA = {
+    "groups": CorpusKind(GROUP_TAG, 12, 8, _group_members),
+    "rngs": CorpusKind(RNG_TAG, 24, 12, lambda n: [cyclic_rng(k) for k in range(1, n + 1)]),
+    "quandles": CorpusKind(QUANDLE_TAG, 6, 3, _quandle_members),
+}
+CORPUS_KINDS = tuple(CORPORA)
+
+
+def corpus_kind(kind: str) -> CorpusKind:
+    if kind not in CORPORA:
+        raise OutOfRange(f"corpus kind must be one of {CORPUS_KINDS}, got {kind!r}")
+    return CORPORA[kind]
 
 
 @lru_cache(maxsize=None)
 def corpus(kind: str, max_size: int) -> Universe:
     """Quotient-closed universe of all corpus algebras up to ``max_size``."""
-    if kind not in CORPUS_KINDS:
-        raise OutOfRange(f"corpus kind must be one of {CORPUS_KINDS}, got {kind!r}")
+    spec = corpus_kind(kind)
     if max_size < 1:
         raise OutOfRange("corpus max_size must be >= 1")
-    if max_size > _CORPUS_LIMITS[kind]:
-        raise SizeTooLarge(
-            f"corpus kind {kind!r} supports max_size <= {_CORPUS_LIMITS[kind]}"
-        )
-    if kind == "rngs":
-        members = [cyclic_rng(n) for n in range(1, max_size + 1)]
-        return universe(members, quotient_closed=True)
-    if kind == "groups":
-        named: list[FiniteAlgebra] = [cyclic_group(n) for n in range(1, max_size + 1)]
-        if max_size >= 4:
-            named.append(klein_four_group())
-        if max_size >= 6:
-            named.append(symmetric_group(3))
-        named.extend(dihedral_group(k) for k in range(3, max_size // 2 + 1))
-        candidates = list(named)
-        if max_size <= _EXHAUSTIVE_GROUP_LIMIT:
-            for n in range(1, max_size + 1):
-                candidates.extend(enumerate_groups(n))
-        return universe(_dedup_up_to_iso(candidates), quotient_closed=True)
-    # A relabeling of a quandle is a quandle, so validating one table per
-    # class (on the JSON input path) checks every table the search emitted.
-    quandles = (q for n in range(1, max_size + 1) for q in enumerate_quandles(n))
-    return universe([algebra_from_json(algebra_to_json(a)) for a in _dedup_by_orbit(quandles)],
-                    quotient_closed=True)
+    if max_size > spec.limit:
+        raise SizeTooLarge(f"corpus kind {kind!r} supports max_size <= {spec.limit}")
+    return universe(spec.members(max_size), quotient_closed=True)
 
 
 def corpus_manifest(kind: str, max_size: int) -> dict:
@@ -532,8 +478,9 @@ def _builtin(name: str):
 
 def corpus_operators(kind: str) -> tuple[str, ...]:
     """Names of the built-in operators that apply to a corpus kind."""
+    corpus_tag = corpus_kind(kind).tag
     return tuple(name for name, (tag, _, _) in _BUILTIN_RULES.items()
-                 if tag in (None, _CORPUS_TAGS[kind]))
+                 if tag in (None, corpus_tag))
 
 
 def oracle_predicate(name: str) -> SubcategoryPredicate:

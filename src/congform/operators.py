@@ -73,7 +73,6 @@ from .errors import (
     NotExtensive,
     NotNatural,
     PASSED,
-    PreconditionFailed,
     SizeTooLarge,
     UniverseMismatch,
     UniverseNotQuotientClosed,
@@ -509,31 +508,6 @@ def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
             if not le[i][b1][b2]:
                 return failed(**_witness(i, c1.maps[i][a][0]))
     return PASSED
-
-
-def strictify(d: ClosureOperator) -> ClosureOperator:
-    """Rebuild an idempotent cohereditary operator through its quotients.
-
-    The result closes R by pulling the closed diagonal of the member
-    isomorphic to X/R back along R's quotient map (``pullback_rule``), so
-    a fixed quotient gets R, the preimage of the diagonal, back.  Under
-    the canonical congruence encoding this coincides with ``d``
-    pointwise; the preconditions are exactly idempotence and coheredity
-    and are re-verified here.
-    """
-    idem = is_idempotent(d)
-    if not idem:
-        raise PreconditionFailed(
-            f"strictify({d.name}) needs an idempotent operator", witness=idem.witness
-        )
-    cohered = is_cohereditary(d)
-    if not cohered:
-        raise PreconditionFailed(
-            f"strictify({d.name}) needs a cohereditary operator", witness=cohered.witness
-        )
-    u = d.universe
-    closed_diagonals = [d.apply(i, diagonal(x)) for i, x in enumerate(u.algebras)]
-    return make_operator(u, pullback_rule(u, closed_diagonals), f"strict({d.name})")
 
 
 def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[ClosureOperator, ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .instances import builtin_operator, corpus, corpus_operators, oracle_predicate
+from .instances import builtin_operator, corpus, corpus_kind, corpus_operators, oracle_predicate
 from .operators import is_cohereditary, is_idempotent, operator_report
 from .reflection import (
     antitone_check,
@@ -31,13 +31,10 @@ from .reflection import (
     reflectors_agree,
 )
 
-DEFAULT_MAX_SIZE = {"groups": 8, "rngs": 12, "quandles": 3}
-
-
 def run_verification(kind: str, max_size: Optional[int] = None) -> dict:
     """Full theorem suite for one corpus; the report's ``pass`` key sums it up."""
     if max_size is None:
-        max_size = DEFAULT_MAX_SIZE[kind]
+        max_size = corpus_kind(kind).default_size
     u = corpus(kind, max_size)
     names = corpus_operators(kind)
     operators = {name: builtin_operator(name, u) for name in names}

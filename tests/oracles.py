@@ -40,7 +40,10 @@ candidate per cycle type for column 0), the idempotence and operator
 order checks through ``apply`` and ``leq`` (replaced by the integer
 tables), and the reflection oracle and quotient-closure check that build
 and test every quotient X/R (replaced, on quotient-closed universes, by one
-verdict per member read through ``quotient_maps``).
+verdict per member read through ``quotient_maps``), and the group corpus's
+Latin-square table search and deduplication by isomorphism search
+(replaced by a list of constructions, one group per class up to order 7),
+which stay as its completeness oracle.
 """
 
 from __future__ import annotations
@@ -717,12 +720,88 @@ def recursive_flatten(nested, n, arity, opname):
     return tuple(out)
 
 
+def enumerate_groups(n):
+    """All group tables on {0..n-1} with identity 0, in search order.
+
+    Latin-square backtracking with incremental associativity pruning;
+    complete up to isomorphism since every group can be relabeled to put
+    its identity at 0.
+    """
+    from congform.algebras import GROUP_SIGNATURE, GROUP_TAG, validate_algebra
+
+    table = [[None] * n for _ in range(n)]
+    for j in range(n):
+        table[0][j] = j
+        table[j][0] = j
+    row_used = [set(v for v in row if v is not None) for row in table]
+    col_used = [set(table[i][j] for i in range(n) if table[i][j] is not None)
+                for j in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    out = []
+
+    def assoc_ok():
+        for a in range(1, n):
+            for b in range(1, n):
+                ab = table[a][b]
+                if ab is None:
+                    continue
+                for c in range(1, n):
+                    bc = table[b][c]
+                    abc1 = table[ab][c]
+                    if bc is None or abc1 is None:
+                        continue
+                    abc2 = table[a][bc]
+                    if abc2 is not None and abc1 != abc2:
+                        return False
+        return True
+
+    def emit():
+        inv = [next(b for b in range(n) if table[a][b] == 0) for a in range(n)]
+        out.append(validate_algebra(
+            n, GROUP_SIGNATURE,
+            {"mul": [row[:] for row in table], "inv": inv, "e": 0}, GROUP_TAG))
+
+    def dfs(k):
+        if k == len(cells):
+            emit()
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v in row_used[i] or v in col_used[j]:
+                continue
+            table[i][j] = v
+            row_used[i].add(v)
+            col_used[j].add(v)
+            if assoc_ok():
+                dfs(k + 1)
+            table[i][j] = None
+            row_used[i].remove(v)
+            col_used[j].remove(v)
+
+    dfs(0)
+    return out
+
+
+def _dedup_up_to_iso(algebras):
+    """Keep the first representative of each isomorphism class; candidates are
+    bucketed by ``_iso_invariant``, so isomorphism searches run inside a bucket."""
+    from congform.algebras import _iso_invariant, find_isomorphism
+
+    reps = []
+    buckets = {}
+    for a in algebras:
+        bucket = buckets.setdefault(_iso_invariant(a), [])
+        if all(find_isomorphism(a, b) is None for b in bucket):
+            reps.append(a)
+            bucket.append(a)
+    return reps
+
+
 def dedup_then_canonical(algebras):
     """The first algebra of each isomorphism class, kept by pairwise
     isomorphism search inside invariant buckets, then put in canonical form
     by its own scan of every relabeling."""
     from congform.algebras import canonical_algebra
-    from congform.instances import _dedup_up_to_iso
 
     return [canonical_algebra(a) for a in _dedup_up_to_iso(algebras)]
 
@@ -851,3 +930,32 @@ def ideal_from_json(rng, doc):
     if not isinstance(doc, list):
         raise InvalidIdeal("an ideal serializes as a JSON list of elements")
     return ideal(rng, doc)
+
+
+def strictify(d):
+    """Rebuild an idempotent cohereditary operator through its quotients.
+
+    The result closes R by pulling the closed diagonal of the member
+    isomorphic to X/R back along R's quotient map (``pullback_rule``), so
+    a fixed quotient gets R, the preimage of the diagonal, back.  Under
+    the canonical congruence encoding this coincides with ``d``
+    pointwise; the preconditions are exactly idempotence and coheredity
+    and are re-verified here.
+    """
+    from congform import diagonal, is_cohereditary, is_idempotent, make_operator
+    from congform.errors import PreconditionFailed
+    from congform.operators import pullback_rule
+
+    idem = is_idempotent(d)
+    if not idem:
+        raise PreconditionFailed(
+            f"strictify({d.name}) needs an idempotent operator", witness=idem.witness
+        )
+    cohered = is_cohereditary(d)
+    if not cohered:
+        raise PreconditionFailed(
+            f"strictify({d.name}) needs a cohereditary operator", witness=cohered.witness
+        )
+    u = d.universe
+    closed_diagonals = [d.apply(i, diagonal(x)) for i, x in enumerate(u.algebras)]
+    return make_operator(u, pullback_rule(u, closed_diagonals), f"strict({d.name})")

@@ -146,6 +146,27 @@ def test_non_integer_map_entry_exits_2(files, capsys, mapping):
     assert json.loads(out)["error"] == "OutOfRange"
 
 
+_DEEP = "[" * 5000 + "]" * 5000  # nested past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("where", ["algebra-file", "congruence", "map", "operator-file"])
+def test_deeply_nested_json_exits_2(files, tmp_path, capsys, where):
+    deep_file = tmp_path / "deep.json"
+    deep_file.write_text(_DEEP)
+    z4 = files["z4-group"]
+    argv = {
+        "algebra-file": ["validate", "--algebra", str(deep_file)],
+        "congruence": ["close", "--operator", "identity", "--algebra", z4, "--congruence", _DEEP],
+        "map": ["pull", "--dom", z4, "--cod", z4, "--map", _DEEP, "--congruence", "[]"],
+        "operator-file": ["close", "--operator", str(deep_file), "--algebra", z4,
+                          "--congruence", "[]"],
+    }[where]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "InputError"
+    assert "Traceback" not in err
+
+
 def test_non_extensive_operator_file_exits_1(files, tmp_path, capsys):
     opfile = tmp_path / "op.json"
     opfile.write_text(json.dumps({

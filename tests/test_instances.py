@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from functools import lru_cache
 
@@ -39,12 +40,10 @@ from congform.errors import (
 )
 from congform.instances import (
     commutator_congruence,
-    enumerate_groups,
     enumerate_quandles,
     exponent_two_congruence,
     _composite_with_reachability,
     _dedup_by_orbit,
-    _dedup_up_to_iso,
 )
 from congform import instances
 from congform.algebras import (
@@ -57,6 +56,7 @@ from congform.algebras import (
 )
 
 import oracles
+from oracles import _dedup_up_to_iso, enumerate_groups
 
 
 # --- the ideal / congruence bridge ----------------------------------------------
@@ -385,6 +385,21 @@ def test_group_corpus_order_eight(group_corpus):
     assert any(a == symmetric_group(3) for a in group_corpus.algebras)
     assert any(find_isomorphism(a, dihedral_group(4)) for a in group_corpus.algebras
                if a.size == 8)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_group_corpus_holds_one_member_per_class_of_the_table_search(n):
+    members = [g for g in corpus("groups", 6).algebras if g.size == n]
+    classes = _dedup_up_to_iso(enumerate_groups(n))
+    assert len(members) == len(classes)
+    for c in classes:
+        assert sum(find_isomorphism(c, g) is not None for g in members) == 1
+
+
+def test_group_corpus_members_are_pairwise_non_isomorphic():
+    members = corpus("groups", 12).algebras
+    assert all(find_isomorphism(a, b) is None
+               for a, b in itertools.combinations(members, 2) if a.size == b.size)
 
 
 def test_rng_corpus_is_the_cyclic_family(rng_corpus):

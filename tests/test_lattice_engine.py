@@ -80,10 +80,9 @@ from congform import (
 from congform import algebras, reflection
 from congform.algebras import FiniteAlgebra, Signature, quotient, relabel_algebra
 from congform.errors import NotNatural, NotReflective
-from congform.instances import corpus_operators, oracle_predicate
+from congform.instances import CORPUS_KINDS, corpus_kind, corpus_operators, oracle_predicate
 from congform.operators import fibration, generating_maps, naturality_maps, pullback_rule
 from congform.reflection import SubcategoryPredicate, make_reflector
-from congform.verify import DEFAULT_MAX_SIZE
 
 import oracles
 from oracles import kernel_congruence
@@ -553,7 +552,7 @@ def pointed_sets():
 
 def test_hom_searches_match_the_scan_and_brute_force():
     # brute force scans cod.size ** dom.size maps: only where that is small
-    universes = [corpus(kind, size) for kind, size in DEFAULT_MAX_SIZE.items()]
+    universes = [corpus(kind, corpus_kind(kind).default_size) for kind in CORPUS_KINDS]
     for u in universes + [universe_with_copies(), pointed_sets()]:
         for x in u.algebras:
             for y in u.algebras:

@@ -19,7 +19,6 @@ from congform import (
     operator_leq,
     operator_report,
     preserves_cocartesian,
-    strictify,
     symmetric_group,
     universe,
     universe_from_generators,
@@ -33,6 +32,8 @@ from congform.errors import (
     UniverseMismatch,
     UniverseNotQuotientClosed,
 )
+
+from oracles import strictify
 
 
 @pytest.fixture(scope="module")
