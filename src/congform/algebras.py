@@ -11,8 +11,9 @@ through ``op`` once per entry.
 
 Congruence generation uses union-find with a worklist: whenever two
 classes merge, every operation tuple differing from a known tuple in one
-coordinate by a newly merged pair is re-propagated.  Joins need none:
-they are equivalence closures of unions.  Lattices are enumerated by
+coordinate by a newly merged pair is re-propagated; a partition is
+compatible when it equals the congruence its blocks generate.  Joins need
+none: they are equivalence closures of unions.  Lattices are enumerated by
 joining principal congruences onto the ones found so far, on block-id
 arrays; in groups and rngs only the pairs with the neutral element and
 in quandles one pair per orbit of the inner automorphisms are generated.
@@ -148,10 +149,10 @@ def _flatten(nested, n: int, arity: int, opname: str) -> tuple[int, ...]:
 def _unflatten(flat: Sequence[int], n: int, arity: int):
     if arity == 0:
         return flat[0]
-    if arity == 1:
-        return list(flat)
-    step = n ** (arity - 1)
-    return [_unflatten(flat[i * step:(i + 1) * step], n, arity - 1) for i in range(n)]
+    level = list(flat)
+    for _ in range(arity - 1):
+        level = [level[i:i + n] for i in range(0, len(level), n)]
+    return level
 
 
 def _parse_signature(items) -> Signature:
@@ -285,23 +286,10 @@ def full(a: FiniteAlgebra) -> Congruence:
 
 
 def is_compatible(a: FiniteAlgebra, ids: Sequence[int]) -> bool:
-    """Does the partition respect every operation, one coordinate at a time?"""
-    n = a.size
-    for (name, arity), table in zip(a.sig.ops, a.tables):
-        if arity == 0:
-            continue
-        for t in itertools.product(range(n), repeat=arity):
-            idx = 0
-            for c in t:
-                idx = idx * n + c
-            v = table[idx]
-            for pos in range(arity):
-                stride = n ** (arity - 1 - pos)
-                base = idx - t[pos] * stride
-                for u in range(n):
-                    if ids[u] == ids[t[pos]] and ids[table[base + u * stride]] != ids[v]:
-                        return False
-    return True
+    """Does the partition respect every operation?  A partition is a
+    congruence exactly when it equals the congruence its blocks generate."""
+    r = Congruence(a, _canonical_ids(ids))
+    return generated_congruence(a, _block_pairs(r)) == r
 
 
 def congruence_from_blocks(a: FiniteAlgebra, blocks: Iterable[Iterable[int]],

@@ -4,7 +4,7 @@ A Universe is a finite set of algebras standing in for a category; the
 quotient-closed flag asserts that every quotient of a member is
 isomorphic to a member, which is what the subcategory theorems need.
 A ClosureOperator stores one extensional map Con(X) -> Con(X) per
-member.  Construction validates the two defining laws eagerly:
+member, as an index array.  Construction validates the two laws eagerly:
 
 * extensive: R <= C(R) on every fibre;
 * natural:   whenever f lifts R into S, it lifts C(R) into C(S).
@@ -33,13 +33,14 @@ The remaining axioms (idempotent, cohereditary, minimal, preservation
 of cocartesian liftings) are runtime checks returning witnesses, not
 construction requirements.
 
-The checks compare integers, as do an operator's fibres: ``fibration(u)``,
-built on a universe's first check, numbers each Con(X) with its order.  It
-builds on first use, and then holds, f* along each map read (naturality,
+The checks compare integers: ``fibration(u)``, built on a universe's first
+check, numbers each Con(X) and reads its order off the block-id arrays, and
+an operator is its index rows over those numberings.  The fibration builds
+on first use, and then holds, f* along each map read (naturality,
 coheredity, ``pullback_rule`` and ``make_reflector``), images along
-quotient maps (cocartesian preservation), join tables (minimality) and
-embeddings into members (``make_reflector``), reading joins and images
-off the order (see ``Fibration``).
+quotient maps (cocartesian preservation) and embeddings into members
+(``make_reflector``), reading joins and images off the order (see
+``Fibration``).
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -55,6 +57,7 @@ from .algebras import (
     Congruence,
     FiniteAlgebra,
     Homomorphism,
+    _block_pairs,
     _canonical_ids,
     automorphisms,
     compose,
@@ -78,7 +81,6 @@ from .errors import (
     UniverseNotQuotientClosed,
     failed,
 )
-from .forms import leq
 
 
 def _algebra_sort_key(a: FiniteAlgebra):
@@ -244,26 +246,42 @@ def generating_maps(u: Universe) -> tuple[Homomorphism, ...]:
     return tuple(out)
 
 
+def _up_sets(lattice) -> tuple[int, ...]:
+    """Each R's up-set as a bitmask over ``lattice``: S >= R exactly when S
+    holds each pair (least element of x's R-block, x), so up(R) is the AND of
+    the masks of the S holding those pairs."""
+    held: dict = {}
+    for b, s in enumerate(lattice):
+        for pair in itertools.combinations(range(len(s.ids)), 2):
+            if s.ids[pair[0]] == s.ids[pair[1]]:
+                held[pair] = held.get(pair, 0) | 1 << b
+    top = (1 << len(lattice)) - 1
+    return tuple(reduce(and_, (held[p] for p in _block_pairs(r) if p[0] != p[1]), top)
+                 for r in lattice)
+
+
 class Fibration:
     """The integer tables of one universe, built once by ``fibration``: per
     member i, ``lattices[i]`` in ``con_lattice`` order, its inverses
-    ``index[i]`` and ``by_ids[i]`` (keyed by block-id arrays), the order
-    ``le[i][a][b]``, and each up-set as a bitmask ``up[i][a]``, with inverse
-    ``by_up[i]``.  In a lattice up(a) & up(b) = up(a v b).  Along a quotient
-    map f: X -> Y, f* is an order isomorphism from Con(Y) onto the up-set of
-    ker f = f*(diagonal) in Con(X) (correspondence theorem), so f(R) is the
-    S with f*S = R v ker f."""
+    ``index[i]`` and ``by_ids[i]`` (keyed by block-id arrays), each up-set as
+    a bitmask ``up[i][a]`` (``_up_sets``) with inverse ``by_up[i]``, and the
+    order ``le[i][a][b]`` read off the up-sets.  Since up(a v b) = up(a) &
+    up(b), joins are read off them too.  Along a quotient map f: X -> Y, f*
+    is an order isomorphism from Con(Y) onto the up-set of ker f =
+    f*(diagonal) in Con(X) (correspondence theorem), so f(R) is the S with
+    f*S = R v ker f."""
 
     def __init__(self, u: Universe):
         self.universe = u
         self.lattices = tuple(tuple(con_lattice(x)) for x in u.algebras)
         self.index = tuple({r: a for a, r in enumerate(lat)} for lat in self.lattices)
         self.by_ids = tuple({r.ids: a for a, r in enumerate(lat)} for lat in self.lattices)
-        self.le = tuple(tuple(tuple(leq(r, s) for s in lat) for r in lat) for lat in self.lattices)
-        self.up = tuple(tuple(sum(1 << b for b, above in enumerate(row) if above) for row in le)
-                        for le in self.le)
+        self.up = tuple(map(_up_sets, self.lattices))
+        # le[a][b] is bit b of up[a]; one format() call per row beats a shift per bit
+        self.le = tuple(tuple(tuple(map("1".__eq__, format(mask, f"0{len(up)}b")[::-1]))
+                              for mask in up) for up in self.up)
         self.by_up = tuple({mask: a for a, mask in enumerate(up)} for up in self.up)
-        self._pulls, self._images, self._joins, self._embeddings = {}, {}, {}, {}
+        self._pulls, self._images, self._embeddings = {}, {}, {}
 
     def pull(self, f: Homomorphism) -> tuple[int, ...]:
         """S -> f*S as an index array, built on first request; f between members."""
@@ -283,17 +301,10 @@ class Fibration:
         if f not in self._images:
             pull = self.pull(f)
             back = {a: s for s, a in enumerate(pull)}
-            kernel = pull[self.index[self.universe.member_index(f.cod)][diagonal(f.cod)]]
-            joins = self.joins(self.universe.member_index(f.dom))
-            self._images[f] = tuple(back[row[kernel]] for row in joins)
+            i, j = self.universe.member_index(f.dom), self.universe.member_index(f.cod)
+            kernel = self.up[i][pull[self.index[j][diagonal(f.cod)]]]
+            self._images[f] = tuple(back[self.by_up[i][ua & kernel]] for ua in self.up[i])
         return self._images[f]
-
-    def joins(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """Member i's join table, built on first request from the up-sets."""
-        if i not in self._joins:
-            by_up = self.by_up[i]
-            self._joins[i] = tuple(tuple(by_up[ua & ub] for ub in self.up[i]) for ua in self.up[i])
-        return self._joins[i]
 
     def embedding(self, a: FiniteAlgebra, j: int) -> Optional[Homomorphism]:
         """The least embedding of ``a`` into member j, or None; built on first request."""
@@ -307,21 +318,22 @@ fibration = lru_cache(maxsize=None)(Fibration)
 
 @dataclass(frozen=True, repr=False)
 class ClosureOperator:
-    """Validated extensive + natural fibre maps over a universe; ``maps`` runs
-    in ``con_lattice`` order, so ``_rows[i]`` is member i's map on indices."""
+    """Validated extensive + natural fibre maps over a universe: ``rows[i][a]``
+    indexes C of member i's a-th congruence in ``fibration(universe).lattices[i]``
+    (``con_lattice`` order).  ``maps``, ``fibre`` and ``apply`` are views of it."""
 
     universe: Universe
     name: str
-    maps: tuple[tuple[tuple[Congruence, Congruence], ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_tables", tuple(dict(m) for m in self.maps))
-        index = fibration(self.universe).index
-        object.__setattr__(self, "_rows", tuple(
-            tuple(index[i][c] for _, c in m) for i, m in enumerate(self.maps)))
+    @property
+    def maps(self) -> tuple[tuple[tuple[Congruence, Congruence], ...], ...]:
+        """Per member, the pairs (R, C(R)) in ``con_lattice`` order."""
+        return tuple(tuple(self.fibre(i).items()) for i in range(len(self.rows)))
 
     def fibre(self, i: int) -> dict[Congruence, Congruence]:
-        return self._tables[i]
+        lattice = fibration(self.universe).lattices[i]
+        return dict(zip(lattice, map(lattice.__getitem__, self.rows[i])))
 
     def apply(self, x: Union[int, FiniteAlgebra], r: Congruence) -> Congruence:
         if isinstance(x, FiniteAlgebra):
@@ -330,10 +342,11 @@ class ClosureOperator:
                 raise UniverseMismatch("algebra is not a universe member")
         else:
             i = x
-        table = self._tables[i]
-        if r not in table:
+        fib = fibration(self.universe)
+        a = fib.index[i].get(r)
+        if a is None:
             raise FibreMismatch("congruence is not in the member's lattice")
-        return table[r]
+        return fib.lattices[i][self.rows[i][a]]
 
     def __call__(self, x, r: Congruence) -> Congruence:
         return self.apply(x, r)
@@ -369,48 +382,52 @@ def _first_failure(u: Universe, broken_along, generators, full: Callable):
 
 
 def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> ClosureOperator:
-    """Tabulate ``rule`` over every fibre and verify the two defining laws.
+    """Tabulate ``rule`` into index rows, checking each member's keys, closure
+    values and extensivity before the next member is read, then decide
+    naturality (``_natural_operator``) with witnesses in the tables' key order.
 
     ``rule`` is either a callable (algebra, congruence) -> congruence or
     a per-member sequence of {congruence: closure} tables keyed by
     exactly the member's congruences.
-
-    Naturality is checked as monotonicity on each fibre plus continuity
-    along ``generating_maps``, which composes to continuity along every
-    map (see the module docstring).  A ``NotNatural`` witness {dom, cod,
-    map, R, S} is a lift that C breaks: the identity with R <= S, or a map
-    f with R = f*S.  Witnesses are the first found along the full
-    ``naturality_maps``, in the order of the tables' keys.
     """
     fib = fibration(u)
-    tables: list[dict[Congruence, Congruence]] = []
+    rows, orders = [], []
     for i, x in enumerate(u.algebras):
-        lattice, index = fib.lattices[i], fib.index[i]
+        lattice, index, le = fib.lattices[i], fib.index[i], fib.le[i]
         table = {r: rule(x, r) for r in lattice} if callable(rule) else dict(rule[i])
-        if set(table) != set(lattice):
-            raise FibreMismatch(
-                f"operator table for member {i} must list exactly its "
-                f"{len(lattice)} congruences"
-            )
+        if table.keys() != index.keys():
+            raise FibreMismatch(f"operator table for member {i} must list exactly its "
+                                f"{len(lattice)} congruences")
+        row = [0] * len(lattice)
         for r, c in table.items():
             if c not in index:
                 raise FibreMismatch(f"closure value is not a congruence of member {i}")
-            if not fib.le[i][index[r]][index[c]]:
-                raise NotExtensive(
-                    f"operator {name!r} is not extensive on member {i}",
-                    witness=_witness(i, r, closure=congruence_to_blocks(c)),
-                )
-        tables.append(table)
-    op = ClosureOperator(u, name, tuple(
-        tuple((r, t[r]) for r in lattice) for lattice, t in zip(fib.lattices, tables)))
-    orders = [[index[r] for r in t] for index, t in zip(fib.index, tables)]
+            a, b = index[r], index[c]
+            if not le[a][b]:
+                raise NotExtensive(f"operator {name!r} is not extensive on member {i}",
+                                   witness=_witness(i, r, closure=congruence_to_blocks(c)))
+            row[a] = b
+        rows.append(tuple(row))
+        orders.append([index[r] for r in table])
+    return _natural_operator(u, name, tuple(rows), orders)
+
+
+def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...],
+                      orders: Sequence[Sequence[int]]) -> ClosureOperator:
+    """The operator with these extensive ``rows``, once checked monotone on
+    each fibre and continuous along ``generating_maps``, which composes to
+    continuity along every map (see the module docstring).  A ``NotNatural``
+    witness {dom, cod, map, R, S} is a lift that C breaks: the identity with
+    R <= S, or a map f with R = f*S; it is the first along the full
+    ``naturality_maps``, congruences of member i taken in ``orders[i]``."""
+    fib = fibration(u)
 
     def not_natural(i, j, f, ri, si):
         return NotNatural(f"operator {name!r} breaks the lifting law", witness={
             "dom": i, "cod": j, "map": list(f.map), "R": congruence_to_blocks(fib.lattices[i][ri]),
             "S": congruence_to_blocks(fib.lattices[j][si])})
 
-    for i, row in enumerate(op._rows):
+    for i, row in enumerate(rows):
         pair = _non_monotone(fib.le[i], row, orders[i])
         if pair is not None:
             raise not_natural(i, i, identity_hom(u.algebras[i]), *pair)
@@ -418,13 +435,13 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
     def broken_along(f):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
         pull = fib.pull(f)
-        s = _discontinuity(pull, fib.le[i], op._rows[i], op._rows[j], orders[j])
+        s = _discontinuity(pull, fib.le[i], rows[i], rows[j], orders[j])
         return None if s is None else not_natural(i, j, f, pull[s], s)
 
     broken = _first_failure(u, broken_along, generating_maps(u), lambda: naturality_maps(u))
     if broken is not None:
         raise broken
-    return op
+    return ClosureOperator(u, name, rows)
 
 
 # --- axiom checkers -----------------------------------------------------------
@@ -437,10 +454,11 @@ def _witness(i: int, r: Congruence, **extra) -> dict:
 
 def is_idempotent(c: ClosureOperator) -> CheckResult:
     """C(C(R)) = C(R) on every fibre."""
-    for i, row in enumerate(c._rows):
+    lattices = fibration(c.universe).lattices
+    for i, row in enumerate(c.rows):
         for a, ca in enumerate(row):
             if row[ca] != ca:
-                return failed(**_witness(i, c.maps[i][a][0]))
+                return failed(**_witness(i, lattices[i][a]))
     return PASSED
 
 
@@ -475,16 +493,16 @@ def is_cohereditary(c: ClosureOperator) -> CheckResult:
     quotient maps and isomorphisms onto copies; the witness is the first
     along ``quotient_maps`` (see the module docstring)."""
     return _along_quotient_maps(c, "S", lambda pull, i, j, s: (
-        c._rows[i][pull[s]], pull[c._rows[j][s]]))
+        c.rows[i][pull[s]], pull[c.rows[j][s]]))
 
 
 def is_minimal(c: ClosureOperator) -> CheckResult:
-    """C(R v S) = C(R) v S on every fibre."""
+    """C(R v S) = C(R) v S on every fibre; joins are read off the up-sets."""
     fib = fibration(c.universe)
-    for i, row in enumerate(c._rows):
-        joins, lattice = fib.joins(i), fib.lattices[i]
+    for i, row in enumerate(c.rows):
+        up, by_up, lattice = fib.up[i], fib.by_up[i], fib.lattices[i]
         for r, s in itertools.product(range(len(row)), repeat=2):
-            if row[joins[r][s]] != joins[row[r]][s]:
+            if row[by_up[up[r] & up[s]]] != by_up[up[row[r]] & up[s]]:
                 return failed(**_witness(i, lattice[r], second=congruence_to_blocks(lattice[s])))
     return PASSED
 
@@ -495,18 +513,18 @@ def preserves_cocartesian(c: ClosureOperator) -> CheckResult:
     maps and isomorphisms onto copies; the witness is the first along
     ``quotient_maps`` (see the module docstring)."""
     return _along_quotient_maps(c, "R", lambda image, i, j, r: (
-        image[c._rows[i][r]], c._rows[j][image[r]]))
+        image[c.rows[i][r]], c.rows[j][image[r]]))
 
 
 def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
     """C1 <= C2 pointwise on every fibre."""
     if c1.universe != c2.universe:
         raise UniverseMismatch("operator order needs a shared universe")
-    le = fibration(c1.universe).le
-    for i, (row1, row2) in enumerate(zip(c1._rows, c2._rows)):
+    fib = fibration(c1.universe)
+    for i, (row1, row2) in enumerate(zip(c1.rows, c2.rows)):
         for a, (b1, b2) in enumerate(zip(row1, row2)):
-            if not le[i][b1][b2]:
-                return failed(**_witness(i, c1.maps[i][a][0]))
+            if not fib.le[i][b1][b2]:
+                return failed(**_witness(i, fib.lattices[i][a]))
     return PASSED
 
 
@@ -518,9 +536,10 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
     and cut off as soon as it breaks continuity along a map of
     ``generating_maps`` whose two ends are assigned.  The maps of
     ``naturality_maps`` at that depth compose from those (quotients sort
-    earlier), so the cuts are the full list's.  Each survivor is
-    validated by ``make_operator`` and named ``op{k}``, k its index in the
-    product of all extensive families (member-major, as ``itertools.product``).
+    earlier), so the cuts are the full list's.  Each survivor's rows, in
+    ``con_lattice`` order, pass the naturality check of ``make_operator``
+    again, and it is named ``op{k}``, k its index in the product of all
+    extensive families (member-major, as ``itertools.product``).
     Raises ``SizeTooLarge`` up front when there are more than
     ``max_candidates`` extensive families.
     """
@@ -542,9 +561,7 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
 
     def extend(m: int, k: int) -> None:
         if m == len(rows):
-            tables = [dict(zip(lat, map(lat.__getitem__, row)))
-                      for lat, row in zip(fib.lattices, rows)]
-            out.append(make_operator(u, tables, f"op{k}"))
+            out.append(_natural_operator(u, f"op{k}", tuple(rows), [range(len(r)) for r in rows]))
             return
         for index, row in candidates[m]:
             rows[m] = row

@@ -227,12 +227,13 @@ def closed_under_quotients(pred: SubcategoryPredicate, u: Universe) -> CheckResu
 def closures_agree(c: ClosureOperator, back: ClosureOperator) -> CheckResult:
     """``back`` (derived from ``c`` through its reflector, or an oracle's
     closure) equals ``c`` pointwise; the witness is the first difference."""
-    for i in range(len(c.universe)):
-        for r, cr in c.fibre(i).items():
-            if back.apply(i, r) != cr:
-                return failed(operator=c.name, algebra=i, congruence=congruence_to_blocks(r),
-                              expected=congruence_to_blocks(cr),
-                              got=congruence_to_blocks(back.apply(i, r)))
+    if c.universe != back.universe:
+        raise UniverseMismatch("comparing closures needs a shared universe")
+    for i, lattice in enumerate(fibration(c.universe).lattices):
+        for a, (b, got) in enumerate(zip(c.rows[i], back.rows[i])):
+            if b != got:
+                r, cr, back_r = (congruence_to_blocks(lattice[k]) for k in (a, b, got))
+                return failed(operator=c.name, algebra=i, congruence=r, expected=cr, got=back_r)
     return PASSED
 
 

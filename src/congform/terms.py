@@ -8,8 +8,8 @@ slots)``.  The program runs on the flat tables one block at a time, the
 n^(k-1) assignments that share the first variable's value, one table
 look-up per step and assignment.  Witnesses are the first failing
 equation in the given order and its first failing assignment in
-lexicographic order.  ``eval_term`` evaluates one term at one assignment;
-the tests check the programs against it.  The axiom lists for the three
+lexicographic order.  The tests check the programs against a reference
+that walks the terms at every assignment.  The axiom lists for the three
 supported variety tags (groups, commutative rngs, quandles) live here,
 together with the membership predicates used by reflection oracles
 (commutativity, reduced-ness, triviality).
@@ -58,13 +58,6 @@ def var(i: int) -> Term:
 
 def app(op: str, *args: Term) -> Term:
     return Term(op=op, args=tuple(args))
-
-
-def eval_term(t: Term, assignment, algebra) -> int:
-    """Value of ``t`` in ``algebra`` with variable i bound to assignment[i]."""
-    if t.var is not None:
-        return assignment[t.var]
-    return algebra.op(t.op, *(eval_term(a, assignment, algebra) for a in t.args))
 
 
 def _check_ops_known(terms: Iterable[Term], algebra) -> None:

@@ -40,7 +40,12 @@ candidate per cycle type for column 0), the idempotence and operator
 order checks through ``apply`` and ``leq`` (replaced by the integer
 tables), and the reflection oracle and quotient-closure check that build
 and test every quotient X/R (replaced, on quotient-closed universes, by one
-verdict per member read through ``quotient_maps``), and the group corpus's
+verdict per member read through ``quotient_maps``), the fibre order from
+``leq`` on every pair of congruences (replaced by up-sets read off the
+block-id arrays), the compatibility scan over every operation tuple
+(replaced by comparing a partition with the congruence its blocks
+generate), the term evaluator ``eval_term`` that the compiled equation
+programs replaced, and the group corpus's
 Latin-square table search and deduplication by isomorphism search
 (replaced by a list of constructions, one group per class up to order 7),
 which stay as its completeness oracle.
@@ -564,6 +569,15 @@ def pullback_rule(u, rho):
 
 # --- fibration tables by union-find and the composite scan ---------------------
 
+def pairwise_order(lattice):
+    """(le, up) of one Con(X) in ``lattice`` order: ``leq`` on every ordered
+    pair, and each up-set as the bitmask of its ``le`` row."""
+    from congform import leq
+
+    le = tuple(tuple(leq(r, s) for s in lattice) for r in lattice)
+    return le, tuple(sum(1 << b for b, above in enumerate(row) if above) for row in le)
+
+
 def join_table(fib, i):
     """Member i's join table: comparable pairs read off the order, the rest
     by ``join`` on ``Congruence`` objects."""
@@ -590,11 +604,32 @@ def pull_table(fib, f):
     return tuple(into[preimage_congruence(f, s)] for s in con_lattice(f.cod))
 
 
+def scan_is_compatible(a, ids) -> bool:
+    """Does the partition respect every operation?  Scans every operation
+    tuple and changes one coordinate at a time within its block."""
+    n = a.size
+    for (name, arity), table in zip(a.sig.ops, a.tables):
+        if arity == 0:
+            continue
+        for t in itertools.product(range(n), repeat=arity):
+            idx = 0
+            for c in t:
+                idx = idx * n + c
+            v = table[idx]
+            for pos in range(arity):
+                stride = n ** (arity - 1 - pos)
+                base = idx - t[pos] * stride
+                for u in range(n):
+                    if ids[u] == ids[t[pos]] and ids[table[base + u * stride]] != ids[v]:
+                        return False
+    return True
+
+
 def composite_with_reachability(x, r):
     """R o ~ from its n x n relation matrix, checked reflexive, symmetric,
     transitive and compatible; raises if the composite is not a congruence."""
     from congform import Congruence, quandle_reachability
-    from congform.algebras import _canonical_ids, is_compatible
+    from congform.algebras import _canonical_ids
     from congform.errors import CompositeNotCongruence
 
     sim = quandle_reachability(x)
@@ -620,7 +655,7 @@ def composite_with_reachability(x, r):
                             "composite is not transitive", witness={"triple": [a, b, c]}
                         )
     ids = _canonical_ids([tuple(row) for row in related])
-    if not is_compatible(x, ids):
+    if not scan_is_compatible(x, ids):
         raise CompositeNotCongruence(
             "composite relation is not operation-compatible",
             witness={"blocks": [list(b) for b in Congruence(x, ids).blocks()]},
@@ -630,9 +665,14 @@ def composite_with_reachability(x, r):
 
 # --- tree-walking equation checks and per-entry table transport --------------
 
-def _scan_holds(eq, assignment, algebra) -> bool:
-    from congform.terms import eval_term
+def eval_term(t, assignment, algebra) -> int:
+    """Value of ``t`` in ``algebra`` with variable i bound to assignment[i]."""
+    if t.var is not None:
+        return assignment[t.var]
+    return algebra.op(t.op, *(eval_term(a, assignment, algebra) for a in t.args))
 
+
+def _scan_holds(eq, assignment, algebra) -> bool:
     return eval_term(eq.lhs, assignment, algebra) == eval_term(eq.rhs, assignment, algebra)
 
 

@@ -381,3 +381,26 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_validate_prints_a_high_arity_algebra(tmp_path):
+    # The table of an arity-900 operation nests 900 lists deep: reading it
+    # back into nested lists must not recurse once per level.  Run in a
+    # subprocess, since the indenting JSON encoder recurses once per level
+    # and pytest's own stack depth would add to it.
+    import subprocess
+    import sys
+
+    table = 0
+    for _ in range(900):
+        table = [table]
+    doc = {"size": 1, "signature": [{"name": "w", "arity": 900}], "tables": {"w": table},
+           "tag": None}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "congform", "validate", "--algebra", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["algebra"] == doc

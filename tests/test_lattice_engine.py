@@ -20,9 +20,12 @@ shared by the whole orbit; the oracle generates each from its own pair.
 The operator checks read the universe's integer tables (``fibration``);
 the oracles are the same checks on ``Congruence`` objects, and must give
 the same verdicts and witnesses.
-The tables read joins off up-sets, pull-backs off block-id arrays and
-images off the pull-backs; the oracles build each entry with ``join``,
-``preimage_congruence`` and ``image_congruence``.
+The tables read the order and joins off up-sets built from the block-id
+arrays, pull-backs off block-id arrays and images off the pull-backs and
+up-sets; the oracles compare every pair with ``leq`` and build each entry
+with ``join``, ``preimage_congruence`` and ``image_congruence``.
+Compatibility of a partition is decided by comparing it with the
+congruence its blocks generate; the oracle scans every operation tuple.
 The hom search indexes each element by the operation tuples it occurs in;
 the oracle scans every tuple on each step.  ``make_reflector`` checks the
 universal property by factorisation through quotient maps and embeddings;
@@ -34,6 +37,7 @@ read X/R's verdict off ``quotient_maps``; the oracles build and test every X/R.
 """
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -529,8 +533,9 @@ def test_table_checks_match_oracles_on_builtin_operators(kind, size):
 def test_fibration_tables_match_the_union_find_oracles():
     for u in operator_universes() + [corpus("rngs", 12), corpus("quandles", 4)]:
         fib = fibration(u)
-        for i in range(len(u)):
-            assert fib.joins(i) == oracles.join_table(fib, i)
+        for i, (up, by_up) in enumerate(zip(fib.up, fib.by_up)):
+            # the joins is_minimal reads: up(a v b) = up(a) & up(b)
+            assert tuple(tuple(by_up[a & b] for b in up) for a in up) == oracles.join_table(fib, i)
         quotients = [g for gs in quotient_maps(u).values() for g in gs]
         for f in dict.fromkeys(naturality_maps(u) + tuple(quotients)):
             pull = oracles.pull_table(fib, f)
@@ -538,6 +543,50 @@ def test_fibration_tables_match_the_union_find_oracles():
             assert tuple(fib.pulled(f, k) for k in range(len(pull))) == pull
         for f in quotients:
             assert fib.image(f) == oracles.image_table(fib, f)
+
+
+@pytest.mark.parametrize("kind,size", [(kind, corpus_kind(kind).default_size) for kind in CORPUS_KINDS]
+                         + [("groups", 12), ("rngs", 24), ("quandles", 6)])
+def test_fibration_order_matches_pairwise_leq(kind, size):
+    fib = fibration(corpus(kind, size))
+    for i, lattice in enumerate(fib.lattices):
+        assert (fib.le[i], fib.up[i]) == oracles.pairwise_order(lattice)
+
+
+def ternary_algebras():
+    """One operation of arity 3, which ``generated_congruence`` propagates in
+    its wide branch: x - y + z on Z4, and a random table on four elements
+    that keeps the blocks {0, 1} and {2, 3}."""
+    rng = random.Random(3)
+    sig, cube = Signature((("m", 3),)), list(itertools.product(range(4), repeat=3))
+    return [FiniteAlgebra(4, sig, (tuple((x - y + z) % 4 for x, y, z in cube),)),
+            FiniteAlgebra(4, sig, (tuple(2 * ((x // 2 + y // 2 * (z // 2)) % 2) + rng.randrange(2)
+                                         for x, y, z in cube),))]
+
+
+def test_compatibility_matches_the_tuple_scan():
+    # Each congruence, the partitions one merge or one split away from it,
+    # and random partitions; every partition of the ternary algebras.
+    rng = random.Random(16)
+    cases = []
+    for x in corpus("quandles", 5).algebras + corpus("groups", 8).algebras \
+            + corpus("rngs", 12).algebras:
+        for r in con_lattice(x):
+            a, b = rng.randrange(x.size), rng.randrange(x.size)
+            cases.append((x, r.ids))
+            cases.append((x, tuple(r.ids[b] if k == r.ids[a] else k for k in r.ids)))
+            cases.append((x, tuple(x.size if y == a else k for y, k in enumerate(r.ids))))
+            cases.append((x, tuple(rng.randrange(x.size) for _ in range(x.size))))
+    for x in ternary_algebras():
+        for ids in oracles.all_partitions(x.size):
+            assert oracles.scan_is_compatible(x, ids) == oracles.partition_compatible(x, ids)
+            cases.append((x, ids))
+    verdicts = Counter()
+    for x, ids in cases:
+        got = algebras.is_compatible(x, ids)
+        assert got == oracles.scan_is_compatible(x, ids)
+        verdicts[got, x.sig.ops[0][1]] += 1
+    assert verdicts[True, 3] and verdicts[False, 3] and verdicts[True, 2] and verdicts[False, 2]
 
 
 # --- hom search and the universal property -----------------------------------------

@@ -25,6 +25,7 @@ from congform import (
 )
 from congform import operators
 from congform.errors import (
+    FibreMismatch,
     NotExtensive,
     NotNatural,
     PreconditionFailed,
@@ -32,6 +33,7 @@ from congform.errors import (
     UniverseMismatch,
     UniverseNotQuotientClosed,
 )
+from congform.instances import CORPUS_KINDS, closure_rule, corpus_kind, corpus_operators
 
 from oracles import strictify
 
@@ -88,7 +90,69 @@ def test_not_extensive_witness(z4_universe):
 
     with pytest.raises(NotExtensive) as exc:
         make_operator(z4_universe, crush, "crush")
-    assert "congruence" in exc.value.witness
+    assert exc.value.witness == {"algebra": 1, "congruence": [[0, 1]], "closure": [[0], [1]]}
+
+
+@pytest.mark.parametrize("kind", CORPUS_KINDS)
+def test_operator_views_match_the_rule(kind):
+    # An operator stores index rows; maps, fibre and apply read Congruences
+    # off them, and must give the tables the rule builds.
+    u = corpus(kind, corpus_kind(kind).default_size)
+    foreign = diagonal(cyclic_group(13))  # larger than every member
+    for name in corpus_operators(kind):
+        c, rule = builtin_operator(name, u), closure_rule(name)
+        tables = [{r: rule(x, r) for r in con_lattice(x)} for x in u.algebras]
+        assert c.maps == tuple(tuple(t.items()) for t in tables)
+        for i, (x, table) in enumerate(zip(u.algebras, tables)):
+            assert list(c.fibre(i).items()) == list(table.items())
+            for r, cr in table.items():
+                assert c.apply(i, r) == c.apply(x, r) == c(x, r) == cr
+            with pytest.raises(FibreMismatch):
+                c.apply(i, foreign)
+
+
+def z8_universe():
+    """Z1, Z2, Z4, Z8: every Con(Z_n) is a chain, named by block counts."""
+    return universe_from_generators([cyclic_group(8)])
+
+
+def chain_tables(u, closures, *, reverse=False):
+    """Per member, the table R -> the congruence with ``closures[i][blocks of R]``
+    blocks, keyed in ``con_lattice`` order or, with ``reverse``, against it."""
+    tables = []
+    for x, closure in zip(u.algebras, closures):
+        by_blocks = {r.n_blocks: r for r in con_lattice(x)}
+        keys = list(con_lattice(x))[::-1 if reverse else 1]
+        tables.append({r: by_blocks[closure[r.n_blocks]] for r in keys})
+    return tables
+
+
+Z8 = [[0, 1, 2, 3, 4, 5, 6, 7]]
+Z8_MOD2, Z8_MOD4 = [[0, 2, 4, 6], [1, 3, 5, 7]], [[0, 4], [1, 5], [2, 6], [3, 7]]
+Z8_DIAGONAL = [[x] for x in range(8)]
+
+# Extensive tables on the Z8 universe that break the lifting law, each with
+# its witness for keys in con_lattice order and for keys in reverse order.
+NOT_NATURAL_CASES = [
+    # not monotone on Z8: the 4-block congruence closes to the top, the
+    # 2-block one to itself
+    ([{1: 1}, {1: 1, 2: 1}, {1: 1, 2: 1, 4: 1}, {1: 1, 2: 2, 4: 1, 8: 1}],
+     {"dom": 3, "cod": 3, "map": list(range(8)), "R": Z8_MOD4, "S": Z8_MOD2},
+     {"dom": 3, "cod": 3, "map": list(range(8)), "R": Z8_DIAGONAL, "S": Z8_MOD2}),
+    # monotone, but not continuous along Z8 -> Z4
+    ([{1: 1}, {1: 1, 2: 1}, {1: 1, 2: 2, 4: 2}, {1: 1, 2: 1, 4: 1, 8: 1}],
+     {"dom": 3, "cod": 2, "map": [0, 1, 2, 3] * 2, "R": Z8_MOD2, "S": [[0, 2], [1, 3]]},
+     {"dom": 3, "cod": 2, "map": [0, 1, 2, 3] * 2, "R": Z8_MOD4, "S": [[0], [1], [2], [3]]}),
+]
+
+
+@pytest.mark.parametrize("closures,in_order,reversed_keys", NOT_NATURAL_CASES)
+def test_not_natural_witness_follows_the_key_order(closures, in_order, reversed_keys):
+    u = z8_universe()
+    for reverse, witness in ((False, in_order), (True, reversed_keys)):
+        with pytest.raises(NotNatural) as exc:
+            make_operator(u, chain_tables(u, closures, reverse=reverse), "chain")
+        assert exc.value.witness == witness
 
 
 def test_not_natural_witness(v4_universe):
@@ -106,7 +170,8 @@ def test_not_natural_witness(v4_universe):
 
     with pytest.raises(NotNatural) as exc:
         make_operator(v4_universe, skew, "skew")
-    assert {"dom", "cod", "map", "R", "S"} <= set(exc.value.witness)
+    assert exc.value.witness == {"dom": 2, "cod": 1, "map": [0, 1, 0, 1],
+                                 "R": [[0, 2], [1, 3]], "S": [[0], [1]]}
 
 
 def test_operator_apply_rejects_foreign_algebra(z4_universe):
@@ -115,21 +180,40 @@ def test_operator_apply_rejects_foreign_algebra(z4_universe):
         c.apply(symmetric_group(3), diagonal(symmetric_group(3)))
 
 
-def test_tabulated_input_must_cover_every_congruence(z4_universe):
-    from congform.errors import FibreMismatch
+def identity_tables(u):
+    return [{r: r for r in con_lattice(x)} for x in u.algebras]
 
+
+def test_tabulated_input_must_cover_every_congruence(z4_universe):
     tables = [dict() for _ in z4_universe.algebras]
     with pytest.raises(FibreMismatch):
+        make_operator(z4_universe, tables, "partial")
+    tables = identity_tables(z4_universe)
+    del tables[2][congruence_from_blocks(z4_universe.algebras[2], [[0, 2], [1, 3]])]
+    with pytest.raises(FibreMismatch, match="member 2 must list exactly its 3 congruences"):
         make_operator(z4_universe, tables, "partial")
 
 
 def test_closure_values_must_be_congruences_of_the_member(z4_universe):
-    from congform.errors import FibreMismatch
-
     foreign = diagonal(symmetric_group(3))
     tables = [{r: foreign for r in con_lattice(x)} for x in z4_universe.algebras]
-    with pytest.raises(FibreMismatch):
+    with pytest.raises(FibreMismatch, match="not a congruence of member 0"):
         make_operator(z4_universe, tables, "foreign")
+    tables = identity_tables(z4_universe)
+    tables[2][full(z4_universe.algebras[2])] = foreign
+    with pytest.raises(FibreMismatch, match="not a congruence of member 2"):
+        make_operator(z4_universe, tables, "foreign")
+
+
+def test_members_are_checked_in_order(z4_universe):
+    # member 1 is not extensive; member 2 misses a key, which is not reached
+    z2, z4 = z4_universe.algebras[1:]
+    tables = identity_tables(z4_universe)
+    tables[1] = {r: diagonal(z2) for r in con_lattice(z2)}
+    del tables[2][diagonal(z4)]
+    with pytest.raises(NotExtensive) as exc:
+        make_operator(z4_universe, tables, "crush")
+    assert exc.value.witness == {"algebra": 1, "congruence": [[0, 1]], "closure": [[0], [1]]}
 
 
 # --- axiom checkers -----------------------------------------------------------------
@@ -331,16 +415,18 @@ def test_operator_census_up_to_order_8():
 
 
 def test_enumerate_operators_validates_only_survivors(monkeypatch):
-    # The D4 universe has 19,200 extensive families and 30 operators.
+    # The D4 universe has 19,200 extensive families and 30 operators.  Only
+    # the survivors reach make_operator's naturality check, as index rows.
     u = universe_from_generators([dihedral_group(4)])
     assert [len(con_lattice(x)) for x in u.algebras] == [1, 2, 5, 6]
     calls = []
-    real = operators.make_operator
-    monkeypatch.setattr(operators, "make_operator",
-                        lambda *args: calls.append(args[2]) or real(*args))
+    real = operators._natural_operator
+    monkeypatch.setattr(operators, "_natural_operator",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    monkeypatch.setattr(operators, "make_operator", None)
     family = enumerate_operators(u)
     assert len(family) == 30
-    assert len(calls) <= len(family)
+    assert calls == [c.name for c in family]
 
 
 # --- reporting ------------------------------------------------------------------------------

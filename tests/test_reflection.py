@@ -35,11 +35,12 @@ from congform import (
 from congform.errors import (
     NotIdempotent,
     NotReflective,
+    UniverseMismatch,
     UniverseNotQuotientClosed,
 )
 from congform.algebras import enumerate_homs
 from congform.operators import fibration, naturality_maps
-from congform.reflection import SubcategoryPredicate, make_reflector
+from congform.reflection import SubcategoryPredicate, closures_agree, make_reflector
 from congform.terms import COMMUTATIVITY, REDUCED_RNG, TRIVIAL_QUANDLE
 
 
@@ -243,6 +244,24 @@ def test_roundtrip_nilradical(rng_corpus):
 def test_roundtrip_abelianization_reflector(group_corpus):
     refl = reflector_from_closure(builtin_operator("abelianization", group_corpus))
     assert roundtrip_reflector(refl)
+
+
+def test_closures_agree_names_the_first_difference():
+    u = universe_from_generators([cyclic_group(4)])
+    z4 = u.algebras[2]
+    mid = congruence_from_blocks(z4, [[0, 2], [1, 3]])
+    ident, top = builtin_operator("identity", u), builtin_operator("top", u)
+    stair = make_operator(u, lambda x, r: r if x.size == 1 else mid if r == diagonal(z4)
+                          else full(x), "staircase")
+    assert closures_agree(top, top)
+    assert closures_agree(ident, top).witness == {
+        "operator": "identity", "algebra": 1, "congruence": [[0], [1]],
+        "expected": [[0], [1]], "got": [[0, 1]]}
+    assert closures_agree(stair, top).witness == {
+        "operator": "staircase", "algebra": 2, "congruence": [[0], [1], [2], [3]],
+        "expected": [[0, 2], [1, 3]], "got": [[0, 1, 2, 3]]}
+    with pytest.raises(UniverseMismatch):
+        closures_agree(ident, builtin_operator("identity", universe_from_generators([cyclic_group(2)])))
 
 
 # --- order comparison ---------------------------------------------------------------------
