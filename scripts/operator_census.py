@@ -10,6 +10,9 @@ cocartesian liftings pick out the same operators.
 Usage:
   python scripts/operator_census.py
   python scripts/operator_census.py --max-order 6
+
+Exits 0 when every check passes, 1 when one ran and failed, and 2 on
+malformed input such as an unsupported size, with the message on stderr.
 """
 
 import argparse
@@ -24,6 +27,7 @@ from congform import (
     preserves_cocartesian,
     universe_from_generators,
 )
+from congform.errors import InputError
 
 
 def main() -> int:
@@ -59,4 +63,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -5,6 +5,9 @@ Usage:
   python scripts/run_verification.py                     # all three corpora
   python scripts/run_verification.py --corpus groups --max-size 6
   python scripts/run_verification.py --out reports/
+
+Exits 0 when every check passes, 1 when one ran and failed, and 2 on
+malformed input such as an unsupported size, with the message on stderr.
 """
 
 import argparse
@@ -13,6 +16,7 @@ import pathlib
 import sys
 import time
 
+from congform.errors import InputError
 from congform.instances import CORPUS_KINDS
 from congform.verify import run_verification
 
@@ -47,4 +51,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -26,6 +26,7 @@ import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 from typing import Iterable, Optional, Sequence
 
 from . import terms
@@ -509,9 +510,14 @@ def enumerate_homs(x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorphism, ..
 
 
 def find_embedding(x: FiniteAlgebra, y: FiniteAlgebra) -> Optional[Homomorphism]:
-    """Lexicographically least injective homomorphism x -> y, or None."""
+    """Lexicographically least injective homomorphism x -> y, or None.  No
+    search runs when some element of x has no element of y whose
+    ``_embedding_profile`` counts are all at least its own."""
     if x.sig != y.sig:
         raise SignatureMismatch("hom search needs a shared signature")
+    targets = set(_embedding_profile(y))
+    if not all(any(all(map(le, p, q)) for q in targets) for p in set(_embedding_profile(x))):
+        return None
     maps = _hom_search(x, y, injective=True, first_only=True)
     return Homomorphism(x, y, maps[0], x.size == y.size) if maps else None
 
@@ -589,6 +595,33 @@ def _iso_invariant(a: FiniteAlgebra):
             cols = sorted(_line_profile(table[v::n], n) for v in range(n))
             parts.append((diag, tuple(rows), tuple(cols)))
     return tuple(parts)
+
+
+@lru_cache(maxsize=None)
+def _embedding_profile(a: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """Per element x, counts that an embedding e can only raise: for each
+    binary operation o, how many y satisfy, and how many do not, each of
+    x o y = x, y o x = x, x o y = y and y o x = y; for each unary t, whether
+    t(x) = x and whether not.  An injective hom keeps and reflects each
+    equality pair by pair, so each count of x is at most that of e(x)
+    (Ullmann's candidate filter, *An algorithm for subgraph isomorphism*,
+    J. ACM 23, 1976)."""
+    n = a.size
+    profile: list[list[int]] = [[] for _ in range(n)]
+    for (_, arity), table in zip(a.sig.ops, a.tables):
+        for x, counts in enumerate(profile):
+            if arity == 1:
+                held = (int(table[x] == x),)
+            elif arity == 2:
+                row, col = table[x * n:(x + 1) * n], table[x::n]
+                held = (row.count(x), col.count(x),
+                        sum(v == y for y, v in enumerate(row)),
+                        sum(v == y for y, v in enumerate(col)))
+            else:
+                continue
+            for k in held:
+                counts += (k, (n if arity == 2 else 1) - k)
+    return tuple(map(tuple, profile))
 
 
 def _inverse(perm: Sequence[int]) -> list[int]:

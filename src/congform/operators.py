@@ -37,10 +37,11 @@ The checks compare integers: ``fibration(u)``, built on a universe's first
 check, numbers each Con(X) and reads its order off the block-id arrays, and
 an operator is its index rows over those numberings.  The fibration builds
 on first use, and then holds, f* along each map read (naturality,
-coheredity, ``pullback_rule`` and ``make_reflector``), images along
-quotient maps (cocartesian preservation) and embeddings into members
+coheredity and the reflection layer), images along quotient maps
+(cocartesian preservation) and embeddings into members
 (``make_reflector``), reading joins and images off the order (see
-``Fibration``).
+``Fibration``).  It also keeps the operator rows and reflection
+congruences that passed validation, so each is validated once per universe.
 """
 
 from __future__ import annotations
@@ -189,22 +190,6 @@ def quotient_maps(u: Universe) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
     return MappingProxyType(out)
 
 
-def pullback_rule(u: Universe, rho: Sequence[Congruence]) -> Rule:
-    """R -> g*(rho[j]) for the first quotient map g of R, onto member j: the
-    closure induced by a family of reflection congruences rho."""
-    if not u.quotient_closed:
-        raise UniverseNotQuotientClosed(
-            "deriving a closure operator requires a quotient-closed universe")
-    maps, fib = quotient_maps(u), fibration(u)
-
-    def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
-        g = maps[r][0]
-        j = u.member_index(g.cod)
-        return fib.lattices[u.member_index(x)][fib.pulled(g, fib.index[j][rho[j]])]
-
-    return rule
-
-
 @lru_cache(maxsize=None)
 def naturality_maps(u: Universe) -> tuple[Homomorphism, ...]:
     """Maps a ``NotNatural`` witness is sought along, in this order: per
@@ -269,7 +254,10 @@ class Fibration:
     up(b), joins are read off them too.  Along a quotient map f: X -> Y, f*
     is an order isomorphism from Con(Y) onto the up-set of ker f =
     f*(diagonal) in Con(X) (correspondence theorem), so f(R) is the S with
-    f*S = R v ker f."""
+    f*S = R v ker f.  ``natural`` holds the row tuples that passed
+    ``_natural_operator`` and ``reflective`` the rho tuples ``make_reflector``
+    accepted; a verdict depends only on the universe and the input, so both
+    return at once for a known one.  Failures are not kept."""
 
     def __init__(self, u: Universe):
         self.universe = u
@@ -282,6 +270,8 @@ class Fibration:
                               for mask in up) for up in self.up)
         self.by_up = tuple({mask: a for a, mask in enumerate(up)} for up in self.up)
         self._pulls, self._images, self._embeddings = {}, {}, {}
+        self.natural: set[tuple[tuple[int, ...], ...]] = set()
+        self.reflective: set[tuple[Congruence, ...]] = set()
 
     def pull(self, f: Homomorphism) -> tuple[int, ...]:
         """S -> f*S as an index array, built on first request; f between members."""
@@ -390,6 +380,8 @@ def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> Clo
     a per-member sequence of {congruence: closure} tables keyed by
     exactly the member's congruences.
     """
+    if not callable(rule) and len(rule) != len(u.algebras):
+        raise UniverseMismatch("one operator table per member required")
     fib = fibration(u)
     rows, orders = [], []
     for i, x in enumerate(u.algebras):
@@ -419,8 +411,11 @@ def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...],
     continuity along every map (see the module docstring).  A ``NotNatural``
     witness {dom, cod, map, R, S} is a lift that C breaks: the identity with
     R <= S, or a map f with R = f*S; it is the first along the full
-    ``naturality_maps``, congruences of member i taken in ``orders[i]``."""
+    ``naturality_maps``, congruences of member i taken in ``orders[i]``.
+    Rows that passed before on ``u`` are not checked again."""
     fib = fibration(u)
+    if rows in fib.natural:
+        return ClosureOperator(u, name, rows)
 
     def not_natural(i, j, f, ri, si):
         return NotNatural(f"operator {name!r} breaks the lifting law", witness={
@@ -441,6 +436,7 @@ def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...],
     broken = _first_failure(u, broken_along, generating_maps(u), lambda: naturality_maps(u))
     if broken is not None:
         raise broken
+    fib.natural.add(rows)
     return ClosureOperator(u, name, rows)
 
 

@@ -10,13 +10,19 @@ quotient map of K = ker f followed by an embedding of X/K (Adamek,
 Herrlich & Strecker, *Abstract and Concrete Categories*, 14-16), so the
 property fails exactly when X/K embeds in M for some K with
 rho_X not <= K.  ``Fibration.embedding`` answers that once per universe,
-for the member isomorphic to X/K or, when there is none, for X/K itself.
+for the member isomorphic to X/K or, when there is none, for X/K itself;
+``find_embedding`` mostly answers None from element counts, unsearched.
 
 The two constructions converting between reflectors and idempotent
 cohereditary closure operators are mutually inverse here.  Each round
 trip is a derivation followed by a pointwise comparison
-(``closures_agree``, ``reflectors_agree``), so a caller that already
-holds the derived objects compares them without rebuilding them.
+(``closures_agree``, ``reflectors_agree``, both on one universe), so a
+caller that already holds the derived objects compares them without
+rebuilding them.  ``closure_from_reflector`` writes the index rows
+directly, C(R) = g*(rho_j) read off the pull-back along R's quotient map
+g onto member j.  An operator's rows and a reflector's rho are validated
+once per universe (``Fibration.natural`` and ``.reflective``), so the
+derived and oracle objects that equal them cost a set look-up.
 
 Pull-backs run along the quotient maps of ``operators.quotient_maps``,
 built once per universe.  Over a quotient-closed universe the oracles read
@@ -49,22 +55,24 @@ from .algebras import (
 from .errors import (
     CheckResult,
     NotCohereditary,
+    NotExtensive,
     NotIdempotent,
     NotReflective,
     PASSED,
     UniverseMismatch,
+    UniverseNotQuotientClosed,
     failed,
 )
 from .operators import (
     ClosureOperator,
     Universe,
+    _natural_operator,
+    _witness,
     fibration,
     find_member_iso,
     is_cohereditary,
     is_idempotent,
-    make_operator,
     operator_leq,
-    pullback_rule,
     quotient_maps,
 )
 from .terms import satisfies_equations, satisfies_quasiequations
@@ -93,16 +101,20 @@ class Reflector:
 
 def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflector:
     """Validate values-in-subcategory and, by factorisation, the universal
-    property; its witness map is e.g_K for the first K in ``con_lattice`` order."""
+    property; its witness map is e.g_K for the first K in ``con_lattice`` order.
+    A rho accepted before on ``u`` is not checked again."""
     rho = tuple(rho)
     if len(rho) != len(u.algebras):
         raise UniverseMismatch("one reflection congruence per member required")
     for i, (x, r) in enumerate(zip(u.algebras, rho)):
         if r.algebra != x:
             raise UniverseMismatch(f"rho[{i}] lives on a different algebra")
+    fib = fibration(u)
+    if rho in fib.reflective:
+        return Reflector(u, name, rho)
     members_in = [i for i, r in enumerate(rho) if r == diagonal(u.algebras[i])]
     # reflections land in the subcategory: g*(rho_M) = rho_X = g*(diagonal)
-    maps, fib = quotient_maps(u), fibration(u)
+    maps = quotient_maps(u)
     for i, r in enumerate(rho):
         if r not in maps:
             raise NotReflective(
@@ -135,13 +147,33 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
                         witness={"dom": i, "cod": j, "map": list(compose(e, g).map),
                                  "rho": congruence_to_blocks(rho[i])},
                     )
+    fib.reflective.add(rho)
     return Reflector(u, name, rho)
 
 
 def closure_from_reflector(refl: Reflector) -> ClosureOperator:
-    """C_X(R) pulls the reflection congruence of X/R back along its quotient map."""
+    """C_X(R) pulls the reflection congruence of X/R back along its quotient
+    map g: X -> M_j, read as an index: rows[i][a] = g*(rho_j), checked
+    extensive member by member and then natural, as ``make_operator`` does."""
     u = refl.universe
-    return make_operator(u, pullback_rule(u, refl.rho), refl.name)
+    if not u.quotient_closed:
+        raise UniverseNotQuotientClosed(
+            "deriving a closure operator requires a quotient-closed universe")
+    maps, fib = quotient_maps(u), fibration(u)
+    at = [fib.index[j][r] for j, r in enumerate(refl.rho)]
+    rows = []
+    for i, (lattice, le) in enumerate(zip(fib.lattices, fib.le)):
+        row = []
+        for r in lattice:
+            g = maps[r][0]
+            row.append(fib.pulled(g, at[u.member_index(g.cod)]))
+        for a, b in enumerate(row):
+            if not le[a][b]:
+                raise NotExtensive(f"operator {refl.name!r} is not extensive on member {i}",
+                                   witness=_witness(i, lattice[a],
+                                                    closure=congruence_to_blocks(lattice[b])))
+        rows.append(tuple(row))
+    return _natural_operator(u, refl.name, tuple(rows), [range(len(row)) for row in rows])
 
 
 def reflector_from_closure(c: ClosureOperator) -> Reflector:
@@ -239,6 +271,8 @@ def closures_agree(c: ClosureOperator, back: ClosureOperator) -> CheckResult:
 
 def reflectors_agree(refl: Reflector, back: Reflector) -> CheckResult:
     """``back``, derived from ``refl`` through its closure, has every rho_X of ``refl``."""
+    if refl.universe != back.universe:
+        raise UniverseMismatch("comparing reflectors needs a shared universe")
     for i in range(len(refl.universe)):
         if back.rho[i] != refl.rho[i]:
             return failed(reflector=refl.name, algebra=i,

@@ -984,7 +984,6 @@ def strictify(d):
     """
     from congform import diagonal, is_cohereditary, is_idempotent, make_operator
     from congform.errors import PreconditionFailed
-    from congform.operators import pullback_rule
 
     idem = is_idempotent(d)
     if not idem:

@@ -27,7 +27,11 @@ with ``join``, ``preimage_congruence`` and ``image_congruence``.
 Compatibility of a partition is decided by comparing it with the
 congruence its blocks generate; the oracle scans every operation tuple.
 The hom search indexes each element by the operation tuples it occurs in;
-the oracle scans every tuple on each step.  ``make_reflector`` checks the
+the oracle scans every tuple on each step; ``find_embedding`` first rules
+embeddings out by element counts, and must still give the scan's first
+injective hom.  ``closure_from_reflector`` reads its rows off the
+pull-back tables; the oracle pulls ``Congruence`` objects back
+(``oracles.pullback_rule``) through ``make_operator``.  ``make_reflector`` checks the
 universal property by factorisation through quotient maps and embeddings;
 the oracle tests every hom into the subcategory.  ``relabel_algebra`` and
 ``quotient`` read each table along one flat index array; the oracles call
@@ -83,10 +87,11 @@ from congform import (
 )
 from congform import algebras, reflection
 from congform.algebras import FiniteAlgebra, Signature, quotient, relabel_algebra
-from congform.errors import NotNatural, NotReflective
+from congform.errors import CongformError, NotNatural, NotReflective
 from congform.instances import CORPUS_KINDS, corpus_kind, corpus_operators, oracle_predicate
-from congform.operators import fibration, generating_maps, naturality_maps, pullback_rule
-from congform.reflection import SubcategoryPredicate, make_reflector
+from congform.operators import fibration, generating_maps, naturality_maps
+from congform.reflection import (Reflector, SubcategoryPredicate, closure_from_reflector,
+                                 make_reflector)
 
 import oracles
 from oracles import kernel_congruence
@@ -499,11 +504,17 @@ def assert_tables_match_oracles(c):
     for check, oracle in TABLE_CHECKS.items():
         assert check(c) == oracle(c)
     if u.quotient_closed:
-        rho = [c.apply(i, diagonal(x)) for i, x in enumerate(u.algebras)]
-        rule, expected = pullback_rule(u, rho), oracles.pullback_rule(u, rho)
-        for x in u.algebras:
-            for r in con_lattice(x):
-                assert rule(x, r) == expected(x, r)
+        rho = tuple(c.apply(i, diagonal(x)) for i, x in enumerate(u.algebras))
+        assert derivation(lambda: closure_from_reflector(Reflector(u, c.name, rho))) == \
+            derivation(lambda: make_operator(u, oracles.pullback_rule(u, rho), c.name))
+
+
+def derivation(build):
+    """The rows of ``build()``, or the type, message and witness of what it raises."""
+    try:
+        return build().rows
+    except CongformError as exc:
+        return type(exc).__name__, str(exc), exc.witness
 
 
 def test_table_checks_match_oracles_on_enumerated_operators():
@@ -623,6 +634,26 @@ def test_hom_searches_match_the_scan_and_brute_force():
                     assert [a.map for a in automorphisms(x)] == isos
 
 
+@pytest.mark.parametrize("build", [lambda: corpus("quandles", 5), lambda: corpus("groups", 12),
+                                   lambda: corpus("rngs", 24), pointed_sets],
+                         ids=["quandles-5", "groups-12", "rngs-24", "pointed-sets"])
+def test_find_embedding_matches_the_scan_and_keeps_the_profiles(build):
+    # the least embedding is the scan's first injective hom, whether or not
+    # the element counts refute it first, and it never lowers a count
+    u = build()
+    for x in u.algebras:
+        for y in u.algebras:
+            homs = oracles.scan_hom_search(x, y, bijective=False, first_only=False) \
+                if x.size <= y.size else []
+            embedding = find_embedding(x, y)
+            assert (embedding and embedding.map) == \
+                next((h for h in homs if len(set(h)) == x.size), None)
+            if embedding is not None:
+                px, py = algebras._embedding_profile(x), algebras._embedding_profile(y)
+                assert all(a <= b for k, v in enumerate(embedding.map)
+                           for a, b in zip(px[k], py[v]))
+
+
 def reflector_verdict(u, rho) -> str:
     """make_reflector's verdict on ``rho``, against the oracle that tests every
     hom: the same dom, cod and rho, and a map that is a hom not factoring."""
@@ -642,6 +673,21 @@ def reflector_verdict(u, rho) -> str:
         return "does not factor"
     assert expected is None
     return "passes"
+
+
+def test_derived_closures_match_the_pullback_oracle_on_every_rho():
+    # every family rho on the quotient-closed universes, reflective or not:
+    # the same rows, or the same NotNatural message and witness
+    outcomes = Counter()
+    quandle_universes = [universe_from_generators([make()]) for make in QUANDLE_GENERATORS]
+    for u in operator_universes() + quandle_universes:
+        if not u.quotient_closed:
+            continue
+        for rho in itertools.product(*map(con_lattice, u.algebras)):
+            got = derivation(lambda: closure_from_reflector(Reflector(u, "rho", rho)))
+            assert got == derivation(lambda: make_operator(u, oracles.pullback_rule(u, rho), "rho"))
+            outcomes[got[0] if isinstance(got[0], str) else "rows"] += 1
+    assert outcomes == {"rows": 75, "NotNatural": 108}
 
 
 def test_universal_property_matches_hom_enumeration():

@@ -216,6 +216,30 @@ def test_members_are_checked_in_order(z4_universe):
     assert exc.value.witness == {"algebra": 1, "congruence": [[0, 1]], "closure": [[0], [1]]}
 
 
+def test_one_table_per_member_required(z4_universe):
+    tables = identity_tables(z4_universe)
+    for wrong in (tables[:-1], tables + tables[:1]):
+        with pytest.raises(UniverseMismatch, match="one operator table per member required"):
+            make_operator(z4_universe, wrong, "misfit")
+
+
+def test_a_failing_table_raises_the_same_witness_twice(z4_universe):
+    # not monotone on Z4: C(diagonal) = full, but C(halves) = halves
+    z4 = z4_universe.algebras[2]
+    tables = identity_tables(z4_universe)
+    tables[2][diagonal(z4)] = full(z4)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NotNatural) as exc:
+            make_operator(z4_universe, tables, "bent")
+        raised.append((str(exc.value), exc.value.witness))
+    assert raised[0] == raised[1]
+    assert raised[0][1]["R"] == [[0], [1], [2], [3]]
+    fib = operators.fibration(z4_universe)
+    bent = tuple(tuple(fib.index[i][t[r]] for r in fib.lattices[i]) for i, t in enumerate(tables))
+    assert bent not in fib.natural
+
+
 # --- axiom checkers -----------------------------------------------------------------
 
 def test_identity_operator_passes_everything(z4_universe):

@@ -34,13 +34,16 @@ from congform import (
 )
 from congform.errors import (
     NotIdempotent,
+    NotNatural,
     NotReflective,
     UniverseMismatch,
     UniverseNotQuotientClosed,
 )
 from congform.algebras import enumerate_homs
+from congform import reflection
 from congform.operators import fibration, naturality_maps
-from congform.reflection import SubcategoryPredicate, closures_agree, make_reflector
+from congform.reflection import (SubcategoryPredicate, closures_agree, make_reflector,
+                                 reflectors_agree)
 from congform.terms import COMMUTATIVITY, REDUCED_RNG, TRIVIAL_QUANDLE
 
 
@@ -122,12 +125,9 @@ def test_reflector_requires_idempotence(s3_universe):
         reflector_from_closure(c)
 
 
-def test_surjection_only_naturality_can_fail_universal_property():
-    # Extensive + natural along surjections + idempotent + cohereditary is
-    # not enough: with rho trivial on Z4 but full on Z2, the injection
-    # Z2 -> Z4 violates the universal property.  The reflector constructor
-    # must catch this and name the offending map.
-    u = universe_from_generators([cyclic_group(4)])
+def pathological_rule(u):
+    """Extensive, natural along surjections, idempotent and cohereditary on
+    the quotient closure of Z4, but rho is trivial on Z4 and full on Z2."""
     z4 = next(a for a in u.algebras if a.size == 4)
     z2 = next(a for a in u.algebras if a.size == 2)
     mid = congruence_from_blocks(z4, [[0, 2], [1, 3]])
@@ -139,11 +139,42 @@ def test_surjection_only_naturality_can_fail_universal_property():
             return full(x)
         return r
 
-    c = make_operator(u, rule, "pathological")
+    return rule
+
+
+def test_surjection_only_naturality_can_fail_universal_property():
+    # Extensive + natural along surjections + idempotent + cohereditary is
+    # not enough: the injection Z2 -> Z4 violates the universal property.
+    # The reflector constructor must catch this and name the offending map.
+    u = universe_from_generators([cyclic_group(4)])
+    c = make_operator(u, pathological_rule(u), "pathological")
     assert is_idempotent(c) and is_cohereditary(c)
     with pytest.raises(NotReflective) as exc:
         reflector_from_closure(c)
     assert exc.value.witness["map"] == [0, 2]
+
+
+def test_a_second_universe_validates_afresh(monkeypatch):
+    # the same rows pass on the quotient closure of Z4, where naturality runs
+    # along surjections, and fail on the same members without the flag
+    fibration.cache_clear()
+    u = universe_from_generators([cyclic_group(4)])
+    c = make_operator(u, pathological_rule(u), "pathological")
+    assert c.rows in fibration(u).natural
+    plain = universe(u.algebras)
+    with pytest.raises(NotNatural):
+        make_operator(plain, [c.fibre(i) for i in range(len(u))], "pathological")
+    assert c.rows not in fibration(plain).natural
+    # a rho accepted on u is checked again, and kept, on another universe
+    rho = [diagonal(x) for x in u.algebras]
+    make_reflector(u, rho, "id")
+    reads = []
+    original = reflection.quotient_maps
+    monkeypatch.setattr(reflection, "quotient_maps", lambda v: reads.append(v) or original(v))
+    make_reflector(u, rho, "id")
+    assert reads == []
+    make_reflector(plain, rho, "id")
+    assert reads == [plain] and tuple(rho) in fibration(plain).reflective
 
 
 def test_universal_property_through_a_quotient_that_is_no_member():
@@ -174,9 +205,10 @@ def test_make_reflector_rejects_reflections_outside_the_subcategory():
     z1, z2, z4 = u.algebras
     halves = congruence_from_blocks(z4, [[0, 2], [1, 3]])
     # Z4 reflects onto Z2, which is not in the subcategory {Z1}
-    with pytest.raises(NotReflective) as exc:
-        make_reflector(u, [diagonal(z1), full(z2), halves], "lands-outside")
-    assert exc.value.witness == {"algebra": 2, "reflection_member": 1}
+    for _ in range(2):  # a rejected rho is checked again, with the same witness
+        with pytest.raises(NotReflective) as exc:
+            make_reflector(u, [diagonal(z1), full(z2), halves], "lands-outside")
+        assert exc.value.witness == {"algebra": 2, "reflection_member": 1}
     # without Z2 in the universe, the reflection of Z4 leaves it
     with pytest.raises(NotReflective) as exc:
         make_reflector(universe([z1, z4]), [diagonal(z1), halves], "leaves")
@@ -262,6 +294,18 @@ def test_closures_agree_names_the_first_difference():
         "expected": [[0, 2], [1, 3]], "got": [[0, 1, 2, 3]]}
     with pytest.raises(UniverseMismatch):
         closures_agree(ident, builtin_operator("identity", universe_from_generators([cyclic_group(2)])))
+
+
+def test_reflectors_agree_needs_a_shared_universe():
+    q3, q4 = (reflector_from_closure(builtin_operator("top", corpus("quandles", n))) for n in (3, 4))
+    z1, t1 = (reflector_from_closure(builtin_operator("identity", universe_from_generators([a])))
+              for a in (cyclic_group(1), trivial_quandle(1)))
+    assert reflectors_agree(q3, q3)
+    # a longer universe first, a prefix of the other first, and two
+    # one-member universes whose diagonals print alike as [[0]]
+    for refl, back in [(q4, q3), (q3, q4), (z1, t1)]:
+        with pytest.raises(UniverseMismatch, match="comparing reflectors needs a shared universe"):
+            reflectors_agree(refl, back)
 
 
 # --- order comparison ---------------------------------------------------------------------

@@ -90,3 +90,49 @@ def test_run_verification_builds_no_identity_pull_tables():
     pulls = operators.fibration(u)._pulls
     assert not [f for f in pulls if f.dom == f.cod and f.map == tuple(range(f.dom.size))]
     assert len(pulls) == 304
+
+
+def test_run_verification_refutes_every_embedding_by_counts(monkeypatch):
+    # on quandles 5 the element counts of _embedding_profile rule out every
+    # embedding make_reflector asks for, so find_embedding never searches
+    lookups, callers = [], []
+    original_find, original_search = operators.find_embedding, algebras._hom_search
+
+    def finding(x, y):
+        lookups.append((x, y))
+        return original_find(x, y)
+
+    def searching(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original_search(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "find_embedding", finding)
+    monkeypatch.setattr(algebras, "_hom_search", searching)
+    operators.fibration.cache_clear()
+    run_verification("quandles", 5)
+    assert len(lookups) == 149
+    assert "find_embedding" not in callers
+
+
+class RecordingSet(set):
+    """A set that records every ``add``."""
+
+    def __init__(self):
+        super().__init__()
+        self.added = []
+
+    def add(self, item):
+        self.added.append(item)
+        super().add(item)
+
+
+@pytest.mark.parametrize("kind,max_size,distinct", [("quandles", 5, 3), ("groups", 8, 4)])
+def test_run_verification_validates_each_table_and_rho_once(kind, max_size, distinct):
+    # per built-in: its rows and rho, again from the derived operator and the
+    # oracle's reflector, which equal them; only the first of each is checked
+    operators.fibration.cache_clear()
+    fib = operators.fibration(corpus(kind, max_size))
+    fib.natural, fib.reflective = RecordingSet(), RecordingSet()
+    run_verification(kind, max_size)
+    for kept in (fib.natural, fib.reflective):
+        assert len(kept.added) == len(kept) == distinct
