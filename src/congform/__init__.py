@@ -16,7 +16,6 @@ them on.
 from .algebras import (
     COMMUTATIVE_RNG_SIGNATURE,
     Congruence,
-    CongruenceLattice,
     FiniteAlgebra,
     GROUP_SIGNATURE,
     Homomorphism,
@@ -109,8 +108,6 @@ from .terms import (
     app,
     satisfies_equations,
     satisfies_quasiequations,
-    term_from_json,
-    term_to_json,
     var,
 )
 from .verify import run_verification

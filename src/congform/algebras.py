@@ -62,12 +62,6 @@ class Signature:
         if any(arity < 0 for _, arity in self.ops):
             raise SignatureShape("negative arity")
 
-    def arity(self, name: str) -> int:
-        for n, a in self.ops:
-            if n == name:
-                return a
-        raise UnknownOp(f"operation {name!r} not in signature")
-
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.ops)
 
@@ -769,31 +763,6 @@ def join(r: Congruence, s: Congruence) -> Congruence:
     return _equivalence_closure(r.algebra, _block_pairs(r) + _block_pairs(s))
 
 
-@dataclass(frozen=True, repr=False)
-class CongruenceLattice:
-    """All congruences of one algebra, lexicographically ordered by ids."""
-
-    algebra: FiniteAlgebra
-    elements: tuple[Congruence, ...]
-
-    @property
-    def bottom(self) -> Congruence:
-        return diagonal(self.algebra)
-
-    @property
-    def top(self) -> Congruence:
-        return full(self.algebra)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __repr__(self):
-        return f"CongruenceLattice({self.algebra!r}, {len(self.elements)} congruences)"
-
-
 # The neutral element of each 0-regular variety, where a congruence is fixed by
 # its block: Cg(a, b) = Cg(e, a^-1 b) in a group and Cg(0, b - a) in a rng.
 _NEUTRAL = {GROUP_TAG: "e", RNG_TAG: "zero"}
@@ -834,9 +803,10 @@ def _join_blocks(ids: tuple[int, ...], blocks) -> Optional[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def con_lattice(x: FiniteAlgebra) -> CongruenceLattice:
-    """The diagonal and the principal congruences, closed under joining with a
-    principal congruence: every congruence is a join of principal ones.
+def con_lattice(x: FiniteAlgebra) -> tuple[Congruence, ...]:
+    """Con(x) as a tuple ordered by block ids: the diagonal and the principal
+    congruences, closed under joining with a principal congruence, since
+    every congruence is a join of principal ones.
 
     These are the Cg(e, x) in a variety of ``_NEUTRAL``, else the Cg(a, b).
     In a quandle each sigma_b: y -> y <| b is an automorphism (Joyce, 1982),
@@ -860,4 +830,4 @@ def con_lattice(x: FiniteAlgebra) -> CongruenceLattice:
                     found.add(j)
                     fresh.append(j)
         frontier = fresh
-    return CongruenceLattice(x, tuple(Congruence(x, ids) for ids in sorted(found)))
+    return tuple(Congruence(x, ids) for ids in sorted(found))

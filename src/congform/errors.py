@@ -128,10 +128,6 @@ class NotCohereditary(CheckFailure):
     """Operator fails to commute with preimages along some surjection."""
 
 
-class PreconditionFailed(CheckFailure):
-    """An operation's mathematical precondition does not hold."""
-
-
 class CompositeNotCongruence(CheckFailure):
     """A relation composite expected to be a congruence is not one."""
 

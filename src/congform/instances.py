@@ -169,7 +169,6 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
         least_of_type.setdefault(_cycle_type(p), p)
     perms_fixing[0] = list(least_of_type.values())
     cols: list[Optional[tuple[int, ...]]] = [None] * n
-    out: list[FiniteAlgebra] = []
 
     def conj(pc: tuple[int, ...], pb: tuple[int, ...]) -> tuple[int, ...]:
         res = [0] * n
@@ -193,29 +192,30 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
                         return False
         return True
 
-    def emit():
-        # x <| b is sigma_b(x), at flat index x*n + b: the rows of the columns
-        inverses = [_inverse(c) for c in cols]
-        out.append(FiniteAlgebra(n, QUANDLE_SIGNATURE, (
-            tuple(itertools.chain.from_iterable(zip(*cols))),
-            tuple(itertools.chain.from_iterable(zip(*inverses))),
-        ), QUANDLE_TAG))
-
     def dfs():
         try:
             b = cols.index(None)
         except ValueError:
-            emit()
+            # x <| b is sigma_b(x), at flat index x*n + b: the rows of the columns
+            inverses = [_inverse(c) for c in cols]
+            yield FiniteAlgebra(n, QUANDLE_SIGNATURE, (
+                tuple(itertools.chain.from_iterable(zip(*cols))),
+                tuple(itertools.chain.from_iterable(zip(*inverses))),
+            ), QUANDLE_TAG)
             return
         snapshot = cols.copy()
         for p in perms_fixing[b]:
             cols[b] = p
             if propagate([b]):
-                dfs()
+                yield from dfs()
             cols[:] = snapshot
 
-    dfs()
-    return out
+    # The tables leave through the generator, not through a list in a closure
+    # cell; emptying dfs's own cell breaks its cycle, so the search state is
+    # freed here rather than at the next garbage collection.
+    tables = list(dfs())
+    del dfs
+    return tables
 
 
 def _dedup_by_orbit(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:

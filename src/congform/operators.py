@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .algebras import (
     Congruence,
@@ -121,14 +121,13 @@ class Universe:
         return f"Universe({len(self.algebras)} algebras, sizes {sizes}{flag})"
 
 
-def universe(algebras: Iterable[FiniteAlgebra], *, quotient_closed: bool = False,
-             verify: bool = True) -> Universe:
+def universe(algebras: Iterable[FiniteAlgebra], *, quotient_closed: bool = False) -> Universe:
     """Sort, drop literal duplicates, and verify the closure flag if set."""
     members = sorted(set(algebras), key=_algebra_sort_key)
     if not members:
         raise UniverseMismatch("a universe needs at least one algebra")
     u = Universe(tuple(members), quotient_closed)
-    if quotient_closed and verify:
+    if quotient_closed:
         maps = quotient_maps(u)
         for i, x in enumerate(u.algebras):
             for r in con_lattice(x):
@@ -149,7 +148,7 @@ def universe_from_generators(seeds: Iterable[FiniteAlgebra]) -> Universe:
             continue
         members.append(a)
         queue.extend(quotient(a, r)[0] for r in con_lattice(a))
-    return universe(members, quotient_closed=True, verify=False)
+    return universe(members, quotient_closed=True)
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +170,6 @@ def find_member_iso(u: Universe, a: FiniteAlgebra) -> tuple[int, Homomorphism]:
 
 
 Rule = Callable[[FiniteAlgebra, Congruence], Congruence]
-FibreTables = Sequence[Mapping[Congruence, Congruence]]
 
 
 @lru_cache(maxsize=None)
@@ -261,7 +259,7 @@ class Fibration:
 
     def __init__(self, u: Universe):
         self.universe = u
-        self.lattices = tuple(tuple(con_lattice(x)) for x in u.algebras)
+        self.lattices = tuple(map(con_lattice, u.algebras))
         self.index = tuple({r: a for a, r in enumerate(lat)} for lat in self.lattices)
         self.by_ids = tuple({r.ids: a for a, r in enumerate(lat)} for lat in self.lattices)
         self.up = tuple(map(_up_sets, self.lattices))
@@ -310,20 +308,11 @@ fibration = lru_cache(maxsize=None)(Fibration)
 class ClosureOperator:
     """Validated extensive + natural fibre maps over a universe: ``rows[i][a]``
     indexes C of member i's a-th congruence in ``fibration(universe).lattices[i]``
-    (``con_lattice`` order).  ``maps``, ``fibre`` and ``apply`` are views of it."""
+    (``con_lattice`` order).  ``apply`` reads a ``Congruence`` off them."""
 
     universe: Universe
     name: str
     rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def maps(self) -> tuple[tuple[tuple[Congruence, Congruence], ...], ...]:
-        """Per member, the pairs (R, C(R)) in ``con_lattice`` order."""
-        return tuple(tuple(self.fibre(i).items()) for i in range(len(self.rows)))
-
-    def fibre(self, i: int) -> dict[Congruence, Congruence]:
-        lattice = fibration(self.universe).lattices[i]
-        return dict(zip(lattice, map(lattice.__getitem__, self.rows[i])))
 
     def apply(self, x: Union[int, FiniteAlgebra], r: Congruence) -> Congruence:
         if isinstance(x, FiniteAlgebra):
@@ -338,15 +327,13 @@ class ClosureOperator:
             raise FibreMismatch("congruence is not in the member's lattice")
         return fib.lattices[i][self.rows[i][a]]
 
-    def __call__(self, x, r: Congruence) -> Congruence:
-        return self.apply(x, r)
-
     def __repr__(self):
         return f"ClosureOperator({self.name!r} on {self.universe!r})"
 
 
-def _non_monotone(le, row, order):
-    """First (a, b) of one fibre, in ``order``, with a <= b but C(a) not <= C(b)."""
+def _non_monotone(le, row):
+    """First (a, b) of one fibre with a <= b but C(a) not <= C(b)."""
+    order = range(len(row))
     for a in order:
         for b in order:
             if le[a][b] and not le[row[a]][row[b]]:
@@ -354,9 +341,9 @@ def _non_monotone(le, row, order):
     return None
 
 
-def _discontinuity(pull, le, dom_row, cod_row, order):
-    """First S of Con(cod), in ``order``, with C(f*S) not <= f*C(S); ``pull`` is f*."""
-    for s in order:
+def _discontinuity(pull, le, dom_row, cod_row):
+    """First S of Con(cod) with C(f*S) not <= f*C(S); ``pull`` is f*."""
+    for s in range(len(cod_row)):
         if not le[dom_row[pull[s]]][pull[cod_row[s]]]:
             return s
     return None
@@ -371,47 +358,36 @@ def _first_failure(u: Universe, broken_along, generators, full: Callable):
     return next((w for w in map(broken_along, full()) if w is not None), None)
 
 
-def make_operator(u: Universe, rule: Union[Rule, FibreTables], name: str) -> ClosureOperator:
-    """Tabulate ``rule`` into index rows, checking each member's keys, closure
-    values and extensivity before the next member is read, then decide
-    naturality (``_natural_operator``) with witnesses in the tables' key order.
-
-    ``rule`` is either a callable (algebra, congruence) -> congruence or
-    a per-member sequence of {congruence: closure} tables keyed by
-    exactly the member's congruences.
-    """
-    if not callable(rule) and len(rule) != len(u.algebras):
-        raise UniverseMismatch("one operator table per member required")
+def make_operator(u: Universe, rule: Rule, name: str) -> ClosureOperator:
+    """Tabulate ``rule``, a callable (algebra, congruence) -> congruence, into
+    index rows in ``con_lattice`` order, checking each member's closure values
+    and extensivity before the next member is read, then decide naturality
+    (``_natural_operator``)."""
     fib = fibration(u)
-    rows, orders = [], []
+    rows = []
     for i, x in enumerate(u.algebras):
         lattice, index, le = fib.lattices[i], fib.index[i], fib.le[i]
-        table = {r: rule(x, r) for r in lattice} if callable(rule) else dict(rule[i])
-        if table.keys() != index.keys():
-            raise FibreMismatch(f"operator table for member {i} must list exactly its "
-                                f"{len(lattice)} congruences")
-        row = [0] * len(lattice)
-        for r, c in table.items():
-            if c not in index:
+        values = [rule(x, r) for r in lattice]
+        row = []
+        for a, (r, c) in enumerate(zip(lattice, values)):
+            b = index.get(c)
+            if b is None:
                 raise FibreMismatch(f"closure value is not a congruence of member {i}")
-            a, b = index[r], index[c]
             if not le[a][b]:
                 raise NotExtensive(f"operator {name!r} is not extensive on member {i}",
                                    witness=_witness(i, r, closure=congruence_to_blocks(c)))
-            row[a] = b
+            row.append(b)
         rows.append(tuple(row))
-        orders.append([index[r] for r in table])
-    return _natural_operator(u, name, tuple(rows), orders)
+    return _natural_operator(u, name, tuple(rows))
 
 
-def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...],
-                      orders: Sequence[Sequence[int]]) -> ClosureOperator:
+def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...]) -> ClosureOperator:
     """The operator with these extensive ``rows``, once checked monotone on
     each fibre and continuous along ``generating_maps``, which composes to
     continuity along every map (see the module docstring).  A ``NotNatural``
     witness {dom, cod, map, R, S} is a lift that C breaks: the identity with
     R <= S, or a map f with R = f*S; it is the first along the full
-    ``naturality_maps``, congruences of member i taken in ``orders[i]``.
+    ``naturality_maps``, congruences taken in ``con_lattice`` order.
     Rows that passed before on ``u`` are not checked again."""
     fib = fibration(u)
     if rows in fib.natural:
@@ -423,14 +399,14 @@ def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...],
             "S": congruence_to_blocks(fib.lattices[j][si])})
 
     for i, row in enumerate(rows):
-        pair = _non_monotone(fib.le[i], row, orders[i])
+        pair = _non_monotone(fib.le[i], row)
         if pair is not None:
             raise not_natural(i, i, identity_hom(u.algebras[i]), *pair)
 
     def broken_along(f):
         i, j = u.member_index(f.dom), u.member_index(f.cod)
         pull = fib.pull(f)
-        s = _discontinuity(pull, fib.le[i], rows[i], rows[j], orders[j])
+        s = _discontinuity(pull, fib.le[i], rows[i], rows[j])
         return None if s is None else not_natural(i, j, f, pull[s], s)
 
     broken = _first_failure(u, broken_along, generating_maps(u), lambda: naturality_maps(u))
@@ -545,7 +521,7 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
     if math.prod(radix) > max_candidates:
         raise SizeTooLarge(f"universe admits more than {max_candidates} extensive families")
     candidates = [[(k, row) for k, row in enumerate(itertools.product(*per_a))
-                   if _non_monotone(le, row, range(len(row))) is None]
+                   if _non_monotone(le, row) is None]
                   for per_a, le in zip(options, fib.le)]
     checks: list[list] = [[] for _ in fib.lattices]
     for f in generating_maps(u):
@@ -557,12 +533,12 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
 
     def extend(m: int, k: int) -> None:
         if m == len(rows):
-            out.append(_natural_operator(u, f"op{k}", tuple(rows), [range(len(r)) for r in rows]))
+            out.append(_natural_operator(u, f"op{k}", tuple(rows)))
             return
         for index, row in candidates[m]:
             rows[m] = row
-            if all(_discontinuity(pull, fib.le[i], rows[i], rows[j], range(len(rows[j])))
-                   is None for i, j, pull in checks[m]):
+            if all(_discontinuity(pull, fib.le[i], rows[i], rows[j]) is None
+                   for i, j, pull in checks[m]):
                 extend(m + 1, k * radix[m] + index)
 
     extend(0, 0)

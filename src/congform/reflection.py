@@ -173,7 +173,7 @@ def closure_from_reflector(refl: Reflector) -> ClosureOperator:
                                    witness=_witness(i, lattice[a],
                                                     closure=congruence_to_blocks(lattice[b])))
         rows.append(tuple(row))
-    return _natural_operator(u, refl.name, tuple(rows), [range(len(row)) for row in rows])
+    return _natural_operator(u, refl.name, tuple(rows))
 
 
 def reflector_from_closure(c: ClosureOperator) -> Reflector:

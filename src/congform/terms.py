@@ -221,24 +221,6 @@ def satisfies_quasiequations(algebra, qeqs: Iterable[QuasiEquation]) -> CheckRes
     return PASSED
 
 
-# --- JSON form: {"var": i} | {"op": name, "args": [...]} ---------------------
-
-def term_to_json(t: Term) -> dict:
-    if t.var is not None:
-        return {"var": t.var}
-    return {"op": t.op, "args": [term_to_json(a) for a in t.args]}
-
-
-def term_from_json(doc) -> Term:
-    if not isinstance(doc, dict):
-        raise ValueError(f"term must be an object, got {type(doc).__name__}")
-    if "var" in doc:
-        return var(int(doc["var"]))
-    if "op" in doc:
-        return app(str(doc["op"]), *(term_from_json(a) for a in doc.get("args", [])))
-    raise ValueError("term object needs a 'var' or 'op' key")
-
-
 # --- variety axioms ----------------------------------------------------------
 
 _x, _y, _z = var(0), var(1), var(2)

@@ -56,6 +56,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+from congform.errors import CheckFailure
+
 
 def all_partitions(n: int):
     """Every partition of {0..n-1} as a restricted-growth id tuple."""
@@ -244,7 +246,6 @@ def all_pairs_con_lattice(x):
     """Principal congruences and the diagonal, closed under the join of
     every pair found so far."""
     from congform import diagonal, generated_congruence, join
-    from congform.algebras import CongruenceLattice
 
     found = {diagonal(x)}
     for a in range(x.size):
@@ -260,7 +261,7 @@ def all_pairs_con_lattice(x):
                     found.add(j)
                     fresh.append(j)
         frontier = fresh
-    return CongruenceLattice(x, tuple(sorted(found, key=lambda c: c.ids)))
+    return tuple(sorted(found, key=lambda c: c.ids))
 
 
 def principal_join_closure(x):
@@ -268,7 +269,7 @@ def principal_join_closure(x):
     own pair (from the neutral element in groups and rngs), closed under
     ``join`` of every congruence found with every principal congruence."""
     from congform import diagonal, generated_congruence, join
-    from congform.algebras import _NEUTRAL, CongruenceLattice
+    from congform.algebras import _NEUTRAL
 
     n = x.size
     if x.tag in _NEUTRAL:
@@ -288,7 +289,7 @@ def principal_join_closure(x):
                     found.add(j)
                     fresh.append(j)
         frontier = fresh
-    return CongruenceLattice(x, tuple(sorted(found, key=lambda c: c.ids)))
+    return tuple(sorted(found, key=lambda c: c.ids))
 
 
 def extensive_families(u, *, max_candidates: int = 500_000):
@@ -315,6 +316,12 @@ def extensive_families(u, *, max_candidates: int = 500_000):
     return itertools.product(*member_tables)
 
 
+def table_rule(u, tables):
+    """The rule that reads C(R) off ``tables``, one {R: C(R)} dict per member of ``u``."""
+    by_member = dict(zip(u.algebras, tables))
+    return lambda x, r: by_member[x][r]
+
+
 def generate_and_test_operators(u, *, max_candidates: int = 500_000):
     """Every closure operator on ``u``: each extensive family is given to
     ``make_operator`` and kept unless it raises ``NotNatural``."""
@@ -324,7 +331,7 @@ def generate_and_test_operators(u, *, max_candidates: int = 500_000):
     out = []
     for k, combo in enumerate(extensive_families(u, max_candidates=max_candidates)):
         try:
-            out.append(make_operator(u, list(combo), f"op{k}"))
+            out.append(make_operator(u, table_rule(u, combo), f"op{k}"))
         except NotNatural:
             continue
     return tuple(out)
@@ -531,10 +538,12 @@ def preserves_cocartesian(c):
 
 def is_idempotent(c):
     """C(C(R)) = C(R) on every fibre, through ``apply``."""
+    from congform import con_lattice
     from congform.errors import PASSED, failed
 
-    for i in range(len(c.universe)):
-        for r, cr in c.fibre(i).items():
+    for i, x in enumerate(c.universe.algebras):
+        for r in con_lattice(x):
+            cr = c.apply(i, r)
             if c.apply(i, cr) != cr:
                 return failed(algebra=i, congruence=[list(b) for b in r.blocks()])
     return PASSED
@@ -542,14 +551,14 @@ def is_idempotent(c):
 
 def operator_leq(c1, c2):
     """C1 <= C2 pointwise on every fibre, through ``apply`` and ``leq``."""
-    from congform import leq
+    from congform import con_lattice, leq
     from congform.errors import PASSED, UniverseMismatch, failed
 
     if c1.universe != c2.universe:
         raise UniverseMismatch("operator order needs a shared universe")
-    for i in range(len(c1.universe)):
-        for r, cr in c1.fibre(i).items():
-            if not leq(cr, c2.apply(i, r)):
+    for i, x in enumerate(c1.universe.algebras):
+        for r in con_lattice(x):
+            if not leq(c1.apply(i, r), c2.apply(i, r)):
                 return failed(algebra=i, congruence=[list(b) for b in r.blocks()])
     return PASSED
 
@@ -972,6 +981,10 @@ def ideal_from_json(rng, doc):
     return ideal(rng, doc)
 
 
+class PreconditionFailed(CheckFailure):
+    """An operation's mathematical precondition does not hold."""
+
+
 def strictify(d):
     """Rebuild an idempotent cohereditary operator through its quotients.
 
@@ -983,7 +996,6 @@ def strictify(d):
     and are re-verified here.
     """
     from congform import diagonal, is_cohereditary, is_idempotent, make_operator
-    from congform.errors import PreconditionFailed
 
     idem = is_idempotent(d)
     if not idem:

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import json
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -300,6 +302,21 @@ def test_quandle_search_emits_one_table_per_cycle_type_of_column_zero():
     # The full column search emits 1, 1, 5, 36, 404 labeled tables.
     assert [len(enumerate_quandles(n)) for n in range(1, 6)] == [1, 1, 5, 26, 218]
     assert [len(oracles.all_quandle_tables(n)) for n in range(1, 6)] == [1, 1, 5, 36, 404]
+
+
+def test_quandle_search_leaves_no_emitted_table_to_the_garbage_collector():
+    # with the collector off, a table outlives its list only if a reference
+    # cycle holds it; the search state is freed too
+    gc.disable()
+    try:
+        gc.collect()
+        tables = enumerate_quandles(4)
+        first = weakref.ref(tables[0])
+        del tables
+        assert first() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", range(1, 6))

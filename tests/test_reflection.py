@@ -163,7 +163,7 @@ def test_a_second_universe_validates_afresh(monkeypatch):
     assert c.rows in fibration(u).natural
     plain = universe(u.algebras)
     with pytest.raises(NotNatural):
-        make_operator(plain, [c.fibre(i) for i in range(len(u))], "pathological")
+        make_operator(plain, pathological_rule(u), "pathological")
     assert c.rows not in fibration(plain).natural
     # a rho accepted on u is checked again, and kept, on another universe
     rho = [diagonal(x) for x in u.algebras]

@@ -17,8 +17,6 @@ from congform import (
     satisfies_equations,
     satisfies_quasiequations,
     symmetric_group,
-    term_from_json,
-    term_to_json,
     trivial_quandle,
 )
 from congform import terms
@@ -41,15 +39,6 @@ import oracles
 def test_equation_requires_contiguous_variables():
     with pytest.raises(ValueError):
         Equation(var(1), var(1))
-
-
-def test_term_json_roundtrip():
-    t = app("mul", var(0), app("inv", var(1)))
-    assert term_from_json(term_to_json(t)) == t
-    assert term_to_json(t) == {
-        "op": "mul",
-        "args": [{"var": 0}, {"op": "inv", "args": [{"var": 1}]}],
-    }
 
 
 def test_unknown_op_raises():
