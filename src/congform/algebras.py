@@ -428,48 +428,62 @@ def quotient(x: FiniteAlgebra, r: Congruence) -> tuple[FiniteAlgebra, Homomorphi
 
 # --- hom enumeration ---------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _occurrences(a: FiniteAlgebra) -> tuple[tuple[tuple, ...], ...]:
+    """Per element x, the (argument tuple, value, operation position) of each
+    table entry whose tuple holds x; entry ``a.size`` lists the constants."""
+    n = a.size
+    occurs: list[list] = [[] for _ in range(n + 1)]
+    for k, ((_, arity), table) in enumerate(zip(a.sig.ops, a.tables)):
+        for t, val in zip(itertools.product(range(n), repeat=arity), table):
+            for x in set(t) or (n,):
+                occurs[x].append((t, val, k))
+    return tuple(map(tuple, occurs))
+
+
+def _propagate(occurs, into, m, injective, assign, used, queue: deque) -> bool:
+    """Assign the images that the elements newly assigned in ``queue`` force,
+    reading the codomain's tables ``into`` at the images of each entry of
+    ``occurs``; False on a contradiction, or with ``injective`` a repeated image."""
+    while queue:
+        for t, val, k in occurs[queue.popleft()]:
+            idx = 0
+            for c in t:
+                v = assign[c]
+                if v is None:
+                    break
+                idx = idx * m + v
+            else:
+                want, have = into[k][idx], assign[val]
+                if have is None:
+                    if injective:
+                        if used[want]:
+                            return False
+                        used[want] = True
+                    assign[val] = want
+                    queue.append(val)
+                elif have != want:
+                    return False
+    return True
+
+
 def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, injective: bool,
-                first_only: bool) -> list[tuple[int, ...]]:
-    """DFS over partial maps with forced-value propagation.
+                first_only: bool, fixed: Sequence[int] = ()) -> list[tuple[int, ...]]:
+    """DFS over partial maps with forced-value propagation; each x below
+    len(fixed) goes to fixed[x], and those images are distinct.
 
     Whenever all arguments of an operation tuple are assigned, the image
     of its value is forced; contradictions, and with ``injective`` a
     repeated image, prune the branch.  Each element is indexed by the
-    tuples it occurs in, with the tuple's value and the codomain table,
-    so assigning it re-reads only those.  Maps are produced in
-    lexicographic order.
+    tuples it occurs in (``_occurrences``, built once per domain), so
+    assigning it re-reads only those (``_propagate``).  Maps are produced
+    in lexicographic order.
     """
     n, m = dom.size, cod.size
     if injective and n > m:
         return []
-    occurs: list[list] = [[] for _ in range(n + 1)]  # occurs[n]: the constants
-    for (_, arity), table, into in zip(dom.sig.ops, dom.tables, cod.tables):
-        for t, val in zip(itertools.product(range(n), repeat=arity), table):
-            for x in set(t) or (n,):
-                occurs[x].append((t, val, into))
+    occurs, into = _occurrences(dom), cod.tables
     results: list[tuple[int, ...]] = []
-
-    def propagate(assign: list[Optional[int]], used: list[bool], queue: deque) -> bool:
-        while queue:
-            for t, val, into in occurs[queue.popleft()]:
-                idx = 0
-                for c in t:
-                    v = assign[c]
-                    if v is None:
-                        break
-                    idx = idx * m + v
-                else:
-                    want, have = into[idx], assign[val]
-                    if have is None:
-                        if injective:
-                            if used[want]:
-                                return False
-                            used[want] = True
-                        assign[val] = want
-                        queue.append(val)
-                    elif have != want:
-                        return False
-        return True
 
     def dfs(assign: list[Optional[int]], used: list[bool]):
         try:
@@ -482,14 +496,16 @@ def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, injective: bool,
                 continue
             branch, taken = assign.copy(), used.copy()
             branch[x], taken[v] = v, True
-            if propagate(branch, taken, deque([x])):
+            if _propagate(occurs, into, m, injective, branch, taken, deque([x])):
                 dfs(branch, taken)
                 if first_only and results:
                     return
 
-    # constants force their images before any choice is made
+    # the constants and ``fixed`` force their images before any choice is made
     seed, used = [None] * n, [False] * m
-    if propagate(seed, used, deque([n])):
+    for x, v in enumerate(fixed):
+        seed[x], used[v] = v, True
+    if _propagate(occurs, into, m, injective, seed, used, deque([n, *range(len(fixed))])):
         dfs(seed, used)
     return results
 
@@ -521,6 +537,38 @@ def automorphisms(x: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     """All automorphisms of x in lexicographic map order."""
     return tuple(Homomorphism(x, x, m, True)
                  for m in _hom_search(x, x, injective=True, first_only=False))
+
+
+@lru_cache(maxsize=None)
+def automorphism_generators(x: FiniteAlgebra) -> tuple[Homomorphism, ...]:
+    """Generators of Aut(x) from a stabiliser chain, without listing the group
+    (Sims, 1970; Butler, *Fundamental Algorithms for Permutation Groups*, 1991).
+    G_l fixes 0..l-1.  For l from n-1 down to 0, one automorphism in G_l
+    sending l to v is searched for each v outside the orbit of l under the
+    generators kept so far, which lie in G_l, and with the ``_embedding_profile``
+    counts of l, which automorphisms keep.  If the kept ones generate G_{l+1},
+    they then reach every coset of it in G_l, so they generate G_l.  A level
+    that the identity on 0..l-1 already forces is skipped: G_l fixes it."""
+    n, gens, profile = x.size, [], _embedding_profile(x)
+    # forced[l]: propagating the identity on 0..l-1 assigns l; one pass up
+    assign, queue, forced = [None] * n, deque([n]), []
+    for level in range(n):
+        _propagate(_occurrences(x), x.tables, n, False, assign, [], queue)
+        forced.append(assign[level] is not None)
+        assign[level] = level
+        queue.append(level)
+    for level in range(n - 1, -1, -1):
+        if forced[level]:
+            continue
+        fixed = tuple(range(level))
+        for v in range(level + 1, n):
+            orbit, grown = set(), {level}
+            while grown:
+                orbit |= grown
+                grown = {g[y] for g in gens for y in grown} - orbit
+            if v not in orbit and profile[v] == profile[level]:
+                gens.extend(_hom_search(x, x, injective=True, first_only=True, fixed=fixed + (v,)))
+    return tuple(Homomorphism(x, x, g, True) for g in gens)
 
 
 def enumerate_surjections(x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorphism, ...]:

@@ -320,9 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     algebra = ("--algebra", {"required": True, "help": "path to an algebra JSON file"})
     congruence = ("--congruence", {"required": True,
                                    "help": "congruence as a JSON block list"})
+    builtins = f"one of {', '.join(BUILTIN_OPERATOR_NAMES)}"
     operator = ("--operator", {"required": True,
-                               "help": f"one of {', '.join(BUILTIN_OPERATOR_NAMES)}, "
-                                       "or a path to an operator table file"})
+                               "help": f"{builtins}, or a path to an operator table file"})
+    builtin = ("--operator", {"required": True, "help": builtins})
     corpus_flag = ("--corpus", {"required": True, "choices": CORPUS_KINDS})
     max_size = ("--max-size", {"type": int, "dest": "max_size",
                                "help": "largest carrier in the corpus"})
@@ -341,16 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
                ("--target", {"required": True, "help": "congruence on the codomain"})])
     add("push", _cmd_push, "image congruence along a surjection", hom + [congruence])
     add("pull", _cmd_pull, "preimage congruence along a map", hom + [congruence])
-    add("reflect", _cmd_reflect, "reflection quotient under a built-in operator",
+    add("reflect", _cmd_reflect, "reflection quotient under a closure operator",
         [operator, algebra])
     add("check-operator", _cmd_check_operator, "operator axiom report over a corpus",
-        [operator, corpus_flag, max_size])
+        [builtin, corpus_flag, max_size])
     add("roundtrip", _cmd_roundtrip, "closure/reflector round-trip check",
-        [operator, corpus_flag, max_size])
+        [builtin, corpus_flag, max_size])
     add("birkhoff", _cmd_birkhoff, "minimality vs quotient-closure equivalence",
-        [operator, corpus_flag, max_size])
+        [builtin, corpus_flag, max_size])
     add("antitone", _cmd_antitone, "operator order vs subcategory inclusion",
-        [operator, ("--operator2", {"required": True, "help": "second operator name"}),
+        [builtin, ("--operator2", {"required": True, "help": f"second operator, {builtins}"}),
          corpus_flag, max_size])
     add("corpus", _cmd_corpus, "emit the corpus manifest", [corpus_flag, max_size])
     add("verify-all", _cmd_verify_all, "run the full theorem suite on a corpus",

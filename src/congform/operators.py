@@ -24,14 +24,16 @@ image preservation each hold along composites, so on a quotient-closed
 universe they are decided along ``generating_maps``: quotient maps by
 atoms of Con(X) (by the correspondence theorem each cover in a chain from
 the diagonal to K is an atom of a quotient), isomorphisms onto copies of
-X, and generators of Aut(X) (an inverse is a positive power).  A natural
+X, and generators of Aut(X) read off a stabiliser chain
+(``automorphism_generators``; an inverse is a positive power).  A natural
 C has C(a*S) = a*C(S) for a in Aut(X), so coheredity and cocartesian
 preservation skip automorphisms.  Only a failure along the generators
 rescans ``naturality_maps`` or ``quotient_maps``, to name as witness the
 first failure in the full list's order.
 The remaining axioms (idempotent, cohereditary, minimal, preservation
 of cocartesian liftings) are runtime checks returning witnesses, not
-construction requirements.
+construction requirements.  Minimality is checked on each fibre as
+C(S) = S v C(diagonal), its equivalent (see ``is_minimal``).
 
 The checks compare integers: ``fibration(u)``, built on a universe's first
 check, numbers each Con(X) and reads its order off the block-id arrays, and
@@ -41,7 +43,8 @@ coheredity and the reflection layer), images along quotient maps
 (cocartesian preservation) and embeddings into members
 (``make_reflector``), reading joins and images off the order (see
 ``Fibration``).  It also keeps the operator rows and reflection
-congruences that passed validation, so each is validated once per universe.
+congruences that passed validation, so each is validated once per universe,
+and each row tuple's coheredity result.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .algebras import (
     Homomorphism,
     _block_pairs,
     _canonical_ids,
+    automorphism_generators,
     automorphisms,
     compose,
     con_lattice,
@@ -208,8 +212,8 @@ def naturality_maps(u: Universe) -> tuple[Homomorphism, ...]:
 def generating_maps(u: Universe) -> tuple[Homomorphism, ...]:
     """The maps the lifting laws are decided along: ``naturality_maps`` if
     ``u`` is not quotient-closed, else per member X the quotient maps by
-    atoms of Con(X) and by the diagonal onto other members, then each
-    automorphism outside the group generated by those kept before it."""
+    atoms of Con(X) and by the diagonal onto other members, then the
+    ``automorphism_generators`` of X."""
     if not u.quotient_closed:
         return naturality_maps(u)
     maps, fib = quotient_maps(u), fibration(u)
@@ -218,14 +222,7 @@ def generating_maps(u: Universe) -> tuple[Homomorphism, ...]:
         atoms = [r for a, r in enumerate(fib.lattices[i]) if sum(row[a] for row in fib.le[i]) == 2]
         out.extend(g for r in atoms for g in maps.get(r, ()))
         out.extend(g for g in maps.get(diagonal(x), ()) if g.cod != x)
-        group, kept = {tuple(range(x.size))}, []
-        for a in automorphisms(x):
-            if a.map not in group:
-                out.append(a)
-                kept.append(a.map)
-                new = set(group)  # close the group: compose each new map with the kept ones
-                while new := {tuple(g[k] for k in p) for p in new for g in kept} - group:
-                    group |= new
+        out.extend(automorphism_generators(x))
     return tuple(out)
 
 
@@ -255,7 +252,8 @@ class Fibration:
     f*S = R v ker f.  ``natural`` holds the row tuples that passed
     ``_natural_operator`` and ``reflective`` the rho tuples ``make_reflector``
     accepted; a verdict depends only on the universe and the input, so both
-    return at once for a known one.  Failures are not kept."""
+    return at once for a known one; failures are not kept.  ``cohereditary``
+    keeps each row tuple's ``is_cohereditary`` result, failing or not."""
 
     def __init__(self, u: Universe):
         self.universe = u
@@ -270,6 +268,7 @@ class Fibration:
         self._pulls, self._images, self._embeddings = {}, {}, {}
         self.natural: set[tuple[tuple[int, ...], ...]] = set()
         self.reflective: set[tuple[Congruence, ...]] = set()
+        self.cohereditary: dict[tuple[tuple[int, ...], ...], CheckResult] = {}
 
     def pull(self, f: Homomorphism) -> tuple[int, ...]:
         """S -> f*S as an index array, built on first request; f between members."""
@@ -463,16 +462,26 @@ def is_cohereditary(c: ClosureOperator) -> CheckResult:
     """C(f*S) = f*C(S) along every surjection between members: the law
     composes and holds along automorphisms, so it is decided along atomic
     quotient maps and isomorphisms onto copies; the witness is the first
-    along ``quotient_maps`` (see the module docstring)."""
-    return _along_quotient_maps(c, "S", lambda pull, i, j, s: (
-        c.rows[i][pull[s]], pull[c.rows[j][s]]))
+    along ``quotient_maps`` (see the module docstring).  The result is kept
+    per row tuple in ``fibration(c.universe).cohereditary``."""
+    known = fibration(c.universe).cohereditary
+    if c.rows not in known:
+        known[c.rows] = _along_quotient_maps(c, "S", lambda pull, i, j, s: (
+            c.rows[i][pull[s]], pull[c.rows[j][s]]))
+    return known[c.rows]
 
 
 def is_minimal(c: ClosureOperator) -> CheckResult:
-    """C(R v S) = C(R) v S on every fibre; joins are read off the up-sets."""
+    """C(R v S) = C(R) v S on every fibre; joins are read off the up-sets.
+    On a fibre with diagonal D that holds exactly when C(S) = S v C(D) for
+    every S (take R = D; conversely C(R v S) = R v S v C(D) = C(R) v S), which
+    is checked first; only a fibre that fails it is scanned for the first pair."""
     fib = fibration(c.universe)
-    for i, row in enumerate(c.rows):
+    for i, (x, row) in enumerate(zip(c.universe.algebras, c.rows)):
         up, by_up, lattice = fib.up[i], fib.by_up[i], fib.lattices[i]
+        floor = up[row[fib.index[i][diagonal(x)]]]
+        if all(row[s] == by_up[floor & us] for s, us in enumerate(up)):
+            continue
         for r, s in itertools.product(range(len(row)), repeat=2):
             if row[by_up[up[r] & up[s]]] != by_up[up[row[r]] & up[s]]:
                 return failed(**_witness(i, lattice[r], second=congruence_to_blocks(lattice[s])))

@@ -49,6 +49,10 @@ programs replaced, and the group corpus's
 Latin-square table search and deduplication by isomorphism search
 (replaced by a list of constructions, one group per class up to order 7),
 which stay as its completeness oracle.
+Also kept: the pairwise minimality scan over every fibre (replaced by a
+check of each fibre against C(diagonal), scanning pairs only on a fibre
+that fails) and the greedy selection of automorphism generators, each
+group closed by brute force (replaced by a stabiliser chain).
 """
 
 from __future__ import annotations
@@ -525,6 +529,23 @@ def is_minimal(c):
                 if c.apply(i, join(r, s)) != join(c.apply(i, r), s):
                     return failed(algebra=i, congruence=[list(b) for b in r.blocks()],
                                   second=[list(b) for b in s.blocks()])
+    return PASSED
+
+
+def pairwise_is_minimal(c):
+    """C(R v S) = C(R) v S for every pair on every fibre, joins read off the
+    fibration's up-sets: the scan ``is_minimal`` ran before it checked each
+    fibre against C(diagonal) first."""
+    from congform.errors import PASSED, failed
+    from congform.operators import fibration
+
+    fib = fibration(c.universe)
+    for i, row in enumerate(c.rows):
+        up, by_up, lattice = fib.up[i], fib.by_up[i], fib.lattices[i]
+        for r, s in itertools.product(range(len(row)), repeat=2):
+            if row[by_up[up[r] & up[s]]] != by_up[up[row[r]] & up[s]]:
+                return failed(algebra=i, congruence=[list(b) for b in lattice[r].blocks()],
+                              second=[list(b) for b in lattice[s].blocks()])
     return PASSED
 
 
@@ -1010,3 +1031,36 @@ def strictify(d):
     u = d.universe
     closed_diagonals = [d.apply(i, diagonal(x)) for i, x in enumerate(u.algebras)]
     return make_operator(u, pullback_rule(u, closed_diagonals), f"strict({d.name})")
+
+
+# --- automorphism generators by greedy selection ---------------------------------
+
+def greedy_automorphism_generators(x):
+    """The automorphisms of x, in lexicographic order, that lie outside the
+    group generated by those kept before them, each group closed by brute
+    force: the selection ``generating_maps`` made before
+    ``automorphism_generators`` read generators off a stabiliser chain."""
+    from congform import automorphisms
+
+    group, kept = {tuple(range(x.size))}, []
+    for a in automorphisms(x):
+        if a.map not in group:
+            kept.append(a)
+            new = set(group)  # close the group: compose each new map with the kept ones
+            while new := {tuple(g.map[k] for k in p) for p in new for g in kept} - group:
+                group |= new
+    return kept
+
+
+def permutation_group(n, gens):
+    """The group of permutations of range(n) that the maps ``gens`` generate."""
+    identity = tuple(range(n))
+    group, todo = {identity}, [identity]
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[k] for k in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group

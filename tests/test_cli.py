@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import pytest
 
-from congform import algebra_to_json, cyclic_group, cyclic_rng, trivial_quandle
-from congform.cli import main
+from congform import (BUILTIN_OPERATOR_NAMES, algebra_to_json, cyclic_group, cyclic_rng,
+                      trivial_quandle)
+from congform.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -362,6 +364,35 @@ def test_verify_all_output_is_byte_stable(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def operator_help(command: str) -> dict:
+    """Help text of each operator flag of ``command``."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0]: a.help for a in sub.choices[command]._actions
+            if a.option_strings and a.option_strings[0].startswith("--operator")}
+
+
+@pytest.mark.parametrize("command", ["check-operator", "roundtrip", "birkhoff", "antitone"])
+def test_corpus_commands_offer_only_builtin_operators(capsys, command, tmp_path):
+    # these commands take no operator file, so their help lists only the built-ins
+    for text in operator_help(command).values():
+        assert "file" not in text
+        assert text.endswith("one of " + ", ".join(BUILTIN_OPERATOR_NAMES))
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "file" not in " ".join(capsys.readouterr().out.split())
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"entries": []}))
+    second = ["--operator2", "top"] if command == "antitone" else []
+    code, out, _ = run(capsys, command, "--operator", str(path), *second, "--corpus", "groups")
+    assert code == 2
+    assert "unknown operator" in json.loads(out)["message"]
+
+
+@pytest.mark.parametrize("command", ["close", "reflect"])
+def test_single_algebra_commands_offer_operator_files(command):
+    assert operator_help(command)["--operator"].endswith("or a path to an operator table file")
 
 
 def test_operator_corpus_mismatch_exits_2(capsys):

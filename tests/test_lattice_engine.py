@@ -38,6 +38,10 @@ the oracle tests every hom into the subcategory.  ``relabel_algebra`` and
 ``FiniteAlgebra.op`` once per table entry.  On a quotient-closed universe
 ``oracle_reflector`` and ``closed_under_quotients`` test each member once and
 read X/R's verdict off ``quotient_maps``; the oracles build and test every X/R.
+``automorphism_generators`` reads generators off a stabiliser chain; they
+must generate the group that ``automorphisms`` lists, as the greedy
+selection it replaced does.  ``is_minimal`` checks each fibre against
+C(diagonal) first; the oracle scans every pair of every fibre.
 """
 
 import itertools
@@ -86,7 +90,8 @@ from congform import (
     universe_from_generators,
 )
 from congform import algebras, reflection
-from congform.algebras import FiniteAlgebra, Signature, quotient, relabel_algebra
+from congform.algebras import (FiniteAlgebra, Signature, automorphism_generators, quotient,
+                               relabel_algebra)
 from congform.errors import CongformError, NotNatural, NotReflective
 from congform.instances import CORPUS_KINDS, corpus_kind, corpus_operators, oracle_predicate
 from congform.operators import fibration, generating_maps, naturality_maps
@@ -349,6 +354,23 @@ def test_generating_maps_are_all_homs_off_quotient_closed_universes():
     assert generating_maps(u) is naturality_maps(u)
 
 
+@pytest.mark.parametrize("make_universe", [
+    lambda: corpus("quandles", 6),
+    lambda: corpus("groups", 12),
+    lambda: corpus("rngs", 24),
+    universe_with_copies,
+], ids=["quandles6", "groups12", "rngs24", "copies"])
+def test_automorphism_generators_generate_the_automorphism_group(make_universe):
+    # the stabiliser chain against the full list, and the greedy selection it replaced
+    for x in make_universe().algebras:
+        group = {a.map for a in automorphisms(x)}
+        gens = automorphism_generators(x)
+        assert all(g.dom == g.cod == x for g in gens)
+        assert oracles.permutation_group(x.size, [g.map for g in gens]) == group
+        greedy = oracles.greedy_automorphism_generators(x)
+        assert oracles.permutation_group(x.size, [a.map for a in greedy]) == group
+
+
 def test_surjections_are_quotient_maps_followed_by_automorphisms():
     for u in [corpus(kind, size) for kind, size in CORPORA] + [universe_with_copies()]:
         maps = [g for gs in quotient_maps(u).values() for g in gs]
@@ -514,6 +536,21 @@ def test_table_checks_match_oracles_on_enumerated_operators():
     for u in operator_universes():
         for c in enumerate_operators(u):
             assert_tables_match_oracles(c)
+
+
+def test_minimality_check_matches_the_pairwise_scan():
+    # enumerated operators, then the built-ins at the default and the largest sizes
+    ops = [c for u in operator_universes() for c in enumerate_operators(u)]
+    for kind in CORPUS_KINDS:
+        for size in (corpus_kind(kind).default_size, corpus_kind(kind).limit):
+            u = corpus(kind, size)
+            ops.extend(builtin_operator(name, u) for name in corpus_operators(kind))
+    verdicts = Counter()
+    for c in ops:
+        got = is_minimal(c)
+        assert got == oracles.pairwise_is_minimal(c)
+        verdicts[got.ok] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_operator_order_matches_the_oracle_on_enumerated_operators():

@@ -34,6 +34,7 @@ from congform.errors import (
 )
 from congform.instances import CORPUS_KINDS, closure_rule, corpus_kind, corpus_operators
 
+import oracles
 from oracles import PreconditionFailed, strictify
 
 
@@ -280,6 +281,43 @@ def test_nilradical_operator_is_idempotent():
 def test_cohereditary_abelianization():
     u = corpus("groups", 6)
     assert is_cohereditary(builtin_operator("abelianization", u))
+
+
+def _count_coheredity_scans(monkeypatch) -> list:
+    """The operators whose quotient maps ``is_cohereditary`` scans from now on."""
+    scanned = []
+    real = operators._along_quotient_maps
+
+    def scanning(c, key, sides):
+        if key == "S":
+            scanned.append(c)
+        return real(c, key, sides)
+
+    monkeypatch.setattr(operators, "_along_quotient_maps", scanning)
+    return scanned
+
+
+def test_a_failing_coheredity_verdict_is_kept(monkeypatch):
+    operators.fibration.cache_clear()
+    u = universe_from_generators([cyclic_group(4)])
+    c = next(c for c in enumerate_operators(u) if not is_cohereditary(c))
+    scanned = _count_coheredity_scans(monkeypatch)
+    first, second = is_cohereditary(c), is_cohereditary(c)
+    assert not first.ok and first.witness
+    assert first == second == oracles.is_cohereditary(c)
+    assert scanned == []
+
+
+def test_coheredity_verdicts_are_kept_per_universe(monkeypatch):
+    # the same rows on another universe are checked afresh, once
+    operators.fibration.cache_clear()
+    scanned = _count_coheredity_scans(monkeypatch)
+    ops = [make_operator(universe_from_generators([g]), lambda x, r: full(x), "top")
+           for g in (cyclic_group(2), cyclic_group(3))]
+    assert ops[0].rows == ops[1].rows
+    for c in ops + ops:
+        assert is_cohereditary(c) == oracles.is_cohereditary(c)
+    assert scanned == ops
 
 
 def test_minimality_of_abelianization_via_join_associativity():

@@ -114,6 +114,33 @@ def test_run_verification_refutes_every_embedding_by_counts(monkeypatch):
     assert "find_embedding" not in callers
 
 
+def test_run_verification_checks_coheredity_once_per_row_tuple(monkeypatch):
+    # per built-in: its report, the derived operator's axiom suite and both
+    # reflector_from_closure calls ask for the verdict; the derived rows equal
+    # the built-in's, so the quotient maps are scanned once per built-in
+    asked, scanned = [], []
+    original, original_scan = operators.is_cohereditary, operators._along_quotient_maps
+
+    def asking(c):
+        asked.append(c.rows)
+        return original(c)
+
+    def scanning(c, key, sides):
+        if key == "S":
+            scanned.append(c.rows)
+        return original_scan(c, key, sides)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("congform") and \
+                getattr(module, "is_cohereditary", None) is original:
+            monkeypatch.setattr(module, "is_cohereditary", asking)
+    monkeypatch.setattr(operators, "_along_quotient_maps", scanning)
+    operators.fibration.cache_clear()
+    run_verification("quandles", 5)
+    assert (len(asked), len(set(asked))) == (12, 3)
+    assert sorted(scanned) == sorted(set(asked))
+
+
 class RecordingSet(set):
     """A set that records every ``add``."""
 
