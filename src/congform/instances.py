@@ -14,8 +14,8 @@ Corpora are quotient-closed universes.  Rngs and groups are lists of
 constructions with no search and no deduplication: the Z_n rngs, and the
 cyclic groups, V4, S3 and the dihedral groups, which hold one group per
 isomorphism class up to order 7.  Quandles are found by exhaustive table
-search; it tries one first column per cycle type, so it is complete up to
-isomorphism only, and only each class's representative is validated.
+search, pruned by stabiliser orbits (complete up to isomorphism only) and
+deduplicated by lhd orbits; only each class's representative is validated.
 
 Two registries describe the bundled examples.  ``CORPORA`` maps a corpus
 kind to (tag, size limit, default size, member builder); ``corpus``,
@@ -49,7 +49,6 @@ from .algebras import (
     _equivalence_closure,
     _inverse,
     _relabeling_arrays,
-    _relabelings,
     algebra_from_json,
     algebra_to_json,
     full,
@@ -155,19 +154,19 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
     permutations fixing b; self-distributivity says the column at
     sigma_c(b) is the conjugate sigma_c sigma_b sigma_c^-1, which the
     search uses to force columns early, so every completed table is a
-    quandle.  Relabeling by a permutation p fixing 0 turns sigma_0 into
-    p sigma_0 p^-1, any permutation of {1..n-1} of the same cycle type;
-    so column 0 needs only the least permutation of each cycle type, one
-    per partition of n-1, and the search stays complete up to isomorphism.
+    quandle.  Two rules break the relabeling symmetry (orderly generation;
+    McKay, J. Algorithms 26, 1998).  Column 0 has the least cycle type of
+    all columns: a candidate or forced column of smaller type is cut.  At a
+    branching column b, the relabelings G that fix b and every assigned
+    index c and commute with sigma_c keep the partial table and both rules,
+    so sigma_b needs only the least permutation of each orbit of G under
+    conjugation; at the root that is the least of each cycle type.
     """
-    perms_fixing = [
-        [p for p in itertools.permutations(range(n)) if p[b] == b]
-        for b in range(n)
-    ]
-    least_of_type: dict = {}
-    for p in perms_fixing[0]:
-        least_of_type.setdefault(_cycle_type(p), p)
-    perms_fixing[0] = list(least_of_type.values())
+    if n < 1:
+        raise OutOfRange("quandle search needs n >= 1")
+    perms = list(itertools.permutations(range(n)))
+    kind = {p: _cycle_type(p) for p in perms}
+    perms_fixing = [[p for p in perms if p[b] == b] for b in range(n)]
     cols: list[Optional[tuple[int, ...]]] = [None] * n
 
     def conj(pc: tuple[int, ...], pb: tuple[int, ...]) -> tuple[int, ...]:
@@ -180,59 +179,70 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
         while queue:
             b = queue.pop()
             for c in range(n):
-                if cols[c] is None:
+                if c == b or cols[c] is None:
                     continue
                 for (u, v) in ((b, c), (c, b)):
                     d = cols[v][u]
                     forced = conj(cols[v], cols[u])
                     if cols[d] is None:
+                        if kind[forced] < kind[cols[0]]:
+                            return False
                         cols[d] = forced
                         queue.append(d)
                     elif cols[d] != forced:
                         return False
         return True
 
-    def dfs():
+    def dfs(group: list[tuple[int, ...]]):
         try:
             b = cols.index(None)
         except ValueError:
-            # x <| b is sigma_b(x), at flat index x*n + b: the rows of the columns
-            inverses = [_inverse(c) for c in cols]
-            yield FiniteAlgebra(n, QUANDLE_SIGNATURE, (
-                tuple(itertools.chain.from_iterable(zip(*cols))),
-                tuple(itertools.chain.from_iterable(zip(*inverses))),
-            ), QUANDLE_TAG)
+            yield _quandle(n, tuple(itertools.chain.from_iterable(zip(*cols))))
             return
+        stab = [g for g in group if g[b] == b]
+        least = kind[cols[0]] if b else ()
+        seen: set = set()
         snapshot = cols.copy()
         for p in perms_fixing[b]:
+            if p in seen or kind[p] < least:
+                continue
+            images = [conj(g, p) for g in stab]
+            seen.update(images)
             cols[b] = p
             if propagate([b]):
-                yield from dfs()
+                yield from dfs([g for g, q in zip(stab, images) if q == p])
             cols[:] = snapshot
 
     # The tables leave through the generator, not through a list in a closure
     # cell; emptying dfs's own cell breaks its cycle, so the search state is
     # freed here rather than at the next garbage collection.
-    tables = list(dfs())
+    tables = list(dfs(perms))
     del dfs
     return tables
 
 
-def _dedup_by_orbit(algebras: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
-    """The ``canonical_algebra`` of each isomorphism class, in stream order, with no
-    isomorphism search: a class's tables are the orbit of its first member under the
-    n! relabelings, whose index arrays are built once per size in this call; the
-    orbit is kept in a set, and its least element is the canonical form."""
+def _quandle(n: int, lhd: tuple[int, ...]) -> FiniteAlgebra:
+    """The quandle with table lhd (x <| b at flat index x*n + b) and lhd_inv
+    read off the inverse columns."""
+    inverses = [_inverse(lhd[b::n]) for b in range(n)]
+    return FiniteAlgebra(n, QUANDLE_SIGNATURE,
+                         (lhd, tuple(itertools.chain.from_iterable(zip(*inverses)))), QUANDLE_TAG)
+
+
+def _quandle_classes(quandles: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
+    """The ``canonical_algebra`` of each class of quandles, in stream order: as
+    lhd_inv is the column inverse of lhd, a class is the orbit of its first lhd
+    under the n! relabelings (index arrays built once per size in this call),
+    and its least pair of tables is the least lhd with its inverse columns."""
     seen, reps, arrays = set(), [], {}
-    for a in algebras:
-        kind = (a.size, a.sig.ops, a.tag)
-        if (kind, a.tables) not in seen:
-            shape = (a.size, tuple(k for _, k in a.sig.ops))
-            if shape not in arrays:
-                arrays[shape] = _relabeling_arrays(a)
-            orbit = set(_relabelings(a, arrays[shape]))
-            seen.update((kind, t) for t in orbit)
-            reps.append(FiniteAlgebra(a.size, a.sig, min(orbit), a.tag))
+    for a in quandles:
+        n, lhd = a.size, a.tables[0]
+        if lhd not in seen:
+            if n not in arrays:
+                arrays[n] = _relabeling_arrays(a)
+            orbit = {tuple([perm[lhd[i]] for i in where[2]]) for perm, where in arrays[n]}
+            seen |= orbit
+            reps.append(_quandle(n, min(orbit)))
     return reps
 
 
@@ -257,8 +267,8 @@ def _group_members(max_size: int) -> list[FiniteAlgebra]:
 def _quandle_members(max_size: int) -> list[FiniteAlgebra]:
     # A relabeling of a quandle is a quandle, so validating one table per
     # class (on the JSON input path) checks every table the search emitted.
-    quandles = (q for n in range(1, max_size + 1) for q in enumerate_quandles(n))
-    return [algebra_from_json(algebra_to_json(a)) for a in _dedup_by_orbit(quandles)]
+    return [algebra_from_json(algebra_to_json(a)) for n in range(1, max_size + 1)
+            for a in _quandle_classes(enumerate_quandles(n))]
 
 
 class CorpusKind(NamedTuple):

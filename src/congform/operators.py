@@ -63,6 +63,7 @@ from .algebras import (
     Homomorphism,
     _block_pairs,
     _canonical_ids,
+    _iso_invariant,
     automorphism_generators,
     automorphisms,
     compose,
@@ -180,12 +181,16 @@ Rule = Callable[[FiniteAlgebra, Congruence], Congruence]
 def quotient_maps(u: Universe) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
     """K in Con(X), X a member -> the maps X -> X/K -> M: the projection, then
     the least isomorphism onto M, for each member M isomorphic to X/K in
-    member order.  K is no key when X/K is isomorphic to no member."""
+    member order.  K is no key when X/K is isomorphic to no member.  Only
+    members with the ``_iso_invariant`` of X/K can be isomorphic to it."""
+    buckets: dict = {}
+    for m in u.algebras:
+        buckets.setdefault(_iso_invariant(m), []).append(m)
     out = {}
     for x in u.algebras:
         for r in con_lattice(x):
             q, proj = quotient(x, r)
-            isos = (find_isomorphism(q, m) for m in u.algebras if m.size == q.size)
+            isos = (find_isomorphism(q, m) for m in buckets.get(_iso_invariant(q), ()))
             gs = tuple(compose(iso, proj) for iso in isos if iso is not None)
             if gs:
                 out[r] = gs

@@ -34,9 +34,14 @@ by one recursive call per row (replaced by one pass per level), and the
 quandle corpus's deduplication by pairwise isomorphism search before a
 canonical form per class (replaced by orbit membership), the orbit
 deduplication that builds the index arrays of every relabeling again for
-every class (replaced by arrays built once per call), and the quandle
-search that tries every permutation for every column (replaced by one
-candidate per cycle type for column 0), the idempotence and operator
+every class (replaced by arrays built once per call), the orbit
+deduplication of every table of a stream (replaced, for the quandle search,
+by orbits of the lhd table alone), the quandle searches that try every
+permutation for every column, or one least permutation per cycle type for
+column 0 and every permutation after it (replaced by one candidate per
+orbit of a stabiliser, with column 0 of least cycle type), the scan of
+every member of the quotient's size for ``quotient_maps`` (replaced by
+one scan of the members with its invariant), the idempotence and operator
 order checks through ``apply`` and ``leq`` (replaced by the integer
 tables), and the reflection oracle and quotient-closure check that build
 and test every quotient X/R (replaced, on quotient-closed universes, by one
@@ -877,7 +882,7 @@ def dedup_then_canonical(algebras):
 
 
 def transport_dedup_by_orbit(algebras):
-    """``instances._dedup_by_orbit`` with each relabeling read by ``_transport``,
+    """``dedup_by_orbit`` with each relabeling read by ``_transport``,
     which sorts the inverse permutation and builds its index arrays again."""
     from congform.algebras import FiniteAlgebra, _inverse, _transport
 
@@ -892,16 +897,46 @@ def transport_dedup_by_orbit(algebras):
     return reps
 
 
-def all_quandle_tables(n):
+def dedup_by_orbit(algebras):
+    """The ``canonical_algebra`` of each isomorphism class, in stream order, with
+    no isomorphism search: a class's tables are the orbit of its first member
+    under the n! relabelings of every table, whose index arrays are built once
+    per size and arities in this call; the orbit is kept in a set, and its
+    least element is the canonical form."""
+    from congform.algebras import FiniteAlgebra, _relabeling_arrays, _relabelings
+
+    seen, reps, arrays = set(), [], {}
+    for a in algebras:
+        kind = (a.size, a.sig.ops, a.tag)
+        if (kind, a.tables) not in seen:
+            shape = (a.size, tuple(k for _, k in a.sig.ops))
+            if shape not in arrays:
+                arrays[shape] = _relabeling_arrays(a)
+            orbit = set(_relabelings(a, arrays[shape]))
+            seen.update((kind, t) for t in orbit)
+            reps.append(FiniteAlgebra(a.size, a.sig, min(orbit), a.tag))
+    return reps
+
+
+def all_quandle_tables(n, *, one_per_cycle_type=False):
     """Every quandle table on {0..n-1}, as flat tables with no axiom check, by
     trying every permutation fixing b for each column sigma_b and forcing the
-    column at sigma_c(b) to be the conjugate sigma_c sigma_b sigma_c^-1."""
-    from congform.algebras import QUANDLE_SIGNATURE, QUANDLE_TAG, FiniteAlgebra, _inverse
+    column at sigma_c(b) to be the conjugate sigma_c sigma_b sigma_c^-1.  With
+    ``one_per_cycle_type``, column 0 tries only the least permutation of each
+    cycle type, which keeps one table of each class at least."""
+    from congform.algebras import (
+        QUANDLE_SIGNATURE, QUANDLE_TAG, FiniteAlgebra, _cycle_type, _inverse,
+    )
 
     perms_fixing = [
         [p for p in itertools.permutations(range(n)) if p[b] == b]
         for b in range(n)
     ]
+    if one_per_cycle_type:
+        least_of_type = {}
+        for p in perms_fixing[0]:
+            least_of_type.setdefault(_cycle_type(p), p)
+        perms_fixing[0] = list(least_of_type.values())
     cols = [None] * n
     out = []
 
@@ -947,6 +982,22 @@ def all_quandle_tables(n):
             cols[:] = snapshot
 
     dfs()
+    return out
+
+
+def scan_quotient_maps(u):
+    """``operators.quotient_maps`` by an isomorphism search against every
+    member of the quotient's size, in member order."""
+    from congform.algebras import compose, con_lattice, find_isomorphism, quotient
+
+    out = {}
+    for x in u.algebras:
+        for r in con_lattice(x):
+            q, proj = quotient(x, r)
+            isos = (find_isomorphism(q, m) for m in u.algebras if m.size == q.size)
+            gs = tuple(compose(iso, proj) for iso in isos if iso is not None)
+            if gs:
+                out[r] = gs
     return out
 
 

@@ -45,7 +45,7 @@ from congform.instances import (
     enumerate_quandles,
     exponent_two_congruence,
     _composite_with_reachability,
-    _dedup_by_orbit,
+    _quandle_classes,
 )
 from congform import instances
 from congform.algebras import (
@@ -293,15 +293,30 @@ def test_quandle_class_counts_up_to_four():
     assert counts == [1, 1, 3, 7]
 
 
-def test_quandle_class_counts_by_orbit_up_to_five():
-    counts = [len(_dedup_by_orbit(enumerate_quandles(n))) for n in range(1, 6)]
-    assert counts == [1, 1, 3, 7, 22]
+def test_quandle_class_counts_by_orbit_up_to_six():
+    counts = [len(_quandle_classes(searched_quandles(n))) for n in range(1, 7)]
+    assert counts == [1, 1, 3, 7, 22, 73]
 
 
-def test_quandle_search_emits_one_table_per_cycle_type_of_column_zero():
+@lru_cache(maxsize=None)
+def searched_quandles(n: int) -> tuple:
+    return tuple(enumerate_quandles(n))
+
+
+def test_quandle_search_breaks_the_stabiliser_symmetry():
+    assert [len(searched_quandles(n)) for n in range(1, 7)] == [1, 1, 4, 19, 119, 981]
+    # One least permutation per cycle type for column 0, then every
+    # permutation: 1, 1, 5, 26, 218, and 2,790 at size 6.
+    assert ([len(oracles.all_quandle_tables(n, one_per_cycle_type=True)) for n in range(1, 6)]
+            == [1, 1, 5, 26, 218])
     # The full column search emits 1, 1, 5, 36, 404 labeled tables.
-    assert [len(enumerate_quandles(n)) for n in range(1, 6)] == [1, 1, 5, 26, 218]
     assert [len(oracles.all_quandle_tables(n)) for n in range(1, 6)] == [1, 1, 5, 36, 404]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_quandle_search_needs_a_nonempty_carrier(n):
+    with pytest.raises(OutOfRange):
+        enumerate_quandles(n)
 
 
 def test_quandle_search_leaves_no_emitted_table_to_the_garbage_collector():
@@ -319,12 +334,12 @@ def test_quandle_search_leaves_no_emitted_table_to_the_garbage_collector():
         gc.enable()
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_quandle_search_finds_every_class_of_the_full_search(n):
     def classes(tables):
-        return sorted(_dedup_by_orbit(tables), key=lambda a: a.tables)
+        return sorted(_quandle_classes(tables), key=lambda a: a.tables)
 
-    assert classes(enumerate_quandles(n)) == classes(oracles.all_quandle_tables(n))
+    assert classes(searched_quandles(n)) == classes(oracles.all_quandle_tables(n))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -348,20 +363,27 @@ def test_quandle_corpus_checks_the_axioms_of_every_class(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_orbit_dedup_matches_the_oracle_on_quandles(n):
     tables = enumerate_quandles(n)
-    assert _dedup_by_orbit(tables) == oracles.dedup_then_canonical(tables)
+    assert oracles.dedup_by_orbit(tables) == oracles.dedup_then_canonical(tables)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_quandle_classes_match_the_orbit_oracle_on_the_search(n):
+    # orbits of lhd alone against orbits of both tables
+    tables = searched_quandles(n)
+    assert _quandle_classes(tables) == oracles.dedup_by_orbit(tables)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_orbit_dedup_matches_the_oracle_on_groups(n):
     tables = enumerate_groups(n)
-    assert _dedup_by_orbit(tables) == oracles.dedup_then_canonical(tables)
+    assert oracles.dedup_by_orbit(tables) == oracles.dedup_then_canonical(tables)
 
 
 @pytest.mark.parametrize("tables", [enumerate_quandles(n) for n in range(1, 6)]
                          + [enumerate_groups(n) for n in range(1, 7)])
 def test_orbit_dedup_matches_the_transport_oracle(tables):
     # Index arrays built once per call against arrays rebuilt for every table
-    assert _dedup_by_orbit(tables) == oracles.transport_dedup_by_orbit(tables)
+    assert oracles.dedup_by_orbit(tables) == oracles.transport_dedup_by_orbit(tables)
 
 
 @lru_cache(maxsize=None)
@@ -374,17 +396,33 @@ def _members() -> tuple:
     return tuple(tagged + untagged)
 
 
+def relabeled_streams(members):
+    member = st.sampled_from(members)
+    relabeled = member.flatmap(lambda a: st.permutations(range(a.size)).map(
+        lambda p: relabel_algebra(a, p)))
+
+    @st.composite
+    def stream(draw):
+        drawn = draw(st.lists(relabeled, min_size=1, max_size=12))
+        repeats = draw(st.lists(st.sampled_from(drawn), max_size=4))
+        return draw(st.permutations(drawn + repeats))
+
+    return stream()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_orbit_dedup_matches_the_oracle_on_relabeled_streams(data):
-    member = st.sampled_from(_members())
-    relabeled = member.flatmap(lambda a: st.permutations(range(a.size)).map(
-        lambda p: relabel_algebra(a, p)))
-    drawn = data.draw(st.lists(relabeled, min_size=1, max_size=12))
-    repeats = data.draw(st.lists(st.sampled_from(drawn), max_size=4))
-    stream = data.draw(st.permutations(drawn + repeats))
-    assert _dedup_by_orbit(stream) == oracles.dedup_then_canonical(stream)
-    assert _dedup_by_orbit(stream) == oracles.transport_dedup_by_orbit(stream)
+    stream = data.draw(relabeled_streams(_members()))
+    assert oracles.dedup_by_orbit(stream) == oracles.dedup_then_canonical(stream)
+    assert oracles.dedup_by_orbit(stream) == oracles.transport_dedup_by_orbit(stream)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_quandle_classes_match_the_orbit_oracle_on_relabeled_streams(data):
+    stream = data.draw(relabeled_streams(corpus("quandles", 5).algebras))
+    assert _quandle_classes(stream) == oracles.dedup_by_orbit(stream)
 
 
 def test_group_corpus_small_members():

@@ -793,6 +793,30 @@ def test_member_verdicts_match_the_quotient_scan_on_isomorphic_copies():
     assert_verdicts_match_quotient_scan(u, preds + SIZE_PREDICATES)
 
 
+def universe_with_relabeled_and_untagged_copies():
+    """Quandles up to size 4 and groups up to order 6, with a relabeled copy of
+    every other member and an untagged copy of every third: several members
+    share an ``_iso_invariant``, and the tag alone tells some apart."""
+    tagged = [*corpus("quandles", 4).algebras, *corpus("groups", 6).algebras]
+    relabeled = [relabel_algebra(a, list(range(a.size))[::-1]) for a in tagged[::2]]
+    untagged = [FiniteAlgebra(a.size, a.sig, a.tables) for a in tagged[::3]]
+    return universe(tagged + relabeled + untagged)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: corpus("quandles", 6), lambda: corpus("groups", 12), lambda: corpus("rngs", 24),
+    universe_with_relabeled_and_untagged_copies,
+], ids=["quandles6", "groups12", "rngs24", "copies"])
+def test_quotient_maps_match_the_all_members_scan(build):
+    u = build()
+    assert list(quotient_maps(u).items()) == list(oracles.scan_quotient_maps(u).items())
+
+
+def test_quotient_maps_reach_several_members_of_one_bucket():
+    maps = quotient_maps(universe_with_relabeled_and_untagged_copies())
+    assert max(len(gs) for gs in maps.values()) >= 2
+
+
 def test_failing_size_predicates_give_witnesses():
     u = corpus("groups", 12)
     eight, at_most_two = SIZE_PREDICATES
