@@ -9,15 +9,17 @@ library treat fibre-isomorphism as plain equality.  Relabelings and
 quotients read each table along one flat index array per arity, not
 through ``op`` once per entry.
 
-Congruence generation uses union-find with a worklist: whenever two
-classes merge, every operation tuple differing from a known tuple in one
-coordinate by a newly merged pair is re-propagated; a partition is
-compatible when it equals the congruence its blocks generate.  Joins need
-none: they are equivalence closures of unions.  Lattices are enumerated by
-joining principal congruences onto the ones found so far, on block-id
-arrays; in groups and rngs only the pairs with the neutral element and
-in quandles one pair per orbit of the inner automorphisms are generated.
-The test suite checks both against exhaustive partition scans.
+Congruence generation, joins, images and reachability share one
+label-merge routine: a class is its label, and merging two classes
+relabels one.  Generation also reads the tables, queueing for each merge
+the values at the operation tuples that differ in one coordinate by the
+merged pair; a partition is compatible when it equals the congruence its
+blocks generate.  Joins read none: they are equivalence closures of
+unions.  Lattices are enumerated by joining principal congruences onto
+the ones found so far, on block-id arrays; in groups and rngs only the
+pairs with the neutral element and in quandles one pair per orbit of the
+inner automorphisms are generated.  The test suite checks both against
+exhaustive partition scans.
 """
 
 from __future__ import annotations
@@ -287,8 +289,7 @@ def is_compatible(a: FiniteAlgebra, ids: Sequence[int]) -> bool:
     return generated_congruence(a, _block_pairs(r)) == r
 
 
-def congruence_from_blocks(a: FiniteAlgebra, blocks: Iterable[Iterable[int]],
-                           *, allow_partial: bool = True) -> Congruence:
+def congruence_from_blocks(a: FiniteAlgebra, blocks: Iterable[Iterable[int]]) -> Congruence:
     """Build a congruence from blocks; unlisted elements become singletons.
 
     Raises NotACongruence when a block is not a list, the blocks overlap,
@@ -305,11 +306,9 @@ def congruence_from_blocks(a: FiniteAlgebra, blocks: Iterable[Iterable[int]],
             if labels[x] is not None:
                 raise NotACongruence(f"element {x} appears in two blocks")
             labels[x] = i
-    missing = [x for x in range(a.size) if labels[x] is None]
-    if missing and not allow_partial:
-        raise NotACongruence(f"elements {missing} not covered by any block")
-    for x in missing:
-        labels[x] = ("singleton", x)
+    for x in range(a.size):
+        if labels[x] is None:
+            labels[x] = ("singleton", x)
     ids = _canonical_ids(labels)
     if not is_compatible(a, ids):
         raise NotACongruence(
@@ -703,73 +702,54 @@ def canonical_algebra(a: FiniteAlgebra, *, max_size: int = 7) -> FiniteAlgebra:
 
 # --- congruence generation and lattices --------------------------------------
 
+def _merge(ids: tuple[int, ...], pairs: Iterable[tuple[int, int]],
+           x: Optional[FiniteAlgebra] = None) -> tuple[int, ...]:
+    """Canonical ids of the least equivalence above the canonical ids
+    ``ids`` and ``pairs``, or, given an algebra x of which ``ids`` is a
+    congruence, of the least congruence above them: an equivalence is a
+    congruence of the algebra with no operations.  A class is its label; a
+    merge keeps the smaller label and shifts the larger ones down, so the
+    labels stay canonical.  With x, each merge of the classes of a and b
+    queues, for every operation and argument position, the values at two
+    tuples that differ there only by a and b.  One pair per merge suffices:
+    the merged pairs connect each class, so by transitivity any two of its
+    members give related values (Freese, *Computing congruences
+    efficiently*, Algebra Universalis 59, 2008).  Unary and binary tables
+    are read along flat rows and strided columns."""
+    labels, pending, n = ids, list(pairs), len(ids)
+    ops = [(k, t) for (_, k), t in zip(x.sig.ops, x.tables) if k] if x is not None else ()
+    while pending:
+        a, b = pending.pop()
+        la, lb = labels[a], labels[b]
+        if la == lb:
+            continue
+        if la > lb:
+            la, lb = lb, la
+        labels = [la if label == lb else label - (label > lb) for label in labels]
+        for k, t in ops:
+            if k == 1:
+                pending.append((t[a], t[b]))
+            elif k == 2:
+                pending.extend(zip(t[a * n:(a + 1) * n], t[b * n:(b + 1) * n]))
+                pending.extend(zip(t[a::n], t[b::n]))
+            else:
+                for pos in range(k):
+                    hi = n ** (k - 1 - pos)
+                    for lo in range(0, n ** k, hi * n):
+                        pending.extend(zip(t[lo + a * hi:lo + (a + 1) * hi],
+                                           t[lo + b * hi:lo + (b + 1) * hi]))
+    return tuple(labels)
+
+
 def generated_congruence(x: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Least congruence containing the given pairs (Mal'cev propagation).
-
-    Union-find with a worklist: when the classes of p and q merge, every
-    operation tuple differing in one coordinate by (p, q) forces its two
-    values together.  Unary and binary operations, the common case, walk
-    flat table rows and strided columns directly.
-    """
+    """Least congruence containing the given pairs: ``_merge`` from the
+    diagonal, reading x's tables (Mal'cev propagation)."""
     n = x.size
-    parent = list(range(n))
-    weight = [1] * n
-    members: list[list[int]] = [[i] for i in range(n)]
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    pending: deque[tuple[int, int]] = deque()
+    pairs = list(pairs)
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise OutOfRange(f"pair ({a}, {b}) outside [0, {n})")
-        pending.append((a, b))
-
-    unary = [t for (_, k), t in zip(x.sig.ops, x.tables) if k == 1]
-    binary = [t for (_, k), t in zip(x.sig.ops, x.tables) if k == 2]
-    wide = [(k, t) for (_, k), t in zip(x.sig.ops, x.tables) if k > 2]
-
-    def force(u: int, v: int) -> None:
-        if find(u) != find(v):
-            pending.append((u, v))
-
-    # Invariant: every member of a class has been propagated against its
-    # root, so chaining through roots reaches every intra-class pair.
-    # Union by size keeps the total number of moved elements near-linear.
-    while pending:
-        a, b = pending.popleft()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        if weight[ra] < weight[rb]:
-            ra, rb = rb, ra
-        moved = members[rb]
-        parent[rb] = ra
-        weight[ra] += weight[rb]
-        members[ra].extend(moved)
-        members[rb] = []
-        p = ra
-        for q in moved:
-            for t in unary:
-                force(t[p], t[q])
-            for t in binary:
-                for u, v in zip(t[p * n:(p + 1) * n], t[q * n:(q + 1) * n]):
-                    if find(u) != find(v):
-                        pending.append((u, v))
-                for u, v in zip(t[p::n], t[q::n]):
-                    if find(u) != find(v):
-                        pending.append((u, v))
-            for k, t in wide:
-                for pos in range(k):
-                    hi = n ** (k - 1 - pos)
-                    for lo in range(n ** pos):
-                        base = lo * hi * n
-                        for rest in range(hi):
-                            force(t[base + p * hi + rest], t[base + q * hi + rest])
-    return Congruence(x, _canonical_ids([find(i) for i in range(n)]))
+    return Congruence(x, _merge(diagonal(x).ids, pairs, x))
 
 
 def meet(r: Congruence, s: Congruence) -> Congruence:
@@ -784,31 +764,13 @@ def _block_pairs(r: Congruence) -> list[tuple[int, int]]:
     return [(head.setdefault(b, x), x) for x, b in enumerate(r.ids)]
 
 
-def _equivalence_closure(x: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Least equivalence on ``x`` containing the pairs, by union-find; callers
-    use it only where that is known to be a congruence (no operation is read)."""
-    parent = list(range(x.size))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return Congruence(x, _canonical_ids([find(i) for i in range(x.size)]))
-
-
 def join(r: Congruence, s: Congruence) -> Congruence:
-    """R v S as the transitive closure of the union, without propagation:
-    Con(A) is a sublattice of Eq(A) (Burris & Sankappanavar, *A Course in
-    Universal Algebra*, I.5), so that closure is already a congruence."""
+    """R v S as the equivalence ``_merge`` builds from R's ids and S's pairs,
+    with no operation read: Con(A) is a sublattice of Eq(A) (Burris &
+    Sankappanavar, *A Course in Universal Algebra*, I.5)."""
     if r.algebra != s.algebra:
         raise FibreMismatch("join needs congruences on the same algebra")
-    return _equivalence_closure(r.algebra, _block_pairs(r) + _block_pairs(s))
+    return Congruence(r.algebra, _merge(r.ids, _block_pairs(s)))
 
 
 # The neutral element of each 0-regular variety, where a congruence is fixed by
@@ -839,17 +801,6 @@ def _principal_ids(x: FiniteAlgebra) -> dict[tuple[int, int], tuple[int, ...]]:
     return found
 
 
-def _join_blocks(ids: tuple[int, ...], blocks) -> Optional[tuple[int, ...]]:
-    """Ids of R v P from R's ids and P's non-singleton blocks; None when P <= R."""
-    labels = list(ids)
-    for block in blocks:
-        meets = {labels[y] for y in block}
-        if len(meets) > 1:
-            least = min(meets)
-            labels = [least if label in meets else label for label in labels]
-    return None if labels == list(ids) else _canonical_ids(labels)
-
-
 @lru_cache(maxsize=None)
 def con_lattice(x: FiniteAlgebra) -> tuple[Congruence, ...]:
     """Con(x) as a tuple ordered by block ids: the diagonal and the principal
@@ -861,20 +812,20 @@ def con_lattice(x: FiniteAlgebra) -> tuple[Congruence, ...]:
     so it maps Cg(a, b) onto Cg(sigma_b a, sigma_b b).  It also maps every
     congruence into, hence onto, itself, so the two are equal: one pair per
     orbit of the sigma_b is generated, and the orbit shares its ids.  Joins
-    run on ids: R v P merges the labels of R along each block of P, the join
-    in Eq(A), of which Con(A) is a sublattice; only the result is built as
-    ``Congruence``s.
+    run on ids: R v P is ``_merge`` of R's ids along P's non-trivial pairs,
+    the join in Eq(A), of which Con(A) is a sublattice; only the result is
+    built as ``Congruence``s.
     """
     principal = dict.fromkeys(_principal_ids(x).values())
-    blocks = [[b for b in Congruence(x, ids).blocks() if len(b) > 1] for ids in principal]
+    pairs = [[p for p in _block_pairs(Congruence(x, ids)) if p[0] != p[1]] for ids in principal]
     found = {tuple(range(x.size)), *principal}
     frontier = list(found)
     while frontier:
         fresh = []
         for r in frontier:
-            for p in blocks:
-                j = _join_blocks(r, p)
-                if j is not None and j not in found:
+            for p in pairs:
+                j = _merge(r, p)
+                if j not in found:
                     found.add(j)
                     fresh.append(j)
         frontier = fresh

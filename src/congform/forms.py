@@ -8,7 +8,7 @@ such S for a fixed R (cocartesian direction, a pushout of quotients).
 
 from __future__ import annotations
 
-from .algebras import Congruence, Homomorphism, _block_pairs, _canonical_ids, _equivalence_closure
+from .algebras import Congruence, Homomorphism, _block_pairs, _canonical_ids, _merge, diagonal
 from .errors import FibreMismatch, NotInE
 
 
@@ -56,4 +56,4 @@ def image_congruence(f: Homomorphism, r: Congruence) -> Congruence:
     if not f.surjective:
         raise NotInE("image congruence requires a surjective map")
     m = f.map
-    return _equivalence_closure(f.cod, [(m[a], m[b]) for a, b in _block_pairs(r)])
+    return Congruence(f.cod, _merge(diagonal(f.cod).ids, [(m[a], m[b]) for a, b in _block_pairs(r)]))

@@ -46,11 +46,12 @@ from .algebras import (
     _block_pairs,
     _canonical_ids,
     _cycle_type,
-    _equivalence_closure,
     _inverse,
+    _merge,
     _relabeling_arrays,
     algebra_from_json,
     algebra_to_json,
+    diagonal,
     full,
     generated_congruence,
     is_compatible,
@@ -398,8 +399,8 @@ def nilradical(a: FiniteAlgebra, i: Ideal) -> Ideal:
 def quandle_reachability(a: FiniteAlgebra) -> Congruence:
     """x ~ y iff y is reachable from x by <| / <|^{-1} moves; a congruence."""
     _require(QUANDLE_TAG, a)
-    sim = _equivalence_closure(a, [(x, a.op(op, x, b)) for op in ("lhd", "lhd_inv")
-                                   for x in a.elements() for b in a.elements()])
+    sim = Congruence(a, _merge(diagonal(a).ids, [(x, a.op(op, x, b)) for op in ("lhd", "lhd_inv")
+                                                 for x in a.elements() for b in a.elements()]))
     if not is_compatible(a, sim.ids):
         raise CompositeNotCongruence(
             "reachability relation failed the congruence check",

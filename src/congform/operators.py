@@ -144,15 +144,15 @@ def universe(algebras: Iterable[FiniteAlgebra], *, quotient_closed: bool = False
 
 
 def universe_from_generators(seeds: Iterable[FiniteAlgebra]) -> Universe:
-    """Close the seeds under canonical quotients, up to isomorphism."""
+    """Close the seeds under canonical quotients, up to isomorphism: the
+    sorted seeds, then their quotients, keeping the first of each
+    isomorphism class.  One layer suffices, as canonical ids make (X/K)/L
+    equal to X/K' for K' the preimage of L."""
     members: list[FiniteAlgebra] = []
-    queue = sorted(set(seeds), key=_algebra_sort_key)
-    while queue:
-        a = queue.pop(0)
-        if any(find_isomorphism(a, m) is not None for m in members if m.size == a.size):
-            continue
-        members.append(a)
-        queue.extend(quotient(a, r)[0] for r in con_lattice(a))
+    seeds = sorted(set(seeds), key=_algebra_sort_key)
+    for a in itertools.chain(seeds, (quotient(x, r)[0] for x in seeds for r in con_lattice(x))):
+        if all(find_isomorphism(a, m) is None for m in members if m.size == a.size):
+            members.append(a)
     return universe(members, quotient_closed=True)
 
 

@@ -56,8 +56,13 @@ Latin-square table search and deduplication by isomorphism search
 which stay as its completeness oracle.
 Also kept: the pairwise minimality scan over every fibre (replaced by a
 check of each fibre against C(diagonal), scanning pairs only on a fibre
-that fails) and the greedy selection of automorphism generators, each
-group closed by brute force (replaced by a stabiliser chain).
+that fails), the greedy selection of automorphism generators, each
+group closed by brute force (replaced by a stabiliser chain), the three
+closures that one label-merge routine replaced (congruence generation by
+union-find with member re-propagation, the equivalence closure by
+union-find, and the lattice's join step merging labels along blocks),
+and the quotient closure of a universe by a queue that quotients every
+member again (replaced by one layer of quotients of the seeds).
 """
 
 from __future__ import annotations
@@ -1115,3 +1120,111 @@ def permutation_group(n, gens):
                 group.add(q)
                 todo.append(q)
     return group
+
+
+# --- congruence closures by union-find, and the universe by breadth-first search --
+
+def union_find_generated_congruence(x, pairs):
+    """Least congruence containing the pairs: union-find with a worklist that
+    re-propagates every moved member of a class against its root."""
+    from congform.algebras import Congruence, _canonical_ids
+
+    n = x.size
+    parent = list(range(n))
+    weight = [1] * n
+    members = [[i] for i in range(n)]
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    pending = deque(pairs)
+    unary = [t for (_, k), t in zip(x.sig.ops, x.tables) if k == 1]
+    binary = [t for (_, k), t in zip(x.sig.ops, x.tables) if k == 2]
+    wide = [(k, t) for (_, k), t in zip(x.sig.ops, x.tables) if k > 2]
+
+    def force(u, v):
+        if find(u) != find(v):
+            pending.append((u, v))
+
+    while pending:
+        a, b = pending.popleft()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        if weight[ra] < weight[rb]:
+            ra, rb = rb, ra
+        moved = members[rb]
+        parent[rb] = ra
+        weight[ra] += weight[rb]
+        members[ra].extend(moved)
+        members[rb] = []
+        p = ra
+        for q in moved:
+            for t in unary:
+                force(t[p], t[q])
+            for t in binary:
+                for u, v in zip(t[p * n:(p + 1) * n], t[q * n:(q + 1) * n]):
+                    force(u, v)
+                for u, v in zip(t[p::n], t[q::n]):
+                    force(u, v)
+            for k, t in wide:
+                for pos in range(k):
+                    hi = n ** (k - 1 - pos)
+                    for lo in range(n ** pos):
+                        base = lo * hi * n
+                        for rest in range(hi):
+                            force(t[base + p * hi + rest], t[base + q * hi + rest])
+    return Congruence(x, _canonical_ids([find(i) for i in range(n)]))
+
+
+def equivalence_closure(x, pairs):
+    """Least equivalence on x containing the pairs, by union-find."""
+    from congform.algebras import Congruence, _canonical_ids
+
+    parent = list(range(x.size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return Congruence(x, _canonical_ids([find(i) for i in range(x.size)]))
+
+
+def join_blocks(ids, blocks):
+    """Ids of R v P from R's ids and P's non-singleton blocks, merging the
+    labels of R along each block; None when P <= R."""
+    from congform.algebras import _canonical_ids
+
+    labels = list(ids)
+    for block in blocks:
+        meets = {labels[y] for y in block}
+        if len(meets) > 1:
+            least = min(meets)
+            labels = [least if label in meets else label for label in labels]
+    return None if labels == list(ids) else _canonical_ids(labels)
+
+
+def bfs_universe_from_generators(seeds):
+    """Close the seeds under canonical quotients, up to isomorphism, by a
+    queue that quotients every member it keeps again."""
+    from congform import con_lattice, find_isomorphism, quotient, universe
+    from congform.operators import _algebra_sort_key
+
+    members = []
+    queue = sorted(set(seeds), key=_algebra_sort_key)
+    while queue:
+        a = queue.pop(0)
+        if any(find_isomorphism(a, m) is not None for m in members if m.size == a.size):
+            continue
+        members.append(a)
+        queue.extend(quotient(a, r)[0] for r in con_lattice(a))
+    return universe(members, quotient_closed=True)

@@ -90,8 +90,8 @@ from congform import (
     universe_from_generators,
 )
 from congform import algebras, reflection
-from congform.algebras import (FiniteAlgebra, Signature, automorphism_generators, quotient,
-                               relabel_algebra)
+from congform.algebras import (FiniteAlgebra, Signature, _block_pairs, automorphism_generators,
+                               quotient, relabel_algebra)
 from congform.errors import CongformError, NotNatural, NotReflective
 from congform.instances import CORPUS_KINDS, corpus_kind, corpus_operators, oracle_predicate
 from congform.operators import fibration, generating_maps, naturality_maps
@@ -209,16 +209,82 @@ def identity_only_algebra():
 
 
 def test_con_lattice_joins_only_with_principal_congruences(monkeypatch):
-    bound, calls, real = 877 * 21, [0], algebras._join_blocks
+    # a join step is a ``_merge`` that reads no table; generation reads them
+    bound, calls, real = 877 * 21, [0], algebras._merge
 
-    def counted(ids, blocks):
-        calls[0] += 1
-        assert calls[0] <= bound, "joined more than each congruence with each principal one"
-        return real(ids, blocks)
+    def counted(ids, pairs, x=None):
+        if x is None:
+            calls[0] += 1
+            assert calls[0] <= bound, "joined more than each congruence with each principal one"
+        return real(ids, pairs, x)
 
-    monkeypatch.setattr(algebras, "_join_blocks", counted)
+    monkeypatch.setattr(algebras, "_merge", counted)
     assert len(con_lattice.__wrapped__(identity_only_algebra())) == 877
     assert calls[0] > 0
+
+
+# --- one label-merge routine against the union-find closures it replaced ----------
+
+def operation_free_algebras():
+    """No operations: every partition is a congruence, and generation is the
+    equivalence closure."""
+    return [FiniteAlgebra(n, Signature(()), ()) for n in range(1, 8)]
+
+
+def positional_ternary_algebras():
+    """Ternary operations that read one argument position only, the last
+    (2z mod 5) or the middle (y * y mod 6), so that a merge must be
+    propagated at every position."""
+    return [FiniteAlgebra(n, Signature((("m", 3),)), (tuple(f(x, y, z) for x, y, z in
+                                                              itertools.product(range(n), repeat=3)),))
+            for n, f in ((5, lambda x, y, z: 2 * z % 5), (6, lambda x, y, z: y * y % 6))]
+
+
+MERGE_CASES = {
+    "quandles6": lambda: corpus("quandles", 6).algebras,
+    "groups12": lambda: corpus("groups", 12).algebras,
+    "rngs24": lambda: corpus("rngs", 24).algebras,
+    "ternary": lambda: ternary_algebras() + positional_ternary_algebras(),
+    "operation-free": operation_free_algebras,
+}
+
+
+def nontrivial_pairs(r):
+    return [p for p in _block_pairs(r) if p[0] != p[1]]
+
+
+@pytest.mark.parametrize("case", MERGE_CASES)
+def test_merge_matches_the_union_find_closures(case):
+    # Every principal congruence, and every join of two lattice elements, as
+    # ``join`` and as the lattice's join step; past Bell(6) = 203 congruences
+    # (the operation-free algebra of size 7) only the joins with the
+    # principal congruences, which are the lattice's join steps.
+    for x in MERGE_CASES[case]():
+        principal = []
+        for pair in itertools.combinations(range(x.size), 2):
+            r = generated_congruence(x, [pair])
+            assert r == oracles.union_find_generated_congruence(x, [pair])
+            principal.append(r)
+        lattice = con_lattice(x)
+        for r in lattice:
+            for s in lattice if len(lattice) <= 203 else principal:
+                j = join(r, s)
+                assert j == oracles.equivalence_closure(x, _block_pairs(r) + _block_pairs(s))
+                blocks = [b for b in s.blocks() if len(b) > 1]
+                assert algebras._merge(r.ids, nontrivial_pairs(s)) == \
+                    (oracles.join_blocks(r.ids, blocks) or r.ids) == j.ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_matches_the_union_find_closures_on_drawn_pairs(data):
+    x = data.draw(st.sampled_from(MERGE_CASES[data.draw(st.sampled_from(sorted(MERGE_CASES)))]()))
+    element = st.integers(0, x.size - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), max_size=8))
+    r = data.draw(st.sampled_from(con_lattice(x)))
+    assert generated_congruence(x, pairs) == oracles.union_find_generated_congruence(x, pairs)
+    assert algebras._merge(r.ids, pairs) == \
+        oracles.equivalence_closure(x, _block_pairs(r) + pairs).ids
 
 
 # Joins on block-id arrays, and in quandles one principal congruence per

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from congform import (
@@ -24,6 +26,7 @@ from congform import (
     universe_from_generators,
 )
 from congform import operators
+from congform.algebras import relabel_algebra
 from congform.errors import (
     FibreMismatch,
     NotExtensive,
@@ -74,6 +77,32 @@ def test_generated_universes_verify_as_quotient_closed():
         assert u.quotient_closed
         # verifying the flag raises UniverseNotQuotientClosed on a witness
         assert universe(u.algebras, quotient_closed=True) == u
+
+
+def relabeled_seeds(kind, size):
+    """Per member of the corpus, three relabelings of it as one seed list;
+    then one relabeling of every member, a seed list in which a seed can be
+    isomorphic to a quotient of another seed without being equal to it."""
+    rng = random.Random(size)
+
+    def relabeled(g):
+        return relabel_algebra(g, rng.sample(range(g.size), g.size))
+
+    members = corpus(kind, size).algebras
+    return [[relabeled(g) for _ in range(3)] for g in members] + [[relabeled(g) for g in members]]
+
+
+# One layer of quotients of the seeds against the queue that quotients every
+# member it keeps again: the same members, tables included.
+@pytest.mark.parametrize("seed_lists", [
+    lambda: relabeled_seeds("groups", 8),
+    lambda: relabeled_seeds("groups", 12),
+    lambda: [corpus("rngs", 12).algebras, corpus("quandles", 4).algebras,
+             corpus("groups", 12).algebras],
+], ids=["relabeled-groups8", "relabeled-groups12", "corpora"])
+def test_universe_from_generators_matches_the_queue(seed_lists):
+    for seeds in seed_lists():
+        assert universe_from_generators(seeds) == oracles.bfs_universe_from_generators(seeds)
 
 
 # --- construction and validation --------------------------------------------------
