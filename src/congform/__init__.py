@@ -60,14 +60,12 @@ from .instances import (
     cyclic_group,
     cyclic_rng,
     dihedral_group,
-    dihedral_quandle,
     ideal,
     ideal_of_congruence,
     klein_four_group,
     nilradical,
     quandle_reachability,
     symmetric_group,
-    trivial_quandle,
 )
 from .operators import (
     ClosureOperator,

@@ -4,17 +4,20 @@ Three families of examples are bundled:
 
 * commutative rngs Z_n with the nilradical operator, connected to
   congruences through the ideal/coset bridge;
-* quandles with the reachability congruence ~ and the operator sending
+* quandles with the reachability congruence ~, the equivalence that the
+  instances of the trivial-quandle laws generate, and the operator sending
   R to the relation composite R o ~, which is the join R v ~ because R
-  and ~ permute (checked, not assumed);
+  and ~ permute (both checked, not assumed);
 * finite groups with the abelianization operator R -> R v [X,X] and its
-  exponent-2 refinement.
+  exponent-2 refinement, each R -> R v V(X) for the verbal congruence V(X)
+  of the subcategory's laws, generated by their instances (Birkhoff).
 
 Corpora are quotient-closed universes.  Rngs and groups are lists of
 constructions with no search and no deduplication: the Z_n rngs, and the
 cyclic groups, V4, S3 and the dihedral groups, which hold one group per
 isomorphism class up to order 7.  Quandles are found by exhaustive table
 search, pruned by stabiliser orbits (complete up to isomorphism only) and
+by checking each candidate column against the assigned ones, and
 deduplicated by lhd orbits; only each class's representative is validated.
 
 Two registries describe the bundled examples.  ``CORPORA`` maps a corpus
@@ -43,7 +46,6 @@ from .algebras import (
     QUANDLE_SIGNATURE,
     QUANDLE_TAG,
     RNG_TAG,
-    _block_pairs,
     _canonical_ids,
     _cycle_type,
     _inverse,
@@ -132,19 +134,6 @@ def cyclic_rng(n: int) -> FiniteAlgebra:
                             {"add": add, "neg": neg, "zero": 0, "mul": mul}, RNG_TAG)
 
 
-@lru_cache(maxsize=None)
-def trivial_quandle(n: int) -> FiniteAlgebra:
-    t = [[x for _ in range(n)] for x in range(n)]
-    return validate_algebra(n, QUANDLE_SIGNATURE, {"lhd": t, "lhd_inv": t}, QUANDLE_TAG)
-
-
-@lru_cache(maxsize=None)
-def dihedral_quandle(n: int) -> FiniteAlgebra:
-    """x <| y = 2y - x mod n; an involution, so <| and its inverse agree."""
-    t = [[(2 * y - x) % n for y in range(n)] for x in range(n)]
-    return validate_algebra(n, QUANDLE_SIGNATURE, {"lhd": t, "lhd_inv": t}, QUANDLE_TAG)
-
-
 # --- quandle table search -----------------------------------------------------
 
 def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
@@ -161,7 +150,10 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
     branching column b, the relabelings G that fix b and every assigned
     index c and commute with sigma_c keep the partial table and both rules,
     so sigma_b needs only the least permutation of each orbit of G under
-    conjugation; at the root that is the least of each cycle type.
+    conjugation; at the root that is the least of each cycle type.  A
+    candidate p is cut before its orbit is computed if, for an assigned c,
+    the column at p(c) is assigned and not p sigma_c p^-1: G keeps the
+    partial table, so that cuts the whole orbit.
     """
     if n < 1:
         raise OutOfRange("quandle search needs n >= 1")
@@ -204,8 +196,10 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
         least = kind[cols[0]] if b else ()
         seen: set = set()
         snapshot = cols.copy()
+        assigned = [c for c in range(n) if cols[c] is not None]
         for p in perms_fixing[b]:
-            if p in seen or kind[p] < least:
+            if p in seen or kind[p] < least or any(
+                    cols[p[c]] not in (None, conj(p, cols[c])) for c in assigned):
                 continue
             images = [conj(g, p) for g in stab]
             seen.update(images)
@@ -397,10 +391,10 @@ def nilradical(a: FiniteAlgebra, i: Ideal) -> Ideal:
 
 @lru_cache(maxsize=1024)
 def quandle_reachability(a: FiniteAlgebra) -> Congruence:
-    """x ~ y iff y is reachable from x by <| / <|^{-1} moves; a congruence."""
+    """x ~ y iff y is reachable from x by <| / <|^{-1} moves: the equivalence
+    that the trivial-quandle law instances generate, checked to be a congruence."""
     _require(QUANDLE_TAG, a)
-    sim = Congruence(a, _merge(diagonal(a).ids, [(x, a.op(op, x, b)) for op in ("lhd", "lhd_inv")
-                                                 for x in a.elements() for b in a.elements()]))
+    sim = Congruence(a, _merge(diagonal(a).ids, terms.law_pairs(a, terms.TRIVIAL_QUANDLE)))
     if not is_compatible(a, sim.ids):
         raise CompositeNotCongruence(
             "reachability relation failed the congruence check",
@@ -427,29 +421,12 @@ def _composite_with_reachability(x: FiniteAlgebra, r: Congruence) -> Congruence:
     return j
 
 
-# --- groups ------------------------------------------------------------------------
+# --- verbal congruences --------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def commutator_congruence(a: FiniteAlgebra) -> Congruence:
-    """Kernel of the abelianization quotient: collapse all commutators to e."""
-    _require(GROUP_TAG, a)
-    e = a.op("e")
-    pairs = []
-    for x in a.elements():
-        for y in a.elements():
-            comm = a.op("mul", a.op("mul", x, y),
-                        a.op("mul", a.op("inv", x), a.op("inv", y)))
-            pairs.append((comm, e))
-    return generated_congruence(a, pairs)
-
-
-@lru_cache(maxsize=None)
-def exponent_two_congruence(a: FiniteAlgebra) -> Congruence:
-    """Collapse commutators and squares: quotient is elementary abelian 2."""
-    _require(GROUP_TAG, a)
-    e = a.op("e")
-    pairs = [(a.op("mul", x, x), e) for x in a.elements()]
-    return generated_congruence(a, pairs + _block_pairs(commutator_congruence(a)))
+@lru_cache(maxsize=1024)
+def _verbal_congruence(x: FiniteAlgebra, eqs: tuple[terms.Equation, ...]) -> Congruence:
+    """V(x), the verbal congruence of the equations: their instances generate it."""
+    return generated_congruence(x, terms.law_pairs(x, eqs))
 
 
 # --- registry ----------------------------------------------------------------------
@@ -457,7 +434,8 @@ def exponent_two_congruence(a: FiniteAlgebra) -> Congruence:
 # name -> (tag, closure rule on one algebra, oracle predicate).  The tag (None:
 # every algebra) is checked on each algebra the rule closes on, and puts the
 # operator into the corpus of that tag; corpora take operators in this order.
-# The oracle is an independent equational description of the subcategory.
+# The oracle predicate checks the subcategory's laws; the reflection oracle, a
+# meet over the lattice, is a different algorithm from rules that read them.
 _BUILTIN_RULES = {
     "identity": (None, lambda x, r: r, predicate_from_equations("everything", ())),
     "top": (None, lambda x, r: full(x),
@@ -472,9 +450,10 @@ _BUILTIN_RULES = {
                    predicate_from_quasiequations("reduced", terms.REDUCED_RNG)),
     "quandle": (QUANDLE_TAG, _composite_with_reachability,
                 predicate_from_equations("trivial-quandle", terms.TRIVIAL_QUANDLE)),
-    "abelianization": (GROUP_TAG, lambda x, r: join(r, commutator_congruence(x)),
+    "abelianization": (GROUP_TAG, lambda x, r: join(r, _verbal_congruence(x, terms.COMMUTATIVITY)),
                        predicate_from_equations("abelian", terms.COMMUTATIVITY)),
-    "exp2-abelianization": (GROUP_TAG, lambda x, r: join(r, exponent_two_congruence(x)),
+    "exp2-abelianization": (GROUP_TAG,
+                            lambda x, r: join(r, _verbal_congruence(x, terms.ELEMENTARY_ABELIAN_2)),
                             predicate_from_equations("elementary-abelian-2",
                                                      terms.ELEMENTARY_ABELIAN_2)),
 }

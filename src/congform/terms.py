@@ -8,11 +8,12 @@ slots)``.  The program runs on the flat tables one block at a time, the
 n^(k-1) assignments that share the first variable's value, one table
 look-up per step and assignment.  Witnesses are the first failing
 equation in the given order and its first failing assignment in
-lexicographic order.  The tests check the programs against a reference
-that walks the terms at every assignment.  The axiom lists for the three
-supported variety tags (groups, commutative rngs, quandles) live here,
-together with the membership predicates used by reflection oracles
-(commutativity, reduced-ness, triviality).
+lexicographic order; ``law_pairs`` lists the sides' values where they
+differ.  The tests check the programs against a reference that walks the
+terms at every assignment.  The axiom lists for the three supported
+variety tags (groups, commutative rngs, quandles) live here, together
+with the laws of the built-in subcategories (commutativity,
+reduced-ness, triviality), read by closure rules and reflection oracles.
 """
 
 from __future__ import annotations
@@ -196,6 +197,17 @@ def satisfies_equations(algebra, eqs: Iterable[Equation]) -> CheckResult:
                 j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
                 return failed(equation=repr(eq), assignment=[v[j] for v in variables])
     return PASSED
+
+
+def law_pairs(algebra, eqs: Iterable[Equation]) -> list[tuple[int, int]]:
+    """(s(a), t(a)) for each equation s = t in order and each assignment a,
+    lexicographic, where the sides differ, read off the compiled programs; they
+    generate the verbal congruence (Burris & Sankappanavar, ch. II)."""
+    eqs = tuple(eqs)
+    _check_ops_known([e.lhs for e in eqs] + [e.rhs for e in eqs], algebra)
+    return [(a, b) for eq in eqs
+            for _, (lhs, rhs) in _blocks(algebra, (eq.lhs, eq.rhs), len(eq.variables()))
+            for a, b in zip(lhs, rhs) if a != b]
 
 
 def satisfies_quasiequations(algebra, qeqs: Iterable[QuasiEquation]) -> CheckResult:

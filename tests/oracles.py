@@ -62,13 +62,24 @@ closures that one label-merge routine replaced (congruence generation by
 union-find with member re-propagation, the equivalence closure by
 union-find, and the lattice's join step merging labels along blocks),
 and the quotient closure of a universe by a queue that quotients every
-member again (replaced by one layer of quotients of the seeds).
+member again (replaced by one layer of quotients of the seeds).  Also
+kept: the quandle search that leaves every stabiliser orbit's least
+candidate to propagation (replaced by a check of the candidate against
+the assigned columns first), the quandle reachability closed from its
+hand-listed moves (replaced by the trivial-quandle law instances), the
+commutator and exponent-2 congruences built from hand-listed generators
+(replaced by the verbal congruence of the laws ``terms.COMMUTATIVITY``
+and ``terms.ELEMENTARY_ABELIAN_2``), and the law instances read by
+``eval_term`` (replaced by the compiled programs in ``terms.law_pairs``).
+Last come the trivial and dihedral quandles, test inputs that the
+package does not export.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import lru_cache
 
 from congform.errors import CheckFailure
 
@@ -731,6 +742,22 @@ def scan_satisfies_equations(algebra, eqs):
     return PASSED
 
 
+def scan_law_pairs(algebra, eqs):
+    """``terms.law_pairs`` by evaluating both sides with ``eval_term`` at
+    every assignment, equations in order and assignments lexicographic."""
+    from congform.terms import _check_ops_known
+
+    eqs = tuple(eqs)
+    _check_ops_known([e.lhs for e in eqs] + [e.rhs for e in eqs], algebra)
+    pairs = []
+    for eq in eqs:
+        for assignment in itertools.product(range(algebra.size), repeat=len(eq.variables())):
+            s, t = eval_term(eq.lhs, assignment, algebra), eval_term(eq.rhs, assignment, algebra)
+            if s != t:
+                pairs.append((s, t))
+    return pairs
+
+
 def scan_satisfies_quasiequations(algebra, qeqs):
     """``satisfies_quasiequations`` by the same scan, implication per assignment."""
     from congform.errors import PASSED, failed
@@ -990,6 +1017,73 @@ def all_quandle_tables(n, *, one_per_cycle_type=False):
     return out
 
 
+def listed_reachability(a):
+    """``quandle_reachability`` as the equivalence closure of the moves
+    (x, x <| b) and (x, x <|^-1 b), listed for every x and b."""
+    return equivalence_closure(a, [(x, a.op(op, x, b)) for op in ("lhd", "lhd_inv")
+                                   for x in a.elements() for b in a.elements()])
+
+
+def orbit_quandle_search(n):
+    """``instances.enumerate_quandles`` before a candidate column was
+    checked against the assigned columns: the least permutation of each
+    stabiliser orbit is tried, and propagation alone rejects the ones that
+    conflict with the partial table."""
+    from congform.algebras import _cycle_type
+    from congform.instances import _quandle
+
+    perms = list(itertools.permutations(range(n)))
+    kind = {p: _cycle_type(p) for p in perms}
+    perms_fixing = [[p for p in perms if p[b] == b] for b in range(n)]
+    cols = [None] * n
+
+    def conj(pc, pb):
+        res = [0] * n
+        for x in range(n):
+            res[pc[x]] = pc[pb[x]]
+        return tuple(res)
+
+    def propagate(queue):
+        while queue:
+            b = queue.pop()
+            for c in range(n):
+                if c == b or cols[c] is None:
+                    continue
+                for (u, v) in ((b, c), (c, b)):
+                    d = cols[v][u]
+                    forced = conj(cols[v], cols[u])
+                    if cols[d] is None:
+                        if kind[forced] < kind[cols[0]]:
+                            return False
+                        cols[d] = forced
+                        queue.append(d)
+                    elif cols[d] != forced:
+                        return False
+        return True
+
+    def dfs(group):
+        try:
+            b = cols.index(None)
+        except ValueError:
+            yield _quandle(n, tuple(itertools.chain.from_iterable(zip(*cols))))
+            return
+        stab = [g for g in group if g[b] == b]
+        least = kind[cols[0]] if b else ()
+        seen = set()
+        snapshot = cols.copy()
+        for p in perms_fixing[b]:
+            if p in seen or kind[p] < least:
+                continue
+            images = [conj(g, p) for g in stab]
+            seen.update(images)
+            cols[b] = p
+            if propagate([b]):
+                yield from dfs([g for g, q in zip(stab, images) if q == p])
+            cols[:] = snapshot
+
+    return list(dfs(perms))
+
+
 def scan_quotient_maps(u):
     """``operators.quotient_maps`` by an isomorphism search against every
     member of the quotient's size, in member order."""
@@ -1228,3 +1322,53 @@ def bfs_universe_from_generators(seeds):
         members.append(a)
         queue.extend(quotient(a, r)[0] for r in con_lattice(a))
     return universe(members, quotient_closed=True)
+
+
+# --- test-only constructors and the hand-built group congruences -----------------
+
+@lru_cache(maxsize=None)
+def trivial_quandle(n):
+    from congform.algebras import QUANDLE_SIGNATURE, QUANDLE_TAG, validate_algebra
+
+    t = [[x for _ in range(n)] for x in range(n)]
+    return validate_algebra(n, QUANDLE_SIGNATURE, {"lhd": t, "lhd_inv": t}, QUANDLE_TAG)
+
+
+@lru_cache(maxsize=None)
+def dihedral_quandle(n):
+    """x <| y = 2y - x mod n; an involution, so <| and its inverse agree."""
+    from congform.algebras import QUANDLE_SIGNATURE, QUANDLE_TAG, validate_algebra
+
+    t = [[(2 * y - x) % n for y in range(n)] for x in range(n)]
+    return validate_algebra(n, QUANDLE_SIGNATURE, {"lhd": t, "lhd_inv": t}, QUANDLE_TAG)
+
+
+@lru_cache(maxsize=None)
+def commutator_congruence(a):
+    """Kernel of the abelianization quotient: collapse all commutators to e."""
+    from congform import generated_congruence
+    from congform.algebras import GROUP_TAG
+    from congform.instances import _require
+
+    _require(GROUP_TAG, a)
+    e = a.op("e")
+    pairs = []
+    for x in a.elements():
+        for y in a.elements():
+            comm = a.op("mul", a.op("mul", x, y),
+                        a.op("mul", a.op("inv", x), a.op("inv", y)))
+            pairs.append((comm, e))
+    return generated_congruence(a, pairs)
+
+
+@lru_cache(maxsize=None)
+def exponent_two_congruence(a):
+    """Collapse commutators and squares: quotient is elementary abelian 2."""
+    from congform import generated_congruence
+    from congform.algebras import GROUP_TAG, _block_pairs
+    from congform.instances import _require
+
+    _require(GROUP_TAG, a)
+    e = a.op("e")
+    pairs = [(a.op("mul", x, x), e) for x in a.elements()]
+    return generated_congruence(a, pairs + _block_pairs(commutator_congruence(a)))

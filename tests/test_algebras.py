@@ -27,7 +27,6 @@ from congform import (
     meet,
     quotient,
     symmetric_group,
-    trivial_quandle,
     validate_algebra,
 )
 from congform.algebras import Congruence, _canonical_ids, _flatten, is_compatible
@@ -42,7 +41,8 @@ from congform.errors import (
 )
 
 import oracles
-from oracles import kernel_congruence
+from oracles import kernel_congruence, trivial_quandle
+from test_lattice_engine import positional_ternary_algebras
 
 
 def z4_tables():
@@ -255,6 +255,14 @@ def test_generated_congruence_ternary_operation():
     for pair in itertools.combinations(range(n), 2):
         assert generated_congruence(alg, [pair]).ids == \
             oracles.brute_generated(alg, [pair])
+    # operations that read only the last or only the middle argument, against
+    # the meet of the partitions that pass the tuple scan
+    for x in positional_ternary_algebras():
+        congruences = [ids for ids in oracles.all_partitions(x.size)
+                       if oracles.scan_is_compatible(x, ids)]
+        for a, b in itertools.combinations(range(x.size), 2):
+            assert generated_congruence(x, [(a, b)]).ids == oracles.meet_ids(
+                [ids for ids in congruences if ids[a] == ids[b]], x.size)
 
 
 # --- lattices ---------------------------------------------------------------------

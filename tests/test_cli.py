@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from congform import (BUILTIN_OPERATOR_NAMES, algebra_to_json, cyclic_group, cyclic_rng,
-                      trivial_quandle)
+from congform import BUILTIN_OPERATOR_NAMES, algebra_to_json, cyclic_group, cyclic_rng
 from congform.cli import build_parser, main
+
+from oracles import trivial_quandle
 
 
 @pytest.fixture()

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import random
 import weakref
 from functools import lru_cache
 
@@ -19,7 +20,6 @@ from congform import (
     cyclic_rng,
     diagonal,
     dihedral_group,
-    dihedral_quandle,
     find_isomorphism,
     full,
     ideal,
@@ -28,7 +28,6 @@ from congform import (
     nilradical,
     quandle_reachability,
     symmetric_group,
-    trivial_quandle,
 )
 from congform.errors import (
     AxiomViolation,
@@ -41,13 +40,11 @@ from congform.errors import (
     SizeTooLarge,
 )
 from congform.instances import (
-    commutator_congruence,
     enumerate_quandles,
-    exponent_two_congruence,
     _composite_with_reachability,
     _quandle_classes,
 )
-from congform import instances
+from congform import instances, terms
 from congform.algebras import (
     QUANDLE_SIGNATURE,
     QUANDLE_TAG,
@@ -58,7 +55,8 @@ from congform.algebras import (
 )
 
 import oracles
-from oracles import _dedup_up_to_iso, enumerate_groups
+from oracles import (_dedup_up_to_iso, commutator_congruence, dihedral_quandle, enumerate_groups,
+                     exponent_two_congruence, trivial_quandle)
 
 
 # --- the ideal / congruence bridge ----------------------------------------------
@@ -238,6 +236,11 @@ def test_permutability_guard_rejects_non_permuting_equivalences(monkeypatch):
     assert exc.value.witness == {"block": [0, 1, 2]}
 
 
+def test_reachability_matches_the_listed_moves():
+    for a in corpus("quandles", 6).algebras:
+        assert quandle_reachability(a) == oracles.listed_reachability(a)
+
+
 def test_reachability_is_memoised_in_a_bounded_cache():
     dq = dihedral_quandle(3)
     assert quandle_reachability(dq) is quandle_reachability(dq)
@@ -272,6 +275,20 @@ def test_exponent_two_congruence_values():
     assert exponent_two_congruence(klein_four_group()) == diagonal(klein_four_group())
     d4 = dihedral_group(4)
     assert exponent_two_congruence(d4) == commutator_congruence(d4)
+
+
+@pytest.mark.parametrize("laws,oracle", [(terms.COMMUTATIVITY, oracles.commutator_congruence),
+                                         (terms.ELEMENTARY_ABELIAN_2,
+                                          oracles.exponent_two_congruence)])
+def test_verbal_congruence_matches_the_hand_built_congruence(laws, oracle):
+    # every member of the order-12 corpus, three relabelings of each, and S4
+    rng = random.Random(7)
+    groups = [symmetric_group(4)]
+    for a in corpus("groups", 12).algebras:
+        groups.append(a)
+        groups.extend(relabel_algebra(a, rng.sample(range(a.size), a.size)) for _ in range(3))
+    for a in groups:
+        assert instances._verbal_congruence(a, laws) == oracle(a)
 
 
 def test_group_operators_reject_wrong_tags(rng_corpus):
@@ -311,6 +328,11 @@ def test_quandle_search_breaks_the_stabiliser_symmetry():
             == [1, 1, 5, 26, 218])
     # The full column search emits 1, 1, 5, 36, 404 labeled tables.
     assert [len(oracles.all_quandle_tables(n)) for n in range(1, 6)] == [1, 1, 5, 36, 404]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_quandle_search_matches_the_search_without_the_column_check(n):
+    assert list(searched_quandles(n)) == oracles.orbit_quandle_search(n)
 
 
 @pytest.mark.parametrize("n", [0, -1])

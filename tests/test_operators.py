@@ -70,7 +70,8 @@ def test_universe_deduplicates_and_orders():
 
 
 def test_generated_universes_verify_as_quotient_closed():
-    from congform import dihedral_group, dihedral_quandle, cyclic_rng
+    from congform import dihedral_group, cyclic_rng
+    from oracles import dihedral_quandle
 
     for seed in (dihedral_group(4), dihedral_quandle(3), cyclic_rng(12)):
         u = universe_from_generators([seed])
