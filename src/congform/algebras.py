@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
 from typing import Iterable, Optional, Sequence
@@ -35,6 +34,8 @@ from . import terms
 from .errors import (
     AxiomViolation,
     FibreMismatch,
+    Frozen,
+    Hashed,
     NotACongruence,
     NotAHomomorphism,
     OutOfRange,
@@ -51,18 +52,21 @@ RNG_TAG = "commutative-rng"
 QUANDLE_TAG = "quandle"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Operation names with arities; names unique, arities >= 0."""
 
-    ops: tuple[tuple[str, int], ...]
+    __slots__ = ("ops",)
 
-    def __post_init__(self):
-        names = [name for name, _ in self.ops]
+    def __init__(self, ops: tuple[tuple[str, int], ...]):
+        names = [name for name, _ in ops]
         if len(set(names)) != len(names):
             raise SignatureShape("duplicate operation names in signature")
-        if any(arity < 0 for _, arity in self.ops):
+        if any(arity < 0 for _, arity in ops):
             raise SignatureShape("negative arity")
+        object.__setattr__(self, "ops", ops)
+
+    def _key(self):
+        return (self.ops,)
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.ops)
@@ -83,25 +87,22 @@ VARIETIES = {
 }
 
 
-@dataclass(frozen=True, repr=False)
-class FiniteAlgebra:
+class FiniteAlgebra(Hashed):
     """Carrier {0..size-1} plus one flat table per signature operation."""
 
-    size: int
-    sig: Signature
-    tables: tuple[tuple[int, ...], ...]
-    tag: Optional[str] = None
+    __slots__ = ("size", "sig", "tables", "tag", "_op_index", "__weakref__")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.size, self.sig.ops, self.tables, self.tag))
-        )
-        object.__setattr__(
-            self, "_op_index", {name: i for i, (name, _) in enumerate(self.sig.ops)}
-        )
+    def __init__(self, size: int, sig: Signature, tables: tuple[tuple[int, ...], ...],
+                 tag: Optional[str] = None):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "_hash", hash((size, sig.ops, tables, tag)))
+        object.__setattr__(self, "_op_index", {name: i for i, (name, _) in enumerate(sig.ops)})
 
-    def __hash__(self):
-        return self._hash
+    def _key(self):
+        return self.size, self.sig, self.tables, self.tag
 
     def op(self, name: str, *args: int) -> int:
         i = self._op_index.get(name)
@@ -244,18 +245,18 @@ def _canonical_ids(labels: Sequence) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, repr=False)
-class Congruence:
+class Congruence(Hashed):
     """Compatible partition, encoded as a canonical block-id array."""
 
-    algebra: FiniteAlgebra
-    ids: tuple[int, ...]
+    __slots__ = ("algebra", "ids")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.algebra._hash, self.ids)))
+    def __init__(self, algebra: FiniteAlgebra, ids: tuple[int, ...]):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_hash", hash((algebra._hash, ids)))
 
-    def __hash__(self):
-        return self._hash
+    def _key(self):
+        return self.algebra, self.ids
 
     def together(self, a: int, b: int) -> bool:
         return self.ids[a] == self.ids[b]
@@ -324,22 +325,21 @@ def congruence_to_blocks(r: Congruence) -> list[list[int]]:
 
 # --- homomorphisms -----------------------------------------------------------
 
-@dataclass(frozen=True, repr=False)
-class Homomorphism:
+class Homomorphism(Hashed):
     """Operation-preserving total map; ``surjective`` is cached at creation."""
 
-    dom: FiniteAlgebra
-    cod: FiniteAlgebra
-    map: tuple[int, ...]
-    surjective: bool
+    __slots__ = ("dom", "cod", "map", "surjective")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.dom._hash, self.cod._hash, self.map))
-        )
+    def __init__(self, dom: FiniteAlgebra, cod: FiniteAlgebra, map: tuple[int, ...],
+                 surjective: bool):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "surjective", surjective)
+        object.__setattr__(self, "_hash", hash((dom._hash, cod._hash, map)))
 
-    def __hash__(self):
-        return self._hash
+    def _key(self):
+        return self.dom, self.cod, self.map, self.surjective
 
     def __call__(self, x: int) -> int:
         return self.map[x]

@@ -1,4 +1,5 @@
-"""Exception types and the check-outcome value shared by all modules.
+"""Exception types, the base of the value classes and the check-outcome
+value shared by all modules.
 
 Two error families matter to callers (and to the CLI's exit codes):
 ``InputError`` for malformed or out-of-contract inputs, ``CheckFailure``
@@ -8,7 +9,6 @@ JSON-able ``witness`` dict pinpointing the offending data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -136,16 +136,70 @@ class NotReflective(CheckFailure):
     """A predicate or congruence family fails the reflection property."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+# --- value classes -----------------------------------------------------------
+
+class Frozen:
+    """Immutable slotted value, equal only to a value of its own class with
+    equal fields, and hashed by them.  ``_key()`` lists the fields in
+    constructor order, ``__init__`` sets them with ``object.__setattr__``,
+    and the default repr names the ``__slots__``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Hashed(Frozen):
+    """A ``Frozen`` value whose ``__init__`` stores its hash in ``_hash``;
+    equality tries identity, then the hashes, then the fields."""
+
+    __slots__ = ("_hash",)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._key() == other._key()
+
+    def __hash__(self):
+        return self._hash
+
+
+class CheckResult(Frozen):
     """Boolean verdict plus a witness for the failing (or notable) case.
 
     Truthiness follows ``ok``, so results can be used directly in
     ``assert`` and ``if``; the witness is a JSON-able dict.
     """
 
-    ok: bool
-    witness: Optional[dict] = None
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: Optional[dict] = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
+
+    def _key(self):
+        return self.ok, self.witness
 
     def __bool__(self) -> bool:
         return self.ok

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -62,6 +61,7 @@ from .algebras import (
 )
 from .errors import (
     CompositeNotCongruence,
+    Frozen,
     InvalidIdeal,
     NotGroup,
     NotQuandle,
@@ -225,7 +225,7 @@ def _quandle(n: int, lhd: tuple[int, ...]) -> FiniteAlgebra:
 
 
 def _quandle_classes(quandles: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
-    """The ``canonical_algebra`` of each class of quandles, in stream order: as
+    """The least relabeling of each class of quandles, in stream order: as
     lhd_inv is the column inverse of lhd, a class is the orbit of its first lhd
     under the n! relabelings (index arrays built once per size in this call),
     and its least pair of tables is the least lhd with its inverse columns."""
@@ -326,12 +326,17 @@ def _require(tag: str, a: FiniteAlgebra) -> None:
 
 # --- ideals of commutative rngs -------------------------------------------------
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Frozen):
     """Subset containing 0, closed under +, -, and multiplication by the rng."""
 
-    rng: FiniteAlgebra
-    elements: tuple[int, ...]
+    __slots__ = ("rng", "elements")
+
+    def __init__(self, rng: FiniteAlgebra, elements: tuple[int, ...]):
+        object.__setattr__(self, "rng", rng)
+        object.__setattr__(self, "elements", elements)
+
+    def _key(self):
+        return self.rng, self.elements
 
 
 def ideal(rng: FiniteAlgebra, elements: Iterable[int]) -> Ideal:

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
 from types import MappingProxyType
@@ -79,6 +78,8 @@ from .algebras import (
 from .errors import (
     CheckResult,
     FibreMismatch,
+    Frozen,
+    Hashed,
     NotExtensive,
     NotNatural,
     PASSED,
@@ -93,23 +94,19 @@ def _algebra_sort_key(a: FiniteAlgebra):
     return (a.size, a.sig.ops, a.tag or "", a.tables)
 
 
-@dataclass(frozen=True, repr=False)
-class Universe:
+class Universe(Hashed):
     """Deterministically ordered member list; optionally quotient-closed."""
 
-    algebras: tuple[FiniteAlgebra, ...]
-    quotient_closed: bool = False
+    __slots__ = ("algebras", "quotient_closed", "_index")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash(tuple(a._hash for a in self.algebras) + (self.quotient_closed,))
-        )
-        object.__setattr__(
-            self, "_index", {a: i for i, a in enumerate(self.algebras)}
-        )
+    def __init__(self, algebras: tuple[FiniteAlgebra, ...], quotient_closed: bool = False):
+        object.__setattr__(self, "algebras", algebras)
+        object.__setattr__(self, "quotient_closed", quotient_closed)
+        object.__setattr__(self, "_hash", hash(tuple(a._hash for a in algebras) + (quotient_closed,)))
+        object.__setattr__(self, "_index", {a: i for i, a in enumerate(algebras)})
 
-    def __hash__(self):
-        return self._hash
+    def _key(self):
+        return self.algebras, self.quotient_closed
 
     def __len__(self):
         return len(self.algebras)
@@ -308,15 +305,20 @@ class Fibration:
 fibration = lru_cache(maxsize=None)(Fibration)
 
 
-@dataclass(frozen=True, repr=False)
-class ClosureOperator:
+class ClosureOperator(Frozen):
     """Validated extensive + natural fibre maps over a universe: ``rows[i][a]``
     indexes C of member i's a-th congruence in ``fibration(universe).lattices[i]``
     (``con_lattice`` order).  ``apply`` reads a ``Congruence`` off them."""
 
-    universe: Universe
-    name: str
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("universe", "name", "rows")
+
+    def __init__(self, universe: Universe, name: str, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rows", rows)
+
+    def _key(self):
+        return self.universe, self.name, self.rows
 
     def apply(self, x: Union[int, FiniteAlgebra], r: Congruence) -> Congruence:
         if isinstance(x, FiniteAlgebra):

@@ -38,7 +38,6 @@ witness instead of returning a broken reflector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Optional, Sequence, Union
 
@@ -54,6 +53,7 @@ from .algebras import (
 )
 from .errors import (
     CheckResult,
+    Frozen,
     NotCohereditary,
     NotExtensive,
     NotIdempotent,
@@ -78,13 +78,18 @@ from .operators import (
 from .terms import satisfies_equations, satisfies_quasiequations
 
 
-@dataclass(frozen=True, repr=False)
-class Reflector:
+class Reflector(Frozen):
     """Reflection congruences rho_X per universe member."""
 
-    universe: Universe
-    name: str
-    rho: tuple[Congruence, ...]
+    __slots__ = ("universe", "name", "rho")
+
+    def __init__(self, universe: Universe, name: str, rho: tuple[Congruence, ...]):
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rho", rho)
+
+    def _key(self):
+        return self.universe, self.name, self.rho
 
     def rho_of(self, x: Union[int, FiniteAlgebra]) -> Congruence:
         if isinstance(x, FiniteAlgebra):
@@ -203,15 +208,20 @@ def subcategory_members(ref: Union[ClosureOperator, Reflector]) -> tuple[FiniteA
     return tuple(x for x in ref.universe.algebras if membership(ref, x))
 
 
-@dataclass(frozen=True)
-class SubcategoryPredicate:
+class SubcategoryPredicate(Frozen):
     """Named isomorphism-invariant membership test for algebras.  Invariance
     is relied on: over a quotient-closed universe ``oracle_reflector`` and
     ``closed_under_quotients`` test each member once and give X/R the verdict
     of a member isomorphic to it; over other universes they test X/R itself."""
 
-    name: str
-    accepts: Callable[[FiniteAlgebra], bool]
+    __slots__ = ("name", "accepts")
+
+    def __init__(self, name: str, accepts: Callable[[FiniteAlgebra], bool]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "accepts", accepts)
+
+    def _key(self):
+        return self.name, self.accepts
 
     def __call__(self, x: FiniteAlgebra) -> bool:
         return bool(self.accepts(x))

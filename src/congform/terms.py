@@ -18,26 +18,30 @@ reduced-ness, triviality), read by closure rules and reflection oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .errors import CheckResult, PASSED, UnknownOp, failed
+from .errors import CheckResult, Frozen, Hashed, PASSED, UnknownOp, failed
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Hashed):
     """Either a variable (``var`` set) or an operation applied to subterms."""
 
-    var: Optional[int] = None
-    op: Optional[str] = None
-    args: tuple["Term", ...] = ()
+    __slots__ = ("var", "op", "args")
 
-    def __post_init__(self):
-        if (self.var is None) == (self.op is None):
+    def __init__(self, var: Optional[int] = None, op: Optional[str] = None,
+                 args: tuple[Term, ...] = ()):
+        if (var is None) == (op is None):
             raise ValueError("a term is either a variable or an application")
-        if self.var is not None and self.var < 0:
+        if var is not None and var < 0:
             raise ValueError("variable indices are nonnegative")
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash((var, op, args)))
+
+    def _key(self):
+        return self.var, self.op, self.args
 
     def variables(self) -> frozenset[int]:
         if self.var is not None:
@@ -82,17 +86,20 @@ def _contiguous(vars_: frozenset[int]) -> bool:
     return vars_ == frozenset(range(len(vars_)))
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Frozen):
     """lhs = rhs, universally quantified over all variable assignments."""
 
-    lhs: Term
-    rhs: Term
-    label: Optional[str] = None
+    __slots__ = ("lhs", "rhs", "label")
 
-    def __post_init__(self):
+    def __init__(self, lhs: Term, rhs: Term, label: Optional[str] = None):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "label", label)
         if not _contiguous(self.variables()):
             raise ValueError("variable indices must be contiguous from 0")
+
+    def _key(self):
+        return self.lhs, self.rhs, self.label
 
     def variables(self) -> frozenset[int]:
         return self.lhs.variables() | self.rhs.variables()
@@ -101,17 +108,21 @@ class Equation:
         return self.label or f"{self.lhs!r} = {self.rhs!r}"
 
 
-@dataclass(frozen=True)
-class QuasiEquation:
+class QuasiEquation(Frozen):
     """premises => conclusion, per assignment."""
 
-    premises: tuple[Equation, ...]
-    conclusion: Equation
-    label: Optional[str] = None
+    __slots__ = ("premises", "conclusion", "label")
 
-    def __post_init__(self):
+    def __init__(self, premises: tuple[Equation, ...], conclusion: Equation,
+                 label: Optional[str] = None):
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "label", label)
         if not _contiguous(self.variables()):
             raise ValueError("variable indices must be contiguous from 0")
+
+    def _key(self):
+        return self.premises, self.conclusion, self.label
 
     def variables(self) -> frozenset[int]:
         out = self.conclusion.variables()

@@ -72,11 +72,14 @@ commutator and exponent-2 congruences built from hand-listed generators
 and ``terms.ELEMENTARY_ABELIAN_2``), and the law instances read by
 ``eval_term`` (replaced by the compiled programs in ``terms.law_pairs``).
 Last come the trivial and dihedral quandles, test inputs that the
-package does not export.
+package does not export, and frozen-dataclass twins of the value
+classes, whose generated ``__eq__`` the slotted ``Frozen`` classes
+replaced.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import deque
 from functools import lru_cache
@@ -1372,3 +1375,52 @@ def exponent_two_congruence(a):
     e = a.op("e")
     pairs = [(a.op("mul", x, x), e) for x in a.elements()]
     return generated_congruence(a, pairs + _block_pairs(commutator_congruence(a)))
+
+
+@lru_cache(maxsize=None)
+def value_fields():
+    """Each value class with its fields in constructor order."""
+    from congform.algebras import Congruence, FiniteAlgebra, Homomorphism, Signature
+    from congform.errors import CheckResult
+    from congform.instances import Ideal
+    from congform.operators import ClosureOperator, Universe
+    from congform.reflection import Reflector, SubcategoryPredicate
+    from congform.terms import Equation, QuasiEquation, Term
+
+    return {
+        Signature: ("ops",),
+        FiniteAlgebra: ("size", "sig", "tables", "tag"),
+        Congruence: ("algebra", "ids"),
+        Homomorphism: ("dom", "cod", "map", "surjective"),
+        CheckResult: ("ok", "witness"),
+        Term: ("var", "op", "args"),
+        Equation: ("lhs", "rhs", "label"),
+        QuasiEquation: ("premises", "conclusion", "label"),
+        Universe: ("algebras", "quotient_closed"),
+        ClosureOperator: ("universe", "name", "rows"),
+        Reflector: ("universe", "name", "rho"),
+        SubcategoryPredicate: ("name", "accepts"),
+        Ideal: ("rng", "elements"),
+    }
+
+
+@lru_cache(maxsize=None)
+def twin_class(cls):
+    """The frozen dataclass with ``cls``'s name and fields."""
+    return dataclasses.make_dataclass(cls.__name__, value_fields()[cls], frozen=True)
+
+
+def dataclass_twin(value, memo: dict):
+    """``value`` rebuilt as frozen-dataclass twins, through its fields and
+    nested tuples; a value met twice (``memo``, by id) gets the same twin."""
+    if id(value) in memo:
+        return memo[id(value)][1]
+    if isinstance(value, tuple):
+        twin = tuple(dataclass_twin(v, memo) for v in value)
+    elif type(value) in value_fields():
+        twin = twin_class(type(value))(*(dataclass_twin(getattr(value, f), memo)
+                                         for f in value_fields()[type(value)]))
+    else:
+        return value
+    memo[id(value)] = value, twin  # the value stays alive, so its id stays unique
+    return twin

@@ -683,11 +683,12 @@ def test_compatibility_matches_the_tuple_scan():
             cases.append((x, tuple(r.ids[b] if k == r.ids[a] else k for k in r.ids)))
             cases.append((x, tuple(x.size if y == a else k for y, k in enumerate(r.ids))))
             cases.append((x, tuple(rng.randrange(x.size) for _ in range(x.size))))
-    for x in ternary_algebras():
-        for ids in oracles.all_partitions(x.size):
-            assert oracles.scan_is_compatible(x, ids) == oracles.partition_compatible(x, ids)
-    # the definition-level check compares n^6 tuple pairs: past size 4 only
-    # the tuple scan judges the partitions
+    for x in ternary_algebras() + positional_ternary_algebras():
+        if x.size <= 5:
+            for ids in oracles.all_partitions(x.size):
+                assert oracles.scan_is_compatible(x, ids) == oracles.partition_compatible(x, ids)
+    # the definition-level check compares n^6 tuple pairs: past size 5 (about
+    # 5 s on the middle-position algebra) only the tuple scan judges them
     for x in ternary_algebras() + positional_ternary_algebras():
         cases.extend((x, ids) for ids in oracles.all_partitions(x.size))
     verdicts = Counter()

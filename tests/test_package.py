@@ -1,7 +1,8 @@
-"""The runtime needs nothing outside the standard library."""
+"""The runtime needs nothing outside the standard library, and its import stays light."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "congform"
@@ -24,3 +25,13 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_import_loads_no_code_generation_modules():
+    # ``dataclasses`` would pull in ``inspect``, ``ast`` and ``dis``; a fresh
+    # interpreter without ``site`` shows what ``import congform`` itself loads.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import congform; "
+             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
