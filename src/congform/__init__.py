@@ -9,8 +9,8 @@ the congruence fibres over a universe; a Reflector assigns to every
 member its reflection congruence into a subcategory.  ``reflection``
 converts between the last two and verifies that the conversions are
 mutually inverse; ``instances`` provides worked examples (nilradical,
-quandle reachability, abelianization) together with corpora to test
-them on.
+trivial quandles, abelianization), each read off its laws, together with
+corpora to test them on.
 """
 
 from .algebras import (
@@ -52,19 +52,13 @@ from .forms import (
 )
 from .instances import (
     BUILTIN_OPERATOR_NAMES,
-    Ideal,
     builtin_operator,
-    congruence_of_ideal,
     corpus,
     corpus_manifest,
     cyclic_group,
     cyclic_rng,
     dihedral_group,
-    ideal,
-    ideal_of_congruence,
     klein_four_group,
-    nilradical,
-    quandle_reachability,
     symmetric_group,
 )
 from .operators import (

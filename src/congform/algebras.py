@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import le
-from typing import Iterable, Optional, Sequence
 
 from . import terms
 from .errors import (
@@ -93,7 +93,7 @@ class FiniteAlgebra(Hashed):
     __slots__ = ("size", "sig", "tables", "tag", "_op_index", "__weakref__")
 
     def __init__(self, size: int, sig: Signature, tables: tuple[tuple[int, ...], ...],
-                 tag: Optional[str] = None):
+                 tag: str | None = None):
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "tables", tables)
@@ -484,7 +484,7 @@ def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, injective: bool,
     occurs, into = _occurrences(dom), cod.tables
     results: list[tuple[int, ...]] = []
 
-    def dfs(assign: list[Optional[int]], used: list[bool]):
+    def dfs(assign: list[int | None], used: list[bool]):
         try:
             x = assign.index(None)
         except ValueError:
@@ -518,7 +518,7 @@ def enumerate_homs(x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorphism, ..
     return tuple(Homomorphism(x, y, m, len(set(m)) == y.size) for m in maps)
 
 
-def find_embedding(x: FiniteAlgebra, y: FiniteAlgebra) -> Optional[Homomorphism]:
+def find_embedding(x: FiniteAlgebra, y: FiniteAlgebra) -> Homomorphism | None:
     """Lexicographically least injective homomorphism x -> y, or None.  No
     search runs when some element of x has no element of y whose
     ``_embedding_profile`` counts are all at least its own."""
@@ -579,7 +579,7 @@ def enumerate_surjections(x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorph
 
 
 @lru_cache(maxsize=None)
-def find_isomorphism(x: FiniteAlgebra, y: FiniteAlgebra) -> Optional[Homomorphism]:
+def find_isomorphism(x: FiniteAlgebra, y: FiniteAlgebra) -> Homomorphism | None:
     """Lexicographically least isomorphism x -> y, or None."""
     if x.sig != y.sig or x.size != y.size or x.tag != y.tag:
         return None
@@ -703,7 +703,7 @@ def canonical_algebra(a: FiniteAlgebra, *, max_size: int = 7) -> FiniteAlgebra:
 # --- congruence generation and lattices --------------------------------------
 
 def _merge(ids: tuple[int, ...], pairs: Iterable[tuple[int, int]],
-           x: Optional[FiniteAlgebra] = None) -> tuple[int, ...]:
+           x: FiniteAlgebra | None = None) -> tuple[int, ...]:
     """Canonical ids of the least equivalence above the canonical ids
     ``ids`` and ``pairs``, or, given an algebra x of which ``ids`` is a
     congruence, of the least congruence above them: an equivalence is a

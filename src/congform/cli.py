@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .algebras import (
     algebra_from_json,
@@ -48,7 +47,7 @@ from .reflection import (
 from .verify import run_verification
 
 
-def _emit(doc, report_path: Optional[str] = None) -> None:
+def _emit(doc, report_path: str | None = None) -> None:
     if isinstance(doc, list):
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     else:
@@ -359,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

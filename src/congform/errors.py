@@ -9,13 +9,11 @@ JSON-able ``witness`` dict pinpointing the offending data.
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
 
 class CongformError(Exception):
     """Base class for all library errors."""
 
-    def __init__(self, message: str, witness: Optional[dict] = None):
+    def __init__(self, message: str, witness: dict | None = None):
         super().__init__(message)
         self.witness = witness or {}
 
@@ -90,10 +88,6 @@ class NotGroup(InputError):
     """Operation requires a group-tagged algebra."""
 
 
-class InvalidIdeal(InputError):
-    """Element set is not an ideal of the rng."""
-
-
 class SizeTooLarge(InputError):
     """Requested corpus or canonicalization size above the supported bound."""
 
@@ -126,10 +120,6 @@ class NotIdempotent(CheckFailure):
 
 class NotCohereditary(CheckFailure):
     """Operator fails to commute with preimages along some surjection."""
-
-
-class CompositeNotCongruence(CheckFailure):
-    """A relation composite expected to be a congruence is not one."""
 
 
 class NotReflective(CheckFailure):
@@ -194,7 +184,7 @@ class CheckResult(Frozen):
 
     __slots__ = ("ok", "witness")
 
-    def __init__(self, ok: bool, witness: Optional[dict] = None):
+    def __init__(self, ok: bool, witness: dict | None = None):
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "witness", witness)
 
@@ -205,7 +195,7 @@ class CheckResult(Frozen):
         return self.ok
 
     def as_json(self) -> dict:
-        out: dict[str, Any] = {"ok": self.ok}
+        out: dict[str, object] = {"ok": self.ok}
         if self.witness:
             out["witness"] = self.witness
         return out
@@ -214,5 +204,5 @@ class CheckResult(Frozen):
 PASSED = CheckResult(True)
 
 
-def failed(**witness: Any) -> CheckResult:
+def failed(**witness: object) -> CheckResult:
     return CheckResult(False, witness)

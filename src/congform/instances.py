@@ -1,13 +1,13 @@
 """Concrete algebras, corpora, and the built-in closure operators.
 
-Three families of examples are bundled:
+Three families of examples are bundled, each with built-in operators read
+off the laws of their subcategories by ``reflection.rule_from_laws``:
 
-* commutative rngs Z_n with the nilradical operator, connected to
-  congruences through the ideal/coset bridge;
-* quandles with the reachability congruence ~, the equivalence that the
-  instances of the trivial-quandle laws generate, and the operator sending
-  R to the relation composite R o ~, which is the join R v ~ because R
-  and ~ permute (both checked, not assumed);
+* commutative rngs Z_n with the nilradical operator, the reflection into
+  the reduced rngs, a quasivariety (x.x = 0 => x = 0);
+* quandles with the operator R -> R v ~, the reflection into the trivial
+  quandles, where ~ is the congruence that the instances of the
+  trivial-quandle laws generate;
 * finite groups with the abelianization operator R -> R v [X,X] and its
   exponent-2 refinement, each R -> R v V(X) for the verbal congruence V(X)
   of the subcategory's laws, generated by their instances (Birkhoff).
@@ -25,52 +25,43 @@ kind to (tag, size limit, default size, member builder); ``corpus``,
 ``corpus_operators``, ``verify`` and the CLI read it.  ``_BUILTIN_RULES``
 maps a built-in operator name to (tag, closure rule, oracle predicate);
 ``builtin_operator``, ``closure_rule``, ``corpus_operators`` and
-``oracle_predicate`` read it, and so do ``verify`` and the CLI.
+``oracle_predicate`` read it, and so do ``verify`` and the CLI.  Each
+law-defined built-in is one law list there, read by both its rule and its
+predicate; ``identity`` and ``top`` keep one-line rules.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import terms
 from .algebras import (
     COMMUTATIVE_RNG_SIGNATURE,
-    Congruence,
     FiniteAlgebra,
     GROUP_SIGNATURE,
     GROUP_TAG,
     QUANDLE_SIGNATURE,
     QUANDLE_TAG,
     RNG_TAG,
-    _canonical_ids,
     _cycle_type,
     _inverse,
-    _merge,
     _relabeling_arrays,
     algebra_from_json,
     algebra_to_json,
-    diagonal,
     full,
-    generated_congruence,
-    is_compatible,
-    join,
     validate_algebra,
 )
-from .errors import (
-    CompositeNotCongruence,
-    Frozen,
-    InvalidIdeal,
-    NotGroup,
-    NotQuandle,
-    NotRng,
-    OutOfRange,
-    SizeTooLarge,
-)
+from .errors import NotGroup, NotQuandle, NotRng, OutOfRange, SizeTooLarge
 from .operators import ClosureOperator, Universe, make_operator, universe
-from .reflection import SubcategoryPredicate, predicate_from_equations, predicate_from_quasiequations
+from .reflection import (
+    SubcategoryPredicate,
+    predicate_from_equations,
+    predicate_from_quasiequations,
+    rule_from_laws,
+)
 
 # --- named algebra builders ---------------------------------------------------
 
@@ -160,7 +151,7 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
     perms = list(itertools.permutations(range(n)))
     kind = {p: _cycle_type(p) for p in perms}
     perms_fixing = [[p for p in perms if p[b] == b] for b in range(n)]
-    cols: list[Optional[tuple[int, ...]]] = [None] * n
+    cols: list[tuple[int, ...] | None] = [None] * n
 
     def conj(pc: tuple[int, ...], pb: tuple[int, ...]) -> tuple[int, ...]:
         res = [0] * n
@@ -266,11 +257,9 @@ def _quandle_members(max_size: int) -> list[FiniteAlgebra]:
             for a in _quandle_classes(enumerate_quandles(n))]
 
 
-class CorpusKind(NamedTuple):
-    tag: str
-    limit: int  # largest max_size
-    default_size: int  # max_size when none is given
-    members: Callable[[int], list[FiniteAlgebra]]
+# limit: the largest max_size; default_size: the max_size when none is given;
+# members: max_size -> list of members
+CorpusKind = namedtuple("CorpusKind", ("tag", "limit", "default_size", "members"))
 
 
 # kind -> how its corpus is built.  Each builder gives one member per
@@ -324,123 +313,20 @@ def _require(tag: str, a: FiniteAlgebra) -> None:
         raise _TAG_ERRORS[tag](f"expected a {tag!r}-tagged algebra, got tag {a.tag!r}")
 
 
-# --- ideals of commutative rngs -------------------------------------------------
-
-class Ideal(Frozen):
-    """Subset containing 0, closed under +, -, and multiplication by the rng."""
-
-    __slots__ = ("rng", "elements")
-
-    def __init__(self, rng: FiniteAlgebra, elements: tuple[int, ...]):
-        object.__setattr__(self, "rng", rng)
-        object.__setattr__(self, "elements", elements)
-
-    def _key(self):
-        return self.rng, self.elements
-
-
-def ideal(rng: FiniteAlgebra, elements: Iterable[int]) -> Ideal:
-    _require(RNG_TAG, rng)
-    elems = sorted(set(elements))
-    if any(not 0 <= x < rng.size for x in elems):
-        raise OutOfRange("ideal element outside the carrier")
-    eset = set(elems)
-    if rng.op("zero") not in eset:
-        raise InvalidIdeal("an ideal must contain 0")
-    for x in elems:
-        if rng.op("neg", x) not in eset:
-            raise InvalidIdeal(f"not closed under negation at {x}")
-        for y in elems:
-            if rng.op("add", x, y) not in eset:
-                raise InvalidIdeal(f"not closed under addition at {x}+{y}")
-        for r in rng.elements():
-            if rng.op("mul", r, x) not in eset:
-                raise InvalidIdeal(f"not closed under multiplication at {r}·{x}")
-    return Ideal(rng, tuple(elems))
-
-
-def ideal_of_congruence(r: Congruence) -> Ideal:
-    """The block of 0; inverse to ``congruence_of_ideal``."""
-    _require(RNG_TAG, r.algebra)
-    zero = r.algebra.op("zero")
-    block = tuple(sorted(x for x in r.algebra.elements() if r.together(x, zero)))
-    return Ideal(r.algebra, block)
-
-
-def congruence_of_ideal(i: Ideal) -> Congruence:
-    """Blocks are the additive cosets of the ideal."""
-    a = i.rng
-    eset = set(i.elements)
-    labels = []
-    for x in a.elements():
-        labels.append(tuple(sorted(a.op("add", x, t) for t in eset)))
-    return Congruence(a, _canonical_ids(labels))
-
-
-def nilradical(a: FiniteAlgebra, i: Ideal) -> Ideal:
-    """sqrt(I) = elements with some power in I; exponent capped by |A|."""
-    _require(RNG_TAG, a)
-    eset = set(i.elements)
-    out = []
-    for x in a.elements():
-        p = x
-        for _ in range(a.size):
-            if p in eset:
-                out.append(x)
-                break
-            p = a.op("mul", p, x)
-    return ideal(a, out)
-
-
-# --- quandles --------------------------------------------------------------------
-
-@lru_cache(maxsize=1024)
-def quandle_reachability(a: FiniteAlgebra) -> Congruence:
-    """x ~ y iff y is reachable from x by <| / <|^{-1} moves: the equivalence
-    that the trivial-quandle law instances generate, checked to be a congruence."""
-    _require(QUANDLE_TAG, a)
-    sim = Congruence(a, _merge(diagonal(a).ids, terms.law_pairs(a, terms.TRIVIAL_QUANDLE)))
-    if not is_compatible(a, sim.ids):
-        raise CompositeNotCongruence(
-            "reachability relation failed the congruence check",
-            witness={"blocks": [list(b) for b in sim.blocks()]},
-        )
-    return sim
-
-
-def _composite_with_reachability(x: FiniteAlgebra, r: Congruence) -> Congruence:
-    """R o ~ as a congruence: it is R v ~, as R and ~ permute.  If a ~ c R b,
-    then a = c.w for a word w of <| and <|^{-1} moves, and d = b.w has
-    a R d ~ b, R being a congruence; likewise the other way round.  This is
-    checked: two equivalences permute iff in each block of their join every
-    block of one meets every block of the other, that is iff the block holds
-    (R-blocks) x (~-blocks) blocks of R ^ ~.  Raises if they do not."""
-    sim = quandle_reachability(x)
-    j = join(r, sim)
-    r_in, sim_in = dict(zip(r.ids, j.ids)), dict(zip(sim.ids, j.ids))
-    meets = Counter(r_in[a] for a, _ in set(zip(r.ids, sim.ids)))
-    rs, sims = Counter(r_in.values()), Counter(sim_in.values())
-    for b, block in enumerate(j.blocks()):
-        if rs[b] * sims[b] != meets[b]:
-            raise CompositeNotCongruence("R and ~ do not permute", witness={"block": list(block)})
-    return j
-
-
-# --- verbal congruences --------------------------------------------------------
-
-@lru_cache(maxsize=1024)
-def _verbal_congruence(x: FiniteAlgebra, eqs: tuple[terms.Equation, ...]) -> Congruence:
-    """V(x), the verbal congruence of the equations: their instances generate it."""
-    return generated_congruence(x, terms.law_pairs(x, eqs))
-
-
 # --- registry ----------------------------------------------------------------------
+
+def _from_laws(tag: str, name: str, laws: tuple) -> tuple:
+    """A law-defined built-in: its rule and its oracle predicate read ``laws``."""
+    quasi = any(isinstance(law, terms.QuasiEquation) for law in laws)
+    predicate = predicate_from_quasiequations if quasi else predicate_from_equations
+    return tag, rule_from_laws(laws), predicate(name, laws)
+
 
 # name -> (tag, closure rule on one algebra, oracle predicate).  The tag (None:
 # every algebra) is checked on each algebra the rule closes on, and puts the
 # operator into the corpus of that tag; corpora take operators in this order.
 # The oracle predicate checks the subcategory's laws; the reflection oracle, a
-# meet over the lattice, is a different algorithm from rules that read them.
+# meet over the lattice, is a different algorithm from the law rule.
 _BUILTIN_RULES = {
     "identity": (None, lambda x, r: r, predicate_from_equations("everything", ())),
     "top": (None, lambda x, r: full(x),
@@ -450,17 +336,11 @@ _BUILTIN_RULES = {
     # artifact: over commutative rngs at large, reduced rngs are not closed
     # under quotients (Z is reduced, Z/4 is not), so the operator is not
     # minimal there.
-    "nilradical": (RNG_TAG,
-                   lambda x, r: congruence_of_ideal(nilradical(x, ideal_of_congruence(r))),
-                   predicate_from_quasiequations("reduced", terms.REDUCED_RNG)),
-    "quandle": (QUANDLE_TAG, _composite_with_reachability,
-                predicate_from_equations("trivial-quandle", terms.TRIVIAL_QUANDLE)),
-    "abelianization": (GROUP_TAG, lambda x, r: join(r, _verbal_congruence(x, terms.COMMUTATIVITY)),
-                       predicate_from_equations("abelian", terms.COMMUTATIVITY)),
-    "exp2-abelianization": (GROUP_TAG,
-                            lambda x, r: join(r, _verbal_congruence(x, terms.ELEMENTARY_ABELIAN_2)),
-                            predicate_from_equations("elementary-abelian-2",
-                                                     terms.ELEMENTARY_ABELIAN_2)),
+    "nilradical": _from_laws(RNG_TAG, "reduced", terms.REDUCED_RNG),
+    "quandle": _from_laws(QUANDLE_TAG, "trivial-quandle", terms.TRIVIAL_QUANDLE),
+    "abelianization": _from_laws(GROUP_TAG, "abelian", terms.COMMUTATIVITY),
+    "exp2-abelianization": _from_laws(GROUP_TAG, "elementary-abelian-2",
+                                      terms.ELEMENTARY_ABELIAN_2),
 }
 BUILTIN_OPERATOR_NAMES = tuple(_BUILTIN_RULES)
 

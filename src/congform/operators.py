@@ -51,10 +51,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache, reduce
 from operator import and_
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .algebras import (
     Congruence,
@@ -114,7 +114,7 @@ class Universe(Hashed):
     def __iter__(self):
         return iter(self.algebras)
 
-    def member_index(self, a: FiniteAlgebra) -> Optional[int]:
+    def member_index(self, a: FiniteAlgebra) -> int | None:
         return self._index.get(a)
 
     def __repr__(self):
@@ -295,7 +295,7 @@ class Fibration:
             self._images[f] = tuple(back[self.by_up[i][ua & kernel]] for ua in self.up[i])
         return self._images[f]
 
-    def embedding(self, a: FiniteAlgebra, j: int) -> Optional[Homomorphism]:
+    def embedding(self, a: FiniteAlgebra, j: int) -> Homomorphism | None:
         """The least embedding of ``a`` into member j, or None; built on first request."""
         if (a, j) not in self._embeddings:
             self._embeddings[a, j] = find_embedding(a, self.universe.algebras[j])
@@ -320,7 +320,7 @@ class ClosureOperator(Frozen):
     def _key(self):
         return self.universe, self.name, self.rows
 
-    def apply(self, x: Union[int, FiniteAlgebra], r: Congruence) -> Congruence:
+    def apply(self, x: int | FiniteAlgebra, r: Congruence) -> Congruence:
         if isinstance(x, FiniteAlgebra):
             i = self.universe.member_index(x)
             if i is None:

@@ -29,6 +29,12 @@ built once per universe.  Over a quotient-closed universe the oracles read
 them too: an isomorphism-invariant predicate runs once per member, and X/R
 takes the verdict of the member it is sent onto; elsewhere X/R is tested.
 
+A subcategory given by laws has two descriptions here: its membership
+predicate (``predicate_from_equations``, ``predicate_from_quasiequations``)
+and its closure rule (``rule_from_laws``), which sends R to the least
+congruence above R whose quotient satisfies the laws.  The built-in
+law-defined operators read both from one law list.
+
 Note that operators over a quotient-closed universe are only validated
 against surjections, which admits operators whose congruence family
 fails the universal property along some non-surjective map;
@@ -38,16 +44,19 @@ witness instead of returning a broken reflector.
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Callable, Optional, Sequence, Union
+from collections.abc import Callable, Sequence
+from functools import lru_cache, reduce
 
 from .algebras import (
     Congruence,
     FiniteAlgebra,
+    _merge,
     compose,
     con_lattice,
     congruence_to_blocks,
     diagonal,
+    generated_congruence,
+    join,
     meet,
     quotient,
 )
@@ -65,6 +74,7 @@ from .errors import (
 )
 from .operators import (
     ClosureOperator,
+    Rule,
     Universe,
     _natural_operator,
     _witness,
@@ -75,7 +85,7 @@ from .operators import (
     operator_leq,
     quotient_maps,
 )
-from .terms import satisfies_equations, satisfies_quasiequations
+from .terms import Equation, law_pairs, satisfies_equations, satisfies_quasiequations
 
 
 class Reflector(Frozen):
@@ -91,7 +101,7 @@ class Reflector(Frozen):
     def _key(self):
         return self.universe, self.name, self.rho
 
-    def rho_of(self, x: Union[int, FiniteAlgebra]) -> Congruence:
+    def rho_of(self, x: int | FiniteAlgebra) -> Congruence:
         if isinstance(x, FiniteAlgebra):
             i = self.universe.member_index(x)
             if i is None:
@@ -197,14 +207,14 @@ def reflector_from_closure(c: ClosureOperator) -> Reflector:
     return make_reflector(c.universe, rho, c.name)
 
 
-def membership(ref: Union[ClosureOperator, Reflector], x: FiniteAlgebra) -> bool:
+def membership(ref: ClosureOperator | Reflector, x: FiniteAlgebra) -> bool:
     """Is X in the subcategory, i.e. is its diagonal closed?"""
     if isinstance(ref, Reflector):
         return ref.rho_of(x) == diagonal(x)
     return ref.apply(x, diagonal(x)) == diagonal(x)
 
 
-def subcategory_members(ref: Union[ClosureOperator, Reflector]) -> tuple[FiniteAlgebra, ...]:
+def subcategory_members(ref: ClosureOperator | Reflector) -> tuple[FiniteAlgebra, ...]:
     return tuple(x for x in ref.universe.algebras if membership(ref, x))
 
 
@@ -233,6 +243,32 @@ def predicate_from_equations(name: str, eqs) -> SubcategoryPredicate:
 
 def predicate_from_quasiequations(name: str, qeqs) -> SubcategoryPredicate:
     return SubcategoryPredicate(name, lambda x: bool(satisfies_quasiequations(x, qeqs)))
+
+
+@lru_cache(maxsize=1024)
+def _verbal_congruence(x: FiniteAlgebra, eqs: tuple[Equation, ...]) -> Congruence:
+    """V(x), the verbal congruence of the equations: their instances generate it."""
+    return generated_congruence(x, law_pairs(x, eqs))
+
+
+def rule_from_laws(laws) -> Rule:
+    """The closure rule of the algebras that satisfy ``laws``: R goes to the
+    least congruence theta >= R whose quotient satisfies them.  X/theta
+    satisfies a law exactly when ``law_pairs`` modulo theta is empty, as every
+    assignment in X/theta lifts to X.  So theta is reached by iterating
+    theta <- Cg(theta u law_pairs(X, laws, theta)) from R (Gorbunov,
+    *Algebraic Theory of Quasivarieties*, 1998).  For equations the pairs do
+    not depend on theta, so theta is R v V(X), with no iteration."""
+    laws = tuple(laws)
+    if all(isinstance(law, Equation) for law in laws):
+        return lambda x, r: join(r, _verbal_congruence(x, laws))
+
+    def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
+        while pairs := law_pairs(x, laws, r.ids):
+            r = Congruence(x, _merge(r.ids, pairs, x))
+        return r
+
+    return rule
 
 
 def predicate_from_operator(c: ClosureOperator) -> SubcategoryPredicate:
@@ -333,7 +369,7 @@ def _least_accepted(x: FiniteAlgebra, name: str, accepts: Callable[[Congruence],
 
 
 def oracle_reflector(u: Universe, pred: SubcategoryPredicate,
-                     name: Optional[str] = None) -> Reflector:
+                     name: str | None = None) -> Reflector:
     """Ground-truth reflector built member by member from the oracle."""
     accepts = _quotient_verdict(u, pred)
     rho = tuple(_least_accepted(x, pred.name, accepts) for x in u.algebras)

@@ -6,20 +6,25 @@ once, cached on its terms, into a post-order program: slots 0..k-1 hold
 the variables and each distinct subterm is one step ``(op, argument
 slots)``.  The program runs on the flat tables one block at a time, the
 n^(k-1) assignments that share the first variable's value, one table
-look-up per step and assignment.  Witnesses are the first failing
-equation in the given order and its first failing assignment in
-lexicographic order; ``law_pairs`` lists the sides' values where they
-differ.  The tests check the programs against a reference that walks the
-terms at every assignment.  The axiom lists for the three supported
-variety tags (groups, commutative rngs, quandles) live here, together
-with the laws of the built-in subcategories (commutativity,
-reduced-ness, triviality), read by closure rules and reflection oracles.
+look-up per step and assignment.  A quasi-equation's conclusion and
+premises run as one program.  The quasi-equation check and ``law_pairs``
+read one scan of the assignments at which the premises hold and the
+conclusion fails, modulo a congruence for ``law_pairs``.  Witnesses are
+the first failing law in the given order and its first failing assignment
+in lexicographic order; ``law_pairs`` lists the conclusion's values at
+every such assignment.  The tests check the programs against a reference
+that walks the terms at every assignment.  The axiom lists for the three
+supported variety tags (groups, commutative rngs, quandles) live here,
+together with the laws of the built-in subcategories (commutativity,
+reduced-ness, triviality), read by the law rules and their predicates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable, Optional
+from itertools import compress
+from operator import ne
 
 from .errors import CheckResult, Frozen, Hashed, PASSED, UnknownOp, failed
 
@@ -29,7 +34,7 @@ class Term(Hashed):
 
     __slots__ = ("var", "op", "args")
 
-    def __init__(self, var: Optional[int] = None, op: Optional[str] = None,
+    def __init__(self, var: int | None = None, op: str | None = None,
                  args: tuple[Term, ...] = ()):
         if (var is None) == (op is None):
             raise ValueError("a term is either a variable or an application")
@@ -91,7 +96,7 @@ class Equation(Frozen):
 
     __slots__ = ("lhs", "rhs", "label")
 
-    def __init__(self, lhs: Term, rhs: Term, label: Optional[str] = None):
+    def __init__(self, lhs: Term, rhs: Term, label: str | None = None):
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "label", label)
@@ -114,7 +119,7 @@ class QuasiEquation(Frozen):
     __slots__ = ("premises", "conclusion", "label")
 
     def __init__(self, premises: tuple[Equation, ...], conclusion: Equation,
-                 label: Optional[str] = None):
+                 label: str | None = None):
         object.__setattr__(self, "premises", premises)
         object.__setattr__(self, "conclusion", conclusion)
         object.__setattr__(self, "label", label)
@@ -192,6 +197,37 @@ def _blocks(algebra, terms: tuple[Term, ...], k: int):
         yield vals[:k], [vals[s] for s in outs]
 
 
+def _sides(law: Equation | QuasiEquation) -> tuple[Term, ...]:
+    """The conclusion's two sides, then each premise's; an equation is the
+    conclusion of a quasi-equation with no premises."""
+    if isinstance(law, Equation):
+        return law.lhs, law.rhs
+    return tuple(t for e in (law.conclusion, *law.premises) for t in (e.lhs, e.rhs))
+
+
+def _failures(algebra, laws: Iterable[Equation | QuasiEquation], ids=None):
+    """Yield ``(law, variables, values, fails)`` for each law in the given
+    order and each block of its assignments, in order, where some assignment
+    fails: the block's variable columns, the columns of the law's ``_sides``,
+    and per assignment whether every premise holds and the conclusion does
+    not.  Values are compared by their block ids ``ids`` (None: the values
+    themselves)."""
+    laws = tuple(laws)
+    sides = [_sides(law) for law in laws]
+    _check_ops_known([t for ts in sides for t in ts], algebra)
+    for law, ts in zip(laws, sides):
+        for variables, values in _blocks(algebra, ts, len(law.variables())):
+            lhs, rhs, *premises = values if ids is None else [
+                [ids[v] for v in column] for column in values]
+            if lhs == rhs:
+                continue
+            fails = list(map(ne, lhs, rhs))
+            for p, q in zip(premises[::2], premises[1::2]):
+                fails = [f and a == b for f, a, b in zip(fails, p, q)]
+            if True in fails:
+                yield law, variables, values, fails
+
+
 def satisfies_equations(algebra, eqs: Iterable[Equation]) -> CheckResult:
     """True iff every assignment satisfies every equation.
 
@@ -210,17 +246,6 @@ def satisfies_equations(algebra, eqs: Iterable[Equation]) -> CheckResult:
     return PASSED
 
 
-def law_pairs(algebra, eqs: Iterable[Equation]) -> list[tuple[int, int]]:
-    """(s(a), t(a)) for each equation s = t in order and each assignment a,
-    lexicographic, where the sides differ, read off the compiled programs; they
-    generate the verbal congruence (Burris & Sankappanavar, ch. II)."""
-    eqs = tuple(eqs)
-    _check_ops_known([e.lhs for e in eqs] + [e.rhs for e in eqs], algebra)
-    return [(a, b) for eq in eqs
-            for _, (lhs, rhs) in _blocks(algebra, (eq.lhs, eq.rhs), len(eq.variables()))
-            for a, b in zip(lhs, rhs) if a != b]
-
-
 def satisfies_quasiequations(algebra, qeqs: Iterable[QuasiEquation]) -> CheckResult:
     """Implication semantics per assignment, compiled as in
     ``satisfies_equations`` with the premises and the conclusion of a
@@ -228,20 +253,21 @@ def satisfies_quasiequations(algebra, qeqs: Iterable[QuasiEquation]) -> CheckRes
     quasi-equation in the given order and its first assignment, in
     lexicographic order, where the premises hold and the conclusion fails.
     """
-    qeqs = tuple(qeqs)
-    sides = [tuple(t for p in (q.conclusion, *q.premises) for t in (p.lhs, p.rhs))
-             for q in qeqs]
-    _check_ops_known([t for ts in sides for t in ts], algebra)
-    for q, ts in zip(qeqs, sides):
-        for variables, (lhs, rhs, *premises) in _blocks(algebra, ts, len(q.variables())):
-            if lhs == rhs:
-                continue
-            for j, (a, b) in enumerate(zip(lhs, rhs)):
-                if a != b and all(premises[i][j] == premises[i + 1][j]
-                                  for i in range(0, len(premises), 2)):
-                    return failed(quasiequation=repr(q),
-                                  assignment=[v[j] for v in variables])
+    for law, variables, _, fails in _failures(algebra, qeqs):
+        j = fails.index(True)
+        return failed(quasiequation=repr(law), assignment=[v[j] for v in variables])
     return PASSED
+
+
+def law_pairs(algebra, laws: Iterable[Equation | QuasiEquation],
+              ids=None) -> list[tuple[int, int]]:
+    """(s(a), t(a)) for each law in order, s = t being an equation or a
+    quasi-equation's conclusion, and each assignment a, lexicographic, at
+    which the premises hold and the sides differ, all modulo the congruence
+    with block ids ``ids`` (None: the diagonal).  An equation's pairs
+    generate its verbal congruence (Burris & Sankappanavar, ch. II)."""
+    return [pair for _, _, values, fails in _failures(algebra, laws, ids)
+            for pair in compress(zip(values[0], values[1]), fails)]
 
 
 # --- variety axioms ----------------------------------------------------------

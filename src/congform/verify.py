@@ -16,8 +16,6 @@ trips), and the reflector derived from D.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .instances import builtin_operator, corpus, corpus_kind, corpus_operators, oracle_predicate
 from .operators import is_cohereditary, is_idempotent, operator_report
 from .reflection import (
@@ -31,7 +29,7 @@ from .reflection import (
     reflectors_agree,
 )
 
-def run_verification(kind: str, max_size: Optional[int] = None) -> dict:
+def run_verification(kind: str, max_size: int | None = None) -> dict:
     """Full theorem suite for one corpus; the report's ``pass`` key sums it up."""
     if max_size is None:
         max_size = corpus_kind(kind).default_size

@@ -69,8 +69,11 @@ the assigned columns first), the quandle reachability closed from its
 hand-listed moves (replaced by the trivial-quandle law instances), the
 commutator and exponent-2 congruences built from hand-listed generators
 (replaced by the verbal congruence of the laws ``terms.COMMUTATIVITY``
-and ``terms.ELEMENTARY_ABELIAN_2``), and the law instances read by
-``eval_term`` (replaced by the compiled programs in ``terms.law_pairs``).
+and ``terms.ELEMENTARY_ABELIAN_2``), the law instances read by
+``eval_term`` (replaced by the compiled programs in ``terms.law_pairs``),
+and the rules of the law-defined built-ins that ``reflection.rule_from_laws``
+replaced: the nilradical through the ideal/coset bridge, and the quandle
+reachability ~ with the composite R o ~ and its permutability guard.
 Last come the trivial and dihedral quandles, test inputs that the
 package does not export, and frozen-dataclass twins of the value
 classes, whose generated ``__eq__`` the slotted ``Frozen`` classes
@@ -84,7 +87,7 @@ import itertools
 from collections import deque
 from functools import lru_cache
 
-from congform.errors import CheckFailure
+from congform.errors import CheckFailure, Frozen, InputError
 
 
 def all_partitions(n: int):
@@ -682,9 +685,8 @@ def scan_is_compatible(a, ids) -> bool:
 def composite_with_reachability(x, r):
     """R o ~ from its n x n relation matrix, checked reflexive, symmetric,
     transitive and compatible; raises if the composite is not a congruence."""
-    from congform import Congruence, quandle_reachability
+    from congform import Congruence
     from congform.algebras import _canonical_ids
-    from congform.errors import CompositeNotCongruence
 
     sim = quandle_reachability(x)
     n = x.size
@@ -758,6 +760,25 @@ def scan_law_pairs(algebra, eqs):
             s, t = eval_term(eq.lhs, assignment, algebra), eval_term(eq.rhs, assignment, algebra)
             if s != t:
                 pairs.append((s, t))
+    return pairs
+
+
+def scan_quasi_law_pairs(algebra, qeqs, ids):
+    """``terms.law_pairs`` of quasi-equations modulo the block ids ``ids`` by
+    the same scan: the conclusion's values at each assignment, quasi-equations
+    in order and assignments lexicographic, where every premise holds and the
+    conclusion fails, both compared by ``ids``."""
+    def holds(eq, assignment):
+        return (ids[eval_term(eq.lhs, assignment, algebra)]
+                == ids[eval_term(eq.rhs, assignment, algebra)])
+
+    pairs = []
+    for q in qeqs:
+        for assignment in itertools.product(range(algebra.size), repeat=len(q.variables())):
+            if all(holds(p, assignment) for p in q.premises) and not holds(q.conclusion,
+                                                                             assignment):
+                pairs.append((eval_term(q.conclusion.lhs, assignment, algebra),
+                              eval_term(q.conclusion.rhs, assignment, algebra)))
     return pairs
 
 
@@ -1147,9 +1168,6 @@ def ideal_to_json(i):
 
 
 def ideal_from_json(rng, doc):
-    from congform import ideal
-    from congform.errors import InvalidIdeal
-
     if not isinstance(doc, list):
         raise InvalidIdeal("an ideal serializes as a JSON list of elements")
     return ideal(rng, doc)
@@ -1377,12 +1395,154 @@ def exponent_two_congruence(a):
     return generated_congruence(a, pairs + _block_pairs(commutator_congruence(a)))
 
 
+# --- the built-in rules that one law rule replaced -----------------------------
+
+class InvalidIdeal(InputError):
+    """Element set is not an ideal of the rng."""
+
+
+class CompositeNotCongruence(CheckFailure):
+    """A relation composite expected to be a congruence is not one."""
+
+
+class Ideal(Frozen):
+    """Subset containing 0, closed under +, -, and multiplication by the rng."""
+
+    __slots__ = ("rng", "elements")
+
+    def __init__(self, rng, elements):
+        object.__setattr__(self, "rng", rng)
+        object.__setattr__(self, "elements", elements)
+
+    def _key(self):
+        return self.rng, self.elements
+
+
+def ideal(rng, elements):
+    from congform.algebras import RNG_TAG
+    from congform.errors import OutOfRange
+    from congform.instances import _require
+
+    _require(RNG_TAG, rng)
+    elems = sorted(set(elements))
+    if any(not 0 <= x < rng.size for x in elems):
+        raise OutOfRange("ideal element outside the carrier")
+    eset = set(elems)
+    if rng.op("zero") not in eset:
+        raise InvalidIdeal("an ideal must contain 0")
+    for x in elems:
+        if rng.op("neg", x) not in eset:
+            raise InvalidIdeal(f"not closed under negation at {x}")
+        for y in elems:
+            if rng.op("add", x, y) not in eset:
+                raise InvalidIdeal(f"not closed under addition at {x}+{y}")
+        for r in rng.elements():
+            if rng.op("mul", r, x) not in eset:
+                raise InvalidIdeal(f"not closed under multiplication at {r}·{x}")
+    return Ideal(rng, tuple(elems))
+
+
+def ideal_of_congruence(r):
+    """The block of 0; inverse to ``congruence_of_ideal``."""
+    from congform.algebras import RNG_TAG
+    from congform.instances import _require
+
+    _require(RNG_TAG, r.algebra)
+    zero = r.algebra.op("zero")
+    block = tuple(sorted(x for x in r.algebra.elements() if r.together(x, zero)))
+    return Ideal(r.algebra, block)
+
+
+def congruence_of_ideal(i):
+    """Blocks are the additive cosets of the ideal."""
+    from congform.algebras import Congruence, _canonical_ids
+
+    a = i.rng
+    eset = set(i.elements)
+    labels = []
+    for x in a.elements():
+        labels.append(tuple(sorted(a.op("add", x, t) for t in eset)))
+    return Congruence(a, _canonical_ids(labels))
+
+
+def nilradical(a, i):
+    """sqrt(I) = elements with some power in I; exponent capped by |A|."""
+    from congform.algebras import RNG_TAG
+    from congform.instances import _require
+
+    _require(RNG_TAG, a)
+    eset = set(i.elements)
+    out = []
+    for x in a.elements():
+        p = x
+        for _ in range(a.size):
+            if p in eset:
+                out.append(x)
+                break
+            p = a.op("mul", p, x)
+    return ideal(a, out)
+
+
+@lru_cache(maxsize=1024)
+def quandle_reachability(a):
+    """x ~ y iff y is reachable from x by <| / <|^{-1} moves: the equivalence
+    that the trivial-quandle law instances generate, checked to be a congruence."""
+    from congform import terms
+    from congform.algebras import QUANDLE_TAG, Congruence, _merge, diagonal, is_compatible
+    from congform.instances import _require
+
+    _require(QUANDLE_TAG, a)
+    sim = Congruence(a, _merge(diagonal(a).ids, terms.law_pairs(a, terms.TRIVIAL_QUANDLE)))
+    if not is_compatible(a, sim.ids):
+        raise CompositeNotCongruence(
+            "reachability relation failed the congruence check",
+            witness={"blocks": [list(b) for b in sim.blocks()]},
+        )
+    return sim
+
+
+def _composite_with_reachability(x, r):
+    """R o ~ as a congruence: it is R v ~, as R and ~ permute.  If a ~ c R b,
+    then a = c.w for a word w of <| and <|^{-1} moves, and d = b.w has
+    a R d ~ b, R being a congruence; likewise the other way round.  This is
+    checked: two equivalences permute iff in each block of their join every
+    block of one meets every block of the other, that is iff the block holds
+    (R-blocks) x (~-blocks) blocks of R ^ ~.  Raises if they do not."""
+    from collections import Counter
+
+    from congform import join
+
+    sim = quandle_reachability(x)
+    j = join(r, sim)
+    r_in, sim_in = dict(zip(r.ids, j.ids)), dict(zip(sim.ids, j.ids))
+    meets = Counter(r_in[a] for a, _ in set(zip(r.ids, sim.ids)))
+    rs, sims = Counter(r_in.values()), Counter(sim_in.values())
+    for b, block in enumerate(j.blocks()):
+        if rs[b] * sims[b] != meets[b]:
+            raise CompositeNotCongruence("R and ~ do not permute", witness={"block": list(block)})
+    return j
+
+
+def law_rule_oracle(name):
+    """The rule of the named law-defined built-in before its laws gave it:
+    the nilradical through the ideal/coset bridge, the quandle composite with
+    its permutability guard, and the group joins with the hand-built
+    congruences."""
+    from congform import join
+
+    return {
+        "nilradical": lambda x, r: congruence_of_ideal(nilradical(x, ideal_of_congruence(r))),
+        "quandle": _composite_with_reachability,
+        "abelianization": lambda x, r: join(r, commutator_congruence(x)),
+        "exp2-abelianization": lambda x, r: join(r, exponent_two_congruence(x)),
+    }[name]
+
+
 @lru_cache(maxsize=None)
 def value_fields():
     """Each value class with its fields in constructor order."""
     from congform.algebras import Congruence, FiniteAlgebra, Homomorphism, Signature
     from congform.errors import CheckResult
-    from congform.instances import Ideal
     from congform.operators import ClosureOperator, Universe
     from congform.reflection import Reflector, SubcategoryPredicate
     from congform.terms import Equation, QuasiEquation, Term
@@ -1400,7 +1560,6 @@ def value_fields():
         ClosureOperator: ("universe", "name", "rows"),
         Reflector: ("universe", "name", "rho"),
         SubcategoryPredicate: ("name", "accepts"),
-        Ideal: ("rng", "elements"),
     }
 
 

@@ -4,16 +4,18 @@ import itertools
 import json
 import random
 import weakref
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from congform import (
+    Equation,
+    QuasiEquation,
+    app,
     builtin_operator,
     con_lattice,
     congruence_from_blocks,
-    congruence_of_ideal,
     corpus,
     corpus_manifest,
     cyclic_group,
@@ -22,17 +24,17 @@ from congform import (
     dihedral_group,
     find_isomorphism,
     full,
-    ideal,
-    ideal_of_congruence,
+    generated_congruence,
     klein_four_group,
-    nilradical,
-    quandle_reachability,
+    leq,
+    meet,
+    quotient,
+    satisfies_quasiequations,
     symmetric_group,
+    var,
 )
 from congform.errors import (
     AxiomViolation,
-    CompositeNotCongruence,
-    InvalidIdeal,
     NotGroup,
     NotQuandle,
     NotRng,
@@ -41,13 +43,14 @@ from congform.errors import (
 )
 from congform.instances import (
     enumerate_quandles,
-    _composite_with_reachability,
     _quandle_classes,
 )
-from congform import instances, terms
+from congform import instances, reflection, terms
 from congform.algebras import (
+    COMMUTATIVE_RNG_SIGNATURE,
     QUANDLE_SIGNATURE,
     QUANDLE_TAG,
+    RNG_TAG,
     FiniteAlgebra,
     Signature,
     relabel_algebra,
@@ -55,8 +58,10 @@ from congform.algebras import (
 )
 
 import oracles
-from oracles import (_dedup_up_to_iso, commutator_congruence, dihedral_quandle, enumerate_groups,
-                     exponent_two_congruence, trivial_quandle)
+from oracles import (CompositeNotCongruence, InvalidIdeal, _composite_with_reachability,
+                     _dedup_up_to_iso, commutator_congruence, congruence_of_ideal,
+                     dihedral_quandle, enumerate_groups, exponent_two_congruence, ideal,
+                     ideal_of_congruence, nilradical, quandle_reachability, trivial_quandle)
 
 
 # --- the ideal / congruence bridge ----------------------------------------------
@@ -228,9 +233,9 @@ def test_permutability_guard_rejects_non_permuting_equivalences(monkeypatch):
     r = congruence_from_blocks(x, [[0, 1], [2]])
     s = congruence_from_blocks(x, [[0], [1, 2]])
     for sim, closure in [(diagonal(x), r), (full(x), full(x)), (r, r)]:
-        monkeypatch.setattr(instances, "quandle_reachability", lambda a, sim=sim: sim)
+        monkeypatch.setattr(oracles, "quandle_reachability", lambda a, sim=sim: sim)
         assert _composite_with_reachability(x, r) == closure
-    monkeypatch.setattr(instances, "quandle_reachability", lambda a: s)
+    monkeypatch.setattr(oracles, "quandle_reachability", lambda a: s)
     with pytest.raises(CompositeNotCongruence) as exc:
         _composite_with_reachability(x, r)
     assert exc.value.witness == {"block": [0, 1, 2]}
@@ -242,9 +247,11 @@ def test_reachability_matches_the_listed_moves():
 
 
 def test_reachability_is_memoised_in_a_bounded_cache():
-    dq = dihedral_quandle(3)
-    assert quandle_reachability(dq) is quandle_reachability(dq)
-    assert quandle_reachability.cache_info().maxsize is not None
+    # the reachability is the verbal congruence of the trivial-quandle laws,
+    # cached behind ``rule_from_laws``
+    dq, verbal = dihedral_quandle(3), reflection._verbal_congruence
+    assert verbal(dq, terms.TRIVIAL_QUANDLE) is verbal(dq, terms.TRIVIAL_QUANDLE)
+    assert verbal.cache_info().maxsize is not None
 
 
 # --- groups -------------------------------------------------------------------------
@@ -288,7 +295,7 @@ def test_verbal_congruence_matches_the_hand_built_congruence(laws, oracle):
         groups.append(a)
         groups.extend(relabel_algebra(a, rng.sample(range(a.size), a.size)) for _ in range(3))
     for a in groups:
-        assert instances._verbal_congruence(a, laws) == oracle(a)
+        assert reflection._verbal_congruence(a, laws) == oracle(a)
 
 
 def test_group_operators_reject_wrong_tags(rng_corpus):
@@ -296,6 +303,99 @@ def test_group_operators_reject_wrong_tags(rng_corpus):
         builtin_operator("abelianization", rng_corpus)
     with pytest.raises(NotGroup):
         builtin_operator("exp2-abelianization", rng_corpus)
+
+
+# --- the law rules against the rules they replaced ------------------------------------
+
+LAW_DEFINED = [("nilradical", terms.REDUCED_RNG, "rngs", 24),
+               ("quandle", terms.TRIVIAL_QUANDLE, "quandles", 6),
+               ("abelianization", terms.COMMUTATIVITY, "groups", 12),
+               ("exp2-abelianization", terms.ELEMENTARY_ABELIAN_2, "groups", 12)]
+
+
+@pytest.mark.parametrize("name,laws,kind,size", LAW_DEFINED, ids=[d[0] for d in LAW_DEFINED])
+def test_law_rule_matches_the_replaced_rule(name, laws, kind, size):
+    rule, builtin, oracle = (reflection.rule_from_laws(laws), instances.closure_rule(name),
+                             oracles.law_rule_oracle(name))
+    checked = 0
+    for x in corpus(kind, size).algebras:
+        for r in con_lattice(x):
+            expected = oracle(x, r)
+            assert rule(x, r) == expected, (name, x, r)
+            assert builtin(x, r) == expected, (name, x, r)
+            checked += 1
+    assert checked == {"rngs": 84, "quandles": 1553, "groups": 59}[kind]
+
+
+def _rng(elements, add, mul):
+    """The commutative rng on ``elements`` (the first is 0) with + and . given
+    on the elements."""
+    index = {e: i for i, e in enumerate(elements)}
+    tables = {"add": [[index[add(a, b)] for b in elements] for a in elements],
+              "neg": [next(index[b] for b in elements if add(a, b) == elements[0])
+                      for a in elements],
+              "zero": 0,
+              "mul": [[index[mul(a, b)] for b in elements] for a in elements]}
+    return validate_algebra(len(elements), COMMUTATIVE_RNG_SIGNATURE, tables, RNG_TAG)
+
+
+def hand_built_rngs():
+    """Commutative rngs that are no Z_n: F2 x F2 (reduced), F2[t]/(t^2) (its
+    nilradical is (t)), the zero-multiplication rng on Z4 (all nilpotent), and
+    Z2 x Z4 (nilradical {0} x 2Z4)."""
+    pairs = list(itertools.product(range(2), range(2)))
+    z2z4 = list(itertools.product(range(2), range(4)))
+
+    def xor(a, b):
+        return a[0] ^ b[0], a[1] ^ b[1]
+
+    return [
+        _rng(pairs, xor, lambda a, b: (a[0] & b[0], a[1] & b[1])),
+        _rng(pairs, xor, lambda a, b: (a[0] & b[0], (a[0] & b[1]) ^ (a[1] & b[0]))),
+        _rng(list(range(4)), lambda a, b: (a + b) % 4, lambda a, b: 0),
+        _rng(z2z4, lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 4),
+             lambda a, b: (a[0] * b[0] % 2, a[1] * b[1] % 4)),
+    ]
+
+
+def test_nilradical_law_rule_matches_the_bridge_beyond_z_n():
+    rule = reflection.rule_from_laws(terms.REDUCED_RNG)
+    oracle = oracles.law_rule_oracle("nilradical")
+    rngs = hand_built_rngs()
+    radicals = [rule(x, diagonal(x)) for x in rngs]
+    assert [r.n_blocks for r in radicals] == [4, 2, 1, 4]
+    for x in rngs:
+        for r in con_lattice(x):
+            assert rule(x, r) == oracle(x, r), (x, r)
+
+
+def test_nilradical_law_rule_iterates_past_the_first_round():
+    # in Z8 only x = 0, 4 have x.x = 0; the ideal {0, 4} they generate has
+    # x.x in it for x = 2, 6, so a second round reaches {0, 2, 4, 6}
+    z8 = cyclic_rng(8)
+    first = congruence_from_blocks(z8, [[0, 4], [1, 5], [2, 6], [3, 7]])
+    assert generated_congruence(z8, terms.law_pairs(z8, terms.REDUCED_RNG)) == first
+    closed = reflection.rule_from_laws(terms.REDUCED_RNG)(z8, diagonal(z8))
+    assert closed.blocks() == ((0, 2, 4, 6), (1, 3, 5, 7))
+    assert closed == oracles.law_rule_oracle("nilradical")(z8, diagonal(z8))
+
+
+def test_law_rule_of_a_quasi_identity_is_the_least_accepted_congruence():
+    # x <| y = x => y <| x = y: commuting is symmetric.  Its quandles form a
+    # quasivariety that is not closed under quotients, so the rule iterates;
+    # it must give the meet of the congruences above R with accepted quotient.
+    law = QuasiEquation((Equation(app("lhd", var(0), var(1)), var(0)),),
+                        Equation(app("lhd", var(1), var(0)), var(1)))
+    rule = reflection.rule_from_laws((law,))
+    accepted = {}
+    for x in corpus("quandles", 5).algebras:
+        for r in con_lattice(x):
+            above = [t for t in con_lattice(x) if leq(r, t)]
+            for t in above:
+                if t not in accepted:
+                    accepted[t] = bool(satisfies_quasiequations(quotient(x, t)[0], (law,)))
+            assert rule(x, r) == reduce(meet, [t for t in above if accepted[t]]), (x, r)
+    assert not all(accepted.values())
 
 
 # --- enumeration and corpora -----------------------------------------------------------

@@ -28,10 +28,11 @@ def test_runtime_imports_only_the_standard_library():
 
 
 def test_import_loads_no_code_generation_modules():
-    # ``dataclasses`` would pull in ``inspect``, ``ast`` and ``dis``; a fresh
+    # ``dataclasses`` would pull in ``inspect``, ``ast`` and ``dis``, and
+    # ``typing`` pulls in ``re``, ``enum`` and ``contextlib``; a fresh
     # interpreter without ``site`` shows what ``import congform`` itself loads.
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import congform; "
-             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC.parent)],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -205,6 +205,21 @@ def test_compiled_checks_match_the_scan_on_random_algebras(case):
             oracles.scan_satisfies_quasiequations(algebra, (q,)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_random_case(), st.data())
+def test_law_pairs_modulo_a_partition_match_the_scan(case, data):
+    # the premises and the conclusion compared by block ids; an equation is a
+    # quasi-equation with no premises
+    algebra, eqs, qeq = case
+    n = algebra.size
+    ids = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    laws = (qeq, *eqs)
+    as_quasi = (qeq, *(QuasiEquation((), e) for e in eqs))
+    assert terms.law_pairs(algebra, laws, ids) == oracles.scan_quasi_law_pairs(
+        algebra, as_quasi, ids)
+    assert terms.law_pairs(algebra, laws, tuple(range(n))) == terms.law_pairs(algebra, laws)
+
+
 # --- law pairs against the tree-walking scan ----------------------------------------
 
 def test_law_pairs_match_the_scan():

@@ -25,7 +25,6 @@ from congform import (
     builtin_operator,
     con_lattice,
     corpus,
-    ideal_of_congruence,
     quotient_maps,
     reflector_from_closure,
     satisfies_equations,
@@ -67,12 +66,11 @@ def corpus_values():
     results = [PASSED, CheckResult(True), CheckResult(False)]
     results += [satisfies_equations(a, terms.COMMUTATIVITY) for a in algebras[:6]]
     rngs = corpus("rngs", 4).algebras
-    ideals = [ideal_of_congruence(r) for a in rngs for r in con_lattice(a)]
     signatures = [a.sig for a in algebras[:2] + list(rngs[:1])]
     signatures.append(Signature(algebras[0].sig.ops))
     return (algebras + copies + untagged + congruences + congruence_copies + homs + flipped
             + universes + operators + reflectors + predicates + equations + term_values
-            + list(terms.REDUCED_RNG) + results + ideals + signatures)
+            + list(terms.REDUCED_RNG) + results + signatures)
 
 
 def _hash_or_error(value):
@@ -116,7 +114,7 @@ def test_values_are_immutable():
 def test_copies_are_equal_and_reprs_are_kept():
     for v in corpus_values():
         assert copy.copy(v) == v
-        if type(v) in (CheckResult, SubcategoryPredicate, instances.Ideal):
+        if type(v) in (CheckResult, SubcategoryPredicate):
             # the dataclass-generated repr, with the fields as they are
             fields = oracles.value_fields()[type(v)]
             assert repr(v) == repr(oracles.twin_class(type(v))(*(getattr(v, f) for f in fields)))
