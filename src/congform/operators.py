@@ -41,10 +41,12 @@ an operator is its index rows over those numberings.  The fibration builds
 on first use, and then holds, f* along each map read (naturality,
 coheredity and the reflection layer), images along quotient maps
 (cocartesian preservation) and embeddings into members
-(``make_reflector``), reading joins and images off the order (see
-``Fibration``).  It also keeps the operator rows and reflection
-congruences that passed validation, so each is validated once per universe,
-and each row tuple's coheredity result.
+(``make_reflector``), reading joins and images off the order.  The checks'
+loops read these by member and congruence indices (see ``Fibration``), and
+a failing scan returns a position, so only the reported witness is built.
+The fibration also keeps the operator rows and reflection congruences that
+passed validation, so each is validated once per universe, and each row
+tuple's coheredity result.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping
-from functools import lru_cache, reduce
-from operator import and_
+from functools import cached_property, lru_cache, reduce
+from operator import and_, ne
 from types import MappingProxyType
 
 from .algebras import (
@@ -68,7 +70,6 @@ from .algebras import (
     compose,
     con_lattice,
     congruence_to_blocks,
-    diagonal,
     enumerate_homs,
     find_embedding,
     find_isomorphism,
@@ -220,10 +221,10 @@ def generating_maps(u: Universe) -> tuple[Homomorphism, ...]:
         return naturality_maps(u)
     maps, fib = quotient_maps(u), fibration(u)
     out: list[Homomorphism] = []
-    for i, x in enumerate(u.algebras):
-        atoms = [r for a, r in enumerate(fib.lattices[i]) if sum(row[a] for row in fib.le[i]) == 2]
+    for i, (x, lattice, d) in enumerate(zip(u.algebras, fib.lattices, fib.diagonal)):
+        atoms = [lattice[b] for a, b in fib.covers[i] if a == d]
         out.extend(g for r in atoms for g in maps.get(r, ()))
-        out.extend(g for g in maps.get(diagonal(x), ()) if g.cod != x)
+        out.extend(g for g in maps.get(lattice[d], ()) if g.cod != x)
         out.extend(automorphism_generators(x))
     return tuple(out)
 
@@ -242,20 +243,38 @@ def _up_sets(lattice) -> tuple[int, ...]:
                  for r in lattice)
 
 
+def _covers(up, le) -> tuple[tuple[int, int], ...]:
+    """Each (a, b), ascending, with b covering a: the interval [a, b], the
+    up-set of a and the down-set of b meeting, is {a, b}."""
+    order, down = range(len(up)), [0] * len(up)
+    for c, row in enumerate(le):
+        for b in itertools.compress(order, row):
+            down[b] |= 1 << c
+    return tuple((a, b) for a, row in enumerate(le) for b in itertools.compress(order, row)
+                 if (up[a] & down[b]).bit_count() == 2)
+
+
 class Fibration:
     """The integer tables of one universe, built once by ``fibration``: per
     member i, ``lattices[i]`` in ``con_lattice`` order, its inverses
     ``index[i]`` and ``by_ids[i]`` (keyed by block-id arrays), each up-set as
     a bitmask ``up[i][a]`` (``_up_sets``) with inverse ``by_up[i]``, and the
-    order ``le[i][a][b]`` read off the up-sets.  Since up(a v b) = up(a) &
-    up(b), joins are read off them too.  Along a quotient map f: X -> Y, f*
-    is an order isomorphism from Con(Y) onto the up-set of ker f =
-    f*(diagonal) in Con(X) (correspondence theorem), so f(R) is the S with
-    f*S = R v ker f.  ``natural`` holds the row tuples that passed
-    ``_natural_operator`` and ``reflective`` the rho tuples ``make_reflector``
-    accepted; a verdict depends only on the universe and the input, so both
-    return at once for a known one; failures are not kept.  ``cohereditary``
-    keeps each row tuple's ``is_cohereditary`` result, failing or not."""
+    order ``le[i][a][b]`` and covering pairs ``covers[i]`` read off the
+    up-sets; ``diagonal[i]`` is the last index, as canonical ids sort the
+    diagonal last.  Since up(a v b) = up(a) & up(b), joins are read off the
+    up-sets too.  Along a quotient map f: X -> Y, f* is an order isomorphism
+    from Con(Y) onto the up-set of ker f = f*(diagonal) in Con(X)
+    (correspondence theorem), so f(R) is the S with f*S = R v ker f.
+    Built on first use: ``generators``, (i, j, f*) for each map of
+    ``generating_maps`` from member i to member j; ``images``, (i, j, f(-))
+    for its quotient maps on a quotient-closed universe; ``quotients[i][a]``,
+    (j, g*) for g = ``quotient_maps(u)[R][0]`` onto member j, R = lattice
+    a of member i (None: no member; g* None: g the identity).  ``natural``
+    holds the row tuples that passed ``_natural_operator`` and ``reflective``
+    the rho tuples ``make_reflector`` accepted; a verdict depends only on the
+    universe and the input, so both return at once for a known one; failures
+    are not kept.  ``cohereditary`` keeps each row tuple's
+    ``is_cohereditary`` result, failing or not."""
 
     def __init__(self, u: Universe):
         self.universe = u
@@ -267,33 +286,49 @@ class Fibration:
         self.le = tuple(tuple(tuple(map("1".__eq__, format(mask, f"0{len(up)}b")[::-1]))
                               for mask in up) for up in self.up)
         self.by_up = tuple({mask: a for a, mask in enumerate(up)} for up in self.up)
-        self._pulls, self._images, self._embeddings = {}, {}, {}
+        self.covers = tuple(map(_covers, self.up, self.le))
+        self.diagonal = tuple(len(lat) - 1 for lat in self.lattices)
+        self._pulls, self._embeddings = {}, {}
         self.natural: set[tuple[tuple[int, ...], ...]] = set()
         self.reflective: set[tuple[Congruence, ...]] = set()
         self.cohereditary: dict[tuple[tuple[int, ...], ...], CheckResult] = {}
 
+    @cached_property
+    def generators(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        index = self.universe.member_index
+        return tuple((index(f.dom), index(f.cod), self.pull(f))
+                     for f in generating_maps(self.universe))
+
+    @cached_property
+    def images(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        return tuple((i, j, self.image(i, j, pull)) for i, j, pull in self.generators if i != j)
+
+    @cached_property
+    def quotients(self) -> tuple[tuple[tuple[int, tuple[int, ...] | None] | None, ...], ...]:
+        maps, index = quotient_maps(self.universe), self.universe.member_index
+
+        def coordinates(i, g):
+            j = index(g.cod)
+            return j, None if i == j and g.map == tuple(range(len(g.map))) else self.pull(g)
+
+        return tuple(tuple(coordinates(i, maps[r][0]) if r in maps else None for r in lattice)
+                     for i, lattice in enumerate(self.lattices))
+
     def pull(self, f: Homomorphism) -> tuple[int, ...]:
         """S -> f*S as an index array, built on first request; f between members."""
-        if f not in self._pulls:
+        table = self._pulls.get(f)
+        if table is None:
             into = self.by_ids[self.universe.member_index(f.dom)]
-            self._pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
-                                   for s in con_lattice(f.cod))
-        return self._pulls[f]
+            table = self._pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
+                                           for s in con_lattice(f.cod))
+        return table
 
-    def pulled(self, f: Homomorphism, k: int) -> int:
-        """f*S for S the k-th congruence of f.cod; an identity f needs no table."""
-        return k if f.dom == f.cod and f.map == tuple(range(f.dom.size)) else self.pull(f)[k]
-
-    def image(self, f: Homomorphism) -> tuple[int, ...]:
-        """R -> f(R) as an index array, built on first request; f a quotient
-        map, so f(R) = (f*)^-1 (R v ker f)."""
-        if f not in self._images:
-            pull = self.pull(f)
-            back = {a: s for s, a in enumerate(pull)}
-            i, j = self.universe.member_index(f.dom), self.universe.member_index(f.cod)
-            kernel = self.up[i][pull[self.index[j][diagonal(f.cod)]]]
-            self._images[f] = tuple(back[self.by_up[i][ua & kernel]] for ua in self.up[i])
-        return self._images[f]
+    def image(self, i: int, j: int, pull: tuple[int, ...]) -> tuple[int, ...]:
+        """R -> f(R) as an index array for the quotient map f from member i onto
+        member j with f* = ``pull``: f(R) = (f*)^-1 (R v ker f)."""
+        back = {a: s for s, a in enumerate(pull)}
+        kernel = self.up[i][pull[self.diagonal[j]]]
+        return tuple(back[self.by_up[i][ua & kernel]] for ua in self.up[i])
 
     def embedding(self, a: FiniteAlgebra, j: int) -> Homomorphism | None:
         """The least embedding of ``a`` into member j, or None; built on first request."""
@@ -337,6 +372,11 @@ class ClosureOperator(Frozen):
         return f"ClosureOperator({self.name!r} on {self.universe!r})"
 
 
+def _monotone(covers, le, row) -> bool:
+    """C(a) <= C(b) for each b covering a: by transitivity, for all a <= b."""
+    return all(le[row[a]][row[b]] for a, b in covers)
+
+
 def _non_monotone(le, row):
     """First (a, b) of one fibre with a <= b but C(a) not <= C(b)."""
     order = range(len(row))
@@ -355,13 +395,20 @@ def _discontinuity(pull, le, dom_row, cod_row):
     return None
 
 
-def _first_failure(u: Universe, broken_along, generators, full: Callable):
-    """The first failure ``broken_along(f)`` (None if f keeps the law) for f in
-    ``full()``, or None.  On a quotient-closed ``u`` the ``generators`` decide
-    the same verdict, so ``full()`` is scanned only to name a failure's witness."""
-    if u.quotient_closed and all(broken_along(f) is None for f in generators):
+def _first_failure(u: Universe, broken_at, generators: Callable, maps: Callable,
+                   table: Callable):
+    """The first (i, j, f, k), f in ``maps()`` from member i to member j, with f
+    breaking the law at position k = ``broken_at(i, j, table(i, j, f))``, or
+    None.  On a quotient-closed ``u`` the (i, j, t) in ``generators()`` decide
+    the verdict, so ``maps()`` is scanned only to locate a failure."""
+    if u.quotient_closed and all(broken_at(i, j, t) is None for i, j, t in generators()):
         return None
-    return next((w for w in map(broken_along, full()) if w is not None), None)
+    for f in maps():
+        i, j = u.member_index(f.dom), u.member_index(f.cod)
+        k = broken_at(i, j, table(i, j, f))
+        if k is not None:
+            return i, j, f, k
+    return None
 
 
 def make_operator(u: Universe, rule: Rule, name: str) -> ClosureOperator:
@@ -372,16 +419,16 @@ def make_operator(u: Universe, rule: Rule, name: str) -> ClosureOperator:
     fib = fibration(u)
     rows = []
     for i, x in enumerate(u.algebras):
-        lattice, index, le = fib.lattices[i], fib.index[i], fib.le[i]
+        lattice, by_ids, le = fib.lattices[i], fib.by_ids[i], fib.le[i]
         values = [rule(x, r) for r in lattice]
         row = []
-        for a, (r, c) in enumerate(zip(lattice, values)):
-            b = index.get(c)
+        for a, c in enumerate(values):
+            b = by_ids.get(c.ids) if c.algebra is x or c.algebra == x else None
             if b is None:
                 raise FibreMismatch(f"closure value is not a congruence of member {i}")
             if not le[a][b]:
                 raise NotExtensive(f"operator {name!r} is not extensive on member {i}",
-                                   witness=_witness(i, r, closure=congruence_to_blocks(c)))
+                                   witness=_witness(i, lattice[a], closure=congruence_to_blocks(c)))
             row.append(b)
         rows.append(tuple(row))
     return _natural_operator(u, name, tuple(rows))
@@ -389,12 +436,13 @@ def make_operator(u: Universe, rule: Rule, name: str) -> ClosureOperator:
 
 def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...]) -> ClosureOperator:
     """The operator with these extensive ``rows``, once checked monotone on
-    each fibre and continuous along ``generating_maps``, which composes to
-    continuity along every map (see the module docstring).  A ``NotNatural``
-    witness {dom, cod, map, R, S} is a lift that C breaks: the identity with
-    R <= S, or a map f with R = f*S; it is the first along the full
-    ``naturality_maps``, congruences taken in ``con_lattice`` order.
-    Rows that passed before on ``u`` are not checked again."""
+    each fibre (on its covering pairs) and continuous along
+    ``generating_maps``, which composes to continuity along every map (see
+    the module docstring).  A ``NotNatural`` witness {dom, cod, map, R, S} is
+    a lift that C breaks: the identity with R <= S, or a map f with R = f*S;
+    it is the first along the full ``naturality_maps``, congruences taken in
+    ``con_lattice`` order.  Rows that passed before on ``u`` are not checked
+    again."""
     fib = fibration(u)
     if rows in fib.natural:
         return ClosureOperator(u, name, rows)
@@ -404,20 +452,15 @@ def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...])
             "dom": i, "cod": j, "map": list(f.map), "R": congruence_to_blocks(fib.lattices[i][ri]),
             "S": congruence_to_blocks(fib.lattices[j][si])})
 
-    for i, row in enumerate(rows):
-        pair = _non_monotone(fib.le[i], row)
-        if pair is not None:
-            raise not_natural(i, i, identity_hom(u.algebras[i]), *pair)
-
-    def broken_along(f):
-        i, j = u.member_index(f.dom), u.member_index(f.cod)
-        pull = fib.pull(f)
-        s = _discontinuity(pull, fib.le[i], rows[i], rows[j])
-        return None if s is None else not_natural(i, j, f, pull[s], s)
-
-    broken = _first_failure(u, broken_along, generating_maps(u), lambda: naturality_maps(u))
-    if broken is not None:
-        raise broken
+    for i, (covers, le, row) in enumerate(zip(fib.covers, fib.le, rows)):
+        if not _monotone(covers, le, row):
+            raise not_natural(i, i, identity_hom(u.algebras[i]), *_non_monotone(le, row))
+    found = _first_failure(u, lambda i, j, pull: _discontinuity(pull, fib.le[i], rows[i], rows[j]),
+                           lambda: fib.generators, lambda: naturality_maps(u),
+                           lambda i, j, f: fib.pull(f))
+    if found is not None:
+        i, j, f, s = found
+        raise not_natural(i, j, f, fib.pull(f)[s], s)
     fib.natural.add(rows)
     return ClosureOperator(u, name, rows)
 
@@ -441,28 +484,30 @@ def is_idempotent(c: ClosureOperator) -> CheckResult:
 
 
 def _along_quotient_maps(c: ClosureOperator, key: str, sides) -> CheckResult:
-    """First quotient map f and congruence T where the congruence indices
-    ``sides(a, i, j, t)`` differ; for key "S" (its key in the witness) T runs
+    """First quotient map f and congruence T where the index columns
+    ``sides(a, i, j)`` differ; for key "S" (its key in the witness) T runs
     over Con(cod) and ``a`` is f*, for key "R" over Con(dom) and ``a`` is f(-).
     Decided along the ``generating_maps`` that are not automorphisms."""
     u, fib = c.universe, fibration(c.universe)
 
-    def broken_along(f):
-        i, j = u.member_index(f.dom), u.member_index(f.cod)
-        over, into = fib.lattices[j if key == "S" else i], fib.lattices[i if key == "S" else j]
-        a = fib.pull(f) if key == "S" else fib.image(f)
-        for t in range(len(over)):
-            lhs, rhs = sides(a, i, j, t)
-            if lhs != rhs:
-                return failed(dom=i, cod=j, map=list(f.map),
-                              **{key: congruence_to_blocks(over[t])},
-                              lhs=congruence_to_blocks(into[lhs]),
-                              rhs=congruence_to_blocks(into[rhs]))
-        return None
+    def broken_at(i, j, a):
+        lhs, rhs = sides(a, i, j)
+        return None if lhs == rhs else list(map(ne, lhs, rhs)).index(True)
 
-    broken = _first_failure(u, broken_along, (f for f in generating_maps(u) if f.dom != f.cod),
-                            lambda: itertools.chain.from_iterable(quotient_maps(u).values()))
-    return PASSED if broken is None else broken
+    def table(i, j, f):
+        return fib.pull(f) if key == "S" else fib.image(i, j, fib.pull(f))
+
+    found = _first_failure(
+        u, broken_at,
+        lambda: [g for g in fib.generators if g[0] != g[1]] if key == "S" else fib.images,
+        lambda: itertools.chain.from_iterable(quotient_maps(u).values()), table)
+    if found is None:
+        return PASSED
+    i, j, f, t = found
+    lhs, rhs = sides(table(i, j, f), i, j)
+    over, into = (fib.lattices[k] for k in ((j, i) if key == "S" else (i, j)))
+    return failed(dom=i, cod=j, map=list(f.map), **{key: congruence_to_blocks(over[t])},
+                  lhs=congruence_to_blocks(into[lhs[t]]), rhs=congruence_to_blocks(into[rhs[t]]))
 
 
 def is_cohereditary(c: ClosureOperator) -> CheckResult:
@@ -473,8 +518,8 @@ def is_cohereditary(c: ClosureOperator) -> CheckResult:
     per row tuple in ``fibration(c.universe).cohereditary``."""
     known = fibration(c.universe).cohereditary
     if c.rows not in known:
-        known[c.rows] = _along_quotient_maps(c, "S", lambda pull, i, j, s: (
-            c.rows[i][pull[s]], pull[c.rows[j][s]]))
+        known[c.rows] = _along_quotient_maps(c, "S", lambda pull, i, j: (
+            list(map(c.rows[i].__getitem__, pull)), list(map(pull.__getitem__, c.rows[j]))))
     return known[c.rows]
 
 
@@ -484,9 +529,9 @@ def is_minimal(c: ClosureOperator) -> CheckResult:
     every S (take R = D; conversely C(R v S) = R v S v C(D) = C(R) v S), which
     is checked first; only a fibre that fails it is scanned for the first pair."""
     fib = fibration(c.universe)
-    for i, (x, row) in enumerate(zip(c.universe.algebras, c.rows)):
+    for i, row in enumerate(c.rows):
         up, by_up, lattice = fib.up[i], fib.by_up[i], fib.lattices[i]
-        floor = up[row[fib.index[i][diagonal(x)]]]
+        floor = up[row[fib.diagonal[i]]]
         if all(row[s] == by_up[floor & us] for s, us in enumerate(up)):
             continue
         for r, s in itertools.product(range(len(row)), repeat=2):
@@ -500,8 +545,8 @@ def preserves_cocartesian(c: ClosureOperator) -> CheckResult:
     and C commutes with automorphisms, so it is decided along atomic quotient
     maps and isomorphisms onto copies; the witness is the first along
     ``quotient_maps`` (see the module docstring)."""
-    return _along_quotient_maps(c, "R", lambda image, i, j, r: (
-        image[c.rows[i][r]], c.rows[j][image[r]]))
+    return _along_quotient_maps(c, "R", lambda image, i, j: (
+        list(map(image.__getitem__, c.rows[i])), list(map(c.rows[j].__getitem__, image))))
 
 
 def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
@@ -537,12 +582,11 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
     if math.prod(radix) > max_candidates:
         raise SizeTooLarge(f"universe admits more than {max_candidates} extensive families")
     candidates = [[(k, row) for k, row in enumerate(itertools.product(*per_a))
-                   if _non_monotone(le, row) is None]
-                  for per_a, le in zip(options, fib.le)]
+                   if _monotone(covers, le, row)]
+                  for per_a, covers, le in zip(options, fib.covers, fib.le)]
     checks: list[list] = [[] for _ in fib.lattices]
-    for f in generating_maps(u):
-        i, j = u.member_index(f.dom), u.member_index(f.cod)
-        checks[max(i, j)].append((i, j, fib.pull(f)))
+    for i, j, pull in fib.generators:
+        checks[max(i, j)].append((i, j, pull))
 
     rows: list = [None] * len(fib.lattices)
     out = []

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import lru_cache, reduce
+from itertools import compress
 
 from .algebras import (
     Congruence,
@@ -54,7 +55,6 @@ from .algebras import (
     compose,
     con_lattice,
     congruence_to_blocks,
-    diagonal,
     generated_congruence,
     join,
     meet,
@@ -127,18 +127,19 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
     fib = fibration(u)
     if rho in fib.reflective:
         return Reflector(u, name, rho)
-    members_in = [i for i, r in enumerate(rho) if r == diagonal(u.algebras[i])]
+    maps = quotient_maps(u)
+    at = [by_ids.get(r.ids) for by_ids, r in zip(fib.by_ids, rho)]
+    members_in = [i for i, a in enumerate(at) if a == fib.diagonal[i]]
     # reflections land in the subcategory: with g: X -> M the quotient map
     # by rho_X, g* is injective and g*(diagonal) = rho_X, so g*(rho_M) = rho_X
     # exactly when rho_M is the diagonal
-    maps = quotient_maps(u)
-    for i, r in enumerate(rho):
-        if r not in maps:
+    for i, (a, quotients) in enumerate(zip(at, fib.quotients)):
+        if a is None or quotients[a] is None:
             raise NotReflective(
                 f"reflector {name!r}: reflection of member {i} leaves the universe",
-                witness={"algebra": i, "rho": congruence_to_blocks(r)},
+                witness={"algebra": i, "rho": congruence_to_blocks(rho[i])},
             )
-        j = u.member_index(maps[r][0].cod)
+        j = quotients[a][0]
         if j not in members_in:
             raise NotReflective(
                 f"reflector {name!r}: reflection of member {i} is not in the subcategory",
@@ -149,13 +150,15 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
     for i, x in enumerate(u.algebras):
         if i in members_in:
             continue
-        above = fib.le[i][fib.index[i][rho[i]]]
-        gs = [maps[r][0] if r in maps else quotient(x, r)[1]
-              for k, r in enumerate(fib.lattices[i]) if not above[k]]
+        above, lattice, quotients = fib.le[i][at[i]], fib.lattices[i], fib.quotients[i]
+        cods = [(k, u.algebras[q[0]] if q else quotient(x, lattice[k])[0])
+                for k, q in enumerate(quotients) if not above[k]]
         for j in members_in:
-            for g in gs:
-                e = fib.embedding(g.cod, j)
+            for k, cod in cods:
+                e = fib.embedding(cod, j)
                 if e is not None:
+                    r = lattice[k]
+                    g = maps[r][0] if quotients[k] else quotient(x, r)[1]
                     raise NotReflective(
                         f"reflector {name!r}: a map from member {i} into member {j} "
                         "does not factor through the unit",
@@ -174,14 +177,11 @@ def closure_from_reflector(refl: Reflector) -> ClosureOperator:
     if not u.quotient_closed:
         raise UniverseNotQuotientClosed(
             "deriving a closure operator requires a quotient-closed universe")
-    maps, fib = quotient_maps(u), fibration(u)
-    at = [fib.index[j][r] for j, r in enumerate(refl.rho)]
+    fib = fibration(u)
+    at = [by_ids[r.ids] for by_ids, r in zip(fib.by_ids, refl.rho)]
     rows = []
-    for i, (lattice, le) in enumerate(zip(fib.lattices, fib.le)):
-        row = []
-        for r in lattice:
-            g = maps[r][0]
-            row.append(fib.pulled(g, at[u.member_index(g.cod)]))
+    for i, (lattice, le, quotients) in enumerate(zip(fib.lattices, fib.le, fib.quotients)):
+        row = [at[j] if pull is None else pull[at[j]] for j, pull in quotients]
         for a, b in enumerate(row):
             if not le[a][b]:
                 raise NotExtensive(f"operator {refl.name!r} is not extensive on member {i}",
@@ -203,19 +203,29 @@ def reflector_from_closure(c: ClosureOperator) -> Reflector:
         raise NotCohereditary(
             f"operator {c.name!r} is not cohereditary", witness=cohered.witness
         )
-    rho = tuple(c.apply(i, diagonal(x)) for i, x in enumerate(c.universe.algebras))
+    fib = fibration(c.universe)
+    rho = tuple(lattice[row[d]] for lattice, row, d in zip(fib.lattices, c.rows, fib.diagonal))
     return make_reflector(c.universe, rho, c.name)
 
 
-def membership(ref: ClosureOperator | Reflector, x: FiniteAlgebra) -> bool:
-    """Is X in the subcategory, i.e. is its diagonal closed?"""
+def _closed_diagonals(ref: ClosureOperator | Reflector) -> list[bool]:
+    """Per member, is its diagonal closed, i.e. is it in the subcategory?"""
+    fib = fibration(ref.universe)
     if isinstance(ref, Reflector):
-        return ref.rho_of(x) == diagonal(x)
-    return ref.apply(x, diagonal(x)) == diagonal(x)
+        return [r == lattice[d] for r, lattice, d in zip(ref.rho, fib.lattices, fib.diagonal)]
+    return [row[d] == d for row, d in zip(ref.rows, fib.diagonal)]
+
+
+def membership(ref: ClosureOperator | Reflector, x: int | FiniteAlgebra) -> bool:
+    """Is X, or member X, in the subcategory, i.e. is its diagonal closed?"""
+    i = ref.universe.member_index(x) if isinstance(x, FiniteAlgebra) else x
+    if i is None:
+        raise UniverseMismatch("algebra is not a universe member")
+    return _closed_diagonals(ref)[i]
 
 
 def subcategory_members(ref: ClosureOperator | Reflector) -> tuple[FiniteAlgebra, ...]:
-    return tuple(x for x in ref.universe.algebras if membership(ref, x))
+    return tuple(compress(ref.universe.algebras, _closed_diagonals(ref)))
 
 
 class SubcategoryPredicate(Frozen):
@@ -273,32 +283,32 @@ def rule_from_laws(laws) -> Rule:
 
 def predicate_from_operator(c: ClosureOperator) -> SubcategoryPredicate:
     """Membership via the matched universe member's closed diagonal."""
-
-    def accepts(x: FiniteAlgebra) -> bool:
-        i, _ = find_member_iso(c.universe, x)
-        return membership(c, c.universe.algebras[i])
-
-    return SubcategoryPredicate(c.name, accepts)
+    closed = _closed_diagonals(c)
+    return SubcategoryPredicate(c.name, lambda x: closed[find_member_iso(c.universe, x)[0]])
 
 
-def _quotient_verdict(u: Universe, pred: SubcategoryPredicate) -> Callable[[Congruence], bool]:
-    """R -> pred(X/R) for R in Con(X), X a member.  On a quotient-closed ``u``
-    pred runs once per member and X/R takes the verdict of the member that
-    ``quotient_maps`` sends it onto; elsewhere each X/R is built and tested."""
+def _quotient_verdicts(u: Universe, pred: SubcategoryPredicate) -> list[Callable[[int], bool]]:
+    """Per member X, a -> pred(X/R), R the a-th congruence of X.  On a quotient-closed
+    ``u`` pred runs once per member and X/R takes the verdict of the member that
+    ``Fibration.quotients`` sends it onto; elsewhere each X/R is built and tested."""
+    fib = fibration(u)
     if not u.quotient_closed:
-        return lambda r: pred(quotient(r.algebra, r)[0])
-    maps, verdicts = quotient_maps(u), [pred(x) for x in u.algebras]
-    return lambda r: verdicts[u.member_index(maps[r][0].cod)]
+        return [lambda a, x=x, lattice=lattice: pred(quotient(x, lattice[a])[0])
+                for x, lattice in zip(u.algebras, fib.lattices)]
+    verdicts = [pred(x) for x in u.algebras]
+    return [[verdicts[j] for j, _ in quotients].__getitem__ for quotients in fib.quotients]
 
 
 def closed_under_quotients(pred: SubcategoryPredicate, u: Universe) -> CheckResult:
     """Every quotient of a member satisfying ``pred`` satisfies it too."""
-    accepts = _quotient_verdict(u, pred)
-    for i, x in enumerate(u.algebras):
-        if accepts(diagonal(x)):  # X/diagonal is X
-            r = next((r for r in con_lattice(x) if not accepts(r)), None)
-            if r is not None:
-                return failed(predicate=pred.name, algebra=i, congruence=congruence_to_blocks(r))
+    fib = fibration(u)
+    for i, (accepts, lattice, d) in enumerate(zip(_quotient_verdicts(u, pred), fib.lattices,
+                                                  fib.diagonal)):
+        if accepts(d):  # X/diagonal is X
+            a = next((a for a in range(len(lattice)) if not accepts(a)), None)
+            if a is not None:
+                return failed(predicate=pred.name, algebra=i,
+                              congruence=congruence_to_blocks(lattice[a]))
     return PASSED
 
 
@@ -350,18 +360,21 @@ def oracle_reflection(x: FiniteAlgebra, pred: SubcategoryPredicate) -> Congruenc
     """Least congruence whose quotient satisfies ``pred``, by lattice scan; a
     predicate that is not reflective on ``x`` raises ``NotReflective`` with
     the meet of the congruences it accepts as witness."""
-    return _least_accepted(x, pred.name, lambda r: pred(quotient(x, r)[0]))
+    lattice = con_lattice(x)
+    return _least_accepted(pred.name, lattice, lambda a: pred(quotient(x, lattice[a])[0]),
+                           {r.ids: a for a, r in enumerate(lattice)})
 
 
-def _least_accepted(x: FiniteAlgebra, name: str, accepts: Callable[[Congruence], bool]):
-    """``oracle_reflection`` with ``accepts(R)`` standing for pred(X/R): the
-    meet of the accepted congruences is re-checked, not assumed."""
-    good = [r for r in con_lattice(x) if accepts(r)]
+def _least_accepted(name: str, lattice, accepts: Callable[[int], bool], by_ids):
+    """``oracle_reflection`` on Con(X) = ``lattice`` (numbered by ``by_ids``), with
+    ``accepts(a)`` standing for pred(X/lattice[a]): the meet of the accepted
+    congruences is re-checked, not assumed."""
+    good = [r for a, r in enumerate(lattice) if accepts(a)]
     if not good:
         raise NotReflective(f"predicate {name!r} accepts no quotient of the algebra",
                             witness={"predicate": name})
     least = reduce(meet, good)
-    if not accepts(least):
+    if not accepts(by_ids[least.ids]):
         raise NotReflective(f"predicate {name!r} is not reflective here: the meet of its "
                             "congruences fails it",
                             witness={"predicate": name, "meet": congruence_to_blocks(least)})
@@ -371,6 +384,7 @@ def _least_accepted(x: FiniteAlgebra, name: str, accepts: Callable[[Congruence],
 def oracle_reflector(u: Universe, pred: SubcategoryPredicate,
                      name: str | None = None) -> Reflector:
     """Ground-truth reflector built member by member from the oracle."""
-    accepts = _quotient_verdict(u, pred)
-    rho = tuple(_least_accepted(x, pred.name, accepts) for x in u.algebras)
+    fib = fibration(u)
+    rho = tuple(_least_accepted(pred.name, lattice, accepts, by_ids) for lattice, accepts, by_ids
+                in zip(fib.lattices, _quotient_verdicts(u, pred), fib.by_ids))
     return make_reflector(u, rho, name or f"oracle({pred.name})")

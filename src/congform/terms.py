@@ -2,18 +2,19 @@
 
 Equational satisfaction is decided over all assignments of carrier
 elements to variables by compiled programs.  Each equation is compiled
-once, cached on its terms, into a post-order program: slots 0..k-1 hold
-the variables and each distinct subterm is one step ``(op, argument
-slots)``.  The program runs on the flat tables one block at a time, the
-n^(k-1) assignments that share the first variable's value, one table
-look-up per step and assignment.  A quasi-equation's conclusion and
-premises run as one program.  The quasi-equation check and ``law_pairs``
-read one scan of the assignments at which the premises hold and the
-conclusion fails, modulo a congruence for ``law_pairs``.  Witnesses are
-the first failing law in the given order and its first failing assignment
-in lexicographic order; ``law_pairs`` lists the conclusion's values at
-every such assignment.  The tests check the programs against a reference
-that walks the terms at every assignment.  The axiom lists for the three
+once, cached on its terms, into a post-order program that keeps its
+variable count k: slots 0..k-1 hold the variables and each distinct subterm
+is one step ``(op, argument slots)``.  The program runs on the flat tables
+over blocks of at most ``_BLOCK`` assignments, whose variable columns are
+built once per carrier size and variable count, one table look-up per step
+and assignment.  A quasi-equation's conclusion and premises run as one
+program.  The equation and quasi-equation checks and ``law_pairs`` read one
+scan (``_failures``) of the assignments at which the premises hold and the
+conclusion fails, modulo a congruence for ``law_pairs``.  Witnesses are the
+first failing law in the given order and its first failing assignment in
+lexicographic order; ``law_pairs`` lists the conclusion's values at every
+such assignment.  The tests check the programs against a reference that
+walks the terms at every assignment.  The axiom lists for the three
 supported variety tags (groups, commutative rngs, quandles) live here,
 together with the laws of the built-in subcategories (commutativity,
 reduced-ness, triviality), read by the law rules and their predicates.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from operator import ne
 
 from .errors import CheckResult, Frozen, Hashed, PASSED, UnknownOp, failed
@@ -143,10 +144,11 @@ class QuasiEquation(Frozen):
 
 
 @lru_cache(maxsize=1024)
-def _compile(terms: tuple[Term, ...], k: int):
-    """Post-order program for ``terms`` in ``k`` variables: one step
+def _compile(terms: tuple[Term, ...]):
+    """Post-order program for ``terms``: their variable count k, one step
     ``(op, argument slots)`` per distinct subterm, filling slots k, k+1, ...,
     and the slot of each term."""
+    k = len(frozenset().union(*(t.variables() for t in terms)))
     slots: dict[Term, int] = {var(i): i for i in range(k)}
     steps: list[tuple[str, tuple[int, ...]]] = []
 
@@ -159,7 +161,23 @@ def _compile(terms: tuple[Term, ...], k: int):
         return s
 
     outs = tuple(visit(t) for t in terms)
-    return tuple(steps), outs
+    return k, tuple(steps), outs
+
+
+_BLOCK = 2048  # one block for every bundled law up to groups 12 (12^3 = 1728)
+
+
+@lru_cache(maxsize=64)
+def _columns(n: int, k: int):
+    """Block size and blocks of the n^k assignments, lexicographic, one column per
+    variable; a block fixes as few leading variables as keep it within ``_BLOCK``.
+    The columns are shared: read them, never write them."""
+    lead = next(m for m in range(k + 1) if n ** (k - m) <= _BLOCK)
+    size = n ** (k - lead)
+    rest = [[v for v in range(n) for _ in range(n ** (k - 1 - i))] * n ** (i - lead)
+            for i in range(lead, k)]
+    return size, tuple([[v] * size for v in prefix] + rest
+                       for prefix in product(range(n), repeat=lead))
 
 
 def _apply(table, n: int, cols: list[list[int]], size: int) -> list[int]:
@@ -179,22 +197,20 @@ def _apply(table, n: int, cols: list[list[int]], size: int) -> list[int]:
     return out
 
 
-def _blocks(algebra, terms: tuple[Term, ...], k: int):
-    """Yield ``(variables, values)`` per block, the first variable ascending:
-    the columns of the k variables and of ``terms`` over the block's
-    assignments in lexicographic order (one empty assignment when k = 0)."""
-    steps, outs = _compile(terms, k)
+def _blocks(algebra, terms: tuple[Term, ...]):
+    """Yield ``(variables, values)`` per block of ``_columns``: the columns of
+    the variables of ``terms`` and of ``terms`` over the block's assignments
+    (one empty assignment when there are no variables)."""
+    k, steps, outs = _compile(terms)
     n = algebra.size
     table_of = dict(zip(algebra.sig.names(), algebra.tables))
     program = [(table_of[op], args) for op, args in steps]
-    size = n ** (k - 1) if k else 1
-    rest = [[v for v in range(n) for _ in range(n ** (k - 1 - i))] * n ** (i - 1)
-            for i in range(1, k)]
-    for first in (range(n) if k else (None,)):
-        vals = ([[first] * size] if k else []) + rest
+    size, blocks = _columns(n, k)
+    for variables in blocks:
+        vals = list(variables)
         for table, args in program:
             vals.append(_apply(table, n, [vals[s] for s in args], size))
-        yield vals[:k], [vals[s] for s in outs]
+        yield variables, [vals[s] for s in outs]
 
 
 def _sides(law: Equation | QuasiEquation) -> tuple[Term, ...]:
@@ -216,7 +232,7 @@ def _failures(algebra, laws: Iterable[Equation | QuasiEquation], ids=None):
     sides = [_sides(law) for law in laws]
     _check_ops_known([t for ts in sides for t in ts], algebra)
     for law, ts in zip(laws, sides):
-        for variables, values in _blocks(algebra, ts, len(law.variables())):
+        for variables, values in _blocks(algebra, ts):
             lhs, rhs, *premises = values if ids is None else [
                 [ids[v] for v in column] for column in values]
             if lhs == rhs:
@@ -228,35 +244,27 @@ def _failures(algebra, laws: Iterable[Equation | QuasiEquation], ids=None):
                 yield law, variables, values, fails
 
 
-def satisfies_equations(algebra, eqs: Iterable[Equation]) -> CheckResult:
-    """True iff every assignment satisfies every equation.
-
-    Each equation runs as its compiled program, block by block, and stops
-    at the first block where the two sides differ.  On failure the witness
-    carries the first failing equation in the given order and its first
-    failing assignment in lexicographic order.
-    """
-    eqs = tuple(eqs)
-    _check_ops_known([e.lhs for e in eqs] + [e.rhs for e in eqs], algebra)
-    for eq in eqs:
-        for variables, (lhs, rhs) in _blocks(algebra, (eq.lhs, eq.rhs), len(eq.variables())):
-            if lhs != rhs:
-                j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-                return failed(equation=repr(eq), assignment=[v[j] for v in variables])
+def _first_failing(algebra, laws, key: str) -> CheckResult:
+    """The witness {key, assignment} of the first failing law and assignment."""
+    for law, variables, _, fails in _failures(algebra, laws):
+        j = fails.index(True)
+        return failed(**{key: repr(law), "assignment": [v[j] for v in variables]})
     return PASSED
+
+
+def satisfies_equations(algebra, eqs: Iterable[Equation]) -> CheckResult:
+    """True iff every assignment satisfies every equation.  The witness is the
+    first failing equation in the given order and its first failing assignment
+    in lexicographic order."""
+    return _first_failing(algebra, eqs, "equation")
 
 
 def satisfies_quasiequations(algebra, qeqs: Iterable[QuasiEquation]) -> CheckResult:
-    """Implication semantics per assignment, compiled as in
-    ``satisfies_equations`` with the premises and the conclusion of a
-    quasi-equation in one program.  The witness is the first failing
+    """Implication semantics per assignment, the premises and the conclusion of
+    a quasi-equation in one program.  The witness is the first failing
     quasi-equation in the given order and its first assignment, in
-    lexicographic order, where the premises hold and the conclusion fails.
-    """
-    for law, variables, _, fails in _failures(algebra, qeqs):
-        j = fails.index(True)
-        return failed(quasiequation=repr(law), assignment=[v[j] for v in variables])
-    return PASSED
+    lexicographic order, where the premises hold and the conclusion fails."""
+    return _first_failing(algebra, qeqs, "quasiequation")
 
 
 def law_pairs(algebra, laws: Iterable[Equation | QuasiEquation],

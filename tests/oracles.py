@@ -50,7 +50,9 @@ verdict per member read through ``quotient_maps``), the fibre order from
 block-id arrays), the compatibility scan over every operation tuple
 (replaced by comparing a partition with the congruence its blocks
 generate), the term evaluator ``eval_term`` that the compiled equation
-programs replaced, and the group corpus's
+programs replaced, the equation check's own loop over blocks of one value of
+the first variable each (replaced by the shared scan ``terms._failures`` over
+blocks of ``terms._columns``), and the group corpus's
 Latin-square table search and deduplication by isomorphism search
 (replaced by a list of constructions, one group per class up to order 7),
 which stay as its completeness oracle.
@@ -73,7 +75,13 @@ and ``terms.ELEMENTARY_ABELIAN_2``), the law instances read by
 ``eval_term`` (replaced by the compiled programs in ``terms.law_pairs``),
 and the rules of the law-defined built-ins that ``reflection.rule_from_laws``
 replaced: the nilradical through the ideal/coset bridge, and the quandle
-reachability ~ with the composite R o ~ and its permutability guard.
+reachability ~ with the composite R o ~ and its permutability guard.  Also
+kept: what the checks read before ``Fibration``'s integer coordinates
+replaced it, namely the member indices, diagonals, pull-backs and images
+found through ``Congruence`` and ``Homomorphism`` keys, the quotient
+verdicts keyed by ``Congruence``, membership through ``apply``, the atoms
+of Con(X) found by summing ``le`` columns, and the covering pairs read off
+``le`` on every triple.
 Last come the trivial and dihedral quandles, test inputs that the
 package does not export, and frozen-dataclass twins of the value
 classes, whose generated ``__eq__`` the slotted ``Frozen`` classes
@@ -661,6 +669,88 @@ def pull_table(fib, f):
     return tuple(into[preimage_congruence(f, s)] for s in con_lattice(f.cod))
 
 
+# --- fibration coordinates, quotient verdicts and membership by hashed keys ----------
+
+def summed_generating_maps(u):
+    """``operators.generating_maps`` with the atoms of each Con(X) found as the
+    congruences with exactly two entries of their ``le`` column set (the
+    diagonal and themselves), and the diagonal's maps looked up by a fresh
+    ``diagonal(x)``."""
+    from congform import diagonal
+    from congform.algebras import automorphism_generators
+    from congform.operators import fibration, naturality_maps, quotient_maps
+
+    if not u.quotient_closed:
+        return naturality_maps(u)
+    maps, fib = quotient_maps(u), fibration(u)
+    out = []
+    for i, x in enumerate(u.algebras):
+        atoms = [r for a, r in enumerate(fib.lattices[i]) if sum(row[a] for row in fib.le[i]) == 2]
+        out.extend(g for r in atoms for g in maps.get(r, ()))
+        out.extend(g for g in maps.get(diagonal(x), ()) if g.cod != x)
+        out.extend(automorphism_generators(x))
+    return tuple(out)
+
+
+def scanned_covers(le):
+    """Each (a, b) with b covering a, ascending, from ``le`` on every triple."""
+    order = range(len(le))
+    return tuple((a, b) for a in order for b in order
+                 if a != b and le[a][b]
+                 and not any(c not in (a, b) and le[a][c] and le[c][b] for c in order))
+
+
+def hashed_coordinates(fib):
+    """``Fibration``'s diagonal, generators, images and quotients as the
+    checks read them before: ``member_index`` of each map's ends,
+    ``Congruence`` keys, and tables built on ``Congruence`` objects
+    (``pull_table``, ``image_table``).  Images are listed on a
+    quotient-closed universe only, where the generators that are not
+    automorphisms are quotient maps."""
+    from congform import diagonal, identity_hom
+    from congform.operators import generating_maps, quotient_maps
+
+    u = fib.universe
+    maps, index = quotient_maps(u), u.member_index
+    diagonals = tuple(fib.index[i][diagonal(x)] for i, x in enumerate(u.algebras))
+    gens = generating_maps(u)
+    generators = tuple((index(f.dom), index(f.cod), pull_table(fib, f)) for f in gens)
+    images = tuple((index(f.dom), index(f.cod), image_table(fib, f))
+                   for f in gens if f.dom != f.cod) if u.quotient_closed else None
+
+    def first(r):
+        if r not in maps:
+            return None
+        g = maps[r][0]
+        return index(g.cod), None if g == identity_hom(g.dom) else pull_table(fib, g)
+
+    quotients = tuple(tuple(map(first, lattice)) for lattice in fib.lattices)
+    return diagonals, generators, images, quotients
+
+
+def hashed_quotient_verdict(u, pred):
+    """R -> pred(X/R) as ``reflection`` read it before ``Fibration.quotients``:
+    on a quotient-closed ``u`` the verdict of the member ``member_index`` finds
+    at the end of ``quotient_maps(u)[R][0]``, elsewhere X/R built and tested."""
+    from congform import quotient
+    from congform.operators import quotient_maps
+
+    if not u.quotient_closed:
+        return lambda r: pred(quotient(r.algebra, r)[0])
+    maps, verdicts = quotient_maps(u), [pred(x) for x in u.algebras]
+    return lambda r: verdicts[u.member_index(maps[r][0].cod)]
+
+
+def apply_membership(ref, x):
+    """``reflection.membership`` through ``rho_of`` or ``apply`` and a fresh
+    ``diagonal(x)``."""
+    from congform import Reflector, diagonal
+
+    if isinstance(ref, Reflector):
+        return ref.rho_of(x) == diagonal(x)
+    return ref.apply(x, diagonal(x)) == diagonal(x)
+
+
 def scan_is_compatible(a, ids) -> bool:
     """Does the partition respect every operation?  Scans every operation
     tuple and changes one coordinate at a time within its block."""
@@ -780,6 +870,43 @@ def scan_quasi_law_pairs(algebra, qeqs, ids):
                 pairs.append((eval_term(q.conclusion.lhs, assignment, algebra),
                               eval_term(q.conclusion.rhs, assignment, algebra)))
     return pairs
+
+
+def first_variable_blocks(algebra, terms):
+    """The blocks ``terms._blocks`` ran before ``terms._columns``: one per
+    value of the first variable, each of its n^(k-1) assignments, with the
+    variable columns built again on every call."""
+    from congform.terms import _apply, _compile
+
+    k, steps, outs = _compile(terms)
+    n = algebra.size
+    table_of = dict(zip(algebra.sig.names(), algebra.tables))
+    program = [(table_of[op], args) for op, args in steps]
+    size = n ** (k - 1) if k else 1
+    rest = [[v for v in range(n) for _ in range(n ** (k - 1 - i))] * n ** (i - 1)
+            for i in range(1, k)]
+    for first in (range(n) if k else (None,)):
+        vals = ([[first] * size] if k else []) + rest
+        for table, args in program:
+            vals.append(_apply(table, n, [vals[s] for s in args], size))
+        yield vals[:k], [vals[s] for s in outs]
+
+
+def block_satisfies_equations(algebra, eqs):
+    """The loop ``terms.satisfies_equations`` ran beside ``terms._failures``:
+    each equation over ``first_variable_blocks``, stopping at the first block
+    where its two sides differ."""
+    from congform.errors import PASSED, failed
+    from congform.terms import _check_ops_known
+
+    eqs = tuple(eqs)
+    _check_ops_known([e.lhs for e in eqs] + [e.rhs for e in eqs], algebra)
+    for eq in eqs:
+        for variables, (lhs, rhs) in first_variable_blocks(algebra, (eq.lhs, eq.rhs)):
+            if lhs != rhs:
+                j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                return failed(equation=repr(eq), assignment=[v[j] for v in variables])
+    return PASSED
 
 
 def scan_satisfies_quasiequations(algebra, qeqs):

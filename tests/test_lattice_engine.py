@@ -79,6 +79,7 @@ from congform import (
     leq,
     lifts,
     make_operator,
+    membership,
     operator_leq,
     oracle_reflector,
     preimage_congruence,
@@ -88,7 +89,7 @@ from congform import (
     universe,
     universe_from_generators,
 )
-from congform import algebras, reflection
+from congform import algebras, operators, reflection
 from congform.algebras import (FiniteAlgebra, Signature, _block_pairs, automorphism_generators,
                                quotient, relabel_algebra)
 from congform.errors import CongformError, NotNatural, NotReflective
@@ -489,6 +490,33 @@ def test_surjection_checks_on_enumerated_operators():
                       (7, 5, 3)]
 
 
+def test_a_failing_check_builds_its_witness_once(monkeypatch):
+    # the scans return positions, so only the reported failure's congruences
+    # are written out as blocks: R and S of a NotNatural witness, and S or R,
+    # lhs and rhs of a coheredity or cocartesian one
+    calls = []
+    original = operators.congruence_to_blocks
+    monkeypatch.setattr(operators, "congruence_to_blocks", lambda r: calls.append(r) or original(r))
+    fibration.cache_clear()
+    failures = Counter()
+    for u in operator_universes():
+        for family in itertools.islice(oracles.extensive_families(u), 200):
+            calls.clear()
+            try:
+                make_operator(u, oracles.table_rule(u, list(family)), "candidate")
+            except NotNatural:
+                failures["natural"] += 1
+                assert len(calls) == 2
+        for c in enumerate_operators(u):
+            for check in (is_cohereditary, preserves_cocartesian):
+                calls.clear()
+                ok = check(c).ok
+                failures[check.__name__] += not ok
+                assert len(calls) == (0 if ok else 3)
+    assert failures["natural"] and failures["is_cohereditary"] and \
+        failures["preserves_cocartesian"]
+
+
 def operator_universes():
     """The group universes up to order 8, {Z4, V4, Z2} and the one with copies."""
     universes = [universe_from_generators([g]) for g in corpus("groups", 8).algebras]
@@ -538,6 +566,21 @@ def _random_monotone_tables(data, u):
     return tables
 
 
+def test_monotonicity_on_covers_matches_the_pair_scan():
+    # every extensive row of every fibre: the candidates of enumerate_operators
+    verdicts = Counter()
+    for u in operator_universes():
+        fib = fibration(u)
+        for lattice, covers, le in zip(fib.lattices, fib.covers, fib.le):
+            above = [[b for b in range(len(le)) if le[a][b]] for a in range(len(le))]
+            for row in itertools.product(*above):
+                got = operators._monotone(covers, le, row)
+                table = {r: lattice[b] for r, b in zip(lattice, row)}
+                assert got == (oracles.non_monotone(table) is None)
+                verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def t4_universe():
     """The trivial quandles T1..T4: Aut(T4) is S4, and every partition is a congruence."""
     return universe_from_generators([trivial_quandle(4)])
@@ -547,6 +590,22 @@ def t4_universe():
 @given(st.data())
 def test_naturality_verdicts_on_random_monotone_tables_under_s4(data):
     natural_verdict(t4_universe(), _random_monotone_tables(data, t4_universe()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_monotonicity_on_covers_matches_the_pair_scan_on_random_tables(data):
+    # each random monotone table, and the table with one value moved to a
+    # random congruence above its argument, which may break monotonicity
+    u = t4_universe()
+    fib = fibration(u)
+    for i, table in enumerate(_random_monotone_tables(data, u)):
+        lattice, le = fib.lattices[i], fib.le[i]
+        r = data.draw(st.sampled_from(lattice))
+        bent = {**table, r: data.draw(st.sampled_from([s for s in lattice if leq(r, s)]))}
+        for t in (table, bent):
+            row = tuple(fib.index[i][t[s]] for s in lattice)
+            assert operators._monotone(fib.covers[i], le, row) == (oracles.non_monotone(t) is None)
 
 
 def test_checks_match_oracles_on_builtin_operators_under_s4():
@@ -644,11 +703,16 @@ def test_fibration_tables_match_the_union_find_oracles():
             assert tuple(tuple(by_up[a & b] for b in up) for a in up) == oracles.join_table(fib, i)
         quotients = [g for gs in quotient_maps(u).values() for g in gs]
         for f in dict.fromkeys(naturality_maps(u) + tuple(quotients)):
-            pull = oracles.pull_table(fib, f)
-            assert fib.pull(f) == pull
-            assert tuple(fib.pulled(f, k) for k in range(len(pull))) == pull
+            assert fib.pull(f) == oracles.pull_table(fib, f)
         for f in quotients:
-            assert fib.image(f) == oracles.image_table(fib, f)
+            i, j = u.member_index(f.dom), u.member_index(f.cod)
+            assert fib.image(i, j, fib.pull(f)) == oracles.image_table(fib, f)
+        # the coordinates the checks read, against look-ups by hashed keys
+        images = fib.images if u.quotient_closed else None
+        assert (fib.diagonal, fib.generators, images, fib.quotients) == \
+            oracles.hashed_coordinates(fib)
+        assert fib.covers == tuple(map(oracles.scanned_covers, fib.le))
+        assert generating_maps(u) == oracles.summed_generating_maps(u)
 
 
 @pytest.mark.parametrize("kind,size", [(kind, corpus_kind(kind).default_size) for kind in CORPUS_KINDS]
@@ -657,6 +721,8 @@ def test_fibration_order_matches_pairwise_leq(kind, size):
     fib = fibration(corpus(kind, size))
     for i, lattice in enumerate(fib.lattices):
         assert (fib.le[i], fib.up[i]) == oracles.pairwise_order(lattice)
+        # canonical ids sort the diagonal last
+        assert lattice[fib.diagonal[i]] == diagonal(lattice[0].algebra)
 
 
 def ternary_algebras():
@@ -796,6 +862,20 @@ def test_universal_property_matches_hom_enumeration():
     assert verdicts == {"leaves or lands outside": 48, "passes": 33, "does not factor": 46}
 
 
+def test_membership_matches_apply_on_enumerated_operators():
+    # each operator, and the reflector of its closed diagonals, by member and by index
+    verdicts = Counter()
+    for u in operator_universes():
+        for c in enumerate_operators(u):
+            rho = tuple(c.apply(i, diagonal(x)) for i, x in enumerate(u.algebras))
+            for ref in (c, Reflector(u, c.name, rho)):
+                for i, x in enumerate(u.algebras):
+                    got = membership(ref, x)
+                    assert got == membership(ref, i) == oracles.apply_membership(ref, x)
+                    verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 @pytest.mark.parametrize("members,outside", [
     ([1, 4, 8], 8),   # Z8/2Z8 = Z2 is no member and embeds in Z4
     ([1, 4, "V4"], 4),  # only Z4/2Z4 = Z2, no member, embeds in V4
@@ -841,7 +921,12 @@ def outcome(build):
 
 
 def assert_verdicts_match_quotient_scan(u, preds):
+    lattices = fibration(u).lattices
     for pred in preds:
+        hashed = oracles.hashed_quotient_verdict(u, pred)
+        assert [[accepts(a) for a in range(len(lattice))] for accepts, lattice
+                in zip(reflection._quotient_verdicts(u, pred), lattices)] == \
+            [[hashed(r) for r in lattice] for lattice in lattices]
         assert outcome(lambda: oracle_reflector(u, pred)) == \
             outcome(lambda: oracles.oracle_reflector(u, pred))
         assert closed_under_quotients(pred, u) == oracles.closed_under_quotients(pred, u)

@@ -120,8 +120,9 @@ def _outcome(check, algebra, eqs):
 
 def _assert_checks_agree(algebra):
     for eqs in EQUATION_TUPLES:
-        assert (_outcome(satisfies_equations, algebra, eqs)
-                == _outcome(oracles.scan_satisfies_equations, algebra, eqs)), eqs
+        got = _outcome(satisfies_equations, algebra, eqs)
+        assert got == _outcome(oracles.scan_satisfies_equations, algebra, eqs), eqs
+        assert got == _outcome(oracles.block_satisfies_equations, algebra, eqs), eqs
     assert (_outcome(satisfies_quasiequations, algebra, REDUCED_RNG)
             == _outcome(oracles.scan_satisfies_quasiequations, algebra, REDUCED_RNG))
 
@@ -198,8 +199,9 @@ def _random_case(draw):
 def test_compiled_checks_match_the_scan_on_random_algebras(case):
     algebra, eqs, qeq = case
     for order in (eqs, eqs[::-1]):
-        assert satisfies_equations(algebra, order) == oracles.scan_satisfies_equations(
-            algebra, order)
+        got = satisfies_equations(algebra, order)
+        assert got == oracles.scan_satisfies_equations(algebra, order)
+        assert got == oracles.block_satisfies_equations(algebra, order)
     for q in (qeq, QuasiEquation((), qeq.conclusion)):
         assert satisfies_quasiequations(algebra, (q,)) == (
             oracles.scan_satisfies_quasiequations(algebra, (q,)))
@@ -236,3 +238,30 @@ def test_law_pairs_match_the_scan():
                         == _outcome(oracles.scan_law_pairs, b, eqs)), eqs
         failing += sum(bool(terms.law_pairs(b, _axioms(b))) for b in altered)
     assert failing > 90
+
+
+# --- blocks of at most terms._BLOCK assignments ---------------------------------------
+
+def test_a_law_past_the_block_bound_runs_in_several_blocks(monkeypatch):
+    # m(x, y, z) = x on 13 elements has 13^3 = 2197 > 2048 assignments; the
+    # table breaks it only at its last two, (12, 12, 11) and (12, 12, 12)
+    n = 13
+    table = [x for x in range(n) for _ in range(n * n)]
+    table[-2:] = [0, 1]
+    algebra = FiniteAlgebra(n, Signature((("m", 3),)), (tuple(table),))
+    law = (Equation(app("m", var(0), var(1), var(2)), var(0), label="m(x, y, z) = x"),)
+    assert n ** 3 > terms._BLOCK
+    sizes = []
+    original = terms._apply
+
+    def recording(table, n, cols, size):
+        sizes.append(size)
+        return original(table, n, cols, size)
+
+    monkeypatch.setattr(terms, "_apply", recording)
+    got = satisfies_equations(algebra, law)
+    assert len(sizes) > 1 and max(sizes) <= terms._BLOCK and sum(sizes) == n ** 3
+    assert got.witness == {"equation": "m(x, y, z) = x", "assignment": [12, 12, 11]}
+    assert got == oracles.scan_satisfies_equations(algebra, law)
+    assert terms.law_pairs(algebra, law) == oracles.scan_law_pairs(algebra, law) == \
+        [(0, 12), (1, 12)]
