@@ -3,8 +3,8 @@ quotients, and the correspondence with reflective subcategories.
 
 The central objects: a FiniteAlgebra is a carrier {0..n-1} with
 operation tables; a Congruence is a compatible partition in canonical
-encoding; a Universe is a finite, optionally quotient-closed, family of
-algebras; a ClosureOperator is an extensive natural family of maps on
+encoding; a Universe is a finite family of algebras closed under
+quotients; a ClosureOperator is an extensive natural family of maps on
 the congruence fibres over a universe; a Reflector assigns to every
 member its reflection congruence into a subcategory.  ``reflection``
 converts between the last two and verifies that the conversions are
@@ -68,6 +68,7 @@ from .operators import (
     is_cohereditary,
     is_idempotent,
     is_minimal,
+    is_natural_along_homs,
     make_operator,
     operator_leq,
     operator_report,

@@ -287,7 +287,7 @@ def corpus(kind: str, max_size: int) -> Universe:
         raise OutOfRange("corpus max_size must be >= 1")
     if max_size > spec.limit:
         raise SizeTooLarge(f"corpus kind {kind!r} supports max_size <= {spec.limit}")
-    return universe(spec.members(max_size), quotient_closed=True)
+    return universe(spec.members(max_size))
 
 
 def corpus_manifest(kind: str, max_size: int) -> dict:
@@ -295,7 +295,7 @@ def corpus_manifest(kind: str, max_size: int) -> dict:
     return {
         "kind": kind,
         "max_size": max_size,
-        "quotient_closed": u.quotient_closed,
+        "quotient_closed": True,  # every Universe is
         "algebras": [
             {"id": f"{kind}-{i:03d}", "algebra": algebra_to_json(a)}
             for i, a in enumerate(u.algebras)

@@ -1,28 +1,28 @@
 """Closure operators on the congruence fibres of a finite universe.
 
-A Universe is a finite set of algebras standing in for a category; the
-quotient-closed flag asserts that every quotient of a member is
-isomorphic to a member, which is what the subcategory theorems need.
+A Universe is a finite set of algebras standing in for a category, checked
+closed under quotients: every quotient of a member is isomorphic to a
+member, which is what the subcategory theorems need.
 A ClosureOperator stores one extensional map Con(X) -> Con(X) per
 member, as an index array.  Construction validates the two laws eagerly:
 
 * extensive: R <= C(R) on every fibre;
 * natural:   whenever f lifts R into S, it lifts C(R) into C(S).
 
-Naturality is quantified over the surjections between members when the
-universe is quotient-closed (the class of quotient maps, which is all
-the subcategory theorems use), and over all homomorphisms otherwise.
-As f lifts R into S exactly when R <= f*S, the law is equivalent to
-monotonicity on each fibre (the law along identities) plus continuity,
-C(f*S) <= f*C(S) for every map f and S in Con(Y) (Dikranjan & Tholen,
-*Categorical Structure of Closure Operators*, 1995).
+Naturality is quantified over the surjections between members (the class
+of quotient maps, which is all the subcategory theorems use); the check of
+the paper's, along every hom, is ``is_natural_along_homs``.  As f lifts R
+into S exactly when R <= f*S, the law is equivalent to monotonicity on
+each fibre (the law along identities) plus continuity, C(f*S) <= f*C(S)
+for every map f and S in Con(Y) (Dikranjan & Tholen, *Categorical
+Structure of Closure Operators*, 1995).
 
 Surjections are never searched for: by the first isomorphism theorem
 each one is a.g_K, with g_K the quotient map of its kernel K
 (``quotient_maps``) and a an automorphism.  Continuity, coheredity and
-image preservation each hold along composites, so on a quotient-closed
-universe they are decided along ``generating_maps``: quotient maps by
-atoms of Con(X) (by the correspondence theorem each cover in a chain from
+image preservation each hold along composites, so they are decided
+along ``generating_maps``: quotient maps by atoms of Con(X) (by the
+correspondence theorem each cover in a chain from
 the diagonal to K is an atom of a quotient), isomorphisms onto copies of
 X, and generators of Aut(X) read off a stabiliser chain
 (``automorphism_generators``; an inverse is a positive power).  A natural
@@ -31,9 +31,9 @@ preservation skip automorphisms.  Only a failure along the generators
 rescans ``naturality_maps`` or ``quotient_maps``, to name as witness the
 first failure in the full list's order.
 The remaining axioms (idempotent, cohereditary, minimal, preservation
-of cocartesian liftings) are runtime checks returning witnesses, not
-construction requirements.  Minimality is checked on each fibre as
-C(S) = S v C(diagonal), its equivalent (see ``is_minimal``).
+of cocartesian liftings, naturality along every hom) are runtime checks
+returning witnesses, not construction requirements.  Minimality is checked
+on each fibre as C(S) = S v C(diagonal), its equivalent (see ``is_minimal``).
 
 The checks compare integers: ``fibration(u)``, built on a universe's first
 check, numbers each Con(X) and reads its order off the block-id arrays, and
@@ -41,7 +41,8 @@ an operator is its index rows over those numberings.  The fibration builds
 on first use, and then holds, f* along each map read (naturality,
 coheredity and the reflection layer), images along quotient maps
 (cocartesian preservation) and embeddings into members
-(``make_reflector``), reading joins and images off the order.  The checks'
+(``make_reflector``, ``is_natural_along_homs``), reading joins and images
+off the order.  The checks'
 loops read these by member and congruence indices (see ``Fibration``), and
 a failing scan returns a position, so only the reported witness is built.
 The fibration also keeps the operator rows and reflection congruences that
@@ -64,13 +65,13 @@ from .algebras import (
     Homomorphism,
     _block_pairs,
     _canonical_ids,
+    _hom_search,
     _iso_invariant,
     automorphism_generators,
     automorphisms,
     compose,
     con_lattice,
     congruence_to_blocks,
-    enumerate_homs,
     find_embedding,
     find_isomorphism,
     identity_hom,
@@ -96,18 +97,24 @@ def _algebra_sort_key(a: FiniteAlgebra):
 
 
 class Universe(Hashed):
-    """Deterministically ordered member list; optionally quotient-closed."""
+    """Deterministically ordered member list, checked closed under quotients."""
 
-    __slots__ = ("algebras", "quotient_closed", "_index")
+    __slots__ = ("algebras", "_index")
 
-    def __init__(self, algebras: tuple[FiniteAlgebra, ...], quotient_closed: bool = False):
+    def __init__(self, algebras: tuple[FiniteAlgebra, ...]):
         object.__setattr__(self, "algebras", algebras)
-        object.__setattr__(self, "quotient_closed", quotient_closed)
-        object.__setattr__(self, "_hash", hash(tuple(a._hash for a in algebras) + (quotient_closed,)))
+        object.__setattr__(self, "_hash", hash(tuple(a._hash for a in algebras)))
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(algebras)})
+        maps = quotient_maps(self)
+        for i, x in enumerate(algebras):
+            for r in con_lattice(x):
+                if r not in maps:
+                    raise UniverseNotQuotientClosed(
+                        "quotient of a member is not isomorphic to any member",
+                        witness=_witness(i, r))
 
     def _key(self):
-        return self.algebras, self.quotient_closed
+        return (self.algebras,)
 
     def __len__(self):
         return len(self.algebras)
@@ -115,30 +122,23 @@ class Universe(Hashed):
     def __iter__(self):
         return iter(self.algebras)
 
-    def member_index(self, a: FiniteAlgebra) -> int | None:
-        return self._index.get(a)
+    def lookup(self, x: int | FiniteAlgebra) -> int:
+        """The index of member ``x``, or ``x`` itself if it indexes a member."""
+        i = self._index.get(x) if isinstance(x, FiniteAlgebra) else x
+        if type(i) is not int or not 0 <= i < len(self.algebras):
+            raise UniverseMismatch("not a universe member or member index")
+        return i
 
     def __repr__(self):
-        flag = ", quotient-closed" if self.quotient_closed else ""
-        sizes = [a.size for a in self.algebras]
-        return f"Universe({len(self.algebras)} algebras, sizes {sizes}{flag})"
+        return f"Universe({len(self.algebras)} algebras, sizes {[a.size for a in self.algebras]})"
 
 
-def universe(algebras: Iterable[FiniteAlgebra], *, quotient_closed: bool = False) -> Universe:
-    """Sort, drop literal duplicates, and verify the closure flag if set."""
+def universe(algebras: Iterable[FiniteAlgebra]) -> Universe:
+    """Sort and drop literal duplicates; ``Universe`` checks the closure."""
     members = sorted(set(algebras), key=_algebra_sort_key)
     if not members:
         raise UniverseMismatch("a universe needs at least one algebra")
-    u = Universe(tuple(members), quotient_closed)
-    if quotient_closed:
-        maps = quotient_maps(u)
-        for i, x in enumerate(u.algebras):
-            for r in con_lattice(x):
-                if r not in maps:
-                    raise UniverseNotQuotientClosed(
-                        "quotient of a member is not isomorphic to any member",
-                        witness=_witness(i, r))
-    return u
+    return Universe(tuple(members))
 
 
 def universe_from_generators(seeds: Iterable[FiniteAlgebra]) -> Universe:
@@ -151,13 +151,13 @@ def universe_from_generators(seeds: Iterable[FiniteAlgebra]) -> Universe:
     for a in itertools.chain(seeds, (quotient(x, r)[0] for x in seeds for r in con_lattice(x))):
         if all(find_isomorphism(a, m) is None for m in members if m.size == a.size):
             members.append(a)
-    return universe(members, quotient_closed=True)
+    return universe(members)
 
 
 @lru_cache(maxsize=None)
 def find_member_iso(u: Universe, a: FiniteAlgebra) -> tuple[int, Homomorphism]:
     """Member isomorphic to ``a`` plus an isomorphism a -> member."""
-    i = u.member_index(a)
+    i = u._index.get(a)
     if i is not None:
         return i, identity_hom(a)
     for i, m in enumerate(u.algebras):
@@ -179,8 +179,8 @@ Rule = Callable[[FiniteAlgebra, Congruence], Congruence]
 def quotient_maps(u: Universe) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
     """K in Con(X), X a member -> the maps X -> X/K -> M: the projection, then
     the least isomorphism onto M, for each member M isomorphic to X/K in
-    member order.  K is no key when X/K is isomorphic to no member.  Only
-    members with the ``_iso_invariant`` of X/K can be isomorphic to it."""
+    member order.  Every K is a key once ``Universe`` has checked closure.
+    Only members with the ``_iso_invariant`` of X/K can be isomorphic to it."""
     buckets: dict = {}
     for m in u.algebras:
         buckets.setdefault(_iso_invariant(m), []).append(m)
@@ -198,33 +198,28 @@ def quotient_maps(u: Universe) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
 @lru_cache(maxsize=None)
 def naturality_maps(u: Universe) -> tuple[Homomorphism, ...]:
     """Maps a ``NotNatural`` witness is sought along, in this order: per
-    member X, the quotient maps out of X and then Aut(X) if ``u`` is
-    quotient-closed, else all homs.  The verdict is decided along
-    ``generating_maps``; this list is scanned only when that fails."""
-    if not u.quotient_closed:
-        return tuple(f for x in u.algebras for y in u.algebras for f in enumerate_homs(x, y))
+    member X, the quotient maps out of X and then Aut(X).  The verdict is
+    decided along ``generating_maps``; this list is scanned only when that
+    fails."""
     maps = quotient_maps(u)
     out: list[Homomorphism] = []
     for x in u.algebras:
-        out.extend(g for r in con_lattice(x) for g in maps.get(r, ()))
+        out.extend(g for r in con_lattice(x) for g in maps[r])
         out.extend(automorphisms(x))
     return tuple(dict.fromkeys(out))
 
 
 @lru_cache(maxsize=None)
 def generating_maps(u: Universe) -> tuple[Homomorphism, ...]:
-    """The maps the lifting laws are decided along: ``naturality_maps`` if
-    ``u`` is not quotient-closed, else per member X the quotient maps by
-    atoms of Con(X) and by the diagonal onto other members, then the
+    """The maps the lifting laws are decided along: per member X the quotient
+    maps by atoms of Con(X) and by the diagonal onto other members, then the
     ``automorphism_generators`` of X."""
-    if not u.quotient_closed:
-        return naturality_maps(u)
     maps, fib = quotient_maps(u), fibration(u)
     out: list[Homomorphism] = []
     for i, (x, lattice, d) in enumerate(zip(u.algebras, fib.lattices, fib.diagonal)):
         atoms = [lattice[b] for a, b in fib.covers[i] if a == d]
-        out.extend(g for r in atoms for g in maps.get(r, ()))
-        out.extend(g for g in maps.get(lattice[d], ()) if g.cod != x)
+        out.extend(g for r in atoms for g in maps[r])
+        out.extend(g for g in maps[lattice[d]] if g.cod != x)
         out.extend(automorphism_generators(x))
     return tuple(out)
 
@@ -267,9 +262,11 @@ class Fibration:
     (correspondence theorem), so f(R) is the S with f*S = R v ker f.
     Built on first use: ``generators``, (i, j, f*) for each map of
     ``generating_maps`` from member i to member j; ``images``, (i, j, f(-))
-    for its quotient maps on a quotient-closed universe; ``quotients[i][a]``,
-    (j, g*) for g = ``quotient_maps(u)[R][0]`` onto member j, R = lattice
-    a of member i (None: no member; g* None: g the identity).  ``natural``
+    for its quotient maps; ``quotients[i][a]``, (j, g*) for
+    g = ``quotient_maps(u)[R][0]`` onto member j, R = lattice a of member i
+    (g* None: g the identity); ``embeddings``, (i, j, e, e*) for the first
+    embedding e, in ``_hom_search`` order, of member i onto each subalgebra
+    of a larger member j.  ``natural``
     holds the row tuples that passed ``_natural_operator`` and ``reflective``
     the rho tuples ``make_reflector`` accepted; a verdict depends only on the
     universe and the input, so both return at once for a known one; failures
@@ -295,7 +292,7 @@ class Fibration:
 
     @cached_property
     def generators(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        index = self.universe.member_index
+        index = self.universe.lookup
         return tuple((index(f.dom), index(f.cod), self.pull(f))
                      for f in generating_maps(self.universe))
 
@@ -304,21 +301,30 @@ class Fibration:
         return tuple((i, j, self.image(i, j, pull)) for i, j, pull in self.generators if i != j)
 
     @cached_property
-    def quotients(self) -> tuple[tuple[tuple[int, tuple[int, ...] | None] | None, ...], ...]:
-        maps, index = quotient_maps(self.universe), self.universe.member_index
+    def quotients(self) -> tuple[tuple[tuple[int, tuple[int, ...] | None], ...], ...]:
+        maps, index = quotient_maps(self.universe), self.universe.lookup
 
         def coordinates(i, g):
             j = index(g.cod)
             return j, None if i == j and g.map == tuple(range(len(g.map))) else self.pull(g)
 
-        return tuple(tuple(coordinates(i, maps[r][0]) if r in maps else None for r in lattice)
+        return tuple(tuple(coordinates(i, maps[r][0]) for r in lattice)
                      for i, lattice in enumerate(self.lattices))
+
+    @cached_property
+    def embeddings(self) -> tuple[tuple[int, int, Homomorphism, tuple[int, ...]], ...]:
+        firsts: dict = {}
+        for (i, m), (j, n) in itertools.product(enumerate(self.universe.algebras), repeat=2):
+            if m.sig == n.sig and m.size < n.size:
+                for e in _hom_search(m, n, injective=True, first_only=False):
+                    firsts.setdefault((i, j, frozenset(e)), Homomorphism(m, n, e, False))
+        return tuple((i, j, f, self.pull(f)) for (i, j, _), f in firsts.items())
 
     def pull(self, f: Homomorphism) -> tuple[int, ...]:
         """S -> f*S as an index array, built on first request; f between members."""
         table = self._pulls.get(f)
         if table is None:
-            into = self.by_ids[self.universe.member_index(f.dom)]
+            into = self.by_ids[self.universe.lookup(f.dom)]
             table = self._pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
                                            for s in con_lattice(f.cod))
         return table
@@ -356,12 +362,7 @@ class ClosureOperator(Frozen):
         return self.universe, self.name, self.rows
 
     def apply(self, x: int | FiniteAlgebra, r: Congruence) -> Congruence:
-        if isinstance(x, FiniteAlgebra):
-            i = self.universe.member_index(x)
-            if i is None:
-                raise UniverseMismatch("algebra is not a universe member")
-        else:
-            i = x
+        i = self.universe.lookup(x)
         fib = fibration(self.universe)
         a = fib.index[i].get(r)
         if a is None:
@@ -399,12 +400,12 @@ def _first_failure(u: Universe, broken_at, generators: Callable, maps: Callable,
                    table: Callable):
     """The first (i, j, f, k), f in ``maps()`` from member i to member j, with f
     breaking the law at position k = ``broken_at(i, j, table(i, j, f))``, or
-    None.  On a quotient-closed ``u`` the (i, j, t) in ``generators()`` decide
-    the verdict, so ``maps()`` is scanned only to locate a failure."""
-    if u.quotient_closed and all(broken_at(i, j, t) is None for i, j, t in generators()):
+    None.  The (i, j, t) in ``generators()`` decide the verdict, so ``maps()``
+    is scanned only to locate a failure."""
+    if all(broken_at(i, j, t) is None for i, j, t in generators()):
         return None
     for f in maps():
-        i, j = u.member_index(f.dom), u.member_index(f.cod)
+        i, j = u.lookup(f.dom), u.lookup(f.cod)
         k = broken_at(i, j, table(i, j, f))
         if k is not None:
             return i, j, f, k
@@ -547,6 +548,22 @@ def preserves_cocartesian(c: ClosureOperator) -> CheckResult:
     ``quotient_maps`` (see the module docstring)."""
     return _along_quotient_maps(c, "R", lambda image, i, j: (
         list(map(image.__getitem__, c.rows[i])), list(map(c.rows[j].__getitem__, image))))
+
+
+def is_natural_along_homs(c: ClosureOperator) -> CheckResult:
+    """C(f*S) <= f*C(S) along every hom f between members, the paper's
+    naturality.  f is a quotient map onto a member, checked at construction,
+    then an embedding; continuity composes, an embedding of equal size is an
+    isomorphism, and two with one image differ by an automorphism.  So the
+    witness {dom, cod, map, R = e*S, S} is the first along ``Fibration.embeddings``."""
+    fib = fibration(c.universe)
+    for i, j, e, pull in fib.embeddings:
+        s = _discontinuity(pull, fib.le[i], c.rows[i], c.rows[j])
+        if s is not None:
+            return failed(dom=i, cod=j, map=list(e.map),
+                          R=congruence_to_blocks(fib.lattices[i][pull[s]]),
+                          S=congruence_to_blocks(fib.lattices[j][s]))
+    return PASSED
 
 
 def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:

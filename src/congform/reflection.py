@@ -10,8 +10,8 @@ quotient map of K = ker f followed by an embedding of X/K (Adamek,
 Herrlich & Strecker, *Abstract and Concrete Categories*, 14-16), so the
 property fails exactly when X/K embeds in M for some K with
 rho_X not <= K.  ``Fibration.embedding`` answers that once per universe,
-for the member isomorphic to X/K or, when there is none, for X/K itself;
-``find_embedding`` mostly answers None from element counts, unsearched.
+for the member isomorphic to X/K; ``find_embedding`` mostly answers None
+from element counts, unsearched.
 
 The two constructions converting between reflectors and idempotent
 cohereditary closure operators are mutually inverse here.  Each round
@@ -25,9 +25,9 @@ once per universe (``Fibration.natural`` and ``.reflective``), so the
 derived and oracle objects that equal them cost a set look-up.
 
 Pull-backs run along the quotient maps of ``operators.quotient_maps``,
-built once per universe.  Over a quotient-closed universe the oracles read
-them too: an isomorphism-invariant predicate runs once per member, and X/R
-takes the verdict of the member it is sent onto; elsewhere X/R is tested.
+built once per universe.  The oracles read them too: an
+isomorphism-invariant predicate runs once per member, and X/R takes the
+verdict of the member it is sent onto.
 
 A subcategory given by laws has two descriptions here: its membership
 predicate (``predicate_from_equations``, ``predicate_from_quasiequations``)
@@ -35,11 +35,11 @@ and its closure rule (``rule_from_laws``), which sends R to the least
 congruence above R whose quotient satisfies the laws.  The built-in
 law-defined operators read both from one law list.
 
-Note that operators over a quotient-closed universe are only validated
-against surjections, which admits operators whose congruence family
-fails the universal property along some non-surjective map;
-``reflector_from_closure`` re-verifies and reports such a map as a
-witness instead of returning a broken reflector.
+Note that operators are only validated against surjections, which admits
+operators whose congruence family fails the universal property along some
+non-surjective map; ``reflector_from_closure`` re-verifies and reports
+such a map as a witness instead of returning a broken reflector, and
+``operators.is_natural_along_homs`` rejects such an operator.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from .errors import (
     NotReflective,
     PASSED,
     UniverseMismatch,
-    UniverseNotQuotientClosed,
     failed,
 )
 from .operators import (
@@ -102,13 +101,7 @@ class Reflector(Frozen):
         return self.universe, self.name, self.rho
 
     def rho_of(self, x: int | FiniteAlgebra) -> Congruence:
-        if isinstance(x, FiniteAlgebra):
-            i = self.universe.member_index(x)
-            if i is None:
-                raise UniverseMismatch("algebra is not a universe member")
-        else:
-            i = x
-        return self.rho[i]
+        return self.rho[self.universe.lookup(x)]
 
     def __repr__(self):
         return f"Reflector({self.name!r} on {self.universe!r})"
@@ -134,9 +127,9 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
     # by rho_X, g* is injective and g*(diagonal) = rho_X, so g*(rho_M) = rho_X
     # exactly when rho_M is the diagonal
     for i, (a, quotients) in enumerate(zip(at, fib.quotients)):
-        if a is None or quotients[a] is None:
+        if a is None:
             raise NotReflective(
-                f"reflector {name!r}: reflection of member {i} leaves the universe",
+                f"reflector {name!r}: rho[{i}] is not a congruence",
                 witness={"algebra": i, "rho": congruence_to_blocks(rho[i])},
             )
         j = quotients[a][0]
@@ -147,18 +140,15 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
             )
     # universal property, by factorisation (see the module docstring); it
     # holds on the subcategory's own members, whose rho is the diagonal
-    for i, x in enumerate(u.algebras):
+    for i, (lattice, quotients) in enumerate(zip(fib.lattices, fib.quotients)):
         if i in members_in:
             continue
-        above, lattice, quotients = fib.le[i][at[i]], fib.lattices[i], fib.quotients[i]
-        cods = [(k, u.algebras[q[0]] if q else quotient(x, lattice[k])[0])
-                for k, q in enumerate(quotients) if not above[k]]
+        cods = [(k, u.algebras[q[0]]) for k, q in enumerate(quotients) if not fib.le[i][at[i]][k]]
         for j in members_in:
             for k, cod in cods:
                 e = fib.embedding(cod, j)
                 if e is not None:
-                    r = lattice[k]
-                    g = maps[r][0] if quotients[k] else quotient(x, r)[1]
+                    g = maps[lattice[k]][0]
                     raise NotReflective(
                         f"reflector {name!r}: a map from member {i} into member {j} "
                         "does not factor through the unit",
@@ -174,9 +164,6 @@ def closure_from_reflector(refl: Reflector) -> ClosureOperator:
     map g: X -> M_j, read as an index: rows[i][a] = g*(rho_j), checked
     extensive member by member and then natural, as ``make_operator`` does."""
     u = refl.universe
-    if not u.quotient_closed:
-        raise UniverseNotQuotientClosed(
-            "deriving a closure operator requires a quotient-closed universe")
     fib = fibration(u)
     at = [by_ids[r.ids] for by_ids, r in zip(fib.by_ids, refl.rho)]
     rows = []
@@ -218,10 +205,7 @@ def _closed_diagonals(ref: ClosureOperator | Reflector) -> list[bool]:
 
 def membership(ref: ClosureOperator | Reflector, x: int | FiniteAlgebra) -> bool:
     """Is X, or member X, in the subcategory, i.e. is its diagonal closed?"""
-    i = ref.universe.member_index(x) if isinstance(x, FiniteAlgebra) else x
-    if i is None:
-        raise UniverseMismatch("algebra is not a universe member")
-    return _closed_diagonals(ref)[i]
+    return _closed_diagonals(ref)[ref.universe.lookup(x)]
 
 
 def subcategory_members(ref: ClosureOperator | Reflector) -> tuple[FiniteAlgebra, ...]:
@@ -230,9 +214,8 @@ def subcategory_members(ref: ClosureOperator | Reflector) -> tuple[FiniteAlgebra
 
 class SubcategoryPredicate(Frozen):
     """Named isomorphism-invariant membership test for algebras.  Invariance
-    is relied on: over a quotient-closed universe ``oracle_reflector`` and
-    ``closed_under_quotients`` test each member once and give X/R the verdict
-    of a member isomorphic to it; over other universes they test X/R itself."""
+    is relied on: ``oracle_reflector`` and ``closed_under_quotients`` test
+    each member once and give X/R the verdict of a member isomorphic to it."""
 
     __slots__ = ("name", "accepts")
 
@@ -288,15 +271,11 @@ def predicate_from_operator(c: ClosureOperator) -> SubcategoryPredicate:
 
 
 def _quotient_verdicts(u: Universe, pred: SubcategoryPredicate) -> list[Callable[[int], bool]]:
-    """Per member X, a -> pred(X/R), R the a-th congruence of X.  On a quotient-closed
-    ``u`` pred runs once per member and X/R takes the verdict of the member that
-    ``Fibration.quotients`` sends it onto; elsewhere each X/R is built and tested."""
-    fib = fibration(u)
-    if not u.quotient_closed:
-        return [lambda a, x=x, lattice=lattice: pred(quotient(x, lattice[a])[0])
-                for x, lattice in zip(u.algebras, fib.lattices)]
+    """Per member X, a -> pred(X/R), R the a-th congruence of X: pred runs once
+    per member and X/R takes the verdict of the member that
+    ``Fibration.quotients`` sends it onto."""
     verdicts = [pred(x) for x in u.algebras]
-    return [[verdicts[j] for j, _ in quotients].__getitem__ for quotients in fib.quotients]
+    return [[verdicts[j] for j, _ in quotients].__getitem__ for quotients in fibration(u).quotients]
 
 
 def closed_under_quotients(pred: SubcategoryPredicate, u: Universe) -> CheckResult:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import compress, product
 from operator import ne
 
-from .errors import CheckResult, Frozen, Hashed, PASSED, UnknownOp, failed
+from .errors import CheckResult, Hashed, PASSED, UnknownOp, failed
 
 
 class Term(Hashed):
@@ -92,7 +92,7 @@ def _contiguous(vars_: frozenset[int]) -> bool:
     return vars_ == frozenset(range(len(vars_)))
 
 
-class Equation(Frozen):
+class Equation(Hashed):
     """lhs = rhs, universally quantified over all variable assignments."""
 
     __slots__ = ("lhs", "rhs", "label")
@@ -101,6 +101,7 @@ class Equation(Frozen):
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_hash", hash((lhs, rhs, label)))
         if not _contiguous(self.variables()):
             raise ValueError("variable indices must be contiguous from 0")
 
@@ -114,7 +115,7 @@ class Equation(Frozen):
         return self.label or f"{self.lhs!r} = {self.rhs!r}"
 
 
-class QuasiEquation(Frozen):
+class QuasiEquation(Hashed):
     """premises => conclusion, per assignment."""
 
     __slots__ = ("premises", "conclusion", "label")
@@ -124,6 +125,7 @@ class QuasiEquation(Frozen):
         object.__setattr__(self, "premises", premises)
         object.__setattr__(self, "conclusion", conclusion)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_hash", hash((premises, conclusion, label)))
         if not _contiguous(self.variables()):
             raise ValueError("variable indices must be contiguous from 0")
 

@@ -204,14 +204,6 @@ def propagated_image(f, r):
     return generated_congruence(f.cod, pairs)
 
 
-def searched_maps(u, x, y):
-    """The maps x -> y the lifting law quantifies over, found by hom search:
-    surjections on a quotient-closed universe, all homomorphisms otherwise."""
-    from congform import enumerate_homs, enumerate_surjections
-
-    return (enumerate_surjections if u.quotient_closed else enumerate_homs)(x, y)
-
-
 def surjections_in(u):
     """All surjections between ordered pairs of members, by hom search."""
     from congform import enumerate_surjections
@@ -222,12 +214,13 @@ def surjections_in(u):
 
 
 def lifting_law_witness(u, tables):
-    """First (f, R, S) with f lifting R into S but not C(R) into C(S), or None."""
-    from congform import lifts
+    """First (f, R, S) with f lifting R into S but not C(R) into C(S), or None;
+    f runs over the surjections between members, found by hom search."""
+    from congform import enumerate_surjections, lifts
 
     for i, x in enumerate(u.algebras):
         for j, y in enumerate(u.algebras):
-            for f in searched_maps(u, x, y):
+            for f in enumerate_surjections(x, y):
                 for r, cr in tables[i].items():
                     for s, cs in tables[j].items():
                         if lifts(f, r, s) and not lifts(f, cr, cs):
@@ -244,8 +237,8 @@ def searched_is_cohereditary(c):
 
     u = c.universe
     for f in surjections_in(u):
-        i = u.member_index(f.dom)
-        j = u.member_index(f.cod)
+        i = u.lookup(f.dom)
+        j = u.lookup(f.cod)
         for s in con_lattice(f.cod):
             lhs = c.apply(i, preimage_congruence(f, s))
             rhs = preimage_congruence(f, c.apply(j, s))
@@ -266,8 +259,8 @@ def searched_preserves_cocartesian(c):
 
     u = c.universe
     for f in surjections_in(u):
-        i = u.member_index(f.dom)
-        j = u.member_index(f.cod)
+        i = u.lookup(f.dom)
+        j = u.lookup(f.cod)
         for r in con_lattice(f.dom):
             lhs = image_congruence(f, c.apply(i, r))
             rhs = c.apply(j, image_congruence(f, r))
@@ -519,12 +512,49 @@ def naturality_witness(u, tables):
         if pair is not None:
             return witness(i, i, identity_hom(u.algebras[i]), *pair)
     for f in naturality_maps(u):
-        i, j = u.member_index(f.dom), u.member_index(f.cod)
+        i, j = u.lookup(f.dom), u.lookup(f.cod)
         pull = partial(preimage_congruence, f)
         s = discontinuity(pull, tables[i], tables[j])
         if s is not None:
             return witness(i, j, f, pull(s), s)
     return None
+
+
+def is_natural_along_homs(c):
+    """C(f*S) <= f*C(S) along every hom f between members sharing a
+    signature, found by ``enumerate_homs``, members and homs in order, S in
+    ``con_lattice`` order: the all-hom naturality scan that ``make_operator``
+    ran on universes that were not closed under quotients."""
+    from congform import con_lattice, congruence_to_blocks, enumerate_homs, leq, preimage_congruence
+    from congform.errors import PASSED, failed
+
+    u = c.universe
+    for i, x in enumerate(u.algebras):
+        for j, y in enumerate(u.algebras):
+            for f in enumerate_homs(x, y) if x.sig == y.sig else ():
+                for s in con_lattice(y):
+                    r = preimage_congruence(f, s)
+                    if not leq(c.apply(i, r), preimage_congruence(f, c.apply(j, s))):
+                        return failed(dom=i, cod=j, map=list(f.map), R=congruence_to_blocks(r),
+                                      S=congruence_to_blocks(s))
+    return PASSED
+
+
+def first_embeddings(u):
+    """(i, j, e) for the first injective hom e of ``enumerate_homs`` onto each
+    image, member i smaller than member j and sharing its signature."""
+    from congform import enumerate_homs
+
+    out = []
+    for i, x in enumerate(u.algebras):
+        for j, y in enumerate(u.algebras):
+            if x.sig == y.sig and x.size < y.size:
+                firsts = {}
+                for f in enumerate_homs(x, y):
+                    if len(set(f.map)) == x.size:
+                        firsts.setdefault(frozenset(f.map), f)
+                out.extend((i, j, f) for f in firsts.values())
+    return out
 
 
 def along_quotient_maps(c, key, sides):
@@ -536,7 +566,7 @@ def along_quotient_maps(c, key, sides):
 
     u = c.universe
     for f in itertools.chain.from_iterable(quotient_maps(u).values()):
-        i, j = u.member_index(f.dom), u.member_index(f.cod)
+        i, j = u.lookup(f.dom), u.lookup(f.cod)
         for t in con_lattice(f.cod if key == "S" else f.dom):
             lhs, rhs = sides(f, i, j, t)
             if lhs != rhs:
@@ -627,7 +657,7 @@ def pullback_rule(u, rho):
 
     def rule(x, r):
         g = maps[r][0]
-        return preimage_congruence(g, rho[u.member_index(g.cod)])
+        return preimage_congruence(g, rho[u.lookup(g.cod)])
 
     return rule
 
@@ -657,7 +687,7 @@ def image_table(fib, f):
     """R -> f(R) along a quotient map f, by ``image_congruence``."""
     from congform import con_lattice, image_congruence
 
-    into = fib.index[fib.universe.member_index(f.cod)]
+    into = fib.index[fib.universe.lookup(f.cod)]
     return tuple(into[image_congruence(f, r)] for r in con_lattice(f.dom))
 
 
@@ -665,7 +695,7 @@ def pull_table(fib, f):
     """S -> f*S along a map f between members, by ``preimage_congruence``."""
     from congform import con_lattice, preimage_congruence
 
-    into = fib.index[fib.universe.member_index(f.dom)]
+    into = fib.index[fib.universe.lookup(f.dom)]
     return tuple(into[preimage_congruence(f, s)] for s in con_lattice(f.cod))
 
 
@@ -678,16 +708,14 @@ def summed_generating_maps(u):
     ``diagonal(x)``."""
     from congform import diagonal
     from congform.algebras import automorphism_generators
-    from congform.operators import fibration, naturality_maps, quotient_maps
+    from congform.operators import fibration, quotient_maps
 
-    if not u.quotient_closed:
-        return naturality_maps(u)
     maps, fib = quotient_maps(u), fibration(u)
     out = []
     for i, x in enumerate(u.algebras):
         atoms = [r for a, r in enumerate(fib.lattices[i]) if sum(row[a] for row in fib.le[i]) == 2]
-        out.extend(g for r in atoms for g in maps.get(r, ()))
-        out.extend(g for g in maps.get(diagonal(x), ()) if g.cod != x)
+        out.extend(g for r in atoms for g in maps[r])
+        out.extend(g for g in maps[diagonal(x)] if g.cod != x)
         out.extend(automorphism_generators(x))
     return tuple(out)
 
@@ -702,25 +730,22 @@ def scanned_covers(le):
 
 def hashed_coordinates(fib):
     """``Fibration``'s diagonal, generators, images and quotients as the
-    checks read them before: ``member_index`` of each map's ends,
+    checks read them before: ``Universe.lookup`` of each map's ends,
     ``Congruence`` keys, and tables built on ``Congruence`` objects
-    (``pull_table``, ``image_table``).  Images are listed on a
-    quotient-closed universe only, where the generators that are not
+    (``pull_table``, ``image_table``); the generators that are not
     automorphisms are quotient maps."""
     from congform import diagonal, identity_hom
     from congform.operators import generating_maps, quotient_maps
 
     u = fib.universe
-    maps, index = quotient_maps(u), u.member_index
+    maps, index = quotient_maps(u), u.lookup
     diagonals = tuple(fib.index[i][diagonal(x)] for i, x in enumerate(u.algebras))
     gens = generating_maps(u)
     generators = tuple((index(f.dom), index(f.cod), pull_table(fib, f)) for f in gens)
     images = tuple((index(f.dom), index(f.cod), image_table(fib, f))
-                   for f in gens if f.dom != f.cod) if u.quotient_closed else None
+                   for f in gens if f.dom != f.cod)
 
     def first(r):
-        if r not in maps:
-            return None
         g = maps[r][0]
         return index(g.cod), None if g == identity_hom(g.dom) else pull_table(fib, g)
 
@@ -730,15 +755,12 @@ def hashed_coordinates(fib):
 
 def hashed_quotient_verdict(u, pred):
     """R -> pred(X/R) as ``reflection`` read it before ``Fibration.quotients``:
-    on a quotient-closed ``u`` the verdict of the member ``member_index`` finds
-    at the end of ``quotient_maps(u)[R][0]``, elsewhere X/R built and tested."""
-    from congform import quotient
+    the verdict of the member ``Universe.lookup`` finds at the end of
+    ``quotient_maps(u)[R][0]``."""
     from congform.operators import quotient_maps
 
-    if not u.quotient_closed:
-        return lambda r: pred(quotient(r.algebra, r)[0])
     maps, verdicts = quotient_maps(u), [pred(x) for x in u.algebras]
-    return lambda r: verdicts[u.member_index(maps[r][0].cod)]
+    return lambda r: verdicts[u.lookup(maps[r][0].cod)]
 
 
 def apply_membership(ref, x):
@@ -1469,7 +1491,7 @@ def bfs_universe_from_generators(seeds):
             continue
         members.append(a)
         queue.extend(quotient(a, r)[0] for r in con_lattice(a))
-    return universe(members, quotient_closed=True)
+    return universe(members)
 
 
 # --- test-only constructors and the hand-built group congruences -----------------
@@ -1683,7 +1705,7 @@ def value_fields():
         Term: ("var", "op", "args"),
         Equation: ("lhs", "rhs", "label"),
         QuasiEquation: ("premises", "conclusion", "label"),
-        Universe: ("algebras", "quotient_closed"),
+        Universe: ("algebras",),
         ClosureOperator: ("universe", "name", "rows"),
         Reflector: ("universe", "name", "rho"),
         SubcategoryPredicate: ("name", "accepts"),

@@ -35,9 +35,11 @@ pull-back tables; the oracle pulls ``Congruence`` objects back
 universal property by factorisation through quotient maps and embeddings;
 the oracle tests every hom into the subcategory.  ``relabel_algebra`` and
 ``quotient`` read each table along one flat index array; the oracles call
-``FiniteAlgebra.op`` once per table entry.  On a quotient-closed universe
-``oracle_reflector`` and ``closed_under_quotients`` test each member once and
-read X/R's verdict off ``quotient_maps``; the oracles build and test every X/R.
+``FiniteAlgebra.op`` once per table entry.  ``oracle_reflector`` and
+``closed_under_quotients`` test each member once and read X/R's verdict off
+``quotient_maps``; the oracles build and test every X/R.
+``is_natural_along_homs`` checks continuity along one embedding per image
+between members; the oracle scans every hom that ``enumerate_homs`` finds.
 ``automorphism_generators`` reads generators off a stabiliser chain; they
 must generate the group that ``automorphisms`` lists, as the greedy
 selection it replaced does.  ``is_minimal`` checks each fibre against
@@ -74,6 +76,7 @@ from congform import (
     is_cohereditary,
     is_idempotent,
     is_minimal,
+    is_natural_along_homs,
     join,
     klein_four_group,
     leq,
@@ -106,7 +109,7 @@ def assert_real_violation(u, tables, witness):
     """The witness names a map of the universe that breaks the lifting law."""
     x, y = u.algebras[witness["dom"]], u.algebras[witness["cod"]]
     f = homomorphism(x, y, witness["map"])
-    assert f in oracles.searched_maps(u, x, y)
+    assert f in enumerate_surjections(x, y)
     r = congruence_from_blocks(x, witness["R"])
     s = congruence_from_blocks(y, witness["S"])
     assert lifts(f, r, s)
@@ -151,17 +154,15 @@ def test_naturality_verdicts_on_a_chain_of_height_3():
     assert verdict_counts(universe_from_generators([cyclic_group(8)])) == (288, 42)
 
 
-def test_naturality_verdicts_on_a_non_quotient_closed_universe():
-    u = universe([cyclic_group(4), klein_four_group(), cyclic_group(2)])
-    assert not u.quotient_closed
-    assert verdict_counts(u) == (480, 5)
-
-
 def universe_with_copies():
     """Quotient-closed, with two isomorphic copies of Z2 as members."""
     z2_copy = relabel_algebra(cyclic_group(2), [1, 0])
-    return universe([cyclic_group(4), cyclic_group(2), z2_copy, cyclic_group(1)],
-                    quotient_closed=True)
+    return universe([cyclic_group(4), cyclic_group(2), z2_copy, cyclic_group(1)])
+
+
+def z4_v4_closure():
+    """Z1, Z2, Z4 and V4: Z2 embeds in V4 three ways, each a subgroup of its own."""
+    return universe_from_generators([cyclic_group(4), klein_four_group()])
 
 
 def test_naturality_verdicts_on_a_universe_with_isomorphic_copies():
@@ -177,7 +178,7 @@ def _random_extensive_tables(data, u):
 RANDOM_UNIVERSES = [
     lambda: universe_from_generators([symmetric_group(3)]),
     lambda: universe_from_generators([klein_four_group()]),
-    lambda: universe([cyclic_group(4), klein_four_group(), cyclic_group(2)]),
+    z4_v4_closure,
     lambda: corpus("quandles", 3),
 ]
 
@@ -415,11 +416,6 @@ def test_generating_maps_are_fewer_than_the_naturality_maps():
     assert (len(naturality_maps(u)), sum(f.dom == f.cod for f in naturality_maps(u))) == (612, 379)
 
 
-def test_generating_maps_are_all_homs_off_quotient_closed_universes():
-    u = universe([cyclic_group(4), klein_four_group(), cyclic_group(2)])
-    assert generating_maps(u) is naturality_maps(u)
-
-
 @pytest.mark.parametrize("make_universe", [
     lambda: corpus("quandles", 6),
     lambda: corpus("groups", 12),
@@ -480,13 +476,13 @@ def surjection_verdicts(c) -> tuple[bool, ...]:
 
 def test_surjection_checks_on_enumerated_operators():
     universes = [universe_from_generators([g]) for g in corpus("groups", 4).algebras]
-    universes.append(universe([cyclic_group(4), klein_four_group(), cyclic_group(2)]))
+    universes.append(z4_v4_closure())
     universes.append(universe_with_copies())
     counts = [(len(ops), *map(sum, zip(*map(surjection_verdicts, ops))))
               for ops in map(enumerate_operators, universes)]
-    # (operators, cohereditary, preserving) for Z1, Z2, Z3, V4, Z4, {Z4, V4, Z2}
-    # and the universe with copies
-    assert counts == [(1, 1, 1), (2, 2, 2), (2, 2, 2), (4, 3, 2), (7, 5, 3), (5, 4, 3),
+    # (operators, cohereditary, preserving) for Z1, Z2, Z3, V4, Z4, the closure
+    # of {Z4, V4} and the universe with copies
+    assert counts == [(1, 1, 1), (2, 2, 2), (2, 2, 2), (4, 3, 2), (7, 5, 3), (17, 8, 3),
                       (7, 5, 3)]
 
 
@@ -518,9 +514,10 @@ def test_a_failing_check_builds_its_witness_once(monkeypatch):
 
 
 def operator_universes():
-    """The group universes up to order 8, {Z4, V4, Z2} and the one with copies."""
+    """The group universes up to order 8, the closure of {Z4, V4} and the one
+    with copies."""
     universes = [universe_from_generators([g]) for g in corpus("groups", 8).algebras]
-    universes.append(universe([cyclic_group(4), klein_four_group(), cyclic_group(2)]))
+    universes.append(z4_v4_closure())
     universes.append(universe_with_copies())
     return universes
 
@@ -537,6 +534,66 @@ QUANDLE_GENERATORS = [
 def test_naturality_verdicts_on_quandle_universes():
     counts = [verdict_counts(universe_from_generators([make()])) for make in QUANDLE_GENERATORS]
     assert counts == [(80, 4), (1080, 25)]
+
+
+# --- naturality along every hom against the all-hom scan -----------------------------
+
+def assert_real_discontinuity(c, witness):
+    """The witness names an embedding e between members and S with R = e*S
+    but C(R) not <= e*C(S)."""
+    u = c.universe
+    i, j = witness["dom"], witness["cod"]
+    e = homomorphism(u.algebras[i], u.algebras[j], witness["map"])
+    assert len(set(e.map)) == e.dom.size < e.cod.size
+    s = congruence_from_blocks(e.cod, witness["S"])
+    r = preimage_congruence(e, s)
+    assert r == congruence_from_blocks(e.dom, witness["R"])
+    assert not leq(c.apply(i, r), preimage_congruence(e, c.apply(j, s)))
+
+
+def hom_naturality_counts(u):
+    """(operators, hom-natural, idempotent cohereditary, hom-natural among
+    those) over ``enumerate_operators(u)``, each verdict checked against the
+    scan of every hom."""
+    rows = []
+    for c in enumerate_operators(u):
+        got = is_natural_along_homs(c)
+        assert got.ok == oracles.is_natural_along_homs(c).ok
+        if not got.ok:
+            assert_real_discontinuity(c, got.witness)
+        settled = bool(is_idempotent(c) and is_cohereditary(c))
+        rows.append((1, got.ok, settled, settled and got.ok))
+    return tuple(map(sum, zip(*rows)))
+
+
+def test_naturality_along_homs_matches_the_all_hom_scan_on_group_universes():
+    counts = [hom_naturality_counts(universe_from_generators([g]))
+              for g in corpus("groups", 12).algebras]
+    assert counts == [(1, 1, 1, 1), (2, 2, 2, 2), (2, 2, 2, 2), (4, 2, 3, 2), (7, 5, 4, 3),
+                      (2, 2, 2, 2), (7, 3, 4, 3), (16, 4, 7, 4), (2, 2, 2, 2), (30, 3, 6, 3),
+                      (42, 16, 8, 4), (7, 5, 4, 3), (7, 3, 4, 3), (16, 4, 7, 4), (2, 2, 2, 2),
+                      (154, 3, 10, 3), (520, 10, 23, 6)]
+    # the last is the closure of Z12: of 520 families natural along
+    # surjections, 10 are natural along every hom, and 6 of the 23 idempotent
+    # cohereditary ones
+    assert corpus("groups", 12).algebras[-1] == cyclic_group(12)
+
+
+def test_naturality_along_homs_matches_the_all_hom_scan_on_other_universes():
+    # the closure of {Z4, V4}, then the two quandle universes
+    counts = [hom_naturality_counts(u) for u in [z4_v4_closure()] + [
+        universe_from_generators([make()]) for make in QUANDLE_GENERATORS]]
+    assert counts == [(17, 5, 6, 3), (4, 2, 3, 2), (25, 11, 6, 4)]
+
+
+def test_naturality_along_homs_fails_along_the_embedding_of_z2_in_z4():
+    # {Z1, Z2, Z4}: the subcategories of op2 and op5 hold Z4 but not Z2, so
+    # the embedding Z2 -> Z4 does not factor through Z2 -> Z1
+    u = universe_from_generators([cyclic_group(4)])
+    failures = {c.name: is_natural_along_homs(c).witness for c in enumerate_operators(u)
+                if not is_natural_along_homs(c)}
+    assert failures == {name: {"dom": 1, "cod": 2, "map": [0, 2], "R": [[0], [1]],
+                               "S": [[0], [1], [2], [3]]} for name in ("op2", "op5")}
 
 
 def test_surjection_checks_on_enumerated_operators_of_quandle_universes():
@@ -642,10 +699,9 @@ def assert_tables_match_oracles(c):
     assert oracles.naturality_witness(u, tables) is None
     for check, oracle in TABLE_CHECKS.items():
         assert check(c) == oracle(c)
-    if u.quotient_closed:
-        rho = tuple(c.apply(i, diagonal(x)) for i, x in enumerate(u.algebras))
-        assert derivation(lambda: closure_from_reflector(Reflector(u, c.name, rho))) == \
-            derivation(lambda: make_operator(u, oracles.pullback_rule(u, rho), c.name))
+    rho = tuple(c.apply(i, diagonal(x)) for i, x in enumerate(u.algebras))
+    assert derivation(lambda: closure_from_reflector(Reflector(u, c.name, rho))) == \
+        derivation(lambda: make_operator(u, oracles.pullback_rule(u, rho), c.name))
 
 
 def derivation(build):
@@ -705,11 +761,13 @@ def test_fibration_tables_match_the_union_find_oracles():
         for f in dict.fromkeys(naturality_maps(u) + tuple(quotients)):
             assert fib.pull(f) == oracles.pull_table(fib, f)
         for f in quotients:
-            i, j = u.member_index(f.dom), u.member_index(f.cod)
+            i, j = u.lookup(f.dom), u.lookup(f.cod)
             assert fib.image(i, j, fib.pull(f)) == oracles.image_table(fib, f)
+        assert [(i, j, e) for i, j, e, _ in fib.embeddings] == oracles.first_embeddings(u)
+        for i, j, e, pull in fib.embeddings:
+            assert pull == oracles.pull_table(fib, e)
         # the coordinates the checks read, against look-ups by hashed keys
-        images = fib.images if u.quotient_closed else None
-        assert (fib.diagonal, fib.generators, images, fib.quotients) == \
+        assert (fib.diagonal, fib.generators, fib.images, fib.quotients) == \
             oracles.hashed_coordinates(fib)
         assert fib.covers == tuple(map(oracles.scanned_covers, fib.le))
         assert generating_maps(u) == oracles.summed_generating_maps(u)
@@ -771,16 +829,16 @@ def pointed_sets():
     """Sets with a constant and a permutation: unlike in groups and rngs,
     preserving the other operation does not force the constant's image."""
     sig = Signature((("c", 0), ("s", 1)))
-    return universe(FiniteAlgebra(n, sig, ((c,), perm)) for n, c, perm in [
-        (1, 0, (0,)), (2, 0, (0, 1)), (2, 1, (1, 0)), (3, 0, (0, 2, 1)), (3, 2, (1, 2, 0))])
+    return [FiniteAlgebra(n, sig, ((c,), perm)) for n, c, perm in [
+        (1, 0, (0,)), (2, 0, (0, 1)), (2, 1, (1, 0)), (3, 0, (0, 2, 1)), (3, 2, (1, 2, 0))]]
 
 
 def test_hom_searches_match_the_scan_and_brute_force():
     # brute force scans cod.size ** dom.size maps: only where that is small
-    universes = [corpus(kind, corpus_kind(kind).default_size) for kind in CORPUS_KINDS]
-    for u in universes + [universe_with_copies(), pointed_sets()]:
-        for x in u.algebras:
-            for y in u.algebras:
+    member_lists = [corpus(kind, corpus_kind(kind).default_size).algebras for kind in CORPUS_KINDS]
+    for members in member_lists + [universe_with_copies().algebras, pointed_sets()]:
+        for x in members:
+            for y in members:
                 homs = oracles.scan_hom_search(x, y, bijective=False, first_only=False)
                 if y.size ** x.size <= 5 ** 5:
                     assert homs == oracles.brute_homs(x, y)
@@ -799,15 +857,16 @@ def test_hom_searches_match_the_scan_and_brute_force():
                     assert [a.map for a in automorphisms(x)] == isos
 
 
-@pytest.mark.parametrize("build", [lambda: corpus("quandles", 5), lambda: corpus("groups", 12),
-                                   lambda: corpus("rngs", 24), pointed_sets],
+@pytest.mark.parametrize("build", [lambda: corpus("quandles", 5).algebras,
+                                   lambda: corpus("groups", 12).algebras,
+                                   lambda: corpus("rngs", 24).algebras, pointed_sets],
                          ids=["quandles-5", "groups-12", "rngs-24", "pointed-sets"])
 def test_find_embedding_matches_the_scan_and_keeps_the_profiles(build):
     # the least embedding is the scan's first injective hom, whether or not
     # the element counts refute it first, and it never lowers a count
-    u = build()
-    for x in u.algebras:
-        for y in u.algebras:
+    members = build()
+    for x in members:
+        for y in members:
             homs = oracles.scan_hom_search(x, y, bijective=False, first_only=False) \
                 if x.size <= y.size else []
             embedding = find_embedding(x, y)
@@ -846,20 +905,18 @@ def test_derived_closures_match_the_pullback_oracle_on_every_rho():
     outcomes = Counter()
     quandle_universes = [universe_from_generators([make()]) for make in QUANDLE_GENERATORS]
     for u in operator_universes() + quandle_universes:
-        if not u.quotient_closed:
-            continue
         for rho in itertools.product(*map(con_lattice, u.algebras)):
             got = derivation(lambda: closure_from_reflector(Reflector(u, "rho", rho)))
             assert got == derivation(lambda: make_operator(u, oracles.pullback_rule(u, rho), "rho"))
             outcomes[got[0] if isinstance(got[0], str) else "rows"] += 1
-    assert outcomes == {"rows": 75, "NotNatural": 108}
+    assert outcomes == {"rows": 83, "NotNatural": 130}
 
 
 def test_universal_property_matches_hom_enumeration():
     verdicts = Counter(reflector_verdict(u, [c.apply(i, diagonal(x))
                                              for i, x in enumerate(u.algebras)])
                        for u in operator_universes() for c in enumerate_operators(u))
-    assert verdicts == {"leaves or lands outside": 48, "passes": 33, "does not factor": 46}
+    assert verdicts == {"leaves or lands outside": 51, "passes": 34, "does not factor": 54}
 
 
 def test_membership_matches_apply_on_enumerated_operators():
@@ -876,15 +933,19 @@ def test_membership_matches_apply_on_enumerated_operators():
     assert verdicts[True] and verdicts[False]
 
 
-@pytest.mark.parametrize("members,outside", [
-    ([1, 4, 8], 8),   # Z8/2Z8 = Z2 is no member and embeds in Z4
-    ([1, 4, "V4"], 4),  # only Z4/2Z4 = Z2, no member, embeds in V4
-    ([1, 3, 4, 12], 12),  # Z12/2Z12 embeds in Z4, but Z3 comes first
-])
+@pytest.mark.parametrize("members,outside", [([1, 4, 8], 8), ([1, 4, "V4"], 4), ([1, 3, 4, 12], 12)])
 def test_universal_property_matches_hom_enumeration_off_quotient_closure(members, outside):
-    u = universe(klein_four_group() if n == "V4" else cyclic_group(n) for n in members)
+    # the quotient closure of members that are not closed: rho is full on one
+    # member and the diagonal on the others, which are then all in the
+    # subcategory; the first map out of that member that does not factor is
+    # the one onto Z2, member 1, which is not among the members listed
+    u = universe_from_generators(klein_four_group() if n == "V4" else cyclic_group(n)
+                                 for n in members)
     rho = [full(x) if x == cyclic_group(outside) else diagonal(x) for x in u.algebras]
     assert reflector_verdict(u, rho) == "does not factor"
+    with pytest.raises(NotReflective) as exc:
+        make_reflector(u, rho, "candidate")
+    assert (exc.value.witness["cod"], exc.value.witness["map"]) == (1, [0, 1] * (outside // 2))
 
 
 # --- table transport by flat index arrays -------------------------------------------
@@ -949,12 +1010,14 @@ def test_member_verdicts_match_the_quotient_scan_on_isomorphic_copies():
 
 def universe_with_relabeled_and_untagged_copies():
     """Quandles up to size 4 and groups up to order 6, with a relabeled copy of
-    every other member and an untagged copy of every third: several members
-    share an ``_iso_invariant``, and the tag alone tells some apart."""
+    every other member and an untagged copy of every third, closed under
+    quotients by the untagged quotients of those: several members share an
+    ``_iso_invariant``, and the tag alone tells some apart."""
     tagged = [*corpus("quandles", 4).algebras, *corpus("groups", 6).algebras]
     relabeled = [relabel_algebra(a, list(range(a.size))[::-1]) for a in tagged[::2]]
-    untagged = [FiniteAlgebra(a.size, a.sig, a.tables) for a in tagged[::3]]
-    return universe(tagged + relabeled + untagged)
+    untagged = universe_from_generators(FiniteAlgebra(a.size, a.sig, a.tables)
+                                        for a in tagged[::3]).algebras
+    return universe(tagged + relabeled + list(untagged))
 
 
 @pytest.mark.parametrize("build", [
@@ -1007,15 +1070,3 @@ def test_oracle_reflector_tests_each_member_once(monkeypatch):
     pred, calls = counting_predicate(oracle_predicate("quandle"))
     oracle_reflector(u, pred)
     assert (len(calls), len(quotients)) == (34, 0)
-
-
-def test_off_quotient_closure_every_quotient_is_built_and_tested(monkeypatch):
-    u = universe([cyclic_group(4), klein_four_group(), cyclic_group(2)])
-    assert not u.quotient_closed
-    quotients = counting_quotients(monkeypatch)
-    pred, calls = counting_predicate(oracle_predicate("abelianization"))
-    oracle_reflector(u, pred)
-    # every congruence of every member, then each member's meet
-    expected = sum(len(con_lattice(x)) + 1 for x in u.algebras)
-    assert len(quotients) == len(calls) == expected
-    assert_verdicts_match_quotient_scan(u, [oracle_predicate("abelianization")] + SIZE_PREDICATES)

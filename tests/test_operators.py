@@ -3,6 +3,7 @@ import random
 import pytest
 
 from congform import (
+    Universe,
     builtin_operator,
     con_lattice,
     congruence_from_blocks,
@@ -55,13 +56,19 @@ def v4_universe():
 
 def test_universe_from_generators_closes_under_quotients(z4_universe):
     assert [a.size for a in z4_universe.algebras] == [1, 2, 4]
-    assert z4_universe.quotient_closed
 
 
-def test_universe_rejects_false_quotient_closure_flag():
+@pytest.mark.parametrize("build", [universe, lambda members: Universe(tuple(members))],
+                         ids=["universe", "Universe"])
+def test_universe_rejects_a_family_not_closed_under_quotients(build):
     with pytest.raises(UniverseNotQuotientClosed) as exc:
-        universe([cyclic_group(4)], quotient_closed=True)
-    assert "congruence" in exc.value.witness
+        build([cyclic_group(4)])
+    # con_lattice lists the full congruence first, so Z1 is the first quotient missing
+    assert exc.value.witness == {"algebra": 0, "congruence": [[0, 1, 2, 3]]}
+    # Z4 and V4 with Z2 but not Z1: the first quotient missing is Z2 by its full congruence
+    with pytest.raises(UniverseNotQuotientClosed) as exc:
+        build([cyclic_group(2), cyclic_group(4), klein_four_group()])
+    assert exc.value.witness == {"algebra": 0, "congruence": [[0, 1]]}
 
 
 def test_universe_deduplicates_and_orders():
@@ -75,9 +82,9 @@ def test_generated_universes_verify_as_quotient_closed():
 
     for seed in (dihedral_group(4), dihedral_quandle(3), cyclic_rng(12)):
         u = universe_from_generators([seed])
-        assert u.quotient_closed
-        # verifying the flag raises UniverseNotQuotientClosed on a witness
-        assert universe(u.algebras, quotient_closed=True) == u
+        # building a universe checks the closure, raising
+        # UniverseNotQuotientClosed on a witness
+        assert universe(u.algebras) == Universe(u.algebras) == u
 
 
 def relabeled_seeds(kind, size):

@@ -1,6 +1,8 @@
 import pytest
 
 from congform import (
+    Congruence,
+    Universe,
     builtin_operator,
     closed_under_quotients,
     closure_from_reflector,
@@ -33,13 +35,12 @@ from congform import (
 )
 from congform.errors import (
     NotIdempotent,
-    NotNatural,
     NotReflective,
     UniverseMismatch,
     UniverseNotQuotientClosed,
 )
 from congform.algebras import enumerate_homs
-from congform import reflection
+from congform import operators, reflection
 from congform.operators import fibration, naturality_maps
 from congform.reflection import (SubcategoryPredicate, closures_agree, make_reflector,
                                  reflectors_agree)
@@ -78,14 +79,6 @@ def test_terminal_reflector_closes_everything(s3_universe):
     for i, x in enumerate(s3_universe.algebras):
         for r in con_lattice(x):
             assert c.apply(i, r) == full(x)
-
-
-def test_closure_from_reflector_needs_quotient_closed_universe():
-    u = universe([cyclic_group(2), cyclic_group(1)])  # flag not set
-    ident = builtin_operator("identity", u)
-    refl = reflector_from_closure(ident)
-    with pytest.raises(UniverseNotQuotientClosed):
-        closure_from_reflector(refl)
 
 
 # --- deriving reflectors from closures --------------------------------------------
@@ -156,17 +149,22 @@ def test_surjection_only_naturality_can_fail_universal_property():
 
 
 def test_a_second_universe_validates_afresh(monkeypatch):
-    # the same rows pass on the quotient closure of Z4, where naturality runs
-    # along surjections, and fail on the same members without the flag
+    # the members of the quotient closure of Z4 in reverse order make another
+    # universe, with its own fibration: rows and a rho accepted on one are
+    # checked again, and kept, on the other
     fibration.cache_clear()
     u = universe_from_generators([cyclic_group(4)])
+    turned = Universe(u.algebras[::-1])
+    assert turned != u
     c = make_operator(u, pathological_rule(u), "pathological")
     assert c.rows in fibration(u).natural
-    plain = universe(u.algebras)
-    with pytest.raises(NotNatural):
-        make_operator(plain, pathological_rule(u), "pathological")
-    assert c.rows not in fibration(plain).natural
-    # a rho accepted on u is checked again, and kept, on another universe
+    scans = []
+    original_scan = operators._first_failure
+    monkeypatch.setattr(operators, "_first_failure", lambda *a: scans.append(a[0]) or original_scan(*a))
+    make_operator(u, pathological_rule(u), "pathological")
+    assert scans == []
+    assert make_operator(turned, pathological_rule(u), "pathological").rows == c.rows[::-1]
+    assert scans == [turned] and c.rows[::-1] in fibration(turned).natural
     rho = [diagonal(x) for x in u.algebras]
     make_reflector(u, rho, "id")
     reads = []
@@ -174,31 +172,18 @@ def test_a_second_universe_validates_afresh(monkeypatch):
     monkeypatch.setattr(reflection, "quotient_maps", lambda v: reads.append(v) or original(v))
     make_reflector(u, rho, "id")
     assert reads == []
-    make_reflector(plain, rho, "id")
-    assert reads == [plain] and tuple(rho) in fibration(plain).reflective
+    make_reflector(turned, rho[::-1], "id")
+    assert reads == [turned] and tuple(rho[::-1]) in fibration(turned).reflective
 
 
-def test_universal_property_through_a_quotient_that_is_no_member():
-    # Z8/2Z8 is Z2, which is no member: the map Z8 -> Z4 through it does not
-    # factor through the unit of Z8, whose reflection is Z1
-    u = universe([cyclic_group(1), cyclic_group(4), cyclic_group(8)])
-    z1, z4, z8 = u.algebras
-    with pytest.raises(NotReflective) as exc:
-        make_reflector(u, [diagonal(z1), diagonal(z4), full(z8)], "through-z2")
-    assert (exc.value.witness["dom"], exc.value.witness["cod"]) == (2, 1)
-    assert exc.value.witness["rho"] == [list(range(8))]
-    # the first K of Con(Z8) with a quotient that embeds in Z4 is the one of Z2
-    assert exc.value.witness["map"] == [0, 2] * 4
-
-
-def test_make_reflector_enumerates_no_homs_off_a_quotient_closed_universe():
+def test_make_reflector_enumerates_no_homs():
     # pull-backs are built along the maps read, here quotient maps only,
-    # not along every hom of a universe that is not quotient-closed
-    u = universe([cyclic_group(1), cyclic_group(4), cyclic_group(8)])
+    # and neither the naturality maps nor any hom list is built
+    u = universe_from_generators([cyclic_group(8)])
     for cached in (fibration, naturality_maps, enumerate_homs):
         cached.cache_clear()
     make_reflector(u, [diagonal(x) for x in u.algebras], "id")
-    assert enumerate_homs.cache_info().misses == 0
+    assert enumerate_homs.cache_info().misses == naturality_maps.cache_info().misses == 0
 
 
 def test_make_reflector_rejects_reflections_outside_the_subcategory():
@@ -210,10 +195,13 @@ def test_make_reflector_rejects_reflections_outside_the_subcategory():
         with pytest.raises(NotReflective) as exc:
             make_reflector(u, [diagonal(z1), full(z2), halves], "lands-outside")
         assert exc.value.witness == {"algebra": 2, "reflection_member": 1}
-    # without Z2 in the universe, the reflection of Z4 leaves it
+    # a rho that is no congruence is rejected before anything is read off it
     with pytest.raises(NotReflective) as exc:
-        make_reflector(universe([z1, z4]), [diagonal(z1), halves], "leaves")
-    assert exc.value.witness == {"algebra": 1, "rho": [[0, 2], [1, 3]]}
+        make_reflector(u, [diagonal(z1), full(z2), Congruence(z4, (0, 0, 1, 1))], "no-congruence")
+    assert exc.value.witness == {"algebra": 2, "rho": [[0, 1], [2, 3]]}
+    # without Z2 there is no universe: the reflection of Z4 would leave it
+    with pytest.raises(UniverseNotQuotientClosed):
+        universe([z1, z4])
 
 
 # --- membership and subcategories ----------------------------------------------------
@@ -230,6 +218,22 @@ def test_membership_examples(group_corpus, rng_corpus, quandle_corpus):
     top = builtin_operator("top", group_corpus)
     assert membership(top, cyclic_group(1))
     assert not membership(top, cyclic_group(2))
+
+
+def test_member_lookup_rejects_what_indexes_no_member(s3_universe):
+    # a negative index would read another member, and one past the end would
+    # escape as an IndexError
+    c = builtin_operator("identity", s3_universe)
+    refl = reflector_from_closure(c)
+    x = s3_universe.algebras[0]
+    for outside in (-1, len(s3_universe), cyclic_group(5)):
+        with pytest.raises(UniverseMismatch):
+            c.apply(outside, diagonal(x))
+        with pytest.raises(UniverseMismatch):
+            refl.rho_of(outside)
+        for ref in (c, refl):
+            with pytest.raises(UniverseMismatch):
+                membership(ref, outside)
 
 
 def test_subcategory_of_abelianization(group_corpus):

@@ -52,7 +52,7 @@ def corpus_values():
                          for r in con_lattice(a)]
     homs = list(dict.fromkeys(f for fs in quotient_maps(u).values() for f in fs))
     flipped = [Homomorphism(f.dom, f.cod, f.map, not f.surjective) for f in homs[:3]]
-    universes = [u, Universe(u.algebras, True), Universe(u.algebras, False),
+    universes = [u, Universe(u.algebras), Universe(u.algebras[::-1]),
                  universe_from_generators([algebras[-1]])]
     operators = [builtin_operator(name, u) for name in instances.corpus_operators("groups")]
     operators += [ClosureOperator(c.universe, c.name, c.rows) for c in operators]
@@ -118,3 +118,13 @@ def test_copies_are_equal_and_reprs_are_kept():
             # the dataclass-generated repr, with the fields as they are
             fields = oracles.value_fields()[type(v)]
             assert repr(v) == repr(oracles.twin_class(type(v))(*(getattr(v, f) for f in fields)))
+
+
+def test_laws_hash_without_building_their_key(monkeypatch):
+    # the lru_caches keyed by law tuples (the verbal congruence of the law
+    # rules) hash every law on each call, so each law stores its hash
+    laws = [e for laws in LAWS + (terms.REDUCED_RNG,) for e in laws]
+    expected = [hash(law._key()) for law in laws]
+    for cls in (terms.Equation, terms.QuasiEquation):
+        monkeypatch.setattr(cls, "_key", lambda self: pytest.fail("a law built its key to hash"))
+    assert [hash(law) for law in laws] == expected
