@@ -25,7 +25,7 @@ exhaustive partition scans.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import le
@@ -108,8 +108,14 @@ class FiniteAlgebra(Hashed):
         i = self._op_index.get(name)
         if i is None:
             raise UnknownOp(f"operation {name!r} not in signature")
+        arity = self.sig.ops[i][1]
+        if len(args) != arity:
+            raise UnknownOp(f"operation {name!r} applied to {len(args)} arguments, "
+                            f"arity is {arity}")
         idx = 0
         for a in args:
+            if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.size:
+                raise OutOfRange(f"argument {a!r} of {name!r} outside [0, {self.size})")
             idx = idx * self.size + a
         return self.tables[i][idx]
 
@@ -428,24 +434,25 @@ def quotient(x: FiniteAlgebra, r: Congruence) -> tuple[FiniteAlgebra, Homomorphi
 # --- hom enumeration ---------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _occurrences(a: FiniteAlgebra) -> tuple[tuple[tuple, ...], ...]:
-    """Per element x, the (argument tuple, value, operation position) of each
-    table entry whose tuple holds x; entry ``a.size`` lists the constants."""
-    n = a.size
+def _occurrences(n: int, sig: Signature) -> tuple[tuple[tuple, ...], ...]:
+    """Per element x of {0..n-1}, the (argument tuple, flat index, operation
+    position) of each table entry whose tuple holds x; entry n lists the
+    constants.  One list serves every algebra of size n and signature sig."""
     occurs: list[list] = [[] for _ in range(n + 1)]
-    for k, ((_, arity), table) in enumerate(zip(a.sig.ops, a.tables)):
-        for t, val in zip(itertools.product(range(n), repeat=arity), table):
+    for k, (_, arity) in enumerate(sig.ops):
+        for i, t in enumerate(itertools.product(range(n), repeat=arity)):
             for x in set(t) or (n,):
-                occurs[x].append((t, val, k))
+                occurs[x].append((t, i, k))
     return tuple(map(tuple, occurs))
 
 
-def _propagate(occurs, into, m, injective, assign, used, queue: deque) -> bool:
+def _propagate(occurs, tables, into, m, injective, assign, used, queue: deque) -> bool:
     """Assign the images that the elements newly assigned in ``queue`` force,
-    reading the codomain's tables ``into`` at the images of each entry of
-    ``occurs``; False on a contradiction, or with ``injective`` a repeated image."""
+    reading the domain's ``tables`` at each entry of ``occurs`` and the
+    codomain's tables ``into`` at its images; False on a contradiction, or
+    with ``injective`` a repeated image."""
     while queue:
-        for t, val, k in occurs[queue.popleft()]:
+        for t, i, k in occurs[queue.popleft()]:
             idx = 0
             for c in t:
                 v = assign[c]
@@ -453,6 +460,7 @@ def _propagate(occurs, into, m, injective, assign, used, queue: deque) -> bool:
                     break
                 idx = idx * m + v
             else:
+                val = tables[k][i]
                 want, have = into[k][idx], assign[val]
                 if have is None:
                     if injective:
@@ -474,14 +482,14 @@ def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, injective: bool,
     Whenever all arguments of an operation tuple are assigned, the image
     of its value is forced; contradictions, and with ``injective`` a
     repeated image, prune the branch.  Each element is indexed by the
-    tuples it occurs in (``_occurrences``, built once per domain), so
-    assigning it re-reads only those (``_propagate``).  Maps are produced
-    in lexicographic order.
+    tuples it occurs in (``_occurrences``, built once per size and
+    signature), so assigning it re-reads only those (``_propagate``).
+    Maps are produced in lexicographic order.
     """
     n, m = dom.size, cod.size
     if injective and n > m:
         return []
-    occurs, into = _occurrences(dom), cod.tables
+    occurs, tables, into = _occurrences(n, dom.sig), dom.tables, cod.tables
     results: list[tuple[int, ...]] = []
 
     def dfs(assign: list[int | None], used: list[bool]):
@@ -495,7 +503,7 @@ def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, injective: bool,
                 continue
             branch, taken = assign.copy(), used.copy()
             branch[x], taken[v] = v, True
-            if _propagate(occurs, into, m, injective, branch, taken, deque([x])):
+            if _propagate(occurs, tables, into, m, injective, branch, taken, deque([x])):
                 dfs(branch, taken)
                 if first_only and results:
                     return
@@ -504,7 +512,8 @@ def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, injective: bool,
     seed, used = [None] * n, [False] * m
     for x, v in enumerate(fixed):
         seed[x], used[v] = v, True
-    if _propagate(occurs, into, m, injective, seed, used, deque([n, *range(len(fixed))])):
+    if _propagate(occurs, tables, into, m, injective, seed, used,
+                  deque([n, *range(len(fixed))])):
         dfs(seed, used)
     return results
 
@@ -549,10 +558,11 @@ def automorphism_generators(x: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     they then reach every coset of it in G_l, so they generate G_l.  A level
     that the identity on 0..l-1 already forces is skipped: G_l fixes it."""
     n, gens, profile = x.size, [], _embedding_profile(x)
+    occurs = _occurrences(n, x.sig)
     # forced[l]: propagating the identity on 0..l-1 assigns l; one pass up
     assign, queue, forced = [None] * n, deque([n]), []
     for level in range(n):
-        _propagate(_occurrences(x), x.tables, n, False, assign, [], queue)
+        _propagate(occurs, x.tables, x.tables, n, False, assign, [], queue)
         forced.append(assign[level] is not None)
         assign[level] = level
         queue.append(level)
@@ -580,9 +590,12 @@ def enumerate_surjections(x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorph
 
 @lru_cache(maxsize=None)
 def find_isomorphism(x: FiniteAlgebra, y: FiniteAlgebra) -> Homomorphism | None:
-    """Lexicographically least isomorphism x -> y, or None."""
+    """Lexicographically least isomorphism x -> y, or None.  Equal tables
+    give the identity, the least bijection, with no search."""
     if x.sig != y.sig or x.size != y.size or x.tag != y.tag:
         return None
+    if x.tables == y.tables:
+        return Homomorphism(x, y, tuple(range(x.size)), True)
     if _iso_invariant(x) != _iso_invariant(y):
         return None
     maps = _hom_search(x, y, injective=True, first_only=True)
@@ -605,12 +618,17 @@ def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _line_profile(line: Sequence[int], n: int):
+def _value_counts(table: tuple[int, ...], values: set[int]) -> tuple[int, ...]:
+    """The sorted counts in ``table`` of its distinct ``values``."""
+    return tuple(sorted(map(table.count, values)))
+
+
+def _line_profile(line: tuple[int, ...], n: int):
     """Count multiset of a row/column, or its cycle type when it permutes."""
-    counts = Counter(line)
-    if len(counts) == n:
+    values = set(line)
+    if len(values) == n:
         return ("perm", _cycle_type(line))
-    return ("counts", tuple(sorted(counts.values())))
+    return ("counts", _value_counts(line, values))
 
 
 @lru_cache(maxsize=None)
@@ -626,8 +644,7 @@ def _iso_invariant(a: FiniteAlgebra):
     n = a.size
     parts: list = [a.size, a.tag or ""]
     for (name, arity), table in zip(a.sig.ops, a.tables):
-        counts = Counter(table)
-        parts.append((name, tuple(sorted(counts.values()))))
+        parts.append((name, _value_counts(table, set(table))))
         if arity == 1:
             parts.append(_line_profile(table, n))
         elif arity == 2:

@@ -17,8 +17,9 @@ constructions with no search and no deduplication: the Z_n rngs, and the
 cyclic groups, V4, S3 and the dihedral groups, which hold one group per
 isomorphism class up to order 7.  Quandles are found by exhaustive table
 search, pruned by stabiliser orbits (complete up to isomorphism only) and
-by checking each candidate column against the assigned ones, and
-deduplicated by lhd orbits; only each class's representative is validated.
+by checking each candidate column against the assigned ones, as flat lhd
+tables, and deduplicated by lhd orbits; only each class's representative
+becomes an algebra and is validated.
 
 Two registries describe the bundled examples.  ``CORPORA`` maps a corpus
 kind to (tag, size limit, default size, member builder); ``corpus``,
@@ -33,9 +34,11 @@ predicate; ``identity`` and ``top`` keep one-line rules.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
+from operator import itemgetter
 
 from . import terms
 from .algebras import (
@@ -47,9 +50,8 @@ from .algebras import (
     QUANDLE_TAG,
     RNG_TAG,
     _cycle_type,
+    _index_array,
     _inverse,
-    _relabeling_arrays,
-    algebra_from_json,
     algebra_to_json,
     full,
     validate_algebra,
@@ -127,9 +129,10 @@ def cyclic_rng(n: int) -> FiniteAlgebra:
 
 # --- quandle table search -----------------------------------------------------
 
-def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
+def enumerate_quandles(n: int) -> list[tuple[int, ...]]:
     """Quandle tables on {0..n-1}, at least one per isomorphism class, in
-    search order, as flat tables with no axiom check.
+    search order, as flat lhd tuples (x <| b at index x*n + b) with no axiom
+    check and no algebra built.
 
     Columns are the right translations sigma_b: x -> x <| b, which must be
     permutations fixing b; self-distributivity says the column at
@@ -181,7 +184,7 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
         try:
             b = cols.index(None)
         except ValueError:
-            yield _quandle(n, tuple(itertools.chain.from_iterable(zip(*cols))))
+            yield tuple(itertools.chain.from_iterable(zip(*cols)))
             return
         stab = [g for g in group if g[b] == b]
         least = kind[cols[0]] if b else ()
@@ -190,7 +193,7 @@ def enumerate_quandles(n: int) -> list[FiniteAlgebra]:
         assigned = [c for c in range(n) if cols[c] is not None]
         for p in perms_fixing[b]:
             if p in seen or kind[p] < least or any(
-                    cols[p[c]] not in (None, conj(p, cols[c])) for c in assigned):
+                    cols[p[c]] is not None and cols[p[c]] != conj(p, cols[c]) for c in assigned):
                 continue
             images = [conj(g, p) for g in stab]
             seen.update(images)
@@ -215,18 +218,40 @@ def _quandle(n: int, lhd: tuple[int, ...]) -> FiniteAlgebra:
                          (lhd, tuple(itertools.chain.from_iterable(zip(*inverses)))), QUANDLE_TAG)
 
 
-def _quandle_classes(quandles: Iterable[FiniteAlgebra]) -> list[FiniteAlgebra]:
-    """The least relabeling of each class of quandles, in stream order: as
-    lhd_inv is the column inverse of lhd, a class is the orbit of its first lhd
-    under the n! relabelings (index arrays built once per size in this call),
-    and its least pair of tables is the least lhd with its inverse columns."""
-    seen, reps, arrays = set(), [], {}
-    for a in quandles:
-        n, lhd = a.size, a.tables[0]
+def _relabel_readers(n: int) -> list[tuple[bytes, itemgetter]]:
+    """For the transposition (0 1) and the cycle (0 1 ... n-1), which
+    generate the relabelings of {0..n-1} when n >= 2, a ``bytes.translate``
+    table that maps each value v to perm[v] and an ``itemgetter`` of the
+    flat indices of the tuples over perm^-1: reading a flat binary table as
+    bytes, translating it and getting the items gives the table of
+    ``relabel_algebra``."""
+    if n < 2:
+        return []
+    generators = {(1, 0, *range(2, n)), (*range(1, n), 0)}  # one when n = 2
+    return [(bytes(perm).ljust(256, b"\0"), itemgetter(*_index_array(n, _inverse(perm), 2)))
+            for perm in generators]
+
+
+def _quandle_classes(tables: Iterable[tuple[int, ...]]) -> list[FiniteAlgebra]:
+    """The least relabeling of each class of flat lhd tables, in stream
+    order, as a quandle: as lhd_inv is the column inverse of lhd, a class is
+    the orbit of its first lhd under the relabelings, and its least pair of
+    tables is the least lhd with its inverse columns.  Relabeling is a group
+    action, so the orbit is the closure under the two generating relabelings
+    (readers built once per size in this call), two reads per table of the
+    orbit instead of n! per class.  Only the representatives become
+    algebras."""
+    seen, reps, readers = set(), [], {}
+    for lhd in tables:
         if lhd not in seen:
-            if n not in arrays:
-                arrays[n] = _relabeling_arrays(a)
-            orbit = {tuple([perm[lhd[i]] for i in where[2]]) for perm, where in arrays[n]}
+            n = math.isqrt(len(lhd))
+            if n not in readers:
+                readers[n] = _relabel_readers(n)
+            orbit, grown = {lhd}, {lhd}
+            while grown:
+                grown = {get(flat.translate(values)) for flat in map(bytes, grown)
+                         for values, get in readers[n]} - orbit
+                orbit |= grown
             seen |= orbit
             reps.append(_quandle(n, min(orbit)))
     return reps
@@ -252,9 +277,11 @@ def _group_members(max_size: int) -> list[FiniteAlgebra]:
 
 def _quandle_members(max_size: int) -> list[FiniteAlgebra]:
     # A relabeling of a quandle is a quandle, so validating one table per
-    # class (on the JSON input path) checks every table the search emitted.
-    return [algebra_from_json(algebra_to_json(a)) for n in range(1, max_size + 1)
-            for a in _quandle_classes(enumerate_quandles(n))]
+    # class (its nested tables, as an input algebra's) checks every table the
+    # search emitted.
+    return [validate_algebra(a.size, a.sig, {name: a.table_nested(name) for name, _ in a.sig.ops},
+                             a.tag)
+            for n in range(1, max_size + 1) for a in _quandle_classes(enumerate_quandles(n))]
 
 
 # limit: the largest max_size; default_size: the max_size when none is given;

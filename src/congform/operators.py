@@ -180,16 +180,21 @@ def quotient_maps(u: Universe) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
     """K in Con(X), X a member -> the maps X -> X/K -> M: the projection, then
     the least isomorphism onto M, for each member M isomorphic to X/K in
     member order.  Every K is a key once ``Universe`` has checked closure.
-    Only members with the ``_iso_invariant`` of X/K can be isomorphic to it."""
+    Only members with the ``_iso_invariant`` of X/K can be isomorphic to it.
+    X/K is X itself when K is the diagonal, and no tables are transported;
+    onto a member with the tables of X/K the isomorphism is the identity, so
+    the map is the projection, with that member as codomain."""
     buckets: dict = {}
     for m in u.algebras:
         buckets.setdefault(_iso_invariant(m), []).append(m)
     out = {}
     for x in u.algebras:
+        diagonal = tuple(range(x.size))
         for r in con_lattice(x):
-            q, proj = quotient(x, r)
+            q, proj = (x, identity_hom(x)) if r.ids == diagonal else quotient(x, r)
             isos = (find_isomorphism(q, m) for m in buckets.get(_iso_invariant(q), ()))
-            gs = tuple(compose(iso, proj) for iso in isos if iso is not None)
+            gs = tuple(Homomorphism(x, iso.cod, r.ids, True) if iso.cod == q
+                       else compose(iso, proj) for iso in isos if iso is not None)
             if gs:
                 out[r] = gs
     return MappingProxyType(out)

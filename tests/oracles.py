@@ -81,7 +81,13 @@ replaced it, namely the member indices, diagonals, pull-backs and images
 found through ``Congruence`` and ``Homomorphism`` keys, the quotient
 verdicts keyed by ``Congruence``, membership through ``apply``, the atoms
 of Con(X) found by summing ``le`` columns, and the covering pairs read off
-``le`` on every triple.
+``le`` on every triple.  Also kept: what the quandle corpus build ran
+before the search emitted flat tables, namely the class deduplication
+that reads all n! relabelings of an algebra's lhd by a list comprehension
+(replaced by the closure under two generating relabelings), the member
+builder that validates each class on the JSON input path, the
+isomorphism invariants counted with ``Counter`` and the occurrence lists
+walked with ``itertools.product`` for each algebra.
 Last come the trivial and dihedral quandles, test inputs that the
 package does not export, and frozen-dataclass twins of the value
 classes, whose generated ``__eq__`` the slotted ``Frozen`` classes
@@ -1123,6 +1129,95 @@ def dedup_by_orbit(algebras):
     return reps
 
 
+def quandle_algebra(lhd):
+    """The quandle with flat table ``lhd`` (x <| b at index x*n + b), with
+    x <|^-1 b solved entry by entry as the y with y <| b = x."""
+    from congform.algebras import QUANDLE_SIGNATURE, QUANDLE_TAG, FiniteAlgebra
+
+    n = round(len(lhd) ** 0.5)
+    lhd_inv = tuple(next(y for y in range(n) if lhd[y * n + b] == x)
+                    for x in range(n) for b in range(n))
+    return FiniteAlgebra(n, QUANDLE_SIGNATURE, (tuple(lhd), lhd_inv), QUANDLE_TAG)
+
+
+def listed_quandle_classes(quandles):
+    """``instances._quandle_classes`` on quandle algebras, before the search
+    emitted flat tables: all n! relabelings of a class's first lhd are read
+    by a list comprehension along ``_relabeling_arrays``, and every table
+    of the stream is an algebra."""
+    from congform.algebras import _relabeling_arrays
+    from congform.instances import _quandle
+
+    seen, reps, arrays = set(), [], {}
+    for a in quandles:
+        n, lhd = a.size, a.tables[0]
+        if lhd not in seen:
+            if n not in arrays:
+                arrays[n] = _relabeling_arrays(a)
+            orbit = {tuple([perm[lhd[i]] for i in where[2]]) for perm, where in arrays[n]}
+            seen |= orbit
+            reps.append(_quandle(n, min(orbit)))
+    return reps
+
+
+def json_quandle_members(max_size):
+    """``instances._quandle_members`` before it validated each class on its
+    own: every searched table an algebra, the classes by
+    ``listed_quandle_classes``, and each representative validated on the
+    JSON input path."""
+    from congform.algebras import algebra_from_json, algebra_to_json
+    from congform.instances import enumerate_quandles
+
+    return [algebra_from_json(algebra_to_json(a)) for n in range(1, max_size + 1)
+            for a in listed_quandle_classes(map(quandle_algebra, enumerate_quandles(n)))]
+
+
+def counter_line_profile(line, n):
+    """``algebras._line_profile`` counting the line with a ``Counter``."""
+    from collections import Counter
+
+    from congform.algebras import _cycle_type
+
+    counts = Counter(line)
+    if len(counts) == n:
+        return ("perm", _cycle_type(line))
+    return ("counts", tuple(sorted(counts.values())))
+
+
+def counter_iso_invariant(a):
+    """``algebras._iso_invariant`` counting values with a ``Counter``."""
+    from collections import Counter
+
+    n = a.size
+    parts = [a.size, a.tag or ""]
+    for (name, arity), table in zip(a.sig.ops, a.tables):
+        counts = Counter(table)
+        parts.append((name, tuple(sorted(counts.values()))))
+        if arity == 1:
+            parts.append(counter_line_profile(table, n))
+        elif arity == 2:
+            diag = sum(1 for v in range(n) if table[v * n + v] == v)
+            rows = sorted(counter_line_profile(table[v * n:(v + 1) * n], n) for v in range(n))
+            cols = sorted(counter_line_profile(table[v::n], n) for v in range(n))
+            parts.append((diag, tuple(rows), tuple(cols)))
+    return tuple(parts)
+
+
+def product_walk_occurrences(a):
+    """Per element x of a, the (argument tuple, value, operation position) of
+    each table entry whose tuple holds x, entry ``a.size`` the constants, by
+    walking every operation's argument tuples with ``itertools.product``:
+    ``algebras._occurrences`` when it was built for each algebra, before it
+    listed flat indices once per size and signature."""
+    n = a.size
+    occurs = [[] for _ in range(n + 1)]
+    for k, ((_, arity), table) in enumerate(zip(a.sig.ops, a.tables)):
+        for t, val in zip(itertools.product(range(n), repeat=arity), table):
+            for x in set(t) or (n,):
+                occurs[x].append((t, val, k))
+    return tuple(map(tuple, occurs))
+
+
 def all_quandle_tables(n, *, one_per_cycle_type=False):
     """Every quandle table on {0..n-1}, as flat tables with no axiom check, by
     trying every permutation fixing b for each column sigma_b and forcing the
@@ -1203,7 +1298,6 @@ def orbit_quandle_search(n):
     stabiliser orbit is tried, and propagation alone rejects the ones that
     conflict with the partial table."""
     from congform.algebras import _cycle_type
-    from congform.instances import _quandle
 
     perms = list(itertools.permutations(range(n)))
     kind = {p: _cycle_type(p) for p in perms}
@@ -1238,7 +1332,7 @@ def orbit_quandle_search(n):
         try:
             b = cols.index(None)
         except ValueError:
-            yield _quandle(n, tuple(itertools.chain.from_iterable(zip(*cols))))
+            yield tuple(itertools.chain.from_iterable(zip(*cols)))
             return
         stab = [g for g in group if g[b] == b]
         least = kind[cols[0]] if b else ()

@@ -11,6 +11,7 @@ from congform import (
     canonical_algebra,
     con_lattice,
     congruence_from_blocks,
+    corpus,
     cyclic_group,
     cyclic_rng,
     diagonal,
@@ -38,6 +39,7 @@ from congform.errors import (
     OutOfRange,
     SignatureMismatch,
     TableShape,
+    UnknownOp,
 )
 
 import oracles
@@ -121,6 +123,28 @@ def test_validate_quandle_axiom_violation_cites_idempotence():
 def test_signature_rejects_duplicates():
     with pytest.raises(ValueError):
         Signature((("f", 2), ("f", 1)))
+
+
+def test_op_rejects_a_wrong_argument_count_and_elements_outside_the_carrier():
+    # before the check, these read another table entry or escaped as IndexError
+    last = corpus("quandles", 3).algebras[-1]
+    z4 = cyclic_group(4)
+    for a, call in [(last, ("lhd", 1)), (last, ("lhd_inv", 2)), (last, ("lhd", 0, 1, 2)),
+                    (z4, ("e", 3)), (z4, ("inv",)), (z4, ("mul", 1))]:
+        with pytest.raises(UnknownOp, match="arguments, arity is"):
+            a.op(*call)
+    for a, call in [(last, ("lhd", 0, 3)), (z4, ("mul", 4, 0)), (z4, ("inv", -1)),
+                    (z4, ("mul", True, 0)), (z4, ("inv", 1.0))]:
+        with pytest.raises(OutOfRange):
+            a.op(*call)
+
+
+def test_op_reads_the_flat_tables():
+    for a in [*corpus("quandles", 3).algebras, cyclic_group(4), cyclic_rng(6),
+              *positional_ternary_algebras()]:
+        for (name, arity), table in zip(a.sig.ops, a.tables):
+            tuples = itertools.product(range(a.size), repeat=arity)
+            assert [a.op(name, *t) for t in tuples] == list(table)
 
 
 # --- homomorphisms ------------------------------------------------------------

@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import json
 import random
-import weakref
+import sys
 from functools import lru_cache, reduce
 
 import pytest
@@ -48,8 +48,6 @@ from congform.instances import (
 from congform import instances, reflection, terms
 from congform.algebras import (
     COMMUTATIVE_RNG_SIGNATURE,
-    QUANDLE_SIGNATURE,
-    QUANDLE_TAG,
     RNG_TAG,
     FiniteAlgebra,
     Signature,
@@ -406,7 +404,7 @@ def test_group_class_counts_up_to_six():
 
 
 def test_quandle_class_counts_up_to_four():
-    counts = [len(_dedup_up_to_iso(enumerate_quandles(n))) for n in range(1, 5)]
+    counts = [len(_dedup_up_to_iso(searched_algebras(n))) for n in range(1, 5)]
     assert counts == [1, 1, 3, 7]
 
 
@@ -418,6 +416,12 @@ def test_quandle_class_counts_by_orbit_up_to_six():
 @lru_cache(maxsize=None)
 def searched_quandles(n: int) -> tuple:
     return tuple(enumerate_quandles(n))
+
+
+@lru_cache(maxsize=None)
+def searched_algebras(n: int) -> tuple:
+    """The searched tables as quandles, inverse columns solved by the oracle."""
+    return tuple(map(oracles.quandle_algebra, searched_quandles(n)))
 
 
 def test_quandle_search_breaks_the_stabiliser_symmetry():
@@ -442,15 +446,15 @@ def test_quandle_search_needs_a_nonempty_carrier(n):
 
 
 def test_quandle_search_leaves_no_emitted_table_to_the_garbage_collector():
-    # with the collector off, a table outlives its list only if a reference
-    # cycle holds it; the search state is freed too
+    # with the collector off, a table outlives its list only if something
+    # else holds it (the list and the call's argument are its only
+    # references); the search state is freed too
     gc.disable()
     try:
         gc.collect()
         tables = enumerate_quandles(4)
-        first = weakref.ref(tables[0])
+        assert all(sys.getrefcount(tables[i]) == 2 for i in range(len(tables)))
         del tables
-        assert first() is None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -461,7 +465,8 @@ def test_quandle_search_finds_every_class_of_the_full_search(n):
     def classes(tables):
         return sorted(_quandle_classes(tables), key=lambda a: a.tables)
 
-    assert classes(searched_quandles(n)) == classes(oracles.all_quandle_tables(n))
+    full_search = [a.tables[0] for a in oracles.all_quandle_tables(n)]
+    assert classes(searched_quandles(n)) == classes(full_search)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -474,7 +479,7 @@ def test_every_full_search_table_is_a_quandle(n):
 
 def test_quandle_corpus_checks_the_axioms_of_every_class(monkeypatch):
     # x <| y = 1 - x on two elements: both columns swap, so x <| x = x fails
-    swap = FiniteAlgebra(2, QUANDLE_SIGNATURE, ((1, 1, 0, 0), (1, 1, 0, 0)), QUANDLE_TAG)
+    swap = (1, 1, 0, 0)
     searched = instances.enumerate_quandles
     monkeypatch.setattr(instances, "enumerate_quandles",
                         lambda n: searched(n) + ([swap] if n == 2 else []))
@@ -484,15 +489,17 @@ def test_quandle_corpus_checks_the_axioms_of_every_class(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_orbit_dedup_matches_the_oracle_on_quandles(n):
-    tables = enumerate_quandles(n)
+    tables = searched_algebras(n)
     assert oracles.dedup_by_orbit(tables) == oracles.dedup_then_canonical(tables)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_quandle_classes_match_the_orbit_oracle_on_the_search(n):
-    # orbits of lhd alone against orbits of both tables
-    tables = searched_quandles(n)
-    assert _quandle_classes(tables) == oracles.dedup_by_orbit(tables)
+    # orbits of the flat lhd tables against orbits of both tables, and
+    # against the list-comprehension orbits of lhd on algebras
+    classes = _quandle_classes(searched_quandles(n))
+    assert classes == oracles.dedup_by_orbit(searched_algebras(n))
+    assert classes == oracles.listed_quandle_classes(searched_algebras(n))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -501,7 +508,7 @@ def test_orbit_dedup_matches_the_oracle_on_groups(n):
     assert oracles.dedup_by_orbit(tables) == oracles.dedup_then_canonical(tables)
 
 
-@pytest.mark.parametrize("tables", [enumerate_quandles(n) for n in range(1, 6)]
+@pytest.mark.parametrize("tables", [searched_algebras(n) for n in range(1, 6)]
                          + [enumerate_groups(n) for n in range(1, 7)])
 def test_orbit_dedup_matches_the_transport_oracle(tables):
     # Index arrays built once per call against arrays rebuilt for every table
@@ -544,7 +551,22 @@ def test_orbit_dedup_matches_the_oracle_on_relabeled_streams(data):
 @given(st.data())
 def test_quandle_classes_match_the_orbit_oracle_on_relabeled_streams(data):
     stream = data.draw(relabeled_streams(corpus("quandles", 5).algebras))
-    assert _quandle_classes(stream) == oracles.dedup_by_orbit(stream)
+    classes = _quandle_classes([a.tables[0] for a in stream])
+    assert classes == oracles.dedup_by_orbit(stream)
+    assert classes == oracles.listed_quandle_classes(stream)
+
+
+def test_quandle_members_match_the_json_round_trip():
+    # every class validated on its own against every searched table built as
+    # an algebra, deduplicated and validated on the JSON input path
+    assert instances._quandle_members(6) == oracles.json_quandle_members(6)
+
+
+def test_quandle_members_validate_each_representative_once(monkeypatch):
+    validated = []
+    monkeypatch.setattr(instances, "validate_algebra",
+                        lambda *args: validated.append(args[0]) or validate_algebra(*args))
+    assert len(instances._quandle_members(5)) == len(validated) == 34
 
 
 def test_group_corpus_small_members():

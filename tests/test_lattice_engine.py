@@ -96,7 +96,8 @@ from congform import algebras, operators, reflection
 from congform.algebras import (FiniteAlgebra, Signature, _block_pairs, automorphism_generators,
                                quotient, relabel_algebra)
 from congform.errors import CongformError, NotNatural, NotReflective
-from congform.instances import CORPUS_KINDS, corpus_kind, corpus_operators, oracle_predicate
+from congform.instances import (CORPUS_KINDS, corpus_kind, corpus_operators, enumerate_quandles,
+                                 oracle_predicate)
 from congform.operators import fibration, generating_maps, naturality_maps
 from congform.reflection import (Reflector, SubcategoryPredicate, closure_from_reflector,
                                  make_reflector)
@@ -821,6 +822,52 @@ def test_compatibility_matches_the_tuple_scan():
         assert got == oracles.scan_is_compatible(x, ids)
         verdicts[got, x.sig.ops[0][1]] += 1
     assert verdicts[True, 3] and verdicts[False, 3] and verdicts[True, 2] and verdicts[False, 2]
+
+
+# --- isomorphism invariants, occurrence lists and the search for one's self ---------
+
+BIG_CORPORA = (("quandles", 6), ("groups", 12), ("rngs", 24))
+
+
+def big_corpus_members() -> list:
+    return [a for kind, size in BIG_CORPORA for a in corpus(kind, size).algebras]
+
+
+def assert_invariants_match_the_replaced_code(a):
+    n = a.size
+    assert algebras._iso_invariant.__wrapped__(a) == oracles.counter_iso_invariant(a)
+    occurrences = algebras._occurrences.__wrapped__(n, a.sig)
+    assert [[(t, a.tables[k][i], k) for t, i, k in entries] for entries in occurrences] == \
+        list(map(list, oracles.product_walk_occurrences(a)))
+    for (_, arity), table in zip(a.sig.ops, a.tables):
+        lines = {1: [table],
+                 2: [table[v * n:(v + 1) * n] for v in range(n)] + [table[v::n] for v in range(n)]}
+        for line in lines.get(arity, ()):
+            assert algebras._line_profile(line, n) == oracles.counter_line_profile(line, n)
+
+
+def test_invariants_and_occurrences_match_the_replaced_code():
+    # every member of the largest corpora and every table the quandle search
+    # emits up to size 6
+    searched = [oracles.quandle_algebra(t) for n in range(1, 7) for t in enumerate_quandles(n)]
+    for a in big_corpus_members() + searched:
+        assert_invariants_match_the_replaced_code(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_invariants_and_occurrences_match_the_replaced_code_on_relabelings(data):
+    a = data.draw(st.sampled_from(big_corpus_members()))
+    b = relabel_algebra(a, data.draw(st.permutations(range(a.size))))
+    assert_invariants_match_the_replaced_code(b)
+    assert algebras._iso_invariant(b) == algebras._iso_invariant(a)
+
+
+def test_an_algebra_is_its_own_least_isomorphism_without_a_search():
+    # the identity that equal tables return is the map the search finds first
+    for a in big_corpus_members():
+        searched = algebras._hom_search(a, a, injective=True, first_only=True)
+        assert find_isomorphism(a, a).map == searched[0] == tuple(range(a.size))
 
 
 # --- hom search and the universal property -----------------------------------------
