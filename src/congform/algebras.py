@@ -695,26 +695,16 @@ def relabel_algebra(a: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     return FiniteAlgebra(a.size, a.sig, _transport(a, _inverse(perm), perm), a.tag)
 
 
-def _relabeling_arrays(a: FiniteAlgebra) -> list:
-    """(perm, {arity: index array}) for every permutation of a's carrier: the
-    arrays ``relabel_algebra`` would read a's tables along, one per arity."""
-    arities = {k for _, k in a.sig.ops}
-    return [(perm, {k: _index_array(a.size, _inverse(perm), k) for k in arities})
-            for perm in itertools.permutations(range(a.size))]
+CANONICAL_MAX_SIZE = 7  # canonical_algebra scans all n! relabelings
 
 
-def _relabelings(a: FiniteAlgebra, arrays: list):
-    """The tables of ``relabel_algebra(a, perm)`` for every perm, read along ``arrays``."""
-    ops = [(table, k) for (_, k), table in zip(a.sig.ops, a.tables)]
-    for perm, where in arrays:
-        yield tuple(tuple([perm[table[i]] for i in where[k]]) for table, k in ops)
-
-
-def canonical_algebra(a: FiniteAlgebra, *, max_size: int = 7) -> FiniteAlgebra:
+def canonical_algebra(a: FiniteAlgebra) -> FiniteAlgebra:
     """Lexicographically least relabeling; brute force over permutations."""
-    if a.size > max_size:
-        raise SizeTooLarge(f"canonical form by permutation scan needs size <= {max_size}")
-    return FiniteAlgebra(a.size, a.sig, min(_relabelings(a, _relabeling_arrays(a))), a.tag)
+    if a.size > CANONICAL_MAX_SIZE:
+        raise SizeTooLarge(f"canonical form by permutation scan needs size <= {CANONICAL_MAX_SIZE}")
+    return FiniteAlgebra(a.size, a.sig, min(_transport(a, _inverse(perm), perm)
+                                            for perm in itertools.permutations(range(a.size))),
+                         a.tag)
 
 
 # --- congruence generation and lattices --------------------------------------

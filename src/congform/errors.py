@@ -97,7 +97,8 @@ class UniverseMismatch(InputError):
 
 
 class UniverseNotQuotientClosed(InputError):
-    """Operation requires a quotient-closed universe."""
+    """A family given as a universe is not closed under quotients: some
+    quotient of a member is isomorphic to no member (raised by ``Universe``)."""
 
 
 # --- mathematical check failures --------------------------------------------

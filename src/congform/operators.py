@@ -21,9 +21,9 @@ Surjections are never searched for: by the first isomorphism theorem
 each one is a.g_K, with g_K the quotient map of its kernel K
 (``quotient_maps``) and a an automorphism.  Continuity, coheredity and
 image preservation each hold along composites, so they are decided
-along ``generating_maps``: quotient maps by atoms of Con(X) (by the
-correspondence theorem each cover in a chain from
-the diagonal to K is an atom of a quotient), isomorphisms onto copies of
+along a universe's ``generating_maps``: quotient maps by atoms of Con(X)
+(by the correspondence theorem each cover in a chain from the diagonal
+to K is an atom of a quotient), isomorphisms onto copies of
 X, and generators of Aut(X) read off a stabiliser chain
 (``automorphism_generators``; an inverse is a positive power).  A natural
 C has C(a*S) = a*C(S) for a in Aut(X), so coheredity and cocartesian
@@ -35,19 +35,19 @@ of cocartesian liftings, naturality along every hom) are runtime checks
 returning witnesses, not construction requirements.  Minimality is checked
 on each fibre as C(S) = S v C(diagonal), its equivalent (see ``is_minimal``).
 
-The checks compare integers: ``fibration(u)``, built on a universe's first
-check, numbers each Con(X) and reads its order off the block-id arrays, and
-an operator is its index rows over those numberings.  The fibration builds
-on first use, and then holds, f* along each map read (naturality,
-coheredity and the reflection layer), images along quotient maps
-(cocartesian preservation) and embeddings into members
-(``make_reflector``, ``is_natural_along_homs``), reading joins and images
-off the order.  The checks'
-loops read these by member and congruence indices (see ``Fibration``), and
-a failing scan returns a position, so only the reported witness is built.
-The fibration also keeps the operator rows and reflection congruences that
-passed validation, so each is validated once per universe, and each row
-tuple's coheredity result.
+The checks compare integers.  A universe owns its tables (see
+``Universe``): it numbers each Con(X) and reads its order off the block-id
+arrays, and an operator is its index rows over those numberings.  Each
+table is built on the universe's first check that reads it, and then kept:
+f* along each map read (naturality, coheredity and the reflection layer),
+images along quotient maps (cocartesian preservation) and embeddings into
+members (``make_reflector``, ``is_natural_along_homs``), joins and images
+read off the order.  The checks' loops read these by member and congruence
+indices, and a failing scan returns a position, so only the reported
+witness is built.  The universe also keeps the operator rows and
+reflection congruences that passed validation, so each is validated once
+per universe, and each row tuple's coheredity result.  No module cache is
+keyed by a universe, so its tables go with its last reference.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import and_, ne
 from types import MappingProxyType
 
@@ -97,15 +97,41 @@ def _algebra_sort_key(a: FiniteAlgebra):
 
 
 class Universe(Hashed):
-    """Deterministically ordered member list, checked closed under quotients."""
+    """Deterministically ordered member list, checked closed under quotients,
+    and the owner of the integer tables the checks read.
 
-    __slots__ = ("algebras", "_index")
+    The constructor builds only the quotient maps that its closure check
+    reads (``quotient_maps``).  Every other table is built on first use and
+    kept on the universe, so it goes when the universe does: per member i,
+    ``lattices[i]`` in ``con_lattice`` order, its inverse ``by_ids[i]``
+    (keyed by block-id arrays), each up-set as a bitmask ``up[i][a]``
+    (``_up_sets``) with inverse ``by_up[i]``, and the order ``le[i][a][b]``
+    and covering pairs ``covers[i]`` read off the up-sets; ``diagonal[i]``
+    is the last index, as canonical ids sort the diagonal last.  Since
+    up(a v b) = up(a) & up(b), joins are read off the up-sets too.  Along a
+    quotient map f: X -> Y, f* is an order isomorphism from Con(Y) onto the
+    up-set of ker f = f*(diagonal) in Con(X) (correspondence theorem), so
+    f(R) is the S with f*S = R v ker f.  ``generators`` holds (i, j, f*) for
+    each map of ``generating_maps`` from member i to member j; ``images``,
+    (i, j, f(-)) for its quotient maps; ``quotients[i][a]``, (j, g*) for
+    g = ``quotient_maps(u)[R][0]`` onto member j, R = lattice a of member i
+    (g* None: g the identity); ``embeddings``, (i, j, e, e*) for the first
+    embedding e, in ``_hom_search`` order, of member i onto each subalgebra
+    of a larger member j.  ``natural`` holds the row tuples that passed
+    ``_natural_operator`` and ``reflective`` the rho tuples
+    ``make_reflector`` accepted; a verdict depends only on the universe and
+    the input, so both return at once for a known one; failures are not
+    kept.  ``cohereditary`` keeps each row tuple's ``is_cohereditary``
+    result, failing or not."""
+
+    __slots__ = ("algebras", "_index", "_quotient_maps", "__dict__", "__weakref__")
 
     def __init__(self, algebras: tuple[FiniteAlgebra, ...]):
         object.__setattr__(self, "algebras", algebras)
         object.__setattr__(self, "_hash", hash(tuple(a._hash for a in algebras)))
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(algebras)})
-        maps = quotient_maps(self)
+        maps = _quotient_maps(algebras)
+        object.__setattr__(self, "_quotient_maps", maps)
         for i, x in enumerate(algebras):
             for r in con_lattice(x):
                 if r not in maps:
@@ -132,6 +158,95 @@ class Universe(Hashed):
     def __repr__(self):
         return f"Universe({len(self.algebras)} algebras, sizes {[a.size for a in self.algebras]})"
 
+    lattices = cached_property(lambda self: tuple(map(con_lattice, self.algebras)))
+    by_ids = cached_property(lambda self: tuple({r.ids: a for a, r in enumerate(lat)}
+                                                for lat in self.lattices))
+    up = cached_property(lambda self: tuple(map(_up_sets, self.lattices)))
+    # le[i][a][b] is bit b of up[i][a]; one format() call per row beats a shift per bit
+    le = cached_property(lambda self: tuple(
+        tuple(tuple(map("1".__eq__, format(mask, f"0{len(up)}b")[::-1])) for mask in up)
+        for up in self.up))
+    by_up = cached_property(lambda self: tuple({mask: a for a, mask in enumerate(up)}
+                                               for up in self.up))
+    covers = cached_property(lambda self: tuple(map(_covers, self.up, self.le)))
+    diagonal = cached_property(lambda self: tuple(len(lat) - 1 for lat in self.lattices))
+    natural = cached_property(lambda self: set())
+    reflective = cached_property(lambda self: set())
+    cohereditary = cached_property(lambda self: {})
+    _pulls = cached_property(lambda self: {})
+    _embeddings = cached_property(lambda self: {})
+
+    @cached_property
+    def naturality_maps(self) -> tuple[Homomorphism, ...]:
+        """Maps a ``NotNatural`` witness is sought along, in this order: per
+        member X, the quotient maps out of X and then Aut(X).  The verdict is
+        decided along ``generating_maps``; this list is scanned only when that
+        fails."""
+        out: list[Homomorphism] = []
+        for x, lattice in zip(self.algebras, self.lattices):
+            out.extend(g for r in lattice for g in self._quotient_maps[r])
+            out.extend(automorphisms(x))
+        return tuple(dict.fromkeys(out))
+
+    @cached_property
+    def generating_maps(self) -> tuple[Homomorphism, ...]:
+        """The maps the lifting laws are decided along: per member X the quotient
+        maps by atoms of Con(X) and by the diagonal onto other members, then the
+        ``automorphism_generators`` of X."""
+        maps = self._quotient_maps
+        out: list[Homomorphism] = []
+        for x, lattice, covers, d in zip(self.algebras, self.lattices, self.covers, self.diagonal):
+            atoms = [lattice[b] for a, b in covers if a == d]
+            out.extend(g for r in atoms for g in maps[r])
+            out.extend(g for g in maps[lattice[d]] if g.cod != x)
+            out.extend(automorphism_generators(x))
+        return tuple(out)
+
+    generators = cached_property(lambda self: tuple(
+        (self.lookup(f.dom), self.lookup(f.cod), self.pull(f)) for f in self.generating_maps))
+    images = cached_property(lambda self: tuple(
+        (i, j, self.image(i, j, pull)) for i, j, pull in self.generators if i != j))
+
+    @cached_property
+    def quotients(self) -> tuple[tuple[tuple[int, tuple[int, ...] | None], ...], ...]:
+        def coordinates(i, g):
+            j = self.lookup(g.cod)
+            return j, None if i == j and g.map == tuple(range(len(g.map))) else self.pull(g)
+
+        return tuple(tuple(coordinates(i, self._quotient_maps[r][0]) for r in lattice)
+                     for i, lattice in enumerate(self.lattices))
+
+    @cached_property
+    def embeddings(self) -> tuple[tuple[int, int, Homomorphism, tuple[int, ...]], ...]:
+        firsts: dict = {}
+        for (i, m), (j, n) in itertools.product(enumerate(self.algebras), repeat=2):
+            if m.sig == n.sig and m.size < n.size:
+                for e in _hom_search(m, n, injective=True, first_only=False):
+                    firsts.setdefault((i, j, frozenset(e)), Homomorphism(m, n, e, False))
+        return tuple((i, j, f, self.pull(f)) for (i, j, _), f in firsts.items())
+
+    def pull(self, f: Homomorphism) -> tuple[int, ...]:
+        """S -> f*S as an index array, built on first request; f between members."""
+        table = self._pulls.get(f)
+        if table is None:
+            into = self.by_ids[self.lookup(f.dom)]
+            table = self._pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
+                                           for s in con_lattice(f.cod))
+        return table
+
+    def image(self, i: int, j: int, pull: tuple[int, ...]) -> tuple[int, ...]:
+        """R -> f(R) as an index array for the quotient map f from member i onto
+        member j with f* = ``pull``: f(R) = (f*)^-1 (R v ker f)."""
+        back = {a: s for s, a in enumerate(pull)}
+        kernel = self.up[i][pull[self.diagonal[j]]]
+        return tuple(back[self.by_up[i][ua & kernel]] for ua in self.up[i])
+
+    def embedding(self, k: int, j: int) -> Homomorphism | None:
+        """The least embedding of member k into member j, or None; built on first request."""
+        if (k, j) not in self._embeddings:
+            self._embeddings[k, j] = find_embedding(self.algebras[k], self.algebras[j])
+        return self._embeddings[k, j]
+
 
 def universe(algebras: Iterable[FiniteAlgebra]) -> Universe:
     """Sort and drop literal duplicates; ``Universe`` checks the closure."""
@@ -154,7 +269,6 @@ def universe_from_generators(seeds: Iterable[FiniteAlgebra]) -> Universe:
     return universe(members)
 
 
-@lru_cache(maxsize=None)
 def find_member_iso(u: Universe, a: FiniteAlgebra) -> tuple[int, Homomorphism]:
     """Member isomorphic to ``a`` plus an isomorphism a -> member."""
     i = u._index.get(a)
@@ -175,20 +289,26 @@ def find_member_iso(u: Universe, a: FiniteAlgebra) -> tuple[int, Homomorphism]:
 Rule = Callable[[FiniteAlgebra, Congruence], Congruence]
 
 
-@lru_cache(maxsize=None)
 def quotient_maps(u: Universe) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
     """K in Con(X), X a member -> the maps X -> X/K -> M: the projection, then
     the least isomorphism onto M, for each member M isomorphic to X/K in
-    member order.  Every K is a key once ``Universe`` has checked closure.
-    Only members with the ``_iso_invariant`` of X/K can be isomorphic to it.
-    X/K is X itself when K is the diagonal, and no tables are transported;
-    onto a member with the tables of X/K the isomorphism is the identity, so
-    the map is the projection, with that member as codomain."""
+    member order.  Every K is a key once ``Universe`` has checked closure;
+    the universe built them for that check and keeps them."""
+    return u._quotient_maps
+
+
+def _quotient_maps(algebras) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
+    """``quotient_maps`` of a family, with a key for each K whose X/K is
+    isomorphic to some member.  Only members with the ``_iso_invariant`` of
+    X/K can be isomorphic to it.  X/K is X itself when K is the diagonal,
+    and no tables are transported; onto a member with the tables of X/K the
+    isomorphism is the identity, so the map is the projection, with that
+    member as codomain."""
     buckets: dict = {}
-    for m in u.algebras:
+    for m in algebras:
         buckets.setdefault(_iso_invariant(m), []).append(m)
     out = {}
-    for x in u.algebras:
+    for x in algebras:
         diagonal = tuple(range(x.size))
         for r in con_lattice(x):
             q, proj = (x, identity_hom(x)) if r.ids == diagonal else quotient(x, r)
@@ -198,35 +318,6 @@ def quotient_maps(u: Universe) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
             if gs:
                 out[r] = gs
     return MappingProxyType(out)
-
-
-@lru_cache(maxsize=None)
-def naturality_maps(u: Universe) -> tuple[Homomorphism, ...]:
-    """Maps a ``NotNatural`` witness is sought along, in this order: per
-    member X, the quotient maps out of X and then Aut(X).  The verdict is
-    decided along ``generating_maps``; this list is scanned only when that
-    fails."""
-    maps = quotient_maps(u)
-    out: list[Homomorphism] = []
-    for x in u.algebras:
-        out.extend(g for r in con_lattice(x) for g in maps[r])
-        out.extend(automorphisms(x))
-    return tuple(dict.fromkeys(out))
-
-
-@lru_cache(maxsize=None)
-def generating_maps(u: Universe) -> tuple[Homomorphism, ...]:
-    """The maps the lifting laws are decided along: per member X the quotient
-    maps by atoms of Con(X) and by the diagonal onto other members, then the
-    ``automorphism_generators`` of X."""
-    maps, fib = quotient_maps(u), fibration(u)
-    out: list[Homomorphism] = []
-    for i, (x, lattice, d) in enumerate(zip(u.algebras, fib.lattices, fib.diagonal)):
-        atoms = [lattice[b] for a, b in fib.covers[i] if a == d]
-        out.extend(g for r in atoms for g in maps[r])
-        out.extend(g for g in maps[lattice[d]] if g.cod != x)
-        out.extend(automorphism_generators(x))
-    return tuple(out)
 
 
 def _up_sets(lattice) -> tuple[int, ...]:
@@ -254,106 +345,9 @@ def _covers(up, le) -> tuple[tuple[int, int], ...]:
                  if (up[a] & down[b]).bit_count() == 2)
 
 
-class Fibration:
-    """The integer tables of one universe, built once by ``fibration``: per
-    member i, ``lattices[i]`` in ``con_lattice`` order, its inverses
-    ``index[i]`` and ``by_ids[i]`` (keyed by block-id arrays), each up-set as
-    a bitmask ``up[i][a]`` (``_up_sets``) with inverse ``by_up[i]``, and the
-    order ``le[i][a][b]`` and covering pairs ``covers[i]`` read off the
-    up-sets; ``diagonal[i]`` is the last index, as canonical ids sort the
-    diagonal last.  Since up(a v b) = up(a) & up(b), joins are read off the
-    up-sets too.  Along a quotient map f: X -> Y, f* is an order isomorphism
-    from Con(Y) onto the up-set of ker f = f*(diagonal) in Con(X)
-    (correspondence theorem), so f(R) is the S with f*S = R v ker f.
-    Built on first use: ``generators``, (i, j, f*) for each map of
-    ``generating_maps`` from member i to member j; ``images``, (i, j, f(-))
-    for its quotient maps; ``quotients[i][a]``, (j, g*) for
-    g = ``quotient_maps(u)[R][0]`` onto member j, R = lattice a of member i
-    (g* None: g the identity); ``embeddings``, (i, j, e, e*) for the first
-    embedding e, in ``_hom_search`` order, of member i onto each subalgebra
-    of a larger member j.  ``natural``
-    holds the row tuples that passed ``_natural_operator`` and ``reflective``
-    the rho tuples ``make_reflector`` accepted; a verdict depends only on the
-    universe and the input, so both return at once for a known one; failures
-    are not kept.  ``cohereditary`` keeps each row tuple's
-    ``is_cohereditary`` result, failing or not."""
-
-    def __init__(self, u: Universe):
-        self.universe = u
-        self.lattices = tuple(map(con_lattice, u.algebras))
-        self.index = tuple({r: a for a, r in enumerate(lat)} for lat in self.lattices)
-        self.by_ids = tuple({r.ids: a for a, r in enumerate(lat)} for lat in self.lattices)
-        self.up = tuple(map(_up_sets, self.lattices))
-        # le[a][b] is bit b of up[a]; one format() call per row beats a shift per bit
-        self.le = tuple(tuple(tuple(map("1".__eq__, format(mask, f"0{len(up)}b")[::-1]))
-                              for mask in up) for up in self.up)
-        self.by_up = tuple({mask: a for a, mask in enumerate(up)} for up in self.up)
-        self.covers = tuple(map(_covers, self.up, self.le))
-        self.diagonal = tuple(len(lat) - 1 for lat in self.lattices)
-        self._pulls, self._embeddings = {}, {}
-        self.natural: set[tuple[tuple[int, ...], ...]] = set()
-        self.reflective: set[tuple[Congruence, ...]] = set()
-        self.cohereditary: dict[tuple[tuple[int, ...], ...], CheckResult] = {}
-
-    @cached_property
-    def generators(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        index = self.universe.lookup
-        return tuple((index(f.dom), index(f.cod), self.pull(f))
-                     for f in generating_maps(self.universe))
-
-    @cached_property
-    def images(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        return tuple((i, j, self.image(i, j, pull)) for i, j, pull in self.generators if i != j)
-
-    @cached_property
-    def quotients(self) -> tuple[tuple[tuple[int, tuple[int, ...] | None], ...], ...]:
-        maps, index = quotient_maps(self.universe), self.universe.lookup
-
-        def coordinates(i, g):
-            j = index(g.cod)
-            return j, None if i == j and g.map == tuple(range(len(g.map))) else self.pull(g)
-
-        return tuple(tuple(coordinates(i, maps[r][0]) for r in lattice)
-                     for i, lattice in enumerate(self.lattices))
-
-    @cached_property
-    def embeddings(self) -> tuple[tuple[int, int, Homomorphism, tuple[int, ...]], ...]:
-        firsts: dict = {}
-        for (i, m), (j, n) in itertools.product(enumerate(self.universe.algebras), repeat=2):
-            if m.sig == n.sig and m.size < n.size:
-                for e in _hom_search(m, n, injective=True, first_only=False):
-                    firsts.setdefault((i, j, frozenset(e)), Homomorphism(m, n, e, False))
-        return tuple((i, j, f, self.pull(f)) for (i, j, _), f in firsts.items())
-
-    def pull(self, f: Homomorphism) -> tuple[int, ...]:
-        """S -> f*S as an index array, built on first request; f between members."""
-        table = self._pulls.get(f)
-        if table is None:
-            into = self.by_ids[self.universe.lookup(f.dom)]
-            table = self._pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
-                                           for s in con_lattice(f.cod))
-        return table
-
-    def image(self, i: int, j: int, pull: tuple[int, ...]) -> tuple[int, ...]:
-        """R -> f(R) as an index array for the quotient map f from member i onto
-        member j with f* = ``pull``: f(R) = (f*)^-1 (R v ker f)."""
-        back = {a: s for s, a in enumerate(pull)}
-        kernel = self.up[i][pull[self.diagonal[j]]]
-        return tuple(back[self.by_up[i][ua & kernel]] for ua in self.up[i])
-
-    def embedding(self, a: FiniteAlgebra, j: int) -> Homomorphism | None:
-        """The least embedding of ``a`` into member j, or None; built on first request."""
-        if (a, j) not in self._embeddings:
-            self._embeddings[a, j] = find_embedding(a, self.universe.algebras[j])
-        return self._embeddings[a, j]
-
-
-fibration = lru_cache(maxsize=None)(Fibration)
-
-
 class ClosureOperator(Frozen):
     """Validated extensive + natural fibre maps over a universe: ``rows[i][a]``
-    indexes C of member i's a-th congruence in ``fibration(universe).lattices[i]``
+    indexes C of member i's a-th congruence in ``universe.lattices[i]``
     (``con_lattice`` order).  ``apply`` reads a ``Congruence`` off them."""
 
     __slots__ = ("universe", "name", "rows")
@@ -367,12 +361,12 @@ class ClosureOperator(Frozen):
         return self.universe, self.name, self.rows
 
     def apply(self, x: int | FiniteAlgebra, r: Congruence) -> Congruence:
-        i = self.universe.lookup(x)
-        fib = fibration(self.universe)
-        a = fib.index[i].get(r)
+        u = self.universe
+        i = u.lookup(x)
+        a = u.by_ids[i].get(r.ids) if r.algebra == u.algebras[i] else None
         if a is None:
             raise FibreMismatch("congruence is not in the member's lattice")
-        return fib.lattices[i][self.rows[i][a]]
+        return u.lattices[i][self.rows[i][a]]
 
     def __repr__(self):
         return f"ClosureOperator({self.name!r} on {self.universe!r})"
@@ -422,10 +416,9 @@ def make_operator(u: Universe, rule: Rule, name: str) -> ClosureOperator:
     index rows in ``con_lattice`` order, checking each member's closure values
     and extensivity before the next member is read, then decide naturality
     (``_natural_operator``)."""
-    fib = fibration(u)
     rows = []
     for i, x in enumerate(u.algebras):
-        lattice, by_ids, le = fib.lattices[i], fib.by_ids[i], fib.le[i]
+        lattice, by_ids, le = u.lattices[i], u.by_ids[i], u.le[i]
         values = [rule(x, r) for r in lattice]
         row = []
         for a, c in enumerate(values):
@@ -449,25 +442,24 @@ def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...])
     it is the first along the full ``naturality_maps``, congruences taken in
     ``con_lattice`` order.  Rows that passed before on ``u`` are not checked
     again."""
-    fib = fibration(u)
-    if rows in fib.natural:
+    if rows in u.natural:
         return ClosureOperator(u, name, rows)
 
     def not_natural(i, j, f, ri, si):
         return NotNatural(f"operator {name!r} breaks the lifting law", witness={
-            "dom": i, "cod": j, "map": list(f.map), "R": congruence_to_blocks(fib.lattices[i][ri]),
-            "S": congruence_to_blocks(fib.lattices[j][si])})
+            "dom": i, "cod": j, "map": list(f.map), "R": congruence_to_blocks(u.lattices[i][ri]),
+            "S": congruence_to_blocks(u.lattices[j][si])})
 
-    for i, (covers, le, row) in enumerate(zip(fib.covers, fib.le, rows)):
+    for i, (covers, le, row) in enumerate(zip(u.covers, u.le, rows)):
         if not _monotone(covers, le, row):
             raise not_natural(i, i, identity_hom(u.algebras[i]), *_non_monotone(le, row))
-    found = _first_failure(u, lambda i, j, pull: _discontinuity(pull, fib.le[i], rows[i], rows[j]),
-                           lambda: fib.generators, lambda: naturality_maps(u),
-                           lambda i, j, f: fib.pull(f))
+    found = _first_failure(u, lambda i, j, pull: _discontinuity(pull, u.le[i], rows[i], rows[j]),
+                           lambda: u.generators, lambda: u.naturality_maps,
+                           lambda i, j, f: u.pull(f))
     if found is not None:
         i, j, f, s = found
-        raise not_natural(i, j, f, fib.pull(f)[s], s)
-    fib.natural.add(rows)
+        raise not_natural(i, j, f, u.pull(f)[s], s)
+    u.natural.add(rows)
     return ClosureOperator(u, name, rows)
 
 
@@ -481,7 +473,7 @@ def _witness(i: int, r: Congruence, **extra) -> dict:
 
 def is_idempotent(c: ClosureOperator) -> CheckResult:
     """C(C(R)) = C(R) on every fibre."""
-    lattices = fibration(c.universe).lattices
+    lattices = c.universe.lattices
     for i, row in enumerate(c.rows):
         for a, ca in enumerate(row):
             if row[ca] != ca:
@@ -494,24 +486,24 @@ def _along_quotient_maps(c: ClosureOperator, key: str, sides) -> CheckResult:
     ``sides(a, i, j)`` differ; for key "S" (its key in the witness) T runs
     over Con(cod) and ``a`` is f*, for key "R" over Con(dom) and ``a`` is f(-).
     Decided along the ``generating_maps`` that are not automorphisms."""
-    u, fib = c.universe, fibration(c.universe)
+    u = c.universe
 
     def broken_at(i, j, a):
         lhs, rhs = sides(a, i, j)
         return None if lhs == rhs else list(map(ne, lhs, rhs)).index(True)
 
     def table(i, j, f):
-        return fib.pull(f) if key == "S" else fib.image(i, j, fib.pull(f))
+        return u.pull(f) if key == "S" else u.image(i, j, u.pull(f))
 
     found = _first_failure(
         u, broken_at,
-        lambda: [g for g in fib.generators if g[0] != g[1]] if key == "S" else fib.images,
+        lambda: [g for g in u.generators if g[0] != g[1]] if key == "S" else u.images,
         lambda: itertools.chain.from_iterable(quotient_maps(u).values()), table)
     if found is None:
         return PASSED
     i, j, f, t = found
     lhs, rhs = sides(table(i, j, f), i, j)
-    over, into = (fib.lattices[k] for k in ((j, i) if key == "S" else (i, j)))
+    over, into = (u.lattices[k] for k in ((j, i) if key == "S" else (i, j)))
     return failed(dom=i, cod=j, map=list(f.map), **{key: congruence_to_blocks(over[t])},
                   lhs=congruence_to_blocks(into[lhs[t]]), rhs=congruence_to_blocks(into[rhs[t]]))
 
@@ -521,8 +513,8 @@ def is_cohereditary(c: ClosureOperator) -> CheckResult:
     composes and holds along automorphisms, so it is decided along atomic
     quotient maps and isomorphisms onto copies; the witness is the first
     along ``quotient_maps`` (see the module docstring).  The result is kept
-    per row tuple in ``fibration(c.universe).cohereditary``."""
-    known = fibration(c.universe).cohereditary
+    per row tuple in ``c.universe.cohereditary``."""
+    known = c.universe.cohereditary
     if c.rows not in known:
         known[c.rows] = _along_quotient_maps(c, "S", lambda pull, i, j: (
             list(map(c.rows[i].__getitem__, pull)), list(map(pull.__getitem__, c.rows[j]))))
@@ -534,10 +526,10 @@ def is_minimal(c: ClosureOperator) -> CheckResult:
     On a fibre with diagonal D that holds exactly when C(S) = S v C(D) for
     every S (take R = D; conversely C(R v S) = R v S v C(D) = C(R) v S), which
     is checked first; only a fibre that fails it is scanned for the first pair."""
-    fib = fibration(c.universe)
+    u = c.universe
     for i, row in enumerate(c.rows):
-        up, by_up, lattice = fib.up[i], fib.by_up[i], fib.lattices[i]
-        floor = up[row[fib.diagonal[i]]]
+        up, by_up, lattice = u.up[i], u.by_up[i], u.lattices[i]
+        floor = up[row[u.diagonal[i]]]
         if all(row[s] == by_up[floor & us] for s, us in enumerate(up)):
             continue
         for r, s in itertools.product(range(len(row)), repeat=2):
@@ -560,14 +552,14 @@ def is_natural_along_homs(c: ClosureOperator) -> CheckResult:
     naturality.  f is a quotient map onto a member, checked at construction,
     then an embedding; continuity composes, an embedding of equal size is an
     isomorphism, and two with one image differ by an automorphism.  So the
-    witness {dom, cod, map, R = e*S, S} is the first along ``Fibration.embeddings``."""
-    fib = fibration(c.universe)
-    for i, j, e, pull in fib.embeddings:
-        s = _discontinuity(pull, fib.le[i], c.rows[i], c.rows[j])
+    witness {dom, cod, map, R = e*S, S} is the first along ``Universe.embeddings``."""
+    u = c.universe
+    for i, j, e, pull in u.embeddings:
+        s = _discontinuity(pull, u.le[i], c.rows[i], c.rows[j])
         if s is not None:
             return failed(dom=i, cod=j, map=list(e.map),
-                          R=congruence_to_blocks(fib.lattices[i][pull[s]]),
-                          S=congruence_to_blocks(fib.lattices[j][s]))
+                          R=congruence_to_blocks(u.lattices[i][pull[s]]),
+                          S=congruence_to_blocks(u.lattices[j][s]))
     return PASSED
 
 
@@ -575,11 +567,11 @@ def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
     """C1 <= C2 pointwise on every fibre."""
     if c1.universe != c2.universe:
         raise UniverseMismatch("operator order needs a shared universe")
-    fib = fibration(c1.universe)
+    u = c1.universe
     for i, (row1, row2) in enumerate(zip(c1.rows, c2.rows)):
         for a, (b1, b2) in enumerate(zip(row1, row2)):
-            if not fib.le[i][b1][b2]:
-                return failed(**_witness(i, fib.lattices[i][a]))
+            if not u.le[i][b1][b2]:
+                return failed(**_witness(i, u.lattices[i][a]))
     return PASSED
 
 
@@ -598,19 +590,18 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
     Raises ``SizeTooLarge`` up front when there are more than
     ``max_candidates`` extensive families.
     """
-    fib = fibration(u)
-    options = [[[b for b in range(len(le)) if le[a][b]] for a in range(len(le))] for le in fib.le]
+    options = [[[b for b in range(len(le)) if le[a][b]] for a in range(len(le))] for le in u.le]
     radix = [math.prod(map(len, per_a)) for per_a in options]
     if math.prod(radix) > max_candidates:
         raise SizeTooLarge(f"universe admits more than {max_candidates} extensive families")
     candidates = [[(k, row) for k, row in enumerate(itertools.product(*per_a))
                    if _monotone(covers, le, row)]
-                  for per_a, covers, le in zip(options, fib.covers, fib.le)]
-    checks: list[list] = [[] for _ in fib.lattices]
-    for i, j, pull in fib.generators:
+                  for per_a, covers, le in zip(options, u.covers, u.le)]
+    checks: list[list] = [[] for _ in u.algebras]
+    for i, j, pull in u.generators:
         checks[max(i, j)].append((i, j, pull))
 
-    rows: list = [None] * len(fib.lattices)
+    rows: list = [None] * len(u.algebras)
     out = []
 
     def extend(m: int, k: int) -> None:
@@ -619,11 +610,12 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
             return
         for index, row in candidates[m]:
             rows[m] = row
-            if all(_discontinuity(pull, fib.le[i], rows[i], rows[j]) is None
+            if all(_discontinuity(pull, u.le[i], rows[i], rows[j]) is None
                    for i, j, pull in checks[m]):
                 extend(m + 1, k * radix[m] + index)
 
     extend(0, 0)
+    del extend  # empties the cell by which extend calls itself, a cycle holding u
     return tuple(out)
 
 

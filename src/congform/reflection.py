@@ -9,7 +9,7 @@ rho_X <= ker f.  No hom is enumerated for it.  Each f is e.g_K, the
 quotient map of K = ker f followed by an embedding of X/K (Adamek,
 Herrlich & Strecker, *Abstract and Concrete Categories*, 14-16), so the
 property fails exactly when X/K embeds in M for some K with
-rho_X not <= K.  ``Fibration.embedding`` answers that once per universe,
+rho_X not <= K.  ``Universe.embedding`` answers that once per universe,
 for the member isomorphic to X/K; ``find_embedding`` mostly answers None
 from element counts, unsearched.
 
@@ -21,13 +21,13 @@ caller that already holds the derived objects compares them without
 rebuilding them.  ``closure_from_reflector`` writes the index rows
 directly, C(R) = g*(rho_j) read off the pull-back along R's quotient map
 g onto member j.  An operator's rows and a reflector's rho are validated
-once per universe (``Fibration.natural`` and ``.reflective``), so the
+once per universe (``Universe.natural`` and ``.reflective``), so the
 derived and oracle objects that equal them cost a set look-up.
 
 Pull-backs run along the quotient maps of ``operators.quotient_maps``,
-built once per universe.  The oracles read them too: an
-isomorphism-invariant predicate runs once per member, and X/R takes the
-verdict of the member it is sent onto.
+which the universe built for its closure check.  The oracles read them
+too: an isomorphism-invariant predicate runs once per member, and X/R
+takes the verdict of the member it is sent onto.
 
 A subcategory given by laws has two descriptions here: its membership
 predicate (``predicate_from_equations``, ``predicate_from_quasiequations``)
@@ -77,7 +77,6 @@ from .operators import (
     Universe,
     _natural_operator,
     _witness,
-    fibration,
     find_member_iso,
     is_cohereditary,
     is_idempotent,
@@ -117,16 +116,15 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
     for i, (x, r) in enumerate(zip(u.algebras, rho)):
         if r.algebra != x:
             raise UniverseMismatch(f"rho[{i}] lives on a different algebra")
-    fib = fibration(u)
-    if rho in fib.reflective:
+    if rho in u.reflective:
         return Reflector(u, name, rho)
     maps = quotient_maps(u)
-    at = [by_ids.get(r.ids) for by_ids, r in zip(fib.by_ids, rho)]
-    members_in = [i for i, a in enumerate(at) if a == fib.diagonal[i]]
+    at = [by_ids.get(r.ids) for by_ids, r in zip(u.by_ids, rho)]
+    members_in = [i for i, a in enumerate(at) if a == u.diagonal[i]]
     # reflections land in the subcategory: with g: X -> M the quotient map
     # by rho_X, g* is injective and g*(diagonal) = rho_X, so g*(rho_M) = rho_X
     # exactly when rho_M is the diagonal
-    for i, (a, quotients) in enumerate(zip(at, fib.quotients)):
+    for i, (a, quotients) in enumerate(zip(at, u.quotients)):
         if a is None:
             raise NotReflective(
                 f"reflector {name!r}: rho[{i}] is not a congruence",
@@ -140,13 +138,13 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
             )
     # universal property, by factorisation (see the module docstring); it
     # holds on the subcategory's own members, whose rho is the diagonal
-    for i, (lattice, quotients) in enumerate(zip(fib.lattices, fib.quotients)):
+    for i, (lattice, quotients) in enumerate(zip(u.lattices, u.quotients)):
         if i in members_in:
             continue
-        cods = [(k, u.algebras[q[0]]) for k, q in enumerate(quotients) if not fib.le[i][at[i]][k]]
+        cods = [(k, q[0]) for k, q in enumerate(quotients) if not u.le[i][at[i]][k]]
         for j in members_in:
-            for k, cod in cods:
-                e = fib.embedding(cod, j)
+            for k, m in cods:
+                e = u.embedding(m, j)
                 if e is not None:
                     g = maps[lattice[k]][0]
                     raise NotReflective(
@@ -155,7 +153,7 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
                         witness={"dom": i, "cod": j, "map": list(compose(e, g).map),
                                  "rho": congruence_to_blocks(rho[i])},
                     )
-    fib.reflective.add(rho)
+    u.reflective.add(rho)
     return Reflector(u, name, rho)
 
 
@@ -164,10 +162,9 @@ def closure_from_reflector(refl: Reflector) -> ClosureOperator:
     map g: X -> M_j, read as an index: rows[i][a] = g*(rho_j), checked
     extensive member by member and then natural, as ``make_operator`` does."""
     u = refl.universe
-    fib = fibration(u)
-    at = [by_ids[r.ids] for by_ids, r in zip(fib.by_ids, refl.rho)]
+    at = [by_ids[r.ids] for by_ids, r in zip(u.by_ids, refl.rho)]
     rows = []
-    for i, (lattice, le, quotients) in enumerate(zip(fib.lattices, fib.le, fib.quotients)):
+    for i, (lattice, le, quotients) in enumerate(zip(u.lattices, u.le, u.quotients)):
         row = [at[j] if pull is None else pull[at[j]] for j, pull in quotients]
         for a, b in enumerate(row):
             if not le[a][b]:
@@ -190,17 +187,17 @@ def reflector_from_closure(c: ClosureOperator) -> Reflector:
         raise NotCohereditary(
             f"operator {c.name!r} is not cohereditary", witness=cohered.witness
         )
-    fib = fibration(c.universe)
-    rho = tuple(lattice[row[d]] for lattice, row, d in zip(fib.lattices, c.rows, fib.diagonal))
-    return make_reflector(c.universe, rho, c.name)
+    u = c.universe
+    rho = tuple(lattice[row[d]] for lattice, row, d in zip(u.lattices, c.rows, u.diagonal))
+    return make_reflector(u, rho, c.name)
 
 
 def _closed_diagonals(ref: ClosureOperator | Reflector) -> list[bool]:
     """Per member, is its diagonal closed, i.e. is it in the subcategory?"""
-    fib = fibration(ref.universe)
+    u = ref.universe
     if isinstance(ref, Reflector):
-        return [r == lattice[d] for r, lattice, d in zip(ref.rho, fib.lattices, fib.diagonal)]
-    return [row[d] == d for row, d in zip(ref.rows, fib.diagonal)]
+        return [r == lattice[d] for r, lattice, d in zip(ref.rho, u.lattices, u.diagonal)]
+    return [row[d] == d for row, d in zip(ref.rows, u.diagonal)]
 
 
 def membership(ref: ClosureOperator | Reflector, x: int | FiniteAlgebra) -> bool:
@@ -273,16 +270,15 @@ def predicate_from_operator(c: ClosureOperator) -> SubcategoryPredicate:
 def _quotient_verdicts(u: Universe, pred: SubcategoryPredicate) -> list[Callable[[int], bool]]:
     """Per member X, a -> pred(X/R), R the a-th congruence of X: pred runs once
     per member and X/R takes the verdict of the member that
-    ``Fibration.quotients`` sends it onto."""
+    ``Universe.quotients`` sends it onto."""
     verdicts = [pred(x) for x in u.algebras]
-    return [[verdicts[j] for j, _ in quotients].__getitem__ for quotients in fibration(u).quotients]
+    return [[verdicts[j] for j, _ in quotients].__getitem__ for quotients in u.quotients]
 
 
 def closed_under_quotients(pred: SubcategoryPredicate, u: Universe) -> CheckResult:
     """Every quotient of a member satisfying ``pred`` satisfies it too."""
-    fib = fibration(u)
-    for i, (accepts, lattice, d) in enumerate(zip(_quotient_verdicts(u, pred), fib.lattices,
-                                                  fib.diagonal)):
+    verdicts = _quotient_verdicts(u, pred)
+    for i, (accepts, lattice, d) in enumerate(zip(verdicts, u.lattices, u.diagonal)):
         if accepts(d):  # X/diagonal is X
             a = next((a for a in range(len(lattice)) if not accepts(a)), None)
             if a is not None:
@@ -296,7 +292,7 @@ def closures_agree(c: ClosureOperator, back: ClosureOperator) -> CheckResult:
     closure) equals ``c`` pointwise; the witness is the first difference."""
     if c.universe != back.universe:
         raise UniverseMismatch("comparing closures needs a shared universe")
-    for i, lattice in enumerate(fibration(c.universe).lattices):
+    for i, lattice in enumerate(c.universe.lattices):
         for a, (b, got) in enumerate(zip(c.rows[i], back.rows[i])):
             if b != got:
                 r, cr, back_r = (congruence_to_blocks(lattice[k]) for k in (a, b, got))
@@ -363,7 +359,6 @@ def _least_accepted(name: str, lattice, accepts: Callable[[int], bool], by_ids):
 def oracle_reflector(u: Universe, pred: SubcategoryPredicate,
                      name: str | None = None) -> Reflector:
     """Ground-truth reflector built member by member from the oracle."""
-    fib = fibration(u)
     rho = tuple(_least_accepted(pred.name, lattice, accepts, by_ids) for lattice, accepts, by_ids
-                in zip(fib.lattices, _quotient_verdicts(u, pred), fib.by_ids))
+                in zip(u.lattices, _quotient_verdicts(u, pred), u.by_ids))
     return make_reflector(u, rho, name or f"oracle({pred.name})")

@@ -23,7 +23,7 @@ congruence, each principal congruence generated from its own pair
 per orbit of the inner automorphisms), the hom search that scans every
 operation tuple on each propagation step, the operator checks on
 ``Congruence`` objects that the universe's integer tables replaced, the
-fibration's join tables, images and pull-backs built on ``Congruence``
+fibre join tables, images and pull-backs built on ``Congruence``
 objects by union-find (replaced by look-ups in the order and in block-id
 arrays), the quandle composite R o ~ built from its relation matrix
 (replaced by a join, since R and ~ permute), the equation checks that
@@ -76,7 +76,7 @@ and ``terms.ELEMENTARY_ABELIAN_2``), the law instances read by
 and the rules of the law-defined built-ins that ``reflection.rule_from_laws``
 replaced: the nilradical through the ideal/coset bridge, and the quandle
 reachability ~ with the composite R o ~ and its permutability guard.  Also
-kept: what the checks read before ``Fibration``'s integer coordinates
+kept: what the checks read before the universe's integer coordinates
 replaced it, namely the member indices, diagonals, pull-backs and images
 found through ``Congruence`` and ``Homomorphism`` keys, the quotient
 verdicts keyed by ``Congruence``, membership through ``apply``, the atoms
@@ -507,7 +507,6 @@ def naturality_witness(u, tables):
     from functools import partial
 
     from congform import identity_hom, preimage_congruence
-    from congform.operators import naturality_maps
 
     def witness(i, j, f, r, s):
         return {"dom": i, "cod": j, "map": list(f.map),
@@ -517,7 +516,7 @@ def naturality_witness(u, tables):
         pair = non_monotone(table)
         if pair is not None:
             return witness(i, i, identity_hom(u.algebras[i]), *pair)
-    for f in naturality_maps(u):
+    for f in u.naturality_maps:
         i, j = u.lookup(f.dom), u.lookup(f.cod)
         pull = partial(preimage_congruence, f)
         s = discontinuity(pull, tables[i], tables[j])
@@ -605,14 +604,13 @@ def is_minimal(c):
 
 def pairwise_is_minimal(c):
     """C(R v S) = C(R) v S for every pair on every fibre, joins read off the
-    fibration's up-sets: the scan ``is_minimal`` ran before it checked each
+    universe's up-sets: the scan ``is_minimal`` ran before it checked each
     fibre against C(diagonal) first."""
     from congform.errors import PASSED, failed
-    from congform.operators import fibration
 
-    fib = fibration(c.universe)
+    u = c.universe
     for i, row in enumerate(c.rows):
-        up, by_up, lattice = fib.up[i], fib.by_up[i], fib.lattices[i]
+        up, by_up, lattice = u.up[i], u.by_up[i], u.lattices[i]
         for r, s in itertools.product(range(len(row)), repeat=2):
             if row[by_up[up[r] & up[s]]] != by_up[up[row[r]] & up[s]]:
                 return failed(algebra=i, congruence=[list(b) for b in lattice[r].blocks()],
@@ -668,7 +666,7 @@ def pullback_rule(u, rho):
     return rule
 
 
-# --- fibration tables by union-find and the composite scan ---------------------
+# --- fibre tables by union-find and the composite scan -------------------------
 
 def pairwise_order(lattice):
     """(le, up) of one Con(X) in ``lattice`` order: ``leq`` on every ordered
@@ -679,47 +677,47 @@ def pairwise_order(lattice):
     return le, tuple(sum(1 << b for b, above in enumerate(row) if above) for row in le)
 
 
-def join_table(fib, i):
+def join_table(u, i):
     """Member i's join table: comparable pairs read off the order, the rest
     by ``join`` on ``Congruence`` objects."""
     from congform import join
 
-    lat, index, le = fib.lattices[i], fib.index[i], fib.le[i]
-    return tuple(tuple(b if le[a][b] else a if le[b][a] else index[join(lat[a], lat[b])]
+    lat, by_ids, le = u.lattices[i], u.by_ids[i], u.le[i]
+    return tuple(tuple(b if le[a][b] else a if le[b][a] else by_ids[join(lat[a], lat[b]).ids]
                        for b in range(len(lat))) for a in range(len(lat)))
 
 
-def image_table(fib, f):
+def image_table(u, f):
     """R -> f(R) along a quotient map f, by ``image_congruence``."""
     from congform import con_lattice, image_congruence
 
-    into = fib.index[fib.universe.lookup(f.cod)]
-    return tuple(into[image_congruence(f, r)] for r in con_lattice(f.dom))
+    into = u.by_ids[u.lookup(f.cod)]
+    return tuple(into[image_congruence(f, r).ids] for r in con_lattice(f.dom))
 
 
-def pull_table(fib, f):
+def pull_table(u, f):
     """S -> f*S along a map f between members, by ``preimage_congruence``."""
     from congform import con_lattice, preimage_congruence
 
-    into = fib.index[fib.universe.lookup(f.dom)]
-    return tuple(into[preimage_congruence(f, s)] for s in con_lattice(f.cod))
+    into = u.by_ids[u.lookup(f.dom)]
+    return tuple(into[preimage_congruence(f, s).ids] for s in con_lattice(f.cod))
 
 
-# --- fibration coordinates, quotient verdicts and membership by hashed keys ----------
+# --- fibre coordinates, quotient verdicts and membership by hashed keys --------------
 
 def summed_generating_maps(u):
-    """``operators.generating_maps`` with the atoms of each Con(X) found as the
+    """``Universe.generating_maps`` with the atoms of each Con(X) found as the
     congruences with exactly two entries of their ``le`` column set (the
     diagonal and themselves), and the diagonal's maps looked up by a fresh
     ``diagonal(x)``."""
     from congform import diagonal
     from congform.algebras import automorphism_generators
-    from congform.operators import fibration, quotient_maps
+    from congform.operators import quotient_maps
 
-    maps, fib = quotient_maps(u), fibration(u)
+    maps = quotient_maps(u)
     out = []
     for i, x in enumerate(u.algebras):
-        atoms = [r for a, r in enumerate(fib.lattices[i]) if sum(row[a] for row in fib.le[i]) == 2]
+        atoms = [r for a, r in enumerate(u.lattices[i]) if sum(row[a] for row in u.le[i]) == 2]
         out.extend(g for r in atoms for g in maps[r])
         out.extend(g for g in maps[diagonal(x)] if g.cod != x)
         out.extend(automorphism_generators(x))
@@ -734,33 +732,32 @@ def scanned_covers(le):
                  and not any(c not in (a, b) and le[a][c] and le[c][b] for c in order))
 
 
-def hashed_coordinates(fib):
-    """``Fibration``'s diagonal, generators, images and quotients as the
+def hashed_coordinates(u):
+    """A universe's diagonal, generators, images and quotients as the
     checks read them before: ``Universe.lookup`` of each map's ends,
     ``Congruence`` keys, and tables built on ``Congruence`` objects
     (``pull_table``, ``image_table``); the generators that are not
     automorphisms are quotient maps."""
     from congform import diagonal, identity_hom
-    from congform.operators import generating_maps, quotient_maps
+    from congform.operators import quotient_maps
 
-    u = fib.universe
     maps, index = quotient_maps(u), u.lookup
-    diagonals = tuple(fib.index[i][diagonal(x)] for i, x in enumerate(u.algebras))
-    gens = generating_maps(u)
-    generators = tuple((index(f.dom), index(f.cod), pull_table(fib, f)) for f in gens)
-    images = tuple((index(f.dom), index(f.cod), image_table(fib, f))
+    diagonals = tuple(u.by_ids[i][diagonal(x).ids] for i, x in enumerate(u.algebras))
+    gens = u.generating_maps
+    generators = tuple((index(f.dom), index(f.cod), pull_table(u, f)) for f in gens)
+    images = tuple((index(f.dom), index(f.cod), image_table(u, f))
                    for f in gens if f.dom != f.cod)
 
     def first(r):
         g = maps[r][0]
-        return index(g.cod), None if g == identity_hom(g.dom) else pull_table(fib, g)
+        return index(g.cod), None if g == identity_hom(g.dom) else pull_table(u, g)
 
-    quotients = tuple(tuple(map(first, lattice)) for lattice in fib.lattices)
+    quotients = tuple(tuple(map(first, lattice)) for lattice in u.lattices)
     return diagonals, generators, images, quotients
 
 
 def hashed_quotient_verdict(u, pred):
-    """R -> pred(X/R) as ``reflection`` read it before ``Fibration.quotients``:
+    """R -> pred(X/R) as ``reflection`` read it before ``Universe.quotients``:
     the verdict of the member ``Universe.lookup`` finds at the end of
     ``quotient_maps(u)[R][0]``."""
     from congform.operators import quotient_maps
@@ -1108,13 +1105,30 @@ def transport_dedup_by_orbit(algebras):
     return reps
 
 
+def _relabeling_arrays(a):
+    """(perm, {arity: index array}) for every permutation of a's carrier: the
+    arrays ``relabel_algebra`` would read a's tables along, one per arity."""
+    from congform.algebras import _index_array, _inverse
+
+    arities = {k for _, k in a.sig.ops}
+    return [(perm, {k: _index_array(a.size, _inverse(perm), k) for k in arities})
+            for perm in itertools.permutations(range(a.size))]
+
+
+def _relabelings(a, arrays):
+    """The tables of ``relabel_algebra(a, perm)`` for every perm, read along ``arrays``."""
+    ops = [(table, k) for (_, k), table in zip(a.sig.ops, a.tables)]
+    for perm, where in arrays:
+        yield tuple(tuple([perm[table[i]] for i in where[k]]) for table, k in ops)
+
+
 def dedup_by_orbit(algebras):
     """The ``canonical_algebra`` of each isomorphism class, in stream order, with
     no isomorphism search: a class's tables are the orbit of its first member
     under the n! relabelings of every table, whose index arrays are built once
     per size and arities in this call; the orbit is kept in a set, and its
     least element is the canonical form."""
-    from congform.algebras import FiniteAlgebra, _relabeling_arrays, _relabelings
+    from congform.algebras import FiniteAlgebra
 
     seen, reps, arrays = set(), [], {}
     for a in algebras:
@@ -1145,7 +1159,6 @@ def listed_quandle_classes(quandles):
     emitted flat tables: all n! relabelings of a class's first lhd are read
     by a list comprehension along ``_relabeling_arrays``, and every table
     of the stream is an algebra."""
-    from congform.algebras import _relabeling_arrays
     from congform.instances import _quandle
 
     seen, reps, arrays = set(), [], {}

@@ -30,6 +30,7 @@ from congform import (
     symmetric_group,
     validate_algebra,
 )
+from congform import algebras
 from congform.algebras import Congruence, _canonical_ids, _flatten, is_compatible
 from congform.errors import (
     AxiomViolation,
@@ -38,6 +39,7 @@ from congform.errors import (
     NotAHomomorphism,
     OutOfRange,
     SignatureMismatch,
+    SizeTooLarge,
     TableShape,
     UnknownOp,
 )
@@ -457,7 +459,11 @@ def test_no_isomorphism_across_classes():
     assert find_isomorphism(cyclic_group(4), klein_four_group()) is None
 
 
-def test_canonical_algebra_is_isomorphism_invariant():
+def test_canonical_algebra_is_isomorphism_invariant(monkeypatch):
     d3, s3 = dihedral_group(3), symmetric_group(3)
     assert canonical_algebra(d3) == canonical_algebra(s3)
     assert find_isomorphism(canonical_algebra(d3), d3) is not None
+    # a size-8 algebra is refused before any of its 8! relabelings is built
+    monkeypatch.setattr(algebras, "_transport", None)
+    with pytest.raises(SizeTooLarge):
+        canonical_algebra(cyclic_group(8))

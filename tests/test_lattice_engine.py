@@ -6,7 +6,7 @@ needs no operation propagation.  ``enumerate_operators`` builds
 operators member by member and prunes on monotonicity and continuity.
 Surjections are not searched for: they
 are the quotient maps followed by automorphisms, and the laws are decided
-along a generating set of them (``generating_maps``), against the scans of
+along a generating set of them (``Universe.generating_maps``), against the scans of
 the full lists in ``oracles``.  Each is compared here
 with the general search it replaced, kept in ``oracles``: the (f, R, S)
 lifting-law scan, the Mal'cev join, the propagated image, coheredity
@@ -17,7 +17,7 @@ congruences, on block-id arrays; the oracles join every pair, or join
 ``Congruence`` objects with each principal one.  In quandles it
 generates one principal congruence per orbit of the inner automorphisms,
 shared by the whole orbit; the oracle generates each from its own pair.
-The operator checks read the universe's integer tables (``fibration``);
+The operator checks read the universe's integer tables (``Universe``);
 the oracles are the same checks on ``Congruence`` objects, and must give
 the same verdicts and witnesses.
 The tables read the order and joins off up-sets built from the block-id
@@ -98,7 +98,6 @@ from congform.algebras import (FiniteAlgebra, Signature, _block_pairs, automorph
 from congform.errors import CongformError, NotNatural, NotReflective
 from congform.instances import (CORPUS_KINDS, corpus_kind, corpus_operators, enumerate_quandles,
                                  oracle_predicate)
-from congform.operators import fibration, generating_maps, naturality_maps
 from congform.reflection import (Reflector, SubcategoryPredicate, closure_from_reflector,
                                  make_reflector)
 
@@ -397,7 +396,7 @@ def composites(x, maps) -> dict:
 ], ids=["quandles5", "groups12", "rngs24", "copies"])
 def test_generating_maps_generate_every_surjection(make_universe):
     u = make_universe()
-    gens = generating_maps(u)
+    gens = u.generating_maps
     quotients = [g for g in gens if g.dom != g.cod]
     for x in u.algebras:
         kept = [a for a in gens if a.dom == x and a.cod == x]
@@ -410,11 +409,11 @@ def test_generating_maps_generate_every_surjection(make_universe):
 
 def test_generating_maps_are_fewer_than_the_naturality_maps():
     u = corpus("quandles", 5)
-    gens = generating_maps(u)
-    assert set(gens) <= set(naturality_maps(u))
+    gens = u.generating_maps
+    assert set(gens) <= set(u.naturality_maps)
     # (all, automorphisms) of each list
     assert (len(gens), sum(f.dom == f.cod for f in gens)) == (139, 71)
-    assert (len(naturality_maps(u)), sum(f.dom == f.cod for f in naturality_maps(u))) == (612, 379)
+    assert (len(u.naturality_maps), sum(f.dom == f.cod for f in u.naturality_maps)) == (612, 379)
 
 
 @pytest.mark.parametrize("make_universe", [
@@ -494,7 +493,6 @@ def test_a_failing_check_builds_its_witness_once(monkeypatch):
     calls = []
     original = operators.congruence_to_blocks
     monkeypatch.setattr(operators, "congruence_to_blocks", lambda r: calls.append(r) or original(r))
-    fibration.cache_clear()
     failures = Counter()
     for u in operator_universes():
         for family in itertools.islice(oracles.extensive_families(u), 200):
@@ -628,8 +626,7 @@ def test_monotonicity_on_covers_matches_the_pair_scan():
     # every extensive row of every fibre: the candidates of enumerate_operators
     verdicts = Counter()
     for u in operator_universes():
-        fib = fibration(u)
-        for lattice, covers, le in zip(fib.lattices, fib.covers, fib.le):
+        for lattice, covers, le in zip(u.lattices, u.covers, u.le):
             above = [[b for b in range(len(le)) if le[a][b]] for a in range(len(le))]
             for row in itertools.product(*above):
                 got = operators._monotone(covers, le, row)
@@ -656,14 +653,13 @@ def test_monotonicity_on_covers_matches_the_pair_scan_on_random_tables(data):
     # each random monotone table, and the table with one value moved to a
     # random congruence above its argument, which may break monotonicity
     u = t4_universe()
-    fib = fibration(u)
     for i, table in enumerate(_random_monotone_tables(data, u)):
-        lattice, le = fib.lattices[i], fib.le[i]
+        lattice, le = u.lattices[i], u.le[i]
         r = data.draw(st.sampled_from(lattice))
         bent = {**table, r: data.draw(st.sampled_from([s for s in lattice if leq(r, s)]))}
         for t in (table, bent):
-            row = tuple(fib.index[i][t[s]] for s in lattice)
-            assert operators._monotone(fib.covers[i], le, row) == (oracles.non_monotone(t) is None)
+            row = tuple(u.by_ids[i][t[s].ids] for s in lattice)
+            assert operators._monotone(u.covers[i], le, row) == (oracles.non_monotone(t) is None)
 
 
 def test_checks_match_oracles_on_builtin_operators_under_s4():
@@ -754,34 +750,32 @@ def test_table_checks_match_oracles_on_builtin_operators(kind, size):
 
 def test_fibration_tables_match_the_union_find_oracles():
     for u in operator_universes() + [corpus("rngs", 12), corpus("quandles", 4)]:
-        fib = fibration(u)
-        for i, (up, by_up) in enumerate(zip(fib.up, fib.by_up)):
+        for i, (up, by_up) in enumerate(zip(u.up, u.by_up)):
             # the joins is_minimal reads: up(a v b) = up(a) & up(b)
-            assert tuple(tuple(by_up[a & b] for b in up) for a in up) == oracles.join_table(fib, i)
+            assert tuple(tuple(by_up[a & b] for b in up) for a in up) == oracles.join_table(u, i)
         quotients = [g for gs in quotient_maps(u).values() for g in gs]
-        for f in dict.fromkeys(naturality_maps(u) + tuple(quotients)):
-            assert fib.pull(f) == oracles.pull_table(fib, f)
+        for f in dict.fromkeys(u.naturality_maps + tuple(quotients)):
+            assert u.pull(f) == oracles.pull_table(u, f)
         for f in quotients:
             i, j = u.lookup(f.dom), u.lookup(f.cod)
-            assert fib.image(i, j, fib.pull(f)) == oracles.image_table(fib, f)
-        assert [(i, j, e) for i, j, e, _ in fib.embeddings] == oracles.first_embeddings(u)
-        for i, j, e, pull in fib.embeddings:
-            assert pull == oracles.pull_table(fib, e)
+            assert u.image(i, j, u.pull(f)) == oracles.image_table(u, f)
+        assert [(i, j, e) for i, j, e, _ in u.embeddings] == oracles.first_embeddings(u)
+        for i, j, e, pull in u.embeddings:
+            assert pull == oracles.pull_table(u, e)
         # the coordinates the checks read, against look-ups by hashed keys
-        assert (fib.diagonal, fib.generators, fib.images, fib.quotients) == \
-            oracles.hashed_coordinates(fib)
-        assert fib.covers == tuple(map(oracles.scanned_covers, fib.le))
-        assert generating_maps(u) == oracles.summed_generating_maps(u)
+        assert (u.diagonal, u.generators, u.images, u.quotients) == oracles.hashed_coordinates(u)
+        assert u.covers == tuple(map(oracles.scanned_covers, u.le))
+        assert u.generating_maps == oracles.summed_generating_maps(u)
 
 
 @pytest.mark.parametrize("kind,size", [(kind, corpus_kind(kind).default_size) for kind in CORPUS_KINDS]
                          + [("groups", 12), ("rngs", 24), ("quandles", 6)])
 def test_fibration_order_matches_pairwise_leq(kind, size):
-    fib = fibration(corpus(kind, size))
-    for i, lattice in enumerate(fib.lattices):
-        assert (fib.le[i], fib.up[i]) == oracles.pairwise_order(lattice)
+    u = corpus(kind, size)
+    for i, lattice in enumerate(u.lattices):
+        assert (u.le[i], u.up[i]) == oracles.pairwise_order(lattice)
         # canonical ids sort the diagonal last
-        assert lattice[fib.diagonal[i]] == diagonal(lattice[0].algebra)
+        assert lattice[u.diagonal[i]] == diagonal(lattice[0].algebra)
 
 
 def ternary_algebras():
@@ -1029,7 +1023,7 @@ def outcome(build):
 
 
 def assert_verdicts_match_quotient_scan(u, preds):
-    lattices = fibration(u).lattices
+    lattices = u.lattices
     for pred in preds:
         hashed = oracles.hashed_quotient_verdict(u, pred)
         assert [[accepts(a) for a in range(len(lattice))] for accepts, lattice

@@ -41,7 +41,6 @@ from congform.errors import (
 )
 from congform.algebras import enumerate_homs
 from congform import operators, reflection
-from congform.operators import fibration, naturality_maps
 from congform.reflection import (SubcategoryPredicate, closures_agree, make_reflector,
                                  reflectors_agree)
 from congform.terms import COMMUTATIVITY, REDUCED_RNG, TRIVIAL_QUANDLE
@@ -150,21 +149,20 @@ def test_surjection_only_naturality_can_fail_universal_property():
 
 def test_a_second_universe_validates_afresh(monkeypatch):
     # the members of the quotient closure of Z4 in reverse order make another
-    # universe, with its own fibration: rows and a rho accepted on one are
+    # universe, with its own tables: rows and a rho accepted on one are
     # checked again, and kept, on the other
-    fibration.cache_clear()
     u = universe_from_generators([cyclic_group(4)])
     turned = Universe(u.algebras[::-1])
     assert turned != u
     c = make_operator(u, pathological_rule(u), "pathological")
-    assert c.rows in fibration(u).natural
+    assert c.rows in u.natural
     scans = []
     original_scan = operators._first_failure
     monkeypatch.setattr(operators, "_first_failure", lambda *a: scans.append(a[0]) or original_scan(*a))
     make_operator(u, pathological_rule(u), "pathological")
     assert scans == []
     assert make_operator(turned, pathological_rule(u), "pathological").rows == c.rows[::-1]
-    assert scans == [turned] and c.rows[::-1] in fibration(turned).natural
+    assert scans == [turned] and c.rows[::-1] in turned.natural
     rho = [diagonal(x) for x in u.algebras]
     make_reflector(u, rho, "id")
     reads = []
@@ -173,17 +171,17 @@ def test_a_second_universe_validates_afresh(monkeypatch):
     make_reflector(u, rho, "id")
     assert reads == []
     make_reflector(turned, rho[::-1], "id")
-    assert reads == [turned] and tuple(rho[::-1]) in fibration(turned).reflective
+    assert reads == [turned] and tuple(rho[::-1]) in turned.reflective
 
 
 def test_make_reflector_enumerates_no_homs():
     # pull-backs are built along the maps read, here quotient maps only,
     # and neither the naturality maps nor any hom list is built
     u = universe_from_generators([cyclic_group(8)])
-    for cached in (fibration, naturality_maps, enumerate_homs):
-        cached.cache_clear()
+    enumerate_homs.cache_clear()
     make_reflector(u, [diagonal(x) for x in u.algebras], "id")
-    assert enumerate_homs.cache_info().misses == naturality_maps.cache_info().misses == 0
+    assert enumerate_homs.cache_info().misses == 0
+    assert "naturality_maps" not in vars(u)
 
 
 def test_make_reflector_rejects_reflections_outside_the_subcategory():

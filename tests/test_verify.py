@@ -1,6 +1,7 @@
 """verify-all output pinned byte for byte, and its derivations built once."""
 
 import hashlib
+import itertools
 import json
 import sys
 
@@ -16,6 +17,13 @@ PINNED_DIGESTS = {
     ("quandles", 3): "4cbbb5f7517fa21bb398321ea93a3dfa298cc441ea88f5f8f53950cc7a9e01bc",
     ("quandles", 5): "45c25b2e36ff53e15333ddeee335e0d29f72ab5ecea19216925c260004116e8e",
 }
+
+
+def fresh_corpus(kind, max_size):
+    """``corpus(kind, max_size)`` built anew, with no table built yet; the
+    corpus cache then hands it to ``run_verification``."""
+    corpus.cache_clear()
+    return corpus(kind, max_size)
 
 
 @pytest.mark.parametrize("kind,max_size", list(PINNED_DIGESTS))
@@ -64,6 +72,7 @@ def test_run_verification_searches_homs_only_into_subcategories(monkeypatch):
 def test_run_verification_enumerates_no_homs(monkeypatch):
     # the universal property is checked through quotient maps and embeddings
     # of members into members, each found once per universe
+    u = fresh_corpus("quandles", 4)
     original = algebras.enumerate_homs
     calls = []
 
@@ -77,17 +86,16 @@ def test_run_verification_enumerates_no_homs(monkeypatch):
             monkeypatch.setattr(module, "enumerate_homs", counting)
     run_verification("quandles", 4)
     assert calls == []
-    u = corpus("quandles", 4)
-    assert len(operators.fibration(u)._embeddings) <= len(u) ** 2
+    # one look-up per ordered pair of members, keyed by member indices
+    assert set(u._embeddings) <= set(itertools.product(range(len(u)), repeat=2))
 
 
 def test_run_verification_builds_no_identity_pull_tables():
     # make_reflector and pullback_rule read f*S = S along the quotient map
     # X -> X/diagonal when it is the identity, so only other maps get a table
-    u = corpus("quandles", 5)
-    operators.fibration.cache_clear()
+    u = fresh_corpus("quandles", 5)
     run_verification("quandles", 5)
-    pulls = operators.fibration(u)._pulls
+    pulls = u._pulls
     assert not [f for f in pulls if f.dom == f.cod and f.map == tuple(range(f.dom.size))]
     assert len(pulls) == 304
 
@@ -95,6 +103,7 @@ def test_run_verification_builds_no_identity_pull_tables():
 def test_run_verification_refutes_every_embedding_by_counts(monkeypatch):
     # on quandles 5 the element counts of _embedding_profile rule out every
     # embedding make_reflector asks for, so find_embedding never searches
+    fresh_corpus("quandles", 5)
     lookups, callers = [], []
     original_find, original_search = operators.find_embedding, algebras._hom_search
 
@@ -108,7 +117,6 @@ def test_run_verification_refutes_every_embedding_by_counts(monkeypatch):
 
     monkeypatch.setattr(operators, "find_embedding", finding)
     monkeypatch.setattr(algebras, "_hom_search", searching)
-    operators.fibration.cache_clear()
     run_verification("quandles", 5)
     assert len(lookups) == 149
     assert "find_embedding" not in callers
@@ -118,6 +126,7 @@ def test_run_verification_checks_coheredity_once_per_row_tuple(monkeypatch):
     # per built-in: its report, the derived operator's axiom suite and both
     # reflector_from_closure calls ask for the verdict; the derived rows equal
     # the built-in's, so the quotient maps are scanned once per built-in
+    fresh_corpus("quandles", 5)
     asked, scanned = [], []
     original, original_scan = operators.is_cohereditary, operators._along_quotient_maps
 
@@ -135,7 +144,6 @@ def test_run_verification_checks_coheredity_once_per_row_tuple(monkeypatch):
                 getattr(module, "is_cohereditary", None) is original:
             monkeypatch.setattr(module, "is_cohereditary", asking)
     monkeypatch.setattr(operators, "_along_quotient_maps", scanning)
-    operators.fibration.cache_clear()
     run_verification("quandles", 5)
     assert (len(asked), len(set(asked))) == (12, 3)
     assert sorted(scanned) == sorted(set(asked))
@@ -157,9 +165,8 @@ class RecordingSet(set):
 def test_run_verification_validates_each_table_and_rho_once(kind, max_size, distinct):
     # per built-in: its rows and rho, again from the derived operator and the
     # oracle's reflector, which equal them; only the first of each is checked
-    operators.fibration.cache_clear()
-    fib = operators.fibration(corpus(kind, max_size))
-    fib.natural, fib.reflective = RecordingSet(), RecordingSet()
+    u = fresh_corpus(kind, max_size)
+    vars(u).update(natural=RecordingSet(), reflective=RecordingSet())
     run_verification(kind, max_size)
-    for kept in (fib.natural, fib.reflective):
+    for kept in (u.natural, u.reflective):
         assert len(kept.added) == len(kept) == distinct
