@@ -34,17 +34,8 @@ from .instances import (
     corpus_manifest,
 )
 from .operators import is_minimal, operator_report
-from .reflection import (
-    antitone_check,
-    closed_under_quotients,
-    closure_from_reflector,
-    closures_agree,
-    membership,
-    predicate_from_operator,
-    reflector_from_closure,
-    reflectors_agree,
-)
-from .verify import run_verification
+from .reflection import _closed_diagonals, closed_under_quotients, predicate_from_operator
+from .verify import THEOREMS, Subject, run_verification
 
 
 def _emit(doc, report_path: str | None = None) -> None:
@@ -232,17 +223,15 @@ def _cmd_check_operator(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    _, c = _universe_and_operator(args)
-    refl = reflector_from_closure(c)
-    back = closure_from_reflector(refl)
-    closure_rt = closures_agree(c, back)
-    reflector_rt = reflectors_agree(refl, reflector_from_closure(back))
-    ok = bool(closure_rt) and bool(reflector_rt)
-    _say(f"{c.name}: round-trips {'pass' if ok else 'FAIL'}")
+    s = Subject(args.operator, corpus(args.corpus, _max_size(args)))
+    check, passes, _ = THEOREMS["roundtrip_identities"]
+    item = check(s)
+    ok = passes(item)
+    _say(f"{s.operator.name}: round-trips {'pass' if ok else 'FAIL'}")
     _emit({
-        "operator": c.name,
-        "closure_roundtrip": closure_rt.as_json(),
-        "reflector_roundtrip": reflector_rt.as_json(),
+        "operator": s.operator.name,
+        "closure_roundtrip": item["closure"],
+        "reflector_roundtrip": item["reflector"],
         "pass": ok,
     }, args.report)
     return 0 if ok else 1
@@ -266,21 +255,21 @@ def _cmd_birkhoff(args) -> int:
 
 def _cmd_antitone(args) -> int:
     u = corpus(args.corpus, _max_size(args))
-    c1 = builtin_operator(args.operator, u)
-    c2 = builtin_operator(args.operator2, u)
-    res = antitone_check(c1, c2)
-    members1 = [i for i, a in enumerate(u.algebras) if membership(c1, a)]
-    members2 = [i for i, a in enumerate(u.algebras) if membership(c2, a)]
-    _say(f"antitone {c1.name} / {c2.name}: {'pass' if res else 'FAIL'}")
+    first, second = Subject(args.operator, u), Subject(args.operator2, u)
+    check, passes, _ = THEOREMS["antitone_order"]
+    item = check(first, second)
+    ok = passes(item)
+    c1, c2 = first.operator, second.operator
+    _say(f"antitone {c1.name} / {c2.name}: {'pass' if ok else 'FAIL'}")
     _emit({
         "first": c1.name,
         "second": c2.name,
-        "subcategory_first": members1,
-        "subcategory_second": members2,
-        "check": res.as_json(),
-        "pass": bool(res),
+        "subcategory_first": [i for i, closed in enumerate(_closed_diagonals(c1)) if closed],
+        "subcategory_second": [i for i, closed in enumerate(_closed_diagonals(c2)) if closed],
+        "check": item,
+        "pass": ok,
     }, args.report)
-    return 0 if res else 1
+    return 0 if ok else 1
 
 
 def _cmd_corpus(args) -> int:

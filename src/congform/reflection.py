@@ -356,9 +356,8 @@ def _least_accepted(name: str, lattice, accepts: Callable[[int], bool], by_ids):
     return least
 
 
-def oracle_reflector(u: Universe, pred: SubcategoryPredicate,
-                     name: str | None = None) -> Reflector:
+def oracle_reflector(u: Universe, pred: SubcategoryPredicate) -> Reflector:
     """Ground-truth reflector built member by member from the oracle."""
     rho = tuple(_least_accepted(pred.name, lattice, accepts, by_ids) for lattice, accepts, by_ids
                 in zip(u.lattices, _quotient_verdicts(u, pred), u.by_ids))
-    return make_reflector(u, rho, name or f"oracle({pred.name})")
+    return make_reflector(u, rho, f"oracle({pred.name})")

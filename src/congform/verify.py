@@ -1,23 +1,28 @@
-"""Corpus-level verification: run every theorem check and collect a report.
+"""The paper's theorems as one table, and the loop that runs it on a corpus.
 
-This backs the ``verify-all`` CLI command and the verification scripts.
-For one corpus it exercises, per built-in operator that applies to the
-corpus kind (the registry in ``instances``): the reflection round-trips,
-the axiom suite on reflection-derived operators, the minimal/cocartesian
-equivalence, the minimality/quotient-closure equivalence, the antitone
-operator order, and agreement with the brute-force reflection oracle.
+``THEOREMS`` maps each theorem, in report order, to its check, its pass
+rule and the key of its items.  A check takes one subject, or for
+``antitone_order`` an ordered pair of distinct subjects, and returns a
+JSON item, or None to skip the subject; the theorem passes when its rule
+holds on every item.  A ``Subject`` is a built-in operator on a universe
+and its oracle predicate; what the theorems derive from it is built on
+first use and then shared: the operator report C, the reflector R of C,
+and the operator D derived back from R.
 
-Each derived object is built once per operator and shared by every
-theorem that reads it: the operator report C (whose verdicts the
-minimality sections reuse), the reflector R of C, the operator D derived
-back from R (the axiom suite's subject and the middle of both round
-trips), and the reflector derived from D.
+``run_verification`` (``verify-all`` and the verification scripts) runs
+every entry on one subject per built-in operator of a corpus kind (the
+registry in ``instances``).  The ``roundtrip`` command runs the entry
+``roundtrip_identities`` on one subject, and ``antitone`` runs
+``antitone_order`` on a pair.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import itemgetter
+
 from .instances import builtin_operator, corpus, corpus_kind, corpus_operators, oracle_predicate
-from .operators import is_cohereditary, is_idempotent, operator_report
+from .operators import Universe, is_cohereditary, is_idempotent, operator_report
 from .reflection import (
     antitone_check,
     closed_under_quotients,
@@ -29,94 +34,98 @@ from .reflection import (
     reflectors_agree,
 )
 
+
+class Subject:
+    """The named built-in operator on ``u``, its oracle predicate, and the
+    objects derived from them, each built on first use."""
+
+    def __init__(self, name: str, u: Universe):
+        self.operator = builtin_operator(name, u)
+        self.predicate = oracle_predicate(name)
+
+    report = cached_property(lambda self: operator_report(self.operator))
+    reflector = cached_property(lambda self: reflector_from_closure(self.operator))
+    derived = cached_property(lambda self: closure_from_reflector(self.reflector))
+
+
+def _axiom_suite(s: Subject) -> dict:
+    return {
+        "extensive": True,  # enforced at construction
+        "natural": True,
+        "idempotent": is_idempotent(s.derived).as_json(),
+        "cohereditary": is_cohereditary(s.derived).as_json(),
+    }
+
+
+def _minimality_pushout(s: Subject) -> dict | None:
+    rep = s.report
+    if rep["idempotent"] and rep["cohereditary"]:
+        return {"minimal": rep["minimal"], "preserves_pushouts": rep["preserves_pushouts"]}
+    return None
+
+
+def _roundtrip(s: Subject) -> dict:
+    return {
+        "closure": closures_agree(s.operator, s.derived).as_json(),
+        "reflector": reflectors_agree(s.reflector, reflector_from_closure(s.derived)).as_json(),
+    }
+
+
+def _birkhoff(s: Subject) -> dict:
+    c = s.operator
+    closed = bool(closed_under_quotients(predicate_from_operator(c), c.universe))
+    return {"minimal": s.report["minimal"], "closed_under_quotients": closed}
+
+
+def _antitone(s: Subject, t: Subject) -> dict:
+    return antitone_check(s.operator, t.operator).as_json()
+
+
+def _oracle_agreement(s: Subject) -> dict:
+    c = s.operator
+    oracle = closure_from_reflector(oracle_reflector(c.universe, s.predicate))
+    return closures_agree(c, oracle).as_json()
+
+
+_ok = itemgetter("ok")
+
+# name -> (check, pass rule on one item, items key), in report order
+THEOREMS = {
+    # reflection-derived operators satisfy the closure operator axioms
+    "axiom_suite": (
+        _axiom_suite, lambda v: v["idempotent"]["ok"] and v["cohereditary"]["ok"], "operators"),
+    # minimality coincides with preservation of cocartesian liftings
+    "minimality_pushout_equivalence": (
+        _minimality_pushout, lambda v: v["minimal"] == v["preserves_pushouts"], "operators"),
+    # both round trips are pointwise identities
+    "roundtrip_identities": (
+        _roundtrip, lambda v: v["closure"]["ok"] and v["reflector"]["ok"], "operators"),
+    # minimal operators are exactly the quotient-closed subcategories
+    "birkhoff_equivalence": (
+        _birkhoff, lambda v: v["minimal"] == v["closed_under_quotients"], "operators"),
+    # operator order is opposite to subcategory inclusion, on every ordered pair
+    "antitone_order": (_antitone, _ok, "pairs"),
+    # built-in rules agree with the brute-force reflection oracle
+    "oracle_agreement": (_oracle_agreement, _ok, "operators"),
+}
+
+
 def run_verification(kind: str, max_size: int | None = None) -> dict:
     """Full theorem suite for one corpus; the report's ``pass`` key sums it up."""
     if max_size is None:
         max_size = corpus_kind(kind).default_size
     u = corpus(kind, max_size)
-    names = corpus_operators(kind)
-    operators = {name: builtin_operator(name, u) for name in names}
-    reports = {name: operator_report(c) for name, c in operators.items()}
-
+    subjects = {name: Subject(name, u) for name in corpus_operators(kind)}
+    args = {"operators": {a: (s,) for a, s in subjects.items()},
+            "pairs": {f"{a} / {b}": (s, t) for a, s in subjects.items()
+                      for b, t in subjects.items() if a != b}}
     report: dict = {
         "corpus": {"kind": kind, "max_size": max_size, "members": len(u)},
-        "operators": reports,
+        "operators": {name: s.report for name, s in subjects.items()},
         "theorems": {},
     }
-
-    # reflection-derived operators satisfy the closure operator axioms
-    axiom_items = {}
-    reflectors = {}
-    derived = {}
-    for name, c in operators.items():
-        reflectors[name] = reflector_from_closure(c)
-        d = derived[name] = closure_from_reflector(reflectors[name])
-        axiom_items[name] = {
-            "extensive": True,
-            "natural": True,
-            "idempotent": is_idempotent(d).as_json(),
-            "cohereditary": is_cohereditary(d).as_json(),
-        }
-    report["theorems"]["axiom_suite"] = {
-        "pass": all(v["idempotent"]["ok"] and v["cohereditary"]["ok"]
-                    for v in axiom_items.values()),
-        "operators": axiom_items,
-    }
-
-    # minimality coincides with preservation of cocartesian liftings
-    mp_items = {
-        name: {"minimal": rep["minimal"], "preserves_pushouts": rep["preserves_pushouts"]}
-        for name, rep in reports.items() if rep["idempotent"] and rep["cohereditary"]
-    }
-    report["theorems"]["minimality_pushout_equivalence"] = {
-        "pass": all(v["minimal"] == v["preserves_pushouts"] for v in mp_items.values()),
-        "operators": mp_items,
-    }
-
-    # both round trips are pointwise identities
-    rt_items = {}
-    for name, c in operators.items():
-        rt_items[name] = {
-            "closure": closures_agree(c, derived[name]).as_json(),
-            "reflector": reflectors_agree(
-                reflectors[name], reflector_from_closure(derived[name])).as_json(),
-        }
-    report["theorems"]["roundtrip_identities"] = {
-        "pass": all(v["closure"]["ok"] and v["reflector"]["ok"] for v in rt_items.values()),
-        "operators": rt_items,
-    }
-
-    # minimal operators are exactly the quotient-closed subcategories
-    bir_items = {}
-    for name, c in operators.items():
-        closed = bool(closed_under_quotients(predicate_from_operator(c), u))
-        bir_items[name] = {"minimal": reports[name]["minimal"], "closed_under_quotients": closed}
-    report["theorems"]["birkhoff_equivalence"] = {
-        "pass": all(v["minimal"] == v["closed_under_quotients"] for v in bir_items.values()),
-        "operators": bir_items,
-    }
-
-    # operator order is opposite to subcategory inclusion, on every ordered pair
-    ant_items = {}
-    for a in names:
-        for b in names:
-            if a == b:
-                continue
-            ant_items[f"{a} / {b}"] = antitone_check(operators[a], operators[b]).as_json()
-    report["theorems"]["antitone_order"] = {
-        "pass": all(v["ok"] for v in ant_items.values()),
-        "pairs": ant_items,
-    }
-
-    # built-in rules agree with the brute-force reflection oracle
-    ora_items = {}
-    for name, c in operators.items():
-        oracle_c = closure_from_reflector(oracle_reflector(u, oracle_predicate(name)))
-        ora_items[name] = closures_agree(c, oracle_c).as_json()
-    report["theorems"]["oracle_agreement"] = {
-        "pass": all(v["ok"] for v in ora_items.values()),
-        "operators": ora_items,
-    }
-
+    for theorem, (check, passes, key) in THEOREMS.items():
+        items = {k: item for k, xs in args[key].items() if (item := check(*xs)) is not None}
+        report["theorems"][theorem] = {"pass": all(map(passes, items.values())), key: items}
     report["pass"] = all(t["pass"] for t in report["theorems"].values())
     return report

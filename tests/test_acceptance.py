@@ -35,7 +35,7 @@ from congform import (
     subcategory_members,
     universe_from_generators,
 )
-from congform.verify import oracle_predicate
+from congform.instances import oracle_predicate
 
 import oracles
 

@@ -1,10 +1,12 @@
 import argparse
+import itertools
 import json
 
 import pytest
 
 from congform import BUILTIN_OPERATOR_NAMES, algebra_to_json, cyclic_group, cyclic_rng
 from congform.cli import build_parser, main
+from congform.instances import CORPUS_KINDS, corpus_operators
 
 from oracles import trivial_quandle
 
@@ -322,6 +324,22 @@ def test_antitone_command(capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert set(doc["subcategory_second"]) < set(doc["subcategory_first"])
+
+
+@pytest.mark.parametrize("kind", CORPUS_KINDS)
+def test_roundtrip_and_antitone_commands_match_verify_all(capsys, kind):
+    # both commands run one entry of the theorem table, as verify-all does
+    _, out, _ = run(capsys, "verify-all", "--corpus", kind)
+    theorems = json.loads(out)["theorems"]
+    names = corpus_operators(kind)
+    for name in names:
+        _, out, _ = run(capsys, "roundtrip", "--operator", name, "--corpus", kind)
+        doc = json.loads(out)
+        assert {"closure": doc["closure_roundtrip"], "reflector": doc["reflector_roundtrip"]} \
+            == theorems["roundtrip_identities"]["operators"][name]
+    for a, b in itertools.permutations(names, 2):
+        _, out, _ = run(capsys, "antitone", "--operator", a, "--operator2", b, "--corpus", kind)
+        assert json.loads(out)["check"] == theorems["antitone_order"]["pairs"][f"{a} / {b}"]
 
 
 def test_corpus_command_and_report_flag(tmp_path, capsys):
