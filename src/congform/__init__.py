@@ -83,7 +83,6 @@ from .reflection import (
     antitone_check,
     closed_under_quotients,
     closure_from_reflector,
-    membership,
     oracle_reflection,
     oracle_reflector,
     predicate_from_equations,

@@ -591,7 +591,8 @@ def enumerate_surjections(x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorph
 @lru_cache(maxsize=None)
 def find_isomorphism(x: FiniteAlgebra, y: FiniteAlgebra) -> Homomorphism | None:
     """Lexicographically least isomorphism x -> y, or None.  Equal tables
-    give the identity, the least bijection, with no search."""
+    give the identity, the least bijection, with no search, and unequal
+    ``_iso_invariant`` keys give None unsearched."""
     if x.sig != y.sig or x.size != y.size or x.tag != y.tag:
         return None
     if x.tables == y.tables:
@@ -618,41 +619,11 @@ def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
-def _value_counts(table: tuple[int, ...], values: set[int]) -> tuple[int, ...]:
-    """The sorted counts in ``table`` of its distinct ``values``."""
-    return tuple(sorted(map(table.count, values)))
-
-
-def _line_profile(line: tuple[int, ...], n: int):
-    """Count multiset of a row/column, or its cycle type when it permutes."""
-    values = set(line)
-    if len(values) == n:
-        return ("perm", _cycle_type(line))
-    return ("counts", _value_counts(line, values))
-
-
-@lru_cache(maxsize=None)
 def _iso_invariant(a: FiniteAlgebra):
-    """Relabeling-invariant fingerprint used to cut isomorphism searches.
-
-    Per operation: the global value-count multiset, plus (for binary
-    tables) sorted multisets of row and column profiles, where a profile
-    is the cycle type if the line is a permutation and the count multiset
-    otherwise.  Cycle types are what separates tables whose rows and
-    columns all permute the carrier, quandles in particular.
-    """
-    n = a.size
-    parts: list = [a.size, a.tag or ""]
-    for (name, arity), table in zip(a.sig.ops, a.tables):
-        parts.append((name, _value_counts(table, set(table))))
-        if arity == 1:
-            parts.append(_line_profile(table, n))
-        elif arity == 2:
-            diag = sum(1 for v in range(n) if table[v * n + v] == v)
-            rows = sorted(_line_profile(table[v * n:(v + 1) * n], n) for v in range(n))
-            cols = sorted(_line_profile(table[v::n], n) for v in range(n))
-            parts.append((diag, tuple(rows), tuple(cols)))
-    return tuple(parts)
+    """Relabeling-invariant key that cuts isomorphism searches: the size, the
+    tag and the sorted ``_embedding_profile``.  An isomorphism and its
+    inverse are embeddings, so it keeps every element's counts."""
+    return a.size, a.tag, tuple(sorted(_embedding_profile(a)))
 
 
 @lru_cache(maxsize=None)

@@ -118,11 +118,11 @@ class Universe(Hashed):
     (g* None: g the identity); ``embeddings``, (i, j, e, e*) for the first
     embedding e, in ``_hom_search`` order, of member i onto each subalgebra
     of a larger member j.  ``natural`` holds the row tuples that passed
-    ``_natural_operator`` and ``reflective`` the rho tuples
-    ``make_reflector`` accepted; a verdict depends only on the universe and
-    the input, so both return at once for a known one; failures are not
-    kept.  ``cohereditary`` keeps each row tuple's ``is_cohereditary``
-    result, failing or not."""
+    ``_natural_operator`` or survived ``enumerate_operators``, and
+    ``reflective`` the rho tuples ``make_reflector`` accepted; a verdict
+    depends only on the universe and the input, so both return at once for
+    a known one; failures are not kept.  ``cohereditary`` keeps each row
+    tuple's ``is_cohereditary`` result, failing or not."""
 
     __slots__ = ("algebras", "_index", "_quotient_maps", "__dict__", "__weakref__")
 
@@ -300,10 +300,10 @@ def quotient_maps(u: Universe) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
 def _quotient_maps(algebras) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
     """``quotient_maps`` of a family, with a key for each K whose X/K is
     isomorphic to some member.  Only members with the ``_iso_invariant`` of
-    X/K can be isomorphic to it.  X/K is X itself when K is the diagonal,
-    and no tables are transported; onto a member with the tables of X/K the
-    isomorphism is the identity, so the map is the projection, with that
-    member as codomain."""
+    X/K (size, tag and sorted element counts) are searched.  X/K is X
+    itself when K is the diagonal, and no tables are transported; onto a
+    member with the tables of X/K the isomorphism is the identity, so the
+    map is the projection, with that member as codomain."""
     buckets: dict = {}
     for m in algebras:
         buckets.setdefault(_iso_invariant(m), []).append(m)
@@ -583,10 +583,11 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
     and cut off as soon as it breaks continuity along a map of
     ``generating_maps`` whose two ends are assigned.  The maps of
     ``naturality_maps`` at that depth compose from those (quotients sort
-    earlier), so the cuts are the full list's.  Each survivor's rows, in
-    ``con_lattice`` order, pass the naturality check of ``make_operator``
-    again, and it is named ``op{k}``, k its index in the product of all
-    extensive families (member-major, as ``itertools.product``).
+    earlier), so the cuts are the full list's.  A survivor is monotone and
+    continuous along every generator, ``_natural_operator``'s verdict, so
+    its rows, in ``con_lattice`` order, join ``Universe.natural`` unchecked.
+    It is named ``op{k}``, k its index in the product of all extensive
+    families (member-major, as ``itertools.product``).
     Raises ``SizeTooLarge`` up front when there are more than
     ``max_candidates`` extensive families.
     """
@@ -606,7 +607,9 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
 
     def extend(m: int, k: int) -> None:
         if m == len(rows):
-            out.append(_natural_operator(u, f"op{k}", tuple(rows)))
+            found = tuple(rows)
+            u.natural.add(found)
+            out.append(ClosureOperator(u, f"op{k}", found))
             return
         for index, row in candidates[m]:
             rows[m] = row

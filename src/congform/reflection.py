@@ -64,7 +64,6 @@ from .errors import (
     CheckResult,
     Frozen,
     NotCohereditary,
-    NotExtensive,
     NotIdempotent,
     NotReflective,
     PASSED,
@@ -76,7 +75,6 @@ from .operators import (
     Rule,
     Universe,
     _natural_operator,
-    _witness,
     find_member_iso,
     is_cohereditary,
     is_idempotent,
@@ -159,20 +157,14 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
 
 def closure_from_reflector(refl: Reflector) -> ClosureOperator:
     """C_X(R) pulls the reflection congruence of X/R back along its quotient
-    map g: X -> M_j, read as an index: rows[i][a] = g*(rho_j), checked
-    extensive member by member and then natural, as ``make_operator`` does."""
+    map g: X -> M_j, read as an index: rows[i][a] = g*(rho_j), then checked
+    natural as ``make_operator`` does.  The rows are extensive unchecked:
+    g*(S) contains ker g = R for every S."""
     u = refl.universe
     at = [by_ids[r.ids] for by_ids, r in zip(u.by_ids, refl.rho)]
-    rows = []
-    for i, (lattice, le, quotients) in enumerate(zip(u.lattices, u.le, u.quotients)):
-        row = [at[j] if pull is None else pull[at[j]] for j, pull in quotients]
-        for a, b in enumerate(row):
-            if not le[a][b]:
-                raise NotExtensive(f"operator {refl.name!r} is not extensive on member {i}",
-                                   witness=_witness(i, lattice[a],
-                                                    closure=congruence_to_blocks(lattice[b])))
-        rows.append(tuple(row))
-    return _natural_operator(u, refl.name, tuple(rows))
+    rows = tuple(tuple(at[j] if pull is None else pull[at[j]] for j, pull in quotients)
+                 for quotients in u.quotients)
+    return _natural_operator(u, refl.name, rows)
 
 
 def reflector_from_closure(c: ClosureOperator) -> Reflector:
@@ -198,11 +190,6 @@ def _closed_diagonals(ref: ClosureOperator | Reflector) -> list[bool]:
     if isinstance(ref, Reflector):
         return [r == lattice[d] for r, lattice, d in zip(ref.rho, u.lattices, u.diagonal)]
     return [row[d] == d for row, d in zip(ref.rows, u.diagonal)]
-
-
-def membership(ref: ClosureOperator | Reflector, x: int | FiniteAlgebra) -> bool:
-    """Is X, or member X, in the subcategory, i.e. is its diagonal closed?"""
-    return _closed_diagonals(ref)[ref.universe.lookup(x)]
 
 
 def subcategory_members(ref: ClosureOperator | Reflector) -> tuple[FiniteAlgebra, ...]:

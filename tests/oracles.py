@@ -767,8 +767,8 @@ def hashed_quotient_verdict(u, pred):
 
 
 def apply_membership(ref, x):
-    """``reflection.membership`` through ``rho_of`` or ``apply`` and a fresh
-    ``diagonal(x)``."""
+    """Is X in the subcategory, read through ``rho_of`` or ``apply`` and a
+    fresh ``diagonal(x)``: the reference for ``subcategory_members``."""
     from congform import Reflector, diagonal
 
     if isinstance(ref, Reflector):
@@ -1186,7 +1186,9 @@ def json_quandle_members(max_size):
 
 
 def counter_line_profile(line, n):
-    """``algebras._line_profile`` counting the line with a ``Counter``."""
+    """Count multiset of a row or column, or its cycle type when it permutes,
+    counting the line with a ``Counter``: the line profile of the old
+    ``algebras._iso_invariant``."""
     from collections import Counter
 
     from congform.algebras import _cycle_type
@@ -1198,7 +1200,11 @@ def counter_line_profile(line, n):
 
 
 def counter_iso_invariant(a):
-    """``algebras._iso_invariant`` counting values with a ``Counter``."""
+    """The fingerprint ``algebras._iso_invariant`` computed before it became
+    the sorted ``_embedding_profile``, counting values with a ``Counter``: per
+    operation the value-count multiset and, for unary and binary tables, the
+    line profiles (``counter_line_profile``) with the fixed diagonal count.
+    It is relabeling-invariant, so a pair it separates is not isomorphic."""
     from collections import Counter
 
     n = a.size

@@ -29,7 +29,10 @@ congruence its blocks generate; the oracle scans every operation tuple.
 The hom search indexes each element by the operation tuples it occurs in;
 the oracle scans every tuple on each step; ``find_embedding`` first rules
 embeddings out by element counts, and must still give the scan's first
-injective hom.  ``closure_from_reflector`` reads its rows off the
+injective hom.  ``find_isomorphism`` searches only pairs whose sorted
+element counts agree, and must give the scan's least bijection, and None
+wherever the fingerprint it replaced (``oracles.counter_iso_invariant``)
+tells the pair apart.  ``closure_from_reflector`` reads its rows off the
 pull-back tables; the oracle pulls ``Congruence`` objects back
 (``oracles.pullback_rule``) through ``make_operator``.  ``make_reflector`` checks the
 universal property by factorisation through quotient maps and embeddings;
@@ -82,7 +85,6 @@ from congform import (
     leq,
     lifts,
     make_operator,
-    membership,
     operator_leq,
     oracle_reflector,
     preimage_congruence,
@@ -99,7 +101,7 @@ from congform.errors import CongformError, NotNatural, NotReflective
 from congform.instances import (CORPUS_KINDS, corpus_kind, corpus_operators, enumerate_quandles,
                                  oracle_predicate)
 from congform.reflection import (Reflector, SubcategoryPredicate, closure_from_reflector,
-                                 make_reflector)
+                                 make_reflector, subcategory_members)
 
 import oracles
 from oracles import kernel_congruence, trivial_quandle
@@ -827,17 +829,10 @@ def big_corpus_members() -> list:
     return [a for kind, size in BIG_CORPORA for a in corpus(kind, size).algebras]
 
 
-def assert_invariants_match_the_replaced_code(a):
-    n = a.size
-    assert algebras._iso_invariant.__wrapped__(a) == oracles.counter_iso_invariant(a)
-    occurrences = algebras._occurrences.__wrapped__(n, a.sig)
+def assert_occurrences_match_the_replaced_code(a):
+    occurrences = algebras._occurrences.__wrapped__(a.size, a.sig)
     assert [[(t, a.tables[k][i], k) for t, i, k in entries] for entries in occurrences] == \
         list(map(list, oracles.product_walk_occurrences(a)))
-    for (_, arity), table in zip(a.sig.ops, a.tables):
-        lines = {1: [table],
-                 2: [table[v * n:(v + 1) * n] for v in range(n)] + [table[v::n] for v in range(n)]}
-        for line in lines.get(arity, ()):
-            assert algebras._line_profile(line, n) == oracles.counter_line_profile(line, n)
 
 
 def test_invariants_and_occurrences_match_the_replaced_code():
@@ -845,7 +840,7 @@ def test_invariants_and_occurrences_match_the_replaced_code():
     # emits up to size 6
     searched = [oracles.quandle_algebra(t) for n in range(1, 7) for t in enumerate_quandles(n)]
     for a in big_corpus_members() + searched:
-        assert_invariants_match_the_replaced_code(a)
+        assert_occurrences_match_the_replaced_code(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -853,8 +848,31 @@ def test_invariants_and_occurrences_match_the_replaced_code():
 def test_invariants_and_occurrences_match_the_replaced_code_on_relabelings(data):
     a = data.draw(st.sampled_from(big_corpus_members()))
     b = relabel_algebra(a, data.draw(st.permutations(range(a.size))))
-    assert_invariants_match_the_replaced_code(b)
+    assert_occurrences_match_the_replaced_code(b)
     assert algebras._iso_invariant(b) == algebras._iso_invariant(a)
+
+
+@pytest.mark.parametrize("kind, size, pairs, separated", [
+    ("quandles", 5, 277, 10), ("quandles", 6, 1652, 97), ("groups", 12, 59, 0),
+    ("rngs", 24, 84, 0)], ids=["quandles-5", "quandles-6", "groups-12", "rngs-24"])
+def test_isomorphism_search_matches_the_scan_on_the_compared_pairs(monkeypatch, kind, size,
+                                                                    pairs, separated):
+    # every (X/K, member) pair the closure check hands to find_isomorphism, bucketed
+    # by the sorted element counts: the scan's least bijection, and None wherever
+    # the fingerprint it replaced tells the two apart
+    members, compared = corpus(kind, size).algebras, []
+    monkeypatch.setattr(operators, "find_isomorphism",
+                        lambda q, m: compared.append((q, m)) or find_isomorphism(q, m))
+    operators._quotient_maps(members)
+    told_apart = 0
+    for q, m in compared:
+        iso = find_isomorphism(q, m)
+        assert (iso and iso.map) == \
+            next(iter(oracles.scan_hom_search(q, m, bijective=True, first_only=True)), None)
+        if oracles.counter_iso_invariant(q) != oracles.counter_iso_invariant(m):
+            assert iso is None
+            told_apart += 1
+    assert (len(compared), told_apart) == (pairs, separated)
 
 
 def test_an_algebra_is_its_own_least_isomorphism_without_a_search():
@@ -940,10 +958,14 @@ def reflector_verdict(u, rho) -> str:
     return "passes"
 
 
-def test_derived_closures_match_the_pullback_oracle_on_every_rho():
+def test_derived_closures_match_the_pullback_oracle_on_every_rho(monkeypatch):
     # every family rho on the quotient-closed universes, reflective or not:
-    # the same rows, or the same NotNatural message and witness
-    outcomes = Counter()
+    # the same rows, or the same NotNatural message and witness; and every
+    # derived row, natural or not, is extensive, as g*(S) contains ker g = R
+    outcomes, derived = Counter(), []
+    real = reflection._natural_operator
+    monkeypatch.setattr(reflection, "_natural_operator",
+                        lambda u, name, rows: derived.append((u, rows)) or real(u, name, rows))
     quandle_universes = [universe_from_generators([make()]) for make in QUANDLE_GENERATORS]
     for u in operator_universes() + quandle_universes:
         for rho in itertools.product(*map(con_lattice, u.algebras)):
@@ -951,6 +973,9 @@ def test_derived_closures_match_the_pullback_oracle_on_every_rho():
             assert got == derivation(lambda: make_operator(u, oracles.pullback_rule(u, rho), "rho"))
             outcomes[got[0] if isinstance(got[0], str) else "rows"] += 1
     assert outcomes == {"rows": 83, "NotNatural": 130}
+    assert len(derived) == 213
+    assert all(u.le[i][a][b] for u, rows in derived
+               for i, row in enumerate(rows) for a, b in enumerate(row))
 
 
 def test_universal_property_matches_hom_enumeration():
@@ -961,16 +986,17 @@ def test_universal_property_matches_hom_enumeration():
 
 
 def test_membership_matches_apply_on_enumerated_operators():
-    # each operator, and the reflector of its closed diagonals, by member and by index
+    # each operator, and the reflector of its closed diagonals: the closed diagonals and
+    # the subcategory members against apply and rho_of
     verdicts = Counter()
     for u in operator_universes():
         for c in enumerate_operators(u):
             rho = tuple(c.apply(i, diagonal(x)) for i, x in enumerate(u.algebras))
             for ref in (c, Reflector(u, c.name, rho)):
-                for i, x in enumerate(u.algebras):
-                    got = membership(ref, x)
-                    assert got == membership(ref, i) == oracles.apply_membership(ref, x)
-                    verdicts[got] += 1
+                expected = [oracles.apply_membership(ref, x) for x in u.algebras]
+                assert reflection._closed_diagonals(ref) == expected
+                assert subcategory_members(ref) == tuple(itertools.compress(u.algebras, expected))
+                verdicts.update(expected)
     assert verdicts[True] and verdicts[False]
 
 

@@ -510,18 +510,19 @@ def test_operator_census_up_to_order_8():
 
 
 def test_enumerate_operators_validates_only_survivors(monkeypatch):
-    # The D4 universe has 19,200 extensive families and 30 operators.  Only
-    # the survivors reach make_operator's naturality check, as index rows.
+    # The D4 universe has 19,200 extensive families and 30 operators.  The
+    # search prunes on monotonicity and continuity along the generators, which
+    # is the naturality verdict, so no survivor is checked again: its rows go
+    # straight into the universe's set of natural rows.
     u = universe_from_generators([dihedral_group(4)])
     assert [len(con_lattice(x)) for x in u.algebras] == [1, 2, 5, 6]
     calls = []
-    real = operators._natural_operator
-    monkeypatch.setattr(operators, "_natural_operator",
-                        lambda *args: calls.append(args[1]) or real(*args))
+    monkeypatch.setattr(operators, "_natural_operator", lambda *args: calls.append(args[1]))
     monkeypatch.setattr(operators, "make_operator", None)
     family = enumerate_operators(u)
     assert len(family) == 30
-    assert calls == [c.name for c in family]
+    assert calls == []
+    assert u.natural == {c.rows for c in family}
 
 
 # --- reporting ------------------------------------------------------------------------------

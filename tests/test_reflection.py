@@ -17,7 +17,6 @@ from congform import (
     is_idempotent,
     klein_four_group,
     make_operator,
-    membership,
     oracle_reflection,
     oracle_reflector,
     operator_leq,
@@ -206,16 +205,13 @@ def test_make_reflector_rejects_reflections_outside_the_subcategory():
 
 def test_membership_examples(group_corpus, rng_corpus, quandle_corpus):
 
-    nil = builtin_operator("nilradical", rng_corpus)
-    assert not membership(nil, cyclic_rng(4))
-    assert membership(nil, cyclic_rng(6))
-    q = builtin_operator("quandle", quandle_corpus)
-    tq = next(a for a in quandle_corpus.algebras
-              if a.size == 3 and membership(q, a))
-    assert tq == trivial_quandle(3)
-    top = builtin_operator("top", group_corpus)
-    assert membership(top, cyclic_group(1))
-    assert not membership(top, cyclic_group(2))
+    assert {cyclic_rng(4), cyclic_rng(6)} <= set(rng_corpus.algebras)
+    reduced = subcategory_members(builtin_operator("nilradical", rng_corpus))
+    assert cyclic_rng(4) not in reduced
+    assert cyclic_rng(6) in reduced
+    q = subcategory_members(builtin_operator("quandle", quandle_corpus))
+    assert [a for a in q if a.size == 3] == [trivial_quandle(3)]
+    assert subcategory_members(builtin_operator("top", group_corpus)) == (cyclic_group(1),)
 
 
 def test_member_lookup_rejects_what_indexes_no_member(s3_universe):
@@ -229,9 +225,6 @@ def test_member_lookup_rejects_what_indexes_no_member(s3_universe):
             c.apply(outside, diagonal(x))
         with pytest.raises(UniverseMismatch):
             refl.rho_of(outside)
-        for ref in (c, refl):
-            with pytest.raises(UniverseMismatch):
-                membership(ref, outside)
 
 
 def test_subcategory_of_abelianization(group_corpus):
@@ -367,5 +360,6 @@ def test_oracle_reflector_matches_derived_reflector(group_corpus):
 def test_predicate_from_operator_matches_membership(group_corpus):
     ab = builtin_operator("abelianization", group_corpus)
     pred = predicate_from_operator(ab)
+    members = subcategory_members(ab)
     for a in group_corpus.algebras:
-        assert pred(a) == membership(ab, a)
+        assert pred(a) == (a in members)
