@@ -680,22 +680,26 @@ def canonical_algebra(a: FiniteAlgebra) -> FiniteAlgebra:
 
 # --- congruence generation and lattices --------------------------------------
 
+def _operations(x: FiniteAlgebra) -> list[tuple[int, tuple[int, ...]]]:
+    """(arity, flat table) of each operation of x, as ``_merge`` reads them."""
+    return [(k, t) for (_, k), t in zip(x.sig.ops, x.tables)]
+
+
 def _merge(ids: tuple[int, ...], pairs: Iterable[tuple[int, int]],
-           x: FiniteAlgebra | None = None) -> tuple[int, ...]:
-    """Canonical ids of the least equivalence above the canonical ids
-    ``ids`` and ``pairs``, or, given an algebra x of which ``ids`` is a
-    congruence, of the least congruence above them: an equivalence is a
-    congruence of the algebra with no operations.  A class is its label; a
-    merge keeps the smaller label and shifts the larger ones down, so the
-    labels stay canonical.  With x, each merge of the classes of a and b
-    queues, for every operation and argument position, the values at two
-    tuples that differ there only by a and b.  One pair per merge suffices:
-    the merged pairs connect each class, so by transitivity any two of its
-    members give related values (Freese, *Computing congruences
-    efficiently*, Algebra Universalis 59, 2008).  Unary and binary tables
-    are read along flat rows and strided columns."""
+           ops: Sequence[tuple[int, tuple[int, ...]]] = ()) -> tuple[int, ...]:
+    """Canonical ids of the least equivalence above the canonical ids ``ids``
+    and ``pairs`` that respects the (arity, table) list ``ops``: with none, the
+    equivalence closure; with an algebra's ``_operations``, ``ids`` one of its
+    congruences, the generated congruence.  A class is its label; a merge keeps
+    the smaller label and shifts the larger ones down, so the labels stay
+    canonical.  Each merge of the classes of a and b queues, for every
+    operation and argument position, the values at two tuples that differ there
+    only by a and b.  One pair per merge suffices: the merged pairs connect
+    each class, so by transitivity any two of its members give related values
+    (Freese, *Computing congruences efficiently*, Algebra Universalis 59,
+    2008).  Unary and binary tables are read along flat rows and strided
+    columns."""
     labels, pending, n = ids, list(pairs), len(ids)
-    ops = [(k, t) for (_, k), t in zip(x.sig.ops, x.tables) if k] if x is not None else ()
     while pending:
         a, b = pending.pop()
         la, lb = labels[a], labels[b]
@@ -727,7 +731,7 @@ def generated_congruence(x: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> 
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise OutOfRange(f"pair ({a}, {b}) outside [0, {n})")
-    return Congruence(x, _merge(diagonal(x).ids, pairs, x))
+    return Congruence(x, _merge(diagonal(x).ids, pairs, _operations(x)))
 
 
 def meet(r: Congruence, s: Congruence) -> Congruence:
@@ -758,17 +762,19 @@ _NEUTRAL = {GROUP_TAG: "e", RNG_TAG: "zero"}
 
 def _principal_ids(x: FiniteAlgebra) -> dict[tuple[int, int], tuple[int, ...]]:
     """Ids of Cg(a, b) for a < b, or for a = e in a variety of ``_NEUTRAL``;
-    in a quandle, by orbits of the right translations (see ``con_lattice``)."""
-    n = x.size
+    in a quandle, one per orbit of the right translations, from <| alone."""
+    n, ops, sigmas = x.size, _operations(x), []
     if x.tag in _NEUTRAL:
         e = x.op(_NEUTRAL[x.tag])
         return {(e, b): generated_congruence(x, [(e, b)]).ids for b in range(n) if b != e}
-    sigmas = [x.tables[0][b::n] for b in range(n)] if x.tag == QUANDLE_TAG else []
+    if x.tag == QUANDLE_TAG:
+        lhd = x.tables[x._op_index["lhd"]]
+        ops, sigmas = [(2, lhd)], [lhd[b::n] for b in range(n)]
     found = {}
     for pair in itertools.combinations(range(n), 2):
         if pair in found:
             continue
-        found[pair] = ids = generated_congruence(x, [pair]).ids
+        found[pair] = ids = _merge(tuple(range(n)), [pair], ops)
         orbit = [pair]
         for a, b in orbit:
             for s in sigmas:
@@ -789,21 +795,23 @@ def con_lattice(x: FiniteAlgebra) -> tuple[Congruence, ...]:
     In a quandle each sigma_b: y -> y <| b is an automorphism (Joyce, 1982),
     so it maps Cg(a, b) onto Cg(sigma_b a, sigma_b b).  It also maps every
     congruence into, hence onto, itself, so the two are equal: one pair per
-    orbit of the sigma_b is generated, and the orbit shares its ids.  Joins
-    run on ids: R v P is ``_merge`` of R's ids along P's non-trivial pairs,
-    the join in Eq(A), of which Con(A) is a sublattice; only the result is
-    built as ``Congruence``s.
+    orbit of the sigma_b is generated, and the orbit shares its ids, from <|
+    alone: sigma_b^-1 is a power of sigma_b, so an equivalence respecting <|
+    respects <|^-1.  Joins run on ids: R v P is ``_merge`` of R's ids along
+    P's non-trivial pairs, the join in Eq(A), of which Con(A) is a
+    sublattice.  They start at the principal congruences and skip each
+    P = Cg(a, b) with a R b, as then R v P = R.
     """
-    principal = dict.fromkeys(_principal_ids(x).values())
-    pairs = [[p for p in _block_pairs(Congruence(x, ids)) if p[0] != p[1]] for ids in principal]
+    principal = {ids: pair for pair, ids in _principal_ids(x).items()}
+    pairs = [(a, b, [p for p in _block_pairs(Congruence(x, ids)) if p[0] != p[1]])
+             for ids, (a, b) in principal.items()]
     found = {tuple(range(x.size)), *principal}
-    frontier = list(found)
+    frontier = list(principal)
     while frontier:
         fresh = []
         for r in frontier:
-            for p in pairs:
-                j = _merge(r, p)
-                if j not in found:
+            for a, b, p in pairs:
+                if r[a] != r[b] and (j := _merge(r, p)) not in found:
                     found.add(j)
                     fresh.append(j)
         frontier = fresh

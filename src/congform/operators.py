@@ -36,25 +36,19 @@ returning witnesses, not construction requirements.  Minimality is checked
 on each fibre as C(S) = S v C(diagonal), its equivalent (see ``is_minimal``).
 
 The checks compare integers.  A universe owns its tables (see
-``Universe``): it numbers each Con(X) and reads its order off the block-id
-arrays, and an operator is its index rows over those numberings.  Each
-table is built on the universe's first check that reads it, and then kept:
-f* along each map read (naturality, coheredity and the reflection layer),
-images along quotient maps (cocartesian preservation) and embeddings into
-members (``make_reflector``, ``is_natural_along_homs``), joins and images
-read off the order.  The checks' loops read these by member and congruence
-indices, and a failing scan returns a position, so only the reported
-witness is built.  The universe also keeps the operator rows and
-reflection congruences that passed validation, so each is validated once
-per universe, and each row tuple's coheredity result.  No module cache is
-keyed by a universe, so its tables go with its last reference.
+``Universe``): its constructor numbers each Con(X) and finds the quotient
+maps (the class E, up to automorphisms) in the pass that checks closure; an
+operator is its index rows over those numberings.  Other tables are built
+on the first check that reads them, and kept.  The checks read them by
+member and congruence indices, and a failing scan returns a position, so
+only the reported witness is built.  No module cache is keyed by a universe.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property, reduce
 from operator import and_, ne
 from types import MappingProxyType
@@ -100,29 +94,30 @@ class Universe(Hashed):
     """Deterministically ordered member list, checked closed under quotients,
     and the owner of the integer tables the checks read.
 
-    The constructor builds only the quotient maps that its closure check
-    reads (``quotient_maps``).  Every other table is built on first use and
-    kept on the universe, so it goes when the universe does: per member i,
-    ``lattices[i]`` in ``con_lattice`` order, its inverse ``by_ids[i]``
-    (keyed by block-id arrays), each up-set as a bitmask ``up[i][a]``
-    (``_up_sets``) with inverse ``by_up[i]``, and the order ``le[i][a][b]``
-    and covering pairs ``covers[i]`` read off the up-sets; ``diagonal[i]``
-    is the last index, as canonical ids sort the diagonal last.  Since
-    up(a v b) = up(a) & up(b), joins are read off the up-sets too.  Along a
-    quotient map f: X -> Y, f* is an order isomorphism from Con(Y) onto the
-    up-set of ker f = f*(diagonal) in Con(X) (correspondence theorem), so
-    f(R) is the S with f*S = R v ker f.  ``generators`` holds (i, j, f*) for
-    each map of ``generating_maps`` from member i to member j; ``images``,
-    (i, j, f(-)) for its quotient maps; ``quotients[i][a]``, (j, g*) for
-    g = ``quotient_maps(u)[R][0]`` onto member j, R = lattice a of member i
-    (g* None: g the identity); ``embeddings``, (i, j, e, e*) for the first
-    embedding e, in ``_hom_search`` order, of member i onto each subalgebra
-    of a larger member j.  ``natural`` holds the row tuples that passed
-    ``_natural_operator`` or survived ``enumerate_operators``, and
+    The constructor makes one pass: ``lattices[i]``, Con of member i in
+    ``con_lattice`` order, the members bucketed by ``_iso_invariant`` (see
+    ``_isomorphs``) and from both ``quotient_maps``, which is the closure
+    check.  Every other table is built on first use and kept on the universe,
+    so it goes when the universe does: per member i, the inverse ``by_ids[i]``
+    of ``lattices[i]`` (keyed by block-id arrays), each up-set as a bitmask
+    ``up[i][a]`` (``_up_sets``) with inverse ``by_up[i]``, and the order
+    ``le[i][a][b]`` and covering pairs ``covers[i]`` read off the up-sets;
+    ``diagonal[i]`` is the last index, as canonical ids sort the diagonal
+    last.  Since up(a v b) = up(a) & up(b), joins are read off the up-sets
+    too.  Along a quotient map f: X -> Y, f* is an order isomorphism from
+    Con(Y) onto the up-set of ker f = f*(diagonal) in Con(X) (correspondence
+    theorem), so f(R) is the S with f*S = R v ker f.  ``generators`` holds
+    (i, j, f*) for each map of ``generating_maps`` from member i to member j;
+    ``images``, (i, j, f(-)) for its quotient maps; ``quotients[i][a]``,
+    (j, g*) for g = ``quotient_maps(u)[R][0]`` onto member j, R = lattice a of
+    member i (g* None: g the identity); ``embeddings``, (i, j, e, e*) for the
+    first embedding e, in ``_hom_search`` order, of member i onto each
+    subalgebra of a larger member j.  ``natural`` holds the row tuples that
+    passed ``_natural_operator`` or survived ``enumerate_operators``, and
     ``reflective`` the rho tuples ``make_reflector`` accepted; a verdict
-    depends only on the universe and the input, so both return at once for
-    a known one; failures are not kept.  ``cohereditary`` keeps each row
-    tuple's ``is_cohereditary`` result, failing or not."""
+    depends only on the universe and the input, so both return at once for a
+    known one; failures are not kept.  ``cohereditary`` keeps each row tuple's
+    ``is_cohereditary`` result, failing or not."""
 
     __slots__ = ("algebras", "_index", "_quotient_maps", "__dict__", "__weakref__")
 
@@ -130,14 +125,12 @@ class Universe(Hashed):
         object.__setattr__(self, "algebras", algebras)
         object.__setattr__(self, "_hash", hash(tuple(a._hash for a in algebras)))
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(algebras)})
-        maps = _quotient_maps(algebras)
-        object.__setattr__(self, "_quotient_maps", maps)
-        for i, x in enumerate(algebras):
-            for r in con_lattice(x):
-                if r not in maps:
-                    raise UniverseNotQuotientClosed(
-                        "quotient of a member is not isomorphic to any member",
-                        witness=_witness(i, r))
+        object.__setattr__(self, "lattices", tuple(map(con_lattice, algebras)))
+        buckets: dict = {}
+        for m in algebras:
+            buckets.setdefault(_iso_invariant(m), []).append(m)
+        object.__setattr__(self, "_buckets", buckets)
+        object.__setattr__(self, "_quotient_maps", _quotient_maps(algebras, self.lattices, buckets))
 
     def _key(self):
         return (self.algebras,)
@@ -158,7 +151,6 @@ class Universe(Hashed):
     def __repr__(self):
         return f"Universe({len(self.algebras)} algebras, sizes {[a.size for a in self.algebras]})"
 
-    lattices = cached_property(lambda self: tuple(map(con_lattice, self.algebras)))
     by_ids = cached_property(lambda self: tuple({r.ids: a for a, r in enumerate(lat)}
                                                 for lat in self.lattices))
     up = cached_property(lambda self: tuple(map(_up_sets, self.lattices)))
@@ -231,7 +223,7 @@ class Universe(Hashed):
         if table is None:
             into = self.by_ids[self.lookup(f.dom)]
             table = self._pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
-                                           for s in con_lattice(f.cod))
+                                           for s in self.lattices[self.lookup(f.cod)])
         return table
 
     def image(self, i: int, j: int, pull: tuple[int, ...]) -> tuple[int, ...]:
@@ -261,29 +253,25 @@ def universe_from_generators(seeds: Iterable[FiniteAlgebra]) -> Universe:
     sorted seeds, then their quotients, keeping the first of each
     isomorphism class.  One layer suffices, as canonical ids make (X/K)/L
     equal to X/K' for K' the preimage of L."""
-    members: list[FiniteAlgebra] = []
+    members, buckets = [], {}
     seeds = sorted(set(seeds), key=_algebra_sort_key)
     for a in itertools.chain(seeds, (quotient(x, r)[0] for x in seeds for r in con_lattice(x))):
-        if all(find_isomorphism(a, m) is None for m in members if m.size == a.size):
+        if next(_isomorphs(buckets, a), None) is None:
             members.append(a)
+            buckets.setdefault(_iso_invariant(a), []).append(a)
     return universe(members)
 
 
 def find_member_iso(u: Universe, a: FiniteAlgebra) -> tuple[int, Homomorphism]:
-    """Member isomorphic to ``a`` plus an isomorphism a -> member."""
+    """The index of a member isomorphic to ``a`` and an isomorphism onto it:
+    ``a`` itself by the identity, else the first of ``_isomorphs``."""
     i = u._index.get(a)
     if i is not None:
         return i, identity_hom(a)
-    for i, m in enumerate(u.algebras):
-        if m.size != a.size:
-            continue
-        iso = find_isomorphism(a, m)
-        if iso is not None:
-            return i, iso
-    raise UniverseMismatch(
-        f"no universe member is isomorphic to {a!r}",
-        witness={"size": a.size, "tag": a.tag},
-    )
+    for iso in _isomorphs(u._buckets, a):
+        return u._index[iso.cod], iso
+    raise UniverseMismatch(f"no universe member is isomorphic to {a!r}",
+                           witness={"size": a.size, "tag": a.tag})
 
 
 Rule = Callable[[FiniteAlgebra, Congruence], Congruence]
@@ -297,26 +285,29 @@ def quotient_maps(u: Universe) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
     return u._quotient_maps
 
 
-def _quotient_maps(algebras) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
-    """``quotient_maps`` of a family, with a key for each K whose X/K is
-    isomorphic to some member.  Only members with the ``_iso_invariant`` of
-    X/K (size, tag and sorted element counts) are searched.  X/K is X
-    itself when K is the diagonal, and no tables are transported; onto a
-    member with the tables of X/K the isomorphism is the identity, so the
-    map is the projection, with that member as codomain."""
-    buckets: dict = {}
-    for m in algebras:
-        buckets.setdefault(_iso_invariant(m), []).append(m)
+def _isomorphs(buckets: Mapping, a: FiniteAlgebra) -> Iterator[Homomorphism]:
+    """The least isomorphism from ``a`` onto each algebra isomorphic to it in
+    ``buckets`` (``_iso_invariant`` -> members in order), searching a's bucket."""
+    isos = (find_isomorphism(a, m) for m in buckets.get(_iso_invariant(a), ()))
+    return (iso for iso in isos if iso is not None)
+
+
+def _quotient_maps(algebras, lattices, buckets) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
+    """``quotient_maps`` of a family with these ``lattices`` and ``buckets``
+    (see ``_isomorphs``); raises ``UniverseNotQuotientClosed`` at the first
+    K, in member and lattice order, with X/K isomorphic to no member.  X/K
+    is X when K is the diagonal, with no tables transported; onto a member
+    with the tables of X/K the map is the projection."""
     out = {}
-    for x in algebras:
+    for i, (x, lattice) in enumerate(zip(algebras, lattices)):
         diagonal = tuple(range(x.size))
-        for r in con_lattice(x):
+        for r in lattice:
             q, proj = (x, identity_hom(x)) if r.ids == diagonal else quotient(x, r)
-            isos = (find_isomorphism(q, m) for m in buckets.get(_iso_invariant(q), ()))
-            gs = tuple(Homomorphism(x, iso.cod, r.ids, True) if iso.cod == q
-                       else compose(iso, proj) for iso in isos if iso is not None)
-            if gs:
-                out[r] = gs
+            out[r] = tuple(Homomorphism(x, iso.cod, r.ids, True) if iso.cod == q
+                           else compose(iso, proj) for iso in _isomorphs(buckets, q))
+            if not out[r]:
+                raise UniverseNotQuotientClosed(
+                    "quotient of a member is not isomorphic to any member", witness=_witness(i, r))
     return MappingProxyType(out)
 
 

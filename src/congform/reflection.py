@@ -52,6 +52,7 @@ from .algebras import (
     Congruence,
     FiniteAlgebra,
     _merge,
+    _operations,
     compose,
     con_lattice,
     congruence_to_blocks,
@@ -242,7 +243,7 @@ def rule_from_laws(laws) -> Rule:
 
     def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
         while pairs := law_pairs(x, laws, r.ids):
-            r = Congruence(x, _merge(r.ids, pairs, x))
+            r = Congruence(x, _merge(r.ids, pairs, _operations(x)))
         return r
 
     return rule

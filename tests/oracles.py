@@ -1590,6 +1590,28 @@ def join_blocks(ids, blocks):
     return None if labels == list(ids) else _canonical_ids(labels)
 
 
+def linear_find_member_iso(u, a):
+    """``operators.find_member_iso`` by an isomorphism search against every
+    member of a's size, in member order, after the identity onto ``a``
+    itself."""
+    from congform.algebras import find_isomorphism, identity_hom
+    from congform.errors import UniverseMismatch
+
+    i = u._index.get(a)
+    if i is not None:
+        return i, identity_hom(a)
+    for i, m in enumerate(u.algebras):
+        if m.size != a.size:
+            continue
+        iso = find_isomorphism(a, m)
+        if iso is not None:
+            return i, iso
+    raise UniverseMismatch(
+        f"no universe member is isomorphic to {a!r}",
+        witness={"size": a.size, "tag": a.tag},
+    )
+
+
 def bfs_universe_from_generators(seeds):
     """Close the seeds under canonical quotients, up to isomorphism, by a
     queue that quotients every member it keeps again."""

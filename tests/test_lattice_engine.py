@@ -13,10 +13,11 @@ lifting-law scan, the Mal'cev join, the propagated image, coheredity
 and cocartesian preservation along every searched surjection, and
 operator enumeration by generating and rejecting every extensive family.
 ``con_lattice`` joins each congruence found only with the principal
-congruences, on block-id arrays; the oracles join every pair, or join
-``Congruence`` objects with each principal one.  In quandles it
+congruences not below it, on block-id arrays; the oracles join every pair,
+or join ``Congruence`` objects with each principal one.  In quandles it
 generates one principal congruence per orbit of the inner automorphisms,
-shared by the whole orbit; the oracle generates each from its own pair.
+shared by the whole orbit, from the <| table alone; the oracle generates
+each from its own pair, reading both tables.
 The operator checks read the universe's integer tables (``Universe``);
 the oracles are the same checks on ``Congruence`` objects, and must give
 the same verdicts and witnesses.
@@ -95,8 +96,8 @@ from congform import (
     universe_from_generators,
 )
 from congform import algebras, operators, reflection
-from congform.algebras import (FiniteAlgebra, Signature, _block_pairs, automorphism_generators,
-                               quotient, relabel_algebra)
+from congform.algebras import (Congruence, FiniteAlgebra, Signature, _block_pairs,
+                               automorphism_generators, quotient, relabel_algebra)
 from congform.errors import CongformError, NotNatural, NotReflective
 from congform.instances import (CORPUS_KINDS, corpus_kind, corpus_operators, enumerate_quandles,
                                  oracle_predicate)
@@ -215,11 +216,11 @@ def test_con_lattice_joins_only_with_principal_congruences(monkeypatch):
     # a join step is a ``_merge`` that reads no table; generation reads them
     bound, calls, real = 877 * 21, [0], algebras._merge
 
-    def counted(ids, pairs, x=None):
-        if x is None:
+    def counted(ids, pairs, ops=()):
+        if not ops:
             calls[0] += 1
             assert calls[0] <= bound, "joined more than each congruence with each principal one"
-        return real(ids, pairs, x)
+        return real(ids, pairs, ops)
 
     monkeypatch.setattr(algebras, "_merge", counted)
     assert len(con_lattice.__wrapped__(identity_only_algebra())) == 877
@@ -304,15 +305,16 @@ def test_con_lattice_matches_the_principal_join_closure(members):
         assert con_lattice(x) == oracles.principal_join_closure(x)
 
 
-def count_generations(monkeypatch) -> list[int]:
-    """Count ``generated_congruence`` calls from here on, in the one-item list."""
-    calls, real = [0], algebras.generated_congruence
+def count_merges(monkeypatch, reading_tables: bool) -> list[int]:
+    """Count ``_merge`` calls from here on, in the one-item list: generations,
+    which read tables, or joins, which read none."""
+    calls, real = [0], algebras._merge
 
-    def counted(x, pairs):
-        calls[0] += 1
-        return real(x, pairs)
+    def counted(ids, pairs, ops=()):
+        calls[0] += bool(ops) == reading_tables
+        return real(ids, pairs, ops)
 
-    monkeypatch.setattr(algebras, "generated_congruence", counted)
+    monkeypatch.setattr(algebras, "_merge", counted)
     return calls
 
 
@@ -320,10 +322,46 @@ def test_inner_automorphism_principal_congruences_match_generation(monkeypatch):
     members = corpus("quandles", 5).algebras
     expected = [{pair: generated_congruence(x, [pair]).ids
                  for pair in itertools.combinations(range(x.size), 2)} for x in members]
-    calls = count_generations(monkeypatch)
+    calls = count_merges(monkeypatch, reading_tables=True)
     assert [algebras._principal_ids(x) for x in members] == expected
     # one generation per orbit of the right translations on pairs, not 272
     assert calls[0] == 125
+
+
+def quandle_with_lhd_inv_first(x):
+    """x with its signature listed as (lhd_inv, lhd), as a user's file may."""
+    sig = Signature(tuple(reversed(x.sig.ops)))
+    return FiniteAlgebra(x.size, sig, tuple(reversed(x.tables)), x.tag)
+
+
+def test_quandle_principal_congruences_from_lhd_alone_match_two_table_generation():
+    # an equivalence respecting <| respects <|^-1, as sigma_b^-1 is a power of sigma_b
+    for x in corpus("quandles", 6).algebras:
+        lhd, diag = x.tables[0], tuple(range(x.size))
+        expected = {pair: generated_congruence(x, [pair]).ids
+                    for pair in itertools.combinations(range(x.size), 2)}
+        assert {pair: algebras._merge(diag, [pair], [(2, lhd)]) for pair in expected} == expected
+        swapped = quandle_with_lhd_inv_first(x)
+        assert algebras._principal_ids(x) == algebras._principal_ids(swapped) == expected
+        assert [r.ids for r in con_lattice.__wrapped__(swapped)] == [r.ids for r in con_lattice(x)]
+
+
+@pytest.mark.parametrize("kind, size, joins, unskipped", [
+    ("quandles", 5, 851, 1544), ("quandles", 6, 7782, 12860), ("groups", 12, 59, 174),
+    ("rngs", 24, 101, 280)], ids=["quandles-5", "quandles-6", "groups-12", "rngs-24"])
+def test_con_lattice_skips_the_joins_that_add_nothing(monkeypatch, kind, size, joins, unskipped):
+    # one join per R other than the diagonal and principal P not below R, against
+    # |Con(X)| joins per principal congruence when each congruence met each; the
+    # lattices are the oracle's, which joins every congruence with every principal one
+    members = corpus(kind, size).algebras
+    principals = [set(algebras._principal_ids(x).values()) for x in members]
+    calls = count_merges(monkeypatch, reading_tables=False)
+    lattices = [con_lattice.__wrapped__(x) for x in members]
+    assert calls[0] == sum(sum(not leq(Congruence(x, p), r) for p in ps)
+                           for x, lattice, ps in zip(members, lattices, principals)
+                           for r in lattice[:-1]) == joins
+    assert sum(len(lat) * len(ps) for lat, ps in zip(lattices, principals)) == unskipped
+    assert lattices == [oracles.principal_join_closure(x) for x in members]
 
 
 def test_right_translations_of_quandles_are_automorphisms():
@@ -334,7 +372,7 @@ def test_right_translations_of_quandles_are_automorphisms():
 
 def test_untagged_quandle_tables_take_the_all_pairs_path(monkeypatch):
     members = corpus("quandles", 5).algebras
-    calls = count_generations(monkeypatch)
+    calls = count_merges(monkeypatch, reading_tables=True)
     for x in members:
         untagged = FiniteAlgebra(x.size, x.sig, x.tables)
         calls[0] = 0
@@ -860,10 +898,10 @@ def test_isomorphism_search_matches_the_scan_on_the_compared_pairs(monkeypatch, 
     # every (X/K, member) pair the closure check hands to find_isomorphism, bucketed
     # by the sorted element counts: the scan's least bijection, and None wherever
     # the fingerprint it replaced tells the two apart
-    members, compared = corpus(kind, size).algebras, []
+    u, compared = corpus(kind, size), []
     monkeypatch.setattr(operators, "find_isomorphism",
                         lambda q, m: compared.append((q, m)) or find_isomorphism(q, m))
-    operators._quotient_maps(members)
+    operators._quotient_maps(u.algebras, u.lattices, u._buckets)
     told_apart = 0
     for q, m in compared:
         iso = find_isomorphism(q, m)

@@ -29,7 +29,7 @@ from congform import (
     universe_from_generators,
 )
 from congform import operators
-from congform.algebras import relabel_algebra
+from congform.algebras import _iso_invariant, find_isomorphism, relabel_algebra
 from congform.errors import (
     FibreMismatch,
     NotExtensive,
@@ -114,6 +114,51 @@ def relabeled_seeds(kind, size):
 def test_universe_from_generators_matches_the_queue(seed_lists):
     for seeds in seed_lists():
         assert universe_from_generators(seeds) == oracles.bfs_universe_from_generators(seeds)
+
+
+# The first member isomorphic to an algebra, found through the universe's
+# buckets, against the scan over every member of its size.
+@pytest.mark.parametrize("kind,size", [("groups", 12), ("quandles", 5)])
+def test_find_member_iso_matches_the_linear_scan_on_relabeled_copies(kind, size):
+    u = corpus(kind, size)
+    for seeds in relabeled_seeds(kind, size):
+        for a in seeds + list(u.algebras):
+            assert operators.find_member_iso(u, a) == oracles.linear_find_member_iso(u, a)
+
+
+def test_find_member_iso_rejects_an_algebra_isomorphic_to_no_member():
+    # each quandle of size 5 against the universe of another with its invariant,
+    # whose bucket it shares; then a size no member has, and a group of order 4
+    # against the Klein universe
+    members = corpus("quandles", 5).algebras
+    cases = [(universe_from_generators([m]), a) for m in members for a in members
+             if m != a and _iso_invariant(m) == _iso_invariant(a)]
+    assert len(cases) >= 2
+    cases += [(corpus("groups", 8), cyclic_group(9)),
+              (universe_from_generators([klein_four_group()]), cyclic_group(4))]
+    for u, a in cases:
+        for find in (operators.find_member_iso, oracles.linear_find_member_iso):
+            with pytest.raises(UniverseMismatch) as exc:
+                find(u, a)
+            assert exc.value.witness == {"size": a.size, "tag": a.tag}
+
+
+def test_find_member_iso_searches_only_members_with_the_same_invariant(monkeypatch):
+    u, searched = corpus("quandles", 5), []
+    monkeypatch.setattr(operators, "find_isomorphism",
+                        lambda a, m: searched.append((a, m)) or find_isomorphism(a, m))
+    for seeds in relabeled_seeds("quandles", 5):
+        for a in seeds:
+            searched.clear()
+            i, iso = operators.find_member_iso(u, a)
+            if a in u.algebras:  # a relabeling by an automorphism: no search
+                assert not searched and iso.map == tuple(range(a.size))
+                continue
+            assert searched[-1] == (a, u.algebras[i]) == (iso.dom, iso.cod)
+            assert {_iso_invariant(m) for _, m in searched} == {_iso_invariant(a)}
+            # a member between two searched ones in its bucket is searched too
+            bucket = [m for m in u.algebras if _iso_invariant(m) == _iso_invariant(a)]
+            assert [m for _, m in searched] == bucket[:len(searched)]
 
 
 # --- construction and validation --------------------------------------------------
