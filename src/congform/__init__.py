@@ -85,9 +85,8 @@ from .reflection import (
     closure_from_reflector,
     oracle_reflection,
     oracle_reflector,
-    predicate_from_equations,
+    predicate_from_laws,
     predicate_from_operator,
-    predicate_from_quasiequations,
     reflector_from_closure,
     roundtrip_closure,
     roundtrip_reflector,
@@ -99,7 +98,6 @@ from .terms import (
     Term,
     app,
     satisfies_equations,
-    satisfies_quasiequations,
     var,
 )
 from .verify import run_verification

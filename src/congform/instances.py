@@ -26,9 +26,10 @@ kind to (tag, size limit, default size, member builder); ``corpus``,
 ``corpus_operators``, ``verify`` and the CLI read it.  ``_BUILTIN_RULES``
 maps a built-in operator name to (tag, closure rule, oracle predicate);
 ``builtin_operator``, ``closure_rule``, ``corpus_operators`` and
-``oracle_predicate`` read it, and so do ``verify`` and the CLI.  Each
-law-defined built-in is one law list there, read by both its rule and its
-predicate; ``identity`` and ``top`` keep one-line rules.
+``oracle_predicate`` read it, and so do ``verify`` and the CLI.  Every
+oracle predicate is ``reflection.predicate_from_laws`` of a law list, and
+each law-defined built-in's rule reads the same list; ``identity`` and
+``top`` keep one-line rules.
 """
 
 from __future__ import annotations
@@ -58,12 +59,7 @@ from .algebras import (
 )
 from .errors import NotGroup, NotQuandle, NotRng, OutOfRange, SizeTooLarge
 from .operators import ClosureOperator, Universe, make_operator, universe
-from .reflection import (
-    SubcategoryPredicate,
-    predicate_from_equations,
-    predicate_from_quasiequations,
-    rule_from_laws,
-)
+from .reflection import SubcategoryPredicate, predicate_from_laws, rule_from_laws
 
 # --- named algebra builders ---------------------------------------------------
 
@@ -344,9 +340,7 @@ def _require(tag: str, a: FiniteAlgebra) -> None:
 
 def _from_laws(tag: str, name: str, laws: tuple) -> tuple:
     """A law-defined built-in: its rule and its oracle predicate read ``laws``."""
-    quasi = any(isinstance(law, terms.QuasiEquation) for law in laws)
-    predicate = predicate_from_quasiequations if quasi else predicate_from_equations
-    return tag, rule_from_laws(laws), predicate(name, laws)
+    return tag, rule_from_laws(laws), predicate_from_laws(name, laws)
 
 
 # name -> (tag, closure rule on one algebra, oracle predicate).  The tag (None:
@@ -355,9 +349,8 @@ def _from_laws(tag: str, name: str, laws: tuple) -> tuple:
 # The oracle predicate checks the subcategory's laws; the reflection oracle, a
 # meet over the lattice, is a different algorithm from the law rule.
 _BUILTIN_RULES = {
-    "identity": (None, lambda x, r: r, predicate_from_equations("everything", ())),
-    "top": (None, lambda x, r: full(x),
-            predicate_from_equations("one-element", terms.ONE_ELEMENT)),
+    "identity": (None, lambda x, r: r, predicate_from_laws("everything", ())),
+    "top": (None, lambda x, r: full(x), predicate_from_laws("one-element", terms.ONE_ELEMENT)),
     # On the bundled Z_n corpora nilradical tests as minimal, because quotients
     # of reduced Z_n (squarefree n) are again reduced.  That is a finiteness
     # artifact: over commutative rngs at large, reduced rngs are not closed

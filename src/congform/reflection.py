@@ -29,11 +29,10 @@ which the universe built for its closure check.  The oracles read them
 too: an isomorphism-invariant predicate runs once per member, and X/R
 takes the verdict of the member it is sent onto.
 
-A subcategory given by laws has two descriptions here: its membership
-predicate (``predicate_from_equations``, ``predicate_from_quasiequations``)
-and its closure rule (``rule_from_laws``), which sends R to the least
-congruence above R whose quotient satisfies the laws.  The built-in
-law-defined operators read both from one law list.
+A subcategory given by laws, equations and quasi-equations alike, has two
+descriptions here, both read off one law list: its membership predicate
+(``predicate_from_laws``) and its closure rule (``rule_from_laws``), which
+sends R to the least congruence above R whose quotient satisfies the laws.
 
 Note that operators are only validated against surjections, which admits
 operators whose congruence family fails the universal property along some
@@ -82,7 +81,7 @@ from .operators import (
     operator_leq,
     quotient_maps,
 )
-from .terms import Equation, law_pairs, satisfies_equations, satisfies_quasiequations
+from .terms import Equation, law_pairs, satisfies_equations
 
 
 class Reflector(Frozen):
@@ -215,12 +214,10 @@ class SubcategoryPredicate(Frozen):
         return bool(self.accepts(x))
 
 
-def predicate_from_equations(name: str, eqs) -> SubcategoryPredicate:
-    return SubcategoryPredicate(name, lambda x: bool(satisfies_equations(x, eqs)))
-
-
-def predicate_from_quasiequations(name: str, qeqs) -> SubcategoryPredicate:
-    return SubcategoryPredicate(name, lambda x: bool(satisfies_quasiequations(x, qeqs)))
+def predicate_from_laws(name: str, laws) -> SubcategoryPredicate:
+    """The algebras that satisfy ``laws``, equations and quasi-equations."""
+    laws = tuple(laws)
+    return SubcategoryPredicate(name, lambda x: bool(satisfies_equations(x, laws)))
 
 
 @lru_cache(maxsize=1024)

@@ -1,23 +1,26 @@
 """Terms, equations, and quasi-equations over an operation signature.
 
-Equational satisfaction is decided over all assignments of carrier
-elements to variables by compiled programs.  Each equation is compiled
-once, cached on its terms, into a post-order program that keeps its
-variable count k: slots 0..k-1 hold the variables and each distinct subterm
-is one step ``(op, argument slots)``.  The program runs on the flat tables
-over blocks of at most ``_BLOCK`` assignments, whose variable columns are
-built once per carrier size and variable count, one table look-up per step
-and assignment.  A quasi-equation's conclusion and premises run as one
-program.  The equation and quasi-equation checks and ``law_pairs`` read one
-scan (``_failures``) of the assignments at which the premises hold and the
-conclusion fails, modulo a congruence for ``law_pairs``.  Witnesses are the
-first failing law in the given order and its first failing assignment in
-lexicographic order; ``law_pairs`` lists the conclusion's values at every
-such assignment.  The tests check the programs against a reference that
-walks the terms at every assignment.  The axiom lists for the three
-supported variety tags (groups, commutative rngs, quandles) live here,
-together with the laws of the built-in subcategories (commutativity,
-reduced-ness, triviality), read by the law rules and their predicates.
+Satisfaction of laws, equations and quasi-equations alike, is decided
+over all assignments of carrier elements to variables by compiled programs.
+Each law is compiled once, cached on its terms, into a post-order
+program over the k distinct variables of its terms: slots 0..k-1 hold them
+in index order, so a law need not use every index below its largest, and
+each distinct subterm is one step ``(op, argument slots)``.  The program
+runs on the flat tables over blocks of at most ``_BLOCK`` assignments,
+whose variable columns are built once per carrier size and variable count,
+one table look-up per step and assignment.  A quasi-equation's conclusion
+and premises run as one program.  ``satisfies_equations``, which takes any
+list of laws, and ``law_pairs`` read one scan (``_failures``) of the
+assignments at which the premises hold and the conclusion fails, modulo a
+congruence for ``law_pairs``; an equation is a quasi-equation with no
+premises.  Witnesses are the first failing law in the given order and its
+first failing assignment in lexicographic order; ``law_pairs`` lists the
+conclusion's values at every such assignment.  The tests check the
+programs against a reference that walks the terms at every assignment.
+The axiom lists for the three supported variety tags (groups, commutative
+rngs, quandles) live here, together with the laws of the built-in
+subcategories (commutativity, reduced-ness, triviality), read by the law
+rules and their predicates.
 """
 
 from __future__ import annotations
@@ -88,10 +91,6 @@ def _check_ops_known(terms: Iterable[Term], algebra) -> None:
             stack.extend(t.args)
 
 
-def _contiguous(vars_: frozenset[int]) -> bool:
-    return vars_ == frozenset(range(len(vars_)))
-
-
 class Equation(Hashed):
     """lhs = rhs, universally quantified over all variable assignments."""
 
@@ -102,8 +101,6 @@ class Equation(Hashed):
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_hash", hash((lhs, rhs, label)))
-        if not _contiguous(self.variables()):
-            raise ValueError("variable indices must be contiguous from 0")
 
     def _key(self):
         return self.lhs, self.rhs, self.label
@@ -126,8 +123,6 @@ class QuasiEquation(Hashed):
         object.__setattr__(self, "conclusion", conclusion)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_hash", hash((premises, conclusion, label)))
-        if not _contiguous(self.variables()):
-            raise ValueError("variable indices must be contiguous from 0")
 
     def _key(self):
         return self.premises, self.conclusion, self.label
@@ -147,11 +142,13 @@ class QuasiEquation(Hashed):
 
 @lru_cache(maxsize=1024)
 def _compile(terms: tuple[Term, ...]):
-    """Post-order program for ``terms``: their variable count k, one step
-    ``(op, argument slots)`` per distinct subterm, filling slots k, k+1, ...,
-    and the slot of each term."""
-    k = len(frozenset().union(*(t.variables() for t in terms)))
-    slots: dict[Term, int] = {var(i): i for i in range(k)}
+    """Post-order program for ``terms``: the count k of their distinct
+    variables, which fill slots 0..k-1 in index order, one step ``(op,
+    argument slots)`` per distinct subterm, filling slots k, k+1, ..., and
+    the slot of each term."""
+    variables = sorted(frozenset().union(*(t.variables() for t in terms)))
+    k = len(variables)
+    slots: dict[Term, int] = {var(v): i for i, v in enumerate(variables)}
     steps: list[tuple[str, tuple[int, ...]]] = []
 
     def visit(t: Term) -> int:
@@ -246,27 +243,17 @@ def _failures(algebra, laws: Iterable[Equation | QuasiEquation], ids=None):
                 yield law, variables, values, fails
 
 
-def _first_failing(algebra, laws, key: str) -> CheckResult:
-    """The witness {key, assignment} of the first failing law and assignment."""
+def satisfies_equations(algebra, laws: Iterable[Equation | QuasiEquation]) -> CheckResult:
+    """True iff every assignment satisfies every law, a quasi-equation when
+    its premises hold and its conclusion does.  The witness is the first
+    failing law in the given order, keyed by its kind ("equation" or
+    "quasiequation"), and its first failing assignment in lexicographic
+    order, listed in variable-index order."""
     for law, variables, _, fails in _failures(algebra, laws):
         j = fails.index(True)
-        return failed(**{key: repr(law), "assignment": [v[j] for v in variables]})
+        kind = "equation" if isinstance(law, Equation) else "quasiequation"
+        return failed(**{kind: repr(law), "assignment": [v[j] for v in variables]})
     return PASSED
-
-
-def satisfies_equations(algebra, eqs: Iterable[Equation]) -> CheckResult:
-    """True iff every assignment satisfies every equation.  The witness is the
-    first failing equation in the given order and its first failing assignment
-    in lexicographic order."""
-    return _first_failing(algebra, eqs, "equation")
-
-
-def satisfies_quasiequations(algebra, qeqs: Iterable[QuasiEquation]) -> CheckResult:
-    """Implication semantics per assignment, the premises and the conclusion of
-    a quasi-equation in one program.  The witness is the first failing
-    quasi-equation in the given order and its first assignment, in
-    lexicographic order, where the premises hold and the conclusion fails."""
-    return _first_failing(algebra, qeqs, "quasiequation")
 
 
 def law_pairs(algebra, laws: Iterable[Equation | QuasiEquation],

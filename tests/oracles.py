@@ -843,6 +843,14 @@ def eval_term(t, assignment, algebra) -> int:
     return algebra.op(t.op, *(eval_term(a, assignment, algebra) for a in t.args))
 
 
+def _assignments(law, n):
+    """Each assignment of ``law``'s variables to {0..n-1}, lexicographic in
+    variable-index order: its values, and the map from variable to value."""
+    variables = sorted(law.variables())
+    for values in itertools.product(range(n), repeat=len(variables)):
+        yield list(values), dict(zip(variables, values))
+
+
 def _scan_holds(eq, assignment, algebra) -> bool:
     return eval_term(eq.lhs, assignment, algebra) == eval_term(eq.rhs, assignment, algebra)
 
@@ -856,9 +864,9 @@ def scan_satisfies_equations(algebra, eqs):
     eqs = tuple(eqs)
     _check_ops_known([e.lhs for e in eqs] + [e.rhs for e in eqs], algebra)
     for eq in eqs:
-        for assignment in itertools.product(range(algebra.size), repeat=len(eq.variables())):
+        for values, assignment in _assignments(eq, algebra.size):
             if not _scan_holds(eq, assignment, algebra):
-                return failed(equation=repr(eq), assignment=list(assignment))
+                return failed(equation=repr(eq), assignment=values)
     return PASSED
 
 
@@ -871,7 +879,7 @@ def scan_law_pairs(algebra, eqs):
     _check_ops_known([e.lhs for e in eqs] + [e.rhs for e in eqs], algebra)
     pairs = []
     for eq in eqs:
-        for assignment in itertools.product(range(algebra.size), repeat=len(eq.variables())):
+        for _, assignment in _assignments(eq, algebra.size):
             s, t = eval_term(eq.lhs, assignment, algebra), eval_term(eq.rhs, assignment, algebra)
             if s != t:
                 pairs.append((s, t))
@@ -889,7 +897,7 @@ def scan_quasi_law_pairs(algebra, qeqs, ids):
 
     pairs = []
     for q in qeqs:
-        for assignment in itertools.product(range(algebra.size), repeat=len(q.variables())):
+        for _, assignment in _assignments(q, algebra.size):
             if all(holds(p, assignment) for p in q.premises) and not holds(q.conclusion,
                                                                              assignment):
                 pairs.append((eval_term(q.conclusion.lhs, assignment, algebra),
@@ -935,7 +943,8 @@ def block_satisfies_equations(algebra, eqs):
 
 
 def scan_satisfies_quasiequations(algebra, qeqs):
-    """``satisfies_quasiequations`` by the same scan, implication per assignment."""
+    """``satisfies_equations`` of quasi-equations by the same scan,
+    implication per assignment."""
     from congform.errors import PASSED, failed
     from congform.terms import _check_ops_known
 
@@ -943,10 +952,10 @@ def scan_satisfies_quasiequations(algebra, qeqs):
     _check_ops_known([t for q in qeqs for p in (*q.premises, q.conclusion)
                       for t in (p.lhs, p.rhs)], algebra)
     for q in qeqs:
-        for assignment in itertools.product(range(algebra.size), repeat=len(q.variables())):
+        for values, assignment in _assignments(q, algebra.size):
             if all(_scan_holds(p, assignment, algebra) for p in q.premises):
                 if not _scan_holds(q.conclusion, assignment, algebra):
-                    return failed(quasiequation=repr(q), assignment=list(assignment))
+                    return failed(quasiequation=repr(q), assignment=values)
     return PASSED
 
 

@@ -378,6 +378,13 @@ def test_verify_all_quandles(capsys):
     assert err.count("PASS") == 7
 
 
+def test_verify_all_over_the_size_limit_exits_2(capsys):
+    code, out, err = run(capsys, "verify-all", "--corpus", "quandles", "--max-size", "9")
+    assert code == 2
+    assert json.loads(out)["error"] == "SizeTooLarge"
+    assert err == "input error: corpus kind 'quandles' supports max_size <= 6\n"
+
+
 def test_verify_all_output_is_byte_stable(capsys):
     args = ("verify-all", "--corpus", "quandles", "--max-size", "3")
     _, out1, _ = run(capsys, *args)

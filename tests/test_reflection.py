@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from congform import (
@@ -16,13 +18,14 @@ from congform import (
     is_cohereditary,
     is_idempotent,
     klein_four_group,
+    leq,
     make_operator,
     oracle_reflection,
     oracle_reflector,
     operator_leq,
-    predicate_from_equations,
+    predicate_from_laws,
     predicate_from_operator,
-    predicate_from_quasiequations,
+    quotient,
     reflector_from_closure,
     roundtrip_closure,
     roundtrip_reflector,
@@ -38,11 +41,12 @@ from congform.errors import (
     UniverseMismatch,
     UniverseNotQuotientClosed,
 )
-from congform.algebras import enumerate_homs
+from congform.algebras import FiniteAlgebra, Signature, enumerate_homs
 from congform import operators, reflection
 from congform.reflection import (SubcategoryPredicate, closures_agree, make_reflector,
                                  reflectors_agree)
-from congform.terms import COMMUTATIVITY, REDUCED_RNG, TRIVIAL_QUANDLE
+from congform.terms import (COMMUTATIVITY, REDUCED_RNG, TRIVIAL_QUANDLE, Equation,
+                             QuasiEquation, app, var)
 
 from oracles import trivial_quandle
 
@@ -236,12 +240,12 @@ def test_subcategory_of_abelianization(group_corpus):
 
 
 def test_closed_under_quotients_abelian(group_corpus):
-    abelian = predicate_from_equations("abelian", COMMUTATIVITY)
+    abelian = predicate_from_laws("abelian", COMMUTATIVITY)
     assert closed_under_quotients(abelian, group_corpus)
 
 
 def test_closed_under_quotients_trivial_quandles(quandle_corpus):
-    trivial = predicate_from_equations("trivial", TRIVIAL_QUANDLE)
+    trivial = predicate_from_laws("trivial", TRIVIAL_QUANDLE)
     assert closed_under_quotients(trivial, quandle_corpus)
 
 
@@ -326,20 +330,44 @@ def test_antitone_abelianization_pair(group_corpus):
 # --- the brute-force reflection oracle -------------------------------------------------------
 
 def test_oracle_reflection_s3_abelian():
-    abelian = predicate_from_equations("abelian", COMMUTATIVITY)
+    abelian = predicate_from_laws("abelian", COMMUTATIVITY)
     rho = oracle_reflection(symmetric_group(3), abelian)
     assert rho.blocks() == ((0, 3, 4), (1, 2, 5))
 
 
 def test_oracle_reflection_already_member():
-    abelian = predicate_from_equations("abelian", COMMUTATIVITY)
+    abelian = predicate_from_laws("abelian", COMMUTATIVITY)
     assert oracle_reflection(cyclic_group(4), abelian) == diagonal(cyclic_group(4))
 
 
 def test_oracle_reflection_reduced_z8():
-    reduced = predicate_from_quasiequations("reduced", REDUCED_RNG)
+    reduced = predicate_from_laws("reduced", REDUCED_RNG)
     rho = oracle_reflection(cyclic_rng(8), reduced)
     assert rho.blocks() == ((0, 2, 4, 6), (1, 3, 5, 7))
+
+
+def test_one_fixed_point_law_on_every_unary_map_up_to_size_4():
+    # f(x) = x & f(y) = y => x = y, each premise over one of its variables:
+    # the maps with at most one fixed point, a quasivariety that is not
+    # closed under quotients (collapse the 2-cycle beside a fixed point)
+    law = QuasiEquation((Equation(app("f", var(0)), var(0)), Equation(app("f", var(1)), var(1))),
+                        Equation(var(0), var(1)))
+    accepts = predicate_from_laws("one-fixed-point", (law,))
+    rule = reflection.rule_from_laws((law,))
+
+    def one_fixed_point(x):
+        return sum(x.tables[0][i] == i for i in range(x.size)) <= 1
+
+    maps = [m for n in range(1, 5) for m in itertools.product(range(n), repeat=n)]
+    assert len(maps) == 288
+    for m in maps:
+        x = FiniteAlgebra(len(m), Signature((("f", 1),)), (m,))
+        assert accepts(x) == one_fixed_point(x), m
+        lattice = con_lattice(x)
+        accepted = [k for k in lattice if one_fixed_point(quotient(x, k)[0])]
+        for r in lattice:
+            above = [k for k in accepted if leq(r, k)]
+            assert [k for k in above if all(leq(k, t) for t in above)] == [rule(x, r)], (m, r)
 
 
 def test_oracle_reflection_not_reflective_witness():
@@ -351,7 +379,7 @@ def test_oracle_reflection_not_reflective_witness():
 
 
 def test_oracle_reflector_matches_derived_reflector(group_corpus):
-    abelian = predicate_from_equations("abelian", COMMUTATIVITY)
+    abelian = predicate_from_laws("abelian", COMMUTATIVITY)
     orc = oracle_reflector(group_corpus, abelian)
     refl = reflector_from_closure(builtin_operator("abelianization", group_corpus))
     assert orc.rho == refl.rho

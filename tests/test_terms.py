@@ -1,11 +1,13 @@
 """Equation checks, and the compiled programs against the tree-walking scan.
 
-``satisfies_equations`` and ``satisfies_quasiequations`` run each
-equation as a compiled post-order program over blocks of assignments;
-the oracles in ``oracles`` evaluate the terms at every assignment with
-``eval_term``.  Both must return equal ``CheckResult``s: the verdict, the
-failing equation's label and the first failing assignment.
+``satisfies_equations`` runs each law, equation or quasi-equation, as a
+compiled post-order program over blocks of assignments; the oracles in
+``oracles`` evaluate the terms at every assignment with ``eval_term``.
+Both must return equal ``CheckResult``s: the verdict, the failing law's
+label and the first failing assignment.
 """
+
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,19 +17,17 @@ from congform import (
     cyclic_group,
     cyclic_rng,
     satisfies_equations,
-    satisfies_quasiequations,
     symmetric_group,
 )
 from congform import terms
 from congform.algebras import FiniteAlgebra, Signature
-from congform.errors import UnknownOp
+from congform.errors import PASSED, UnknownOp
 from congform.terms import (
     COMMUTATIVITY,
     Equation,
     QuasiEquation,
     REDUCED_RNG,
     TRIVIAL_QUANDLE,
-    Term,
     app,
     var,
 )
@@ -36,9 +36,14 @@ import oracles
 from oracles import trivial_quandle
 
 
-def test_equation_requires_contiguous_variables():
-    with pytest.raises(ValueError):
-        Equation(var(1), var(1))
+def test_a_law_need_not_use_every_variable_index():
+    # f(x1) = x1 gets one column, for x1; its witness lists x1's value
+    eq = Equation(app("f", var(1)), var(1))
+    k, _, _ = terms._compile((eq.lhs, eq.rhs))
+    assert k == 1
+    unary = FiniteAlgebra(3, Signature((("f", 1),)), ((0, 2, 1),))
+    assert satisfies_equations(unary, (eq,)).witness == {"equation": "f(x1) = x1",
+                                                         "assignment": [1]}
 
 
 def test_unknown_op_raises():
@@ -66,15 +71,15 @@ def test_reflexive_equation_always_holds():
 
 
 def test_reducedness_quasiequation():
-    assert satisfies_quasiequations(cyclic_rng(2), REDUCED_RNG)
-    res = satisfies_quasiequations(cyclic_rng(4), REDUCED_RNG)
+    assert satisfies_equations(cyclic_rng(2), REDUCED_RNG)
+    res = satisfies_equations(cyclic_rng(4), REDUCED_RNG)
     assert not res
     assert res.witness["assignment"] == [2]
 
 
 def test_empty_premises_mean_plain_equation():
     q = (QuasiEquation(premises=(), conclusion=Equation(var(0), var(0))),)
-    assert satisfies_quasiequations(cyclic_rng(4), q)
+    assert satisfies_equations(cyclic_rng(4), q)
 
 
 def test_trivial_quandle_predicate():
@@ -97,7 +102,7 @@ def test_wrong_arity_raises():
     with pytest.raises(UnknownOp):
         satisfies_equations(cyclic_group(4), (Equation(app("inv", var(0), var(0)), var(0)),))
     with pytest.raises(UnknownOp):
-        satisfies_quasiequations(cyclic_rng(4), (QuasiEquation(
+        satisfies_equations(cyclic_rng(4), (QuasiEquation(
             premises=(Equation(app("zero", var(0)), var(0)),),
             conclusion=Equation(var(0), var(0))),))
 
@@ -123,7 +128,7 @@ def _assert_checks_agree(algebra):
         got = _outcome(satisfies_equations, algebra, eqs)
         assert got == _outcome(oracles.scan_satisfies_equations, algebra, eqs), eqs
         assert got == _outcome(oracles.block_satisfies_equations, algebra, eqs), eqs
-    assert (_outcome(satisfies_quasiequations, algebra, REDUCED_RNG)
+    assert (_outcome(satisfies_equations, algebra, REDUCED_RNG)
             == _outcome(oracles.scan_satisfies_quasiequations, algebra, REDUCED_RNG))
 
 
@@ -159,22 +164,11 @@ def _axioms(a):
             "quandle": terms.QUANDLE_AXIOMS}[a.tag]
 
 
-def _renamed(t: Term, names: dict) -> Term:
-    if t.var is not None:
-        return var(names[t.var])
-    return app(t.op, *(_renamed(a, names) for a in t.args))
-
-
-def _equation(lhs: Term, rhs: Term) -> Equation:
-    """lhs = rhs with its variables renumbered 0, 1, ... in order."""
-    names = {v: i for i, v in enumerate(sorted(lhs.variables() | rhs.variables()))}
-    return Equation(_renamed(lhs, names), _renamed(rhs, names))
-
-
 @st.composite
 def _random_case(draw):
     """An untagged algebra with operations of arity 0 to 3, and equations and
-    a quasi-equation drawn from one pool of terms, so subterms are shared."""
+    a quasi-equation drawn from one pool of terms, so subterms are shared and
+    a law may skip variable indices."""
     n = draw(st.integers(1, 3))
     arities = [0] + draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     sig = Signature(tuple((f"f{i}", k) for i, k in enumerate(arities)))
@@ -188,8 +182,8 @@ def _random_case(draw):
         pool.append(app(op[0], *(draw(st.sampled_from(pool)) for _ in range(op[1]))))
     closed = [t for t in pool if not t.variables()]
     pick = st.sampled_from(pool)
-    eqs = [_equation(draw(pick), draw(pick)) for _ in range(draw(st.integers(1, 3)))]
-    eqs.append(_equation(draw(st.sampled_from(closed)), draw(st.sampled_from(closed))))
+    eqs = [Equation(draw(pick), draw(pick)) for _ in range(draw(st.integers(1, 3)))]
+    eqs.append(Equation(draw(st.sampled_from(closed)), draw(st.sampled_from(closed))))
     qeq = QuasiEquation(tuple(eqs[:-2]), eqs[-2])
     return algebra, eqs, qeq
 
@@ -203,8 +197,81 @@ def test_compiled_checks_match_the_scan_on_random_algebras(case):
         assert got == oracles.scan_satisfies_equations(algebra, order)
         assert got == oracles.block_satisfies_equations(algebra, order)
     for q in (qeq, QuasiEquation((), qeq.conclusion)):
-        assert satisfies_quasiequations(algebra, (q,)) == (
+        assert satisfies_equations(algebra, (q,)) == (
             oracles.scan_satisfies_quasiequations(algebra, (q,)))
+
+
+# --- mixed lists of equations and quasi-equations ------------------------------------
+
+def _law_by_law(algebra, laws):
+    """The first failing law's result from the scan of its kind, or PASSED."""
+    for law in laws:
+        scan = (oracles.scan_satisfies_equations if isinstance(law, Equation)
+                else oracles.scan_satisfies_quasiequations)
+        res = scan(algebra, (law,))
+        if not res:
+            return res
+    return PASSED
+
+
+_x, _y = var(0), var(1)
+MIXED_LAWS = {
+    "group": (
+        (QuasiEquation((Equation(app("mul", _x, _x), app("e")),), Equation(_x, app("e")),
+                       label="x·x = e ⇒ x = e"),) + COMMUTATIVITY,
+        terms.ELEMENTARY_ABELIAN_2 + (QuasiEquation(
+            (Equation(app("mul", _x, _x), app("e")), Equation(app("mul", var(2), var(2)),
+                                                               app("e"))),
+            Equation(_x, var(2))),),
+    ),
+    "commutative-rng": (
+        REDUCED_RNG + COMMUTATIVITY,
+        terms.COMMUTATIVE_RNG_AXIOMS + (QuasiEquation(
+            (Equation(app("mul", var(2), var(2)), app("zero")),), Equation(var(2), app("zero"))),),
+    ),
+    "quandle": (
+        TRIVIAL_QUANDLE + (QuasiEquation((Equation(app("lhd", _x, _y), _x),),
+                                         Equation(app("lhd", _y, _x), _y),
+                                         label="x ◁ y = x ⇒ y ◁ x = y"),),
+    ),
+}
+
+
+def test_mixed_law_lists_match_the_scans_law_by_law_on_corpus_members():
+    kinds = set()
+    for a in _members():
+        for laws in MIXED_LAWS[a.tag]:
+            for order in (laws, laws[::-1]):
+                got = satisfies_equations(a, order)
+                assert got == _law_by_law(a, order), (a, order)
+                if not got:
+                    kinds |= got.witness.keys() - {"assignment"}
+    assert kinds == {"equation", "quasiequation"}  # both kinds of witness are compared
+
+
+@st.composite
+def _unary_case(draw):
+    """An algebra with one or two unary operations on at most four elements,
+    and equations and quasi-equations over x0..x3, so that a law or a
+    premise may skip variable indices."""
+    n = draw(st.integers(1, 4))
+    names = ("f", "g")[:draw(st.integers(1, 2))]
+    tables = tuple(tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+                   for _ in names)
+    algebra = FiniteAlgebra(n, Signature(tuple((name, 1) for name in names)), tables)
+    term = st.builds(lambda i, ops: reduce(lambda t, op: app(op, t), ops, var(i)),
+                     st.integers(0, 3), st.lists(st.sampled_from(names), max_size=3))
+    equation = st.builds(Equation, term, term)
+    law = st.one_of(equation, st.builds(QuasiEquation, st.lists(equation, max_size=2).map(tuple),
+                                        equation))
+    return algebra, draw(st.lists(law, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_unary_case())
+def test_mixed_law_lists_match_the_scans_law_by_law_on_unary_algebras(case):
+    algebra, laws = case
+    assert satisfies_equations(algebra, laws) == _law_by_law(algebra, laws)
 
 
 @settings(max_examples=200, deadline=None)
