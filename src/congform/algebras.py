@@ -241,14 +241,11 @@ def algebra_to_json(a: FiniteAlgebra) -> dict:
 # --- congruences -------------------------------------------------------------
 
 def _canonical_ids(labels: Sequence) -> tuple[int, ...]:
-    """Relabel a partition-as-labels array so block ids go by least element."""
+    """Relabel a partition-as-labels array so block ids go by least element:
+    a label met for the first time gets the number of distinct labels met
+    before it."""
     seen: dict = {}
-    out = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out.append(seen[lab])
-    return tuple(out)
+    return tuple([seen.setdefault(lab, len(seen)) for lab in labels])
 
 
 class Congruence(Hashed):

@@ -1,7 +1,7 @@
 """Concrete algebras, corpora, and the built-in closure operators.
 
-Three families of examples are bundled, each with built-in operators read
-off the laws of their subcategories by ``reflection.rule_from_laws``:
+Three families of examples are bundled, each with built-in operators given
+by the laws of their subcategories:
 
 * commutative rngs Z_n with the nilradical operator, the reflection into
   the reduced rngs, a quasivariety (x.x = 0 => x = 0);
@@ -24,12 +24,15 @@ becomes an algebra and is validated.
 Two registries describe the bundled examples.  ``CORPORA`` maps a corpus
 kind to (tag, size limit, default size, member builder); ``corpus``,
 ``corpus_operators``, ``verify`` and the CLI read it.  ``_BUILTIN_RULES``
-maps a built-in operator name to (tag, closure rule, oracle predicate);
+maps a built-in operator name to (tag, laws, oracle predicate);
 ``builtin_operator``, ``closure_rule``, ``corpus_operators`` and
 ``oracle_predicate`` read it, and so do ``verify`` and the CLI.  Every
-oracle predicate is ``reflection.predicate_from_laws`` of a law list, and
-each law-defined built-in's rule reads the same list; ``identity`` and
-``top`` keep one-line rules.
+built-in is a law list, ``identity`` (no laws) and ``top``
+(``terms.ONE_ELEMENT``) included, and three readings of the list serve:
+the operator on a universe, read off its pair masks
+(``reflection._law_rows``); the rule on one algebra
+(``reflection.rule_from_laws``), which the CLI's ``close`` and ``reflect``
+run; and the oracle predicate (``reflection.predicate_from_laws``).
 """
 
 from __future__ import annotations
@@ -54,12 +57,11 @@ from .algebras import (
     _index_array,
     _inverse,
     algebra_to_json,
-    full,
     validate_algebra,
 )
 from .errors import NotGroup, NotQuandle, NotRng, OutOfRange, SizeTooLarge
-from .operators import ClosureOperator, Universe, make_operator, universe
-from .reflection import SubcategoryPredicate, predicate_from_laws, rule_from_laws
+from .operators import ClosureOperator, Universe, _checked_operator, universe
+from .reflection import SubcategoryPredicate, _law_rows, predicate_from_laws, rule_from_laws
 
 # --- named algebra builders ---------------------------------------------------
 
@@ -338,19 +340,19 @@ def _require(tag: str, a: FiniteAlgebra) -> None:
 
 # --- registry ----------------------------------------------------------------------
 
-def _from_laws(tag: str, name: str, laws: tuple) -> tuple:
-    """A law-defined built-in: its rule and its oracle predicate read ``laws``."""
-    return tag, rule_from_laws(laws), predicate_from_laws(name, laws)
+def _from_laws(tag: str | None, name: str, laws: tuple) -> tuple:
+    """A built-in given by the laws of its subcategory, named ``name``."""
+    return tag, laws, predicate_from_laws(name, laws)
 
 
-# name -> (tag, closure rule on one algebra, oracle predicate).  The tag (None:
-# every algebra) is checked on each algebra the rule closes on, and puts the
-# operator into the corpus of that tag; corpora take operators in this order.
-# The oracle predicate checks the subcategory's laws; the reflection oracle, a
-# meet over the lattice, is a different algorithm from the law rule.
+# name -> (tag, laws, oracle predicate).  The tag (None: every algebra) is
+# checked on each algebra the operator closes on, and puts the operator into
+# the corpus of that tag; corpora take operators in this order.  The oracle
+# predicate checks the laws; the reflection oracle, a meet over the lattice, is
+# a different algorithm from the operator that closes along the laws.
 _BUILTIN_RULES = {
-    "identity": (None, lambda x, r: r, predicate_from_laws("everything", ())),
-    "top": (None, lambda x, r: full(x), predicate_from_laws("one-element", terms.ONE_ELEMENT)),
+    "identity": _from_laws(None, "everything", ()),
+    "top": _from_laws(None, "one-element", terms.ONE_ELEMENT),
     # On the bundled Z_n corpora nilradical tests as minimal, because quotients
     # of reduced Z_n (squarefree n) are again reduced.  That is a finiteness
     # artifact: over commutative rngs at large, reduced rngs are not closed
@@ -385,7 +387,8 @@ def oracle_predicate(name: str) -> SubcategoryPredicate:
 
 def closure_rule(name: str):
     """Single-algebra closure rule for the named built-in operator."""
-    tag, rule, _ = _builtin(name)
+    tag, laws, _ = _builtin(name)
+    rule = rule_from_laws(laws)
     if tag is None:
         return rule
 
@@ -397,8 +400,10 @@ def closure_rule(name: str):
 
 
 def builtin_operator(name: str, u: Universe) -> ClosureOperator:
-    """The named built-in operator tabulated and validated over ``u``."""
-    tag, rule, _ = _builtin(name)
+    """The named built-in operator over ``u``: its rows read off the pair masks
+    of ``u`` (``reflection._law_rows``), then checked as ``make_operator``
+    checks a rule's rows."""
+    tag, laws, _ = _builtin(name)
     for a in u.algebras if tag else ():
         _require(tag, a)
-    return make_operator(u, rule, name)
+    return _checked_operator(u, name, _law_rows(u, laws))

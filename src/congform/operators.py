@@ -50,7 +50,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property, reduce
-from operator import and_, ne
+from operator import and_, eq, ne
 from types import MappingProxyType
 
 from .algebras import (
@@ -99,14 +99,19 @@ class Universe(Hashed):
     ``_isomorphs``) and from both ``quotient_maps``, which is the closure
     check.  Every other table is built on first use and kept on the universe,
     so it goes when the universe does: per member i, the inverse ``by_ids[i]``
-    of ``lattices[i]`` (keyed by block-id arrays), each up-set as a bitmask
-    ``up[i][a]`` (``_up_sets``) with inverse ``by_up[i]``, and the order
-    ``le[i][a][b]`` and covering pairs ``covers[i]`` read off the up-sets;
-    ``diagonal[i]`` is the last index, as canonical ids sort the diagonal
-    last.  Since up(a v b) = up(a) & up(b), joins are read off the up-sets
-    too.  Along a quotient map f: X -> Y, f* is an order isomorphism from
-    Con(Y) onto the up-set of ker f = f*(diagonal) in Con(X) (correspondence
-    theorem), so f(R) is the S with f*S = R v ker f.  ``generators`` holds
+    of ``lattices[i]`` (keyed by block-id arrays), for each pair (a, b) of
+    elements the bitmask ``pair_masks[i][a * n + b]`` of the congruences
+    relating a and b (``_pair_masks``), each up-set as a bitmask ``up[i][a]``
+    (``_up_sets``, read off the pair masks) with inverse ``by_up[i]``, and the
+    order ``le[i][a][b]`` and covering pairs ``covers[i]`` read off the
+    up-sets; ``diagonal[i]`` is the last index, as canonical ids sort the
+    diagonal last.  Since up(a v b) = up(a) & up(b), joins are read off the
+    up-sets too, and so are generated congruences: the congruences above
+    Cg(R u P) are those above R that relate every pair of P, so its up-set is
+    up(R) AND the masks of P's pairs.  Along a quotient map f: X -> Y, f* is
+    an order isomorphism from Con(Y) onto the up-set of ker f = f*(diagonal)
+    in Con(X) (correspondence theorem), so f(R) is the S with
+    f*S = R v ker f.  ``generators`` holds
     (i, j, f*) for each map of ``generating_maps`` from member i to member j;
     ``images``, (i, j, f(-)) for its quotient maps; ``quotients[i][a]``,
     (j, g*) for g = ``quotient_maps(u)[R][0]`` onto member j, R = lattice a of
@@ -153,7 +158,8 @@ class Universe(Hashed):
 
     by_ids = cached_property(lambda self: tuple({r.ids: a for a, r in enumerate(lat)}
                                                 for lat in self.lattices))
-    up = cached_property(lambda self: tuple(map(_up_sets, self.lattices)))
+    pair_masks = cached_property(lambda self: tuple(map(_pair_masks, self.lattices)))
+    up = cached_property(lambda self: tuple(map(_up_sets, self.lattices, self.pair_masks)))
     # le[i][a][b] is bit b of up[i][a]; one format() call per row beats a shift per bit
     le = cached_property(lambda self: tuple(
         tuple(tuple(map("1".__eq__, format(mask, f"0{len(up)}b")[::-1])) for mask in up)
@@ -311,18 +317,26 @@ def _quotient_maps(algebras, lattices, buckets) -> Mapping[Congruence, tuple[Hom
     return MappingProxyType(out)
 
 
-def _up_sets(lattice) -> tuple[int, ...]:
+def _pair_masks(lattice) -> tuple[int, ...]:
+    """At a * n + b, for elements a and b of the carrier, the bitmask of the
+    elements of ``lattice`` that relate a and b: bit k is set when a and b share
+    a block of the k-th congruence, for every k when a = b."""
+    labels = list(zip(*(s.ids for s in lattice)))  # labels[x][k]: x's block in lattice[k]
+    bits = [1 << k for k in range(len(lattice))]
+    n = len(labels)
+    masks = [sum(bits)] * (n * n)
+    for a, b in itertools.combinations(range(n), 2):
+        held = sum(itertools.compress(bits, map(eq, labels[a], labels[b])))
+        masks[a * n + b] = masks[b * n + a] = held
+    return tuple(masks)
+
+
+def _up_sets(lattice, masks) -> tuple[int, ...]:
     """Each R's up-set as a bitmask over ``lattice``: S >= R exactly when S
     holds each pair (least element of x's R-block, x), so up(R) is the AND of
-    the masks of the S holding those pairs."""
-    held: dict = {}
-    for b, s in enumerate(lattice):
-        for pair in itertools.combinations(range(len(s.ids)), 2):
-            if s.ids[pair[0]] == s.ids[pair[1]]:
-                held[pair] = held.get(pair, 0) | 1 << b
-    top = (1 << len(lattice)) - 1
-    return tuple(reduce(and_, (held[p] for p in _block_pairs(r) if p[0] != p[1]), top)
-                 for r in lattice)
+    those pairs' ``masks`` (``_pair_masks``)."""
+    n = len(lattice[0].ids)
+    return tuple(reduce(and_, (masks[h * n + x] for h, x in _block_pairs(r))) for r in lattice)
 
 
 def _covers(up, le) -> tuple[tuple[int, int], ...]:
@@ -404,24 +418,31 @@ def _first_failure(u: Universe, broken_at, generators: Callable, maps: Callable,
 
 def make_operator(u: Universe, rule: Rule, name: str) -> ClosureOperator:
     """Tabulate ``rule``, a callable (algebra, congruence) -> congruence, into
-    index rows in ``con_lattice`` order, checking each member's closure values
-    and extensivity before the next member is read, then decide naturality
+    index rows in ``con_lattice`` order, one member at a time (None for a value
+    outside the member's lattice), and check them (``_checked_operator``)."""
+    return _checked_operator(u, name, (
+        tuple(by_ids.get(c.ids) if c.algebra is x or c.algebra == x else None
+              for c in [rule(x, r) for r in lattice])
+        for x, lattice, by_ids in zip(u.algebras, u.lattices, u.by_ids)))
+
+
+def _checked_operator(u: Universe, name: str,
+                     rows: Iterable[tuple[int | None, ...]]) -> ClosureOperator:
+    """The operator with the index ``rows``, read member by member: each row is
+    checked to hold congruences of its member (None: a value that is not) and
+    to be extensive before the next row is read; then naturality is decided
     (``_natural_operator``)."""
-    rows = []
-    for i, x in enumerate(u.algebras):
-        lattice, by_ids, le = u.lattices[i], u.by_ids[i], u.le[i]
-        values = [rule(x, r) for r in lattice]
-        row = []
-        for a, c in enumerate(values):
-            b = by_ids.get(c.ids) if c.algebra is x or c.algebra == x else None
+    checked = []
+    for i, (lattice, le, row) in enumerate(zip(u.lattices, u.le, rows)):
+        for a, b in enumerate(row):
             if b is None:
                 raise FibreMismatch(f"closure value is not a congruence of member {i}")
             if not le[a][b]:
                 raise NotExtensive(f"operator {name!r} is not extensive on member {i}",
-                                   witness=_witness(i, lattice[a], closure=congruence_to_blocks(c)))
-            row.append(b)
-        rows.append(tuple(row))
-    return _natural_operator(u, name, tuple(rows))
+                                   witness=_witness(i, lattice[a],
+                                                    closure=congruence_to_blocks(lattice[b])))
+        checked.append(row)
+    return _natural_operator(u, name, tuple(checked))
 
 
 def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...]) -> ClosureOperator:

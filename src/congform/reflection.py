@@ -29,10 +29,14 @@ which the universe built for its closure check.  The oracles read them
 too: an isomorphism-invariant predicate runs once per member, and X/R
 takes the verdict of the member it is sent onto.
 
-A subcategory given by laws, equations and quasi-equations alike, has two
-descriptions here, both read off one law list: its membership predicate
-(``predicate_from_laws``) and its closure rule (``rule_from_laws``), which
-sends R to the least congruence above R whose quotient satisfies the laws.
+A subcategory given by laws, equations and quasi-equations alike, has three
+descriptions here, all read off one law list: its membership predicate
+(``predicate_from_laws``), its closure rule on one algebra
+(``rule_from_laws``), which sends R to the least congruence above R whose
+quotient satisfies the laws, and that rule's index rows on a universe
+(``_law_rows``), read off ``Universe.pair_masks`` with no congruence merged.
+The reflection oracle meets the accepted congruences of each member in one
+relabeling of the tuples of their block ids, so it reads no mask.
 
 Note that operators are only validated against surjections, which admits
 operators whose congruence family fails the universal property along some
@@ -43,13 +47,15 @@ such a map as a witness instead of returning a broken reflector, and
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache, reduce
 from itertools import compress
+from operator import and_
 
 from .algebras import (
     Congruence,
     FiniteAlgebra,
+    _canonical_ids,
     _merge,
     _operations,
     compose,
@@ -57,7 +63,6 @@ from .algebras import (
     congruence_to_blocks,
     generated_congruence,
     join,
-    meet,
     quotient,
 )
 from .errors import (
@@ -246,6 +251,34 @@ def rule_from_laws(laws) -> Rule:
     return rule
 
 
+def _law_rows(u: Universe, laws) -> Iterator[tuple[int, ...]]:
+    """The index rows of ``rule_from_laws(laws)`` on ``u``, member by member,
+    read off the universe's masks with no congruence built: theta v Cg(P) is
+    the congruence whose up-set is up(theta) AND the ``pair_masks`` of the
+    pairs of P.  For equations one ``law_pairs`` per member gives V(X), and
+    C(R) = R v V(X); for quasi-equations theta <- theta v Cg(law_pairs(X,
+    laws, theta)) is iterated from R, as in the rule."""
+    laws = tuple(laws)
+    equational = all(isinstance(law, Equation) for law in laws)
+    for x, lattice, up, by_up, masks in zip(u.algebras, u.lattices, u.up, u.by_up,
+                                            u.pair_masks):
+        n = x.size
+
+        def above(mask, pairs):
+            return reduce(and_, (masks[a * n + b] for a, b in pairs), mask)
+
+        if equational:
+            verbal = above(-1, law_pairs(x, laws))  # -1: every bit set
+            yield tuple(by_up[ua & verbal] for ua in up)
+            continue
+        row = []
+        for a in range(len(lattice)):
+            while pairs := law_pairs(x, laws, lattice[a].ids):
+                a = by_up[above(up[a], pairs)]
+            row.append(a)
+        yield tuple(row)
+
+
 def predicate_from_operator(c: ClosureOperator) -> SubcategoryPredicate:
     """Membership via the matched universe member's closed diagonal."""
     closed = _closed_diagonals(c)
@@ -328,17 +361,19 @@ def oracle_reflection(x: FiniteAlgebra, pred: SubcategoryPredicate) -> Congruenc
 def _least_accepted(name: str, lattice, accepts: Callable[[int], bool], by_ids):
     """``oracle_reflection`` on Con(X) = ``lattice`` (numbered by ``by_ids``), with
     ``accepts(a)`` standing for pred(X/lattice[a]): the meet of the accepted
-    congruences is re-checked, not assumed."""
-    good = [r for a, r in enumerate(lattice) if accepts(a)]
+    congruences, one canonical relabeling of the tuples of their block ids, is
+    re-checked, not assumed."""
+    good = [r.ids for a, r in enumerate(lattice) if accepts(a)]
     if not good:
         raise NotReflective(f"predicate {name!r} accepts no quotient of the algebra",
                             witness={"predicate": name})
-    least = reduce(meet, good)
-    if not accepts(by_ids[least.ids]):
+    least = by_ids[_canonical_ids(zip(*good))]
+    if not accepts(least):
         raise NotReflective(f"predicate {name!r} is not reflective here: the meet of its "
                             "congruences fails it",
-                            witness={"predicate": name, "meet": congruence_to_blocks(least)})
-    return least
+                            witness={"predicate": name,
+                                     "meet": congruence_to_blocks(lattice[least])})
+    return lattice[least]
 
 
 def oracle_reflector(u: Universe, pred: SubcategoryPredicate) -> Reflector:

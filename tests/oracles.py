@@ -87,7 +87,11 @@ that reads all n! relabelings of an algebra's lhd by a list comprehension
 (replaced by the closure under two generating relabelings), the member
 builder that validates each class on the JSON input path, the
 isomorphism invariants counted with ``Counter`` and the occurrence lists
-walked with ``itertools.product`` for each algebra.
+walked with ``itertools.product`` for each algebra.  Also kept: the loop
+of ``algebras._canonical_ids`` (replaced by one ``dict.setdefault``
+comprehension), the reflection oracle's meet by ``reduce(meet, ...)``
+(replaced by one relabeling of the tuples of block ids), and the one-line
+rules of ``identity`` and ``top`` (replaced by their law lists).
 Last come the trivial and dihedral quandles, test inputs that the
 package does not export, and frozen-dataclass twins of the value
 classes, whose generated ``__eq__`` the slotted ``Frozen`` classes
@@ -1424,7 +1428,38 @@ def oracle_reflector(u, pred, name=None):
     return make_reflector(u, rho, name or f"oracle({pred.name})")
 
 
+def reduced_least_accepted(name, lattice, accepts, by_ids):
+    """``reflection._least_accepted`` with the meet of the accepted
+    congruences taken by ``reduce(meet, ...)``, one ``Congruence`` a step."""
+    from functools import reduce
+
+    from congform import congruence_to_blocks, meet
+    from congform.errors import NotReflective
+
+    good = [r for a, r in enumerate(lattice) if accepts(a)]
+    if not good:
+        raise NotReflective(f"predicate {name!r} accepts no quotient of the algebra",
+                            witness={"predicate": name})
+    least = reduce(meet, good)
+    if not accepts(by_ids[least.ids]):
+        raise NotReflective(f"predicate {name!r} is not reflective here: the meet of its "
+                            "congruences fails it",
+                            witness={"predicate": name, "meet": congruence_to_blocks(least)})
+    return least
+
+
 # --- API with no library caller -------------------------------------------------
+
+def loop_canonical_ids(labels):
+    """``algebras._canonical_ids`` as a loop with one membership test per label."""
+    seen: dict = {}
+    out = []
+    for lab in labels:
+        if lab not in seen:
+            seen[lab] = len(seen)
+        out.append(seen[lab])
+    return tuple(out)
+
 
 def kernel_congruence(f):
     """ker f: the partition of f's domain by value, as a congruence."""
@@ -1817,13 +1852,15 @@ def _composite_with_reachability(x, r):
 
 
 def law_rule_oracle(name):
-    """The rule of the named law-defined built-in before its laws gave it:
-    the nilradical through the ideal/coset bridge, the quandle composite with
-    its permutability guard, and the group joins with the hand-built
-    congruences."""
-    from congform import join
+    """The rule of the named built-in before its laws gave it: the one-line
+    rules of ``identity`` and ``top``, the nilradical through the ideal/coset
+    bridge, the quandle composite with its permutability guard, and the group
+    joins with the hand-built congruences."""
+    from congform import full, join
 
     return {
+        "identity": lambda x, r: r,
+        "top": lambda x, r: full(x),
         "nilradical": lambda x, r: congruence_of_ideal(nilradical(x, ideal_of_congruence(r))),
         "quandle": _composite_with_reachability,
         "abelianization": lambda x, r: join(r, commutator_congruence(x)),

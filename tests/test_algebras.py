@@ -407,6 +407,15 @@ def test_canonical_ids_idempotent_and_least_element_indexed(labels):
     assert firsts == sorted(firsts)
 
 
+@settings(max_examples=300)
+@given(st.lists(st.integers(-3, 5) | st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                max_size=16))
+def test_canonical_ids_match_the_loop_they_replaced(labels):
+    # ints, as a pull-back labels its elements, and tuples of block ids, as a meet does
+    assert _canonical_ids(labels) == oracles.loop_canonical_ids(labels)
+    assert _canonical_ids(iter(labels)) == oracles.loop_canonical_ids(labels)
+
+
 @given(st.lists(st.integers(0, 3), min_size=2, max_size=8))
 def test_relabeled_partitions_are_equal_as_congruences(labels):
     a = trivial_quandle(len(labels))  # every partition is compatible here

@@ -27,6 +27,7 @@ from congform import (
     generated_congruence,
     klein_four_group,
     leq,
+    make_operator,
     meet,
     quotient,
     satisfies_equations,
@@ -35,7 +36,9 @@ from congform import (
 )
 from congform.errors import (
     AxiomViolation,
+    NotExtensive,
     NotGroup,
+    NotNatural,
     NotQuandle,
     NotRng,
     OutOfRange,
@@ -307,7 +310,9 @@ def test_group_operators_reject_wrong_tags(rng_corpus):
 LAW_DEFINED = [("nilradical", terms.REDUCED_RNG, "rngs", 24),
                ("quandle", terms.TRIVIAL_QUANDLE, "quandles", 6),
                ("abelianization", terms.COMMUTATIVITY, "groups", 12),
-               ("exp2-abelianization", terms.ELEMENTARY_ABELIAN_2, "groups", 12)]
+               ("exp2-abelianization", terms.ELEMENTARY_ABELIAN_2, "groups", 12),
+               ("identity", (), "rngs", 24),
+               ("top", terms.ONE_ELEMENT, "quandles", 6)]
 
 
 @pytest.mark.parametrize("name,laws,kind,size", LAW_DEFINED, ids=[d[0] for d in LAW_DEFINED])
@@ -322,6 +327,60 @@ def test_law_rule_matches_the_replaced_rule(name, laws, kind, size):
             assert builtin(x, r) == expected, (name, x, r)
             checked += 1
     assert checked == {"rngs": 84, "quandles": 1553, "groups": 59}[kind]
+
+
+# every corpus at its default and its largest sizes
+LAW_ROW_CORPORA = [("quandles", 3), ("quandles", 4), ("quandles", 5), ("quandles", 6),
+                   ("groups", 8), ("groups", 12), ("rngs", 12), ("rngs", 24)]
+
+
+@pytest.mark.parametrize("kind,size", LAW_ROW_CORPORA)
+def test_law_rows_match_make_operator_on_the_law_rule(kind, size):
+    # a built-in's rows are read off the universe's pair masks; the path they
+    # replaced tabulates rule_from_laws through make_operator
+    u = corpus(kind, size)
+    for name in instances.corpus_operators(kind):
+        laws = instances._BUILTIN_RULES[name][1]
+        expected = make_operator(u, reflection.rule_from_laws(laws), name)
+        assert builtin_operator(name, u).rows == expected.rows, name
+
+
+@pytest.mark.parametrize("size", [4, 5, 6])
+def test_law_rows_of_a_quasi_identity_match_the_rule(size):
+    # x <| y = x => y <| x = y on quandles: a quasi-identity whose rows
+    # iterate, as the nilradical's do, beyond the rngs Z_n
+    law = QuasiEquation((Equation(app("lhd", var(0), var(1)), var(0)),),
+                        Equation(app("lhd", var(1), var(0)), var(1)))
+    u, rule = corpus("quandles", size), reflection.rule_from_laws((law,))
+    expected = tuple(tuple(by_ids[rule(x, r).ids] for r in lattice)
+                     for x, lattice, by_ids in zip(u.algebras, u.lattices, u.by_ids))
+    rows = tuple(reflection._law_rows(u, (law,)))
+    assert rows == expected
+    assert any(row[-1] != len(row) - 1 for row in rows)  # some member is outside
+
+
+def test_law_rows_are_checked_as_make_operator_checks_rows(monkeypatch):
+    # builtin_operator sends its rows through make_operator's checks: rows
+    # that are not extensive, or not natural, raise the same error with the
+    # same witness
+    u = corpus("groups", 8)
+    v4 = u.lookup(klein_four_group())
+    lattice = u.lattices[v4]
+    identity = [tuple(range(len(lat))) for lat in u.lattices]
+    shrunk = [list(row) for row in identity]
+    shrunk[v4][0] = len(lattice) - 1  # C(full) = diagonal
+    atom = next(a for a in range(len(lattice)) if lattice[a].n_blocks == 2)
+    bent = [list(row) for row in identity]
+    bent[v4][-1] = atom  # C(diagonal) is an atom, not below the other atoms
+    for rows, error in ((shrunk, NotExtensive), (bent, NotNatural)):
+        rows = tuple(map(tuple, rows))
+        monkeypatch.setattr(instances, "_law_rows", lambda u, laws: iter(rows))
+        with pytest.raises(error) as got:
+            builtin_operator("identity", u)
+        tables = [{r: lat[b] for r, b in zip(lat, row)} for lat, row in zip(u.lattices, rows)]
+        with pytest.raises(error) as want:
+            make_operator(u, oracles.table_rule(u, tables), "identity")
+        assert got.value.witness == want.value.witness
 
 
 def _rng(elements, add, mul):

@@ -818,6 +818,19 @@ def test_fibration_order_matches_pairwise_leq(kind, size):
         assert lattice[u.diagonal[i]] == diagonal(lattice[0].algebra)
 
 
+@pytest.mark.parametrize("kind,size", [("quandles", 3), ("quandles", 4), ("quandles", 5),
+                                       ("quandles", 6), ("groups", 8), ("groups", 12),
+                                       ("rngs", 12), ("rngs", 24)])
+def test_pair_masks_hold_exactly_the_relating_congruences(kind, size):
+    u = corpus(kind, size)
+    for x, lattice, masks in zip(u.algebras, u.lattices, u.pair_masks):
+        n = x.size
+        assert len(masks) == n * n
+        for a, b in itertools.product(range(n), repeat=2):
+            assert masks[a * n + b] == sum(1 << k for k, r in enumerate(lattice)
+                                           if r.together(a, b)), (x, a, b)
+
+
 def ternary_algebras():
     """One operation of arity 3, which ``generated_congruence`` propagates in
     its wide branch: x - y + z on Z4, and a random table on four elements
@@ -1103,6 +1116,27 @@ def test_member_verdicts_match_the_quotient_scan(kind, size):
     u = corpus(kind, size)
     preds = [oracle_predicate(name) for name in corpus_operators(kind)]
     assert_verdicts_match_quotient_scan(u, preds + SIZE_PREDICATES)
+
+
+@pytest.mark.parametrize("kind,size", [("quandles", 6), ("groups", 12), ("rngs", 24)])
+def test_least_accepted_matches_the_reduced_meet(kind, size):
+    # the oracle's meet is one relabeling of the tuples of block ids; the
+    # replaced code reduced the accepted congruences with ``meet``
+    u = corpus(kind, size)
+    preds = [oracle_predicate(name) for name in corpus_operators(kind)] + SIZE_PREDICATES + [
+        SubcategoryPredicate("size<=3", lambda a: a.size <= 3),
+        SubcategoryPredicate("nothing", lambda a: False)]
+    refusals = Counter()
+    for pred in preds:
+        for lattice, accepts, by_ids in zip(u.lattices, reflection._quotient_verdicts(u, pred),
+                                            u.by_ids):
+            got, expected = (outcome(lambda: least(pred.name, lattice, accepts, by_ids))
+                             for least in (reflection._least_accepted,
+                                           oracles.reduced_least_accepted))
+            assert got == expected, (pred.name, lattice[0].algebra)
+            if isinstance(got, tuple):
+                refusals["meet" if "meet" in got[1] else "none"] += 1
+    assert refusals["meet"] and refusals["none"]
 
 
 def test_member_verdicts_match_the_quotient_scan_on_isomorphic_copies():

@@ -50,6 +50,27 @@ def test_run_verification_builds_three_operators_per_builtin(monkeypatch):
     assert len(names) <= 9, names
 
 
+def test_run_verification_merges_no_congruences():
+    # the built-in operators are read off each Con(X)'s pair masks and the
+    # oracle's meet is one relabeling, so once the corpus is built no
+    # congruence is merged, joined, met or generated
+    corpus("quandles", 5)
+    codes = {getattr(algebras, name).__code__: name
+             for name in ("_merge", "join", "meet", "generated_congruence")}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(codes[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        report = run_verification("quandles", 5)
+    finally:
+        sys.setprofile(None)
+    assert report["pass"] and calls == []
+
+
 def test_run_verification_searches_homs_only_into_subcategories(monkeypatch):
     # surjections come from quotient maps and automorphisms, so the only
     # hom search left is make_reflector's, from members outside each
