@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from operator import le
 
@@ -472,7 +472,7 @@ def _propagate(occurs, tables, into, m, injective, assign, used, queue: deque) -
 
 
 def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, injective: bool,
-                first_only: bool, fixed: Sequence[int] = ()) -> list[tuple[int, ...]]:
+                fixed: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
     """DFS over partial maps with forced-value propagation; each x below
     len(fixed) goes to fixed[x], and those images are distinct.
 
@@ -481,19 +481,19 @@ def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, injective: bool,
     repeated image, prune the branch.  Each element is indexed by the
     tuples it occurs in (``_occurrences``, built once per size and
     signature), so assigning it re-reads only those (``_propagate``).
-    Maps are produced in lexicographic order.
+    Maps are yielded in lexicographic order, and the search stops where
+    its reader does.
     """
     n, m = dom.size, cod.size
     if injective and n > m:
-        return []
+        return
     occurs, tables, into = _occurrences(n, dom.sig), dom.tables, cod.tables
-    results: list[tuple[int, ...]] = []
 
-    def dfs(assign: list[int | None], used: list[bool]):
+    def dfs(assign: list[int | None], used: list[bool]) -> Iterator[tuple[int, ...]]:
         try:
             x = assign.index(None)
         except ValueError:
-            results.append(tuple(assign))
+            yield tuple(assign)
             return
         for v in range(m):
             if injective and used[v]:
@@ -501,9 +501,7 @@ def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, injective: bool,
             branch, taken = assign.copy(), used.copy()
             branch[x], taken[v] = v, True
             if _propagate(occurs, tables, into, m, injective, branch, taken, deque([x])):
-                dfs(branch, taken)
-                if first_only and results:
-                    return
+                yield from dfs(branch, taken)
 
     # the constants and ``fixed`` force their images before any choice is made
     seed, used = [None] * n, [False] * m
@@ -511,17 +509,15 @@ def _hom_search(dom: FiniteAlgebra, cod: FiniteAlgebra, *, injective: bool,
         seed[x], used[v] = v, True
     if _propagate(occurs, tables, into, m, injective, seed, used,
                   deque([n, *range(len(fixed))])):
-        dfs(seed, used)
-    return results
+        yield from dfs(seed, used)
 
 
-@lru_cache(maxsize=None)
 def enumerate_homs(x: FiniteAlgebra, y: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     """All homomorphisms x -> y in lexicographic map order."""
     if x.sig != y.sig:
         raise SignatureMismatch("hom enumeration needs a shared signature")
-    maps = _hom_search(x, y, injective=False, first_only=False)
-    return tuple(Homomorphism(x, y, m, len(set(m)) == y.size) for m in maps)
+    return tuple(Homomorphism(x, y, m, len(set(m)) == y.size)
+                 for m in _hom_search(x, y, injective=False))
 
 
 def find_embedding(x: FiniteAlgebra, y: FiniteAlgebra) -> Homomorphism | None:
@@ -533,15 +529,13 @@ def find_embedding(x: FiniteAlgebra, y: FiniteAlgebra) -> Homomorphism | None:
     targets = set(_embedding_profile(y))
     if not all(any(all(map(le, p, q)) for q in targets) for p in set(_embedding_profile(x))):
         return None
-    maps = _hom_search(x, y, injective=True, first_only=True)
-    return Homomorphism(x, y, maps[0], x.size == y.size) if maps else None
+    e = next(_hom_search(x, y, injective=True), None)
+    return None if e is None else Homomorphism(x, y, e, x.size == y.size)
 
 
-@lru_cache(maxsize=None)
 def automorphisms(x: FiniteAlgebra) -> tuple[Homomorphism, ...]:
     """All automorphisms of x in lexicographic map order."""
-    return tuple(Homomorphism(x, x, m, True)
-                 for m in _hom_search(x, x, injective=True, first_only=False))
+    return tuple(Homomorphism(x, x, m, True) for m in _hom_search(x, x, injective=True))
 
 
 @lru_cache(maxsize=None)
@@ -573,7 +567,7 @@ def automorphism_generators(x: FiniteAlgebra) -> tuple[Homomorphism, ...]:
                 orbit |= grown
                 grown = {g[y] for g in gens for y in grown} - orbit
             if v not in orbit and profile[v] == profile[level]:
-                gens.extend(_hom_search(x, x, injective=True, first_only=True, fixed=fixed + (v,)))
+                gens.extend(itertools.islice(_hom_search(x, x, injective=True, fixed=fixed + (v,)), 1))
     return tuple(Homomorphism(x, x, g, True) for g in gens)
 
 
@@ -596,8 +590,8 @@ def find_isomorphism(x: FiniteAlgebra, y: FiniteAlgebra) -> Homomorphism | None:
         return Homomorphism(x, y, tuple(range(x.size)), True)
     if _iso_invariant(x) != _iso_invariant(y):
         return None
-    maps = _hom_search(x, y, injective=True, first_only=True)
-    return Homomorphism(x, y, maps[0], True) if maps else None
+    iso = next(_hom_search(x, y, injective=True), None)
+    return None if iso is None else Homomorphism(x, y, iso, True)
 
 
 def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:

@@ -65,21 +65,18 @@ from .reflection import SubcategoryPredicate, _law_rows, predicate_from_laws, ru
 
 # --- named algebra builders ---------------------------------------------------
 
-@lru_cache(maxsize=None)
 def cyclic_group(n: int) -> FiniteAlgebra:
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
     inv = [(-i) % n for i in range(n)]
     return validate_algebra(n, GROUP_SIGNATURE, {"mul": mul, "inv": inv, "e": 0}, GROUP_TAG)
 
 
-@lru_cache(maxsize=None)
 def klein_four_group() -> FiniteAlgebra:
     mul = [[i ^ j for j in range(4)] for i in range(4)]
     return validate_algebra(4, GROUP_SIGNATURE,
                             {"mul": mul, "inv": list(range(4)), "e": 0}, GROUP_TAG)
 
 
-@lru_cache(maxsize=None)
 def dihedral_group(n: int) -> FiniteAlgebra:
     """Order 2n; 0..n-1 are rotations r^i, n..2n-1 are reflections s r^i."""
     if n < 1:
@@ -99,7 +96,6 @@ def dihedral_group(n: int) -> FiniteAlgebra:
                             {"mul": table, "inv": inv, "e": 0}, GROUP_TAG)
 
 
-@lru_cache(maxsize=None)
 def symmetric_group(k: int) -> FiniteAlgebra:
     """Permutations of {0..k-1} in lexicographic order; (p*q)(x) = p(q(x))."""
     perms = sorted(itertools.permutations(range(k)))
@@ -116,7 +112,6 @@ def symmetric_group(k: int) -> FiniteAlgebra:
                             GROUP_TAG)
 
 
-@lru_cache(maxsize=None)
 def cyclic_rng(n: int) -> FiniteAlgebra:
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     mul = [[(i * j) % n for j in range(n)] for i in range(n)]

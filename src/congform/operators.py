@@ -219,7 +219,7 @@ class Universe(Hashed):
         firsts: dict = {}
         for (i, m), (j, n) in itertools.product(enumerate(self.algebras), repeat=2):
             if m.sig == n.sig and m.size < n.size:
-                for e in _hom_search(m, n, injective=True, first_only=False):
+                for e in _hom_search(m, n, injective=True):
                     firsts.setdefault((i, j, frozenset(e)), Homomorphism(m, n, e, False))
         return tuple((i, j, f, self.pull(f)) for (i, j, _), f in firsts.items())
 
@@ -587,7 +587,10 @@ def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
     return PASSED
 
 
-def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[ClosureOperator, ...]:
+MAX_CANDIDATES = 500_000
+
+
+def enumerate_operators(u: Universe) -> tuple[ClosureOperator, ...]:
     """Every closure operator on ``u``, by depth-first search over the members.
 
     A member's candidates are its monotone extensive fibre tables.  A
@@ -601,12 +604,12 @@ def enumerate_operators(u: Universe, *, max_candidates: int = 500_000) -> tuple[
     It is named ``op{k}``, k its index in the product of all extensive
     families (member-major, as ``itertools.product``).
     Raises ``SizeTooLarge`` up front when there are more than
-    ``max_candidates`` extensive families.
+    ``MAX_CANDIDATES`` extensive families.
     """
     options = [[[b for b in range(len(le)) if le[a][b]] for a in range(len(le))] for le in u.le]
     radix = [math.prod(map(len, per_a)) for per_a in options]
-    if math.prod(radix) > max_candidates:
-        raise SizeTooLarge(f"universe admits more than {max_candidates} extensive families")
+    if math.prod(radix) > MAX_CANDIDATES:
+        raise SizeTooLarge(f"universe admits more than {MAX_CANDIDATES} extensive families")
     candidates = [[(k, row) for k, row in enumerate(itertools.product(*per_a))
                    if _monotone(covers, le, row)]
                   for per_a, covers, le in zip(options, u.covers, u.le)]

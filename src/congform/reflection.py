@@ -32,9 +32,9 @@ takes the verdict of the member it is sent onto.
 A subcategory given by laws, equations and quasi-equations alike, has three
 descriptions here, all read off one law list: its membership predicate
 (``predicate_from_laws``), its closure rule on one algebra
-(``rule_from_laws``), which sends R to the least congruence above R whose
-quotient satisfies the laws, and that rule's index rows on a universe
-(``_law_rows``), read off ``Universe.pair_masks`` with no congruence merged.
+(``rule_from_laws``), one merging loop sending R to the least congruence
+above R whose quotient satisfies the laws, and that rule's index rows on a
+universe (``_law_rows``), read off ``Universe.pair_masks`` with no merging.
 The reflection oracle meets the accepted congruences of each member in one
 relabeling of the tuples of their block ids, so it reads no mask.
 
@@ -48,7 +48,7 @@ such a map as a witness instead of returning a broken reflector, and
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import compress
 from operator import and_
 
@@ -61,8 +61,6 @@ from .algebras import (
     compose,
     con_lattice,
     congruence_to_blocks,
-    generated_congruence,
-    join,
     quotient,
 )
 from .errors import (
@@ -225,23 +223,16 @@ def predicate_from_laws(name: str, laws) -> SubcategoryPredicate:
     return SubcategoryPredicate(name, lambda x: bool(satisfies_equations(x, laws)))
 
 
-@lru_cache(maxsize=1024)
-def _verbal_congruence(x: FiniteAlgebra, eqs: tuple[Equation, ...]) -> Congruence:
-    """V(x), the verbal congruence of the equations: their instances generate it."""
-    return generated_congruence(x, law_pairs(x, eqs))
-
-
 def rule_from_laws(laws) -> Rule:
     """The closure rule of the algebras that satisfy ``laws``: R goes to the
     least congruence theta >= R whose quotient satisfies them.  X/theta
     satisfies a law exactly when ``law_pairs`` modulo theta is empty, as every
     assignment in X/theta lifts to X.  So theta is reached by iterating
     theta <- Cg(theta u law_pairs(X, laws, theta)) from R (Gorbunov,
-    *Algebraic Theory of Quasivarieties*, 1998).  For equations the pairs do
-    not depend on theta, so theta is R v V(X), with no iteration."""
+    *Algebraic Theory of Quasivarieties*, 1998).  For equations the first
+    step gives R v V(X), V(X) the verbal congruence their instances generate,
+    and the second finds no pair."""
     laws = tuple(laws)
-    if all(isinstance(law, Equation) for law in laws):
-        return lambda x, r: join(r, _verbal_congruence(x, laws))
 
     def rule(x: FiniteAlgebra, r: Congruence) -> Congruence:
         while pairs := law_pairs(x, laws, r.ids):

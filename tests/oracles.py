@@ -75,7 +75,9 @@ and ``terms.ELEMENTARY_ABELIAN_2``), the law instances read by
 ``eval_term`` (replaced by the compiled programs in ``terms.law_pairs``),
 and the rules of the law-defined built-ins that ``reflection.rule_from_laws``
 replaced: the nilradical through the ideal/coset bridge, and the quandle
-reachability ~ with the composite R o ~ and its permutability guard.  Also
+reachability ~ with the composite R o ~ and its permutability guard, and
+the rule's own equational branch, R joined with the verbal congruence
+(replaced by the quasi-equation loop, which gives the same join).  Also
 kept: what the checks read before the universe's integer coordinates
 replaced it, namely the member indices, diagonals, pull-backs and images
 found through ``Congruence`` and ``Homomorphism`` keys, the quotient
@@ -1866,6 +1868,17 @@ def law_rule_oracle(name):
         "abelianization": lambda x, r: join(r, commutator_congruence(x)),
         "exp2-abelianization": lambda x, r: join(r, exponent_two_congruence(x)),
     }[name]
+
+
+def verbal_join_rule(laws):
+    """The rule that ``reflection.rule_from_laws`` returned for equations
+    before its quasi-equation loop served them too: R v V(X), V(X) the
+    verbal congruence that the instances of the equations generate."""
+    from congform import generated_congruence, join
+    from congform.terms import law_pairs
+
+    laws = tuple(laws)
+    return lambda x, r: join(r, generated_congruence(x, law_pairs(x, laws)))
 
 
 @lru_cache(maxsize=None)

@@ -246,14 +246,6 @@ def test_reachability_matches_the_listed_moves():
         assert quandle_reachability(a) == oracles.listed_reachability(a)
 
 
-def test_reachability_is_memoised_in_a_bounded_cache():
-    # the reachability is the verbal congruence of the trivial-quandle laws,
-    # cached behind ``rule_from_laws``
-    dq, verbal = dihedral_quandle(3), reflection._verbal_congruence
-    assert verbal(dq, terms.TRIVIAL_QUANDLE) is verbal(dq, terms.TRIVIAL_QUANDLE)
-    assert verbal.cache_info().maxsize is not None
-
-
 # --- groups -------------------------------------------------------------------------
 
 def test_commutator_congruence_of_s3():
@@ -295,7 +287,7 @@ def test_verbal_congruence_matches_the_hand_built_congruence(laws, oracle):
         groups.append(a)
         groups.extend(relabel_algebra(a, rng.sample(range(a.size), a.size)) for _ in range(3))
     for a in groups:
-        assert reflection._verbal_congruence(a, laws) == oracle(a)
+        assert reflection.rule_from_laws(laws)(a, diagonal(a)) == oracle(a)
 
 
 def test_group_operators_reject_wrong_tags(rng_corpus):
@@ -327,6 +319,24 @@ def test_law_rule_matches_the_replaced_rule(name, laws, kind, size):
             assert builtin(x, r) == expected, (name, x, r)
             checked += 1
     assert checked == {"rngs": 84, "quandles": 1553, "groups": 59}[kind]
+
+
+@pytest.mark.parametrize("kind,size", [("groups", 12), ("quandles", 6), ("rngs", 24)])
+def test_law_rule_matches_the_verbal_join_on_equations(kind, size):
+    # for equations the rule's loop gives R v V(X) in its first step and
+    # finds no pair in its second, which is the branch it replaced
+    names = [name for name in instances.corpus_operators(kind)
+             if all(isinstance(law, Equation) for law in instances._BUILTIN_RULES[name][1])]
+    assert names == {"groups": ["identity", "top", "abelianization", "exp2-abelianization"],
+                     "quandles": ["identity", "top", "quandle"],
+                     "rngs": ["identity", "top"]}[kind]
+    algebras = corpus(kind, size).algebras
+    for name in names:
+        laws = instances._BUILTIN_RULES[name][1]
+        rule, oracle = reflection.rule_from_laws(laws), oracles.verbal_join_rule(laws)
+        for x in algebras:
+            for r in con_lattice(x):
+                assert rule(x, r) == oracle(x, r), (name, x, r)
 
 
 # every corpus at its default and its largest sizes

@@ -929,8 +929,28 @@ def test_isomorphism_search_matches_the_scan_on_the_compared_pairs(monkeypatch, 
 def test_an_algebra_is_its_own_least_isomorphism_without_a_search():
     # the identity that equal tables return is the map the search finds first
     for a in big_corpus_members():
-        searched = algebras._hom_search(a, a, injective=True, first_only=True)
-        assert find_isomorphism(a, a).map == searched[0] == tuple(range(a.size))
+        searched = next(algebras._hom_search(a, a, injective=True))
+        assert find_isomorphism(a, a).map == searched == tuple(range(a.size))
+
+
+def test_first_map_searches_draw_one_map(monkeypatch):
+    # find_embedding and automorphism_generators keep the first map of each
+    # search, and read the search no further than that map
+    original, drawn, found = algebras._hom_search, [], []
+
+    def counting(*args, **kwargs):
+        found.append(sum(1 for _ in original(*args, **kwargs)))
+        drawn.append(0)
+        for m in original(*args, **kwargs):
+            drawn[-1] += 1
+            yield m
+
+    monkeypatch.setattr(algebras, "_hom_search", counting)
+    assert find_embedding(cyclic_group(2), klein_four_group()).map == (0, 1)
+    for x in (klein_four_group(), symmetric_group(3), trivial_quandle(4)):
+        assert automorphism_generators.__wrapped__(x)
+    assert drawn == [min(n, 1) for n in found]
+    assert found[0] == 3 and max(found) > 1
 
 
 # --- hom search and the universal property -----------------------------------------

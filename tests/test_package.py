@@ -1,7 +1,9 @@
 """The runtime needs nothing outside the standard library, and its import stays light."""
 
 import ast
+import importlib
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -36,3 +38,27 @@ def test_import_loads_no_code_generation_modules():
     out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC.parent)],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_module_caches_are_the_listed_ones():
+    # A module lru_cache keeps what it is handed for as long as the process
+    # runs, so each one has to earn its place: a new one comes with a change
+    # to this list.
+    caches = {}
+    for info in pkgutil.iter_modules([str(SRC)]):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"congform.{info.name}")
+        caches.update((f"{info.name}.{name}", obj.cache_parameters()["maxsize"])
+                      for name, obj in vars(module).items()
+                      if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__)
+    assert caches == {
+        "algebras._occurrences": None,
+        "algebras.automorphism_generators": None,
+        "algebras.find_isomorphism": None,
+        "algebras._embedding_profile": None,
+        "algebras.con_lattice": None,
+        "instances.corpus": None,
+        "terms._compile": 1024,
+        "terms._columns": 64,
+    }

@@ -34,20 +34,22 @@ def test_verify_all_output_matches_pinned_digest(kind, max_size):
 
 def test_run_verification_builds_three_operators_per_builtin(monkeypatch):
     # per operator: the built-in, the one derived back from its reflector,
-    # and the one derived from the oracle reflector
-    original = operators.make_operator
+    # and the one derived from the oracle reflector; every operator that
+    # verify-all builds passes through ``_natural_operator``
+    original = operators._natural_operator
     names = []
 
-    def counting(u, rule, name):
+    def counting(u, name, rows):
         names.append(name)
-        return original(u, rule, name)
+        return original(u, name, rows)
 
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("congform") and \
-                getattr(module, "make_operator", None) is original:
-            monkeypatch.setattr(module, "make_operator", counting)
+                getattr(module, "_natural_operator", None) is original:
+            monkeypatch.setattr(module, "_natural_operator", counting)
     run_verification("quandles", 3)
-    assert len(names) <= 9, names
+    assert names == ["identity", "top", "quandle"] * 2 + \
+        ["oracle(everything)", "oracle(one-element)", "oracle(trivial-quandle)"]
 
 
 def test_run_verification_merges_no_congruences():
