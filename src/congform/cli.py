@@ -115,6 +115,8 @@ def _operator_rule(selector: str, a):
         raise OperatorFileShape("operator file needs 'entries' with 'congruence' and "
                                 "'closure' block lists")
     name = doc.get("name", selector)
+    if not isinstance(name, str):
+        raise OperatorFileShape("operator file 'name' must be a string")
     table = {}
     for k, entry in enumerate(entries):
         r = congruence_from_blocks(a, entry["congruence"])

@@ -41,7 +41,8 @@ class SignatureShape(InputError, ValueError):
 
 
 class OperatorFileShape(InputError):
-    """Operator file is not an object with 'entries' of congruence/closure block lists."""
+    """Operator file is not an object with 'entries' of congruence/closure block
+    lists, or its 'name' is not a string."""
 
 
 class OperatorFileIncomplete(InputError):
@@ -180,20 +181,35 @@ class CheckResult(Frozen):
     """Boolean verdict plus a witness for the failing (or notable) case.
 
     Truthiness follows ``ok``, so results can be used directly in
-    ``assert`` and ``if``; the witness is a JSON-able dict.
+    ``assert`` and ``if``; the witness is a JSON-able dict.  The failing
+    result ``_deferred(find)`` finds its witness, ``find()``, when it is first
+    read, and keeps it; eq, hash, copy and repr read it as any field.
     """
 
-    __slots__ = ("ok", "witness")
+    __slots__ = ("ok", "_witness")
 
     def __init__(self, ok: bool, witness: dict | None = None):
         object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "_witness", witness)
+
+    @classmethod
+    def _deferred(cls, find) -> CheckResult:
+        return cls(False, find)
+
+    @property
+    def witness(self) -> dict | None:
+        if callable(self._witness):
+            object.__setattr__(self, "_witness", self._witness())
+        return self._witness
 
     def _key(self):
         return self.ok, self.witness
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(ok={self.ok!r}, witness={self.witness!r})"
 
     def as_json(self) -> dict:
         out: dict[str, object] = {"ok": self.ok}

@@ -27,9 +27,9 @@ to K is an atom of a quotient), isomorphisms onto copies of
 X, and generators of Aut(X) read off a stabiliser chain
 (``automorphism_generators``; an inverse is a positive power).  A natural
 C has C(a*S) = a*C(S) for a in Aut(X), so coheredity and cocartesian
-preservation skip automorphisms.  Only a failure along the generators
-rescans ``naturality_maps`` or ``quotient_maps``, to name as witness the
-first failure in the full list's order.
+preservation skip automorphisms.  A failure along the generators names as
+witness the first failure along ``naturality_maps``, raised at once, or
+along ``quotient_maps``, found when the witness is read (``CheckResult``).
 The remaining axioms (idempotent, cohereditary, minimal, preservation
 of cocartesian liftings, naturality along every hom) are runtime checks
 returning witnesses, not construction requirements.  Minimality is checked
@@ -41,7 +41,8 @@ maps (the class E, up to automorphisms) in the pass that checks closure; an
 operator is its index rows over those numberings.  Other tables are built
 on the first check that reads them, and kept.  The checks read them by
 member and congruence indices, and a failing scan returns a position, so
-only the reported witness is built.  No module cache is keyed by a universe.
+only the reported witness is built, by an axiom check only when it is read.
+No module cache is keyed by a universe.
 """
 
 from __future__ import annotations
@@ -223,21 +224,29 @@ class Universe(Hashed):
                     firsts.setdefault((i, j, frozenset(e)), Homomorphism(m, n, e, False))
         return tuple((i, j, f, self.pull(f)) for (i, j, _), f in firsts.items())
 
-    def pull(self, f: Homomorphism) -> tuple[int, ...]:
-        """S -> f*S as an index array, built on first request; f between members."""
-        table = self._pulls.get(f)
-        if table is None:
-            into = self.by_ids[self.lookup(f.dom)]
-            table = self._pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
-                                           for s in self.lattices[self.lookup(f.cod)])
-        return table
+    @cached_property
+    def pull(self) -> Callable[[Homomorphism], tuple[int, ...]]:
+        """f -> (S -> f*S as an index array), built on first request; f between
+        members.  It and ``image`` keep the tables, not the universe."""
+        pulls, index, by_ids, lattices = self._pulls, self._index, self.by_ids, self.lattices
+        def pull(f):
+            if f not in pulls:
+                into = by_ids[index[f.dom]]
+                pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
+                                 for s in lattices[index[f.cod]])
+            return pulls[f]
+        return pull
 
-    def image(self, i: int, j: int, pull: tuple[int, ...]) -> tuple[int, ...]:
-        """R -> f(R) as an index array for the quotient map f from member i onto
-        member j with f* = ``pull``: f(R) = (f*)^-1 (R v ker f)."""
-        back = {a: s for s, a in enumerate(pull)}
-        kernel = self.up[i][pull[self.diagonal[j]]]
-        return tuple(back[self.by_up[i][ua & kernel]] for ua in self.up[i])
+    @cached_property
+    def image(self) -> Callable[[int, int, tuple[int, ...]], tuple[int, ...]]:
+        """(i, j, pull) -> (R -> f(R) as an index array) for the quotient map f
+        from member i onto member j with f* = ``pull``: f(R) = (f*)^-1 (R v ker f)."""
+        up, by_up, diagonal = self.up, self.by_up, self.diagonal
+        def image(i, j, pull):
+            back = {a: s for s, a in enumerate(pull)}
+            kernel = up[i][pull[diagonal[j]]]
+            return tuple(back[by_up[i][ua & kernel]] for ua in up[i])
+        return image
 
     def embedding(self, k: int, j: int) -> Homomorphism | None:
         """The least embedding of member k into member j, or None; built on first request."""
@@ -400,17 +409,16 @@ def _discontinuity(pull, le, dom_row, cod_row):
     return None
 
 
-def _first_failure(u: Universe, broken_at, generators: Callable, maps: Callable,
-                   table: Callable):
-    """The first (i, j, f, k), f in ``maps()`` from member i to member j, with f
-    breaking the law at position k = ``broken_at(i, j, table(i, j, f))``, or
-    None.  The (i, j, t) in ``generators()`` decide the verdict, so ``maps()``
-    is scanned only to locate a failure."""
-    if all(broken_at(i, j, t) is None for i, j, t in generators()):
+def _first_failure(u: Universe, broken_at):
+    """The first (i, j, f, k), f in ``naturality_maps`` from member i to member
+    j, with f breaking the law at position k = ``broken_at(i, j, f*)``, or None.
+    The ``generators`` decide the verdict, so ``naturality_maps`` is scanned
+    only to locate a failure."""
+    if all(broken_at(i, j, pull) is None for i, j, pull in u.generators):
         return None
-    for f in maps():
+    for f in u.naturality_maps:
         i, j = u.lookup(f.dom), u.lookup(f.cod)
-        k = broken_at(i, j, table(i, j, f))
+        k = broken_at(i, j, u.pull(f))
         if k is not None:
             return i, j, f, k
     return None
@@ -465,9 +473,7 @@ def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...])
     for i, (covers, le, row) in enumerate(zip(u.covers, u.le, rows)):
         if not _monotone(covers, le, row):
             raise not_natural(i, i, identity_hom(u.algebras[i]), *_non_monotone(le, row))
-    found = _first_failure(u, lambda i, j, pull: _discontinuity(pull, u.le[i], rows[i], rows[j]),
-                           lambda: u.generators, lambda: u.naturality_maps,
-                           lambda i, j, f: u.pull(f))
+    found = _first_failure(u, lambda i, j, pull: _discontinuity(pull, u.le[i], rows[i], rows[j]))
     if found is not None:
         i, j, f, s = found
         raise not_natural(i, j, f, u.pull(f)[s], s)
@@ -494,30 +500,36 @@ def is_idempotent(c: ClosureOperator) -> CheckResult:
 
 
 def _along_quotient_maps(c: ClosureOperator, key: str, sides) -> CheckResult:
-    """First quotient map f and congruence T where the index columns
-    ``sides(a, i, j)`` differ; for key "S" (its key in the witness) T runs
-    over Con(cod) and ``a`` is f*, for key "R" over Con(dom) and ``a`` is f(-).
-    Decided along the ``generating_maps`` that are not automorphisms."""
-    u = c.universe
+    """Whether the index columns ``sides(c.rows, a, i, j)`` agree along every
+    quotient map f from member i to member j: for key "S" (its witness key)
+    over Con(cod), ``a`` = f*; for key "R" over Con(dom), ``a`` = f(-).
+    Decided along the non-automorphisms of ``generating_maps``; the witness,
+    the first failing f and T along ``quotient_maps``, is found when read,
+    from tables only, as the universe may keep the result."""
+    u, rows = c.universe, c.rows
 
     def broken_at(i, j, a):
-        lhs, rhs = sides(a, i, j)
+        lhs, rhs = sides(rows, a, i, j)
         return None if lhs == rhs else list(map(ne, lhs, rhs)).index(True)
 
-    def table(i, j, f):
-        return u.pull(f) if key == "S" else u.image(i, j, u.pull(f))
-
-    found = _first_failure(
-        u, broken_at,
-        lambda: [g for g in u.generators if g[0] != g[1]] if key == "S" else u.images,
-        lambda: itertools.chain.from_iterable(quotient_maps(u).values()), table)
-    if found is None:
+    if all(broken_at(i, j, t) is None for i, j, t in
+           ([g for g in u.generators if g[0] != g[1]] if key == "S" else u.images)):
         return PASSED
-    i, j, f, t = found
-    lhs, rhs = sides(table(i, j, f), i, j)
-    over, into = (u.lattices[k] for k in ((j, i) if key == "S" else (i, j)))
-    return failed(dom=i, cod=j, map=list(f.map), **{key: congruence_to_blocks(over[t])},
-                  lhs=congruence_to_blocks(into[lhs[t]]), rhs=congruence_to_blocks(into[rhs[t]]))
+    maps, index, lattices, pull, image = u._quotient_maps, u._index, u.lattices, u.pull, u.image
+
+    def witness():
+        for f in itertools.chain.from_iterable(maps.values()):
+            i, j = index[f.dom], index[f.cod]
+            a = pull(f) if key == "S" else image(i, j, pull(f))
+            t = broken_at(i, j, a)
+            if t is not None:
+                lhs, rhs = sides(rows, a, i, j)
+                over, into = (lattices[k] for k in ((j, i) if key == "S" else (i, j)))
+                return {"dom": i, "cod": j, "map": list(f.map), key: congruence_to_blocks(over[t]),
+                        "lhs": congruence_to_blocks(into[lhs[t]]),
+                        "rhs": congruence_to_blocks(into[rhs[t]])}
+
+    return CheckResult._deferred(witness)
 
 
 def is_cohereditary(c: ClosureOperator) -> CheckResult:
@@ -525,11 +537,11 @@ def is_cohereditary(c: ClosureOperator) -> CheckResult:
     composes and holds along automorphisms, so it is decided along atomic
     quotient maps and isomorphisms onto copies; the witness is the first
     along ``quotient_maps`` (see the module docstring).  The result is kept
-    per row tuple in ``c.universe.cohereditary``."""
+    per row tuple in ``c.universe.cohereditary``, with its witness once read."""
     known = c.universe.cohereditary
     if c.rows not in known:
-        known[c.rows] = _along_quotient_maps(c, "S", lambda pull, i, j: (
-            list(map(c.rows[i].__getitem__, pull)), list(map(pull.__getitem__, c.rows[j]))))
+        known[c.rows] = _along_quotient_maps(c, "S", lambda rows, pull, i, j: (
+            list(map(rows[i].__getitem__, pull)), list(map(pull.__getitem__, rows[j]))))
     return known[c.rows]
 
 
@@ -537,16 +549,18 @@ def is_minimal(c: ClosureOperator) -> CheckResult:
     """C(R v S) = C(R) v S on every fibre; joins are read off the up-sets.
     On a fibre with diagonal D that holds exactly when C(S) = S v C(D) for
     every S (take R = D; conversely C(R v S) = R v S v C(D) = C(R) v S), which
-    is checked first; only a fibre that fails it is scanned for the first pair."""
+    decides the verdict; the witness, the first pair (R, S) on the first
+    fibre that fails it, is located when read (``CheckResult``)."""
     u = c.universe
     for i, row in enumerate(c.rows):
         up, by_up, lattice = u.up[i], u.by_up[i], u.lattices[i]
         floor = up[row[u.diagonal[i]]]
-        if all(row[s] == by_up[floor & us] for s, us in enumerate(up)):
-            continue
-        for r, s in itertools.product(range(len(row)), repeat=2):
-            if row[by_up[up[r] & up[s]]] != by_up[up[row[r]] & up[s]]:
-                return failed(**_witness(i, lattice[r], second=congruence_to_blocks(lattice[s])))
+        if any(row[s] != by_up[floor & us] for s, us in enumerate(up)):
+            def witness():
+                r, s = next((r, s) for r, s in itertools.product(range(len(row)), repeat=2)
+                            if row[by_up[up[r] & up[s]]] != by_up[up[row[r]] & up[s]])
+                return _witness(i, lattice[r], second=congruence_to_blocks(lattice[s]))
+            return CheckResult._deferred(witness)
     return PASSED
 
 
@@ -555,8 +569,8 @@ def preserves_cocartesian(c: ClosureOperator) -> CheckResult:
     and C commutes with automorphisms, so it is decided along atomic quotient
     maps and isomorphisms onto copies; the witness is the first along
     ``quotient_maps`` (see the module docstring)."""
-    return _along_quotient_maps(c, "R", lambda image, i, j: (
-        list(map(image.__getitem__, c.rows[i])), list(map(c.rows[j].__getitem__, image))))
+    return _along_quotient_maps(c, "R", lambda rows, image, i, j: (
+        list(map(image.__getitem__, rows[i])), list(map(rows[j].__getitem__, image))))
 
 
 def is_natural_along_homs(c: ClosureOperator) -> CheckResult:

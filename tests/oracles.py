@@ -94,6 +94,10 @@ of ``algebras._canonical_ids`` (replaced by one ``dict.setdefault``
 comprehension), the reflection oracle's meet by ``reduce(meet, ...)``
 (replaced by one relabeling of the tuples of block ids), and the one-line
 rules of ``identity`` and ``top`` (replaced by their law lists).
+Also kept: the axiom checks that located their witness at check time, the
+rescan of every quotient map after a coheredity or cocartesian failure along
+the generators and the pair scan of the first fibre that fails minimality
+(replaced by results that locate it when ``witness`` is first read).
 Last come the trivial and dihedral quandles, test inputs that the
 package does not export, and frozen-dataclass twins of the value
 classes, whose generated ``__eq__`` the slotted ``Frozen`` classes
@@ -104,6 +108,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from collections import deque
 from functools import lru_cache
 
@@ -621,6 +626,69 @@ def pairwise_is_minimal(c):
             if row[by_up[up[r] & up[s]]] != by_up[up[row[r]] & up[s]]:
                 return failed(algebra=i, congruence=[list(b) for b in lattice[r].blocks()],
                               second=[list(b) for b in lattice[s].blocks()])
+    return PASSED
+
+
+def eager_along_quotient_maps(c, key, sides):
+    """``operators._along_quotient_maps`` as it was before its witness was
+    deferred: the verdict along the generators, then, on a failure, the
+    rescan of every quotient map for the first one, at check time.
+    ``sides(a, i, j)`` gives the two index columns."""
+    from congform import congruence_to_blocks, quotient_maps
+    from congform.errors import PASSED, failed
+
+    u = c.universe
+
+    def broken_at(i, j, a):
+        lhs, rhs = sides(a, i, j)
+        return None if lhs == rhs else list(map(operator.ne, lhs, rhs)).index(True)
+
+    def table(i, j, f):
+        return u.pull(f) if key == "S" else u.image(i, j, u.pull(f))
+
+    generators = [g for g in u.generators if g[0] != g[1]] if key == "S" else u.images
+    if all(broken_at(i, j, t) is None for i, j, t in generators):
+        return PASSED
+    for f in itertools.chain.from_iterable(quotient_maps(u).values()):
+        i, j = u.lookup(f.dom), u.lookup(f.cod)
+        t = broken_at(i, j, table(i, j, f))
+        if t is not None:
+            lhs, rhs = sides(table(i, j, f), i, j)
+            over, into = (u.lattices[k] for k in ((j, i) if key == "S" else (i, j)))
+            return failed(dom=i, cod=j, map=list(f.map), **{key: congruence_to_blocks(over[t])},
+                          lhs=congruence_to_blocks(into[lhs[t]]),
+                          rhs=congruence_to_blocks(into[rhs[t]]))
+    return PASSED
+
+
+def eager_is_cohereditary(c):
+    """``is_cohereditary`` locating its witness at check time, and not kept."""
+    return eager_along_quotient_maps(c, "S", lambda pull, i, j: (
+        list(map(c.rows[i].__getitem__, pull)), list(map(pull.__getitem__, c.rows[j]))))
+
+
+def eager_preserves_cocartesian(c):
+    """``preserves_cocartesian`` locating its witness at check time."""
+    return eager_along_quotient_maps(c, "R", lambda image, i, j: (
+        list(map(image.__getitem__, c.rows[i])), list(map(c.rows[j].__getitem__, image))))
+
+
+def eager_is_minimal(c):
+    """``is_minimal`` scanning the first fibre that fails C(S) = S v C(D)
+    for its first pair at check time."""
+    from congform import congruence_to_blocks
+    from congform.errors import PASSED, failed
+
+    u = c.universe
+    for i, row in enumerate(c.rows):
+        up, by_up, lattice = u.up[i], u.by_up[i], u.lattices[i]
+        floor = up[row[u.diagonal[i]]]
+        if all(row[s] == by_up[floor & us] for s, us in enumerate(up)):
+            continue
+        for r, s in itertools.product(range(len(row)), repeat=2):
+            if row[by_up[up[r] & up[s]]] != by_up[up[row[r]] & up[s]]:
+                return failed(algebra=i, congruence=congruence_to_blocks(lattice[r]),
+                              second=congruence_to_blocks(lattice[s]))
     return PASSED
 
 

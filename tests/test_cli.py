@@ -135,6 +135,22 @@ def test_malformed_operator_file_exits_2(files, tmp_path, capsys, doc):
     assert json.loads(out)["error"] == "OperatorFileShape"
 
 
+@pytest.mark.parametrize("command", ["close", "reflect"])
+def test_operator_file_name_not_a_string_exits_2(files, tmp_path, capsys, command):
+    opfile = tmp_path / "op.json"
+    opfile.write_text(json.dumps({
+        "name": ["x"],
+        "entries": [{"congruence": [[0], [1], [2], [3]], "closure": [[0, 1, 2, 3]]},
+                    {"congruence": [[0, 2], [1, 3]], "closure": [[0, 1, 2, 3]]},
+                    {"congruence": [[0, 1, 2, 3]], "closure": [[0, 1, 2, 3]]}],
+    }))
+    extra = ["--congruence", "[]"] if command == "close" else []
+    code, out, _ = run(capsys, command, "--operator", str(opfile),
+                       "--algebra", files["z4-group"], *extra)
+    assert code == 2
+    assert json.loads(out)["error"] == "OperatorFileShape"
+
+
 def test_bare_integer_block_exits_2(files, capsys):
     code, out, _ = run(capsys, "close", "--operator", "abelianization",
                        "--algebra", files["z4-group"], "--congruence", "[1]")

@@ -48,6 +48,9 @@ between members; the oracle scans every hom that ``enumerate_homs`` finds.
 must generate the group that ``automorphisms`` lists, as the greedy
 selection it replaced does.  ``is_minimal`` checks each fibre against
 C(diagonal) first; the oracle scans every pair of every fibre.
+A failing coheredity, cocartesian or minimality check locates its witness
+when it is first read; the oracles locate it at check time, and must name
+the same one.
 """
 
 import itertools
@@ -529,7 +532,8 @@ def test_surjection_checks_on_enumerated_operators():
 def test_a_failing_check_builds_its_witness_once(monkeypatch):
     # the scans return positions, so only the reported failure's congruences
     # are written out as blocks: R and S of a NotNatural witness, and S or R,
-    # lhs and rhs of a coheredity or cocartesian one
+    # lhs and rhs of a coheredity or cocartesian one, on the first read of
+    # the witness and not at check time
     calls = []
     original = operators.congruence_to_blocks
     monkeypatch.setattr(operators, "congruence_to_blocks", lambda r: calls.append(r) or original(r))
@@ -545,11 +549,64 @@ def test_a_failing_check_builds_its_witness_once(monkeypatch):
         for c in enumerate_operators(u):
             for check in (is_cohereditary, preserves_cocartesian):
                 calls.clear()
-                ok = check(c).ok
-                failures[check.__name__] += not ok
-                assert len(calls) == (0 if ok else 3)
+                result = check(c)
+                failures[check.__name__] += not result.ok
+                assert len(calls) == 0
+                if not result.ok:
+                    assert result.witness and len(calls) == 3
+                    assert result.witness and len(calls) == 3
     assert failures["natural"] and failures["is_cohereditary"] and \
         failures["preserves_cocartesian"]
+
+
+EAGER = {is_cohereditary: oracles.eager_is_cohereditary,
+         preserves_cocartesian: oracles.eager_preserves_cocartesian,
+         is_minimal: oracles.eager_is_minimal}
+
+
+def deferred_failures(c) -> tuple[bool, ...]:
+    """Per check of ``EAGER``, whether it fails on ``c``; each verdict and
+    witness equal to the eager check's."""
+    out = []
+    for check, eager in EAGER.items():
+        got, expected = check(c), eager(c)
+        assert (got.ok, got.witness) == (expected.ok, expected.witness), (c, check.__name__)
+        out.append(not got.ok)
+    return tuple(out)
+
+
+def test_deferred_witnesses_match_the_eager_scans():
+    universes = [universe_from_generators([g]) for g in corpus("groups", 12).algebras]
+    universes.append(z4_v4_closure())
+    universes.append(universe_with_copies())
+    enumerated = [c for u in universes for c in enumerate_operators(u)]
+    builtins = [builtin_operator(name, corpus(kind, n))
+                for kind, n in (("quandles", 6), ("groups", 12), ("rngs", 24))
+                for name in corpus_operators(kind)]
+    assert {c.name for c in builtins} == {"identity", "top", "quandle", "abelianization",
+                                          "exp2-abelianization", "nilradical"}
+    # (operators, not cohereditary, not preserving, not minimal)
+    counts = [(len(ops), *map(sum, zip(*map(deferred_failures, ops))))
+              for ops in (enumerated, builtins)]
+    assert counts == [(845, 683, 790, 683), (10, 0, 0, 0)]
+
+
+def test_the_census_pulls_along_generators_until_a_witness_is_read():
+    # the census loop reads verdicts only, so a failing coheredity or
+    # cocartesian check pulls congruences back along no quotient map
+    # outside the generators; reading the witnesses scans the rest
+    pulled_on_read = 0
+    for g in corpus("groups", 8).algebras:
+        u = universe_from_generators([g])
+        idem = [c for c in enumerate_operators(u) if is_idempotent(c)]
+        results = [is_cohereditary(c) for c in idem]
+        cohered = [c for c, result in zip(idem, results) if result]
+        results += [check(c) for c in cohered for check in (is_minimal, preserves_cocartesian)]
+        assert set(u._pulls) <= set(u.generating_maps)
+        for result in results:
+            assert result.ok or result.witness
+        pulled_on_read += len(set(u._pulls) - set(u.generating_maps))
+    assert pulled_on_read
 
 
 def operator_universes():

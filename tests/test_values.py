@@ -9,6 +9,7 @@ tuples, and the two equalities must agree on every pair.
 
 import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -25,6 +26,9 @@ from congform import (
     builtin_operator,
     con_lattice,
     corpus,
+    cyclic_group,
+    enumerate_operators,
+    preserves_cocartesian,
     quotient_maps,
     reflector_from_closure,
     satisfies_equations,
@@ -63,7 +67,7 @@ def corpus_values():
     predicates.append(SubcategoryPredicate(predicates[0].name, predicates[0].accepts))
     equations = [e for laws in LAWS for e in laws]
     term_values = [t for e in equations for t in (e.lhs, e.rhs)]
-    results = [PASSED, CheckResult(True), CheckResult(False)]
+    results = [PASSED, CheckResult(True), CheckResult(False), *deferred_and_eager()]
     results += [satisfies_equations(a, terms.COMMUTATIVITY) for a in algebras[:6]]
     rngs = corpus("rngs", 4).algebras
     signatures = [a.sig for a in algebras[:2] + list(rngs[:1])]
@@ -71,6 +75,13 @@ def corpus_values():
     return (algebras + copies + untagged + congruences + congruence_copies + homs + flipped
             + universes + operators + reflectors + predicates + equations + term_values
             + list(terms.REDUCED_RNG) + results + signatures)
+
+
+def deferred_and_eager() -> tuple[CheckResult, CheckResult]:
+    """A failing result whose witness is not yet read, and its eager twin."""
+    u = universe_from_generators([cyclic_group(4)])
+    c = next(c for c in enumerate_operators(u) if not preserves_cocartesian(c))
+    return preserves_cocartesian(c), oracles.eager_preserves_cocartesian(c)
 
 
 def _hash_or_error(value):
@@ -118,6 +129,20 @@ def test_copies_are_equal_and_reprs_are_kept():
             # the dataclass-generated repr, with the fields as they are
             fields = oracles.value_fields()[type(v)]
             assert repr(v) == repr(oracles.twin_class(type(v))(*(getattr(v, f) for f in fields)))
+
+
+def test_a_deferred_witness_reads_as_its_eager_twin():
+    # each check reads the witness of a fresh result first
+    deferred, eager = deferred_and_eager()
+    assert callable(deferred._witness)  # not located yet
+    assert repr(deferred) == repr(eager)
+    assert deferred._witness == eager.witness
+    assert deferred_and_eager()[0] == eager
+    assert _hash_or_error(deferred_and_eager()[0]) is TypeError
+    assert copy.copy(deferred_and_eager()[0]) == eager
+    assert copy.deepcopy(deferred_and_eager()[0]) == eager
+    assert pickle.loads(pickle.dumps(deferred_and_eager()[0])) == eager
+    assert deferred_and_eager()[0].as_json() == eager.as_json()
 
 
 def test_laws_hash_without_building_their_key(monkeypatch):
