@@ -60,7 +60,7 @@ from .algebras import (
     validate_algebra,
 )
 from .errors import NotGroup, NotQuandle, NotRng, OutOfRange, SizeTooLarge
-from .operators import ClosureOperator, Universe, _checked_operator, universe
+from .operators import ClosureOperator, Universe, _natural_operator, universe
 from .reflection import SubcategoryPredicate, _law_rows, predicate_from_laws, rule_from_laws
 
 # --- named algebra builders ---------------------------------------------------
@@ -401,4 +401,4 @@ def builtin_operator(name: str, u: Universe) -> ClosureOperator:
     tag, laws, _ = _builtin(name)
     for a in u.algebras if tag else ():
         _require(tag, a)
-    return _checked_operator(u, name, _law_rows(u, laws))
+    return _natural_operator(u, name, _law_rows(u, laws))

@@ -4,7 +4,9 @@ A Universe is a finite set of algebras standing in for a category, checked
 closed under quotients: every quotient of a member is isomorphic to a
 member, which is what the subcategory theorems need.
 A ClosureOperator stores one extensional map Con(X) -> Con(X) per
-member, as an index array.  Construction validates the two laws eagerly:
+member, as an index array.  Every operator built from a rule, from laws or
+from a reflector has its rows checked by ``_natural_operator``, which
+validates the two laws eagerly:
 
 * extensive: R <= C(R) on every fibre;
 * natural:   whenever f lifts R into S, it lifts C(R) into C(S).
@@ -28,8 +30,9 @@ X, and generators of Aut(X) read off a stabiliser chain
 (``automorphism_generators``; an inverse is a positive power).  A natural
 C has C(a*S) = a*C(S) for a in Aut(X), so coheredity and cocartesian
 preservation skip automorphisms.  A failure along the generators names as
-witness the first failure along ``naturality_maps``, raised at once, or
-along ``quotient_maps``, found when the witness is read (``CheckResult``).
+witness the first failure found by ``_first_failure``: along
+``naturality_maps``, raised at once, or along ``quotient_maps``, when the
+witness is read (``CheckResult``).
 The remaining axioms (idempotent, cohereditary, minimal, preservation
 of cocartesian liftings, naturality along every hom) are runtime checks
 returning witnesses, not construction requirements.  Minimality is checked
@@ -39,10 +42,11 @@ The checks compare integers.  A universe owns its tables (see
 ``Universe``): its constructor numbers each Con(X) and finds the quotient
 maps (the class E, up to automorphisms) in the pass that checks closure; an
 operator is its index rows over those numberings.  Other tables are built
-on the first check that reads them, and kept.  The checks read them by
-member and congruence indices, and a failing scan returns a position, so
-only the reported witness is built, by an axiom check only when it is read.
-No module cache is keyed by a universe.
+on the first check that reads them, and kept, as are the rows that passed
+a check; a failure is not kept.  The checks read the tables by member and
+congruence indices, and a failing scan returns a position, so only the
+reported witness is built, by an axiom check only when it is read.  No
+module cache is keyed by a universe.
 """
 
 from __future__ import annotations
@@ -119,11 +123,11 @@ class Universe(Hashed):
     member i (g* None: g the identity); ``embeddings``, (i, j, e, e*) for the
     first embedding e, in ``_hom_search`` order, of member i onto each
     subalgebra of a larger member j.  ``natural`` holds the row tuples that
-    passed ``_natural_operator`` or survived ``enumerate_operators``, and
-    ``reflective`` the rho tuples ``make_reflector`` accepted; a verdict
-    depends only on the universe and the input, so both return at once for a
-    known one; failures are not kept.  ``cohereditary`` keeps each row tuple's
-    ``is_cohereditary`` result, failing or not."""
+    passed ``_natural_operator`` or survived ``enumerate_operators``,
+    ``cohereditary`` those that passed ``is_cohereditary``, and ``reflective``
+    the rho tuples ``make_reflector`` accepted; a verdict depends only on the
+    universe and the input, so each returns at once for a known one; failures
+    are not kept."""
 
     __slots__ = ("algebras", "_index", "_quotient_maps", "__dict__", "__weakref__")
 
@@ -171,7 +175,7 @@ class Universe(Hashed):
     diagonal = cached_property(lambda self: tuple(len(lat) - 1 for lat in self.lattices))
     natural = cached_property(lambda self: set())
     reflective = cached_property(lambda self: set())
-    cohereditary = cached_property(lambda self: {})
+    cohereditary = cached_property(lambda self: set())
     _pulls = cached_property(lambda self: {})
     _embeddings = cached_property(lambda self: {})
 
@@ -224,29 +228,24 @@ class Universe(Hashed):
                     firsts.setdefault((i, j, frozenset(e)), Homomorphism(m, n, e, False))
         return tuple((i, j, f, self.pull(f)) for (i, j, _), f in firsts.items())
 
-    @cached_property
-    def pull(self) -> Callable[[Homomorphism], tuple[int, ...]]:
-        """f -> (S -> f*S as an index array), built on first request; f between
-        members.  It and ``image`` keep the tables, not the universe."""
-        pulls, index, by_ids, lattices = self._pulls, self._index, self.by_ids, self.lattices
-        def pull(f):
-            if f not in pulls:
-                into = by_ids[index[f.dom]]
-                pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
-                                 for s in lattices[index[f.cod]])
-            return pulls[f]
-        return pull
+    def pull(self, f: Homomorphism) -> tuple[int, ...]:
+        """S -> f*S as an index array, built on first request; raises
+        ``UniverseMismatch`` unless f runs between members."""
+        if f not in self._pulls:
+            i, j = self._index.get(f.dom), self._index.get(f.cod)
+            if i is None or j is None:
+                raise UniverseMismatch("map between non-members of the universe")
+            into = self.by_ids[i]
+            self._pulls[f] = tuple(into[_canonical_ids([s.ids[y] for y in f.map])]
+                                   for s in self.lattices[j])
+        return self._pulls[f]
 
-    @cached_property
-    def image(self) -> Callable[[int, int, tuple[int, ...]], tuple[int, ...]]:
-        """(i, j, pull) -> (R -> f(R) as an index array) for the quotient map f
-        from member i onto member j with f* = ``pull``: f(R) = (f*)^-1 (R v ker f)."""
-        up, by_up, diagonal = self.up, self.by_up, self.diagonal
-        def image(i, j, pull):
-            back = {a: s for s, a in enumerate(pull)}
-            kernel = up[i][pull[diagonal[j]]]
-            return tuple(back[by_up[i][ua & kernel]] for ua in up[i])
-        return image
+    def image(self, i: int, j: int, pull: tuple[int, ...]) -> tuple[int, ...]:
+        """R -> f(R) as an index array for the quotient map f from member i onto
+        member j with f* = ``pull``: f(R) = (f*)^-1 (R v ker f)."""
+        back = {a: s for s, a in enumerate(pull)}
+        kernel = self.up[i][pull[self.diagonal[j]]]
+        return tuple(back[self.by_up[i][ua & kernel]] for ua in self.up[i])
 
     def embedding(self, k: int, j: int) -> Homomorphism | None:
         """The least embedding of member k into member j, or None; built on first request."""
@@ -409,14 +408,16 @@ def _discontinuity(pull, le, dom_row, cod_row):
     return None
 
 
-def _first_failure(u: Universe, broken_at):
-    """The first (i, j, f, k), f in ``naturality_maps`` from member i to member
-    j, with f breaking the law at position k = ``broken_at(i, j, f*)``, or None.
-    The ``generators`` decide the verdict, so ``naturality_maps`` is scanned
-    only to locate a failure."""
-    if all(broken_at(i, j, pull) is None for i, j, pull in u.generators):
-        return None
-    for f in u.naturality_maps:
+def _first_failure(u: Universe, broken_at, maps=None):
+    """The first (i, j, f, k), f in ``maps`` from member i to member j, with f
+    breaking a law at position k = ``broken_at(i, j, f*)``, or None.  Without
+    ``maps`` the ``generators`` decide the verdict, and ``naturality_maps`` is
+    scanned only to locate a failure."""
+    if maps is None:
+        if all(broken_at(i, j, pull) is None for i, j, pull in u.generators):
+            return None
+        maps = u.naturality_maps
+    for f in maps:
         i, j = u.lookup(f.dom), u.lookup(f.cod)
         k = broken_at(i, j, u.pull(f))
         if k is not None:
@@ -427,19 +428,24 @@ def _first_failure(u: Universe, broken_at):
 def make_operator(u: Universe, rule: Rule, name: str) -> ClosureOperator:
     """Tabulate ``rule``, a callable (algebra, congruence) -> congruence, into
     index rows in ``con_lattice`` order, one member at a time (None for a value
-    outside the member's lattice), and check them (``_checked_operator``)."""
-    return _checked_operator(u, name, (
+    outside the member's lattice), and check them (``_natural_operator``)."""
+    return _natural_operator(u, name, (
         tuple(by_ids.get(c.ids) if c.algebra is x or c.algebra == x else None
               for c in [rule(x, r) for r in lattice])
         for x, lattice, by_ids in zip(u.algebras, u.lattices, u.by_ids)))
 
 
-def _checked_operator(u: Universe, name: str,
-                     rows: Iterable[tuple[int | None, ...]]) -> ClosureOperator:
+def _natural_operator(u: Universe, name: str,
+                      rows: Iterable[tuple[int | None, ...]]) -> ClosureOperator:
     """The operator with the index ``rows``, read member by member: each row is
     checked to hold congruences of its member (None: a value that is not) and
-    to be extensive before the next row is read; then naturality is decided
-    (``_natural_operator``)."""
+    to be extensive before the next row is read.  The rows are then checked
+    monotone on each fibre (on its covering pairs) and continuous along
+    ``generating_maps``, which composes to continuity along every map (see
+    the module docstring), unless they passed before on ``u``.  A
+    ``NotNatural`` witness {dom, cod, map, R, S} is a lift that C breaks: the
+    identity with R <= S, or a map f with R = f*S; it is the first along the
+    full ``naturality_maps``, congruences taken in ``con_lattice`` order."""
     checked = []
     for i, (lattice, le, row) in enumerate(zip(u.lattices, u.le, rows)):
         for a, b in enumerate(row):
@@ -450,18 +456,7 @@ def _checked_operator(u: Universe, name: str,
                                    witness=_witness(i, lattice[a],
                                                     closure=congruence_to_blocks(lattice[b])))
         checked.append(row)
-    return _natural_operator(u, name, tuple(checked))
-
-
-def _natural_operator(u: Universe, name: str, rows: tuple[tuple[int, ...], ...]) -> ClosureOperator:
-    """The operator with these extensive ``rows``, once checked monotone on
-    each fibre (on its covering pairs) and continuous along
-    ``generating_maps``, which composes to continuity along every map (see
-    the module docstring).  A ``NotNatural`` witness {dom, cod, map, R, S} is
-    a lift that C breaks: the identity with R <= S, or a map f with R = f*S;
-    it is the first along the full ``naturality_maps``, congruences taken in
-    ``con_lattice`` order.  Rows that passed before on ``u`` are not checked
-    again."""
+    rows = tuple(checked)
     if rows in u.natural:
         return ClosureOperator(u, name, rows)
 
@@ -504,8 +499,7 @@ def _along_quotient_maps(c: ClosureOperator, key: str, sides) -> CheckResult:
     quotient map f from member i to member j: for key "S" (its witness key)
     over Con(cod), ``a`` = f*; for key "R" over Con(dom), ``a`` = f(-).
     Decided along the non-automorphisms of ``generating_maps``; the witness,
-    the first failing f and T along ``quotient_maps``, is found when read,
-    from tables only, as the universe may keep the result."""
+    the first failing f and T along ``quotient_maps``, is found when read."""
     u, rows = c.universe, c.rows
 
     def broken_at(i, j, a):
@@ -515,19 +509,15 @@ def _along_quotient_maps(c: ClosureOperator, key: str, sides) -> CheckResult:
     if all(broken_at(i, j, t) is None for i, j, t in
            ([g for g in u.generators if g[0] != g[1]] if key == "S" else u.images)):
         return PASSED
-    maps, index, lattices, pull, image = u._quotient_maps, u._index, u.lattices, u.pull, u.image
+    column = (lambda i, j, pull: pull) if key == "S" else u.image
 
     def witness():
-        for f in itertools.chain.from_iterable(maps.values()):
-            i, j = index[f.dom], index[f.cod]
-            a = pull(f) if key == "S" else image(i, j, pull(f))
-            t = broken_at(i, j, a)
-            if t is not None:
-                lhs, rhs = sides(rows, a, i, j)
-                over, into = (lattices[k] for k in ((j, i) if key == "S" else (i, j)))
-                return {"dom": i, "cod": j, "map": list(f.map), key: congruence_to_blocks(over[t]),
-                        "lhs": congruence_to_blocks(into[lhs[t]]),
-                        "rhs": congruence_to_blocks(into[rhs[t]])}
+        i, j, f, t = _first_failure(u, lambda i, j, pull: broken_at(i, j, column(i, j, pull)),
+                                    itertools.chain.from_iterable(quotient_maps(u).values()))
+        lhs, rhs = sides(rows, column(i, j, u.pull(f)), i, j)
+        over, into = (u.lattices[k] for k in ((j, i) if key == "S" else (i, j)))
+        return {"dom": i, "cod": j, "map": list(f.map), key: congruence_to_blocks(over[t]),
+                "lhs": congruence_to_blocks(into[lhs[t]]), "rhs": congruence_to_blocks(into[rhs[t]])}
 
     return CheckResult._deferred(witness)
 
@@ -536,13 +526,16 @@ def is_cohereditary(c: ClosureOperator) -> CheckResult:
     """C(f*S) = f*C(S) along every surjection between members: the law
     composes and holds along automorphisms, so it is decided along atomic
     quotient maps and isomorphisms onto copies; the witness is the first
-    along ``quotient_maps`` (see the module docstring).  The result is kept
-    per row tuple in ``c.universe.cohereditary``, with its witness once read."""
+    along ``quotient_maps`` (see the module docstring).  Rows that pass are
+    kept in ``c.universe.cohereditary``; a failure is decided again."""
     known = c.universe.cohereditary
     if c.rows not in known:
-        known[c.rows] = _along_quotient_maps(c, "S", lambda rows, pull, i, j: (
+        result = _along_quotient_maps(c, "S", lambda rows, pull, i, j: (
             list(map(rows[i].__getitem__, pull)), list(map(pull.__getitem__, rows[j]))))
-    return known[c.rows]
+        if not result:
+            return result
+        known.add(c.rows)
+    return PASSED
 
 
 def is_minimal(c: ClosureOperator) -> CheckResult:
@@ -659,14 +652,10 @@ def operator_report(c: ClosureOperator) -> dict:
         "minimal": is_minimal(c),
         "preserves_pushouts": preserves_cocartesian(c),
     }
-    witnesses = {k: v.witness for k, v in checks.items() if not v.ok}
     return {
         "name": c.name,
         "extensive": True,   # enforced at construction
         "natural": True,     # enforced at construction
-        "idempotent": checks["idempotent"].ok,
-        "cohereditary": checks["cohereditary"].ok,
-        "minimal": checks["minimal"].ok,
-        "preserves_pushouts": checks["preserves_pushouts"].ok,
-        "witnesses": witnesses,
+        **{k: v.ok for k, v in checks.items()},
+        "witnesses": {k: v.witness for k, v in checks.items() if not v.ok},
     }

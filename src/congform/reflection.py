@@ -161,8 +161,8 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
 def closure_from_reflector(refl: Reflector) -> ClosureOperator:
     """C_X(R) pulls the reflection congruence of X/R back along its quotient
     map g: X -> M_j, read as an index: rows[i][a] = g*(rho_j), then checked
-    natural as ``make_operator`` does.  The rows are extensive unchecked:
-    g*(S) contains ker g = R for every S."""
+    as ``make_operator`` checks a rule's rows (``_natural_operator``); they
+    are extensive, as g*(S) contains ker g = R for every S."""
     u = refl.universe
     at = [by_ids[r.ids] for by_ids, r in zip(u.by_ids, refl.rho)]
     rows = tuple(tuple(at[j] if pull is None else pull[at[j]] for j, pull in quotients)

@@ -9,7 +9,7 @@ and its oracle predicate; what the theorems derive from it is built on
 first use and then shared: the operator report C, the reflector R of C,
 and the operator D derived back from R.
 
-``run_verification`` (``verify-all`` and the verification scripts) runs
+``run_verification`` (the ``verify-all`` command) runs
 every entry on one subject per built-in operator of a corpus kind (the
 registry in ``instances``).  The ``roundtrip`` command runs the entry
 ``roundtrip_identities`` on one subject, and ``antitone`` runs

@@ -29,7 +29,13 @@ from congform import (
     universe_from_generators,
 )
 from congform import operators
-from congform.algebras import _iso_invariant, find_isomorphism, relabel_algebra
+from congform.algebras import (
+    _iso_invariant,
+    find_embedding,
+    find_isomorphism,
+    identity_hom,
+    relabel_algebra,
+)
 from congform.errors import (
     FibreMismatch,
     NotExtensive,
@@ -162,6 +168,16 @@ def test_find_member_iso_searches_only_members_with_the_same_invariant(monkeypat
 
 
 # --- construction and validation --------------------------------------------------
+
+def test_pull_rejects_a_map_with_an_end_outside_the_universe(z4_universe, v4_universe):
+    # V4 is no member of the closure of Z4, which holds the Z2 that V4 maps onto
+    v4 = v4_universe.algebras[-1]
+    onto_z2 = next(f for fs in operators.quotient_maps(v4_universe).values() for f in fs
+                   if f.dom == v4 and f.cod in z4_universe.algebras)
+    for f in (identity_hom(v4), onto_z2, find_embedding(onto_z2.cod, v4)):
+        with pytest.raises(UniverseMismatch):
+            z4_universe.pull(f)
+
 
 def test_identity_and_top_are_valid_everywhere(z4_universe):
     for u in (z4_universe,):
@@ -411,14 +427,18 @@ def test_a_universe_is_freed_with_its_tables():
             gc.enable()
 
 
-def test_a_failing_coheredity_verdict_is_kept(monkeypatch):
+def test_only_passing_coheredity_verdicts_are_kept(monkeypatch):
+    # a failure is decided again along the generators on each call; only
+    # reading its witness pulls along the other quotient maps
     u = universe_from_generators([cyclic_group(4)])
     c = next(c for c in enumerate_operators(u) if not is_cohereditary(c))
+    assert c.rows not in u.cohereditary
     scanned = _count_coheredity_scans(monkeypatch)
     first, second = is_cohereditary(c), is_cohereditary(c)
-    assert not first.ok and first.witness
+    assert scanned == [c, c] and not first.ok and not second.ok
+    assert set(u._pulls) <= set(u.generating_maps)
+    assert first.witness and set(u._pulls) - set(u.generating_maps)
     assert first == second == oracles.is_cohereditary(c)
-    assert scanned == []
 
 
 def test_coheredity_verdicts_are_kept_per_universe(monkeypatch):
