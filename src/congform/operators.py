@@ -25,12 +25,12 @@ each one is a.g_K, with g_K the quotient map of its kernel K
 image preservation each hold along composites, so they are decided
 along a universe's ``generating_maps``: quotient maps by atoms of Con(X)
 (by the correspondence theorem each cover in a chain from the diagonal
-to K is an atom of a quotient), isomorphisms onto copies of
-X, and generators of Aut(X) read off a stabiliser chain
-(``automorphism_generators``; an inverse is a positive power).  A natural
-C has C(a*S) = a*C(S) for a in Aut(X), so coheredity and cocartesian
-preservation skip automorphisms.  A failure along the generators names as
-witness the first failure found by ``_first_failure``: along
+to K is an atom of a quotient), isomorphisms onto copies of X, and
+``automorphism_generators`` (an inverse is a positive power) if two
+congruences of X have equal block sizes; else Aut(X), keeping block sizes,
+fixes each congruence.  A natural C has C(a*S) = a*C(S) for a in Aut(X),
+so coheredity and cocartesian preservation skip them.  A failure along the
+generators names as witness the first one ``_first_failure`` finds: along
 ``naturality_maps``, raised at once, or along ``quotient_maps``, when the
 witness is read (``CheckResult``).
 The remaining axioms (idempotent, cohereditary, minimal, preservation
@@ -101,9 +101,9 @@ class Universe(Hashed):
 
     The constructor makes one pass: ``lattices[i]``, Con of member i in
     ``con_lattice`` order, the members bucketed by ``_iso_invariant`` (see
-    ``_isomorphs``) and from both ``quotient_maps``, which is the closure
-    check.  Every other table is built on first use and kept on the universe,
-    so it goes when the universe does: per member i, the inverse ``by_ids[i]``
+    ``_isomorphs``) and from both ``quotient_maps``: the closure check, or the
+    closing pass of ``universe_from_generators``.  Other tables are built on
+    first use and kept with the universe: per member i, the inverse ``by_ids[i]``
     of ``lattices[i]`` (keyed by block-id arrays), for each pair (a, b) of
     elements the bitmask ``pair_masks[i][a * n + b]`` of the congruences
     relating a and b (``_pair_masks``), each up-set as a bitmask ``up[i][a]``
@@ -132,6 +132,11 @@ class Universe(Hashed):
     __slots__ = ("algebras", "_index", "_quotient_maps", "__dict__", "__weakref__")
 
     def __init__(self, algebras: tuple[FiniteAlgebra, ...]):
+        self._own(algebras, None)
+
+    def _own(self, algebras, maps) -> Universe:
+        if not algebras:
+            raise UniverseMismatch("a universe needs at least one algebra")
         object.__setattr__(self, "algebras", algebras)
         object.__setattr__(self, "_hash", hash(tuple(a._hash for a in algebras)))
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(algebras)})
@@ -140,7 +145,10 @@ class Universe(Hashed):
         for m in algebras:
             buckets.setdefault(_iso_invariant(m), []).append(m)
         object.__setattr__(self, "_buckets", buckets)
-        object.__setattr__(self, "_quotient_maps", _quotient_maps(algebras, self.lattices, buckets))
+        maps = maps or _quotient_maps(list(algebras), buckets)
+        object.__setattr__(self, "_quotient_maps", MappingProxyType(
+            {r: maps[r] for lattice in self.lattices for r in lattice}))
+        return self
 
     def _key(self):
         return (self.algebras,)
@@ -195,14 +203,15 @@ class Universe(Hashed):
     def generating_maps(self) -> tuple[Homomorphism, ...]:
         """The maps the lifting laws are decided along: per member X the quotient
         maps by atoms of Con(X) and by the diagonal onto other members, then the
-        ``automorphism_generators`` of X."""
+        ``automorphism_generators`` of X if two congruences share block sizes."""
         maps = self._quotient_maps
         out: list[Homomorphism] = []
         for x, lattice, covers, d in zip(self.algebras, self.lattices, self.covers, self.diagonal):
             atoms = [lattice[b] for a, b in covers if a == d]
             out.extend(g for r in atoms for g in maps[r])
             out.extend(g for g in maps[lattice[d]] if g.cod != x)
-            out.extend(automorphism_generators(x))
+            if len({tuple(sorted(map(r.ids.count, set(r.ids)))) for r in lattice}) < len(lattice):
+                out.extend(automorphism_generators(x))
         return tuple(out)
 
     generators = cached_property(lambda self: tuple(
@@ -256,24 +265,20 @@ class Universe(Hashed):
 
 def universe(algebras: Iterable[FiniteAlgebra]) -> Universe:
     """Sort and drop literal duplicates; ``Universe`` checks the closure."""
-    members = sorted(set(algebras), key=_algebra_sort_key)
-    if not members:
-        raise UniverseMismatch("a universe needs at least one algebra")
-    return Universe(tuple(members))
+    return Universe(tuple(sorted(set(algebras), key=_algebra_sort_key)))
 
 
 def universe_from_generators(seeds: Iterable[FiniteAlgebra]) -> Universe:
-    """Close the seeds under canonical quotients, up to isomorphism: the
-    sorted seeds, then their quotients, keeping the first of each
-    isomorphism class.  One layer suffices, as canonical ids make (X/K)/L
-    equal to X/K' for K' the preimage of L."""
+    """Close the seeds under canonical quotients, up to isomorphism, in the
+    pass that finds the quotient maps (``_quotient_maps``): the sorted seeds,
+    then their quotients, keeping the first of each isomorphism class."""
     members, buckets = [], {}
-    seeds = sorted(set(seeds), key=_algebra_sort_key)
-    for a in itertools.chain(seeds, (quotient(x, r)[0] for x in seeds for r in con_lattice(x))):
+    for a in sorted(set(seeds), key=_algebra_sort_key):
         if next(_isomorphs(buckets, a), None) is None:
             members.append(a)
             buckets.setdefault(_iso_invariant(a), []).append(a)
-    return universe(members)
+    maps = _quotient_maps(members, buckets, grow=True)
+    return Universe.__new__(Universe)._own(tuple(sorted(members, key=_algebra_sort_key)), maps)
 
 
 def find_member_iso(u: Universe, a: FiniteAlgebra) -> tuple[int, Homomorphism]:
@@ -294,8 +299,7 @@ Rule = Callable[[FiniteAlgebra, Congruence], Congruence]
 def quotient_maps(u: Universe) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
     """K in Con(X), X a member -> the maps X -> X/K -> M: the projection, then
     the least isomorphism onto M, for each member M isomorphic to X/K in
-    member order.  Every K is a key once ``Universe`` has checked closure;
-    the universe built them for that check and keeps them."""
+    member order; the universe found them when it was built (``_quotient_maps``)."""
     return u._quotient_maps
 
 
@@ -306,23 +310,27 @@ def _isomorphs(buckets: Mapping, a: FiniteAlgebra) -> Iterator[Homomorphism]:
     return (iso for iso in isos if iso is not None)
 
 
-def _quotient_maps(algebras, lattices, buckets) -> Mapping[Congruence, tuple[Homomorphism, ...]]:
-    """``quotient_maps`` of a family with these ``lattices`` and ``buckets``
-    (see ``_isomorphs``); raises ``UniverseNotQuotientClosed`` at the first
-    K, in member and lattice order, with X/K isomorphic to no member.  X/K
-    is X when K is the diagonal, with no tables transported; onto a member
-    with the tables of X/K the map is the projection."""
-    out = {}
-    for i, (x, lattice) in enumerate(zip(algebras, lattices)):
+def _quotient_maps(algebras: list, buckets, grow=False) -> dict:
+    """``quotient_maps`` of ``algebras`` in ``buckets``, each distinct X/K matched
+    once: the first X/K, in member and lattice order, isomorphic to no member
+    raises ``UniverseNotQuotientClosed``, or joins both if ``grow``.  X/K is X
+    for K the diagonal; onto a member with X/K's tables the map is the projection."""
+    out, isos = {}, {}
+    for i, x in enumerate(algebras):  # reaches the members appended while growing
         diagonal = tuple(range(x.size))
-        for r in lattice:
+        for r in con_lattice(x):
             q, proj = (x, identity_hom(x)) if r.ids == diagonal else quotient(x, r)
+            isos[q] = isos.get(q) or tuple(_isomorphs(buckets, q))
+            if grow and not isos[q]:
+                algebras.append(q)
+                buckets.setdefault(_iso_invariant(q), []).append(q)
+                isos[q] = (identity_hom(q),)
             out[r] = tuple(Homomorphism(x, iso.cod, r.ids, True) if iso.cod == q
-                           else compose(iso, proj) for iso in _isomorphs(buckets, q))
+                           else compose(iso, proj) for iso in isos[q])
             if not out[r]:
                 raise UniverseNotQuotientClosed(
                     "quotient of a member is not isomorphic to any member", witness=_witness(i, r))
-    return MappingProxyType(out)
+    return out
 
 
 def _pair_masks(lattice) -> tuple[int, ...]:
@@ -446,6 +454,8 @@ def _natural_operator(u: Universe, name: str,
     ``NotNatural`` witness {dom, cod, map, R, S} is a lift that C breaks: the
     identity with R <= S, or a map f with R = f*S; it is the first along the
     full ``naturality_maps``, congruences taken in ``con_lattice`` order."""
+    if isinstance(rows, tuple) and rows in u.natural:  # rows that passed were extensive
+        return ClosureOperator(u, name, rows)
     checked = []
     for i, (lattice, le, row) in enumerate(zip(u.lattices, u.le, rows)):
         for a, b in enumerate(row):

@@ -59,12 +59,16 @@ which stay as its completeness oracle.
 Also kept: the pairwise minimality scan over every fibre (replaced by a
 check of each fibre against C(diagonal), scanning pairs only on a fibre
 that fails), the greedy selection of automorphism generators, each
-group closed by brute force (replaced by a stabiliser chain), the three
+group closed by brute force (replaced by a stabiliser chain), the
+generating maps that keep every member's automorphism generators (replaced
+by keeping them only where two congruences share their block sizes), the three
 closures that one label-merge routine replaced (congruence generation by
 union-find with member re-propagation, the equivalence closure by
 union-find, and the lattice's join step merging labels along blocks),
 and the quotient closure of a universe by a queue that quotients every
-member again (replaced by one layer of quotients of the seeds).  Also
+member again (replaced by one layer of quotients of the seeds), and that
+one layer taken before ``universe`` checks the closure in a second pass
+(replaced by closing in the pass that finds the quotient maps).  Also
 kept: the quandle search that leaves every stabiliser orbit's least
 candidate to propagation (replaced by a check of the candidate against
 the assigned columns first), the quandle reachability closed from its
@@ -782,9 +786,11 @@ def pull_table(u, f):
 def summed_generating_maps(u):
     """``Universe.generating_maps`` with the atoms of each Con(X) found as the
     congruences with exactly two entries of their ``le`` column set (the
-    diagonal and themselves), and the diagonal's maps looked up by a fresh
-    ``diagonal(x)``."""
-    from congform import diagonal
+    diagonal and themselves), the diagonal's maps looked up by a fresh
+    ``diagonal(x)``, and the block sizes of each congruence counted off
+    ``congruence_to_blocks``: Aut(X) is kept when two congruences of X have
+    the same sizes."""
+    from congform import congruence_to_blocks, diagonal
     from congform.algebras import automorphism_generators
     from congform.operators import quotient_maps
 
@@ -794,6 +800,25 @@ def summed_generating_maps(u):
         atoms = [r for a, r in enumerate(u.lattices[i]) if sum(row[a] for row in u.le[i]) == 2]
         out.extend(g for r in atoms for g in maps[r])
         out.extend(g for g in maps[diagonal(x)] if g.cod != x)
+        sizes = [sorted(len(b) for b in congruence_to_blocks(r)) for r in u.lattices[i]]
+        if any(s == t for s, t in itertools.combinations(sizes, 2)):
+            out.extend(automorphism_generators(x))
+    return tuple(out)
+
+
+def every_automorphism_generating_maps(u):
+    """``Universe.generating_maps`` as it was before it dropped the
+    automorphisms of a member whose congruences all have different block
+    sizes: the ``automorphism_generators`` of every member."""
+    from congform.algebras import automorphism_generators
+    from congform.operators import quotient_maps
+
+    maps = quotient_maps(u)
+    out = []
+    for x, lattice, covers, d in zip(u.algebras, u.lattices, u.covers, u.diagonal):
+        atoms = [lattice[b] for a, b in covers if a == d]
+        out.extend(g for r in atoms for g in maps[r])
+        out.extend(g for g in maps[lattice[d]] if g.cod != x)
         out.extend(automorphism_generators(x))
     return tuple(out)
 
@@ -1724,6 +1749,25 @@ def linear_find_member_iso(u, a):
         f"no universe member is isomorphic to {a!r}",
         witness={"size": a.size, "tag": a.tag},
     )
+
+
+def two_pass_universe_from_generators(seeds):
+    """``operators.universe_from_generators`` as it was before it closed the
+    seeds in the pass that finds the quotient maps: one pass keeps the sorted
+    seeds and then their quotients, the first of each isomorphism class,
+    and ``universe`` then quotients and matches every member again to check
+    the closure."""
+    from congform import con_lattice, quotient, universe
+    from congform.algebras import _iso_invariant
+    from congform.operators import _algebra_sort_key, _isomorphs
+
+    members, buckets = [], {}
+    seeds = sorted(set(seeds), key=_algebra_sort_key)
+    for a in itertools.chain(seeds, (quotient(x, r)[0] for x in seeds for r in con_lattice(x))):
+        if next(_isomorphs(buckets, a), None) is None:
+            members.append(a)
+            buckets.setdefault(_iso_invariant(a), []).append(a)
+    return universe(members)
 
 
 def bfs_universe_from_generators(seeds):

@@ -50,7 +50,12 @@ selection it replaced does.  ``is_minimal`` checks each fibre against
 C(diagonal) first; the oracle scans every pair of every fibre.
 A failing coheredity, cocartesian or minimality check locates its witness
 when it is first read; the oracles locate it at check time, and must name
-the same one.
+the same one.  ``generating_maps`` keeps a member's automorphism generators
+only where two of its congruences have the same block sizes; the oracle
+keeps every member's, and must give the same verdicts and witnesses.
+``universe_from_generators`` closes its seeds in the pass that finds the
+quotient maps; the oracle closes them first and lets ``universe`` check the
+closure in a second pass, and must give the same members and maps.
 """
 
 import itertools
@@ -61,6 +66,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from congform import (
+    Universe,
     automorphisms,
     builtin_operator,
     closed_under_quotients,
@@ -101,7 +107,7 @@ from congform import (
 from congform import algebras, operators, reflection
 from congform.algebras import (Congruence, FiniteAlgebra, Signature, _block_pairs,
                                automorphism_generators, quotient, relabel_algebra)
-from congform.errors import CongformError, NotNatural, NotReflective
+from congform.errors import CongformError, NotNatural, NotReflective, UniverseMismatch
 from congform.instances import (CORPUS_KINDS, corpus_kind, corpus_operators, enumerate_quandles,
                                  oracle_predicate)
 from congform.reflection import (Reflector, SubcategoryPredicate, closure_from_reflector,
@@ -441,9 +447,14 @@ def test_generating_maps_generate_every_surjection(make_universe):
     u = make_universe()
     gens = u.generating_maps
     quotients = [g for g in gens if g.dom != g.cod]
-    for x in u.algebras:
+    for x, lattice in zip(u.algebras, u.lattices):
         kept = [a for a in gens if a.dom == x and a.cod == x]
-        assert generated_group(x, kept) == {a.map for a in automorphisms(x)}
+        # the kept automorphisms induce on Con(X) every permutation that Aut(X)
+        # induces, the identity alone where none are kept
+        induced = {u.pull(a) for a in automorphisms(x)}
+        assert oracles.permutation_group(len(lattice), [u.pull(a) for a in kept]) == induced
+        if kept:
+            assert generated_group(x, kept) == {a.map for a in automorphisms(x)}
         built = composites(x, quotients)
         for g in (g for gs in quotient_maps(u).values() for g in gs if g.dom == x):
             h = built[g.cod, kernel(g)]
@@ -455,8 +466,90 @@ def test_generating_maps_are_fewer_than_the_naturality_maps():
     gens = u.generating_maps
     assert set(gens) <= set(u.naturality_maps)
     # (all, automorphisms) of each list
-    assert (len(gens), sum(f.dom == f.cod for f in gens)) == (139, 71)
+    assert (len(gens), sum(f.dom == f.cod for f in gens)) == (113, 45)
     assert (len(u.naturality_maps), sum(f.dom == f.cod for f in u.naturality_maps)) == (612, 379)
+
+
+# --- automorphisms kept only where block sizes repeat; closing in one pass ----------
+
+def relabeled_group_seeds() -> list:
+    """Each group of order at most 12, then each relabeled by a seeded shuffle."""
+    rng, groups = random.Random(41), corpus("groups", 12).algebras
+    return [*groups, *(relabel_algebra(g, rng.sample(range(g.size), g.size)) for g in groups)]
+
+
+def test_one_pass_closure_matches_the_two_pass_closure():
+    # the same members, and the same quotient maps in the same order
+    seed_lists = [[g] for g in relabeled_group_seeds()] + [
+        list(corpus(kind, size).algebras) for kind, size in BIG_CORPORA] + [
+        list(universe_with_copies().algebras),
+        list(universe_with_relabeled_and_untagged_copies().algebras)]
+    for seeds in seed_lists:
+        new, old = universe_from_generators(seeds), oracles.two_pass_universe_from_generators(seeds)
+        assert new == old
+        assert list(quotient_maps(new).items()) == list(quotient_maps(old).items())
+
+
+@pytest.mark.parametrize("build", [universe_from_generators, universe, Universe],
+                         ids=["universe_from_generators", "universe", "Universe"])
+def test_a_universe_needs_an_algebra(build):
+    with pytest.raises(UniverseMismatch, match="^a universe needs at least one algebra$"):
+        build(())
+
+
+def joined_rows(u, rng) -> tuple:
+    """C(R) = R v T, one random T per member: extensive and monotone rows."""
+    rows = []
+    for up, by_up in zip(u.up, u.by_up):
+        t = rng.choice(up)
+        rows.append(tuple(by_up[ua & t] for ua in up))
+    return tuple(rows)
+
+
+def natural_outcome(u, rows):
+    """``_natural_operator``'s rows, or the message and witness of its ``NotNatural``."""
+    try:
+        return operators._natural_operator(u, "c", rows).rows
+    except NotNatural as exc:
+        return str(exc), exc.witness
+
+
+def axiom_outcomes(ops) -> list:
+    return [(c.name, c.rows, is_cohereditary(c).as_json(), preserves_cocartesian(c).as_json())
+            for c in ops]
+
+
+def builtins(*names):
+    return lambda u: [builtin_operator(name, u) for name in names]
+
+
+@pytest.mark.parametrize("cases", [
+    lambda: [(universe_from_generators([g]), enumerate_operators) for g in relabeled_group_seeds()],
+    lambda: [(corpus(kind, size), builtins(*corpus_operators(kind))) for kind, size in BIG_CORPORA],
+    lambda: [(universe_with_copies(), enumerate_operators),
+             (universe_with_relabeled_and_untagged_copies(), builtins("identity", "top"))],
+], ids=["groups", "corpora", "copies"])
+def test_skipping_unmoving_automorphisms_keeps_verdicts_and_witnesses(cases):
+    # Against generating maps that keep every member's automorphism generators:
+    # the same naturality verdicts and NotNatural witnesses on rows R v T, the
+    # same operators built, and the same coheredity and cocartesian results.
+    rng, broken, skipped = random.Random(41), 0, 0
+    for u, build in cases():
+        new, old = Universe(u.algebras), Universe(u.algebras)
+        vars(old)["generating_maps"] = oracles.every_automorphism_generating_maps(old)
+        for _ in range(30):
+            rows = joined_rows(new, rng)
+            verdict = natural_outcome(new, rows)
+            assert verdict == natural_outcome(old, rows)
+            broken += verdict != rows
+        assert axiom_outcomes(build(new)) == axiom_outcomes(build(old))
+        # by brute force: each automorphism of a member with none kept pulls
+        # every congruence back to itself
+        for x, lattice in zip(new.algebras, new.lattices):
+            if not any(f.dom == f.cod == x for f in new.generating_maps):
+                skipped += len(automorphisms(x)) > 1
+                assert all(new.pull(a) == tuple(range(len(lattice))) for a in automorphisms(x))
+    assert broken and skipped
 
 
 @pytest.mark.parametrize("make_universe", [
@@ -961,18 +1054,20 @@ def test_invariants_and_occurrences_match_the_replaced_code_on_relabelings(data)
 
 
 @pytest.mark.parametrize("kind, size, pairs, separated", [
-    ("quandles", 5, 277, 10), ("quandles", 6, 1652, 97), ("groups", 12, 59, 0),
-    ("rngs", 24, 84, 0)], ids=["quandles-5", "quandles-6", "groups-12", "rngs-24"])
+    ("quandles", 5, 51, 10), ("quandles", 6, 231, 86), ("groups", 12, 18, 0),
+    ("rngs", 24, 24, 0)], ids=["quandles-5", "quandles-6", "groups-12", "rngs-24"])
 def test_isomorphism_search_matches_the_scan_on_the_compared_pairs(monkeypatch, kind, size,
                                                                     pairs, separated):
     # every (X/K, member) pair the closure check hands to find_isomorphism, bucketed
     # by the sorted element counts: the scan's least bijection, and None wherever
-    # the fingerprint it replaced tells the two apart
+    # the fingerprint it replaced tells the two apart.  Each distinct X/K is
+    # matched once, so no pair is handed over twice.
     u, compared = corpus(kind, size), []
     monkeypatch.setattr(operators, "find_isomorphism",
                         lambda q, m: compared.append((q, m)) or find_isomorphism(q, m))
-    operators._quotient_maps(u.algebras, u.lattices, u._buckets)
+    operators._quotient_maps(list(u.algebras), u._buckets)
     told_apart = 0
+    assert len(set(compared)) == len(compared)
     for q, m in compared:
         iso = find_isomorphism(q, m)
         assert (iso and iso.map) == \

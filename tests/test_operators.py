@@ -319,6 +319,27 @@ def test_a_failing_table_raises_the_same_witness_twice(z4_universe):
     assert rows not in u.natural
 
 
+def test_known_rows_arriving_as_a_tuple_read_no_fibre(monkeypatch):
+    # rows kept in Universe.natural passed the extensive pass, so rows that
+    # arrive whole are looked up before any fibre is read
+    u = universe_from_generators([cyclic_group(4)])
+    rows = builtin_operator("identity", u).rows
+    assert rows in u.natural
+    read = []
+
+    class Recording(tuple):
+        def __iter__(self):
+            read.append(True)
+            return super().__iter__()
+
+    monkeypatch.setitem(vars(u), "le", Recording(u.le))
+    assert operators._natural_operator(u, "again", rows).rows == rows
+    assert read == []
+    # rows read member by member are checked as they arrive
+    assert operators._natural_operator(u, "again", iter(rows)).rows == rows
+    assert read
+
+
 # --- axiom checkers -----------------------------------------------------------------
 
 def test_identity_operator_passes_everything(z4_universe):

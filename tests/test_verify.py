@@ -120,7 +120,7 @@ def test_run_verification_builds_no_identity_pull_tables():
     run_verification("quandles", 5)
     pulls = u._pulls
     assert not [f for f in pulls if f.dom == f.cod and f.map == tuple(range(f.dom.size))]
-    assert len(pulls) == 304
+    assert len(pulls) == 278
 
 
 def test_run_verification_refutes_every_embedding_by_counts(monkeypatch):
