@@ -41,9 +41,10 @@ on each fibre as C(S) = S v C(diagonal), its equivalent (see ``is_minimal``).
 The checks compare integers.  A universe owns its tables (see
 ``Universe``): its constructor numbers each Con(X) and finds the quotient
 maps (the class E, up to automorphisms) in the pass that checks closure; an
-operator is its index rows over those numberings.  Other tables are built
-on the first check that reads them, and kept, as are the rows that passed
-a check; a failure is not kept.  The checks read the tables by member and
+operator is its index rows over those numberings.  A fibre's order is held
+once, as up-set bitmasks: R <= S is one bit test.  Other tables are built on
+the first check that reads them, and kept, as are the rows that passed a
+check; a failure is not kept.  The checks read the tables by member and
 congruence indices, and a failing scan returns a position, so only the
 reported witness is built, by an axiom check only when it is read.  No
 module cache is keyed by a universe.
@@ -55,7 +56,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cached_property, reduce
-from operator import and_, eq, ne
+from operator import and_, eq, ne, or_
 from types import MappingProxyType
 
 from .algebras import (
@@ -107,10 +108,10 @@ class Universe(Hashed):
     of ``lattices[i]`` (keyed by block-id arrays), for each pair (a, b) of
     elements the bitmask ``pair_masks[i][a * n + b]`` of the congruences
     relating a and b (``_pair_masks``), each up-set as a bitmask ``up[i][a]``
-    (``_up_sets``, read off the pair masks) with inverse ``by_up[i]``, and the
-    order ``le[i][a][b]`` and covering pairs ``covers[i]`` read off the
-    up-sets; ``diagonal[i]`` is the last index, as canonical ids sort the
-    diagonal last.  Since up(a v b) = up(a) & up(b), joins are read off the
+    (``_up_sets``, read off the pair masks; a <= b is bit b of ``up[i][a]``)
+    with inverse ``by_up[i]``, and the covering pairs ``covers[i]`` (``_covers``);
+    ``diagonal[i]`` is the last index, as canonical ids sort the diagonal
+    last.  Since up(a v b) = up(a) & up(b), joins are read off the
     up-sets too, and so are generated congruences: the congruences above
     Cg(R u P) are those above R that relate every pair of P, so its up-set is
     up(R) AND the masks of P's pairs.  Along a quotient map f: X -> Y, f* is
@@ -173,13 +174,9 @@ class Universe(Hashed):
                                                 for lat in self.lattices))
     pair_masks = cached_property(lambda self: tuple(map(_pair_masks, self.lattices)))
     up = cached_property(lambda self: tuple(map(_up_sets, self.lattices, self.pair_masks)))
-    # le[i][a][b] is bit b of up[i][a]; one format() call per row beats a shift per bit
-    le = cached_property(lambda self: tuple(
-        tuple(tuple(map("1".__eq__, format(mask, f"0{len(up)}b")[::-1])) for mask in up)
-        for up in self.up))
     by_up = cached_property(lambda self: tuple({mask: a for a, mask in enumerate(up)}
                                                for up in self.up))
-    covers = cached_property(lambda self: tuple(map(_covers, self.up, self.le)))
+    covers = cached_property(lambda self: tuple(map(_covers, self.up, self.by_up, self.pair_masks)))
     diagonal = cached_property(lambda self: tuple(len(lat) - 1 for lat in self.lattices))
     natural = cached_property(lambda self: set())
     reflective = cached_property(lambda self: set())
@@ -314,8 +311,11 @@ def _quotient_maps(algebras: list, buckets, grow=False) -> dict:
     """``quotient_maps`` of ``algebras`` in ``buckets``, each distinct X/K matched
     once: the first X/K, in member and lattice order, isomorphic to no member
     raises ``UniverseNotQuotientClosed``, or joins both if ``grow``.  X/K is X
-    for K the diagonal; onto a member with X/K's tables the map is the projection."""
+    for K the diagonal; onto a member with X/K's tables the map is the projection.
+    A Con(X) of over ``MAX_FIBRE`` elements raises ``SizeTooLarge`` first; Con(X/K) is no larger."""
     out, isos = {}, {}
+    if any(len(con_lattice(x)) > MAX_FIBRE for x in algebras):
+        raise SizeTooLarge(f"a member has more than {MAX_FIBRE} congruences")
     for i, x in enumerate(algebras):  # reaches the members appended while growing
         diagonal = tuple(range(x.size))
         for r in con_lattice(x):
@@ -355,15 +355,16 @@ def _up_sets(lattice, masks) -> tuple[int, ...]:
     return tuple(reduce(and_, (masks[h * n + x] for h, x in _block_pairs(r))) for r in lattice)
 
 
-def _covers(up, le) -> tuple[tuple[int, int], ...]:
-    """Each (a, b), ascending, with b covering a: the interval [a, b], the
-    up-set of a and the down-set of b meeting, is {a, b}."""
-    order, down = range(len(up)), [0] * len(up)
-    for c, row in enumerate(le):
-        for b in itertools.compress(order, row):
-            down[b] |= 1 << c
-    return tuple((a, b) for a, row in enumerate(le) for b in itertools.compress(order, row)
-                 if (up[a] & down[b]).bit_count() == 2)
+def _covers(up, by_up, pair_masks) -> tuple[tuple[int, int], ...]:
+    """Each (a, b), ascending, with b covering a: b is minimal among the joins
+    a v Cg(x, y) > a, read off the up-sets and the distinct ``pair_masks``, as
+    any c > a relates an (x, y) that a does not, so a < a v Cg(x, y) <= c."""
+    masks, out = set(pair_masks), []
+    for a, ua in enumerate(up):
+        joins = {by_up[ua & m] for m in masks} - {a}
+        strictly_above = reduce(or_, (up[c] ^ 1 << c for c in joins), 0)
+        out.extend((a, b) for b in sorted(joins) if not strictly_above >> b & 1)
+    return tuple(out)
 
 
 class ClosureOperator(Frozen):
@@ -393,25 +394,22 @@ class ClosureOperator(Frozen):
         return f"ClosureOperator({self.name!r} on {self.universe!r})"
 
 
-def _monotone(covers, le, row) -> bool:
+def _monotone(covers, up, row) -> bool:
     """C(a) <= C(b) for each b covering a: by transitivity, for all a <= b."""
-    return all(le[row[a]][row[b]] for a, b in covers)
+    return all(up[row[a]] >> row[b] & 1 for a, b in covers)
 
 
-def _non_monotone(le, row):
-    """First (a, b) of one fibre with a <= b but C(a) not <= C(b)."""
+def _non_monotone(up, row):
+    """On a fibre that is not monotone, the first (a, b) with a <= b but C(a) not <= C(b)."""
     order = range(len(row))
-    for a in order:
-        for b in order:
-            if le[a][b] and not le[row[a]][row[b]]:
-                return a, b
-    return None
+    return next((a, b) for a in order for b in order
+                if up[a] >> b & 1 and not up[row[a]] >> row[b] & 1)
 
 
-def _discontinuity(pull, le, dom_row, cod_row):
+def _discontinuity(pull, up, dom_row, cod_row):
     """First S of Con(cod) with C(f*S) not <= f*C(S); ``pull`` is f*."""
     for s in range(len(cod_row)):
-        if not le[dom_row[pull[s]]][pull[cod_row[s]]]:
+        if not up[dom_row[pull[s]]] >> pull[cod_row[s]] & 1:
             return s
     return None
 
@@ -457,11 +455,11 @@ def _natural_operator(u: Universe, name: str,
     if isinstance(rows, tuple) and rows in u.natural:  # rows that passed were extensive
         return ClosureOperator(u, name, rows)
     checked = []
-    for i, (lattice, le, row) in enumerate(zip(u.lattices, u.le, rows)):
+    for i, (lattice, up, row) in enumerate(zip(u.lattices, u.up, rows)):
         for a, b in enumerate(row):
             if b is None:
                 raise FibreMismatch(f"closure value is not a congruence of member {i}")
-            if not le[a][b]:
+            if not up[a] >> b & 1:
                 raise NotExtensive(f"operator {name!r} is not extensive on member {i}",
                                    witness=_witness(i, lattice[a],
                                                     closure=congruence_to_blocks(lattice[b])))
@@ -475,10 +473,10 @@ def _natural_operator(u: Universe, name: str,
             "dom": i, "cod": j, "map": list(f.map), "R": congruence_to_blocks(u.lattices[i][ri]),
             "S": congruence_to_blocks(u.lattices[j][si])})
 
-    for i, (covers, le, row) in enumerate(zip(u.covers, u.le, rows)):
-        if not _monotone(covers, le, row):
-            raise not_natural(i, i, identity_hom(u.algebras[i]), *_non_monotone(le, row))
-    found = _first_failure(u, lambda i, j, pull: _discontinuity(pull, u.le[i], rows[i], rows[j]))
+    for i, (covers, up, row) in enumerate(zip(u.covers, u.up, rows)):
+        if not _monotone(covers, up, row):
+            raise not_natural(i, i, identity_hom(u.algebras[i]), *_non_monotone(up, row))
+    found = _first_failure(u, lambda i, j, pull: _discontinuity(pull, u.up[i], rows[i], rows[j]))
     if found is not None:
         i, j, f, s = found
         raise not_natural(i, j, f, u.pull(f)[s], s)
@@ -584,7 +582,7 @@ def is_natural_along_homs(c: ClosureOperator) -> CheckResult:
     witness {dom, cod, map, R = e*S, S} is the first along ``Universe.embeddings``."""
     u = c.universe
     for i, j, e, pull in u.embeddings:
-        s = _discontinuity(pull, u.le[i], c.rows[i], c.rows[j])
+        s = _discontinuity(pull, u.up[i], c.rows[i], c.rows[j])
         if s is not None:
             return failed(dom=i, cod=j, map=list(e.map),
                           R=congruence_to_blocks(u.lattices[i][pull[s]]),
@@ -599,12 +597,14 @@ def operator_leq(c1: ClosureOperator, c2: ClosureOperator) -> CheckResult:
     u = c1.universe
     for i, (row1, row2) in enumerate(zip(c1.rows, c2.rows)):
         for a, (b1, b2) in enumerate(zip(row1, row2)):
-            if not u.le[i][b1][b2]:
+            if not u.up[i][b1] >> b2 & 1:
                 return failed(**_witness(i, u.lattices[i][a]))
     return PASSED
 
 
 MAX_CANDIDATES = 500_000
+# up-sets, quadratic in a fibre's size, take 29 MB at Bell(9) = 21,147, ~0.9 GB at Bell(10)
+MAX_FIBRE = 25_000
 
 
 def enumerate_operators(u: Universe) -> tuple[ClosureOperator, ...]:
@@ -623,13 +623,13 @@ def enumerate_operators(u: Universe) -> tuple[ClosureOperator, ...]:
     Raises ``SizeTooLarge`` up front when there are more than
     ``MAX_CANDIDATES`` extensive families.
     """
-    options = [[[b for b in range(len(le)) if le[a][b]] for a in range(len(le))] for le in u.le]
-    radix = [math.prod(map(len, per_a)) for per_a in options]
+    radix = [math.prod(ua.bit_count() for ua in up) for up in u.up]
     if math.prod(radix) > MAX_CANDIDATES:
         raise SizeTooLarge(f"universe admits more than {MAX_CANDIDATES} extensive families")
+    options = [[[b for b in range(len(up)) if ua >> b & 1] for ua in up] for up in u.up]
     candidates = [[(k, row) for k, row in enumerate(itertools.product(*per_a))
-                   if _monotone(covers, le, row)]
-                  for per_a, covers, le in zip(options, u.covers, u.le)]
+                   if _monotone(covers, up, row)]
+                  for per_a, covers, up in zip(options, u.covers, u.up)]
     checks: list[list] = [[] for _ in u.algebras]
     for i, j, pull in u.generators:
         checks[max(i, j)].append((i, j, pull))
@@ -645,7 +645,7 @@ def enumerate_operators(u: Universe) -> tuple[ClosureOperator, ...]:
             return
         for index, row in candidates[m]:
             rows[m] = row
-            if all(_discontinuity(pull, u.le[i], rows[i], rows[j]) is None
+            if all(_discontinuity(pull, u.up[i], rows[i], rows[j]) is None
                    for i, j, pull in checks[m]):
                 extend(m + 1, k * radix[m] + index)
 

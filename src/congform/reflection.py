@@ -142,7 +142,7 @@ def make_reflector(u: Universe, rho: Sequence[Congruence], name: str) -> Reflect
     for i, (lattice, quotients) in enumerate(zip(u.lattices, u.quotients)):
         if i in members_in:
             continue
-        cods = [(k, q[0]) for k, q in enumerate(quotients) if not u.le[i][at[i]][k]]
+        cods = [(k, q[0]) for k, q in enumerate(quotients) if not u.up[i][at[i]] >> k & 1]
         for j in members_in:
             for k, m in cods:
                 e = u.embedding(m, j)

@@ -756,13 +756,33 @@ def pairwise_order(lattice):
 
 
 def join_table(u, i):
-    """Member i's join table: comparable pairs read off the order, the rest
+    """Member i's join table: comparable pairs read off the up-sets, the rest
     by ``join`` on ``Congruence`` objects."""
     from congform import join
 
-    lat, by_ids, le = u.lattices[i], u.by_ids[i], u.le[i]
-    return tuple(tuple(b if le[a][b] else a if le[b][a] else by_ids[join(lat[a], lat[b]).ids]
+    lat, by_ids, up = u.lattices[i], u.by_ids[i], u.up[i]
+    return tuple(tuple(b if up[a] >> b & 1 else a if up[b] >> a & 1
+                       else by_ids[join(lat[a], lat[b]).ids]
                        for b in range(len(lat))) for a in range(len(lat)))
+
+
+def dense_order(u):
+    """The order table ``Universe`` kept beside its up-sets before: per member
+    i, ``le[a][b]`` is bit b of ``up[i][a]``, one ``format`` call per row."""
+    return tuple(tuple(tuple(map("1".__eq__, format(mask, f"0{len(up)}b")[::-1])) for mask in up)
+                 for up in u.up)
+
+
+def dense_covers(up, le):
+    """Each (a, b), ascending, with b covering a, as ``Universe`` found them
+    from ``dense_order``: the interval [a, b], the up-set of a and the
+    down-set of b meeting, is {a, b}."""
+    order, down = range(len(up)), [0] * len(up)
+    for c, row in enumerate(le):
+        for b in itertools.compress(order, row):
+            down[b] |= 1 << c
+    return tuple((a, b) for a, row in enumerate(le) for b in itertools.compress(order, row)
+                 if (up[a] & down[b]).bit_count() == 2)
 
 
 def image_table(u, f):
@@ -785,11 +805,10 @@ def pull_table(u, f):
 
 def summed_generating_maps(u):
     """``Universe.generating_maps`` with the atoms of each Con(X) found as the
-    congruences with exactly two entries of their ``le`` column set (the
-    diagonal and themselves), the diagonal's maps looked up by a fresh
-    ``diagonal(x)``, and the block sizes of each congruence counted off
-    ``congruence_to_blocks``: Aut(X) is kept when two congruences of X have
-    the same sizes."""
+    congruences in exactly two up-sets (the diagonal's and their own), the
+    diagonal's maps looked up by a fresh ``diagonal(x)``, and the block sizes
+    of each congruence counted off ``congruence_to_blocks``: Aut(X) is kept
+    when two congruences of X have the same sizes."""
     from congform import congruence_to_blocks, diagonal
     from congform.algebras import automorphism_generators
     from congform.operators import quotient_maps
@@ -797,7 +816,7 @@ def summed_generating_maps(u):
     maps = quotient_maps(u)
     out = []
     for i, x in enumerate(u.algebras):
-        atoms = [r for a, r in enumerate(u.lattices[i]) if sum(row[a] for row in u.le[i]) == 2]
+        atoms = [r for a, r in enumerate(u.lattices[i]) if sum(ub >> a & 1 for ub in u.up[i]) == 2]
         out.extend(g for r in atoms for g in maps[r])
         out.extend(g for g in maps[diagonal(x)] if g.cod != x)
         sizes = [sorted(len(b) for b in congruence_to_blocks(r)) for r in u.lattices[i]]

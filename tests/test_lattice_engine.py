@@ -56,9 +56,13 @@ keeps every member's, and must give the same verdicts and witnesses.
 ``universe_from_generators`` closes its seeds in the pass that finds the
 quotient maps; the oracle closes them first and lets ``universe`` check the
 closure in a second pass, and must give the same members and maps.
+``Universe.covers`` finds each cover as a minimal join with a principal
+congruence, read off the up-sets and pair masks; the oracles find them in the
+dense order table that the up-sets replaced, and on every triple.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -816,10 +820,10 @@ def test_monotonicity_on_covers_matches_the_pair_scan():
     # every extensive row of every fibre: the candidates of enumerate_operators
     verdicts = Counter()
     for u in operator_universes():
-        for lattice, covers, le in zip(u.lattices, u.covers, u.le):
-            above = [[b for b in range(len(le)) if le[a][b]] for a in range(len(le))]
+        for lattice, covers, up in zip(u.lattices, u.covers, u.up):
+            above = [[b for b in range(len(up)) if ua >> b & 1] for ua in up]
             for row in itertools.product(*above):
-                got = operators._monotone(covers, le, row)
+                got = operators._monotone(covers, up, row)
                 table = {r: lattice[b] for r, b in zip(lattice, row)}
                 assert got == (oracles.non_monotone(table) is None)
                 verdicts[got] += 1
@@ -844,12 +848,13 @@ def test_monotonicity_on_covers_matches_the_pair_scan_on_random_tables(data):
     # random congruence above its argument, which may break monotonicity
     u = t4_universe()
     for i, table in enumerate(_random_monotone_tables(data, u)):
-        lattice, le = u.lattices[i], u.le[i]
+        lattice = u.lattices[i]
         r = data.draw(st.sampled_from(lattice))
         bent = {**table, r: data.draw(st.sampled_from([s for s in lattice if leq(r, s)]))}
         for t in (table, bent):
             row = tuple(u.by_ids[i][t[s].ids] for s in lattice)
-            assert operators._monotone(u.covers[i], le, row) == (oracles.non_monotone(t) is None)
+            got = operators._monotone(u.covers[i], u.up[i], row)
+            assert got == (oracles.non_monotone(t) is None)
 
 
 def test_checks_match_oracles_on_builtin_operators_under_s4():
@@ -954,7 +959,7 @@ def test_fibration_tables_match_the_union_find_oracles():
             assert pull == oracles.pull_table(u, e)
         # the coordinates the checks read, against look-ups by hashed keys
         assert (u.diagonal, u.generators, u.images, u.quotients) == oracles.hashed_coordinates(u)
-        assert u.covers == tuple(map(oracles.scanned_covers, u.le))
+        assert u.covers == tuple(map(oracles.scanned_covers, oracles.dense_order(u)))
         assert u.generating_maps == oracles.summed_generating_maps(u)
 
 
@@ -962,10 +967,41 @@ def test_fibration_tables_match_the_union_find_oracles():
                          + [("groups", 12), ("rngs", 24), ("quandles", 6)])
 def test_fibration_order_matches_pairwise_leq(kind, size):
     u = corpus(kind, size)
-    for i, lattice in enumerate(u.lattices):
-        assert (u.le[i], u.up[i]) == oracles.pairwise_order(lattice)
+    for i, (lattice, le) in enumerate(zip(u.lattices, oracles.dense_order(u))):
+        assert (le, u.up[i]) == oracles.pairwise_order(lattice)
         # canonical ids sort the diagonal last
         assert lattice[u.diagonal[i]] == diagonal(lattice[0].algebra)
+
+
+def operation_free_universe(n):
+    """The operation-free algebras of sizes 1..n: Con of size k is the whole
+    partition lattice, with Bell(k) elements."""
+    return universe(FiniteAlgebra(k, Signature(()), ()) for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("kind", CORPUS_KINDS + ("operation-free",))
+def test_covers_match_the_dense_and_scanned_oracles(kind):
+    # every corpus at its largest size, and the partition lattices up to
+    # Bell(7) = 877: the covers read off the pair masks, those of the dense
+    # order table and those of every triple
+    u = (operation_free_universe(7) if kind == "operation-free"
+         else corpus(kind, corpus_kind(kind).limit))
+    le = oracles.dense_order(u)
+    assert u.covers == tuple(map(oracles.dense_covers, u.up, le))
+    assert u.covers == tuple(map(oracles.scanned_covers, le))
+
+
+def stirling2(n, k):
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1) if n and k else int(n == k)
+
+
+@pytest.mark.parametrize("n,count", [(7, 5_856), (8, 34_193)])
+def test_partition_lattice_covers_have_the_closed_form_count(n, count):
+    # a partition with k blocks has C(k, 2) upper covers, one per pair of
+    # blocks merged, and S(m, k) partitions of m points have k blocks
+    assert count == sum(stirling2(m, k) * math.comb(k, 2)
+                        for m in range(1, n + 1) for k in range(1, m + 1))
+    assert sum(map(len, operation_free_universe(n).covers)) == count
 
 
 @pytest.mark.parametrize("kind,size", [("quandles", 3), ("quandles", 4), ("quandles", 5),
@@ -1197,7 +1233,7 @@ def test_derived_closures_match_the_pullback_oracle_on_every_rho(monkeypatch):
             outcomes[got[0] if isinstance(got[0], str) else "rows"] += 1
     assert outcomes == {"rows": 83, "NotNatural": 130}
     assert len(derived) == 213
-    assert all(u.le[i][a][b] for u, rows in derived
+    assert all(u.up[i][a] >> b & 1 for u, rows in derived
                for i, row in enumerate(rows) for a, b in enumerate(row))
 
 

@@ -30,6 +30,8 @@ from congform import (
 )
 from congform import operators
 from congform.algebras import (
+    FiniteAlgebra,
+    Signature,
     _iso_invariant,
     find_embedding,
     find_isomorphism,
@@ -332,7 +334,7 @@ def test_known_rows_arriving_as_a_tuple_read_no_fibre(monkeypatch):
             read.append(True)
             return super().__iter__()
 
-    monkeypatch.setitem(vars(u), "le", Recording(u.le))
+    monkeypatch.setitem(vars(u), "up", Recording(u.up))
     assert operators._natural_operator(u, "again", rows).rows == rows
     assert read == []
     # rows read member by member are checked as they arrive
@@ -558,9 +560,28 @@ def test_enumerate_operators_on_micro_universes(z4_universe, v4_universe):
 
 
 def test_enumerate_operators_guard():
-    u = corpus("rngs", 12)
-    with pytest.raises(SizeTooLarge, match="more than 500000 extensive families"):
-        enumerate_operators(u)
+    # fresh universes of rngs 12 and of the operation-free algebras of sizes
+    # 1-8 (top fibre Bell(8) = 4,140): the budget is read off the up-sets'
+    # bit counts, and the search raises before it reads a covering pair
+    partitions = universe(FiniteAlgebra(n, Signature(()), ()) for n in range(1, 9))
+    for u in (universe(corpus("rngs", 12).algebras), partitions):
+        with pytest.raises(SizeTooLarge, match="more than 500000 extensive families"):
+            enumerate_operators(u)
+        assert "covers" not in vars(u)
+
+
+def test_fibre_budget(monkeypatch):
+    # Con of the operation-free algebra of size 5 is the partition lattice,
+    # with Bell(5) = 52 elements; both constructors raise before any quotient
+    monkeypatch.setattr(operators, "MAX_FIBRE", 51)
+    monkeypatch.setattr(operators, "quotient", None)
+    algebras = [FiniteAlgebra(n, Signature(()), ()) for n in range(1, 6)]
+    for build in (universe, universe_from_generators):
+        with pytest.raises(SizeTooLarge, match="more than 51 congruences"):
+            build(algebras)
+    monkeypatch.undo()
+    monkeypatch.setattr(operators, "MAX_FIBRE", 52)
+    assert len(universe(algebras).lattices[-1]) == 52
 
 
 # Rows [order, members, operators, idempotent, cohereditary, minimal,
