@@ -16,10 +16,10 @@ the values at the operation tuples that differ in one coordinate by the
 merged pair; a partition is compatible when it equals the congruence its
 blocks generate.  Joins read none: they are equivalence closures of
 unions.  Lattices are enumerated by joining principal congruences onto
-the ones found so far, on block-id arrays; in groups and rngs only the
-pairs with the neutral element and in quandles one pair per orbit of the
-inner automorphisms are generated.  The test suite checks both against
-exhaustive partition scans.
+the ones found so far, on block-id arrays; one pair is generated per orbit
+of the translations that permute the carrier, in every algebra alike, and
+no lattice grows past ``MAX_FIBRE`` congruences.  The test suite checks
+both against exhaustive partition scans.
 """
 
 from __future__ import annotations
@@ -746,21 +746,18 @@ def join(r: Congruence, s: Congruence) -> Congruence:
     return Congruence(r.algebra, _merge(r.ids, _block_pairs(s)))
 
 
-# The neutral element of each 0-regular variety, where a congruence is fixed by
-# its block: Cg(a, b) = Cg(e, a^-1 b) in a group and Cg(0, b - a) in a rng.
-_NEUTRAL = {GROUP_TAG: "e", RNG_TAG: "zero"}
-
-
 def _principal_ids(x: FiniteAlgebra) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Ids of Cg(a, b) for a < b, or for a = e in a variety of ``_NEUTRAL``;
-    in a quandle, one per orbit of the right translations, from <| alone."""
-    n, ops, sigmas = x.size, _operations(x), []
-    if x.tag in _NEUTRAL:
-        e = x.op(_NEUTRAL[x.tag])
-        return {(e, b): generated_congruence(x, [(e, b)]).ids for b in range(n) if b != e}
+    """Ids of Cg(a, b) for each pair a < b, generated once per orbit of the
+    translations that permute the carrier: the unary tables and the right
+    translations y -> y o c, the columns of the binary ones.  Such a t maps
+    each congruence into itself, as t^-1, a power of t, does, so the orbit
+    shares Cg(t a, t b) = Cg(a, b) (Mal'cev; Burris & Sankappanavar, II.5).
+    A quandle generates from <| alone: sigma_b^-1 is a power of sigma_b."""
+    n, ops = x.size, _operations(x)
     if x.tag == QUANDLE_TAG:
-        lhd = x.tables[x._op_index["lhd"]]
-        ops, sigmas = [(2, lhd)], [lhd[b::n] for b in range(n)]
+        ops = [(2, x.tables[x._op_index["lhd"]])]
+    columns = [t for k, t in ops if k == 1] + [t[c::n] for k, t in ops if k == 2 for c in range(n)]
+    sigmas = [s for s in columns if len(set(s)) == n]
     found = {}
     for pair in itertools.combinations(range(n), 2):
         if pair in found:
@@ -769,29 +766,28 @@ def _principal_ids(x: FiniteAlgebra) -> dict[tuple[int, int], tuple[int, ...]]:
         orbit = [pair]
         for a, b in orbit:
             for s in sigmas:
-                image = (min(s[a], s[b]), max(s[a], s[b]))
+                image = (s[a], s[b]) if s[a] < s[b] else (s[b], s[a])
                 if image not in found:
                     found[image] = ids
                     orbit.append(image)
     return found
 
 
+# a universe's up-sets, quadratic in a fibre, take 29 MB at Bell(9), ~0.9 GB at Bell(10)
+MAX_FIBRE = 25_000
+
+
 @lru_cache(maxsize=None)
 def con_lattice(x: FiniteAlgebra) -> tuple[Congruence, ...]:
     """Con(x) as a tuple ordered by block ids: the diagonal and the principal
-    congruences, closed under joining with a principal congruence, since
-    every congruence is a join of principal ones.
+    congruences (``_principal_ids``), closed under joining with a principal
+    congruence, since every congruence is a join of principal ones.
 
-    These are the Cg(e, x) in a variety of ``_NEUTRAL``, else the Cg(a, b).
-    In a quandle each sigma_b: y -> y <| b is an automorphism (Joyce, 1982),
-    so it maps Cg(a, b) onto Cg(sigma_b a, sigma_b b).  It also maps every
-    congruence into, hence onto, itself, so the two are equal: one pair per
-    orbit of the sigma_b is generated, and the orbit shares its ids, from <|
-    alone: sigma_b^-1 is a power of sigma_b, so an equivalence respecting <|
-    respects <|^-1.  Joins run on ids: R v P is ``_merge`` of R's ids along
-    P's non-trivial pairs, the join in Eq(A), of which Con(A) is a
-    sublattice.  They start at the principal congruences and skip each
-    P = Cg(a, b) with a R b, as then R v P = R.
+    Joins run on ids: R v P is ``_merge`` of R's ids along P's non-trivial
+    pairs, the join in Eq(A), of which Con(A) is a sublattice.  They start at
+    the principal congruences and skip each P = Cg(a, b) with a R b, as then
+    R v P = R.  Raises ``SizeTooLarge`` as soon as more than ``MAX_FIBRE``
+    congruences are found, before the lattice is finished.
     """
     principal = {ids: pair for pair, ids in _principal_ids(x).items()}
     pairs = [(a, b, [p for p in _block_pairs(Congruence(x, ids)) if p[0] != p[1]])
@@ -801,6 +797,8 @@ def con_lattice(x: FiniteAlgebra) -> tuple[Congruence, ...]:
     while frontier:
         fresh = []
         for r in frontier:
+            if len(found) > MAX_FIBRE:
+                raise SizeTooLarge(f"the algebra has more than {MAX_FIBRE} congruences")
             for a, b, p in pairs:
                 if r[a] != r[b] and (j := _merge(r, p)) not in found:
                     found.add(j)

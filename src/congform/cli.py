@@ -34,7 +34,7 @@ from .instances import (
     corpus_manifest,
 )
 from .operators import is_minimal, operator_report
-from .reflection import _closed_diagonals, closed_under_quotients, predicate_from_operator
+from .reflection import closed_under_quotients, predicate_from_operator, subcategory_members
 from .verify import THEOREMS, Subject, run_verification
 
 
@@ -266,8 +266,8 @@ def _cmd_antitone(args) -> int:
     _emit({
         "first": c1.name,
         "second": c2.name,
-        "subcategory_first": [i for i, closed in enumerate(_closed_diagonals(c1)) if closed],
-        "subcategory_second": [i for i, closed in enumerate(_closed_diagonals(c2)) if closed],
+        "subcategory_first": [u.lookup(a) for a in subcategory_members(c1)],
+        "subcategory_second": [u.lookup(a) for a in subcategory_members(c2)],
         "check": item,
         "pass": ok,
     }, args.report)

@@ -90,7 +90,7 @@ class NotGroup(InputError):
 
 
 class SizeTooLarge(InputError):
-    """Requested corpus or canonicalization size above the supported bound."""
+    """A corpus, canonical form, congruence lattice or search above its bound."""
 
 
 class UniverseMismatch(InputError):

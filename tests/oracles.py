@@ -319,17 +319,12 @@ def all_pairs_con_lattice(x):
 
 def principal_join_closure(x):
     """The diagonal and the principal congruences, each generated from its
-    own pair (from the neutral element in groups and rngs), closed under
-    ``join`` of every congruence found with every principal congruence."""
+    own pair, closed under ``join`` of every congruence found with every
+    principal congruence."""
     from congform import diagonal, generated_congruence, join
-    from congform.algebras import _NEUTRAL
 
     n = x.size
-    if x.tag in _NEUTRAL:
-        e = x.op(_NEUTRAL[x.tag])
-        pairs = [(e, b) for b in range(n) if b != e]
-    else:
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     principal = list(dict.fromkeys(generated_congruence(x, [p]) for p in pairs))
     found = {diagonal(x), *principal}
     frontier = list(found)

@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import json
+import time
 
 import pytest
 
@@ -399,6 +400,34 @@ def test_verify_all_over_the_size_limit_exits_2(capsys):
     assert code == 2
     assert json.loads(out)["error"] == "SizeTooLarge"
     assert err == "input error: corpus kind 'quandles' supports max_size <= 6\n"
+
+
+def operation_free(tmp_path, n: int) -> str:
+    path = tmp_path / f"free{n}.json"
+    path.write_text(json.dumps({"size": n, "signature": [], "tables": {}}))
+    return str(path)
+
+
+def test_con_lattice_past_the_fibre_budget_exits_2_as_it_grows(tmp_path, capsys):
+    # Con of the operation-free algebra of size 10 is the partition lattice,
+    # Bell(10) = 115,975 > MAX_FIBRE = 25,000: refused as the lattice grows
+    # past the budget, not after listing it; an operator file reads it too
+    algebra = operation_free(tmp_path, 10)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "con-lattice", "--algebra", algebra)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert json.loads(out)["error"] == "SizeTooLarge"
+    assert err == "input error: the algebra has more than 25000 congruences\n"
+    operator = tmp_path / "op.json"
+    operator.write_text(json.dumps({"entries": []}))
+    code, out, _ = run(capsys, "close", "--operator", str(operator), "--algebra", algebra,
+                       "--congruence", "[]")
+    assert (code, json.loads(out)["error"]) == (2, "SizeTooLarge")
+    # Bell(9) = 21,147 fits
+    code, out, _ = run(capsys, "con-lattice", "--algebra", operation_free(tmp_path, 9))
+    assert code == 0
+    assert json.loads(out)["count"] == 21147
 
 
 def test_verify_all_output_is_byte_stable(capsys):

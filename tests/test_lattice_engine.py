@@ -14,10 +14,11 @@ and cocartesian preservation along every searched surjection, and
 operator enumeration by generating and rejecting every extensive family.
 ``con_lattice`` joins each congruence found only with the principal
 congruences not below it, on block-id arrays; the oracles join every pair,
-or join ``Congruence`` objects with each principal one.  In quandles it
-generates one principal congruence per orbit of the inner automorphisms,
-shared by the whole orbit, from the <| table alone; the oracle generates
-each from its own pair, reading both tables.
+or join ``Congruence`` objects with each principal one.  In every algebra it
+generates one principal congruence per orbit of the translations that
+permute the carrier (the unary operations and the columns of the binary
+tables), shared by the whole orbit, and in quandles from the <| table alone;
+the oracles generate each from its own pair, reading every table.
 The operator checks read the universe's integer tables (``Universe``);
 the oracles are the same checks on ``Congruence`` objects, and must give
 the same verdicts and witnesses.
@@ -211,11 +212,26 @@ def test_naturality_verdicts_on_random_extensive_tables(make_universe, data):
 CORPORA = [("groups", 8), ("rngs", 12), ("quandles", 4)]
 
 
-# Groups and rngs generate their principal congruences from the neutral
-# element; the oracle generates them from every pair.
+# One principal congruence is generated per orbit of the translations that
+# permute the carrier; the oracle generates them from every pair.
 @pytest.mark.parametrize("kind,size", CORPORA + [("groups", 12), ("rngs", 24)])
 def test_con_lattice_matches_all_pairs_closure(kind, size):
     for x in corpus(kind, size).algebras:
+        assert con_lattice(x) == oracles.all_pairs_con_lattice(x)
+
+
+def unary_algebras(max_size: int = 4):
+    """Every map f: n -> n for n <= ``max_size`` as an untagged unary algebra
+    (1 + 4 + 27 + 256 = 288 of them); the permutations share their
+    generations along the orbits of f, the other maps generate every pair."""
+    return [FiniteAlgebra(n, Signature((("f", 1),)), (f,))
+            for n in range(1, max_size + 1) for f in itertools.product(range(n), repeat=n)]
+
+
+def test_con_lattice_matches_all_pairs_closure_on_unary_and_ternary_algebras():
+    members = unary_algebras() + ternary_algebras()
+    assert len(members) == 290
+    for x in members:
         assert con_lattice(x) == oracles.all_pairs_con_lattice(x)
 
 
@@ -304,9 +320,9 @@ def test_merge_matches_the_union_find_closures_on_drawn_pairs(data):
         oracles.equivalence_closure(x, _block_pairs(r) + pairs).ids
 
 
-# Joins on block-id arrays, and in quandles one principal congruence per
-# orbit of the inner automorphisms; the oracle joins Congruence objects and
-# generates every principal congruence from its own pair.
+# Joins on block-id arrays, and one principal congruence per orbit of the
+# permuting translations; the oracle joins Congruence objects and generates
+# every principal congruence from its own pair.
 @pytest.mark.parametrize("members", [
     lambda: corpus("quandles", 5).algebras,
     lambda: corpus("groups", 12).algebras,
@@ -339,6 +355,20 @@ def test_inner_automorphism_principal_congruences_match_generation(monkeypatch):
     assert [algebras._principal_ids(x) for x in members] == expected
     # one generation per orbit of the right translations on pairs, not 272
     assert calls[0] == 125
+
+
+@pytest.mark.parametrize("kind, size, generations", [
+    ("groups", 12, 53), ("rngs", 24, 60), ("quandles", 6, 572)],
+    ids=["groups-12", "rngs-24", "quandles-6"])
+def test_principal_congruences_take_one_generation_per_translation_orbit(
+        monkeypatch, kind, size, generations):
+    # one rule for every variety: one generation per orbit of the permuting translations
+    members = corpus(kind, size).algebras
+    expected = [{pair: generated_congruence(x, [pair]).ids
+                 for pair in itertools.combinations(range(x.size), 2)} for x in members]
+    calls = count_merges(monkeypatch, reading_tables=True)
+    assert [algebras._principal_ids(x) for x in members] == expected
+    assert calls[0] == generations
 
 
 def quandle_with_lhd_inv_first(x):
@@ -383,15 +413,37 @@ def test_right_translations_of_quandles_are_automorphisms():
             assert homomorphism(x, x, x.tables[0][b::x.size]).surjective
 
 
-def test_untagged_quandle_tables_take_the_all_pairs_path(monkeypatch):
+def pair_orbits(x) -> int:
+    """Orbits on pairs a < b of the group that the right translations of <|
+    generate, counted by union-find on the pairs."""
+    n, lhd = x.size, x.tables[0]
+    pairs = list(itertools.combinations(range(n), 2))
+    parent = {p: p for p in pairs}
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    for a, b in pairs:
+        for c in range(n):
+            s, t = lhd[a * n + c], lhd[b * n + c]
+            parent[find((a, b))] = find((min(s, t), max(s, t)))
+    return len({find(p) for p in pairs})
+
+
+def test_untagged_quandle_tables_share_generations_along_right_translations(monkeypatch):
+    # without the tag the same rule applies, reading both tables: the columns of
+    # <| and <|^-1 permute the carrier, and generate the same group
     members = corpus("quandles", 5).algebras
     calls = count_merges(monkeypatch, reading_tables=True)
     for x in members:
         untagged = FiniteAlgebra(x.size, x.sig, x.tables)
         calls[0] = 0
         lattice = con_lattice.__wrapped__(untagged)
-        assert calls[0] == x.size * (x.size - 1) // 2
+        assert calls[0] == pair_orbits(x)
         assert [r.ids for r in lattice] == [r.ids for r in con_lattice(x)]
+    assert sum(map(pair_orbits, members)) == 125
 
 
 @pytest.mark.parametrize("kind,size", CORPORA)

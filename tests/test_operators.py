@@ -28,7 +28,7 @@ from congform import (
     universe,
     universe_from_generators,
 )
-from congform import operators
+from congform import algebras, operators
 from congform.algebras import (
     FiniteAlgebra,
     Signature,
@@ -572,16 +572,19 @@ def test_enumerate_operators_guard():
 
 def test_fibre_budget(monkeypatch):
     # Con of the operation-free algebra of size 5 is the partition lattice,
-    # with Bell(5) = 52 elements; both constructors raise before any quotient
-    monkeypatch.setattr(operators, "MAX_FIBRE", 51)
+    # with Bell(5) = 52 elements; con_lattice raises, and both constructors
+    # before any quotient.  Equal operation-free algebras hit con_lattice's
+    # cache, so it is cleared first.
+    con_lattice.cache_clear()
+    monkeypatch.setattr(algebras, "MAX_FIBRE", 51)
     monkeypatch.setattr(operators, "quotient", None)
-    algebras = [FiniteAlgebra(n, Signature(()), ()) for n in range(1, 6)]
-    for build in (universe, universe_from_generators):
+    members = [FiniteAlgebra(n, Signature(()), ()) for n in range(1, 6)]
+    for build in (con_lattice, universe, universe_from_generators):
         with pytest.raises(SizeTooLarge, match="more than 51 congruences"):
-            build(algebras)
+            build(members[-1] if build is con_lattice else members)
     monkeypatch.undo()
-    monkeypatch.setattr(operators, "MAX_FIBRE", 52)
-    assert len(universe(algebras).lattices[-1]) == 52
+    monkeypatch.setattr(algebras, "MAX_FIBRE", 52)
+    assert len(universe(members).lattices[-1]) == 52
 
 
 # Rows [order, members, operators, idempotent, cohereditary, minimal,
